@@ -10,10 +10,12 @@
 //! schema before anything touches the filesystem; a schema drift exits
 //! nonzero with nothing written, so CI never archives a malformed
 //! snapshot. With `--gate`, the fresh snapshot is additionally compared
-//! to the committed baseline: `events_per_sec` and `ns_per_event` of
-//! every scenario must sit within ±25% of the baseline, or the process
-//! exits nonzero listing each drifted metric. A run *faster* than the
-//! band also fails — that is a stale baseline; re-run `perf_snapshot
+//! to the committed baseline: the deterministic columns (`events`,
+//! `heartbeats_sent`, `peak_queue_depth`, `ctx_switches`) of every
+//! scenario must equal the baseline and `events_per_sec` and
+//! `ns_per_event` must sit within ±25% of it, or the process exits
+//! nonzero listing each drifted metric. A run *faster* than the band
+//! also fails — that is a stale baseline; re-run `perf_snapshot
 //! BENCH_cluster.json` on a quiet machine and commit the result.
 //!
 //! With `--profile`, the deterministic profiler rides every scaling
@@ -86,7 +88,10 @@ fn main() {
         };
         match bench::perf::compare_snapshots(&doc, &baseline, GATE_TOLERANCE_PCT) {
             Ok(()) => {
-                println!("gate: all scenarios within ±{GATE_TOLERANCE_PCT:.0}% of {baseline_path}")
+                println!(
+                    "gate: all scenarios match {baseline_path} \
+                     (counts exactly, wall clock within ±{GATE_TOLERANCE_PCT:.0}%)"
+                )
             }
             Err(e) => {
                 eprintln!("perf_snapshot: regression gate failed against {baseline_path}:\n{e}");

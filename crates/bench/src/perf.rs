@@ -412,23 +412,39 @@ pub fn perf_snapshot() -> String {
     doc
 }
 
+/// The scenario columns the gate holds, and whether each must equal the
+/// baseline exactly. `events`, `heartbeats_sent`, `peak_queue_depth` and
+/// `ctx_switches` are pure functions of spec and seed, the same on every
+/// machine: any drift is a behaviour change, not jitter.
+const GATED: [(&str, bool); 6] = [
+    ("events_per_sec", false),
+    ("ns_per_event", false),
+    ("events", true),
+    ("heartbeats_sent", true),
+    ("peak_queue_depth", true),
+    ("ctx_switches", true),
+];
+
 /// Gates `current` against the committed `baseline`: for every scenario
-/// the two documents share by name, `events_per_sec` and `ns_per_event`
-/// must sit within `±tolerance_pct` of the baseline value. A scenario
-/// present on one side only also fails — a silently dropped scenario is
-/// how a gate rots.
+/// the two documents share by name, the deterministic columns (`events`,
+/// `heartbeats_sent`, `peak_queue_depth`, `ctx_switches`) must equal the
+/// baseline exactly, and `events_per_sec` and `ns_per_event` must sit
+/// within `±tolerance_pct` of it. A scenario present on one side only
+/// also fails — a silently dropped scenario is how a gate rots.
 ///
 /// The band is symmetric on purpose: a run 30% *faster* than the
 /// committed numbers is not a failure of the engine, but it is a stale
 /// baseline, and the fix (re-run `perf_snapshot` and commit the result)
-/// is the same either way.
+/// is the same either way. A re-recorded baseline must leave the
+/// deterministic columns as they were, unless the change meant to alter
+/// what the simulated system does.
 ///
 /// # Errors
 ///
-/// One message per out-of-band metric or unmatched scenario, joined by
+/// One message per drifted metric or unmatched scenario, joined by
 /// newlines; parse/schema failures of either document report alone.
 pub fn compare_snapshots(current: &str, baseline: &str, tolerance_pct: f64) -> Result<(), String> {
-    fn scenario_metrics(doc: &str, which: &str) -> Result<Vec<(String, f64, f64)>, String> {
+    fn scenario_metrics(doc: &str, which: &str) -> Result<Vec<(String, Vec<f64>)>, String> {
         validate_snapshot(doc).map_err(|e| format!("{which} snapshot invalid: {e}"))?;
         let parsed = Json::parse(doc).map_err(|e| format!("{which} snapshot unreadable: {e}"))?;
         let scenarios = parsed
@@ -443,12 +459,11 @@ pub fn compare_snapshots(current: &str, baseline: &str, tolerance_pct: f64) -> R
                     .and_then(Json::as_str)
                     .ok_or_else(|| format!("{which} snapshot: unnamed scenario"))?
                     .to_string();
-                let eps = s
-                    .get("events_per_sec")
-                    .and_then(Json::as_f64)
-                    .unwrap_or(0.0);
-                let nspe = s.get("ns_per_event").and_then(Json::as_f64).unwrap_or(0.0);
-                Ok((name, eps, nspe))
+                let values = GATED
+                    .iter()
+                    .map(|(field, _)| s.get(field).and_then(Json::as_f64).unwrap_or(0.0))
+                    .collect();
+                Ok((name, values))
             })
             .collect()
     }
@@ -456,51 +471,34 @@ pub fn compare_snapshots(current: &str, baseline: &str, tolerance_pct: f64) -> R
     let baseline = scenario_metrics(baseline, "baseline")?;
 
     let mut failures = Vec::new();
-    fn check(
-        failures: &mut Vec<String>,
-        tolerance_pct: f64,
-        name: &str,
-        metric: &str,
-        cur: f64,
-        base: f64,
-    ) {
-        if base <= 0.0 {
-            failures.push(format!("{name}: baseline {metric} is {base}, cannot gate"));
-            return;
-        }
-        let drift_pct = (cur - base) * 100.0 / base;
-        if drift_pct.abs() > tolerance_pct {
-            failures.push(format!(
-                "{name}: {metric} drifted {drift_pct:+.1}% \
-                 (current {cur:.0}, baseline {base:.0}, tolerance ±{tolerance_pct:.0}%)"
-            ));
-        }
-    }
-    for (name, eps, nspe) in &current {
-        match baseline.iter().find(|(b, _, _)| b == name) {
-            Some((_, base_eps, base_nspe)) => {
-                check(
-                    &mut failures,
-                    tolerance_pct,
-                    name,
-                    "events_per_sec",
-                    *eps,
-                    *base_eps,
-                );
-                check(
-                    &mut failures,
-                    tolerance_pct,
-                    name,
-                    "ns_per_event",
-                    *nspe,
-                    *base_nspe,
-                );
+    for (name, values) in &current {
+        let Some((_, base_values)) = baseline.iter().find(|(b, _)| b == name) else {
+            failures.push(format!("{name}: present in current, missing from baseline"));
+            continue;
+        };
+        for ((&(metric, exact), &cur), &base) in GATED.iter().zip(values).zip(base_values) {
+            if exact {
+                if cur != base {
+                    failures.push(format!(
+                        "{name}: {metric} changed (current {cur:.0}, baseline {base:.0}); \
+                         the column is deterministic, so the run behaves differently"
+                    ));
+                }
+            } else if base <= 0.0 {
+                failures.push(format!("{name}: baseline {metric} is {base}, cannot gate"));
+            } else {
+                let drift_pct = (cur - base) * 100.0 / base;
+                if drift_pct.abs() > tolerance_pct {
+                    failures.push(format!(
+                        "{name}: {metric} drifted {drift_pct:+.1}% \
+                         (current {cur:.0}, baseline {base:.0}, tolerance ±{tolerance_pct:.0}%)"
+                    ));
+                }
             }
-            None => failures.push(format!("{name}: present in current, missing from baseline")),
         }
     }
-    for (name, _, _) in &baseline {
-        if !current.iter().any(|(c, _, _)| c == name) {
+    for (name, _) in &baseline {
+        if !current.iter().any(|(c, _)| c == name) {
             failures.push(format!("{name}: present in baseline, missing from current"));
         }
     }
@@ -583,6 +581,24 @@ mod tests {
         let err =
             compare_snapshots(&doc_with(&[]), &base, 25.0).expect_err("empty current must fail");
         assert!(err.contains("invalid"), "{err}");
+    }
+
+    #[test]
+    fn gate_holds_the_deterministic_columns_exactly() {
+        let base = doc_with(&[("a", 1000.0, 100.0)]);
+        for (column, was) in [
+            ("events", 1000),
+            ("heartbeats_sent", 1),
+            ("peak_queue_depth", 1),
+            ("ctx_switches", 1),
+        ] {
+            let from = format!("\"{column}\":{was},");
+            assert!(base.contains(&from), "{column}");
+            let cur = base.replace(&from, &format!("\"{column}\":{},", was + 1));
+            let err =
+                compare_snapshots(&cur, &base, 25.0).expect_err("a one-count drift must fail");
+            assert!(err.contains(&format!("a: {column} changed")), "{err}");
+        }
     }
 
     #[test]

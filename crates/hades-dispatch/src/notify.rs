@@ -123,9 +123,10 @@ pub trait SchedulerPolicy {
     fn name(&self) -> &str;
 
     /// Reacts to one notification. `live` describes every live application
-    /// thread on the scheduler's node (including the notified one, unless
-    /// it terminated). Returned changes are applied through the dispatcher
-    /// primitive in order.
+    /// thread on the scheduler's own node and no other node's (including
+    /// the notified one, unless it terminated), in ascending thread-id
+    /// order, which is creation order. Returned changes are applied
+    /// through the dispatcher primitive in order.
     fn on_notification(&mut self, n: &Notification, live: &[ThreadSnapshot]) -> Vec<AttrChange>;
 
     /// Which notification kinds this policy wants to receive. Kinds not

@@ -32,6 +32,7 @@ use hades_task::{Eu, EuIndex, InvocationMode, Priority, Task, TaskId, TaskSet};
 use hades_telemetry::{ActorProbe, Counter, EngineProbe, NetProbe, ProfKind, Profiler, Registry};
 use hades_time::{Duration, Time};
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::rc::Rc;
 
 /// How actual action execution times relate to declared WCETs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -134,13 +135,13 @@ impl SimConfig {
 }
 
 /// Online deadline-miss hook: `(missed_deadline, task, activated, node)`.
-pub type MissTap = std::rc::Rc<dyn Fn(Time, TaskId, Time, u32)>;
+pub type MissTap = Rc<dyn Fn(Time, TaskId, Time, u32)>;
 
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Ev {
     Activate { task: TaskId, gen: u32 },
     WorkDone { node: u32, version: u64 },
-    EarliestReached { thread: ThreadId },
+    EarliestReached { thread: ThreadId, node: u32 },
     DeadlineCheck { task: TaskId, instance: u64 },
     LatestCheck { thread: ThreadId },
     RemoteArrive { thread: ThreadId, pred: EuIndex },
@@ -223,6 +224,13 @@ enum Exec {
 
 #[derive(Debug, Default)]
 struct NodeState {
+    /// The live threads of this node (`ThreadState::is_live`), in
+    /// ascending id order: what the scheduler task is handed on every
+    /// notification. `spawn_instance` appends (ids are handed out
+    /// monotonically, so appending keeps the order); `complete_thread`
+    /// and `abort_thread` remove the thread the moment its state stops
+    /// being live, and `crash_node` empties the list with the node.
+    live: Vec<ThreadId>,
     runq: RunQueue,
     current: Option<Exec>,
     since: Time,
@@ -248,14 +256,20 @@ struct NodeState {
 
 #[derive(Debug)]
 struct InstanceState {
-    live: HashSet<ThreadId>,
+    /// The instance's threads, indexed by `EuIndex` (ascending ids).
+    threads: Vec<ThreadId>,
+    /// How many of them are still live.
+    live: usize,
     deadline: Time,
     completed: Option<Time>,
     missed: bool,
+    /// Whether the instance's `DeadlineCheck` has fired; an instance with
+    /// no live thread left is dropped once it has.
+    checked: bool,
     record_idx: usize,
     /// Inv_EU threads (possibly of other tasks) waiting for this instance
-    /// to complete.
-    sync_waiters: Vec<ThreadId>,
+    /// to complete, with their nodes.
+    sync_waiters: Vec<(ThreadId, u32)>,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -266,8 +280,9 @@ enum InvPhase {
 }
 
 struct Inner {
-    tasks: TaskSet,
+    tasks: Rc<TaskSet>,
     cfg: SimConfig,
+    /// Live threads only: a thread is dropped when it finishes or dies.
     threads: HashMap<ThreadId, Thread>,
     next_thread: u64,
     nodes: Vec<NodeState>,
@@ -389,7 +404,7 @@ impl DispatchSim {
             .map(|_| ResourceManager::new(cfg.protocol.clone()))
             .collect();
         let inner = Inner {
-            tasks,
+            tasks: Rc::new(tasks),
             cfg,
             threads: HashMap::new(),
             next_thread: 0,
@@ -571,9 +586,42 @@ impl DispatchSim {
     ///
     /// Panics on a second call: a simulation runs once.
     pub fn run(&mut self) -> RunReport {
+        self.prime();
+        let horizon = Time::ZERO + self.inner.cfg.horizon;
+        // Wall-clock around the run loop is telemetry-only and volatile:
+        // it never feeds back into the simulation or the deterministic
+        // snapshot, so instrumented runs stay bit-identical.
+        let wall_start = self
+            .inner
+            .telemetry
+            .is_enabled()
+            .then(std::time::Instant::now);
+        let delivered = self.engine.run(&mut self.inner, horizon);
+        if let Some(start) = wall_start {
+            self.inner
+                .telemetry
+                .set_volatile("engine.wall_ns", start.elapsed().as_nanos() as u64);
+            self.inner
+                .telemetry
+                .set_volatile("engine.run_events", delivered);
+        }
+        // Per-kind wall attribution rides the volatile channel, exactly
+        // like engine.wall_ns: never part of the deterministic snapshot
+        // or the deterministic profile report.
+        for (name, ns) in self.inner.profiler.wall_totals() {
+            self.inner
+                .telemetry
+                .set_volatile(&format!("profile.wall_ns.{name}"), ns);
+        }
+        let end = self.engine.now();
+        self.inner.finish(end)
+    }
+
+    /// Posts the initial conditions of the run: first activations, actor
+    /// starts, the fault plan's transitions and the kernel activities.
+    fn prime(&mut self) {
         assert!(!self.ran, "simulation already ran");
         self.ran = true;
-        let horizon = Time::ZERO + self.inner.cfg.horizon;
         if self.inner.cfg.auto_activate {
             for task in self.inner.tasks.tasks() {
                 if task.arrival.min_separation().is_some() {
@@ -638,33 +686,6 @@ impl DispatchSim {
                 );
             }
         }
-        // Wall-clock around the run loop is telemetry-only and volatile:
-        // it never feeds back into the simulation or the deterministic
-        // snapshot, so instrumented runs stay bit-identical.
-        let wall_start = self
-            .inner
-            .telemetry
-            .is_enabled()
-            .then(std::time::Instant::now);
-        let delivered = self.engine.run(&mut self.inner, horizon);
-        if let Some(start) = wall_start {
-            self.inner
-                .telemetry
-                .set_volatile("engine.wall_ns", start.elapsed().as_nanos() as u64);
-            self.inner
-                .telemetry
-                .set_volatile("engine.run_events", delivered);
-        }
-        // Per-kind wall attribution rides the volatile channel, exactly
-        // like engine.wall_ns: never part of the deterministic snapshot
-        // or the deterministic profile report.
-        for (name, ns) in self.inner.profiler.wall_totals() {
-            self.inner
-                .telemetry
-                .set_volatile(&format!("profile.wall_ns.{name}"), ns);
-        }
-        let end = self.engine.now();
-        self.inner.finish(end)
     }
 }
 
@@ -703,17 +724,17 @@ impl Inner {
             Exec::App(tid) => {
                 let th = self.threads.get_mut(&tid).expect("running thread exists");
                 th.remaining = th.remaining.saturating_sub(progress);
-                th.name.clone()
+                th.name.as_str()
             }
             Exec::Sched => {
                 ns.sched_remaining = ns.sched_remaining.saturating_sub(progress);
                 self.scheduler_cpu += elapsed;
-                String::from("scheduler")
+                "scheduler"
             }
             Exec::Irq(_) => {
                 ns.irq_remaining = ns.irq_remaining.saturating_sub(progress);
                 self.kernel_cpu += elapsed;
-                String::from("kernel")
+                "kernel"
             }
         };
         let since = ns.since;
@@ -848,23 +869,16 @@ impl Inner {
         self.sync_clock(node, now);
         self.trace
             .record(now, NodeId(node), TraceKind::Alarm, "node_crash");
-        let mut victims: Vec<ThreadId> = self
-            .threads
-            .values()
-            .filter(|t| t.node == node && t.state.is_live())
-            .map(|t| t.id)
-            .collect();
-        victims.sort();
-        for tid in victims {
+        for tid in std::mem::take(&mut self.nodes[node as usize].live) {
             // Fail-silent death, not an application fault: the thread just
             // stops existing, without orphan alarms.
-            let th = self.threads.get_mut(&tid).expect("victim thread");
-            th.state = ThreadState::Aborted;
+            let th = self.retire(tid).expect("victim thread");
             self.resmgr[node as usize].release_all(tid);
-            let key = (self.threads[&tid].task, self.threads[&tid].instance);
+            let key = (th.task, th.instance);
             if let Some(inst) = self.instances.get_mut(&key) {
-                inst.live.remove(&tid);
+                inst.live -= 1;
             }
+            self.reap_instance(key);
         }
         let ns = &mut self.nodes[node as usize];
         ns.down = true;
@@ -1007,7 +1021,7 @@ impl Inner {
                         th.state = ThreadState::Runnable;
                         ns.runq.insert(tid, th.prio, th.runnable_since);
                         self.trace
-                            .record(now, NodeId(node), TraceKind::Preempt, th.name.clone());
+                            .record(now, NodeId(node), TraceKind::Preempt, th.name.as_str());
                     }
                 }
                 Some(Exec::Sched) | Some(Exec::Irq(_)) | None => {}
@@ -1030,7 +1044,7 @@ impl Inner {
                         self.ctx_switch_counter.incr();
                     }
                     self.trace
-                        .record(now, NodeId(node), TraceKind::Run, th.name.clone());
+                        .record(now, NodeId(node), TraceKind::Run, th.name.as_str());
                 }
                 Some(Exec::Sched) => {
                     if !ns.sched_busy {
@@ -1080,11 +1094,8 @@ impl Inner {
         if gen != self.chain_gen.get(&task_id).copied().unwrap_or(0) {
             return; // a restart re-anchored this task's chain
         }
-        let task = self
-            .tasks
-            .get(task_id)
-            .expect("activation for unknown task")
-            .clone();
+        let tasks = Rc::clone(&self.tasks);
+        let task = tasks.get(task_id).expect("activation for unknown task");
         let window_until = self
             .activation_windows
             .get(&task_id)
@@ -1117,14 +1128,12 @@ impl Inner {
                 task: task_id,
                 at: now,
             });
-            self.trace.record(
-                now,
-                NodeId(0),
-                TraceKind::Alarm,
-                format!("arrival_violation {task_id}"),
-            );
+            self.trace
+                .record_with(now, NodeId(0), TraceKind::Alarm, || {
+                    format!("arrival_violation {task_id}")
+                });
         }
-        self.spawn_instance(&task, now, sched);
+        self.spawn_instance(task, now, sched);
     }
 
     /// Creates the threads of one instance of `task` activated at `now`.
@@ -1145,17 +1154,17 @@ impl Inner {
             completed: None,
             missed: false,
         });
-        let mut live = HashSet::new();
-        // Map EuIndex -> ThreadId for precedence wiring.
-        let mut tid_of: HashMap<EuIndex, ThreadId> = HashMap::new();
+        // EuIndex -> ThreadId, for precedence wiring.
+        let first_thread = self.next_thread;
+        let mut threads = Vec::with_capacity(task.heug.eus().len());
         let mut touched_nodes: HashSet<u32> = HashSet::new();
         for (i, eu) in task.heug.eus().iter().enumerate() {
             let eu_idx = EuIndex(i as u32);
             let tid = ThreadId(self.next_thread);
             self.next_thread += 1;
-            tid_of.insert(eu_idx, tid);
-            live.insert(tid);
+            threads.push(tid);
             let node = eu.processor().0;
+            self.nodes[node as usize].live.push(tid);
             touched_nodes.insert(node);
             let preds = task.heug.predecessors(eu_idx).len();
             let th = match eu {
@@ -1238,7 +1247,7 @@ impl Inner {
                 sched.post(latest, Ev::LatestCheck { thread: tid });
             }
             if th.earliest > now {
-                sched.post(th.earliest, Ev::EarliestReached { thread: tid });
+                sched.post(th.earliest, Ev::EarliestReached { thread: tid, node });
             }
             self.threads.insert(tid, th);
             self.notify(node, NotificationKind::Atv, tid, now);
@@ -1246,10 +1255,12 @@ impl Inner {
         self.instances.insert(
             (task.id, instance),
             InstanceState {
-                live,
+                live: threads.len(),
+                threads,
                 deadline,
                 completed: None,
                 missed: false,
+                checked: false,
                 record_idx,
                 sync_waiters: Vec::new(),
             },
@@ -1262,12 +1273,7 @@ impl Inner {
             },
         );
         // Try to unblock every new thread, then reschedule touched nodes.
-        let tids: Vec<ThreadId> = {
-            let mut v: Vec<ThreadId> = tid_of.values().copied().collect();
-            v.sort();
-            v
-        };
-        for tid in tids {
+        for tid in (first_thread..self.next_thread).map(ThreadId) {
             self.try_unblock(tid, now);
         }
         let mut nodes: Vec<u32> = touched_nodes.into_iter().collect();
@@ -1310,8 +1316,7 @@ impl Inner {
         let (node, prio, task, resources_empty) =
             (th.node, th.prio, th.task, th.resources.is_empty());
         if !th.started {
-            let uses = th.resources.clone();
-            let adm = self.resmgr[node as usize].try_admit(tid, task, prio, &uses);
+            let adm = self.resmgr[node as usize].try_admit(tid, task, prio, &th.resources);
             match adm {
                 Admission::Granted => {
                     if !resources_empty {
@@ -1329,10 +1334,9 @@ impl Inner {
         let th = self.threads.get_mut(&tid).expect("thread checked above");
         th.state = ThreadState::Runnable;
         th.runnable_since = now;
-        let (prio, name) = (th.prio, th.name.clone());
-        self.nodes[node as usize].runq.insert(tid, prio, now);
+        self.nodes[node as usize].runq.insert(tid, th.prio, now);
         self.trace
-            .record(now, NodeId(node), TraceKind::Runnable, name);
+            .record(now, NodeId(node), TraceKind::Runnable, th.name.as_str());
         true
     }
 
@@ -1346,23 +1350,21 @@ impl Inner {
         }
         th.prio = prio;
         th.pt = th.pt.max(prio);
-        let (node, name) = (th.node, th.name.clone());
-        self.nodes[node as usize].runq.reprioritize(holder, prio);
-        self.trace.record(
-            now,
-            NodeId(node),
-            TraceKind::AttrChange,
-            format!("{name} inherits {prio}"),
-        );
+        self.nodes[th.node as usize].runq.reprioritize(holder, prio);
+        self.trace
+            .record_with(now, NodeId(th.node), TraceKind::AttrChange, || {
+                format!("{} inherits {prio}", th.name)
+            });
     }
 
     /// Re-examines every blocked thread on `node` (after a resource
     /// release, condvar change, ...), in priority order for determinism.
     fn recheck_blocked(&mut self, node: u32, now: Time) {
-        let mut blocked: Vec<(Priority, ThreadId)> = self
-            .threads
-            .values()
-            .filter(|t| t.node == node && t.state == ThreadState::Blocked)
+        let mut blocked: Vec<(Priority, ThreadId)> = self.nodes[node as usize]
+            .live
+            .iter()
+            .map(|tid| &self.threads[tid])
+            .filter(|t| t.state == ThreadState::Blocked)
             .map(|t| (t.prio, t.id))
             .collect();
         blocked.sort_by(|a, b| b.cmp(a));
@@ -1376,38 +1378,29 @@ impl Inner {
     // ------------------------------------------------------------------
 
     fn complete_thread(&mut self, tid: ThreadId, now: Time, sched: &mut Scheduler<Ev>) {
-        let th = self.threads.get(&tid).expect("completing thread").clone();
-        let node = th.node;
         // Inv_EU phase transitions intercept ordinary completion.
-        if let Some(phase) = self.inv_phase.get(&tid).copied() {
-            match phase {
-                InvPhase::Pre => {
-                    self.finish_inv_pre(tid, now, sched);
-                    return;
-                }
-                InvPhase::WaitingTarget => unreachable!("waiting inv thread cannot run"),
-                InvPhase::Post => {
-                    self.inv_phase.remove(&tid);
-                }
+        match self.inv_phase.get(&tid) {
+            Some(InvPhase::Pre) => {
+                self.finish_inv_pre(tid, now, sched);
+                return;
             }
+            Some(InvPhase::WaitingTarget) => unreachable!("waiting inv thread cannot run"),
+            Some(InvPhase::Post) | None => {}
         }
-        let (info, early, had_resources) = {
-            let th = self.threads.get_mut(&tid).expect("completing thread");
-            th.state = ThreadState::Finished;
-            let early = th
-                .terminated_early()
-                .then_some((th.action_wcet, th.action_actual));
-            (th.clone_info(), early, !th.resources.is_empty())
-        };
-        if let Some((wcet, actual)) = early {
+        let th = self.threads.get_mut(&tid).expect("completing thread");
+        th.state = ThreadState::Finished;
+        let (node, task_id, instance, eu) = (th.node, th.task, th.instance, th.eu);
+        let had_resources = !th.resources.is_empty();
+        if th.terminated_early() {
             self.monitor.push(MonitorEvent::EarlyTermination {
                 thread: tid,
-                wcet,
-                actual,
+                wcet: th.action_wcet,
+                actual: th.action_actual,
             });
         }
         self.trace
-            .record(now, NodeId(node), TraceKind::Finish, info.name.clone());
+            .record(now, NodeId(node), TraceKind::Finish, th.name.as_str());
+        self.unlist(node, tid);
         // Release resources.
         if self.resmgr[node as usize].release_all(tid) {
             self.recheck_blocked(node, now);
@@ -1416,19 +1409,16 @@ impl Inner {
             self.notify(node, NotificationKind::Rre, tid, now);
         }
         // Condition variables.
-        let (sets, clears) = {
-            let task = self.tasks.get(info.task).expect("task of thread");
-            match task.heug.eu(info.eu) {
-                Eu::Code(c) => (c.sets.clone(), c.clears.clone()),
-                Eu::Inv(_) => (Vec::new(), Vec::new()),
-            }
-        };
+        let tasks = Rc::clone(&self.tasks);
+        let task = tasks.get(task_id).expect("task of thread");
         let mut condvar_changed = false;
-        for cv in sets {
-            condvar_changed |= self.condvars.set(cv);
-        }
-        for cv in clears {
-            self.condvars.clear(cv);
+        if let Eu::Code(c) = task.heug.eu(eu) {
+            for &cv in &c.sets {
+                condvar_changed |= self.condvars.set(cv);
+            }
+            for &cv in &c.clears {
+                self.condvars.clear(cv);
+            }
         }
         if condvar_changed {
             // Condition variables are system-wide: recheck everywhere.
@@ -1437,9 +1427,10 @@ impl Inner {
             }
         }
         // Precedence propagation.
-        self.propagate_precedence(&info, now, sched);
+        self.propagate_precedence(task, tid, now, sched);
         self.notify(node, NotificationKind::Trm, tid, now);
-        self.instance_thread_done((info.task, info.instance), tid, now, sched);
+        self.retire(tid);
+        self.instance_thread_done((task_id, instance), now, sched);
         // Reschedule every node we may have touched (conservative but
         // deterministic).
         for n in 0..self.nodes.len() as u32 {
@@ -1452,21 +1443,17 @@ impl Inner {
             let th = &self.threads[&tid];
             (th.task, th.eu, th.node)
         };
-        let (target, mode) = {
-            let task = self.tasks.get(task_id).expect("task of inv thread");
-            let inv = task
-                .heug
-                .eu(eu_idx)
-                .as_inv()
-                .expect("inv thread wraps Inv_EU");
-            (inv.target, inv.mode)
-        };
-        let target_task = self
-            .tasks
-            .get(target)
-            .expect("validated invocation target")
-            .clone();
-        let inst = self.spawn_instance(&target_task, now, sched);
+        let tasks = Rc::clone(&self.tasks);
+        let inv = tasks
+            .get(task_id)
+            .expect("task of inv thread")
+            .heug
+            .eu(eu_idx)
+            .as_inv()
+            .expect("inv thread wraps Inv_EU");
+        let (target, mode) = (inv.target, inv.mode);
+        let target_task = tasks.get(target).expect("validated invocation target");
+        let inst = self.spawn_instance(target_task, now, sched);
         match mode {
             InvocationMode::Synchronous => {
                 self.inv_phase.insert(tid, InvPhase::WaitingTarget);
@@ -1477,7 +1464,7 @@ impl Inner {
                     .get_mut(&(target, inst))
                     .expect("just spawned")
                     .sync_waiters
-                    .push(tid);
+                    .push((tid, node));
             }
             InvocationMode::Asynchronous => {
                 self.inv_phase.insert(tid, InvPhase::Post);
@@ -1490,37 +1477,40 @@ impl Inner {
         self.reschedule(node, now, sched);
     }
 
-    fn propagate_precedence(&mut self, done: &DoneInfo, now: Time, sched: &mut Scheduler<Ev>) {
-        let task = self.tasks.get(done.task).expect("task of thread").clone();
-        let succs = task.heug.successors(done.eu);
-        for s in succs {
-            // Find the successor thread of the same instance.
-            let succ_tid = self
-                .threads
-                .values()
-                .find(|t| t.task == done.task && t.instance == done.instance && t.eu == s)
-                .map(|t| t.id);
-            let Some(succ_tid) = succ_tid else { continue };
-            let succ_node = self.threads[&succ_tid].node;
-            if succ_node == done.node {
+    /// Tells the successors of the just-finished `done` thread (an
+    /// instance of `task`) that one predecessor is satisfied.
+    fn propagate_precedence(
+        &mut self,
+        task: &Task,
+        done: ThreadId,
+        now: Time,
+        sched: &mut Scheduler<Ev>,
+    ) {
+        let th = &self.threads[&done];
+        let (key, done_eu, done_node) = ((th.task, th.instance), th.eu, th.node);
+        for s in task.heug.successors(done_eu) {
+            // The successor thread of the same instance. It may be dead
+            // already; a remote handoff is transmitted all the same.
+            let succ_tid = self.instances[&key].threads[s.0 as usize];
+            let succ_node = task.heug.eu(s).processor().0;
+            if succ_node == done_node {
                 // Local precedence: verified by the dispatcher (its cost
                 // was charged to the predecessor's WCET already).
-                let th = self.threads.get_mut(&succ_tid).expect("succ thread");
-                th.preds_pending = th.preds_pending.saturating_sub(1);
-                self.try_unblock(succ_tid, now);
+                if let Some(th) = self.threads.get_mut(&succ_tid) {
+                    th.preds_pending = th.preds_pending.saturating_sub(1);
+                    self.try_unblock(succ_tid, now);
+                }
             } else {
                 // Remote precedence: the msg_task transmits over the
                 // network; the receiver's kernel-side cost is the net IRQ
                 // kernel activity.
                 let fate = self
                     .network
-                    .transit(NodeId(done.node), NodeId(succ_node), now);
-                self.trace.record(
-                    now,
-                    NodeId(done.node),
-                    TraceKind::MsgSend,
-                    format!("{} -> {}", done.name, s),
-                );
+                    .transit(NodeId(done_node), NodeId(succ_node), now);
+                self.trace
+                    .record_with(now, NodeId(done_node), TraceKind::MsgSend, || {
+                        format!("{} -> {}", self.threads[&done].name, s)
+                    });
                 let deadline_guess = now + self.network.max_delay() + Duration::from_nanos(1);
                 match fate {
                     Delivery::At(t) => {
@@ -1531,7 +1521,7 @@ impl Inner {
                         self.profiler.record_send(
                             "dispatch",
                             0,
-                            done.node,
+                            done_node,
                             succ_node,
                             mux::WIRE_BYTES,
                         );
@@ -1539,7 +1529,7 @@ impl Inner {
                             t,
                             Ev::RemoteArrive {
                                 thread: succ_tid,
-                                pred: done.eu,
+                                pred: done_eu,
                             },
                         );
                         // Watchdog still armed: performance failures
@@ -1548,7 +1538,7 @@ impl Inner {
                             deadline_guess,
                             Ev::OmissionCheck {
                                 thread: succ_tid,
-                                pred: done.eu,
+                                pred: done_eu,
                             },
                         );
                     }
@@ -1557,7 +1547,7 @@ impl Inner {
                             deadline_guess,
                             Ev::OmissionCheck {
                                 thread: succ_tid,
-                                pred: done.eu,
+                                pred: done_eu,
                             },
                         );
                     }
@@ -1566,38 +1556,57 @@ impl Inner {
         }
     }
 
-    fn instance_thread_done(
-        &mut self,
-        key: (TaskId, u64),
-        tid: ThreadId,
-        now: Time,
-        sched: &mut Scheduler<Ev>,
-    ) {
+    /// One thread of instance `key` finished.
+    fn instance_thread_done(&mut self, key: (TaskId, u64), now: Time, sched: &mut Scheduler<Ev>) {
         let Some(inst) = self.instances.get_mut(&key) else {
             return;
         };
-        inst.live.remove(&tid);
-        if inst.live.is_empty() && inst.completed.is_none() {
+        inst.live -= 1;
+        if inst.live == 0 && inst.completed.is_none() {
             inst.completed = Some(now);
-            let missed_now = now > inst.deadline;
-            inst.missed |= missed_now;
+            inst.missed |= now > inst.deadline;
             let rec = &mut self.records[inst.record_idx];
             rec.completed = Some(now);
             rec.missed = inst.missed;
-            if missed_now && !matches!(self.cfg.miss_policy, MissPolicy::AbortInstance) {
-                // Late completion: the miss was already recorded by the
-                // deadline check; nothing further.
-            }
-            let waiters = std::mem::take(&mut inst.sync_waiters);
-            for w in waiters {
-                if self.inv_phase.get(&w) == Some(&InvPhase::WaitingTarget) {
-                    self.inv_phase.insert(w, InvPhase::Post);
+            for (w, node) in std::mem::take(&mut inst.sync_waiters) {
+                // A waiter that died meanwhile has no phase left to
+                // advance; its node is re-evaluated all the same.
+                if let Some(phase) = self.inv_phase.get_mut(&w) {
+                    *phase = InvPhase::Post;
                     self.try_unblock(w, now);
-                    let node = self.threads[&w].node;
-                    self.reschedule(node, now, sched);
                 }
+                self.reschedule(node, now, sched);
             }
         }
+        self.reap_instance(key);
+    }
+
+    /// Drops the bookkeeping of instance `key` once nothing can name it
+    /// any more: no live thread left and its `DeadlineCheck` delivered.
+    fn reap_instance(&mut self, key: (TaskId, u64)) {
+        if self
+            .instances
+            .get(&key)
+            .is_some_and(|i| i.live == 0 && i.checked)
+        {
+            self.instances.remove(&key);
+        }
+    }
+
+    /// Takes `tid`, which just stopped being live, off its node's live
+    /// index.
+    fn unlist(&mut self, node: u32, tid: ThreadId) {
+        let live = &mut self.nodes[node as usize].live;
+        if let Ok(i) = live.binary_search(&tid) {
+            live.remove(i);
+        }
+    }
+
+    /// Forgets a finished or dead thread, once its last use is behind us.
+    fn retire(&mut self, tid: ThreadId) -> Option<Thread> {
+        self.remote_arrived.remove(&tid);
+        self.inv_phase.remove(&tid);
+        self.threads.remove(&tid)
     }
 
     // ------------------------------------------------------------------
@@ -1615,12 +1624,10 @@ impl Inner {
             return;
         }
         self.notifications += 1;
-        self.trace.record(
-            now,
-            NodeId(node),
-            TraceKind::Notify,
-            format!("{} {}", kind.label(), self.threads[&tid].name),
-        );
+        self.trace
+            .record_with(now, NodeId(node), TraceKind::Notify, || {
+                format!("{} {}", kind.label(), self.threads[&tid].name)
+            });
         self.nodes[node as usize].sched_fifo.push(Notification {
             kind,
             thread: tid,
@@ -1638,15 +1645,21 @@ impl Inner {
             ns.sched_fifo.pop()
         };
         let Some(n) = n else { return };
-        let live: Vec<ThreadSnapshot> = {
-            let mut v: Vec<&Thread> = self
-                .threads
+        debug_assert_eq!(
+            self.nodes[node as usize].live.len(),
+            self.threads
                 .values()
                 .filter(|t| t.node == node && t.state.is_live())
-                .collect();
-            v.sort_by_key(|t| t.id);
-            v.iter()
-                .map(|t| ThreadSnapshot {
+                .count(),
+            "live index of node {node} out of step with the thread table"
+        );
+        let live: Vec<ThreadSnapshot> = self.nodes[node as usize]
+            .live
+            .iter()
+            .map(|tid| {
+                let t = &self.threads[tid];
+                debug_assert!(t.node == node && t.state.is_live());
+                ThreadSnapshot {
                     thread: t.id,
                     task: t.task,
                     prio: t.prio,
@@ -1657,9 +1670,9 @@ impl Inner {
                     started: t.started,
                     first_run: t.first_run,
                     state: t.state,
-                })
-                .collect()
-        };
+                }
+            })
+            .collect();
         let changes = {
             let policy = self
                 .policies
@@ -1691,14 +1704,11 @@ impl Inner {
             let p = p.min(Priority::APP_MAX.lower(1));
             th.prio = p;
             th.pt = th.pt.max(p);
-            let name = th.name.clone();
             self.nodes[th.node as usize].runq.reprioritize(c.thread, p);
-            self.trace.record(
-                now,
-                NodeId(node),
-                TraceKind::AttrChange,
-                format!("{name} prio <- {p}"),
-            );
+            self.trace
+                .record_with(now, NodeId(node), TraceKind::AttrChange, || {
+                    format!("{} prio <- {p}", th.name)
+                });
         }
         if let Some(e) = c.earliest {
             th.earliest = e;
@@ -1712,7 +1722,13 @@ impl Inner {
             if e > now {
                 // Re-arm the wake-up so the thread is rechecked when its
                 // (re)planned start time arrives.
-                sched.post(e, Ev::EarliestReached { thread: tid });
+                sched.post(
+                    e,
+                    Ev::EarliestReached {
+                        thread: tid,
+                        node: th.node,
+                    },
+                );
             }
         }
     }
@@ -1731,7 +1747,9 @@ impl Inner {
         let Some(inst) = self.instances.get_mut(&(task, instance)) else {
             return;
         };
+        inst.checked = true;
         if inst.completed.is_some() {
+            self.instances.remove(&(task, instance));
             return;
         }
         inst.missed = true;
@@ -1751,23 +1769,20 @@ impl Inner {
                 .unwrap_or(0);
             tap(now, task, activated, node);
         }
-        self.trace.record(
-            now,
-            NodeId(0),
-            TraceKind::Alarm,
-            format!("deadline_miss {task}#{instance}"),
-        );
+        self.trace
+            .record_with(now, NodeId(0), TraceKind::Alarm, || {
+                format!("deadline_miss {task}#{instance}")
+            });
         if matches!(self.cfg.miss_policy, MissPolicy::AbortInstance) {
-            let victims: Vec<ThreadId> = inst.live.iter().copied().collect();
-            let mut victims = victims;
-            victims.sort();
-            for tid in victims {
+            // The dead among them are skipped by `abort_thread`.
+            for tid in inst.threads.clone() {
                 self.abort_thread(tid, now);
             }
             for n in 0..self.nodes.len() as u32 {
                 self.reschedule(n, now, sched);
             }
         }
+        self.reap_instance((task, instance));
     }
 
     /// Kills a live thread (aborted instance or lost predecessor) and
@@ -1782,7 +1797,7 @@ impl Inner {
         let node = th.node;
         let was_running = th.state == ThreadState::Running;
         th.state = ThreadState::Aborted;
-        let name = th.name.clone();
+        self.unlist(node, tid);
         self.nodes[node as usize].runq.remove(tid);
         if was_running {
             self.nodes[node as usize].current = None;
@@ -1794,15 +1809,14 @@ impl Inner {
             thread: tid,
             at: now,
         });
-        self.trace.record(
-            now,
-            NodeId(node),
-            TraceKind::Alarm,
-            format!("orphan {name}"),
-        );
-        let key = (self.threads[&tid].task, self.threads[&tid].instance);
+        let th = self.retire(tid).expect("aborted thread");
+        self.trace
+            .record_with(now, NodeId(node), TraceKind::Alarm, || {
+                format!("orphan {}", th.name)
+            });
+        let key = (th.task, th.instance);
         if let Some(inst) = self.instances.get_mut(&key) {
-            inst.live.remove(&tid);
+            inst.live -= 1;
             // An aborted instance can never complete: record it as missed
             // immediately rather than waiting for the deadline to pass.
             if inst.completed.is_none() {
@@ -1810,6 +1824,7 @@ impl Inner {
                 self.records[inst.record_idx].missed = true;
             }
         }
+        self.reap_instance(key);
     }
 
     fn omission_check(
@@ -1836,12 +1851,10 @@ impl Inner {
             waiting: tid,
             detected_at: now,
         });
-        self.trace.record(
-            now,
-            NodeId(th.node),
-            TraceKind::Alarm,
-            format!("network_omission {}", th.name),
-        );
+        self.trace
+            .record_with(now, NodeId(th.node), TraceKind::Alarm, || {
+                format!("network_omission {}", th.name)
+            });
         // The successor can never run: reap it (and transitively its own
         // successors will be reaped by their own watchdogs or the stall
         // detector; we reap just this thread here).
@@ -1858,24 +1871,19 @@ impl Inner {
         now: Time,
         sched: &mut Scheduler<Ev>,
     ) {
-        let entry = self.remote_arrived.entry(tid).or_default();
-        if !entry.insert(pred) {
-            return; // duplicate delivery
-        }
+        // A late delivery to a dead thread must not re-create its entry.
         let Some(th) = self.threads.get_mut(&tid) else {
             return;
         };
-        if !th.state.is_live() {
-            return;
+        if !self.remote_arrived.entry(tid).or_default().insert(pred) {
+            return; // duplicate delivery
         }
         let node = th.node;
         th.preds_pending = th.preds_pending.saturating_sub(1);
-        self.trace.record(
-            now,
-            NodeId(node),
-            TraceKind::MsgRecv,
-            format!("{} <- {}", self.threads[&tid].name, pred),
-        );
+        self.trace
+            .record_with(now, NodeId(node), TraceKind::MsgRecv, || {
+                format!("{} <- {}", th.name, pred)
+            });
         self.try_unblock(tid, now);
         self.reschedule(node, now, sched);
     }
@@ -1890,12 +1898,10 @@ impl Inner {
                 thread: tid,
                 latest,
             });
-            self.trace.record(
-                now,
-                NodeId(th.node),
-                TraceKind::Alarm,
-                format!("latest_start_exceeded {}", th.name),
-            );
+            self.trace
+                .record_with(now, NodeId(th.node), TraceKind::Alarm, || {
+                    format!("latest_start_exceeded {}", th.name)
+                });
         }
     }
 
@@ -1964,27 +1970,6 @@ impl Inner {
     }
 }
 
-#[derive(Debug, Clone)]
-struct DoneInfo {
-    task: TaskId,
-    instance: u64,
-    eu: EuIndex,
-    node: u32,
-    name: String,
-}
-
-impl Thread {
-    fn clone_info(&self) -> DoneInfo {
-        DoneInfo {
-            task: self.task,
-            instance: self.instance,
-            eu: self.eu,
-            node: self.node,
-            name: self.name.clone(),
-        }
-    }
-}
-
 impl Simulation for Inner {
     type Event = Ev;
 
@@ -2031,12 +2016,9 @@ impl Simulation for Inner {
                     None => {}
                 }
             }
-            Ev::EarliestReached { thread } => {
-                if let Some(th) = self.threads.get(&thread) {
-                    let node = th.node;
-                    self.try_unblock(thread, now);
-                    self.reschedule(node, now, sched);
-                }
+            Ev::EarliestReached { thread, node } => {
+                self.try_unblock(thread, now);
+                self.reschedule(node, now, sched);
             }
             Ev::DeadlineCheck { task, instance } => self.deadline_check(task, instance, now, sched),
             Ev::LatestCheck { thread } => self.latest_check(thread, now),
@@ -2686,5 +2668,236 @@ mod tests {
         assert_eq!(old, vec![0, 1, 2], "old mode stops at the switch");
         assert_eq!(new, vec![3, 4, 5, 6, 7, 8], "new mode starts at the switch");
         assert!(r.all_deadlines_met());
+    }
+
+    // ------------------------------------------------------------------
+    // Live index and retirement
+    // ------------------------------------------------------------------
+
+    /// The live threads of `node` by brute force: a scan of the whole
+    /// thread table, which is what `scheduler_step` used to do.
+    fn scan_live(inner: &Inner, node: u32) -> Vec<ThreadId> {
+        let mut v: Vec<ThreadId> = inner
+            .threads
+            .values()
+            .filter(|t| t.node == node && t.state.is_live())
+            .map(|t| t.id)
+            .collect();
+        v.sort();
+        v
+    }
+
+    #[derive(Default)]
+    struct Audit {
+        /// `scan_live` of every node, refreshed before each event.
+        scan: std::cell::RefCell<Vec<Vec<ThreadId>>>,
+        /// Notifications processed, and the snapshot lengths summed.
+        calls: std::cell::Cell<u64>,
+        handed: std::cell::Cell<u64>,
+    }
+
+    /// A policy that changes nothing and checks every snapshot it is
+    /// handed: live, ascending, and exactly the brute-force scan of its
+    /// own node (so complete, and free of other nodes' threads).
+    struct Auditor {
+        node: u32,
+        audit: Rc<Audit>,
+    }
+
+    impl SchedulerPolicy for Auditor {
+        fn name(&self) -> &str {
+            "auditor"
+        }
+
+        fn on_notification(
+            &mut self,
+            _n: &Notification,
+            live: &[ThreadSnapshot],
+        ) -> Vec<AttrChange> {
+            assert!(live.iter().all(|s| s.state.is_live()));
+            let ids: Vec<ThreadId> = live.iter().map(|s| s.thread).collect();
+            assert!(ids.windows(2).all(|w| w[0] < w[1]), "ascending: {ids:?}");
+            assert_eq!(ids, self.audit.scan.borrow()[self.node as usize]);
+            self.audit.calls.set(self.audit.calls.get() + 1);
+            self.audit
+                .handed
+                .set(self.audit.handed.get() + ids.len() as u64);
+            Vec::new()
+        }
+    }
+
+    /// Runs the scan before every event. The scheduler task's completion
+    /// touches no thread before it calls the policy, so the scan is the
+    /// table as `scheduler_step` finds it.
+    struct Audited<'a> {
+        inner: &'a mut Inner,
+        audit: Rc<Audit>,
+    }
+
+    impl Simulation for Audited<'_> {
+        type Event = Ev;
+
+        fn handle(&mut self, now: Time, event: Ev, sched: &mut Scheduler<Ev>) {
+            *self.audit.scan.borrow_mut() = (0..self.inner.nodes.len() as u32)
+                .map(|n| scan_live(self.inner, n))
+                .collect();
+            self.inner.handle(now, event, sched);
+        }
+    }
+
+    /// `DispatchSim::run` with an [`Auditor`] as every node's scheduler.
+    fn run_audited(sim: &mut DispatchSim) -> (RunReport, Rc<Audit>) {
+        let audit = Rc::new(Audit::default());
+        for node in 0..sim.inner.nodes.len() as u32 {
+            let audit = Rc::clone(&audit);
+            sim.set_policy(node, Box::new(Auditor { node, audit }));
+        }
+        sim.prime();
+        let horizon = Time::ZERO + sim.inner.cfg.horizon;
+        let mut audited = Audited {
+            inner: &mut sim.inner,
+            audit: Rc::clone(&audit),
+        };
+        sim.engine.run(&mut audited, horizon);
+        let end = sim.engine.now();
+        (sim.inner.finish(end), audit)
+    }
+
+    /// `pre -> call(sync Inv of `callee`) -> post`, with `post` on
+    /// `post_node`.
+    fn caller(id: u32, callee: u32, node: u32, post_node: u32, period_us: u64) -> Task {
+        let mut b = HeugBuilder::new("caller");
+        let pre = b.code_eu(CodeEu::new("pre", us(10), ProcessorId(node)));
+        let call = b.inv_eu(InvEu::sync("call", TaskId(callee), ProcessorId(node)));
+        let post = b.code_eu(CodeEu::new("post", us(10), ProcessorId(post_node)));
+        b.precede(pre, call).precede(call, post);
+        Task::new(
+            TaskId(id),
+            b.build().unwrap(),
+            ArrivalLaw::Periodic(us(period_us)),
+            us(period_us),
+        )
+    }
+
+    fn callee(id: u32, node: u32, wcet_us: u64) -> Task {
+        Task::new(
+            TaskId(id),
+            Heug::single(CodeEu::new("callee", us(wcet_us), ProcessorId(node))).unwrap(),
+            ArrivalLaw::Aperiodic,
+            us(1000),
+        )
+    }
+
+    #[test]
+    fn scheduler_is_handed_exactly_the_live_threads_of_its_node() {
+        // Completion (beat), an instance aborted at every deadline (slow),
+        // a remote precedence edge 0 -> 1 (dist), a synchronous Inv_EU on
+        // node 1 (caller/callee), and node 1 crashing while its caller
+        // waits for the callee, back up 1.4 ms later.
+        let slow = Task::new(
+            TaskId(1),
+            Heug::single(CodeEu::new("slow", us(900), ProcessorId(0))).unwrap(),
+            ArrivalLaw::Periodic(us(2000)),
+            us(500),
+        );
+        let mut b = HeugBuilder::new("dist");
+        let a = b.code_eu(CodeEu::new("a", us(50), ProcessorId(0)).with_priority(Priority::new(5)));
+        let c = b.code_eu(CodeEu::new("b", us(50), ProcessorId(1)));
+        b.precede_with(a, c, 64);
+        let dist = Task::new(
+            TaskId(2),
+            b.build().unwrap(),
+            ArrivalLaw::Periodic(us(1000)),
+            us(1000),
+        );
+        let set = TaskSet::new(vec![
+            periodic(0, "beat", 100, 1000, 9),
+            slow,
+            dist,
+            caller(3, 4, 1, 1, 2000),
+            callee(4, 1, 100),
+        ])
+        .unwrap();
+        let mut cfg = SimConfig::ideal(Duration::from_millis(10));
+        cfg.miss_policy = MissPolicy::AbortInstance;
+        cfg.link = LinkConfig::reliable(us(20), us(40));
+        cfg.costs.sched_notif = us(2);
+        let down = Time::ZERO + us(2050);
+        let up = Time::ZERO + us(3450);
+        let net = Network::homogeneous(2, cfg.link, SimRng::seed_from(3))
+            .with_fault_plan(hades_sim::FaultPlan::new().crash_window(NodeId(1), down, up));
+        let mut sim = DispatchSim::with_network(set, cfg, net);
+        let (r, audit) = run_audited(&mut sim);
+        assert!(audit.calls.get() > 80, "{} snapshots", audit.calls.get());
+        let done = |t: u32| {
+            r.of_task(TaskId(t))
+                .iter()
+                .filter(|i| i.completed.is_some())
+                .count()
+        };
+        // The activations at the horizon itself are still in flight.
+        assert_eq!(done(0), 10, "beat completes every period");
+        assert_eq!(done(1), 0, "slow never makes its deadline");
+        assert_eq!(
+            r.monitor.orphans(),
+            5 + 1,
+            "five slow instances, and the dist successor spawned on the down node"
+        );
+        assert_eq!(done(2), 9, "dist loses the instance node 1 was down for");
+        assert_eq!((done(3), done(4)), (4, 4), "the crash kills one call");
+        assert_eq!(
+            sim.inner.inv_phase.len(),
+            1,
+            "the call that died waiting for its target left no phase behind"
+        );
+    }
+
+    #[test]
+    fn tables_hold_the_live_not_every_thread_ever_created() {
+        // 10^4 instances of a three-thread caller with a remote edge, each
+        // spawning a callee instance: 4 * 10^4 threads over the run.
+        let set = TaskSet::new(vec![caller(0, 1, 0, 1, 100), callee(1, 0, 20)]).unwrap();
+        let mut cfg = SimConfig::ideal(Duration::from_millis(1000));
+        cfg.link = LinkConfig::reliable(us(5), us(10));
+        cfg.trace = false;
+        let mut sim = DispatchSim::new(set, cfg);
+        let (r, _) = run_audited(&mut sim);
+        assert_eq!(r.instances.len(), 20_001);
+        assert_eq!(r.misses(), 0);
+        assert_eq!(sim.inner.next_thread, 40_003);
+        let inner = &sim.inner;
+        let sizes = [
+            inner.threads.len(),
+            inner.instances.len(),
+            inner.remote_arrived.len(),
+            inner.inv_phase.len(),
+            inner.nodes.iter().map(|n| n.live.len()).sum(),
+        ];
+        // What is in flight at the horizon, plus the instances whose
+        // deadline check is still queued.
+        assert!(sizes.iter().all(|&n| n <= 12), "table sizes {sizes:?}");
+    }
+
+    #[test]
+    fn snapshot_volume_grows_linearly_with_the_horizon() {
+        let handed = |horizon_ms: u64| {
+            let set = TaskSet::new(vec![
+                periodic(0, "a", 100, 1000, 3),
+                periodic(1, "b", 300, 2000, 2),
+                periodic(2, "c", 500, 4000, 1),
+            ])
+            .unwrap();
+            let mut cfg = SimConfig::ideal(Duration::from_millis(horizon_ms));
+            cfg.costs.sched_notif = us(2);
+            cfg.trace = false;
+            let mut sim = DispatchSim::new(set, cfg);
+            let (_, audit) = run_audited(&mut sim);
+            audit.handed.get()
+        };
+        // Both horizons are whole hyperperiods, and the notifications of
+        // the activations at the horizon itself are never processed.
+        let (short, long) = (handed(40), handed(160));
+        assert!(short > 100, "{short}");
+        assert_eq!(long, 4 * short);
     }
 }

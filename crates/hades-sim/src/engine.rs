@@ -9,7 +9,7 @@
 use hades_telemetry::EngineProbe;
 use hades_time::Time;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::{BinaryHeap, HashMap};
 
 /// Identifier of a posted event; used to cancel it before it fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -26,13 +26,6 @@ pub trait Simulation {
     /// Handles one event at virtual time `now`. New events may be posted
     /// (and pending ones cancelled) through `sched`.
     fn handle(&mut self, now: Time, event: Self::Event, sched: &mut Scheduler<Self::Event>);
-}
-
-#[derive(Debug)]
-struct Slot<E> {
-    at: Time,
-    id: EventId,
-    payload: E,
 }
 
 /// Interface handed to [`Simulation::handle`] for posting and cancelling
@@ -69,19 +62,16 @@ impl<E> Scheduler<E> {
 #[derive(Debug)]
 pub struct Engine<E> {
     now: Time,
-    heap: BinaryHeap<Reverse<HeapKey>>,
-    slots: std::collections::HashMap<u64, Slot<E>>,
-    cancelled: HashSet<EventId>,
-    next_seq: u64,
+    /// `(time, id)` keys, one per posted event; ids are handed out in
+    /// posting order, so the id doubles as the FIFO tie-break. A key whose
+    /// payload is gone from `slots` was cancelled and is skipped on pop.
+    heap: BinaryHeap<Reverse<(Time, EventId)>>,
+    /// Payloads of the pending events: cancelling removes the entry, so a
+    /// cancelled or already-delivered id leaves nothing behind.
+    slots: HashMap<EventId, E>,
     next_id: u64,
     delivered: u64,
     probe: EngineProbe,
-}
-
-#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
-struct HeapKey {
-    at: Time,
-    seq: u64,
 }
 
 impl<E> Engine<E> {
@@ -90,9 +80,7 @@ impl<E> Engine<E> {
         Engine {
             now: Time::ZERO,
             heap: BinaryHeap::new(),
-            slots: std::collections::HashMap::new(),
-            cancelled: HashSet::new(),
-            next_seq: 0,
+            slots: HashMap::new(),
             next_id: 0,
             delivered: 0,
             probe: EngineProbe::disabled(),
@@ -132,10 +120,7 @@ impl<E> Engine<E> {
 
     /// Number of pending (not yet delivered, not cancelled) events.
     pub fn pending(&self) -> usize {
-        self.slots
-            .values()
-            .filter(|s| !self.cancelled.contains(&s.id))
-            .count()
+        self.slots.len()
     }
 
     /// Posts an event from outside the run loop (initial conditions).
@@ -153,14 +138,12 @@ impl<E> Engine<E> {
 
     /// Cancels a pending event from outside the run loop.
     pub fn cancel(&mut self, id: EventId) {
-        self.cancelled.insert(id);
+        self.slots.remove(&id);
     }
 
     fn enqueue(&mut self, at: Time, payload: E, id: EventId) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Reverse(HeapKey { at, seq }));
-        self.slots.insert(seq, Slot { at, id, payload });
+        self.heap.push(Reverse((at, id)));
+        self.slots.insert(id, payload);
         self.probe
             .queue_high_water
             .record_max(self.heap.len() as u64);
@@ -183,23 +166,20 @@ impl<E> Engine<E> {
         };
         loop {
             // Pop next live event.
-            let slot = loop {
+            let (at, payload) = loop {
                 match self.heap.peek() {
                     None => return count,
-                    Some(Reverse(key)) if key.at > until => return count,
-                    Some(Reverse(key)) => {
-                        let seq = key.seq;
+                    Some(&Reverse((at, _))) if at > until => return count,
+                    Some(&Reverse((at, id))) => {
                         self.heap.pop();
-                        let slot = self.slots.remove(&seq).expect("slot for heap key");
-                        if self.cancelled.remove(&slot.id) {
-                            continue;
+                        if let Some(payload) = self.slots.remove(&id) {
+                            break (at, payload);
                         }
-                        break slot;
                     }
                 }
             };
-            debug_assert!(slot.at >= self.now, "event queue went backwards");
-            self.now = slot.at;
+            debug_assert!(at >= self.now, "event queue went backwards");
+            self.now = at;
             self.delivered += 1;
             count += 1;
             self.probe.events.incr();
@@ -208,14 +188,14 @@ impl<E> Engine<E> {
                 .tick(self.now.as_nanos(), self.heap.len() as u64);
 
             sched.next_id = self.next_id;
-            sim.handle(self.now, slot.payload, &mut sched);
+            sim.handle(self.now, payload, &mut sched);
             self.next_id = sched.next_id;
             for (at, ev, id) in sched.staged.drain(..) {
                 assert!(at >= self.now, "simulation posted event into the past");
                 self.enqueue(at, ev, id);
             }
             for id in sched.cancels.drain(..) {
-                self.cancelled.insert(id);
+                self.slots.remove(&id);
             }
         }
     }
@@ -330,6 +310,43 @@ mod tests {
         };
         e.run_to_completion(&mut sim);
         assert_eq!(sim.seen.len(), 1);
+    }
+
+    #[test]
+    fn cancelling_delivered_ids_leaves_nothing_behind() {
+        // A re-arming timer: every delivery cancels the id that just
+        // fired (a no-op) and posts the next one. Stopped mid-run, the
+        // engine holds the one armed event and nothing per past cycle.
+        struct Rearm {
+            armed: EventId,
+        }
+        impl Simulation for Rearm {
+            type Event = ();
+            fn handle(&mut self, now: Time, (): (), sched: &mut Scheduler<()>) {
+                sched.cancel(self.armed);
+                self.armed = sched.post(now + Duration::from_nanos(1), ());
+            }
+        }
+        let mut e = Engine::new();
+        let mut sim = Rearm {
+            armed: e.post(Time::ZERO, ()),
+        };
+        let n = e.run(&mut sim, Time::from_nanos(99_999));
+        assert_eq!(n, 100_000);
+        assert_eq!(e.pending(), 1);
+        assert_eq!((e.heap.len(), e.slots.len()), (1, 1));
+    }
+
+    #[test]
+    fn cancelled_pending_event_drops_its_payload_at_once() {
+        let mut e = Engine::new();
+        let id = e.post(Time::from_nanos(5), Ev::Ping(1));
+        e.cancel(id);
+        e.cancel(id); // idempotent
+        assert_eq!((e.pending(), e.slots.len()), (0, 0));
+        let mut sim = Recorder::default();
+        assert_eq!(e.run_to_completion(&mut sim), 0);
+        assert!(e.heap.is_empty(), "the orphaned key is skipped and popped");
     }
 
     #[test]

@@ -133,6 +133,20 @@ impl Trace {
         }
     }
 
+    /// Records one event whose detail has to be built: `detail` runs only
+    /// when recording is enabled, so a disabled trace costs no formatting.
+    pub fn record_with(
+        &mut self,
+        at: Time,
+        node: NodeId,
+        kind: TraceKind,
+        detail: impl FnOnce() -> String,
+    ) {
+        if self.enabled {
+            self.record(at, node, kind, detail());
+        }
+    }
+
     /// Records one CPU-occupancy segment.
     pub fn segment(&mut self, node: NodeId, lane: impl Into<String>, start: Time, end: Time) {
         if self.enabled && end > start {

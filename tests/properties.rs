@@ -91,6 +91,46 @@ proptest! {
         prop_assert!(b.build().is_err());
     }
 
+    // ---------------- hades-sim ----------------
+
+    /// Whatever is cancelled — pending, twice over, or already delivered —
+    /// the engine delivers the rest in (time, posting order), and
+    /// `pending()` counts exactly what is still to come.
+    #[test]
+    fn engine_delivery_order_survives_any_cancellation(
+        times in prop::collection::vec(0u64..50, 1..40),
+        cancels in prop::collection::vec(0usize..40, 0..30),
+        pause in 0u64..50,
+    ) {
+        struct Log(Vec<usize>);
+        impl hades_sim::Simulation for Log {
+            type Event = usize;
+            fn handle(&mut self, _: Time, ev: usize, _: &mut hades_sim::Scheduler<usize>) {
+                self.0.push(ev);
+            }
+        }
+        let mut engine = hades_sim::Engine::new();
+        let ids: Vec<_> = times
+            .iter()
+            .enumerate()
+            .map(|(i, t)| engine.post(Time::from_nanos(*t), i))
+            .collect();
+        let mut log = Log(Vec::new());
+        engine.run(&mut log, Time::from_nanos(pause));
+        let mut expected: Vec<usize> = (0..times.len()).collect();
+        expected.sort_by_key(|&i| (times[i], i));
+        let cancelled: std::collections::HashSet<usize> =
+            cancels.iter().map(|c| c % times.len()).collect();
+        for c in &cancels {
+            engine.cancel(ids[c % times.len()]);
+        }
+        expected.retain(|i| times[*i] <= pause || !cancelled.contains(i));
+        prop_assert_eq!(engine.pending(), expected.len() - log.0.len());
+        engine.run_to_completion(&mut log);
+        prop_assert_eq!(engine.pending(), 0);
+        prop_assert_eq!(log.0, expected);
+    }
+
     // ---------------- hades-dispatch ----------------
 
     /// The run queue's choice is always a maximal-priority entry, and
