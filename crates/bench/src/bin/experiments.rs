@@ -1,5 +1,5 @@
 //! Experiment driver: regenerates every figure/table-shaped result of the
-//! paper (see DESIGN.md's experiment index).
+//! paper (`--list` prints the index, `bench::run_experiment` holds it).
 //!
 //! Usage:
 //! ```text

@@ -8,7 +8,8 @@
 //! responses isolate each constant, verifying that the executed charge
 //! matches the configured value exactly — the property the whole
 //! cost-integration methodology rests on. (Host-time microbenchmarks of
-//! the dispatcher primitives live in `benches/dispatcher.rs`.)
+//! the dispatcher primitives are the lab's `dispatch.*` metrics,
+//! `benchmark/src/layers.rs`.)
 
 use hades_dispatch::{CostModel, DispatchSim, SimConfig};
 use hades_sim::KernelModel;

@@ -1,5 +1,5 @@
 //! Extension experiments beyond the paper's figures: ablations of the
-//! design choices DESIGN.md calls out.
+//! paper's design choices, listed with the rest by `experiments --list`.
 //!
 //! * `ablation` — which overhead component costs the most acceptance?
 //! * `overload` — planning-based admission (Spring) vs EDF under overload.

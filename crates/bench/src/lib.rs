@@ -1,15 +1,14 @@
 //! Experiment harness regenerating every figure- and table-shaped result
-//! of the paper (see `DESIGN.md`, experiment index E1–E14).
+//! of the paper; [`run_experiment`] is the index (E1–E14 plus the cluster
+//! experiments), and `experiments --list` prints it.
 //!
 //! Each experiment is a pure function returning a printable report, so the
-//! `experiments` binary, the integration tests and `EXPERIMENTS.md` all
-//! draw from the same code.
+//! `experiments` binary and this crate's tests draw from the same code.
 
 pub mod cluster;
 pub mod costs;
 pub mod extensions;
 pub mod figures;
-pub mod perf;
 pub mod policies;
 pub mod services;
 pub mod sweep;
@@ -39,7 +38,6 @@ pub fn run_experiment(name: &str) -> Option<String> {
         "cluster_scaling" => cluster::cluster_scaling(),
         "cluster_recovery" => cluster::cluster_recovery(),
         "cluster_groups" => cluster::cluster_groups(),
-        "perf_snapshot" => perf::perf_snapshot(),
         _ => return None,
     })
 }
@@ -68,7 +66,6 @@ pub const ALL_EXPERIMENTS: &[&str] = &[
     "cluster_scaling",
     "cluster_recovery",
     "cluster_groups",
-    "perf_snapshot",
 ];
 
 #[cfg(test)]

@@ -1,7 +1,8 @@
 //! Minimal hand-rolled JSON: an escaping writer helper and a small
-//! recursive-descent parser, enough for the perf-snapshot pipeline to
-//! emit `BENCH_cluster.json` and for the bench crate to schema-check it
-//! without external dependencies.
+//! recursive-descent parser, enough for the profile, violation and
+//! chaos-corpus exporters to emit JSONL and schema-check it, and for
+//! the measurement lab (`benchmark/`) to write its reports, without
+//! external dependencies.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

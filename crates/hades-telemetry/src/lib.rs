@@ -12,8 +12,9 @@
 //!   assert exactly that.
 //! * **Volatile wall-clock figures** — wall-time per engine event, peak
 //!   RSS and friends. These are kept out of the deterministic snapshot
-//!   entirely (see [`Registry::set_volatile`]) and only surface in
-//!   `BENCH_cluster.json`, where nondeterminism is the point.
+//!   entirely (see [`Registry::set_volatile`]) and only surface through
+//!   [`Registry::volatiles`], which the measurement lab (`benchmark/`)
+//!   reads — there nondeterminism is the point.
 //!
 //! A disabled registry (the default) is a single `Option` check on every
 //! hot-path hook: handles minted from it carry no cell, so instrumented

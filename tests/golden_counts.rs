@@ -1,0 +1,140 @@
+//! Golden deterministic counts: four fixed scenarios whose engine-level
+//! counters are pure functions of `(spec, seed)`, held exactly on every
+//! machine. Host time is not measured here — that is the lab's job
+//! (`benchmark/run.sh`, `BENCHMARK.json`).
+//!
+//! Re-record rule: these numbers change only in a PR that means to
+//! change what the simulated system does, and that PR says so in
+//! CHANGES.md. A refactor or optimisation that moves one of them has
+//! changed behaviour, not just speed.
+
+use hades::prelude::*;
+use hades_telemetry::MetricsSnapshot;
+
+fn us(n: u64) -> Duration {
+    Duration::from_micros(n)
+}
+
+fn ms(n: u64) -> Duration {
+    Duration::from_millis(n)
+}
+
+/// The cluster scaling scenario: `nodes` nodes under EDF with measured
+/// costs, two periodic services per node, and one replicated group on
+/// nodes 0–2 serving a live closed-loop client (with a request timeout,
+/// so the client survives blackouts). Both group leaders crash mid-run
+/// — *mid-request*, at 10.25 ms and 15.45 ms, so the in-flight request
+/// straddles each failover and is answered only at takeover — and the
+/// first crashed node rejoins at 20 ms. The `group.response_ns`
+/// histogram therefore measures real dispersion: the p50 is the
+/// steady-state Δ-multicast latency, the tail is the failover stall.
+fn perf_scenario(nodes: u32, seed: u64, horizon: Duration) -> ClusterSpec {
+    let start = Time::ZERO + ms(2);
+    let mut spec = ClusterSpec::new(nodes)
+        .policy(Policy::Edf)
+        .costs(CostModel::measured_default())
+        .horizon(horizon)
+        .seed(seed)
+        .scenario(
+            ScenarioPlan::new()
+                .crash(NodeId(0), Time::ZERO + us(10_250))
+                .crash(NodeId(1), Time::ZERO + us(15_450))
+                .restart(NodeId(0), Time::ZERO + ms(20)),
+        )
+        .service(
+            ServiceSpec::replicated(
+                "store",
+                ReplicaStyle::SemiActive,
+                vec![0, 1, 2],
+                GroupLoad::default(),
+            )
+            .workload(Box::new(
+                ClosedLoop::new(us(500), ms(1), start).with_timeout(ms(4)),
+            )),
+        );
+    for node in 0..nodes {
+        spec = spec
+            .service(ServiceSpec::periodic("control", node, us(200), ms(2)))
+            .service(ServiceSpec::periodic("logging", node, us(500), ms(10)));
+    }
+    spec
+}
+
+/// The population-scale fabric scenario (`fabric_1m`): one million
+/// simulated clients in three load classes (steady browse, bursty
+/// checkout, ramping api) over 64 consistent-hash shards on 24 nodes,
+/// with a mid-run follower crash at 10 ms so the measured window
+/// includes a `FabricDirector` rebalance of the crashed placement's
+/// shards. Client counts are pure rate multipliers — the engine sees
+/// only the aggregate per-shard streams.
+fn fabric_scenario(seed: u64, horizon: Duration) -> FabricSpec {
+    FabricSpec::new(24, 64)
+        .class(LoadClass::new("browse", 700_000, Duration::from_secs(15)))
+        .class(
+            LoadClass::new("checkout", 200_000, Duration::from_secs(8)).arrival(Arrival::Bursty {
+                on: ms(4),
+                off: ms(6),
+            }),
+        )
+        .class(
+            LoadClass::new("api", 100_000, Duration::from_secs(2))
+                .arrival(Arrival::Ramp { from_permille: 300 }),
+        )
+        .horizon(horizon)
+        .seed(seed)
+        .scenario(ScenarioPlan::new().crash(NodeId(4), Time::ZERO + ms(10)))
+}
+
+/// Holds one row: `counts` is `engine.events` / `agents.heartbeats_sent`
+/// / `engine.queue_depth_peak` / `dispatch.ctx_switches`, `response` is
+/// count / p50 / p99 / p999 of the `family` histogram.
+fn assert_row(m: &MetricsSnapshot, counts: [u64; 4], family: &str, response: [u64; 4]) {
+    let got = [
+        m.counter("engine.events"),
+        m.counter("agents.heartbeats_sent"),
+        m.gauge("engine.queue_depth_peak"),
+        m.counter("dispatch.ctx_switches"),
+    ];
+    let columns = "events / heartbeats_sent / queue_depth_peak / ctx_switches";
+    assert_eq!(got, counts.map(Some), "{columns}");
+    assert_eq!(m.counter("group.requests_abandoned").unwrap_or(0), 0);
+    assert_eq!(m.counter("telemetry.spans_dropped").unwrap_or(0), 0);
+    let h = m.histogram(family).expect(family);
+    assert_eq!([h.count, h.p50, h.p99, h.p999], response, "{family}");
+}
+
+fn assert_cluster_row(nodes: u32, counts: [u64; 4]) {
+    let run = perf_scenario(nodes, 7, ms(30))
+        .telemetry(Registry::enabled())
+        .run()
+        .expect("valid cluster spec");
+    let response = [37, 134_000, 2_732_000, 2_732_000];
+    let metrics = &run.telemetry().metrics;
+    assert_row(metrics, counts, "group.response_ns", response);
+}
+
+#[test]
+fn cluster24() {
+    assert_cluster_row(24, [43_893, 8_284, 2_029, 1_031]);
+}
+
+#[test]
+fn cluster48() {
+    assert_cluster_row(48, [176_952, 34_972, 8_784, 1_943]);
+}
+
+#[test]
+fn cluster96() {
+    assert_cluster_row(96, [729_070, 143_644, 44_814, 3_767]);
+}
+
+#[test]
+fn fabric_1m() {
+    let run = fabric_scenario(7, ms(30))
+        .telemetry(Registry::enabled())
+        .run()
+        .expect("valid fabric spec");
+    let response = [3_003, 134_000, 134_000, 134_000];
+    let counts = [958_586, 8_326, 3_754, 46_302];
+    assert_row(&run.metrics, counts, "fabric.response_ns", response);
+}

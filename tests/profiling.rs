@@ -171,7 +171,13 @@ fn wall_clock_attribution_travels_only_through_volatiles() {
         .counters
         .iter()
         .all(|(name, _)| !name.starts_with("profile.")));
-    assert!(!run.profile().unwrap().to_jsonl().contains("wall"));
+    let mut doc = run.profile().unwrap().to_jsonl();
+    assert!(!doc.contains("wall"));
+    // Appended as "wall" records, a real run's totals keep the document
+    // schema-valid.
+    doc.push_str(&ProfileReport::wall_records(&profiler.wall_totals()));
+    assert!(doc.contains("\"record\":\"wall\""));
+    ProfileReport::validate_jsonl(&doc).expect("schema-valid with wall records");
 }
 
 #[test]
