@@ -24,8 +24,8 @@ use crate::runq::RunQueue;
 use crate::thread::{Thread, ThreadId, ThreadState};
 use hades_sim::mux::{self, ActorEvent, ActorHost, ActorId, ControlOp, NetActor, Postbox};
 use hades_sim::{
-    Delivery, Engine, KernelModel, LinkConfig, Network, NodeId, Scheduler, SimRng, Simulation,
-    Trace, TraceKind,
+    Delivery, Engine, EventId, KernelModel, LinkConfig, Network, NodeId, Scheduler, SimRng,
+    Simulation, Trace, TraceKind,
 };
 use hades_task::arrival::ArrivalMonitor;
 use hades_task::{Eu, EuIndex, InvocationMode, Priority, Task, TaskId, TaskSet};
@@ -140,7 +140,7 @@ pub type MissTap = Rc<dyn Fn(Time, TaskId, Time, u32)>;
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Ev {
     Activate { task: TaskId, gen: u32 },
-    WorkDone { node: u32, version: u64 },
+    WorkDone { node: u32 },
     EarliestReached { thread: ThreadId, node: u32 },
     DeadlineCheck { task: TaskId, instance: u64 },
     LatestCheck { thread: ThreadId },
@@ -234,7 +234,9 @@ struct NodeState {
     runq: RunQueue,
     current: Option<Exec>,
     since: Time,
-    version: u64,
+    /// The one live [`Ev::WorkDone`] of this node, with the exec it was
+    /// armed for and the instant it fires at; see [`Inner::reschedule`].
+    armed: Option<(EventId, Exec, Time)>,
     sched_fifo: NotificationQueue,
     /// Remaining work of the notification currently being processed by the
     /// scheduler task (zero = none in progress).
@@ -766,7 +768,7 @@ impl Inner {
     fn fault_transition(&mut self, node: u32, now: Time, sched: &mut Scheduler<Ev>) {
         let crashed = self.network.fault_plan().is_crashed(NodeId(node), now);
         if crashed && !self.nodes[node as usize].down {
-            self.crash_node(node, now);
+            self.crash_node(node, now, sched);
         } else if !crashed && self.nodes[node as usize].down {
             self.restart_node(node, now, sched);
         } else if !self.nodes[node as usize].down
@@ -865,7 +867,7 @@ impl Inner {
     /// Kills `node`: work executed up to the crash stays charged, every
     /// live thread dies, the ready queue and all dispatcher queues drop,
     /// and nothing runs (or is charged) until the node restarts.
-    fn crash_node(&mut self, node: u32, now: Time) {
+    fn crash_node(&mut self, node: u32, now: Time, sched: &mut Scheduler<Ev>) {
         self.sync_clock(node, now);
         self.trace
             .record(now, NodeId(node), TraceKind::Alarm, "node_crash");
@@ -892,7 +894,9 @@ impl Inner {
         ns.irq_pending.clear();
         ns.irq_remaining = Duration::ZERO;
         ns.since = now;
-        ns.version += 1; // invalidate any in-flight WorkDone
+        if let Some((id, ..)) = ns.armed.take() {
+            sched.cancel(id); // nothing completes on a dead node
+        }
     }
 
     /// Brings `node` back up cold: empty queues, no threads, no carry-over
@@ -911,7 +915,6 @@ impl Inner {
         ns.down = false;
         ns.down_since = None;
         ns.since = now;
-        ns.version += 1;
         self.trace
             .record(now, NodeId(node), TraceKind::Alarm, "node_restart");
         if !self.cfg.auto_activate {
@@ -955,11 +958,6 @@ impl Inner {
         }
     }
 
-    fn sched_has_work(&self, node: u32) -> bool {
-        let ns = &self.nodes[node as usize];
-        ns.sched_busy || !ns.sched_fifo.is_empty()
-    }
-
     /// Picks what should occupy the CPU of `node` next.
     fn desired_exec(&self, node: u32) -> Option<Exec> {
         let ns = &self.nodes[node as usize];
@@ -970,18 +968,11 @@ impl Inner {
                 return Some(Exec::Irq(a));
             }
         }
-        if !ns.irq_remaining.is_zero() {
-            // An IRQ was preempted mid-way: impossible (pt = max), but be
-            // defensive and resume it.
-            if let Some(Exec::Irq(a)) = ns.current {
-                return Some(Exec::Irq(a));
-            }
-        }
         if let Some(&a) = ns.irq_pending.front() {
             return Some(Exec::Irq(a));
         }
         // Scheduler task at the highest application priority.
-        let sched_wants = self.sched_has_work(node);
+        let sched_wants = ns.sched_busy || !ns.sched_fifo.is_empty();
         match ns.current {
             Some(Exec::App(tid)) => {
                 let th = &self.threads[&tid];
@@ -1005,6 +996,11 @@ impl Inner {
     }
 
     /// Re-evaluates the CPU allocation of `node` after any state change.
+    ///
+    /// Invariant: an up node with a `current` has exactly one live
+    /// [`Ev::WorkDone`] queued, due when `current` runs out of work; an idle
+    /// or down node has none. It is re-armed (cancelled, and a new one
+    /// posted) only when `current` or that instant changed.
     fn reschedule(&mut self, node: u32, now: Time, sched: &mut Scheduler<Ev>) {
         if self.nodes[node as usize].down {
             return; // a dead node schedules nothing
@@ -1049,17 +1045,13 @@ impl Inner {
                 Some(Exec::Sched) => {
                     if !ns.sched_busy {
                         ns.sched_busy = true;
+                        // Zero cost: done via the WorkDone armed below at `now`.
                         ns.sched_remaining = self.cfg.costs.sched_notif;
-                        if ns.sched_remaining.is_zero() {
-                            // Zero-cost scheduler: processed synchronously
-                            // below via the WorkDone at now.
-                            ns.sched_remaining = Duration::from_nanos(0);
-                        }
                     }
                     self.trace
                         .record(now, NodeId(node), TraceKind::Run, "scheduler");
                 }
-                Some(Exec::Irq(a)) if ns.current != Some(Exec::Irq(a)) => {
+                Some(Exec::Irq(a)) => {
                     if ns.irq_remaining.is_zero() {
                         let popped = ns.irq_pending.pop_front();
                         debug_assert_eq!(popped, Some(a));
@@ -1068,21 +1060,23 @@ impl Inner {
                     self.trace
                         .record(now, NodeId(node), TraceKind::Run, "kernel");
                 }
-                Some(Exec::Irq(_)) => {}
                 None => {}
             }
             let ns = &mut self.nodes[node as usize];
             ns.current = desired;
             ns.since = now;
         }
-        // (Re)arm the completion event for whatever is now current.
-        let ns = &mut self.nodes[node as usize];
-        ns.version += 1;
-        if ns.current.is_some() {
+        // (Re)arm the completion, unless the one armed still stands.
+        let want = self.nodes[node as usize].current.map(|exec| {
             let rem = self.current_remaining(node);
-            let wall = self.wall_for(node, now, rem);
-            let version = self.nodes[node as usize].version;
-            sched.post(now + wall, Ev::WorkDone { node, version });
+            (exec, now + self.wall_for(node, now, rem))
+        });
+        let ns = &mut self.nodes[node as usize];
+        if ns.armed.map(|(_, exec, at)| (exec, at)) != want {
+            if let Some((stale, ..)) = ns.armed.take() {
+                sched.cancel(stale);
+            }
+            ns.armed = want.map(|(exec, at)| (sched.post(at, Ev::WorkDone { node }), exec, at));
         }
     }
 
@@ -1981,39 +1975,28 @@ impl Simulation for Inner {
         let wall_start = self.profiler.is_enabled().then(std::time::Instant::now);
         match event {
             Ev::Activate { task, gen } => self.activate(task, gen, now, sched),
-            Ev::WorkDone { node, version } => {
-                if self.nodes[node as usize].version != version {
-                    return; // stale completion from before a reschedule
-                }
+            Ev::WorkDone { node } => {
+                // Superseded completions were cancelled; this one is spent, so
+                // even a zero-length successor ending right now arms anew.
+                let ns = &mut self.nodes[node as usize];
+                let (armed, current) = (ns.armed.take(), ns.current);
+                debug_assert_eq!(
+                    armed.map(|(_, exec, at)| (Some(exec), at)),
+                    Some((current, now)),
+                    "stale completion delivered on node {node}"
+                );
                 self.sync_clock(node, now);
-                let current = self.nodes[node as usize].current;
+                let done = self.current_remaining(node).is_zero();
+                if done {
+                    self.nodes[node as usize].current = None;
+                }
                 match current {
-                    Some(Exec::App(tid)) => {
-                        if self.threads[&tid].remaining.is_zero() {
-                            self.nodes[node as usize].current = None;
-                            self.complete_thread(tid, now, sched);
-                        } else {
-                            self.reschedule(node, now, sched);
-                        }
+                    Some(Exec::App(tid)) if done => self.complete_thread(tid, now, sched),
+                    Some(Exec::Sched) if done => {
+                        self.scheduler_step(node, now, sched);
+                        self.reschedule(node, now, sched);
                     }
-                    Some(Exec::Sched) => {
-                        if self.nodes[node as usize].sched_remaining.is_zero() {
-                            self.nodes[node as usize].current = None;
-                            self.scheduler_step(node, now, sched);
-                            self.reschedule(node, now, sched);
-                        } else {
-                            self.reschedule(node, now, sched);
-                        }
-                    }
-                    Some(Exec::Irq(_)) => {
-                        if self.nodes[node as usize].irq_remaining.is_zero() {
-                            self.nodes[node as usize].current = None;
-                            self.reschedule(node, now, sched);
-                        } else {
-                            self.reschedule(node, now, sched);
-                        }
-                    }
-                    None => {}
+                    _ => self.reschedule(node, now, sched),
                 }
             }
             Ev::EarliestReached { thread, node } => {
@@ -2694,6 +2677,8 @@ mod tests {
         /// Notifications processed, and the snapshot lengths summed.
         calls: std::cell::Cell<u64>,
         handed: std::cell::Cell<u64>,
+        /// Completions delivered.
+        work_done: std::cell::Cell<u64>,
     }
 
     /// A policy that changes nothing and checks every snapshot it is
@@ -2729,6 +2714,13 @@ mod tests {
     /// Runs the scan before every event. The scheduler task's completion
     /// touches no thread before it calls the policy, so the scan is the
     /// table as `scheduler_step` finds it.
+    ///
+    /// It also holds the completion invariant of `reschedule` around every
+    /// event: a delivered `WorkDone` is the one its node has armed, for the
+    /// exec that is current, due now; and afterwards a node has a
+    /// completion armed exactly when it is up with something current. A
+    /// second live completion of a node would be delivered while another
+    /// (or none) is armed, so the two checks make it "exactly one".
     struct Audited<'a> {
         inner: &'a mut Inner,
         audit: Rc<Audit>,
@@ -2741,7 +2733,32 @@ mod tests {
             *self.audit.scan.borrow_mut() = (0..self.inner.nodes.len() as u32)
                 .map(|n| scan_live(self.inner, n))
                 .collect();
+            if let Ev::WorkDone { node } = event {
+                let ns = &self.inner.nodes[node as usize];
+                let armed = ns.armed.map(|(_, exec, at)| (Some(exec), at));
+                assert_eq!(armed, Some((ns.current, now)), "stale completion");
+                assert!(!ns.down, "completion on down node {node}");
+                self.audit.work_done.set(self.audit.work_done.get() + 1);
+            }
             self.inner.handle(now, event, sched);
+            for (n, ns) in self.inner.nodes.iter().enumerate() {
+                let busy = !ns.down && ns.current.is_some();
+                assert_eq!(ns.armed.is_some(), busy, "node {n} at {now}: {ns:?}");
+            }
+        }
+    }
+
+    /// Delivers whatever the run left queued past its horizon, counting
+    /// the completions per node.
+    struct DrainCompletions(Vec<usize>);
+
+    impl Simulation for DrainCompletions {
+        type Event = Ev;
+
+        fn handle(&mut self, _: Time, event: Ev, _: &mut Scheduler<Ev>) {
+            if let Ev::WorkDone { node } = event {
+                self.0[node as usize] += 1;
+            }
         }
     }
 
@@ -2760,6 +2777,12 @@ mod tests {
         };
         sim.engine.run(&mut audited, horizon);
         let end = sim.engine.now();
+        // Cancelled completions are never delivered, so what is left in
+        // the queue is one completion per armed node and no other.
+        let mut left = DrainCompletions(vec![0; sim.inner.nodes.len()]);
+        sim.engine.run_to_completion(&mut left);
+        let armed = sim.inner.nodes.iter().map(|ns| ns.armed.is_some() as usize);
+        assert_eq!(left.0, armed.collect::<Vec<_>>());
         (sim.inner.finish(end), audit)
     }
 
@@ -2829,6 +2852,7 @@ mod tests {
         let mut sim = DispatchSim::with_network(set, cfg, net);
         let (r, audit) = run_audited(&mut sim);
         assert!(audit.calls.get() > 80, "{} snapshots", audit.calls.get());
+        assert!(audit.work_done.get() > 100, "{}", audit.work_done.get());
         let done = |t: u32| {
             r.of_task(TaskId(t))
                 .iter()
@@ -2899,5 +2923,32 @@ mod tests {
         let (short, long) = (handed(40), handed(160));
         assert!(short > 100, "{short}");
         assert_eq!(long, 4 * short);
+    }
+
+    #[test]
+    fn zero_length_exec_after_a_completion_at_the_same_instant_is_armed_anew() {
+        // Under the zero-cost model the scheduler task's notification
+        // takes no time: every thread completion is followed, at the same
+        // instant on the same node, by an `Exec::Sched` that completes at
+        // that instant too. Taken for "already armed", it would never
+        // complete and the node would stop at its first completion.
+        let set = TaskSet::new(vec![
+            periodic(0, "a", 100, 1000, 3),
+            periodic(1, "b", 300, 2000, 2),
+        ])
+        .unwrap();
+        let mut sim = DispatchSim::new(set, SimConfig::ideal(Duration::from_millis(20)));
+        assert!(sim.inner.cfg.costs.sched_notif.is_zero());
+        let (r, audit) = run_audited(&mut sim);
+        assert_eq!(r.finished_at, Time::ZERO + Duration::from_millis(20));
+        assert_eq!(r.instances.len(), 21 + 11);
+        // All but the two activated at the horizon itself have completed.
+        assert_eq!(
+            r.instances.iter().filter(|i| i.completed.is_some()).count(),
+            30
+        );
+        assert_eq!(r.misses(), 0);
+        // Two notifications (activation, termination) per completed thread.
+        assert!(audit.calls.get() >= 60, "{} snapshots", audit.calls.get());
     }
 }

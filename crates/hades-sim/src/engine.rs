@@ -5,15 +5,25 @@
 //! receiving its own event type back at the times it asked for. This keeps
 //! borrows simple, makes event payloads inspectable in traces, and guarantees
 //! a deterministic total order of event delivery (time, then posting order).
+//!
+//! The queue is a binary heap of `(time, posting sequence, slot)` keys over a
+//! slab of payloads; nothing is hashed. Cancelling empties the slot and
+//! leaves its key in the heap as a *tombstone*, skipped when it surfaces. A
+//! slot is reused, one generation older, once its key is popped, so an
+//! [`EventId`] that outlives its event never touches the next occupant.
 
-use hades_telemetry::EngineProbe;
+use hades_telemetry::{Counter, EngineProbe, Gauge, Profiler};
 use hades_time::Time;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
-/// Identifier of a posted event; used to cancel it before it fires.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct EventId(u64);
+/// Identifier of a posted event; used to cancel it before it fires: the
+/// event's slot in the payload slab, and the slot's generation at posting.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct EventId {
+    slot: u32,
+    gen: u32,
+}
 
 /// A simulation driven by the [`Engine`].
 ///
@@ -28,62 +38,111 @@ pub trait Simulation {
     fn handle(&mut self, now: Time, event: Self::Event, sched: &mut Scheduler<Self::Event>);
 }
 
-/// Interface handed to [`Simulation::handle`] for posting and cancelling
-/// events during event processing.
+#[derive(Debug)]
+struct Slot<E> {
+    /// Bumped when the slot's key is popped: older ids stop matching.
+    gen: u32,
+    /// `None` while the slot is free or a tombstone.
+    payload: Option<E>,
+}
+
+/// The event queue itself, handed to [`Simulation::handle`] for posting and
+/// cancelling events during event processing; both take effect at once.
 #[derive(Debug)]
 pub struct Scheduler<E> {
-    staged: Vec<(Time, E, EventId)>,
-    cancels: Vec<EventId>,
-    next_id: u64,
+    now: Time,
+    /// One key per posted event that has not surfaced yet, tombstones
+    /// included; `seq` counts posts, so it is the FIFO tie-break.
+    heap: BinaryHeap<Reverse<(Time, u64, u32)>>,
+    slots: Vec<Slot<E>>,
+    /// Slots with no key in the heap.
+    free: Vec<u32>,
+    next_seq: u64,
+    /// Slots holding a payload.
+    live: usize,
+    /// High water of `heap.len()`, tombstones and all.
+    depth_peak: Gauge,
 }
 
 impl<E> Scheduler<E> {
-    /// Posts `event` to fire at absolute time `at`.
-    ///
-    /// Posting into the past is a programming error and panics in the run
-    /// loop when the event is merged.
+    /// Posts `event` to fire at absolute time `at`. Posting into the past is
+    /// a programming error and panics here, in the offending handler.
     pub fn post(&mut self, at: Time, event: E) -> EventId {
-        let id = EventId(self.next_id);
-        self.next_id += 1;
-        self.staged.push((at, event, id));
-        id
+        assert!(at >= self.now, "posting event into the past");
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.slots.push(Slot {
+                gen: 0,
+                payload: None,
+            });
+            u32::try_from(self.slots.len() - 1).expect("fewer than 2^32 queued events")
+        });
+        self.heap.push(Reverse((at, self.next_seq, slot)));
+        self.depth_peak.record_max(self.heap.len() as u64);
+        self.next_seq += 1;
+        self.live += 1;
+        let entry = &mut self.slots[slot as usize];
+        entry.payload = Some(event);
+        let gen = entry.gen;
+        EventId { slot, gen }
     }
 
-    /// Cancels a previously posted event. Cancelling an already-delivered or
-    /// unknown id is a no-op.
+    /// Cancels a previously posted event in O(1): the payload is dropped at
+    /// once, the heap key stays behind as a tombstone. Cancelling a
+    /// delivered, cancelled or unknown id is a no-op — its generation no
+    /// longer matches, whoever occupies the slot now.
     pub fn cancel(&mut self, id: EventId) {
-        self.cancels.push(id);
+        let slot = self.slots.get_mut(id.slot as usize);
+        if slot.is_some_and(|s| s.gen == id.gen && s.payload.take().is_some()) {
+            self.live -= 1;
+        }
+    }
+
+    /// Pops the earliest live event due by `until`, dropping the tombstones
+    /// ahead of it, and advances the clock to it.
+    fn pop(&mut self, until: Time) -> Option<E> {
+        loop {
+            let &Reverse((at, _, slot)) = self.heap.peek().filter(|key| key.0 .0 <= until)?;
+            self.heap.pop();
+            self.free.push(slot);
+            let entry = &mut self.slots[slot as usize];
+            entry.gen = entry.gen.wrapping_add(1);
+            if let Some(payload) = entry.payload.take() {
+                debug_assert!(at >= self.now, "event queue went backwards");
+                self.now = at;
+                self.live -= 1;
+                return Some(payload);
+            }
+        }
     }
 }
 
-/// The discrete-event engine: a time-ordered queue plus the run loop.
+/// The discrete-event engine: the [`Scheduler`] queue plus the run loop.
 ///
 /// See the crate-level example for typical use.
 #[derive(Debug)]
 pub struct Engine<E> {
-    now: Time,
-    /// `(time, id)` keys, one per posted event; ids are handed out in
-    /// posting order, so the id doubles as the FIFO tie-break. A key whose
-    /// payload is gone from `slots` was cancelled and is skipped on pop.
-    heap: BinaryHeap<Reverse<(Time, EventId)>>,
-    /// Payloads of the pending events: cancelling removes the entry, so a
-    /// cancelled or already-delivered id leaves nothing behind.
-    slots: HashMap<EventId, E>,
-    next_id: u64,
+    queue: Scheduler<E>,
     delivered: u64,
-    probe: EngineProbe,
+    events: Counter,
+    profiler: Profiler,
 }
 
 impl<E> Engine<E> {
     /// Creates an engine at time zero with an empty queue.
     pub fn new() -> Self {
         Engine {
-            now: Time::ZERO,
-            heap: BinaryHeap::new(),
-            slots: HashMap::new(),
-            next_id: 0,
+            queue: Scheduler {
+                now: Time::ZERO,
+                heap: BinaryHeap::new(),
+                slots: Vec::new(),
+                free: Vec::new(),
+                next_seq: 0,
+                live: 0,
+                depth_peak: Gauge::default(),
+            },
             delivered: 0,
-            probe: EngineProbe::disabled(),
+            events: Counter::default(),
+            profiler: Profiler::disabled(),
         }
     }
 
@@ -92,25 +151,24 @@ impl<E> Engine<E> {
     /// one `Option` check per event; installing a probe never changes
     /// the event order or posts events.
     pub fn set_probe(&mut self, probe: EngineProbe) {
-        let profiler = std::mem::take(&mut self.probe.profiler);
-        self.probe = probe;
-        if !self.probe.profiler.is_enabled() {
-            self.probe.profiler = profiler;
+        self.events = probe.events;
+        self.queue.depth_peak = probe.queue_high_water;
+        if probe.profiler.is_enabled() {
+            self.profiler = probe.profiler;
         }
     }
 
-    /// Attaches a profiler to the run loop: one
-    /// [`Profiler::tick`](hades_telemetry::Profiler::tick) per delivered
-    /// event with the current time and queue length. Independent of
-    /// [`Engine::set_probe`] — either may be installed first. A disabled
+    /// Attaches a profiler to the run loop: one [`Profiler::tick`] per
+    /// delivered event with the current time and queue length. Independent
+    /// of [`Engine::set_probe`] — either may be installed first. A disabled
     /// profiler (the default) costs one `Option` check per event.
-    pub fn set_profiler(&mut self, profiler: hades_telemetry::Profiler) {
-        self.probe.profiler = profiler;
+    pub fn set_profiler(&mut self, profiler: Profiler) {
+        self.profiler = profiler;
     }
 
     /// Current virtual time (time of the last delivered event).
     pub fn now(&self) -> Time {
-        self.now
+        self.queue.now
     }
 
     /// Total number of events delivered so far.
@@ -118,9 +176,11 @@ impl<E> Engine<E> {
         self.delivered
     }
 
-    /// Number of pending (not yet delivered, not cancelled) events.
+    /// Number of pending (not yet delivered, not cancelled) events, in O(1).
+    /// Tombstones do not count here; the probe's queue-depth high water is
+    /// the heap's length and does include them.
     pub fn pending(&self) -> usize {
-        self.slots.len()
+        self.queue.live
     }
 
     /// Posts an event from outside the run loop (initial conditions).
@@ -129,24 +189,12 @@ impl<E> Engine<E> {
     ///
     /// Panics if `at` precedes the current virtual time.
     pub fn post(&mut self, at: Time, event: E) -> EventId {
-        assert!(at >= self.now, "posting event into the past");
-        let id = EventId(self.next_id);
-        self.next_id += 1;
-        self.enqueue(at, event, id);
-        id
+        self.queue.post(at, event)
     }
 
     /// Cancels a pending event from outside the run loop.
     pub fn cancel(&mut self, id: EventId) {
-        self.slots.remove(&id);
-    }
-
-    fn enqueue(&mut self, at: Time, payload: E, id: EventId) {
-        self.heap.push(Reverse((at, id)));
-        self.slots.insert(id, payload);
-        self.probe
-            .queue_high_water
-            .record_max(self.heap.len() as u64);
+        self.queue.cancel(id);
     }
 
     /// Runs the simulation until the queue drains or virtual time would pass
@@ -158,46 +206,15 @@ impl<E> Engine<E> {
     ///
     /// Panics if the simulation posts an event into the past.
     pub fn run<S: Simulation<Event = E>>(&mut self, sim: &mut S, until: Time) -> u64 {
-        let mut count = 0;
-        let mut sched = Scheduler {
-            staged: Vec::new(),
-            cancels: Vec::new(),
-            next_id: 0,
-        };
-        loop {
-            // Pop next live event.
-            let (at, payload) = loop {
-                match self.heap.peek() {
-                    None => return count,
-                    Some(&Reverse((at, _))) if at > until => return count,
-                    Some(&Reverse((at, id))) => {
-                        self.heap.pop();
-                        if let Some(payload) = self.slots.remove(&id) {
-                            break (at, payload);
-                        }
-                    }
-                }
-            };
-            debug_assert!(at >= self.now, "event queue went backwards");
-            self.now = at;
+        let before = self.delivered;
+        while let Some(payload) = self.queue.pop(until) {
+            let (now, depth) = (self.queue.now, self.queue.heap.len() as u64);
             self.delivered += 1;
-            count += 1;
-            self.probe.events.incr();
-            self.probe
-                .profiler
-                .tick(self.now.as_nanos(), self.heap.len() as u64);
-
-            sched.next_id = self.next_id;
-            sim.handle(self.now, payload, &mut sched);
-            self.next_id = sched.next_id;
-            for (at, ev, id) in sched.staged.drain(..) {
-                assert!(at >= self.now, "simulation posted event into the past");
-                self.enqueue(at, ev, id);
-            }
-            for id in sched.cancels.drain(..) {
-                self.slots.remove(&id);
-            }
+            self.events.incr();
+            self.profiler.tick(now.as_nanos(), depth);
+            sim.handle(now, payload, &mut self.queue);
         }
+        self.delivered - before
     }
 
     /// Runs until the queue is fully drained.
@@ -334,7 +351,8 @@ mod tests {
         let n = e.run(&mut sim, Time::from_nanos(99_999));
         assert_eq!(n, 100_000);
         assert_eq!(e.pending(), 1);
-        assert_eq!((e.heap.len(), e.slots.len()), (1, 1));
+        assert_eq!(e.queue.heap.len(), 1);
+        assert!(e.queue.slots.len() <= 2, "{} slots", e.queue.slots.len());
     }
 
     #[test]
@@ -343,10 +361,49 @@ mod tests {
         let id = e.post(Time::from_nanos(5), Ev::Ping(1));
         e.cancel(id);
         e.cancel(id); // idempotent
-        assert_eq!((e.pending(), e.slots.len()), (0, 0));
+        assert_eq!(e.pending(), 0);
+        assert!(e.queue.slots.iter().all(|s| s.payload.is_none()));
         let mut sim = Recorder::default();
         assert_eq!(e.run_to_completion(&mut sim), 0);
-        assert!(e.heap.is_empty(), "the orphaned key is skipped and popped");
+        assert!(
+            e.queue.heap.is_empty(),
+            "the tombstone is skipped and popped"
+        );
+        assert_eq!(
+            e.queue.free.len(),
+            e.queue.slots.len(),
+            "and its slot freed"
+        );
+    }
+
+    #[test]
+    fn stale_id_does_not_cancel_the_slots_next_occupant() {
+        let mut e = Engine::new();
+        let first = e.post(Time::from_nanos(1), Ev::Ping(1));
+        let mut sim = Recorder::default();
+        e.run_to_completion(&mut sim);
+        let second = e.post(Time::from_nanos(2), Ev::Ping(2));
+        assert_eq!(first.slot, second.slot, "the freed slot is reused");
+        assert_ne!(first, second);
+        e.cancel(first);
+        assert_eq!(e.pending(), 1);
+        // Likewise for an id whose event was cancelled, once its tombstone
+        // has been popped and the slot handed out again.
+        e.cancel(second);
+        e.cancel(second);
+        assert_eq!(e.pending(), 0);
+        e.run_to_completion(&mut sim);
+        let third = e.post(Time::from_nanos(3), Ev::Ping(3));
+        assert_eq!(second.slot, third.slot);
+        e.cancel(second);
+        e.run_to_completion(&mut sim);
+        assert_eq!(
+            sim.seen,
+            vec![
+                (Time::from_nanos(1), Ev::Ping(1)),
+                (Time::from_nanos(3), Ev::Ping(3)),
+            ]
+        );
     }
 
     #[test]
@@ -357,6 +414,22 @@ mod tests {
         let mut sim = Recorder::default();
         e.run_to_completion(&mut sim);
         e.post(Time::from_nanos(5), Ev::Ping(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "into the past")]
+    fn posting_into_past_from_a_handler_panics() {
+        struct Backwards;
+        impl Simulation for Backwards {
+            type Event = ();
+            fn handle(&mut self, now: Time, (): (), sched: &mut Scheduler<()>) {
+                sched.post(now - Duration::from_nanos(1), ());
+                unreachable!("the post returned: reported too late");
+            }
+        }
+        let mut e = Engine::new();
+        e.post(Time::from_nanos(10), ());
+        e.run_to_completion(&mut Backwards);
     }
 
     #[test]
