@@ -10,7 +10,7 @@
 //! misses). A [`ScenarioDriver`] is that closed loop:
 //!
 //! * it receives every [`ClusterEvent`] **at its engine timestamp**
-//!   (through the service-level taps and the mux postbox), plus a
+//!   (through the protocol tap and the mux postbox), plus a
 //!   periodic tick;
 //! * it reacts through a [`ControlHandle`] that can inject crashes,
 //!   restarts and partitions into the *running* network, retire or
@@ -37,11 +37,11 @@
 
 use crate::events::ClusterEvent;
 use crate::scenario::ScenarioPlan;
-use crate::watch::WatchdogHarness;
 use hades_services::group::{RequestSource, GN_WAKE};
 use hades_sim::mux::{ActorCtx, ActorEvent, ActorId, ControlOp, NetActor};
 use hades_sim::NodeId;
 use hades_task::TaskId;
+use hades_telemetry::monitor::{MonitorEvent, Watchdog};
 use hades_time::{Duration, Time};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -528,34 +528,28 @@ impl ControlState {
         self.pending.push_back(ev);
     }
 
-    /// Translates one agent tap observation into cluster events.
+    /// Translates one protocol tap observation into cluster events.
     /// Returns whether anything was queued (a control wake is needed).
-    pub(crate) fn on_agent_event(
-        &mut self,
-        now: Time,
-        node: u32,
-        ev: &hades_services::AgentEvent,
-    ) -> bool {
-        use hades_services::AgentEvent;
+    pub(crate) fn on_protocol_event(&mut self, now: Time, ev: &MonitorEvent) -> bool {
         let before = self.pending.len();
         match ev {
-            AgentEvent::Suspected { suspect } => {
-                // A suspicion is a detection only when it lands inside an
-                // applied down window of the suspect (reactive injections
-                // included); otherwise it is a false suspicion.
-                let windows = self.applied.down_windows(NodeId(*suspect));
-                let latency = windows
-                    .iter()
-                    .find(|(c, r)| now >= *c && r.is_none_or(|r| now < r))
-                    .map(|(c, _)| now - *c);
+            MonitorEvent::Suspected { observer, suspect } => {
+                let latency = self
+                    .applied
+                    .down_since(NodeId(*suspect), now)
+                    .map(|crashed_at| now - crashed_at);
                 self.push(ClusterEvent::Detected {
-                    observer: node,
+                    observer: *observer,
                     suspect: *suspect,
                     at: now,
                     latency,
                 });
             }
-            AgentEvent::ViewInstalled { number, members } => {
+            MonitorEvent::ViewInstalled {
+                node,
+                number,
+                members,
+            } => {
                 // Failover derivation: the previous view's primary is
                 // down and the *new primary itself* just installed the
                 // promoting view.
@@ -563,7 +557,8 @@ impl ControlState {
                     if let Some(prev) = number.checked_sub(1).and_then(|p| self.seen_views.get(&p))
                     {
                         if let (Some(&old), Some(&new)) = (prev.first(), members.first()) {
-                            if old != new && new == node && self.applied.is_down(NodeId(old), now) {
+                            if old != new && new == *node && self.applied.is_down(NodeId(old), now)
+                            {
                                 self.emitted_failovers.insert(*number);
                                 self.push(ClusterEvent::FailedOver {
                                     failed_primary: old,
@@ -583,54 +578,32 @@ impl ControlState {
                     });
                 }
             }
-            AgentEvent::RejoinCompleted { view, restarted_at } => {
+            MonitorEvent::RejoinCompleted {
+                node,
+                view,
+                restarted_at,
+            } => {
                 self.push(ClusterEvent::RejoinCompleted {
-                    node,
+                    node: *node,
                     view: *view,
                     at: now,
                     latency: now - *restarted_at,
                 });
             }
-            // Rejoin phase transitions and suspicion clears feed the live
-            // span tracker and the invariant watchdog, not the cluster
-            // event stream.
-            AgentEvent::SuspicionCleared { .. }
-            | AgentEvent::RejoinAnnounced
-            | AgentEvent::TransferStarted
-            | AgentEvent::TransferProgress { .. }
-            | AgentEvent::TransferCompleted
-            | AgentEvent::ReplayCompleted => {}
-        }
-        self.pending.len() > before
-    }
-
-    /// Translates one group tap observation. Returns whether anything
-    /// was queued.
-    pub(crate) fn on_group_event(
-        &mut self,
-        now: Time,
-        group: u32,
-        node: u32,
-        ev: &hades_services::GroupEvent,
-    ) -> bool {
-        match ev {
-            hades_services::GroupEvent::Handoff { from, to } => {
-                debug_assert_eq!(*to, node);
+            MonitorEvent::LeadershipHandoff { group, from, to } => {
                 self.push(ClusterEvent::Handoff {
-                    group,
+                    group: *group,
                     from: *from,
                     to: *to,
                     at: now,
                 });
-                true
             }
-            // Per-request order/deliver/emit marks feed the live span
-            // tracker and the invariant watchdog, not the cluster event
-            // stream.
-            hades_services::GroupEvent::Submitted { .. }
-            | hades_services::GroupEvent::Delivered { .. }
-            | hades_services::GroupEvent::Emitted { .. } => false,
+            // Suspicion clears, rejoin phase marks and per-request
+            // submit/deliver/emit marks feed the invariant watchdog, not
+            // the cluster event stream.
+            _ => {}
         }
+        self.pending.len() > before
     }
 
     /// Translates one dispatcher deadline miss. Instances overlapping an
@@ -684,10 +657,13 @@ pub(crate) struct ControlActor {
     /// changes; their events are emitted online at the script instant.
     mode_marks: Vec<(Time, Time)>,
     /// The online invariant watchdog, when the spec registered
-    /// monitors. Shared with the tap closures, which feed it
+    /// monitors. Shared with the protocol tap, which feeds it
     /// observations; the control actor drains its violations into the
     /// event stream and arms its deadlines as engine timers.
-    watchdog: Option<Rc<RefCell<WatchdogHarness>>>,
+    watchdog: Option<Rc<RefCell<Watchdog>>>,
+    /// Watchdog deadlines already armed as engine timers, pruned as time
+    /// passes.
+    armed: BTreeSet<Time>,
 }
 
 impl fmt::Debug for ControlActor {
@@ -709,7 +685,7 @@ impl ControlActor {
         horizon: Time,
         tick: Duration,
         mode_marks: Vec<(Time, Time)>,
-        watchdog: Option<Rc<RefCell<WatchdogHarness>>>,
+        watchdog: Option<Rc<RefCell<Watchdog>>>,
     ) -> Self {
         ControlActor {
             drivers,
@@ -720,18 +696,25 @@ impl ControlActor {
             tick,
             mode_marks,
             watchdog,
+            armed: BTreeSet::new(),
         }
     }
 
     /// Drains the watchdog: fires due deadlines, surfaces every fresh
     /// violation as an [`ClusterEvent::InvariantViolated`] at the
-    /// engine instant the monitor detected it, and arms the deadlines
-    /// the monitors requested as engine timers.
+    /// engine instant the monitor detected it, and arms each deadline
+    /// the monitors requested as one engine timer (strictly in the
+    /// future, within the horizon, not already armed). The watchdog
+    /// itself never touches the engine.
     fn service_watchdog(&mut self, now: Time, ctx: &mut ActorCtx<'_>) {
         let Some(watchdog) = &self.watchdog else {
             return;
         };
-        let (violations, arm) = watchdog.borrow_mut().service(now);
+        let (violations, wakeups) = {
+            let mut dog = watchdog.borrow_mut();
+            dog.wake(now);
+            (dog.take_fresh(), dog.take_wakeups())
+        };
         if !violations.is_empty() {
             let mut state = self.state.borrow_mut();
             for v in violations {
@@ -744,8 +727,9 @@ impl ControlActor {
                 });
             }
         }
-        for at in arm {
-            if at <= self.horizon {
+        self.armed = self.armed.split_off(&now);
+        for at in wakeups {
+            if at > now && at <= self.horizon && self.armed.insert(at) {
                 ctx.timer_at(at, CK_WATCH);
             }
         }

@@ -9,10 +9,10 @@
 //!
 //! Since the reactive-control-plane redesign the stream is no longer
 //! synthesized from logs after the run: every event is emitted **at its
-//! engine timestamp** through the service-level taps
-//! ([`hades_services::actors::AgentTap`],
-//! [`hades_services::group::GroupTap`], the dispatcher's miss tap) and
-//! delivered to the registered
+//! engine timestamp** through the protocol tap
+//! ([`hades_telemetry::monitor::ProtocolTap`], fed by every agent and
+//! group member) and the dispatcher's miss tap, and delivered to the
+//! registered
 //! [`ScenarioDriver`](crate::ScenarioDriver)s *during* the run; the
 //! stream returned here is the accumulation of exactly those deliveries.
 //!
@@ -30,7 +30,7 @@
 use crate::report::ClusterReport;
 use hades_task::TaskId;
 use hades_telemetry::monitor::Violation;
-use hades_telemetry::{ProfileReport, RunTelemetry, SpanLog};
+use hades_telemetry::{ProfileReport, RunTelemetry};
 use hades_time::{Duration, Time};
 
 /// One externally visible transition of a cluster run.
@@ -259,7 +259,6 @@ pub struct ClusterRun {
     events: Vec<ClusterEvent>,
     telemetry: RunTelemetry,
     violations: Vec<Violation>,
-    minted_spans: Option<SpanLog>,
     profile: Option<ProfileReport>,
 }
 
@@ -274,7 +273,6 @@ impl ClusterRun {
             events,
             telemetry: RunTelemetry::default(),
             violations: Vec::new(),
-            minted_spans: None,
             profile: None,
         }
     }
@@ -286,11 +284,6 @@ impl ClusterRun {
 
     pub(crate) fn with_violations(mut self, violations: Vec<Violation>) -> Self {
         self.violations = violations;
-        self
-    }
-
-    pub(crate) fn with_minted_spans(mut self, spans: SpanLog) -> Self {
-        self.minted_spans = Some(spans);
         self
     }
 
@@ -339,16 +332,6 @@ impl ClusterRun {
     /// list as schema-validated JSONL.
     pub fn violations(&self) -> &[Violation] {
         &self.violations
-    }
-
-    /// The post-run *minted* span trees — the parity oracle of the live
-    /// tracker: spans in [`ClusterRun::telemetry`] are emitted at engine
-    /// time from the observation taps, and this log re-derives the same
-    /// trees from the report records afterwards. The two are asserted
-    /// byte-identical (JSONL) by the workspace's property tests.
-    /// `None` unless telemetry was enabled.
-    pub fn minted_spans(&self) -> Option<&SpanLog> {
-        self.minted_spans.as_ref()
     }
 
     /// The run's deterministic profile — per-event-kind counts and

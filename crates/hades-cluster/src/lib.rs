@@ -32,6 +32,18 @@
 //!   primary failover times) plus the typed, time-ordered
 //!   [`ClusterEvent`] stream the drivers saw.
 //!
+//! There is **one record of what the protocols did, read once**.
+//! Agents and group members append to their `AgentLog` / `GroupLog` and
+//! hand each transition, as a [`hades_telemetry::monitor::MonitorEvent`],
+//! to the one [`hades_telemetry::monitor::ProtocolTap`] the run installs
+//! on all of them. The tap gives the same `&event` to the control plane
+//! (which derives the [`ClusterEvent`]s the drivers see) and, when
+//! monitors are registered, to the invariant watchdog; it must not
+//! re-enter the engine — it records, and at most posts a wake for the
+//! control actor. After the run the logs are folded once into the
+//! report, and the protocol trace spans are built from that report and
+//! the same fold: their timestamps are the instants the actors logged.
+//!
 //! Membership travels as variable-length
 //! [`hades_services::MemberSet`]s, so deployments are no longer capped
 //! at the 48 nodes of the old packed-`u64` masks (the runtime ceiling is
@@ -80,12 +92,10 @@
 
 pub mod driver;
 pub mod events;
-mod livespan;
 pub mod middleware;
 pub mod report;
 pub mod scenario;
 pub mod spec;
-mod watch;
 pub mod workload;
 
 pub use driver::{ControlHandle, PlanDriver, ScenarioDriver};

@@ -231,6 +231,19 @@ impl ScenarioPlan {
             .any(|(c, r)| *c <= to && r.is_none_or(|r| from < r))
     }
 
+    /// The crash instant of the down window of `node` that covers `at`
+    /// (`crash ≤ at < restart`), if any — the one rule classifying a
+    /// suspicion of `node` raised at `at`: inside such a window it is a
+    /// detection, with latency `at - crash`; raised before the crash or
+    /// from the restart on, it is a false suspicion and must not
+    /// masquerade as a zero-latency success.
+    pub(crate) fn down_since(&self, node: NodeId, at: Time) -> Option<Time> {
+        self.down_windows(node)
+            .into_iter()
+            .find(|(c, r)| *c <= at && r.is_none_or(|r| at < r))
+            .map(|(c, _)| c)
+    }
+
     /// Whether `node` is down at `now` under this scenario.
     pub fn is_down(&self, node: NodeId, now: Time) -> bool {
         Self::windows_overlap(&self.down_windows(node), now, now)
@@ -319,6 +332,21 @@ mod tests {
         assert!(plan.up_during(NodeId(1), ms(21), ms(29)));
         assert!(!plan.up_during(NodeId(1), ms(5), ms(12)));
         assert!(plan.orphan_restarts().is_empty());
+    }
+
+    #[test]
+    fn a_suspicion_is_a_detection_from_the_crash_until_the_restart() {
+        let plan = ScenarioPlan::new()
+            .crash(NodeId(1), ms(10))
+            .restart(NodeId(1), ms(20))
+            .crash(NodeId(1), ms(30));
+        let one_ns = Duration::from_nanos(1);
+        assert_eq!(plan.down_since(NodeId(1), ms(10) - one_ns), None);
+        assert_eq!(plan.down_since(NodeId(1), ms(10)), Some(ms(10)));
+        assert_eq!(plan.down_since(NodeId(1), ms(20) - one_ns), Some(ms(10)));
+        assert_eq!(plan.down_since(NodeId(1), ms(20)), None);
+        assert_eq!(plan.down_since(NodeId(1), ms(99)), Some(ms(30)));
+        assert_eq!(plan.down_since(NodeId(0), ms(15)), None);
     }
 
     #[test]

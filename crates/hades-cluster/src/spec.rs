@@ -52,21 +52,19 @@ use crate::driver::{
     ControlActor, ControlState, ScenarioDriver, ServiceControl, ServiceControlKind,
 };
 use crate::events::ClusterRun;
-use crate::livespan::LiveSpanTracker;
 use crate::middleware::{GroupLoad, MiddlewareConfig, MIDDLEWARE_TASK_BASE};
 use crate::report;
 use crate::scenario::{ModeChangeScript, ScenarioPlan};
-use crate::watch::WatchdogHarness;
 use crate::workload::{ConstantRate, Workload};
 use crate::PlanDriver;
 use hades_dispatch::{CostModel, DispatchSim, SimConfig};
 use hades_sched::analysis::rta::{rta_feasible, RtaTask};
 use hades_sched::{edf_feasible, EdfAnalysisConfig, EdfPolicy, ModeChange, Policy};
 use hades_services::actors::{
-    agent_is_heartbeat, agent_msg_name, AgentConfig, AgentLog, AgentTap, NodeAgent, AGENT_LABEL,
+    agent_is_heartbeat, agent_msg_name, AgentConfig, AgentLog, NodeAgent, AGENT_LABEL,
 };
 use hades_services::group::{
-    group_msg_name, GroupConfig, GroupLog, GroupTap, ReplicaGroup, RequestSource, GROUP_LABEL,
+    group_msg_name, GroupConfig, GroupLog, ReplicaGroup, RequestSource, GROUP_LABEL,
 };
 use hades_services::membership::View;
 use hades_services::ReplicaStyle;
@@ -75,10 +73,10 @@ use hades_sim::{KernelModel, LinkConfig, Network, NodeId, SimRng};
 use hades_task::spuri::SpuriTask;
 use hades_task::task::TaskSetError;
 use hades_task::{Task, TaskId, TaskSet};
-use hades_telemetry::monitor::MonitorParams;
+use hades_telemetry::monitor::{MonitorParams, ProtocolTap};
 use hades_telemetry::{Profiler, Registry, RunTelemetry, SpanLog, Watchdog};
 use hades_time::{Duration, Time};
-use std::cell::RefCell;
+use std::cell::{Ref, RefCell};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::rc::Rc;
@@ -1250,65 +1248,29 @@ impl Lowered {
         let postbox = sim.postbox();
         let total_members: u32 = self.groups.iter().map(|g| g.members.len() as u32).sum();
         let control_id = ActorId(self.nodes + total_members);
-        // Live span tracking rides the same taps as the control plane:
-        // it only records, never notifies, so attaching telemetry stays
-        // pure observation.
-        let live: Option<Rc<RefCell<LiveSpanTracker>>> = self
-            .telemetry
-            .is_enabled()
-            .then(|| Rc::new(RefCell::new(LiveSpanTracker::new(self.nodes, span_cap))));
         // The invariant watchdog's bounds come from the spec's own
         // timing model: a healthy group answers within `Δ + δmax`, a
         // healthy rejoin completes within the analytic rejoin bound.
-        let harness: Option<Rc<RefCell<WatchdogHarness>>> = watchdog.map(|dog| {
+        let watchdog: Option<Rc<RefCell<Watchdog>>> = watchdog.map(|mut dog| {
             let output_bound = self.group_delta() + self.link.delay_max;
-            let params = MonitorParams {
+            dog.configure(&MonitorParams {
                 output_bound,
                 transfer_stall: rejoin_bound,
                 silent_group: output_bound + output_bound,
-            };
-            let unique_outputs: BTreeMap<u32, bool> = self
-                .groups
-                .iter()
-                .enumerate()
-                .map(|(g, group)| (g as u32, !matches!(group.style, ReplicaStyle::Active)))
-                .collect();
-            Rc::new(RefCell::new(WatchdogHarness::new(
-                dog,
-                &params,
-                unique_outputs,
-            )))
+            });
+            Rc::new(RefCell::new(dog))
         });
-        let agent_tap = {
+        // One tap for every agent and group member: the control plane
+        // and the watchdog read the same event. It only records and
+        // requests a control wake — it never re-enters the engine.
+        let tap = {
             let state = state.clone();
             let postbox = postbox.clone();
-            let live = live.clone();
-            let harness = harness.clone();
-            AgentTap(Rc::new(move |now, node, ev| {
-                let mut wake = state.borrow_mut().on_agent_event(now, node, ev);
-                if let Some(live) = &live {
-                    live.borrow_mut().on_agent_event(now, node, ev);
-                }
-                if let Some(harness) = &harness {
-                    wake |= harness.borrow_mut().observe_agent(now, node, ev);
-                }
-                if wake {
-                    postbox.notify(control_id, 0);
-                }
-            }))
-        };
-        let group_tap = {
-            let state = state.clone();
-            let postbox = postbox.clone();
-            let live = live.clone();
-            let harness = harness.clone();
-            GroupTap(Rc::new(move |now, group, node, ev| {
-                let mut wake = state.borrow_mut().on_group_event(now, group, node, ev);
-                if let Some(live) = &live {
-                    live.borrow_mut().on_group_event(now, group, node, ev);
-                }
-                if let Some(harness) = &harness {
-                    wake |= harness.borrow_mut().observe_group(now, group, node, ev);
+            let watchdog = watchdog.clone();
+            ProtocolTap(Rc::new(move |now, ev| {
+                let mut wake = state.borrow_mut().on_protocol_event(now, ev);
+                if let Some(dog) = &watchdog {
+                    wake |= dog.borrow_mut().observe(now, ev);
                 }
                 if wake {
                     postbox.notify(control_id, 0);
@@ -1331,7 +1293,7 @@ impl Lowered {
         let logs: Vec<Rc<RefCell<AgentLog>>> = (0..self.nodes)
             .map(|node| {
                 let (agent, log) = NodeAgent::new(self.agent_config(NodeId(node)));
-                sim.add_actor(Box::new(agent.with_tap(agent_tap.clone())));
+                sim.add_actor(Box::new(agent.with_tap(tap.clone())));
                 log
             })
             .collect();
@@ -1365,7 +1327,7 @@ impl Lowered {
                     },
                     Some(logs[*m as usize].clone()),
                 );
-                let id = sim.add_actor(Box::new(member.with_tap(group_tap.clone())));
+                let id = sim.add_actor(Box::new(member.with_tap(tap.clone())));
                 assert_eq!(
                     id, peers[i].1,
                     "group peer addressing drifted from actor registration order"
@@ -1408,7 +1370,7 @@ impl Lowered {
             Time::ZERO + self.horizon,
             driver_tick,
             mode_marks,
-            harness.clone(),
+            watchdog.clone(),
         );
         let cid = sim.add_actor(Box::new(control));
         assert_eq!(cid, control_id, "control actor must register last");
@@ -1461,7 +1423,7 @@ impl Lowered {
             })
             .collect();
 
-        let groups = self.group_reports(&group_logs, delta, &applied);
+        let (groups, request_folds) = self.group_reports(&group_logs, delta, &applied);
         let view_changes = view_history
             .last()
             .map(|(number, _)| *number)
@@ -1536,32 +1498,23 @@ impl Lowered {
         // under the documented deterministic tie-break.
         let events = std::mem::take(&mut state.borrow_mut().events);
         let mut cluster_run = ClusterRun::new(report, events);
-        if let Some(harness) = &harness {
-            cluster_run = cluster_run.with_violations(harness.borrow().violations());
+        if let Some(dog) = &watchdog {
+            cluster_run = cluster_run.with_violations(dog.borrow().violations());
         }
         if self.telemetry.is_enabled() {
-            // The exported spans are the ones the live tracker emitted
-            // at engine time; the record-minted log remains available as
-            // the parity oracle (`ClusterRun::minted_spans`).
-            let minted = self.build_spans(
+            let spans = self.build_spans(
                 cluster_run.report(),
                 cluster_run.events(),
-                &group_logs,
+                &request_folds,
                 span_cap,
             );
-            let spans = live
-                .as_ref()
-                .map(|l| l.borrow().finalize(&applied, cluster_run.events()))
-                .unwrap_or_default();
             self.telemetry
                 .counter("telemetry.spans_dropped")
                 .add(spans.spans_dropped());
-            cluster_run = cluster_run
-                .with_minted_spans(minted)
-                .with_telemetry(RunTelemetry {
-                    metrics: self.telemetry.snapshot(),
-                    spans,
-                });
+            cluster_run = cluster_run.with_telemetry(RunTelemetry {
+                metrics: self.telemetry.snapshot(),
+                spans,
+            });
         }
         if self.profile.is_enabled() {
             cluster_run = cluster_run.with_profile(self.profile.report());
@@ -1569,19 +1522,20 @@ impl Lowered {
         Ok(cluster_run)
     }
 
-    /// Mints the protocol trace spans from the finished run's records.
+    /// Builds the protocol trace spans from the finished run's records.
     ///
-    /// Spans are built post-run from the same per-actor logs the report
-    /// folds, so they cost nothing during simulation; their ids are
-    /// minted in a fixed record order (recoveries, failovers, group
-    /// handoffs, view agreements, client requests) and every instant is
-    /// engine time, so the span log — like the metrics snapshot — is a
+    /// Spans are built post-run from the report's own records and the
+    /// request fold the report was built from, so they cost nothing
+    /// during simulation; every timestamp is the engine instant an agent
+    /// or group member logged, ids are minted in a fixed record order
+    /// (recoveries, failovers, group handoffs, view agreements, client
+    /// requests), so the span log — like the metrics snapshot — is a
     /// deterministic function of spec and seed.
     fn build_spans(
         &self,
         report: &report::ClusterReport,
         events: &[crate::ClusterEvent],
-        group_logs: &[Vec<Rc<RefCell<GroupLog>>>],
+        request_folds: &[RequestFold],
         span_cap: Option<usize>,
     ) -> SpanLog {
         let mut spans = match span_cap {
@@ -1696,27 +1650,11 @@ impl Lowered {
         }
         // Client requests through the Δ-atomic multicast: submission →
         // first client-visible output, phased order → deliver → emit.
-        for (g, glogs) in group_logs.iter().enumerate() {
-            let member_logs: Vec<GroupLog> = glogs.iter().map(|l| l.borrow().clone()).collect();
-            let mut submitted: BTreeMap<u64, Time> = BTreeMap::new();
-            let mut ordered: BTreeMap<u64, (Time, Time)> = BTreeMap::new();
-            let mut emitted: BTreeMap<u64, Time> = BTreeMap::new();
-            for log in &member_logs {
-                for (id, at) in &log.submitted {
-                    let e = submitted.entry(*id).or_insert(*at);
-                    *e = (*e).min(*at);
-                }
-                for (id, ts, delivered_at) in &log.delivered {
-                    let e = ordered.entry(*id).or_insert((*ts, *delivered_at));
-                    e.1 = e.1.min(*delivered_at);
-                }
-                for (id, at) in &log.emitted {
-                    let e = emitted.entry(*id).or_insert(*at);
-                    *e = (*e).min(*at);
-                }
-            }
-            for (id, sub) in &submitted {
-                let Some(out) = emitted.get(id) else { continue };
+        for (g, fold) in request_folds.iter().enumerate() {
+            for (id, sub) in &fold.submitted_at {
+                let Some(out) = fold.output_at.get(id) else {
+                    continue;
+                };
                 let root = spans.root(
                     "request",
                     &format!("group {g} request {id}"),
@@ -1724,7 +1662,7 @@ impl Lowered {
                     *sub,
                     (*out).max(*sub),
                 );
-                if let Some((ts, delivered)) = ordered.get(id) {
+                if let Some((ts, delivered)) = fold.ordered.get(id) {
                     let ts = (*ts).max(*sub);
                     let delivered = (*delivered).max(ts);
                     spans.phase(root, "order", *sub, ts);
@@ -1736,17 +1674,21 @@ impl Lowered {
         spans
     }
 
-    /// Folds every group's member logs into its report section.
+    /// Folds every group's member logs into its report section; on a
+    /// telemetry run the request folds it read go on to the span builder
+    /// (a bare run keeps none and skips the Δ-order part).
     fn group_reports(
         &self,
         group_logs: &[Vec<Rc<RefCell<GroupLog>>>],
         delta: Duration,
         applied: &ScenarioPlan,
-    ) -> Vec<report::GroupReport> {
+    ) -> (Vec<report::GroupReport>, Vec<RequestFold>) {
         let mut out = Vec::new();
+        let mut folds = Vec::new();
+        let spans_wanted = self.telemetry.is_enabled();
         let response_hist = self.telemetry.histogram("group.response_ns");
         for (g, (group, glogs)) in self.groups.iter().zip(group_logs.iter()).enumerate() {
-            let logs: Vec<GroupLog> = glogs.iter().map(|l| l.borrow().clone()).collect();
+            let logs: Vec<Ref<'_, GroupLog>> = glogs.iter().map(|l| l.borrow()).collect();
             // Reference order: the first member never down (reactive
             // injections included); when every member restarted at some
             // point, the longest delivery log stands in (identical full
@@ -1774,28 +1716,15 @@ impl Lowered {
                     .iter()
                     .all(|i| logs[*i].delivery_order() == reference)
             };
-            // First submission and first client-visible output per id.
-            let mut submitted_at: BTreeMap<u64, Time> = BTreeMap::new();
-            let mut output_at: BTreeMap<u64, Time> = BTreeMap::new();
-            let mut emissions = 0u64;
-            for log in &logs {
-                for (id, at) in &log.submitted {
-                    let e = submitted_at.entry(*id).or_insert(*at);
-                    *e = (*e).min(*at);
-                }
-                for (id, at) in &log.emitted {
-                    emissions += 1;
-                    let e = output_at.entry(*id).or_insert(*at);
-                    *e = (*e).min(*at);
-                }
-            }
+            let fold = RequestFold::of(&logs, spans_wanted);
+            let (submitted_at, output_at) = (&fold.submitted_at, &fold.output_at);
             let outputs = output_at.len() as u64;
             let output_bound = delta + self.link.delay_max;
             let mut on_time = 0u64;
             let mut delayed = 0u64;
             let mut worst: Option<Duration> = None;
             let mut response_ns: Vec<u64> = Vec::with_capacity(output_at.len());
-            for (id, at) in &output_at {
+            for (id, at) in output_at {
                 let Some(sub) = submitted_at.get(id) else {
                     continue;
                 };
@@ -1815,7 +1744,7 @@ impl Lowered {
             // (the members' own per-vote suppression counters observe
             // each copy multiple times and would overstate it), not
             // duplicates.
-            let surplus = emissions - outputs;
+            let surplus = fold.emissions - outputs;
             let (duplicate_outputs, duplicates_suppressed) = match group.style {
                 ReplicaStyle::Active => (0, surplus),
                 _ => (surplus, logs.iter().map(|l| l.suppressed).sum()),
@@ -1865,8 +1794,11 @@ impl Lowered {
                 abandoned,
                 response_ns,
             });
+            if spans_wanted {
+                folds.push(fold);
+            }
         }
-        out
+        (out, folds)
     }
 
     /// Analyzes every scripted mode change: per affected node, the
@@ -2148,16 +2080,9 @@ impl Lowered {
             let log = log.borrow();
             heartbeats += log.heartbeats_seen;
             for (suspect, at) in &log.suspicions {
-                // A suspicion is a detection only when it lands inside an
-                // applied down window of the suspect (scripted replays
-                // and reactive injections alike); raised before the
-                // crash or after the restart, it is a false suspicion and
-                // must not masquerade as a zero-latency success.
-                let windows = applied.down_windows(NodeId(*suspect));
-                let covering = windows
-                    .iter()
-                    .find(|(c, r)| *at >= *c && r.is_none_or(|r| *at < r))
-                    .map(|(c, _)| *c);
+                // Classified against the applied fault script — scripted
+                // replays and reactive injections alike.
+                let covering = applied.down_since(NodeId(*suspect), *at);
                 let crashed_at = covering.or_else(|| applied.crash_time(NodeId(*suspect)));
                 let latency = covering.map(|c| *at - c);
                 detections.push(report::DetectionRecord {
@@ -2219,6 +2144,46 @@ impl Lowered {
             });
         }
         failovers
+    }
+}
+
+/// What one group's members logged about its client requests, folded
+/// once per run: the report's request counts and latencies and the
+/// `request` spans are both read from it.
+#[derive(Debug, Default)]
+struct RequestFold {
+    /// First submission per request id.
+    submitted_at: BTreeMap<u64, Time>,
+    /// Δ-order timestamp and first delivery per request id — only the
+    /// spans read it, so it is folded only when they are wanted.
+    ordered: BTreeMap<u64, (Time, Time)>,
+    /// First client-visible output per request id.
+    output_at: BTreeMap<u64, Time>,
+    /// Outputs emitted over all members, redundant copies included.
+    emissions: u64,
+}
+
+impl RequestFold {
+    fn of(member_logs: &[Ref<'_, GroupLog>], spans_wanted: bool) -> Self {
+        let mut fold = RequestFold::default();
+        for log in member_logs {
+            for (id, at) in &log.submitted {
+                let e = fold.submitted_at.entry(*id).or_insert(*at);
+                *e = (*e).min(*at);
+            }
+            if spans_wanted {
+                for (id, ts, delivered_at) in &log.delivered {
+                    let e = fold.ordered.entry(*id).or_insert((*ts, *delivered_at));
+                    e.1 = e.1.min(*delivered_at);
+                }
+            }
+            for (id, at) in &log.emitted {
+                fold.emissions += 1;
+                let e = fold.output_at.entry(*id).or_insert(*at);
+                *e = (*e).min(*at);
+            }
+        }
+        fold
     }
 }
 

@@ -38,7 +38,12 @@
 //! [`crate::memberset::MAX_NODES`].
 //!
 //! Every externally visible transition is appended to a shared
-//! [`AgentLog`] the embedding runtime reads back after the run. The agent
+//! [`AgentLog`] the embedding runtime reads back after the run, and — when
+//! a tap is installed ([`NodeAgent::with_tap`]) — handed to it at the same
+//! engine instant as a [`MonitorEvent`]: view installs, suspicions raised
+//! and cleared, and the rejoin phase marks, each naming this agent's node.
+//! The tap is invoked synchronously inside the handler and must not
+//! re-enter the engine. The agent
 //! assumes crashes are separated by more than one detection + agreement
 //! window (the paper's bounded-failure model); overlapping failures keep
 //! safety of the sets but may skip view numbers on some nodes. A state
@@ -57,6 +62,7 @@ use crate::membership::View;
 use crate::recovery::{RecoveryConfig, RejoinRecord};
 use hades_sim::mux::{ActorCtx, ActorEvent, ActorId, NetActor};
 use hades_sim::NodeId;
+use hades_telemetry::monitor::{MonitorEvent, ProtocolTap};
 use hades_time::{Duration, Time};
 use std::cell::RefCell;
 use std::collections::{BTreeSet, VecDeque};
@@ -304,75 +310,6 @@ impl AgentConfig {
     }
 }
 
-/// One externally visible agent transition, delivered to the optional
-/// [`AgentTap`] **at the engine instant it happens** — the online face of
-/// the post-run [`AgentLog`]. Taps are how an embedding control plane
-/// (e.g. a reactive scenario driver) observes the run while it is still
-/// going, instead of scraping logs afterwards.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum AgentEvent {
-    /// This agent started suspecting a peer.
-    Suspected {
-        /// The suspected node.
-        suspect: u32,
-    },
-    /// This agent dropped a suspicion: the suspect proved itself alive
-    /// again by announcing a rejoin.
-    SuspicionCleared {
-        /// The node no longer suspected.
-        suspect: u32,
-    },
-    /// This agent installed an agreed view.
-    ViewInstalled {
-        /// Monotone view number.
-        number: u32,
-        /// Agreed members, ascending.
-        members: Vec<u32>,
-    },
-    /// This agent entered the rejoin protocol and broadcast its JOIN
-    /// announcement (cold restart or self-heal re-entry).
-    RejoinAnnounced,
-    /// The first checkpoint chunk of this agent's state transfer
-    /// arrived. Re-emitted when a newer view supersedes the stream and
-    /// the chunk count restarts.
-    TransferStarted,
-    /// A checkpoint chunk arrived; `chunks` counts the current stream.
-    TransferProgress {
-        /// Chunks received so far in the current transfer stream.
-        chunks: u64,
-    },
-    /// Preamble, membership words and every chunk arrived: the local
-    /// replay of the log tail begins.
-    TransferCompleted,
-    /// The checkpoint replay finished; re-admission is pending.
-    ReplayCompleted,
-    /// This agent completed its own rejoin (re-admitted to the view).
-    RejoinCompleted {
-        /// The re-admitting view number.
-        view: u32,
-        /// When the node restarted (the rejoin's starting instant).
-        restarted_at: Time,
-    },
-}
-
-/// The online observation callback of a [`NodeAgent`]:
-/// `(now, observing_node, event)`, invoked synchronously inside the
-/// agent's handler at the emission instant. Taps must not re-enter the
-/// engine; they record (and typically drop a [`hades_sim::Postbox`] wake
-/// request for a control actor).
-#[derive(Clone)]
-pub struct AgentTap(pub Rc<AgentTapFn>);
-
-/// The bare callback type behind [`AgentTap`]:
-/// `(now, observing_node, event)`.
-pub type AgentTapFn = dyn Fn(Time, u32, &AgentEvent);
-
-impl std::fmt::Debug for AgentTap {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("AgentTap")
-    }
-}
-
 /// Everything one agent observed and decided, readable after the run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AgentLog {
@@ -608,7 +545,7 @@ pub struct NodeAgent {
     last_served: Option<Transfer>,
     pending_joins: VecDeque<(u32, u64, u64)>,
     log: Rc<RefCell<AgentLog>>,
-    tap: Option<AgentTap>,
+    tap: Option<ProtocolTap>,
 }
 
 impl NodeAgent {
@@ -667,18 +604,20 @@ impl NodeAgent {
         (agent, log)
     }
 
-    /// Installs the online observation tap (see [`AgentTap`]); events are
-    /// delivered at their engine instant, in addition to the post-run
-    /// [`AgentLog`].
-    pub fn with_tap(mut self, tap: AgentTap) -> Self {
+    /// Installs the online observation tap; every externally visible
+    /// transition is handed to it as a [`MonitorEvent`] at its engine
+    /// instant, in addition to the post-run [`AgentLog`]. The tap must
+    /// not re-enter the engine.
+    pub fn with_tap(mut self, tap: ProtocolTap) -> Self {
         self.tap = Some(tap);
         self
     }
 
-    /// Invokes the tap, if any.
-    fn emit(&self, now: Time, event: AgentEvent) {
+    /// Hands the tap, if any, the event `build` makes of this agent's
+    /// node id.
+    fn emit(&self, now: Time, build: impl FnOnce(u32) -> MonitorEvent) {
         if let Some(tap) = &self.tap {
-            (tap.0)(now, self.cfg.node.0, &event);
+            (tap.0)(now, &build(self.cfg.node.0));
         }
     }
 
@@ -823,13 +762,11 @@ impl NodeAgent {
                 }
             }
         }
-        self.emit(
-            now,
-            AgentEvent::ViewInstalled {
-                number: target,
-                members: members.clone(),
-            },
-        );
+        self.emit(now, |node| MonitorEvent::ViewInstalled {
+            node,
+            number: target,
+            members: members.clone(),
+        });
         if self.rejoining && self.view_mask.contains(self.cfg.node.0) {
             self.finish_rejoin(target, now, ctx);
         } else if !self.rejoining && !self.view_mask.contains(self.cfg.node.0) {
@@ -917,13 +854,11 @@ impl NodeAgent {
         self.durable_ckpt_gen = self
             .durable_ckpt_gen
             .max(self.cfg.recovery.checkpoint_gen_at(now));
-        self.emit(
-            now,
-            AgentEvent::RejoinCompleted {
-                view,
-                restarted_at: p.restarted_at,
-            },
-        );
+        self.emit(now, |node| MonitorEvent::RejoinCompleted {
+            node,
+            view,
+            restarted_at: p.restarted_at,
+        });
         // Resume watching the peers of the (re)joined view.
         let timeout = self.cfg.timeout(ctx.max_delay());
         for peer in self.view_mask.to_vec() {
@@ -989,7 +924,10 @@ impl NodeAgent {
         // The joiner is demonstrably alive again: retract any suspicion
         // and invalidate stale silence timers.
         if self.suspected_local.remove(joiner) {
-            self.emit(now, AgentEvent::SuspicionCleared { suspect: joiner });
+            self.emit(now, |observer| MonitorEvent::SuspicionCleared {
+                observer,
+                suspect: joiner,
+            });
         }
         self.excluded.remove(joiner);
         self.gen[joiner as usize] += 1;
@@ -1104,7 +1042,7 @@ impl NodeAgent {
         if let Some(p) = &mut self.pending {
             p.transfer_completed_at = Some(now);
         }
-        self.emit(now, AgentEvent::TransferCompleted);
+        self.emit(now, |node| MonitorEvent::TransferCompleted { node });
         ctx.timer_at(
             now + self.cfg.recovery.replay_time(self.log_tail),
             replay_tag(self.epoch),
@@ -1142,7 +1080,10 @@ impl NodeAgent {
                 self.suspected_local.insert(peer);
                 self.excluded.insert(peer);
                 self.log.borrow_mut().suspicions.push((peer, now));
-                self.emit(now, AgentEvent::Suspected { suspect: peer });
+                self.emit(now, |observer| MonitorEvent::Suspected {
+                    observer,
+                    suspect: peer,
+                });
                 if self.view_mask.contains(peer) {
                     self.begin_change(now, ctx);
                 }
@@ -1183,7 +1124,7 @@ impl NodeAgent {
                     // asking is making the only progress possible while no
                     // server exists (the true wedge — a joiner that went
                     // silent — stops re-announcing and still trips it).
-                    self.emit(now, AgentEvent::RejoinAnnounced);
+                    self.emit(now, |node| MonitorEvent::RejoinAnnounced { node });
                     self.broadcast(
                         ctx,
                         MSG_JOIN,
@@ -1251,7 +1192,7 @@ impl NodeAgent {
                 if let Some(p) = &mut self.pending {
                     p.replay_completed_at = Some(now);
                 }
-                self.emit(now, AgentEvent::ReplayCompleted);
+                self.emit(now, |node| MonitorEvent::ReplayCompleted { node });
                 if self.view_mask.contains(self.cfg.node.0) {
                     // The outage was shorter than the detection window: the
                     // cluster never excluded us, so no view change is
@@ -1306,7 +1247,7 @@ impl NodeAgent {
         self.serving = None;
         self.last_served = None;
         self.pending_joins.clear();
-        self.emit(now, AgentEvent::RejoinAnnounced);
+        self.emit(now, |node| MonitorEvent::RejoinAnnounced { node });
         // Liveness first (peers resume watching us), then the join
         // announcement that triggers the state transfer — re-announced on
         // the heartbeat cadence while the transfer makes no progress, so
@@ -1354,13 +1295,11 @@ impl NodeAgent {
                 log.primary_changes.push((self.primary, now));
             }
         }
-        self.emit(
-            now,
-            AgentEvent::ViewInstalled {
-                number: target,
-                members,
-            },
-        );
+        self.emit(now, |node| MonitorEvent::ViewInstalled {
+            node,
+            number: target,
+            members,
+        });
         self.finish_rejoin(target, now, ctx);
     }
 }
@@ -1382,13 +1321,11 @@ impl NetActor for NodeAgent {
                     members: self.view_mask.to_vec(),
                     installed_at: now,
                 });
-                self.emit(
-                    now,
-                    AgentEvent::ViewInstalled {
-                        number: 0,
-                        members: self.view_mask.to_vec(),
-                    },
-                );
+                self.emit(now, |node| MonitorEvent::ViewInstalled {
+                    node,
+                    number: 0,
+                    members: self.view_mask.to_vec(),
+                });
                 // First heartbeat immediately, then every H.
                 self.broadcast(ctx, MSG_HB, 0);
                 ctx.timer_after(self.cfg.heartbeat_period, hb_tag(self.epoch));
@@ -1525,7 +1462,7 @@ impl NetActor for NodeAgent {
                         if let Some(p) = &mut self.pending {
                             p.transfer_started_at = Some(now);
                         }
-                        self.emit(now, AgentEvent::TransferStarted);
+                        self.emit(now, |node| MonitorEvent::TransferStarted { node });
                     }
                     self.xfer_from = from.0;
                     self.xfer_total = Some(total);
@@ -1534,12 +1471,10 @@ impl NetActor for NodeAgent {
                         if self.nacked.remove(&seq) {
                             self.chunks_resent += 1;
                         }
-                        self.emit(
-                            now,
-                            AgentEvent::TransferProgress {
-                                chunks: self.xfer_seen,
-                            },
-                        );
+                        self.emit(now, |node| MonitorEvent::TransferProgress {
+                            node,
+                            chunks: self.xfer_seen,
+                        });
                     }
                     self.arm_nack(ctx);
                     self.maybe_start_replay(now, ctx);

@@ -41,6 +41,15 @@
 //! installs a view at or after the restart — the group-level face of the
 //! rejoin protocol.
 //!
+//! What a member did is appended to its shared [`GroupLog`] and — when a
+//! tap is installed ([`ReplicaGroup::with_tap`]) — handed to it at the
+//! same engine instant as a [`MonitorEvent`]: leadership handoffs,
+//! submissions, Δ-deliveries and outputs, each naming the group (and the
+//! member). An output carries whether the member's own replication style
+//! deduplicates, so a monitor needs no per-group configuration. The tap is
+//! invoked synchronously inside the handler and must not re-enter the
+//! engine.
+//!
 //! The module assumes the Δ-protocol's premises: bounded transit
 //! (`δmax ≤ Δ`) and view installs synchronized within one agreement
 //! round. Per-link omission failures are masked by the redundant
@@ -52,6 +61,7 @@ use crate::comm::DeltaInbox;
 use crate::replication::ReplicaStyle;
 use hades_sim::mux::{ActorCtx, ActorEvent, ActorId, NetActor};
 use hades_sim::NodeId;
+use hades_telemetry::monitor::{MonitorEvent, ProtocolTap};
 use hades_time::{Duration, Time};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -336,57 +346,6 @@ impl RequestSource for FixedSchedule {
     }
 }
 
-/// One externally visible group transition, delivered to the optional
-/// [`GroupTap`] at the engine instant it happens (the online face of the
-/// post-run [`GroupLog`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum GroupEvent {
-    /// Leadership moved to the tapped member.
-    Handoff {
-        /// The member that held leadership before.
-        from: u32,
-        /// The member that took over (the tapped member).
-        to: u32,
-    },
-    /// The tapped member (the gateway) submitted a client request into
-    /// the group's Δ-order.
-    Submitted {
-        /// The request id.
-        id: u64,
-    },
-    /// The tapped member delivered an ordered request to its service —
-    /// the Δ-order decision point for that member.
-    Delivered {
-        /// The request id.
-        id: u64,
-        /// The request's Δ-order timestamp (its submission instant).
-        ts: Time,
-    },
-    /// The tapped member emitted the group's client-visible output for a
-    /// request (first copy per member; style-level dedup already
-    /// applied).
-    Emitted {
-        /// The request id.
-        id: u64,
-    },
-}
-
-/// The online observation callback of a [`ReplicaGroup`] member:
-/// `(now, group, node, event)`, invoked synchronously at the emission
-/// instant. Taps must not re-enter the engine.
-#[derive(Clone)]
-pub struct GroupTap(pub Rc<GroupTapFn>);
-
-/// The bare callback type behind [`GroupTap`]:
-/// `(now, group, node, event)`.
-pub type GroupTapFn = dyn Fn(Time, u32, u32, &GroupEvent);
-
-impl std::fmt::Debug for GroupTap {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("GroupTap")
-    }
-}
-
 /// Static configuration of one replica-group member.
 #[derive(Debug, Clone)]
 pub struct GroupConfig {
@@ -660,7 +619,7 @@ pub struct ReplicaGroup {
     await_view_since: Option<Time>,
     epoch: u64,
     log: Rc<RefCell<GroupLog>>,
-    tap: Option<GroupTap>,
+    tap: Option<ProtocolTap>,
 }
 
 impl ReplicaGroup {
@@ -737,8 +696,10 @@ impl ReplicaGroup {
         (member, log)
     }
 
-    /// Installs the online observation tap (see [`GroupTap`]).
-    pub fn with_tap(mut self, tap: GroupTap) -> Self {
+    /// Installs the online observation tap: handoffs, submissions,
+    /// deliveries and outputs are handed to it as [`MonitorEvent`]s at
+    /// their engine instant. The tap must not re-enter the engine.
+    pub fn with_tap(mut self, tap: ProtocolTap) -> Self {
         self.tap = Some(tap);
         self
     }
@@ -847,10 +808,11 @@ impl ReplicaGroup {
     /// extends the schedule (the closed-loop client's next request), this
     /// member arms its own tick at the new instant and wakes every peer
     /// there too, so whichever member is gateway *then* submits it.
-    /// Invokes the tap, if any.
-    fn observe(&self, now: Time, event: GroupEvent) {
+    /// Hands the tap, if any, the event `build` makes of this member's
+    /// group and node ids.
+    fn observe(&self, now: Time, build: impl FnOnce(u32, u32) -> MonitorEvent) {
         if let Some(tap) = &self.tap {
-            (tap.0)(now, self.cfg.group, self.me(), &event);
+            (tap.0)(now, &build(self.cfg.group, self.me()));
         }
     }
 
@@ -859,7 +821,12 @@ impl ReplicaGroup {
             return;
         }
         self.log.borrow_mut().emitted.push((id, now));
-        self.observe(now, GroupEvent::Emitted { id });
+        self.observe(now, |group, member| MonitorEvent::OutputEmitted {
+            group,
+            member,
+            id,
+            expect_unique: self.cfg.style != ReplicaStyle::Active,
+        });
         let next = self
             .cfg
             .source
@@ -900,7 +867,7 @@ impl ReplicaGroup {
                     // Fresh timestamp: a catch-up submission cannot be
                     // retrofitted into the past of the Δ-order.
                     self.log.borrow_mut().submitted.push((id, now));
-                    self.observe(now, GroupEvent::Submitted { id });
+                    self.observe(now, |group, _| MonitorEvent::RequestSubmitted { group, id });
                     if let Some(due) = self.inbox.accept(id, now, self.me(), now) {
                         ctx.timer_at(due, tag(GK_DELIVER, self.epoch & 0xFFFF));
                     }
@@ -918,7 +885,11 @@ impl ReplicaGroup {
         let due = self.inbox.due(now);
         for (id, ts, sender) in due {
             self.log.borrow_mut().delivered.push((id, ts, now));
-            self.observe(now, GroupEvent::Delivered { id, ts });
+            self.observe(now, |group, member| MonitorEvent::RequestDelivered {
+                group,
+                member,
+                id,
+            });
             match self.cfg.style {
                 ReplicaStyle::Active => {
                     if self.catching_up {
@@ -1037,13 +1008,11 @@ impl ReplicaGroup {
     fn take_over(&mut self, old: u32, now: Time, ctx: &mut ActorCtx<'_>) {
         self.abort_catchup(now, ctx);
         self.log.borrow_mut().handoffs.push((old, self.me(), now));
-        self.observe(
-            now,
-            GroupEvent::Handoff {
-                from: old,
-                to: self.me(),
-            },
-        );
+        self.observe(now, |group, to| MonitorEvent::LeadershipHandoff {
+            group,
+            from: old,
+            to,
+        });
         match self.cfg.style {
             ReplicaStyle::Active => {
                 // Nothing to repair: outputs were never interrupted (the

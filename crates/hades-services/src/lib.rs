@@ -50,7 +50,7 @@ pub mod recovery;
 pub mod replication;
 pub mod storage;
 
-pub use actors::{AgentConfig, AgentEvent, AgentLog, AgentTap, NodeAgent};
+pub use actors::{AgentConfig, AgentLog, NodeAgent};
 pub use checkpoint::{CheckpointService, Replayable};
 pub use clocksync::{ClockSyncConfig, ClockSyncRun, PrecisionReport};
 pub use comm::{
@@ -59,9 +59,7 @@ pub use comm::{
 pub use consensus::{ConsensusConfig, ConsensusOutcome, FloodConsensus};
 pub use depend::DependencyTracker;
 pub use detect::{DetectorConfig, DetectorOutcome, HeartbeatDetector};
-pub use group::{
-    FixedSchedule, GroupConfig, GroupEvent, GroupLog, GroupTap, ReplicaGroup, RequestSource,
-};
+pub use group::{FixedSchedule, GroupConfig, GroupLog, ReplicaGroup, RequestSource};
 pub use memberset::{MemberSet, MAX_NODES};
 pub use membership::{MembershipOutcome, MembershipSim, View};
 pub use recovery::{RecoveryConfig, RejoinRecord};

@@ -1,6 +1,6 @@
 //! Observability layer of the HADES runtime: an engine-time metrics
 //! registry, causally-linked protocol trace spans, and the hand-rolled
-//! JSON plumbing the perf-snapshot pipeline serializes both with.
+//! JSON plumbing their JSONL exports are written and schema-checked with.
 //!
 //! The design splits observability into two strictly separated halves:
 //!
@@ -84,7 +84,9 @@ pub mod span;
 pub use metrics::{
     ActorProbe, Counter, EngineProbe, Gauge, Histogram, HistogramSummary, MetricsSnapshot, Registry,
 };
-pub use monitor::{Monitor, MonitorCtx, MonitorEvent, MonitorParams, Violation, Watchdog};
+pub use monitor::{
+    Monitor, MonitorCtx, MonitorEvent, MonitorParams, ProtocolTap, Violation, Watchdog,
+};
 pub use profile::{
     ActorProfile, IntervalProfile, KindProfile, NetProbe, ProfKind, ProfileReport, Profiler,
     TrafficProfile,

@@ -6,10 +6,13 @@
 //!
 //! The module is simulation-agnostic: it speaks [`MonitorEvent`], a
 //! neutral vocabulary of protocol observations (view installs, rejoin
-//! phase transitions, request submissions and outputs). The embedding
-//! control plane translates its tap callbacks into `MonitorEvent`s,
-//! feeds them through [`Watchdog::observe`] at their engine instants,
-//! and services [`Watchdog::take_wakeups`] by arming engine timers (e.g.
+//! phase transitions, request submissions and outputs). The protocol
+//! actors emit that type themselves — `hades_services::NodeAgent` the
+//! view, suspicion and rejoin events, `hades_services::ReplicaGroup`
+//! members the handoff and request events — through one [`ProtocolTap`];
+//! nothing translates in between. The embedding control plane feeds
+//! each event through [`Watchdog::observe`] at its engine instant and
+//! services [`Watchdog::take_wakeups`] by arming engine timers (e.g.
 //! `notify_at`) that call [`Watchdog::wake`] back at each deadline — the
 //! watchdog itself never touches a clock, which is what keeps violation
 //! timestamps deterministic engine time.
@@ -50,14 +53,15 @@
 //! ```
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::rc::Rc;
 
 use hades_time::{Duration, Time};
 
 use crate::json::{self, Json};
 
-/// One neutral protocol observation, fed to [`Watchdog::observe`] at the
-/// engine instant it happened. The embedding runtime translates its own
-/// tap events into this vocabulary.
+/// One neutral protocol observation, handed to the [`ProtocolTap`] by
+/// the actor it happened in and fed to [`Watchdog::observe`] at that
+/// engine instant.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MonitorEvent {
     /// An agent installed an agreed view.
@@ -116,6 +120,8 @@ pub enum MonitorEvent {
         node: u32,
         /// The re-admitting view number.
         view: u32,
+        /// When the node restarted (the rejoin's starting instant).
+        restarted_at: Time,
     },
     /// A replica group's leadership moved.
     LeadershipHandoff {
@@ -154,6 +160,20 @@ pub enum MonitorEvent {
         /// (a second emission of the same id is then a violation).
         expect_unique: bool,
     },
+}
+
+/// The online observation callback of the protocol actors:
+/// `(now, event)`, invoked synchronously inside the emitting actor's
+/// handler at the emission instant. A tap must not re-enter the engine;
+/// it records, and at most leaves a wake request for a control actor.
+#[derive(Clone)]
+#[allow(clippy::type_complexity)]
+pub struct ProtocolTap(pub Rc<dyn Fn(Time, &MonitorEvent)>);
+
+impl std::fmt::Debug for ProtocolTap {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("ProtocolTap")
+    }
 }
 
 /// One invariant violation, raised by a [`Monitor`] at deterministic
@@ -864,7 +884,14 @@ mod tests {
     fn completed_rejoin_disarms_the_stall_watchdog() {
         let mut dog = configured();
         dog.observe(t(0), &MonitorEvent::RejoinAnnounced { node: 4 });
-        dog.observe(t(100), &MonitorEvent::RejoinCompleted { node: 4, view: 2 });
+        dog.observe(
+            t(100),
+            &MonitorEvent::RejoinCompleted {
+                node: 4,
+                view: 2,
+                restarted_at: t(0),
+            },
+        );
         dog.wake(t(10_000));
         assert!(dog.violations().is_empty());
     }

@@ -1,12 +1,11 @@
 //! Deterministic DES profiler: per-kind / per-actor attribution of
 //! engine work, interval timelines and a message-traffic matrix.
 //!
-//! The aggregate figures of the perf snapshot (`ns_per_event`,
-//! `events_per_sec`) say *how fast* the engine runs but not *where* the
-//! events come from. The [`Profiler`] answers that: embedding run loops
-//! feed it one hook call per delivered event (and one per accepted
-//! network send), and at the end of the run [`Profiler::report`] folds
-//! the feed into a [`ProfileReport`]:
+//! The lab's aggregate figures (`run_s`, `trace.ns_per_event`) say *how
+//! fast* the engine runs but not *where* the events come from. The
+//! [`Profiler`] answers that: embedding run loops feed it one hook call
+//! per delivered event (and one per accepted network send), and at the end
+//! of the run [`Profiler::report`] folds the feed into a [`ProfileReport`]:
 //!
 //! * **per-kind attribution** — event count and the exact engine-tick
 //!   inter-delivery gap distribution of every event kind the embedding

@@ -113,7 +113,8 @@ impl Span {
 /// [`SpanLog::with_cap`]: whenever the span count exceeds the cap, the
 /// oldest root tree (the root plus its whole subtree) is dropped and
 /// counted in [`SpanLog::spans_dropped`]. Span ids stay stable across
-/// drops — [`SpanLog::phase`] on a dropped id is a no-op.
+/// drops — [`SpanLog::phase`] on a dropped id is a no-op, and so is
+/// [`SpanLog::child`] under one (counted as one more dropped span).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SpanLog {
     spans: Vec<Span>,
@@ -180,7 +181,9 @@ impl SpanLog {
         self.push(None, kind, label, node, start, end)
     }
 
-    /// Mints a child span under `parent`.
+    /// Mints a child span under `parent`. Under an unknown or cap-dropped
+    /// parent no span is kept: the id is consumed all the same (ids stay
+    /// what an uncapped log mints) and the child counts as dropped.
     pub fn child(
         &mut self,
         parent: SpanId,
@@ -190,6 +193,12 @@ impl SpanLog {
         start: Time,
         end: Time,
     ) -> SpanId {
+        if self.index_of(parent).is_none() {
+            let id = SpanId(self.next_id);
+            self.next_id += 1;
+            self.dropped += 1;
+            return id;
+        }
         self.push(Some(parent), kind, label, node, start, end)
     }
 
@@ -410,6 +419,27 @@ mod tests {
         log.phase(b, "detect", t(5), t(6));
         assert!(log.spans()[0].phases.len() == 1);
         assert!(log.render_tree().contains("failover"));
+    }
+
+    #[test]
+    fn child_of_a_cap_dropped_parent_is_counted_not_orphaned() {
+        let mut log = SpanLog::with_cap(2);
+        let first = log.root("failover", "f0", None, t(0), t(1));
+        let second = log.root("view", "v1", None, t(1), t(2));
+        let third = log.root("view", "v2", None, t(2), t(3));
+        assert_eq!(log.spans_dropped(), 1, "the first root made room");
+        for k in 0..3 {
+            let id = log.child(first, "takeover", "late", Some(k), t(3), t(4));
+            assert_eq!(id, SpanId(3 + k), "the id is consumed all the same");
+        }
+        // No orphan, no live root evicted for one, never above the cap.
+        assert_eq!(
+            log.spans().iter().map(|s| s.id).collect::<Vec<_>>(),
+            vec![second, third]
+        );
+        assert!(log.spans().iter().all(|s| s.parent.is_none()));
+        assert_eq!(log.spans_dropped(), 4);
+        assert_eq!(log.root("view", "v3", None, t(4), t(5)), SpanId(6));
     }
 
     #[test]

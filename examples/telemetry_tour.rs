@@ -7,7 +7,7 @@
 //! The spec carries an enabled telemetry [`Registry`]
 //! (`ClusterSpec::telemetry`), so the returned `ClusterRun` holds a
 //! deterministic metrics snapshot and a causally-linked span log —
-//! emitted live from the engine-time taps. The example prints the
+//! built from the engine instants the agents logged. The example prints the
 //! failover and rejoin span trees with their engine-time phase
 //! decompositions, a few headline counters, and the first lines of the
 //! JSONL exports CI-style tooling would archive.

@@ -4,11 +4,13 @@
 //! (`benchmark/run.sh`, `BENCHMARK.json`).
 //!
 //! Re-record rule, by column. `agents.heartbeats_sent`,
-//! `dispatch.ctx_switches`, the two zero counters and the response
-//! histograms count what the *modelled system* does: they change only in
-//! a PR that means to change that behaviour and says so in CHANGES.md —
-//! a refactor or optimisation that moves one of them has changed
-//! behaviour, not just speed. `engine.events` and
+//! `dispatch.ctx_switches`, the two zero counters, the response
+//! histograms and the cluster rows' `spans` (span count and FNV-1a of
+//! the exported span JSONL, i.e. every protocol timestamp the agents
+//! and groups logged) record what the *modelled system* does: they
+//! change only in a PR that means to change that behaviour and says so
+//! in CHANGES.md — a refactor or optimisation that moves one of them
+//! has changed behaviour, not just speed. `engine.events` and
 //! `engine.queue_depth_peak` count the *simulator's* own bookkeeping
 //! (how many events it delivers, how many keys its heap holds, to
 //! simulate that behaviour): they may fall in an optimisation that says
@@ -109,7 +111,13 @@ fn assert_row(m: &MetricsSnapshot, counts: [u64; 4], family: &str, response: [u6
     assert_eq!([h.count, h.p50, h.p99, h.p999], response, "{family}");
 }
 
-fn assert_cluster_row(nodes: u32, counts: [u64; 4]) {
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+fn assert_cluster_row(nodes: u32, counts: [u64; 4], spans: (usize, u64)) {
     let run = perf_scenario(nodes, 7, ms(30))
         .telemetry(Registry::enabled())
         .run()
@@ -117,21 +125,27 @@ fn assert_cluster_row(nodes: u32, counts: [u64; 4]) {
     let response = [37, 134_000, 2_732_000, 2_732_000];
     let metrics = &run.telemetry().metrics;
     assert_row(metrics, counts, "group.response_ns", response);
+    let log = &run.telemetry().spans;
+    let got = (log.len(), fnv1a(log.to_jsonl().as_bytes()));
+    assert_eq!(got, spans, "spans: count / FNV-1a of the JSONL export");
 }
 
 #[test]
 fn cluster24() {
-    assert_cluster_row(24, [23_623, 8_284, 1_965, 1_031]);
+    let spans = (48, 0xbf96_ca99_59ee_5ae2);
+    assert_cluster_row(24, [23_623, 8_284, 1_965, 1_031], spans);
 }
 
 #[test]
 fn cluster48() {
-    assert_cluster_row(48, [92_866, 34_972, 8_694, 1_943]);
+    let spans = (48, 0x18c6_4043_4f61_68d5);
+    assert_cluster_row(48, [92_866, 34_972, 8_694, 1_943], spans);
 }
 
 #[test]
 fn cluster96() {
-    assert_cluster_row(96, [386_024, 143_644, 44_628, 3_767]);
+    let spans = (48, 0x1844_cd72_f324_9d13);
+    assert_cluster_row(96, [386_024, 143_644, 44_628, 3_767], spans);
 }
 
 #[test]

@@ -154,19 +154,59 @@ fn abandonment_is_counted_in_report_and_telemetry() {
 }
 
 #[test]
-fn live_spans_match_minted_oracle() {
-    // The exported span log is emitted live from the engine-time taps;
-    // the record-minted log (the pre-live implementation) is kept as a
-    // parity oracle. Same spec + seed ⇒ byte-identical JSONL.
-    let run = telemetry_scenario(4, 11)
-        .telemetry(Registry::enabled())
-        .run()
-        .expect("valid spec");
-    let minted = run
-        .minted_spans()
-        .expect("telemetry enabled mints the oracle");
-    assert!(!run.telemetry().spans.is_empty());
-    assert_eq!(run.telemetry().spans.to_jsonl(), minted.to_jsonl());
+fn exported_spans_are_well_formed_under_fuzzed_fault_programs() {
+    // Fuzzer programs reach protocol corners the hand-written scenario
+    // never does: seed 11's second program retries a JOIN after the
+    // first checkpoint chunk already arrived. Whatever the program, every
+    // exported span must be well-formed, and a rejoin's three phases are
+    // exactly the report's latency decomposition.
+    let seed = 11;
+    let cfg = FuzzConfig {
+        nodes: 8,
+        horizon: ms(100),
+        spec_seed: seed,
+        ..FuzzConfig::default()
+    };
+    let mut fuzzer = ChaosFuzzer::standard(cfg, seed);
+    for program_no in 0..2 {
+        let program = fuzzer.generate();
+        let run = hades_chaos::standard_spec(8, ms(100), seed)
+            .monitors(Watchdog::standard())
+            .telemetry(Registry::enabled())
+            .driver(Box::new(ProgramDriver::new(program)))
+            .run()
+            .expect("valid spec");
+        let spans = run.telemetry().spans.spans();
+        for s in spans {
+            let at = format!("program {program_no}, span {} ({})", s.id.0, s.label);
+            assert!(s.start <= s.end, "{at}: ends before it starts");
+            if let Some(parent) = s.parent {
+                assert!(spans.iter().any(|p| p.id == parent), "{at}: orphan");
+            }
+            for ph in &s.phases {
+                assert!(ph.start <= ph.end, "{at}: phase {} runs backwards", ph.name);
+            }
+            for pair in s.phases.windows(2) {
+                assert_eq!(pair[0].end, pair[1].start, "{at}: phases not contiguous");
+            }
+        }
+        let rejoins: Vec<_> = run.telemetry().spans.of_kind("rejoin").collect();
+        let recoveries = &run.report().recoveries;
+        assert_eq!(rejoins.len(), recoveries.len(), "program {program_no}");
+        for (span, r) in rejoins.iter().zip(recoveries) {
+            let phases: Vec<(&str, Duration)> = span
+                .phases
+                .iter()
+                .map(|p| (p.name.as_str(), p.end - p.start))
+                .collect();
+            let expected = [
+                ("announce", r.announce_latency),
+                ("transfer+replay", r.transfer_latency),
+                ("readmit", r.readmit_latency),
+            ];
+            assert_eq!(phases, expected, "program {program_no}, node {}", r.node);
+        }
+    }
 }
 
 #[test]
@@ -199,28 +239,6 @@ fn span_cap_drops_oldest_trees_and_counts_them() {
             > 0
     );
     assert_eq!(uncapped.report(), capped.report());
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// The live tracker and the record-based oracle mint byte-identical
-    /// span logs across cluster sizes and seeds.
-    #[test]
-    fn live_spans_match_minted_oracle_under_many_seeds(
-        nodes in 3u32..6,
-        seed in 0u64..1_000,
-    ) {
-        let run = telemetry_scenario(nodes, seed)
-            .telemetry(Registry::enabled())
-            .run()
-            .expect("valid spec");
-        let minted = run.minted_spans().expect("oracle");
-        prop_assert_eq!(
-            run.telemetry().spans.to_jsonl(),
-            minted.to_jsonl()
-        );
-    }
 }
 
 proptest! {

@@ -17,36 +17,52 @@
 # Prints one line per run (value, digest, failed count), then each side's
 # median and quartiles and the win count. Exits 1 if any run reports a
 # failure or the two sides' digests differ (the change moved behaviour).
-# With AB_LOG=file, the full output of every run is appended to it (the
-# other end-to-end metrics of the same runs: setup_s, peak_rss_mb, sim_*).
+# With AB_LOG=file, the full output of every run is appended to it.
+#
+# METRIC `all` judges a no-gain change: the per-run lines show `run_s`,
+# and the summary is one row per end-to-end metric of BENCHMARK.json,
+# from the same runs — both medians, change/parent, how much worse the
+# change reads in the metric's own direction, the bound, the parent's
+# quartile distance relative to its median, and a verdict: `ok`, `WORSE`
+# (past the bound; exits 1) or `unresolved` (the parent's own quartile
+# distance exceeds the bound, so the pair cannot tell — unless every run
+# of the change reads better than every run of the parent).
 set -eu
-[ $# -ge 3 ] || { sed -n '2,21p' "$0" >&2; exit 2; }
+[ $# -ge 3 ] || { sed -n '2,30p' "$0" >&2; exit 2; }
 parent=$1 change=$2 workload=$3
 seed=${4:-7} seconds=${5:-15} pairs=${6:-10} metric=${7:-run_s}
+shown=$metric
+[ "$metric" = all ] && shown=run_s
+manifest=$(dirname "$0")/../BENCHMARK.json
 
-# One run: "<value> <digest> <failed>".
+runs=$(mktemp)
+cells=$(mktemp)
+trap 'rm -f "$runs" "$cells"' EXIT
+
+# One run of side $1 (binary $2): appends "<side> <metric> <value>" per
+# end-to-end metric to $cells, prints "<shown value> <digest> <failed>".
 run() {
-    out=$("$1" --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0) || true
-    printf '== %s\n%s\n' "$1" "$out" >>"${AB_LOG:-/dev/null}"
-    printf '%s\n' "$out" | awk -v w="$workload" -v m="$metric" '
-        $1 == w && $2 == m { value = $3 }
-        $1 == w && $2 == "digest" { digest = $3 }
+    out=$("$2" --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0) || true
+    printf '== %s\n%s\n' "$2" "$out" >>"${AB_LOG:-/dev/null}"
+    printf '%s\n' "$out" | awk -v w="$workload" -v m="$shown" -v side="$1" -v cells="$cells" '
+        $1 == w && $2 == "digest" { digest = $3; next }
+        $1 == w && NF >= 4 { print side, $2, $3 >>cells; if ($2 == m) value = $3 }
         /^\{"correct"/ { if (match($0, /"failed": [0-9]+/)) failed = substr($0, RSTART + 10, RLENGTH - 10) }
         END { print (value == "" ? "nan" : value), (digest == "" ? "-" : digest), (failed == "" ? "?" : failed) }'
 }
 
-rows=$(mktemp)
-trap 'rm -f "$rows"' EXIT
 i=1
 while [ "$i" -le "$pairs" ]; do
     if [ $((i % 2)) -eq 1 ]; then first=parent; else first=change; fi
-    if [ "$first" = parent ]; then p=$(run "$parent"); c=$(run "$change"); else c=$(run "$change"); p=$(run "$parent"); fi
+    if [ "$first" = parent ]; then p=$(run p "$parent"); c=$(run c "$change"); else c=$(run c "$change"); p=$(run p "$parent"); fi
     echo "pair $i ($first first)  parent $p  change $c"
-    echo "$p $c" >>"$rows"
+    echo "$p $c" >>"$runs"
     i=$((i + 1))
 done
 
-awk -v m="$metric" -v w="$workload" -v seed="$seed" '
+# Inputs, in order: the manifest (bound and direction per end-to-end
+# metric), the per-run digests and failure counts, the metric cells.
+awk -v m="$metric" -v w="$workload" -v seed="$seed" -v manifest="$manifest" -v runs="$runs" '
     function quantile(v, n, q,    pos, lo, frac) {
         pos = (n - 1) * q; lo = int(pos); frac = pos - lo
         return lo + 1 < n ? v[lo + 1] + frac * (v[lo + 2] - v[lo + 1]) : v[n]
@@ -54,21 +70,52 @@ awk -v m="$metric" -v w="$workload" -v seed="$seed" '
     function sort(v, n,    i, j, t) {
         for (i = 2; i <= n; i++) { t = v[i]; for (j = i - 1; j >= 1 && v[j] > t; j--) v[j + 1] = v[j]; v[j + 1] = t }
     }
-    {
-        n++; p[n] = $1; c[n] = $4
-        if ($4 < $1) wins++; else if ($4 > $1) losses++
-        if ($3 != "0" || $6 != "0") bad = 1
-        if ($2 != $5) moved = 1
+    function field(line, key,    s) {
+        if (!match(line, "\"" key "\": *\"?[^\",}]+")) return ""
+        s = substr(line, RSTART, RLENGTH); sub(/^[^:]*: *"?/, "", s); return s
     }
+    # Loads metric `name` into p[], c[] (pair order), sorted copies into
+    # ps[], cs[]; counts wins in its own direction.
+    function load(name, higher,    k) {
+        n = count["p " name]; wins = losses = 0
+        for (k = 1; k <= n; k++) {
+            p[k] = ps[k] = cell["p " name, k]; c[k] = cs[k] = cell["c " name, k]
+            if (higher ? c[k] > p[k] : c[k] < p[k]) wins++; else if (c[k] != p[k]) losses++
+        }
+        sort(ps, n); sort(cs, n)
+    }
+    FILENAME == manifest {
+        if ($0 ~ /"bound"/) { name = field($0, "name"); order[++metrics] = name; bound[name] = field($0, "bound"); better[name] = field($0, "better") }
+        next
+    }
+    FILENAME == runs { if ($3 != "0" || $6 != "0") bad = 1; if ($2 != $5) moved = 1; next }
+    { key = $1 " " $2; cell[key, ++count[key]] = $3 }
     END {
-        sort(p, n); sort(c, n)
-        printf "%s %s seed %s: parent median %g [q1 %g q3 %g]  change median %g [q1 %g q3 %g]\n", w, m, seed,
-            quantile(p, n, 0.5), quantile(p, n, 0.25), quantile(p, n, 0.75),
-            quantile(c, n, 0.5), quantile(c, n, 0.25), quantile(c, n, 0.75)
-        printf "change/parent %.3f, change wins %d of %d pairs (%d losses); parent quartile distance %g, median gap %g\n",
-            quantile(c, n, 0.5) / quantile(p, n, 0.5), wins, n, losses,
-            quantile(p, n, 0.75) - quantile(p, n, 0.25), quantile(p, n, 0.5) - quantile(c, n, 0.5)
+        if (m != "all") {
+            load(m, 0)
+            printf "%s %s seed %s: parent median %g [q1 %g q3 %g]  change median %g [q1 %g q3 %g]\n", w, m, seed,
+                quantile(ps, n, 0.5), quantile(ps, n, 0.25), quantile(ps, n, 0.75),
+                quantile(cs, n, 0.5), quantile(cs, n, 0.25), quantile(cs, n, 0.75)
+            printf "change/parent %.3f, change wins %d of %d pairs (%d losses); parent quartile distance %g, median gap %g\n",
+                quantile(cs, n, 0.5) / quantile(ps, n, 0.5), wins, n, losses,
+                quantile(ps, n, 0.75) - quantile(ps, n, 0.25), quantile(ps, n, 0.5) - quantile(cs, n, 0.5)
+        } else {
+            printf "%s seed %s, %d pairs:\n%-24s %14s %14s %8s %8s %6s %8s %6s  %s\n", w, seed, count["p run_s"],
+                "metric", "parent median", "change median", "ratio", "worse", "bound", "p-iqr", "wins", "verdict"
+            for (i = 1; i <= metrics; i++) {
+                name = order[i]; higher = better[name] == "higher"; load(name, higher)
+                pm = quantile(ps, n, 0.5); cm = quantile(cs, n, 0.5)
+                worse = pm == 0 ? (cm == pm ? 0 : 1) : (higher ? pm - cm : cm - pm) / pm
+                spread = pm == 0 ? 0 : (quantile(ps, n, 0.75) - quantile(ps, n, 0.25)) / pm
+                clear = higher ? cs[1] > ps[n] : cs[n] < ps[1]
+                verdict = spread > bound[name] && !clear ? "unresolved" : worse > bound[name] ? "WORSE" : "ok"
+                if (verdict == "WORSE") regressed = 1
+                printf "%-24s %14g %14g %8s %+8.3f %6g %8.3f %3d/%-2d  %s\n", name, pm, cm,
+                    pm == 0 ? "-" : sprintf("%.3f", cm / pm), worse, bound[name], spread, wins, n, verdict
+            }
+        }
         if (bad) print "FAILED RUNS: some run reported failed != 0"
         if (moved) print "DIGESTS DIFFER: the change moved behaviour"
-        exit (bad || moved)
-    }' "$rows"
+        if (regressed) print "REGRESSION: some metric is worse than its bound"
+        exit (bad || moved || regressed)
+    }' "$manifest" "$runs" "$cells"
