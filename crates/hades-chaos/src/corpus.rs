@@ -21,7 +21,7 @@ use hades_telemetry::monitor::{Violation, Watchdog};
 use hades_time::Duration;
 
 use crate::fuzzer::ViolationKey;
-use crate::program::{ChaosProgram, ProgramDriver};
+use crate::program::{narrow, ChaosProgram, ProgramDriver};
 use crate::specs::standard_spec;
 
 /// The corpus line schema tag.
@@ -108,11 +108,13 @@ impl CorpusScenario {
                 .ok_or(format!("corpus line missing integer {key:?}"))
         };
         let expect = v.get("expect").ok_or("corpus line missing \"expect\"")?;
-        let opt_u32 =
-            |key: &str| -> Option<u32> { expect.get(key).and_then(Json::as_u64).map(|n| n as u32) };
+        let opt_u32 = |key: &str| -> Result<Option<u32>, String> {
+            let n = expect.get(key).and_then(Json::as_u64);
+            n.map(|n| narrow(key, n)).transpose()
+        };
         Ok(CorpusScenario {
             name: str_field("name")?,
-            nodes: u64_field("nodes")? as u32,
+            nodes: narrow("nodes", u64_field("nodes")?)?,
             horizon: Duration::from_nanos(u64_field("horizon_ns")?),
             seed: u64_field("seed")?,
             expect: ViolationKey {
@@ -121,8 +123,8 @@ impl CorpusScenario {
                     .and_then(Json::as_str)
                     .map(str::to_string)
                     .ok_or("corpus expect missing \"monitor\"")?,
-                node: opt_u32("node"),
-                group: opt_u32("group"),
+                node: opt_u32("node")?,
+                group: opt_u32("group")?,
             },
             program: ChaosProgram::from_json(v.get("ops").ok_or("corpus line missing \"ops\"")?)?,
         })
@@ -196,6 +198,19 @@ mod tests {
         let bad = format!("{good}\nnot json\n");
         let err = parse_corpus(&bad).unwrap_err();
         assert!(err.starts_with("corpus line 2:"), "got {err:?}");
+    }
+
+    #[test]
+    fn out_of_range_envelope_integers_are_rejected() {
+        let line = sample().to_json();
+        for (field, wide) in [
+            ("\"nodes\":4", "\"nodes\":4294967300"),
+            ("\"node\":3", "\"node\":4294967296"),
+        ] {
+            assert!(line.contains(field), "{line}");
+            let err = CorpusScenario::from_json(&line.replace(field, wide)).expect_err(wide);
+            assert!(err.contains("exceeds u32"), "{err}");
+        }
     }
 
     #[test]

@@ -115,6 +115,12 @@ fn ns(t: Time) -> u64 {
     (t - Time::ZERO).as_nanos()
 }
 
+/// Corpus integers are input from outside the program: one past `u32` is
+/// an error naming its field, never a wrapped node id.
+pub(crate) fn narrow(key: &str, n: u64) -> Result<u32, String> {
+    u32::try_from(n).map_err(|_| format!("{key:?} = {n} exceeds u32"))
+}
+
 impl ChaosOp {
     /// One-line JSON encoding (the corpus element format).
     pub fn to_json(&self) -> String {
@@ -216,10 +222,8 @@ impl ChaosOp {
             .and_then(Json::as_str)
             .ok_or("op object missing \"op\" kind")?;
         let node = |key: &str| -> Result<u32, String> {
-            v.get(key)
-                .and_then(Json::as_u64)
-                .map(|n| n as u32)
-                .ok_or(format!("op {op:?} missing integer {key:?}"))
+            let n = v.get(key).and_then(Json::as_u64);
+            narrow(key, n.ok_or(format!("op {op:?} missing integer {key:?}"))?)
         };
         let time = |key: &str| -> Result<Time, String> {
             v.get(key)
@@ -285,8 +289,8 @@ impl ChaosOp {
                     .and_then(Json::as_array)
                     .ok_or("ccf missing victims array")?
                     .iter()
-                    .map(|j| j.as_u64().map(|n| n as u32).ok_or("victim must be integer"))
-                    .collect::<Result<Vec<u32>, &str>>()?,
+                    .map(|j| narrow("victims", j.as_u64().ok_or("victim must be integer")?))
+                    .collect::<Result<Vec<u32>, String>>()?,
                 spacing: dur("spacing_ns")?,
                 down: dur("down_ns")?,
             },
@@ -550,6 +554,54 @@ mod tests {
     fn every_op_round_trips_through_json() {
         let program = sample_program();
         let line = program.to_json();
+        let parsed =
+            ChaosProgram::from_json(&Json::parse(&line).expect("valid json")).expect("decodes");
+        assert_eq!(parsed, program);
+    }
+
+    #[test]
+    fn out_of_range_integers_are_rejected_not_wrapped() {
+        // 2^32 + 1 used to decode as a crash of node 1.
+        let line = r#"{"op":"crash","node":4294967297,"at_ns":1,"until_ns":null}"#;
+        let err = ChaosOp::from_json(&Json::parse(line).unwrap()).expect_err("out of range");
+        assert!(
+            err.contains("\"node\"") && err.contains("4294967297"),
+            "{err}"
+        );
+        let ccf = r#"{"op":"ccf","root":0,"victims":[1,4294967298],"spacing_ns":1,"down_ns":1}"#;
+        let err = ChaosOp::from_json(&Json::parse(ccf).unwrap()).expect_err("out of range");
+        assert!(err.contains("\"victims\""), "{err}");
+        let slow = r#"{"op":"slow","node":1,"at_ns":1,"until_ns":2,"speed_permille":4294967296}"#;
+        let err = ChaosOp::from_json(&Json::parse(slow).unwrap()).expect_err("out of range");
+        assert!(err.contains("\"speed_permille\""), "{err}");
+    }
+
+    #[test]
+    fn every_op_kind_round_trips_at_u32_max() {
+        const M: u32 = u32::MAX;
+        let mut program = sample_program();
+        for op in &mut program.ops {
+            match op {
+                ChaosOp::Crash { node, .. } | ChaosOp::Skew { node, .. } => *node = M,
+                ChaosOp::CutOneWay { from, to, .. } => (*from, *to) = (M, M),
+                ChaosOp::Degrade {
+                    from,
+                    to,
+                    loss_permille,
+                    ..
+                } => (*from, *to, *loss_permille) = (M, M, M),
+                ChaosOp::Slow {
+                    node,
+                    speed_permille,
+                    ..
+                } => (*node, *speed_permille) = (M, M),
+                ChaosOp::CcfBurst { root, victims, .. } => (*root, *victims) = (M, vec![M, M - 1]),
+                ChaosOp::Throttle { permille, .. } => *permille = M,
+                ChaosOp::Retire { .. } | ChaosOp::Admit { .. } => {}
+            }
+        }
+        let line = program.to_json();
+        assert!(line.contains("4294967295"));
         let parsed =
             ChaosProgram::from_json(&Json::parse(&line).expect("valid json")).expect("decodes");
         assert_eq!(parsed, program);

@@ -74,7 +74,7 @@ use hades_task::spuri::SpuriTask;
 use hades_task::task::TaskSetError;
 use hades_task::{Task, TaskId, TaskSet};
 use hades_telemetry::monitor::{MonitorParams, ProtocolTap};
-use hades_telemetry::{Profiler, Registry, RunTelemetry, SpanLog, Watchdog};
+use hades_telemetry::{Probe, Profiler, Registry, RunTelemetry, SpanLog, Watchdog};
 use hades_time::{Duration, Time};
 use std::cell::{Ref, RefCell};
 use std::collections::BTreeMap;
@@ -1191,19 +1191,16 @@ impl Lowered {
         cfg.seed = self.seed;
         cfg.trace = false;
         let mut sim = DispatchSim::with_network(set, cfg, net);
-        sim.set_telemetry(&self.telemetry);
-        // The per-kind network send counters (`net.msgs.*` /
-        // `net.bytes.*`) and the profiler's traffic matrix share the
-        // cluster's one message-kind vocabulary, so `net.msgs.agent.hb`
-        // and the matrix's `agent.hb` rows count the same sends.
-        sim.set_net_tag_namer(cluster_msg_name);
-        if self.profile.is_enabled() {
-            self.profile.set_tag_namer(cluster_msg_name);
-            self.profile.set_heartbeat_pred(|label, class, tag| {
-                label == AGENT_LABEL && agent_is_heartbeat(class, tag)
-            });
-            sim.set_profiler(&self.profile);
-        }
+        // One probe per run feeds the registry's `net.msgs.*` / `net.bytes.*`
+        // and the profiler's traffic matrix under the cluster's one
+        // message-kind vocabulary: `net.msgs.agent.hb` and the matrix's
+        // `agent.hb` rows count the same sends.
+        sim.set_probe(Probe::new(
+            &self.telemetry,
+            &self.profile,
+            cluster_msg_name,
+            |label, class, tag| label == AGENT_LABEL && agent_is_heartbeat(class, tag),
+        ));
         if self.policy == Policy::Edf {
             for node in 0..self.nodes {
                 sim.set_policy(node, Box::new(EdfPolicy::new()));
@@ -1446,7 +1443,7 @@ impl Lowered {
         // ---- fold the service logs into the telemetry registry ----
         // No-ops against the default disabled registry; with an enabled
         // one these land in the deterministic snapshot next to the
-        // engine/dispatcher counters wired in via `set_telemetry`.
+        // engine/dispatcher counters the run published through its probe.
         let t = &self.telemetry;
         t.counter("agents.heartbeats_sent")
             .add(logs.iter().map(|l| l.borrow().heartbeats_sent).sum());

@@ -29,7 +29,7 @@ use hades_sim::{
 };
 use hades_task::arrival::ArrivalMonitor;
 use hades_task::{Eu, EuIndex, InvocationMode, Priority, Task, TaskId, TaskSet};
-use hades_telemetry::{ActorProbe, Counter, EngineProbe, NetProbe, ProfKind, Profiler, Registry};
+use hades_telemetry::Probe;
 use hades_time::{Duration, Time};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::rc::Rc;
@@ -151,65 +151,40 @@ enum Ev {
     FaultTransition { node: u32 },
 }
 
-/// One profiler kind handle per [`Ev`] variant, minted up front so the
-/// hot path is handle-lookup only (each hook is one `Option` check when
-/// the profiler is disabled).
-#[derive(Debug, Clone, Default)]
-struct ProfKinds {
-    activate: ProfKind,
-    work_done: ProfKind,
-    earliest: ProfKind,
-    deadline_check: ProfKind,
-    latest_check: ProfKind,
-    remote_arrive: ProfKind,
-    omission_check: ProfKind,
-    kernel_irq: ProfKind,
-    fault: ProfKind,
-    actor_start: ProfKind,
-    actor_restart: ProfKind,
-    actor_timer: ProfKind,
-    actor_message: ProfKind,
-    actor_notify: ProfKind,
-}
+/// The profile's event kinds, declared to the probe once
+/// ([`Probe::kinds`]) and indexed by [`Ev::kind`]; the five `actor.`
+/// kinds follow [`hades_telemetry::DELIVERY_CLASSES`].
+const EV_KINDS: [&str; 14] = [
+    "activate",
+    "work_done",
+    "earliest_reached",
+    "deadline_check",
+    "latest_check",
+    "remote_arrive",
+    "omission_check",
+    "kernel_irq",
+    "fault_transition",
+    "actor.start",
+    "actor.restart",
+    "actor.timer",
+    "actor.message",
+    "actor.notify",
+];
 
-impl ProfKinds {
-    fn from_profiler(p: &Profiler) -> Self {
-        ProfKinds {
-            activate: p.kind("activate"),
-            work_done: p.kind("work_done"),
-            earliest: p.kind("earliest_reached"),
-            deadline_check: p.kind("deadline_check"),
-            latest_check: p.kind("latest_check"),
-            remote_arrive: p.kind("remote_arrive"),
-            omission_check: p.kind("omission_check"),
-            kernel_irq: p.kind("kernel_irq"),
-            fault: p.kind("fault_transition"),
-            actor_start: p.kind("actor.start"),
-            actor_restart: p.kind("actor.restart"),
-            actor_timer: p.kind("actor.timer"),
-            actor_message: p.kind("actor.message"),
-            actor_notify: p.kind("actor.notify"),
-        }
-    }
-
-    fn of(&self, ev: &Ev) -> &ProfKind {
-        match ev {
-            Ev::Activate { .. } => &self.activate,
-            Ev::WorkDone { .. } => &self.work_done,
-            Ev::EarliestReached { .. } => &self.earliest,
-            Ev::DeadlineCheck { .. } => &self.deadline_check,
-            Ev::LatestCheck { .. } => &self.latest_check,
-            Ev::RemoteArrive { .. } => &self.remote_arrive,
-            Ev::OmissionCheck { .. } => &self.omission_check,
-            Ev::KernelIrq { .. } => &self.kernel_irq,
-            Ev::FaultTransition { .. } => &self.fault,
-            Ev::Actor { ev, .. } => match ev {
-                ActorEvent::Start => &self.actor_start,
-                ActorEvent::Restart => &self.actor_restart,
-                ActorEvent::Timer { .. } => &self.actor_timer,
-                ActorEvent::Message { .. } => &self.actor_message,
-                ActorEvent::Notify { .. } => &self.actor_notify,
-            },
+impl Ev {
+    /// Index of this event's kind in [`EV_KINDS`].
+    fn kind(&self) -> usize {
+        match self {
+            Ev::Activate { .. } => 0,
+            Ev::WorkDone { .. } => 1,
+            Ev::EarliestReached { .. } => 2,
+            Ev::DeadlineCheck { .. } => 3,
+            Ev::LatestCheck { .. } => 4,
+            Ev::RemoteArrive { .. } => 5,
+            Ev::OmissionCheck { .. } => 6,
+            Ev::KernelIrq { .. } => 7,
+            Ev::FaultTransition { .. } => 8,
+            Ev::Actor { ev, .. } => 9 + ev.class().0,
         }
     }
 }
@@ -301,12 +276,8 @@ struct Inner {
     actors: ActorHost,
     postbox: Postbox,
     miss_tap: Option<MissTap>,
-    telemetry: Registry,
-    ctx_switch_counter: Counter,
-    miss_counter: Counter,
-    profiler: Profiler,
-    prof_kinds: ProfKinds,
-    net_probe: NetProbe,
+    probe: Probe,
+    ctx_switches: u64,
     monitor: MonitorReport,
     records: Vec<InstanceRecord>,
     trace: Trace,
@@ -423,12 +394,8 @@ impl DispatchSim {
             actors: ActorHost::new(),
             postbox: Postbox::new(),
             miss_tap: None,
-            telemetry: Registry::disabled(),
-            ctx_switch_counter: Counter::disabled(),
-            miss_counter: Counter::disabled(),
-            profiler: Profiler::disabled(),
-            prof_kinds: ProfKinds::default(),
-            net_probe: NetProbe::disabled(),
+            probe: Probe::default(),
+            ctx_switches: 0,
             monitor: MonitorReport::new(),
             records: Vec::new(),
             trace,
@@ -497,62 +464,26 @@ impl DispatchSim {
         self.inner.network.stats()
     }
 
-    /// Wires telemetry through the whole run: the DES run loop records
-    /// `engine.events` / `engine.queue_depth_peak`, the actor host
-    /// records `actors.<kind>_events`, the dispatcher records
-    /// `dispatch.ctx_switches` and `dispatch.deadline_misses` inline and
-    /// fills per-node CPU gauges at the end of the run. Wall-clock time
-    /// around the run loop is recorded as the **volatile** value
-    /// `engine.wall_ns` (never part of the deterministic snapshot). A
-    /// disabled registry (the default) leaves every hook inert; wiring
-    /// telemetry never changes event order or outcomes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the simulation already ran.
-    pub fn set_telemetry(&mut self, registry: &Registry) {
-        assert!(!self.ran, "simulation already ran");
-        self.engine.set_probe(EngineProbe::from_registry(registry));
-        self.inner
-            .actors
-            .set_probe(ActorProbe::from_registry(registry));
-        let net_probe = NetProbe::from_registry(registry);
-        self.inner.actors.set_net_probe(net_probe.clone());
-        self.inner.net_probe = net_probe;
-        self.inner.ctx_switch_counter = registry.counter("dispatch.ctx_switches");
-        self.inner.miss_counter = registry.counter("dispatch.deadline_misses");
-        self.inner.telemetry = registry.clone();
-    }
-
-    /// Attaches a profiler to the whole run: the DES run loop feeds the
-    /// timeline (queue depth + event mix per interval), every event is
-    /// attributed to its [`Ev`]-variant kind (count, exact engine-tick
-    /// inter-delivery gaps, volatile wall-ns), hosted actor deliveries
-    /// to their `(label, node, class)` cells, and accepted network sends
-    /// to the traffic matrix. Profiling is pure observation — it never
-    /// posts events or changes outcomes — and a disabled profiler (the
-    /// default) costs one `Option` check per hook.
+    /// Installs the run's observation probe, the one hook this run loop
+    /// is observed through: every delivered event is reported once with
+    /// its [`Ev`]-variant kind ([`Probe::event`]), hosted actor
+    /// deliveries and accepted sends once each ([`Probe::delivery`],
+    /// [`Probe::send`]). What the run counts itself it publishes into the
+    /// probe's registry when it ends — `engine.*`, `dispatch.*`, and the
+    /// **volatile** `engine.wall_ns` / `profile.wall_ns.<kind>`. The
+    /// default probe holds nothing (one `Option` check per report); an
+    /// installed one never changes event order or outcomes.
     ///
     /// [`Ev`]: DispatchSim
     ///
     /// # Panics
     ///
     /// Panics if the simulation already ran.
-    pub fn set_profiler(&mut self, profiler: &Profiler) {
+    pub fn set_probe(&mut self, probe: Probe) {
         assert!(!self.ran, "simulation already ran");
-        self.engine.set_profiler(profiler.clone());
-        self.inner.actors.set_profiler(profiler.clone());
-        self.inner.prof_kinds = ProfKinds::from_profiler(profiler);
-        self.inner.profiler = profiler.clone();
-    }
-
-    /// Installs the message-kind namer on the network send counters
-    /// wired by [`DispatchSim::set_telemetry`] (call after it, before
-    /// the run): resolves `(sender label, tag)` to the `<kind>` of the
-    /// `net.msgs.<kind>` / `net.bytes.<kind>` counter names.
-    pub fn set_net_tag_namer(&mut self, namer: impl Fn(&str, u64) -> Option<String> + 'static) {
-        assert!(!self.ran, "simulation already ran");
-        self.inner.net_probe.set_tag_namer(namer);
+        probe.kinds(&EV_KINDS);
+        self.inner.actors.set_probe(probe.clone());
+        self.inner.probe = probe;
     }
 
     /// Restricts the auto-activation of `task` to `[from, until)`: the
@@ -593,28 +524,14 @@ impl DispatchSim {
         // Wall-clock around the run loop is telemetry-only and volatile:
         // it never feeds back into the simulation or the deterministic
         // snapshot, so instrumented runs stay bit-identical.
-        let wall_start = self
-            .inner
-            .telemetry
-            .is_enabled()
-            .then(std::time::Instant::now);
+        let telemetry = self.inner.probe.registry();
+        let wall_start = telemetry.is_enabled().then(std::time::Instant::now);
         let delivered = self.engine.run(&mut self.inner, horizon);
         if let Some(start) = wall_start {
-            self.inner
-                .telemetry
-                .set_volatile("engine.wall_ns", start.elapsed().as_nanos() as u64);
-            self.inner
-                .telemetry
-                .set_volatile("engine.run_events", delivered);
+            telemetry.set_volatile("engine.wall_ns", start.elapsed().as_nanos() as u64);
         }
-        // Per-kind wall attribution rides the volatile channel, exactly
-        // like engine.wall_ns: never part of the deterministic snapshot
-        // or the deterministic profile report.
-        for (name, ns) in self.inner.profiler.wall_totals() {
-            self.inner
-                .telemetry
-                .set_volatile(&format!("profile.wall_ns.{name}"), ns);
-        }
+        let depth_peak = self.engine.depth_peak();
+        self.inner.probe.run_ended(delivered, depth_peak);
         let end = self.engine.now();
         self.inner.finish(end)
     }
@@ -1037,7 +954,7 @@ impl Inner {
                     if ns.last_app != Some(tid) {
                         th.remaining += self.cfg.costs.ctx_switch;
                         ns.last_app = Some(tid);
-                        self.ctx_switch_counter.incr();
+                        self.ctx_switches += 1;
                     }
                     self.trace
                         .record(now, NodeId(node), TraceKind::Run, th.name.as_str());
@@ -1511,14 +1428,8 @@ impl Inner {
                         // The dispatcher's precedence handoffs share the
                         // network with the protocol actors: account them
                         // under the "dispatch" sender label (tag 0).
-                        self.net_probe.record("dispatch", 0, mux::WIRE_BYTES);
-                        self.profiler.record_send(
-                            "dispatch",
-                            0,
-                            done_node,
-                            succ_node,
-                            mux::WIRE_BYTES,
-                        );
+                        self.probe
+                            .send("dispatch", 0, done_node, succ_node, mux::WIRE_BYTES);
                         sched.post(
                             t,
                             Ev::RemoteArrive {
@@ -1747,7 +1658,6 @@ impl Inner {
             return;
         }
         inst.missed = true;
-        self.miss_counter.incr();
         let activated = self.records[inst.record_idx].activated;
         self.records[inst.record_idx].missed = true;
         self.monitor.push(MonitorEvent::DeadlineMiss {
@@ -1935,18 +1845,24 @@ impl Inner {
                 at: end,
             });
         }
-        if self.telemetry.is_enabled() {
-            self.telemetry
+        let telemetry = self.probe.registry();
+        if telemetry.is_enabled() {
+            let misses = self.monitor.deadline_misses() as u64;
+            telemetry
+                .counter("dispatch.ctx_switches")
+                .add(self.ctx_switches);
+            telemetry.counter("dispatch.deadline_misses").add(misses);
+            telemetry
                 .gauge("dispatch.notifications")
                 .set(self.notifications);
-            self.telemetry
+            telemetry
                 .gauge("dispatch.scheduler_cpu_ns")
                 .set(self.scheduler_cpu.as_nanos());
-            self.telemetry
+            telemetry
                 .gauge("dispatch.kernel_cpu_ns")
                 .set(self.kernel_cpu.as_nanos());
             for (node, cpu) in self.node_cpu.iter().enumerate() {
-                self.telemetry
+                telemetry
                     .gauge(&format!("dispatch.node_cpu_ns.n{node:03}"))
                     .set(cpu.as_nanos());
             }
@@ -1968,11 +1884,11 @@ impl Simulation for Inner {
     type Event = Ev;
 
     fn handle(&mut self, now: Time, event: Ev, sched: &mut Scheduler<Ev>) {
-        // Kind attribution + wall timing (both inert when the profiler
-        // is disabled). Wall-clock goes only into the volatile totals.
-        let prof_kind = self.prof_kinds.of(&event).clone();
-        prof_kind.record(now.as_nanos());
-        let wall_start = self.profiler.is_enabled().then(std::time::Instant::now);
+        // The one report of this event; the guard times the handler into
+        // the kind's volatile wall-clock total.
+        let _handling = self
+            .probe
+            .event(now.as_nanos(), sched.depth(), Some(event.kind()));
         match event {
             Ev::Activate { task, gen } => self.activate(task, gen, now, sched),
             Ev::WorkDone { node } => {
@@ -2029,9 +1945,6 @@ impl Simulation for Inner {
                     ev: ActorEvent::Notify { tag },
                 },
             );
-        }
-        if let Some(start) = wall_start {
-            prof_kind.add_wall(start.elapsed().as_nanos() as u64);
         }
     }
 }
@@ -2950,5 +2863,27 @@ mod tests {
         assert_eq!(r.misses(), 0);
         // Two notifications (activation, termination) per completed thread.
         assert!(audit.calls.get() >= 60, "{} snapshots", audit.calls.get());
+    }
+
+    #[test]
+    fn actor_event_kinds_follow_the_delivery_classes() {
+        let events = [
+            ActorEvent::Start,
+            ActorEvent::Restart,
+            ActorEvent::Timer { tag: 7 },
+            ActorEvent::Message {
+                from: NodeId(0),
+                tag: 7,
+                payload: 0,
+            },
+            ActorEvent::Notify { tag: 7 },
+        ];
+        for (ev, class) in events.into_iter().zip(hades_telemetry::DELIVERY_CLASSES) {
+            let actor = ActorId(0);
+            let kind = Ev::Actor { actor, ev }.kind();
+            assert_eq!(EV_KINDS[kind], format!("actor.{class}"));
+        }
+        assert_eq!(Ev::FaultTransition { node: 0 }.kind(), 8);
+        assert_eq!(EV_KINDS[8], "fault_transition");
     }
 }

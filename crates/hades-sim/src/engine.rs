@@ -11,8 +11,12 @@
 //! leaves its key in the heap as a *tombstone*, skipped when it surfaces. A
 //! slot is reused, one generation older, once its key is popped, so an
 //! [`EventId`] that outlives its event never touches the next occupant.
+//!
+//! The engine observes nothing: it keeps two plain integers
+//! ([`Engine::delivered`], [`Engine::depth_peak`]), hands handlers the
+//! current depth ([`Scheduler::depth`]), and leaves reporting any of it to
+//! the embedding (see [`crate::mux`]).
 
-use hades_telemetry::{Counter, EngineProbe, Gauge, Profiler};
 use hades_time::Time;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -61,7 +65,7 @@ pub struct Scheduler<E> {
     /// Slots holding a payload.
     live: usize,
     /// High water of `heap.len()`, tombstones and all.
-    depth_peak: Gauge,
+    depth_peak: usize,
 }
 
 impl<E> Scheduler<E> {
@@ -77,7 +81,7 @@ impl<E> Scheduler<E> {
             u32::try_from(self.slots.len() - 1).expect("fewer than 2^32 queued events")
         });
         self.heap.push(Reverse((at, self.next_seq, slot)));
-        self.depth_peak.record_max(self.heap.len() as u64);
+        self.depth_peak = self.depth_peak.max(self.heap.len());
         self.next_seq += 1;
         self.live += 1;
         let entry = &mut self.slots[slot as usize];
@@ -95,6 +99,12 @@ impl<E> Scheduler<E> {
         if slot.is_some_and(|s| s.gen == id.gen && s.payload.take().is_some()) {
             self.live -= 1;
         }
+    }
+
+    /// Keys in the queue right now, tombstones included: what a profiler's
+    /// timeline samples as the pending-queue length.
+    pub fn depth(&self) -> u64 {
+        self.heap.len() as u64
     }
 
     /// Pops the earliest live event due by `until`, dropping the tombstones
@@ -123,8 +133,6 @@ impl<E> Scheduler<E> {
 pub struct Engine<E> {
     queue: Scheduler<E>,
     delivered: u64,
-    events: Counter,
-    profiler: Profiler,
 }
 
 impl<E> Engine<E> {
@@ -138,32 +146,10 @@ impl<E> Engine<E> {
                 free: Vec::new(),
                 next_seq: 0,
                 live: 0,
-                depth_peak: Gauge::default(),
+                depth_peak: 0,
             },
             delivered: 0,
-            events: Counter::default(),
-            profiler: Profiler::disabled(),
         }
-    }
-
-    /// Installs a telemetry probe on the run loop (events delivered,
-    /// queue-depth high water). The default probe is disabled and costs
-    /// one `Option` check per event; installing a probe never changes
-    /// the event order or posts events.
-    pub fn set_probe(&mut self, probe: EngineProbe) {
-        self.events = probe.events;
-        self.queue.depth_peak = probe.queue_high_water;
-        if probe.profiler.is_enabled() {
-            self.profiler = probe.profiler;
-        }
-    }
-
-    /// Attaches a profiler to the run loop: one [`Profiler::tick`] per
-    /// delivered event with the current time and queue length. Independent
-    /// of [`Engine::set_probe`] — either may be installed first. A disabled
-    /// profiler (the default) costs one `Option` check per event.
-    pub fn set_profiler(&mut self, profiler: Profiler) {
-        self.profiler = profiler;
     }
 
     /// Current virtual time (time of the last delivered event).
@@ -176,9 +162,15 @@ impl<E> Engine<E> {
         self.delivered
     }
 
+    /// High-water mark of the queue depth (heap keys, tombstones included)
+    /// over every post so far.
+    pub fn depth_peak(&self) -> u64 {
+        self.queue.depth_peak as u64
+    }
+
     /// Number of pending (not yet delivered, not cancelled) events, in O(1).
-    /// Tombstones do not count here; the probe's queue-depth high water is
-    /// the heap's length and does include them.
+    /// Tombstones do not count here; [`Engine::depth_peak`] is the heap's
+    /// length and does include them.
     pub fn pending(&self) -> usize {
         self.queue.live
     }
@@ -208,11 +200,8 @@ impl<E> Engine<E> {
     pub fn run<S: Simulation<Event = E>>(&mut self, sim: &mut S, until: Time) -> u64 {
         let before = self.delivered;
         while let Some(payload) = self.queue.pop(until) {
-            let (now, depth) = (self.queue.now, self.queue.heap.len() as u64);
             self.delivered += 1;
-            self.events.incr();
-            self.profiler.tick(now.as_nanos(), depth);
-            sim.handle(now, payload, &mut self.queue);
+            sim.handle(self.queue.now, payload, &mut self.queue);
         }
         self.delivered - before
     }
@@ -441,43 +430,26 @@ mod tests {
 
     #[test]
     fn probe_counts_events_and_queue_high_water() {
-        let registry = hades_telemetry::Registry::enabled();
+        // The engine's own counts: what an embedding's probe publishes as
+        // `engine.events` / `engine.queue_depth_peak` at the end of a run.
+        struct Depths(Vec<u64>);
+        impl Simulation for Depths {
+            type Event = Ev;
+            fn handle(&mut self, now: Time, ev: Ev, sched: &mut Scheduler<Ev>) {
+                self.0.push(sched.depth());
+                if let Ev::Chain(n @ 1..) = ev {
+                    sched.post(now + Duration::from_nanos(10), Ev::Chain(n - 1));
+                }
+            }
+        }
         let mut e = Engine::new();
-        e.set_probe(EngineProbe::from_registry(&registry));
         e.post(Time::from_nanos(1), Ev::Ping(1));
         e.post(Time::from_nanos(2), Ev::Ping(2));
         e.post(Time::from_nanos(3), Ev::Chain(2));
-        let mut sim = Recorder::default();
-        e.run_to_completion(&mut sim);
-        let snap = registry.snapshot();
-        assert_eq!(snap.counter("engine.events"), Some(e.delivered()));
-        assert_eq!(snap.gauge("engine.queue_depth_peak"), Some(3));
-    }
-
-    #[test]
-    fn telemetry_probe_adds_zero_events_and_preserves_order() {
-        // Regression for the near-zero-cost guarantee: an instrumented
-        // engine with an enabled registry delivers exactly the same
-        // events in the same order at the same times as a bare engine.
-        let run = |probe: Option<EngineProbe>| {
-            let mut e = Engine::new();
-            if let Some(p) = probe {
-                e.set_probe(p);
-            }
-            e.post(Time::from_nanos(5), Ev::Chain(4));
-            e.post(Time::from_nanos(5), Ev::Ping(9));
-            let mut sim = Recorder::default();
-            let n = e.run_to_completion(&mut sim);
-            (n, e.delivered(), sim.seen)
-        };
-        let registry = hades_telemetry::Registry::enabled();
-        let bare = run(None);
-        let probed = run(Some(EngineProbe::from_registry(&registry)));
-        assert_eq!(bare, probed);
-        assert_eq!(
-            registry.snapshot().counter("engine.events"),
-            Some(bare.1),
-            "probe observed the run instead of altering it"
-        );
+        let mut sim = Depths(Vec::new());
+        assert_eq!(e.run_to_completion(&mut sim), 5);
+        assert_eq!(e.delivered(), 5);
+        assert_eq!(e.depth_peak(), 3);
+        assert_eq!(sim.0, [2, 1, 0, 0, 0], "depth as each handler sees it");
     }
 }

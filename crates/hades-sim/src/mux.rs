@@ -24,6 +24,11 @@
 //!   network) for running actors without a dispatcher, used by unit tests
 //!   and service-level experiments.
 //!
+//! Observation goes through one handle, a [`hades_telemetry::Probe`]
+//! ([`ActorHost::set_probe`], [`ActorEngine::set_probe`]): the host
+//! reports every handled delivery, [`ActorCtx::send`] every accepted
+//! send, the run loop every delivered event — once each.
+//!
 //! Two control-plane facilities let *online* controllers (reactive
 //! scenario drivers, event taps) reach into a **running** engine:
 //!
@@ -46,6 +51,7 @@
 use crate::engine::{Engine, Scheduler, Simulation};
 use crate::fault::FaultPlan;
 use crate::net::{Delivery, Network, NodeId};
+use hades_telemetry::Probe;
 use hades_time::{Duration, Time};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -96,6 +102,22 @@ pub enum ActorEvent {
         /// Controller-defined discriminator.
         tag: u64,
     },
+}
+
+impl ActorEvent {
+    /// This event's delivery class — `Start`, `Restart`, `Timer`,
+    /// `Message`, `Notify`, as an index into
+    /// [`hades_telemetry::DELIVERY_CLASSES`] — and its protocol tag (0
+    /// for the two untagged classes): how observers classify a delivery.
+    pub fn class(&self) -> (usize, u64) {
+        match *self {
+            ActorEvent::Start => (0, 0),
+            ActorEvent::Restart => (1, 0),
+            ActorEvent::Timer { tag } => (2, tag),
+            ActorEvent::Message { tag, .. } => (3, tag),
+            ActorEvent::Notify { tag } => (4, tag),
+        }
+    }
 }
 
 /// An engine-time callback channel into a running actor engine.
@@ -268,8 +290,7 @@ pub struct ActorCtx<'a> {
     self_node: NodeId,
     self_label: &'static str,
     net: &'a mut Network,
-    profiler: &'a hades_telemetry::Profiler,
-    net_probe: &'a hades_telemetry::NetProbe,
+    probe: &'a Probe,
     staged: Vec<(Time, ActorId, ActorEvent)>,
     controls: Vec<ControlOp>,
 }
@@ -322,8 +343,7 @@ impl ActorCtx<'_> {
     pub fn send(&mut self, to: ActorId, to_node: NodeId, tag: u64, payload: u64) -> bool {
         match self.net.transit(self.self_node, to_node, self.now) {
             Delivery::At(at) => {
-                self.net_probe.record(self.self_label, tag, WIRE_BYTES);
-                self.profiler.record_send(
+                self.probe.send(
                     self.self_label,
                     tag,
                     self.self_node.0,
@@ -414,9 +434,7 @@ impl ActorCtx<'_> {
 #[derive(Default)]
 pub struct ActorHost {
     actors: Vec<Option<Box<dyn NetActor>>>,
-    probe: hades_telemetry::ActorProbe,
-    profiler: hades_telemetry::Profiler,
-    net_probe: hades_telemetry::NetProbe,
+    probe: Probe,
 }
 
 impl std::fmt::Debug for ActorHost {
@@ -433,27 +451,13 @@ impl ActorHost {
         ActorHost::default()
     }
 
-    /// Installs a telemetry probe counting deliveries per event kind
-    /// (`Start`, `Restart`, `Timer`, `Message`, `Notify`). The default
-    /// probe is disabled; an installed probe observes the run without
-    /// altering routing or posting events.
-    pub fn set_probe(&mut self, probe: hades_telemetry::ActorProbe) {
+    /// Installs the run's observation probe: [`ActorHost::deliver`]
+    /// reports every *handled* delivery to it ([`Probe::delivery`]) and
+    /// [`ActorCtx::send`] every *accepted* send ([`Probe::send`]). The
+    /// default probe holds nothing (one `Option` check per report); an
+    /// installed one never alters routing or posts events.
+    pub fn set_probe(&mut self, probe: Probe) {
         self.probe = probe;
-    }
-
-    /// Attaches a profiler: every handled delivery is attributed to the
-    /// receiving actor's `(label, node, class)` cell and every accepted
-    /// send to the traffic matrix. The default (disabled) profiler
-    /// costs one `Option` check per hook and records nothing.
-    pub fn set_profiler(&mut self, profiler: hades_telemetry::Profiler) {
-        self.profiler = profiler;
-    }
-
-    /// Attaches the always-on network send counters (`net.msgs.*` /
-    /// `net.bytes.*`), active with plain telemetry even when the full
-    /// profiler is off.
-    pub fn set_net_probe(&mut self, probe: hades_telemetry::NetProbe) {
-        self.net_probe = probe;
     }
 
     /// Registers an actor, returning its id.
@@ -535,39 +539,17 @@ impl ActorHost {
             self.actors[id.0 as usize] = Some(actor);
             return Reactions::default();
         }
-        let (class, tag) = match &ev {
-            ActorEvent::Start => {
-                self.probe.start.incr();
-                ("start", 0)
-            }
-            ActorEvent::Restart => {
-                self.probe.restart.incr();
-                ("restart", 0)
-            }
-            ActorEvent::Timer { tag } => {
-                self.probe.timer.incr();
-                ("timer", *tag)
-            }
-            ActorEvent::Message { tag, .. } => {
-                self.probe.message.incr();
-                ("message", *tag)
-            }
-            ActorEvent::Notify { tag } => {
-                self.probe.notify.incr();
-                ("notify", *tag)
-            }
-        };
+        let (class, tag) = ev.class();
         let label = actor.label();
-        self.profiler
-            .record_delivery(now.as_nanos(), label, node.0, class, tag);
+        self.probe
+            .delivery(now.as_nanos(), label, node.0, class, tag);
         let mut ctx = ActorCtx {
             now,
             self_id: id,
             self_node: node,
             self_label: label,
             net,
-            profiler: &self.profiler,
-            net_probe: &self.net_probe,
+            probe: &self.probe,
             staged: Vec::new(),
             controls: Vec::new(),
         };
@@ -690,6 +672,7 @@ impl Simulation for HostSim<'_> {
     type Event = (ActorId, ActorEvent);
 
     fn handle(&mut self, now: Time, (id, ev): Self::Event, sched: &mut Scheduler<Self::Event>) {
+        let _handling = self.host.probe.event(now.as_nanos(), sched.depth(), None);
         let reactions = self.host.deliver(id, ev, now, self.net);
         for (at, to, ev) in reactions.posts {
             sched.post(at, (to, ev));
@@ -782,25 +765,13 @@ impl ActorEngine {
         &self.net
     }
 
-    /// Wires telemetry into the embedded engine and actor host: the run
-    /// loop records `engine.events` / `engine.queue_depth_peak`, the
-    /// host records `actors.<kind>_events` and per-kind network send
-    /// counters (`net.msgs.*` / `net.bytes.*`). A disabled registry
-    /// leaves every probe inert.
-    pub fn set_telemetry(&mut self, registry: &hades_telemetry::Registry) {
-        self.engine
-            .set_probe(hades_telemetry::EngineProbe::from_registry(registry));
-        self.host
-            .set_probe(hades_telemetry::ActorProbe::from_registry(registry));
-        self.host
-            .set_net_probe(hades_telemetry::NetProbe::from_registry(registry));
-    }
-
-    /// Attaches a profiler to the embedded engine and actor host (pure
-    /// observation: timeline ticks, per-actor shares, traffic matrix).
-    pub fn set_profiler(&mut self, profiler: &hades_telemetry::Profiler) {
-        self.engine.set_profiler(profiler.clone());
-        self.host.set_profiler(profiler.clone());
+    /// Installs the run's observation probe. Every delivered event is
+    /// reported once without a kind (timeline ticks), every handled
+    /// delivery and accepted send once through the actor host, and each
+    /// [`ActorEngine::run`] publishes the engine's own counts
+    /// (`engine.events` / `engine.queue_depth_peak`) when it returns.
+    pub fn set_probe(&mut self, probe: Probe) {
+        self.host.set_probe(probe);
     }
 
     /// Runs until `until` (inclusive), delivering `Start` to every actor
@@ -823,7 +794,10 @@ impl ActorEngine {
             net: &mut self.net,
             postbox: &postbox,
         };
-        self.engine.run(&mut sim, until)
+        let delivered = self.engine.run(&mut sim, until);
+        let depth_peak = self.engine.depth_peak();
+        self.host.probe.run_ended(delivered, depth_peak);
+        delivered
     }
 
     /// Current virtual time.
@@ -1198,12 +1172,12 @@ mod tests {
         assert_eq!(a[1].0, 2);
     }
 
-    #[test]
-    fn actor_probe_breaks_deliveries_down_by_kind() {
-        let registry = hades_telemetry::Registry::enabled();
+    /// Two [`Counter`]s pinging each other over a 2-node network, under
+    /// `probe`; returns the delivered count and what each actor heard.
+    fn probed_exchange(probe: Probe) -> (u64, Vec<(u32, Time)>) {
         let net = Network::homogeneous(2, LinkConfig::default(), SimRng::seed_from(3));
         let mut rt = ActorEngine::new(net);
-        rt.set_telemetry(&registry);
+        rt.set_probe(probe);
         let log = rc_log();
         for n in 0..2 {
             rt.add_actor(Box::new(Counter {
@@ -1213,10 +1187,52 @@ mod tests {
             }));
         }
         let delivered = rt.run(Time::ZERO + Duration::from_millis(5));
+        let heard = log.borrow().clone();
+        (delivered, heard)
+    }
+
+    fn ping_namer(label: &str, tag: u64) -> Option<String> {
+        (label == "actor" && tag == 1).then(|| "ping".to_string())
+    }
+
+    #[test]
+    fn actor_probe_breaks_deliveries_down_by_kind() {
+        let registry = hades_telemetry::Registry::enabled();
+        let profiler = hades_telemetry::Profiler::disabled();
+        let probe = Probe::new(&registry, &profiler, ping_namer, |_, _, _| false);
+        let (delivered, _) = probed_exchange(probe);
         let snap = registry.snapshot();
         assert_eq!(snap.counter("actors.start_events"), Some(2));
         assert_eq!(snap.counter("actors.message_events"), Some(2));
         assert_eq!(snap.counter("engine.events"), Some(delivered));
         assert!(snap.gauge("engine.queue_depth_peak").unwrap_or(0) >= 2);
+        // The namer given at construction names the send counters.
+        assert_eq!(snap.counter("net.msgs.ping"), Some(2));
+        assert_eq!(snap.counter("net.msgs.total"), Some(2));
+    }
+
+    #[test]
+    fn telemetry_probe_adds_zero_events_and_preserves_order() {
+        // Regression for the near-zero-cost guarantee: a run observed by
+        // an enabled registry and profiler delivers exactly the same
+        // events in the same order at the same times as a bare one.
+        let registry = hades_telemetry::Registry::enabled();
+        let profiler = hades_telemetry::Profiler::enabled();
+        let bare = probed_exchange(Probe::default());
+        let probed = probed_exchange(Probe::new(&registry, &profiler, ping_namer, |_, _, _| {
+            false
+        }));
+        assert_eq!(bare, probed);
+        assert_eq!(
+            registry.snapshot().counter("engine.events"),
+            Some(bare.0),
+            "probe observed the run instead of altering it"
+        );
+        // ActorEngine feeds ticks, deliveries and sends — no kind rows.
+        let report = profiler.report();
+        assert_eq!(report.total_events, bare.0);
+        assert!(report.kinds.is_empty());
+        assert_eq!(report.actors.iter().map(|a| a.events).sum::<u64>(), 4);
+        assert_eq!(report.traffic.iter().map(|t| t.msgs).sum::<u64>(), 2);
     }
 }

@@ -21,6 +21,11 @@
 //! code pays near-zero cost and — crucially — posts **zero additional
 //! events** to the simulation engine either way.
 //!
+//! What happens *inside* a run loop reaches both the registry and the
+//! profiler through one handle, the [`Probe`] ([`probe`]): built once
+//! per run, installed through one setter per embedding, called once per
+//! event delivered, delivery handled and message sent.
+//!
 //! On top of the passive half sits the **online invariant layer**
 //! ([`monitor`]): a [`Watchdog`] of [`Monitor`]s that consumes the same
 //! engine-time observation feeds and raises [`Violation`]s the instant a
@@ -28,10 +33,12 @@
 //! post-run report.
 //!
 //! The **profiling layer** ([`profile`]) follows the same split: a
-//! [`Profiler`] attributes engine work per event kind, per actor and
-//! per link deterministically (with per-kind wall-ns riding the
-//! volatile channel), aggregates a queue/event-mix timeline, and
-//! exports schema-checked JSONL plus folded-stacks flamegraph text.
+//! [`Profiler`], fed by the probe, attributes engine work per event
+//! kind, per actor and per link deterministically (with per-kind
+//! wall-ns riding the volatile channel), aggregates a queue/event-mix
+//! timeline, and exports schema-checked JSONL plus folded-stacks
+//! flamegraph text. Every export's schema is in `SCHEMAS.md` at the
+//! repository root.
 //!
 //! # Examples
 //!
@@ -78,18 +85,18 @@ pub mod fabric;
 pub mod json;
 pub mod metrics;
 pub mod monitor;
+pub mod probe;
 pub mod profile;
 pub mod span;
 
-pub use metrics::{
-    ActorProbe, Counter, EngineProbe, Gauge, Histogram, HistogramSummary, MetricsSnapshot, Registry,
-};
+pub use metrics::{Counter, Gauge, Histogram, HistogramSummary, MetricsSnapshot, Registry};
 pub use monitor::{
     Monitor, MonitorCtx, MonitorEvent, MonitorParams, ProtocolTap, Violation, Watchdog,
 };
+pub use probe::Probe;
 pub use profile::{
-    ActorProfile, IntervalProfile, KindProfile, NetProbe, ProfKind, ProfileReport, Profiler,
-    TrafficProfile,
+    ActorProfile, IntervalProfile, KindProfile, ProfileReport, Profiler, TrafficProfile,
+    DELIVERY_CLASSES,
 };
 pub use span::{Phase, Span, SpanId, SpanLog};
 

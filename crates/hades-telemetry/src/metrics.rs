@@ -146,16 +146,11 @@ impl Registry {
 }
 
 /// A monotonically increasing counter handle; inert when minted from a
-/// disabled registry.
+/// disabled registry (or by [`Default`]).
 #[derive(Debug, Clone, Default)]
 pub struct Counter(Option<Rc<Cell<u64>>>);
 
 impl Counter {
-    /// An inert counter (what a disabled registry mints).
-    pub fn disabled() -> Self {
-        Counter(None)
-    }
-
     /// Adds `n`.
     #[inline]
     pub fn add(&self, n: u64) {
@@ -181,11 +176,6 @@ impl Counter {
 pub struct Gauge(Option<Rc<Cell<u64>>>);
 
 impl Gauge {
-    /// An inert gauge.
-    pub fn disabled() -> Self {
-        Gauge(None)
-    }
-
     /// Sets the value.
     #[inline]
     pub fn set(&self, v: u64) {
@@ -216,11 +206,6 @@ impl Gauge {
 pub struct Histogram(Option<Rc<RefCell<Vec<u64>>>>);
 
 impl Histogram {
-    /// An inert histogram.
-    pub fn disabled() -> Self {
-        Histogram(None)
-    }
-
     /// Records one sample.
     #[inline]
     pub fn record(&self, v: u64) {
@@ -386,86 +371,6 @@ impl MetricsSnapshot {
             );
         }
         out
-    }
-}
-
-/// The DES run-loop probe: counters the engine bumps inline (events
-/// delivered, queue-depth high water) plus an optional [`Profiler`]
-/// fed `(now, queue length)` per delivery for the timeline aggregator.
-/// Disabled by default so an uninstrumented engine pays one `Option`
-/// check per event.
-///
-/// [`Profiler`]: crate::profile::Profiler
-#[derive(Debug, Clone, Default)]
-pub struct EngineProbe {
-    /// Events delivered by the run loop.
-    pub events: Counter,
-    /// High-water mark of the pending-event queue.
-    pub queue_high_water: Gauge,
-    /// Per-delivery timeline feed (disabled by default).
-    pub profiler: crate::profile::Profiler,
-}
-
-impl EngineProbe {
-    /// An inert probe (the default).
-    pub fn disabled() -> Self {
-        EngineProbe::default()
-    }
-
-    /// A probe recording into `registry` under the canonical names
-    /// `engine.events` and `engine.queue_depth_peak` (profiler left
-    /// disabled).
-    pub fn from_registry(registry: &Registry) -> Self {
-        EngineProbe {
-            events: registry.counter("engine.events"),
-            queue_high_water: registry.gauge("engine.queue_depth_peak"),
-            profiler: crate::profile::Profiler::disabled(),
-        }
-    }
-
-    /// Attaches a profiler to this probe: the run loop will feed it one
-    /// [`tick`] per delivered event.
-    ///
-    /// [`tick`]: crate::profile::Profiler::tick
-    pub fn with_profiler(mut self, profiler: crate::profile::Profiler) -> Self {
-        self.profiler = profiler;
-        self
-    }
-}
-
-/// The actor-mux probe: one counter per [`ActorEvent`] kind, bumped at
-/// delivery — the per-actor-kind event breakdown of the engine load.
-///
-/// [`ActorEvent`]: https://docs.rs/hades-sim
-#[derive(Debug, Clone, Default)]
-pub struct ActorProbe {
-    /// `Start` deliveries.
-    pub start: Counter,
-    /// `Restart` deliveries.
-    pub restart: Counter,
-    /// `Timer` deliveries.
-    pub timer: Counter,
-    /// `Message` deliveries.
-    pub message: Counter,
-    /// `Notify` deliveries.
-    pub notify: Counter,
-}
-
-impl ActorProbe {
-    /// An inert probe (the default).
-    pub fn disabled() -> Self {
-        ActorProbe::default()
-    }
-
-    /// A probe recording into `registry` under `actors.<kind>_events`.
-    pub fn from_registry(registry: &Registry) -> Self {
-        ActorProbe {
-            start: registry.counter("actors.start_events"),
-            restart: registry.counter("actors.restart_events"),
-            timer: registry.counter("actors.timer_events"),
-            message: registry.counter("actors.message_events"),
-            notify: registry.counter("actors.notify_events"),
-        }
     }
 }
 

@@ -3,14 +3,14 @@
 //!
 //! The lab's aggregate figures (`run_s`, `trace.ns_per_event`) say *how
 //! fast* the engine runs but not *where* the events come from. The
-//! [`Profiler`] answers that: embedding run loops feed it one hook call
-//! per delivered event (and one per accepted network send), and at the end
-//! of the run [`Profiler::report`] folds the feed into a [`ProfileReport`]:
+//! [`Profiler`] answers that: embedding run loops feed it through their
+//! [`Probe`] — one call per delivered event, one per handled actor
+//! delivery, one per accepted network send — and at the end of the run
+//! [`Profiler::report`] folds the feed into a [`ProfileReport`]:
 //!
 //! * **per-kind attribution** — event count and the exact engine-tick
 //!   inter-delivery gap distribution of every event kind the embedding
-//!   registered (via [`Profiler::kind`] handles, mirroring the
-//!   [`Registry`] handle pattern);
+//!   declared (via [`Probe::kinds`]);
 //! * **per-actor shares** — deliveries per `(label, node, class)` for
 //!   every hosted protocol actor;
 //! * **timeline** — queue depth, event mix and heartbeat share per
@@ -21,21 +21,23 @@
 //! Everything in the report is a pure function of the deterministic
 //! event order: same spec + same seed ⇒ byte-identical
 //! [`ProfileReport::to_jsonl`]. Wall-clock attribution (per-kind
-//! wall-ns, fed via [`ProfKind::add_wall`]) is kept out of the report
-//! and read back through [`Profiler::wall_totals`] — the embedding
-//! publishes it on the registry's volatile channel, exactly like
-//! `engine.wall_ns`.
+//! wall-ns, timed by the guard [`Probe::event`] returns) is kept out of
+//! the report and read back through [`Profiler::wall_totals`] — the probe
+//! publishes it on the registry's volatile channel when the run ends,
+//! next to `engine.wall_ns`.
 //!
-//! A disabled profiler (the default) costs one `Option` discriminant
-//! check per hook and records nothing; like the registry and the
-//! watchdog, an enabled profiler is pure observation and never posts
-//! events or perturbs the run.
+//! Like the registry and the watchdog, an enabled profiler is pure
+//! observation and never posts events or perturbs the run. The same
+//! probe call that feeds the traffic matrix or the per-actor row also
+//! bumps the registry's `net.msgs.*` / `net.bytes.*` and
+//! `actors.*_events` counters, so the two sinks agree by construction
+//! and either works without the other.
 //!
-//! [`NetProbe`] is the always-on little sibling: registry-backed
-//! `net.msgs.*` / `net.bytes.*` counters per message kind that work
-//! with plain telemetry even when the full profiler is off.
+//! [`Probe`]: crate::Probe
+//! [`Probe::kinds`]: crate::Probe::kinds
+//! [`Probe::event`]: crate::Probe::event
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::rc::Rc;
@@ -43,16 +45,11 @@ use std::rc::Rc;
 use hades_time::Duration;
 
 use crate::json::{self, Json};
-use crate::metrics::{Counter, HistogramSummary, Registry};
+use crate::metrics::HistogramSummary;
 
-/// Resolves `(sender label, protocol tag)` to a human-readable message
-/// kind name; `None` falls back to `<label>.t<tag>`.
-pub type TagNamer = Box<dyn Fn(&str, u64) -> Option<String>>;
-
-/// Classifies one observation as heartbeat work. Called with
-/// `(actor label, class, tag)` where `class` is a delivery class
-/// (`"timer"`, `"message"`, …) or `"send"` for outgoing messages.
-pub type HeartbeatPred = Box<dyn Fn(&str, &str, u64) -> bool>;
+/// The actor delivery classes, in the order the `class` argument of
+/// [`Probe::delivery`](crate::Probe::delivery) indexes them.
+pub const DELIVERY_CLASSES: [&str; 5] = ["start", "restart", "timer", "message", "notify"];
 
 /// Schema tag of the profile JSONL emitted by [`ProfileReport::to_jsonl`].
 pub const PROFILE_SCHEMA: &str = "hades.profile.v1";
@@ -71,69 +68,127 @@ struct Bucket {
     events: u64,
     queue_depth_max: u64,
     heartbeat_events: u64,
-    by_kind: BTreeMap<&'static str, u64>,
+    /// Events per kind row (index into [`ProfileState::kinds`]).
+    by_kind: Vec<u64>,
 }
 
-/// Traffic-matrix cell key: `(sender label, tag, from node, to node)`.
-type TrafficKey = (&'static str, u64, u32, u32);
+/// Traffic-matrix cell key: `(send kind row, from node, to node)`.
+type TrafficKey = (usize, u32, u32);
 /// Accumulated `(messages, bytes)` for one traffic cell.
 type TrafficCell = (u64, u64);
 
-#[derive(Default)]
-struct ProfilerInner {
-    interval_ns: Cell<u64>,
-    total_events: Cell<u64>,
-    heartbeat_events: Cell<u64>,
-    total_msgs: Cell<u64>,
-    total_bytes: Cell<u64>,
-    heartbeat_msgs: Cell<u64>,
-    kinds: RefCell<Vec<KindRecord>>,
-    kind_index: RefCell<BTreeMap<&'static str, usize>>,
-    /// `(label, node, class)` → handled deliveries.
-    actors: RefCell<BTreeMap<(&'static str, u32, &'static str), u64>>,
-    buckets: RefCell<BTreeMap<u64, Bucket>>,
-    traffic: RefCell<BTreeMap<TrafficKey, TrafficCell>>,
-    namer: RefCell<Option<TagNamer>>,
-    heartbeat: RefCell<Option<HeartbeatPred>>,
+/// Everything one profiler has recorded; fed by the [`crate::Probe`].
+#[derive(Debug, Default)]
+pub(crate) struct ProfileState {
+    interval_ns: u64,
+    total_events: u64,
+    heartbeat_events: u64,
+    total_msgs: u64,
+    total_bytes: u64,
+    heartbeat_msgs: u64,
+    kinds: Vec<KindRecord>,
+    /// `(node, delivery class, label)` → handled deliveries; the integers
+    /// lead so a look-up compares labels only within one node's cells.
+    actors: BTreeMap<(u32, usize, &'static str), u64>,
+    buckets: BTreeMap<u64, Bucket>,
+    traffic: BTreeMap<TrafficKey, TrafficCell>,
+    /// `(sender label, message kind name)` rows, as the probe resolved them.
+    send_kinds: Vec<(&'static str, String)>,
 }
 
-impl std::fmt::Debug for ProfilerInner {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ProfilerInner")
-            .field("total_events", &self.total_events.get())
-            .finish_non_exhaustive()
-    }
-}
-
-impl ProfilerInner {
-    fn bucket_of(&self, now_ns: u64) -> u64 {
-        now_ns / self.interval_ns.get().max(1)
+impl ProfileState {
+    #[inline]
+    fn bucket(&mut self, now_ns: u64) -> &mut Bucket {
+        self.buckets.entry(now_ns / self.interval_ns).or_default()
     }
 
-    fn is_heartbeat(&self, label: &str, class: &str, tag: u64) -> bool {
-        self.heartbeat
-            .borrow()
-            .as_ref()
-            .is_some_and(|p| p(label, class, tag))
+    /// The row of the event kind `name`, opened on first use.
+    pub(crate) fn kind_row(&mut self, name: &'static str) -> usize {
+        let known = self.kinds.iter().position(|k| k.name == name);
+        known.unwrap_or_else(|| {
+            let fresh = KindRecord {
+                name,
+                ..KindRecord::default()
+            };
+            self.kinds.push(fresh);
+            self.kinds.len() - 1
+        })
     }
 
-    fn kind_name(&self, label: &str, tag: u64) -> String {
-        self.namer
-            .borrow()
-            .as_ref()
-            .and_then(|n| n(label, tag))
-            .unwrap_or_else(|| format!("{label}.t{tag}"))
+    /// One delivered event: the totals, the timeline bucket (one look-up
+    /// for event count, queue-depth high water and event mix) and, with a
+    /// `kind` row, its count and exact inter-delivery gap.
+    #[inline]
+    pub(crate) fn event(&mut self, now_ns: u64, queue_len: u64, kind: Option<usize>) {
+        self.total_events += 1;
+        let b = self.bucket(now_ns);
+        b.events += 1;
+        b.queue_depth_max = b.queue_depth_max.max(queue_len);
+        let Some(row) = kind else { return };
+        if b.by_kind.len() <= row {
+            b.by_kind.resize(row + 1, 0);
+        }
+        b.by_kind[row] += 1;
+        let k = &mut self.kinds[row];
+        k.count += 1;
+        if let Some(last) = k.last_at {
+            k.gaps.push(now_ns.saturating_sub(last));
+        }
+        k.last_at = Some(now_ns);
+    }
+
+    /// Wall-clock nanoseconds spent handling one event of kind `row`.
+    pub(crate) fn add_wall(&mut self, row: usize, ns: u64) {
+        self.kinds[row].wall_ns += ns;
+    }
+
+    /// One handled actor delivery of class [`DELIVERY_CLASSES`]`[class]`.
+    #[inline]
+    pub(crate) fn delivery(
+        &mut self,
+        now_ns: u64,
+        label: &'static str,
+        node: u32,
+        class: usize,
+        heartbeat: bool,
+    ) {
+        *self.actors.entry((node, class, label)).or_default() += 1;
+        if heartbeat {
+            self.heartbeat_events += 1;
+            self.bucket(now_ns).heartbeat_events += 1;
+        }
+    }
+
+    /// The row of the message kind `name` sent by `label` actors, opened
+    /// on first use.
+    pub(crate) fn send_kind_row(&mut self, label: &'static str, name: &str) -> usize {
+        let known = |(l, n): &(&str, String)| *l == label && n == name;
+        self.send_kinds.iter().position(known).unwrap_or_else(|| {
+            self.send_kinds.push((label, name.to_string()));
+            self.send_kinds.len() - 1
+        })
+    }
+
+    /// One accepted network send of the message kind `row`.
+    #[inline]
+    pub(crate) fn send(&mut self, row: usize, from: u32, to: u32, bytes: u64, heartbeat: bool) {
+        let cell = self.traffic.entry((row, from, to)).or_default();
+        cell.0 += 1;
+        cell.1 += bytes;
+        self.total_msgs += 1;
+        self.total_bytes += bytes;
+        self.heartbeat_msgs += u64::from(heartbeat);
     }
 }
 
 /// A clonable handle to one run's profile store; disabled by default.
 ///
-/// Mirrors [`Registry`]: embeddings call the hot-path hooks
-/// unconditionally, and a disabled profiler reduces every hook to one
-/// `Option` check.
+/// Mirrors [`Registry`](crate::Registry): a run is profiled by building
+/// its [`Probe`](crate::Probe) from an enabled profiler, and a disabled
+/// one adds nothing to the probe's one `Option` check per call.
 #[derive(Debug, Clone, Default)]
 pub struct Profiler {
-    inner: Option<Rc<ProfilerInner>>,
+    pub(crate) inner: Option<Rc<RefCell<ProfileState>>>,
 }
 
 impl Profiler {
@@ -142,15 +197,17 @@ impl Profiler {
 
     /// An enabled profiler recording with the default timeline interval.
     pub fn enabled() -> Self {
-        let inner = ProfilerInner::default();
-        inner.interval_ns.set(Self::DEFAULT_INTERVAL.as_nanos());
+        let state = ProfileState {
+            interval_ns: Self::DEFAULT_INTERVAL.as_nanos(),
+            ..ProfileState::default()
+        };
         Profiler {
-            inner: Some(Rc::new(inner)),
+            inner: Some(Rc::new(RefCell::new(state))),
         }
     }
 
-    /// A disabled profiler: every hook is one `Option` check (this is
-    /// also [`Default`]).
+    /// A disabled profiler: it records nothing (this is also
+    /// [`Default`]).
     pub fn disabled() -> Self {
         Profiler::default()
     }
@@ -165,111 +222,24 @@ impl Profiler {
     /// interval mid-run splits earlier samples at the old width.
     pub fn set_interval(&self, interval: Duration) {
         if let Some(i) = &self.inner {
-            i.interval_ns.set(interval.as_nanos().max(1));
+            i.borrow_mut().interval_ns = interval.as_nanos().max(1);
         }
     }
 
-    /// Installs the message-kind namer used by the traffic matrix and
-    /// the folded export (see [`TagNamer`]).
-    pub fn set_tag_namer(&self, namer: impl Fn(&str, u64) -> Option<String> + 'static) {
-        if let Some(i) = &self.inner {
-            *i.namer.borrow_mut() = Some(Box::new(namer));
-        }
-    }
-
-    /// Installs the heartbeat classifier used for the timeline's
-    /// heartbeat share and the aggregate heartbeat totals (see
-    /// [`HeartbeatPred`]).
-    pub fn set_heartbeat_pred(&self, pred: impl Fn(&str, &str, u64) -> bool + 'static) {
-        if let Some(i) = &self.inner {
-            *i.heartbeat.borrow_mut() = Some(Box::new(pred));
-        }
-    }
-
-    /// Mints (or re-opens) the event-kind handle `name`. Embedding run
-    /// loops mint one handle per event variant up front and call
-    /// [`ProfKind::record`] on every delivery.
-    pub fn kind(&self, name: &'static str) -> ProfKind {
-        ProfKind(self.inner.as_ref().map(|i| {
-            let mut index = i.kind_index.borrow_mut();
-            let mut kinds = i.kinds.borrow_mut();
-            let idx = *index.entry(name).or_insert_with(|| {
-                kinds.push(KindRecord {
-                    name,
-                    ..KindRecord::default()
-                });
-                kinds.len() - 1
-            });
-            (i.clone(), idx)
-        }))
-    }
-
-    /// The engine run-loop hook: one call per delivered event with the
+    /// The bare run-loop feed: one call per delivered event with the
     /// current engine time and pending-queue length. Feeds the total
     /// event count and the timeline's per-interval event count and
-    /// queue-depth high water.
+    /// queue-depth high water — what [`Probe::event`](crate::Probe::event)
+    /// feeds for an event without a kind.
     #[inline]
     pub fn tick(&self, now_ns: u64, queue_len: u64) {
         if let Some(i) = &self.inner {
-            i.total_events.set(i.total_events.get() + 1);
-            let bucket_key = i.bucket_of(now_ns);
-            let mut buckets = i.buckets.borrow_mut();
-            let b = buckets.entry(bucket_key).or_default();
-            b.events += 1;
-            b.queue_depth_max = b.queue_depth_max.max(queue_len);
-        }
-    }
-
-    /// The actor-host hook: one call per *handled* actor delivery with
-    /// the actor's label, node, delivery class (`"start"`, `"restart"`,
-    /// `"timer"`, `"message"`, `"notify"`) and protocol tag. Feeds the
-    /// per-actor shares and — through the heartbeat classifier — the
-    /// heartbeat totals and timeline share.
-    #[inline]
-    pub fn record_delivery(
-        &self,
-        now_ns: u64,
-        label: &'static str,
-        node: u32,
-        class: &'static str,
-        tag: u64,
-    ) {
-        if let Some(i) = &self.inner {
-            *i.actors
-                .borrow_mut()
-                .entry((label, node, class))
-                .or_default() += 1;
-            if i.is_heartbeat(label, class, tag) {
-                i.heartbeat_events.set(i.heartbeat_events.get() + 1);
-                i.buckets
-                    .borrow_mut()
-                    .entry(i.bucket_of(now_ns))
-                    .or_default()
-                    .heartbeat_events += 1;
-            }
-        }
-    }
-
-    /// The network hook: one call per message the network accepted
-    /// (omitted sends never consume bandwidth downstream). Feeds the
-    /// traffic matrix and the message/byte totals.
-    #[inline]
-    pub fn record_send(&self, label: &'static str, tag: u64, from: u32, to: u32, bytes: u64) {
-        if let Some(i) = &self.inner {
-            let entry = &mut *i.traffic.borrow_mut();
-            let cell = entry.entry((label, tag, from, to)).or_default();
-            cell.0 += 1;
-            cell.1 += bytes;
-            i.total_msgs.set(i.total_msgs.get() + 1);
-            i.total_bytes.set(i.total_bytes.get() + bytes);
-            if i.is_heartbeat(label, "send", tag) {
-                i.heartbeat_msgs.set(i.heartbeat_msgs.get() + 1);
-            }
+            i.borrow_mut().event(now_ns, queue_len, None);
         }
     }
 
     /// Per-kind wall-clock totals `(kind name, wall ns)`, sorted by
-    /// name — **volatile** by nature. Embeddings copy these onto the
+    /// name — **volatile** by nature. The probe copies these onto the
     /// registry's volatile channel (`profile.wall_ns.<kind>`); they are
     /// deliberately absent from the deterministic [`ProfileReport`].
     pub fn wall_totals(&self) -> Vec<(String, u64)> {
@@ -277,8 +247,8 @@ impl Profiler {
             return Vec::new();
         };
         let mut out: Vec<(String, u64)> = i
-            .kinds
             .borrow()
+            .kinds
             .iter()
             .filter(|k| k.wall_ns > 0)
             .map(|k| (k.name.to_string(), k.wall_ns))
@@ -293,9 +263,9 @@ impl Profiler {
         let Some(i) = &self.inner else {
             return ProfileReport::default();
         };
+        let i = i.borrow();
         let mut kinds: Vec<KindProfile> = i
             .kinds
-            .borrow()
             .iter()
             .map(|k| KindProfile {
                 name: k.name.to_string(),
@@ -304,37 +274,41 @@ impl Profiler {
             })
             .collect();
         kinds.sort_by(|a, b| a.name.cmp(&b.name));
-        let actors = i
+        let mut actors: Vec<ActorProfile> = i
             .actors
-            .borrow()
             .iter()
-            .map(|((label, node, class), events)| ActorProfile {
+            .map(|((node, class, label), events)| ActorProfile {
                 label: label.to_string(),
                 node: *node,
-                class: class.to_string(),
+                class: DELIVERY_CLASSES[*class].to_string(),
                 events: *events,
             })
             .collect();
-        let interval_ns = i.interval_ns.get().max(1);
+        actors.sort_by(|a, b| (&a.label, a.node, &a.class).cmp(&(&b.label, b.node, &b.class)));
         let timeline = i
             .buckets
-            .borrow()
             .iter()
-            .map(|(idx, b)| IntervalProfile {
-                start_ns: idx * interval_ns,
-                events: b.events,
-                queue_depth_max: b.queue_depth_max,
-                heartbeat_events: b.heartbeat_events,
-                mix: b.by_kind.iter().map(|(k, v)| (k.to_string(), *v)).collect(),
+            .map(|(idx, b)| {
+                let mut mix: Vec<(String, u64)> = (b.by_kind.iter().zip(&i.kinds))
+                    .filter(|(count, _)| **count > 0)
+                    .map(|(count, k)| (k.name.to_string(), *count))
+                    .collect();
+                mix.sort();
+                IntervalProfile {
+                    start_ns: idx * i.interval_ns,
+                    events: b.events,
+                    queue_depth_max: b.queue_depth_max,
+                    heartbeat_events: b.heartbeat_events,
+                    mix,
+                }
             })
             .collect();
         let mut traffic: Vec<TrafficProfile> = i
             .traffic
-            .borrow()
             .iter()
-            .map(|((label, tag, from, to), (msgs, bytes))| TrafficProfile {
-                sender: label.to_string(),
-                kind: i.kind_name(label, *tag),
+            .map(|((row, from, to), (msgs, bytes))| TrafficProfile {
+                sender: i.send_kinds[*row].0.to_string(),
+                kind: i.send_kinds[*row].1.clone(),
                 from: *from,
                 to: *to,
                 msgs: *msgs,
@@ -345,63 +319,16 @@ impl Profiler {
             (&a.sender, &a.kind, a.from, a.to).cmp(&(&b.sender, &b.kind, b.from, b.to))
         });
         ProfileReport {
-            interval_ns,
-            total_events: i.total_events.get(),
-            heartbeat_events: i.heartbeat_events.get(),
-            total_msgs: i.total_msgs.get(),
-            total_bytes: i.total_bytes.get(),
-            heartbeat_msgs: i.heartbeat_msgs.get(),
+            interval_ns: i.interval_ns,
+            total_events: i.total_events,
+            heartbeat_events: i.heartbeat_events,
+            total_msgs: i.total_msgs,
+            total_bytes: i.total_bytes,
+            heartbeat_msgs: i.heartbeat_msgs,
             kinds,
             actors,
             timeline,
             traffic,
-        }
-    }
-}
-
-/// A handle for one event kind; inert when minted from a disabled
-/// profiler.
-#[derive(Debug, Clone, Default)]
-pub struct ProfKind(Option<(Rc<ProfilerInner>, usize)>);
-
-impl ProfKind {
-    /// An inert handle (what a disabled profiler mints).
-    pub fn disabled() -> Self {
-        ProfKind(None)
-    }
-
-    /// Records one delivery of this kind at engine time `now_ns`:
-    /// bumps the kind's count, its exact inter-delivery gap
-    /// distribution, and the timeline's per-interval event mix.
-    #[inline]
-    pub fn record(&self, now_ns: u64) {
-        if let Some((i, idx)) = &self.0 {
-            let name = {
-                let mut kinds = i.kinds.borrow_mut();
-                let k = &mut kinds[*idx];
-                k.count += 1;
-                if let Some(last) = k.last_at {
-                    k.gaps.push(now_ns.saturating_sub(last));
-                }
-                k.last_at = Some(now_ns);
-                k.name
-            };
-            *i.buckets
-                .borrow_mut()
-                .entry(i.bucket_of(now_ns))
-                .or_default()
-                .by_kind
-                .entry(name)
-                .or_default() += 1;
-        }
-    }
-
-    /// Adds wall-clock nanoseconds spent handling this kind (volatile
-    /// attribution, surfaced through [`Profiler::wall_totals`]).
-    #[inline]
-    pub fn add_wall(&self, ns: u64) {
-        if let Some((i, idx)) = &self.0 {
-            i.kinds.borrow_mut()[*idx].wall_ns += ns;
         }
     }
 }
@@ -702,110 +629,40 @@ impl ProfileReport {
     }
 }
 
-/// Per-kind `(msgs counter, bytes counter)` pair minted on first use.
-type KindCounters = (Counter, Counter);
-
-struct NetProbeInner {
-    registry: Registry,
-    namer: RefCell<Option<TagNamer>>,
-    cache: RefCell<BTreeMap<(&'static str, u64), KindCounters>>,
-    msgs_total: Counter,
-    bytes_total: Counter,
-}
-
-impl std::fmt::Debug for NetProbeInner {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("NetProbeInner")
-            .field("registry", &self.registry)
-            .finish_non_exhaustive()
-    }
-}
-
-/// Registry-backed network send counters: `net.msgs.<kind>` /
-/// `net.bytes.<kind>` plus `net.msgs.total` / `net.bytes.total`,
-/// recorded per accepted send even when the full [`Profiler`] is off.
-/// Inert when minted from a disabled registry (one `Option` check per
-/// send).
-#[derive(Debug, Clone, Default)]
-pub struct NetProbe {
-    inner: Option<Rc<NetProbeInner>>,
-}
-
-impl NetProbe {
-    /// An inert probe (the default).
-    pub fn disabled() -> Self {
-        NetProbe::default()
-    }
-
-    /// A probe recording into `registry`; inert when the registry is
-    /// disabled.
-    pub fn from_registry(registry: &Registry) -> Self {
-        if !registry.is_enabled() {
-            return NetProbe::default();
-        }
-        NetProbe {
-            inner: Some(Rc::new(NetProbeInner {
-                registry: registry.clone(),
-                namer: RefCell::new(None),
-                cache: RefCell::new(BTreeMap::new()),
-                msgs_total: registry.counter("net.msgs.total"),
-                bytes_total: registry.counter("net.bytes.total"),
-            })),
-        }
-    }
-
-    /// Whether this probe records.
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
-    /// Installs the message-kind namer (install before the run: the
-    /// per-kind counter names are fixed on first use of each kind).
-    pub fn set_tag_namer(&self, namer: impl Fn(&str, u64) -> Option<String> + 'static) {
-        if let Some(i) = &self.inner {
-            *i.namer.borrow_mut() = Some(Box::new(namer));
-        }
-    }
-
-    /// Records one accepted send of `bytes` wire bytes.
-    #[inline]
-    pub fn record(&self, label: &'static str, tag: u64, bytes: u64) {
-        if let Some(i) = &self.inner {
-            let mut cache = i.cache.borrow_mut();
-            let (msgs, bytes_c) = cache.entry((label, tag)).or_insert_with(|| {
-                let name = i
-                    .namer
-                    .borrow()
-                    .as_ref()
-                    .and_then(|n| n(label, tag))
-                    .unwrap_or_else(|| format!("{label}.t{tag}"));
-                (
-                    i.registry.counter(&format!("net.msgs.{name}")),
-                    i.registry.counter(&format!("net.bytes.{name}")),
-                )
-            });
-            msgs.incr();
-            bytes_c.add(bytes);
-            i.msgs_total.incr();
-            i.bytes_total.add(bytes);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Probe, Registry};
+
+    /// Indices into [`DELIVERY_CLASSES`].
+    const TIMER: usize = 2;
+    const MESSAGE: usize = 3;
+
+    /// A probe over `p` alone, with the cluster-like vocabulary the tests
+    /// below use: `agent` tag 1 is the heartbeat `hb`.
+    fn probe(p: &Profiler, kinds: &[&'static str]) -> Probe {
+        let probe = Probe::new(
+            &Registry::disabled(),
+            p,
+            |label, tag| (label == "agent" && tag == 1).then(|| "hb".to_string()),
+            |label, class, tag| {
+                label == "agent" && ((class == "timer" || class == "send") && tag == 1)
+            },
+        );
+        probe.kinds(kinds);
+        probe
+    }
 
     #[test]
     fn disabled_profiler_is_inert_and_reports_empty() {
         let p = Profiler::disabled();
         assert!(!p.is_enabled());
         p.tick(5, 3);
-        p.record_delivery(5, "agent", 0, "timer", 1);
-        p.record_send("agent", 1, 0, 1, 32);
-        let k = p.kind("activate");
-        k.record(10);
-        k.add_wall(99);
+        let k = probe(&p, &["activate"]);
+        assert!(!k.is_enabled());
+        k.delivery(5, "agent", 0, TIMER, 1);
+        k.send("agent", 1, 0, 1, 32);
+        drop(k.event(10, 0, Some(0)));
         assert!(p.report().is_empty());
         assert!(p.wall_totals().is_empty());
         assert!(p.report().to_jsonl().starts_with("{\"record\":\"profile\""));
@@ -814,7 +671,7 @@ mod tests {
     #[test]
     fn wall_records_append_as_schema_valid_lines() {
         let p = Profiler::enabled();
-        p.kind("activate").record(10);
+        drop(probe(&p, &["activate"]).event(10, 0, Some(0)));
         let walls = vec![
             ("activate".to_string(), 750),
             ("work_done".to_string(), 250),
@@ -830,9 +687,9 @@ mod tests {
     #[test]
     fn kinds_count_and_measure_gaps() {
         let p = Profiler::enabled();
-        let k = p.kind("activate");
+        let k = probe(&p, &["activate"]);
         for at in [100u64, 300, 600] {
-            k.record(at);
+            drop(k.event(at, 0, Some(0)));
         }
         let r = p.report();
         let kp = r.kind("activate").unwrap();
@@ -863,15 +720,13 @@ mod tests {
     fn heartbeat_classifier_feeds_shares_and_timeline() {
         let p = Profiler::enabled();
         p.set_interval(Duration::from_nanos(100));
-        p.set_heartbeat_pred(|label, class, tag| {
-            label == "agent" && ((class == "timer" || class == "send") && tag == 1)
-        });
+        let k = probe(&p, &[]);
         p.tick(10, 1);
         p.tick(20, 1);
-        p.record_delivery(10, "agent", 0, "timer", 1);
-        p.record_delivery(20, "group", 1, "message", 1);
-        p.record_send("agent", 1, 0, 1, 32);
-        p.record_send("group", 2, 1, 2, 32);
+        k.delivery(10, "agent", 0, TIMER, 1);
+        k.delivery(20, "group", 1, MESSAGE, 1);
+        k.send("agent", 1, 0, 1, 32);
+        k.send("group", 2, 1, 2, 32);
         let r = p.report();
         assert_eq!(r.heartbeat_events, 1);
         assert_eq!(r.heartbeat_event_share_permille(), 500);
@@ -883,10 +738,10 @@ mod tests {
     #[test]
     fn traffic_matrix_resolves_names_through_the_namer() {
         let p = Profiler::enabled();
-        p.set_tag_namer(|label, tag| (label == "agent" && tag == 1).then(|| "hb".to_string()));
-        p.record_send("agent", 1, 0, 1, 32);
-        p.record_send("agent", 1, 0, 1, 32);
-        p.record_send("group", 5, 1, 2, 40);
+        let k = probe(&p, &[]);
+        k.send("agent", 1, 0, 1, 32);
+        k.send("agent", 1, 0, 1, 32);
+        k.send("group", 5, 1, 2, 40);
         let r = p.report();
         assert_eq!(r.traffic.len(), 2);
         assert_eq!(r.traffic[0].kind, "hb");
@@ -899,18 +754,17 @@ mod tests {
     #[test]
     fn report_jsonl_round_trips_the_validator() {
         let p = Profiler::enabled();
-        let k = p.kind("activate");
-        k.record(10);
-        k.record(30);
-        p.tick(10, 1);
-        p.tick(30, 2);
-        p.record_delivery(10, "agent", 3, "timer", 1);
-        p.record_send("agent", 1, 3, 4, 32);
+        let k = probe(&p, &["activate"]);
+        drop(k.event(10, 1, Some(0)));
+        drop(k.event(30, 2, Some(0)));
+        k.delivery(10, "agent", 3, TIMER, 1);
+        k.send("agent", 1, 3, 4, 32);
         let doc = p.report().to_jsonl();
         ProfileReport::validate_jsonl(&doc).expect("valid document");
         assert!(doc.contains("\"record\":\"kind\""));
         assert!(doc.contains("\"record\":\"actor\""));
         assert!(doc.contains("\"record\":\"interval\""));
+        assert!(doc.contains("\"mix\":{\"activate\":2}"));
         assert!(doc.contains("\"record\":\"traffic\""));
     }
 
@@ -930,9 +784,10 @@ mod tests {
     #[test]
     fn folded_export_expands_actors_and_is_sorted() {
         let p = Profiler::enabled();
-        p.kind("activate").record(10);
-        p.kind("actor.timer").record(20);
-        p.record_delivery(20, "agent", 2, "timer", 1);
+        let k = probe(&p, &["activate", "actor.timer"]);
+        drop(k.event(10, 0, Some(0)));
+        drop(k.event(20, 0, Some(1)));
+        k.delivery(20, "agent", 2, TIMER, 1);
         let folded = p.report().to_folded();
         assert_eq!(
             folded,
@@ -942,30 +797,37 @@ mod tests {
 
     #[test]
     fn wall_totals_stay_out_of_the_deterministic_report() {
-        let p = Profiler::enabled();
-        let k = p.kind("activate");
-        k.record(10);
-        k.add_wall(1234);
+        // Fed below the probe, whose guard would add its own real time.
+        let feed = |wall_ns: u64| {
+            let p = Profiler::enabled();
+            let mut state = p.inner.as_ref().expect("enabled").borrow_mut();
+            let row = state.kind_row("activate");
+            state.event(10, 0, Some(row));
+            state.add_wall(row, wall_ns);
+            drop(state);
+            p
+        };
+        let p = feed(1234);
         assert_eq!(p.wall_totals(), vec![("activate".to_string(), 1234)]);
         assert!(!p.report().to_jsonl().contains("1234"));
         // Two same-feed profilers with different wall figures still
         // produce byte-identical reports.
-        let q = Profiler::enabled();
-        let kq = q.kind("activate");
-        kq.record(10);
-        kq.add_wall(999_999);
+        let q = feed(999_999);
         assert_eq!(p.report(), q.report());
         assert_eq!(p.report().to_jsonl(), q.report().to_jsonl());
+    }
+
+    fn hb_namer(label: &str, tag: u64) -> Option<String> {
+        (label == "agent" && tag == 1).then(|| "hb".to_string())
     }
 
     #[test]
     fn net_probe_counts_per_kind_and_totals() {
         let registry = Registry::enabled();
-        let probe = NetProbe::from_registry(&registry);
-        probe.set_tag_namer(|label, tag| (label == "agent" && tag == 1).then(|| "hb".to_string()));
-        probe.record("agent", 1, 32);
-        probe.record("agent", 1, 32);
-        probe.record("group", 9, 40);
+        let probe = Probe::new(&registry, &Profiler::disabled(), hb_namer, |_, _, _| false);
+        probe.send("agent", 1, 0, 1, 32);
+        probe.send("agent", 1, 0, 1, 32);
+        probe.send("group", 9, 1, 2, 40);
         let snap = registry.snapshot();
         assert_eq!(snap.counter("net.msgs.hb"), Some(2));
         assert_eq!(snap.counter("net.bytes.hb"), Some(64));
@@ -976,8 +838,22 @@ mod tests {
 
     #[test]
     fn net_probe_from_disabled_registry_is_inert() {
-        let probe = NetProbe::from_registry(&Registry::disabled());
-        assert!(!probe.is_enabled());
-        probe.record("agent", 1, 32);
+        let none = Probe::new(
+            &Registry::disabled(),
+            &Profiler::disabled(),
+            hb_namer,
+            |_, _, _| false,
+        );
+        assert!(!none.is_enabled());
+        none.send("agent", 1, 0, 1, 32);
+        assert!(!none.registry().is_enabled());
+        // With only a profiler the registry half stays inert while the
+        // traffic matrix is still fed, under the same name.
+        let profiler = Profiler::enabled();
+        let probe = Probe::new(&Registry::disabled(), &profiler, hb_namer, |_, _, _| false);
+        assert!(probe.is_enabled());
+        probe.send("agent", 1, 0, 1, 32);
+        assert!(probe.registry().snapshot().is_empty());
+        assert_eq!(profiler.report().traffic[0].kind, "hb");
     }
 }

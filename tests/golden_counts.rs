@@ -14,7 +14,15 @@
 //! `engine.queue_depth_peak` count the *simulator's* own bookkeeping
 //! (how many events it delivers, how many keys its heap holds, to
 //! simulate that behaviour): they may fall in an optimisation that says
-//! so in CHANGES.md, and never rise.
+//! so in CHANGES.md, and never rise. `metrics` (FNV-1a of
+//! `MetricsSnapshot::to_jsonl()`, on `cluster24` and the fabric row) and
+//! `profile` (FNV-1a of `ProfileReport::to_jsonl()` followed by
+//! `to_folded()`, from a second `cluster24` run with the profiler on and
+//! the registry off) are *observation exports*: every name, value and
+//! line the probe and the report folds write. They move only in a PR
+//! that means to change an exported schema or name — or one of the
+//! columns above, which they contain — and says so in CHANGES.md; a
+//! refactor of the observation plumbing must leave them where they are.
 
 use hades::prelude::*;
 use hades_telemetry::MetricsSnapshot;
@@ -117,7 +125,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
-fn assert_cluster_row(nodes: u32, counts: [u64; 4], spans: (usize, u64)) {
+fn assert_cluster_row(nodes: u32, counts: [u64; 4], spans: (usize, u64)) -> ClusterRun {
     let run = perf_scenario(nodes, 7, ms(30))
         .telemetry(Registry::enabled())
         .run()
@@ -128,12 +136,33 @@ fn assert_cluster_row(nodes: u32, counts: [u64; 4], spans: (usize, u64)) {
     let log = &run.telemetry().spans;
     let got = (log.len(), fnv1a(log.to_jsonl().as_bytes()));
     assert_eq!(got, spans, "spans: count / FNV-1a of the JSONL export");
+    run
+}
+
+fn metrics_hash(m: &MetricsSnapshot) -> u64 {
+    fnv1a(m.to_jsonl().as_bytes())
 }
 
 #[test]
 fn cluster24() {
     let spans = (48, 0xbf96_ca99_59ee_5ae2);
-    assert_cluster_row(24, [23_623, 8_284, 1_965, 1_031], spans);
+    let run = assert_cluster_row(24, [23_623, 8_284, 1_965, 1_031], spans);
+    let metrics = metrics_hash(&run.telemetry().metrics);
+    assert_eq!(
+        metrics, 0xd04f_c43a_a95e_881e,
+        "metrics: FNV-1a of the snapshot JSONL"
+    );
+    let profiled = perf_scenario(24, 7, ms(30))
+        .profile(Profiler::enabled())
+        .run()
+        .expect("valid cluster spec");
+    let profile = profiled.profile().expect("profiler attached");
+    let export = profile.to_jsonl() + &profile.to_folded();
+    let got = fnv1a(export.as_bytes());
+    assert_eq!(
+        got, 0x3dd4_b801_dd45_e18c,
+        "profile: FNV-1a of the JSONL + folded export"
+    );
 }
 
 #[test]
@@ -157,4 +186,9 @@ fn fabric_1m() {
     let response = [3_003, 134_000, 134_000, 134_000];
     let counts = [185_996, 8_326, 2_900, 46_302];
     assert_row(&run.metrics, counts, "fabric.response_ns", response);
+    let metrics = metrics_hash(&run.metrics);
+    assert_eq!(
+        metrics, 0x20fc_da9f_2580_425b,
+        "metrics: FNV-1a of the snapshot JSONL"
+    );
 }

@@ -208,6 +208,69 @@ fn profiler_adds_no_engine_events() {
     );
 }
 
+/// The registry and the profiler are two sinks of one feed: on a run
+/// observed by both, every quantity both of them hold is the same
+/// number, however it is summed.
+#[test]
+fn registry_and_profile_agree_on_every_shared_quantity() {
+    let (run, _) = profiled_run(4, 11);
+    let metrics = &run.telemetry().metrics;
+    let profile = run.profile().expect("profiler attached");
+    let counter = |name: &str| metrics.counter(name).unwrap_or_else(|| panic!("{name}"));
+    let prefixed = |prefix: &str| -> u64 {
+        let named = metrics.counters.iter().filter(|(k, _)| {
+            k.strip_prefix(prefix)
+                .is_some_and(|rest| !rest.is_empty() && rest != "total")
+        });
+        named.map(|(_, v)| *v).sum()
+    };
+
+    // Delivered events: the engine's count, the profile total, the
+    // timeline and the kind rows.
+    let events = counter("engine.events");
+    assert!(events > 0);
+    assert_eq!(profile.total_events, events);
+    let in_timeline: u64 = profile.timeline.iter().map(|i| i.events).sum();
+    assert_eq!(in_timeline, events, "Σ interval.events");
+    let in_kinds: u64 = profile.kinds.iter().map(|k| k.count).sum();
+    assert_eq!(in_kinds, events, "Σ kind.count");
+    let in_mix: u64 = (profile.timeline.iter().flat_map(|i| &i.mix))
+        .map(|(_, n)| *n)
+        .sum();
+    assert_eq!(in_mix, events, "Σ interval.mix");
+
+    // Handled actor deliveries: the five class counters and the
+    // per-actor rows.
+    let handled: u64 = ["start", "restart", "timer", "message", "notify"]
+        .iter()
+        .map(|class| counter(&format!("actors.{class}_events")))
+        .sum();
+    let attributed: u64 = profile.actors.iter().map(|a| a.events).sum();
+    assert!(handled > 0);
+    assert_eq!(attributed, handled, "Σ actor.events");
+
+    // Accepted sends: totals, traffic matrix, per-kind counters.
+    let msgs = counter("net.msgs.total");
+    assert!(msgs > 0);
+    assert_eq!(profile.total_msgs, msgs);
+    let in_matrix: u64 = profile.traffic.iter().map(|t| t.msgs).sum();
+    assert_eq!(in_matrix, msgs, "Σ traffic.msgs");
+    assert_eq!(prefixed("net.msgs."), msgs, "Σ net.msgs.<kind>");
+    let bytes = counter("net.bytes.total");
+    assert_eq!(profile.total_bytes, bytes);
+    let bytes_in_matrix: u64 = profile.traffic.iter().map(|t| t.bytes).sum();
+    assert_eq!(bytes_in_matrix, bytes, "Σ traffic.bytes");
+    assert_eq!(prefixed("net.bytes."), bytes, "Σ net.bytes.<kind>");
+    // ... and kind by kind, under the one name both sinks were given.
+    for (name, value) in &metrics.counters {
+        let Some(kind) = name.strip_prefix("net.msgs.").filter(|k| *k != "total") else {
+            continue;
+        };
+        let rows = profile.traffic.iter().filter(|t| t.kind == kind);
+        assert_eq!(rows.map(|t| t.msgs).sum::<u64>(), *value, "{name}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 

@@ -27,9 +27,66 @@
 # (past the bound; exits 1) or `unresolved` (the parent's own quartile
 # distance exceeds the bound, so the pair cannot tell — unless every run
 # of the change reads better than every run of the parent).
+#
+#   tools/ab_pairs.sh PARENT_BIN CHANGE_BIN --layers PREFIX [SEED [SECONDS [ROUNDS]]]
+#
+# The per-layer microbenchmarks instead of a workload: ROUNDS (default 5)
+# alternating `--layers --seed N --seconds S` runs of the two binaries,
+# then one row per layer metric whose name starts with PREFIX (`cluster.`,
+# `telemetry.`, `sim.`; `all` for every one) — both medians over the rounds,
+# change/parent and the parent's quartile distance. Layer metrics have no
+# bound: the table reports, it does not judge, and always exits 0.
 set -eu
-[ $# -ge 3 ] || { sed -n '2,30p' "$0" >&2; exit 2; }
+[ $# -ge 3 ] || { sed -n '2,40p' "$0" >&2; exit 2; }
 parent=$1 change=$2 workload=$3
+
+# awk helpers shared by both summaries: interpolated quantile of a sorted
+# 1-based array, and an in-place insertion sort.
+stats='
+    function quantile(v, n, q,    pos, lo, frac) {
+        pos = (n - 1) * q; lo = int(pos); frac = pos - lo
+        return lo + 1 < n ? v[lo + 1] + frac * (v[lo + 2] - v[lo + 1]) : v[n]
+    }
+    function sort(v, n,    i, j, t) {
+        for (i = 2; i <= n; i++) { t = v[i]; for (j = i - 1; j >= 1 && v[j] > t; j--) v[j + 1] = v[j]; v[j + 1] = t }
+    }'
+
+if [ "$workload" = --layers ]; then
+    prefix=${4:?--layers needs a metric name PREFIX} seed=${5:-7} seconds=${6:-15} rounds=${7:-5}
+    cells=$(mktemp)
+    trap 'rm -f "$cells"' EXIT
+    # One `--layers` run of side $1 (binary $2): "<side> <metric> <value>".
+    layers() {
+        "$2" --layers --seed "$seed" --seconds "$seconds" | tee -a "${AB_LOG:-/dev/null}" |
+            awk -v side="$1" -v prefix="$prefix" '$1 == "layers" && (prefix == "all" || index($2, prefix) == 1) { print side, $2, $3 }' >>"$cells"
+    }
+    i=1
+    while [ "$i" -le "$rounds" ]; do
+        if [ $((i % 2)) -eq 1 ]; then layers p "$parent"; layers c "$change"; else layers c "$change"; layers p "$parent"; fi
+        echo "round $i of $rounds done" >&2
+        i=$((i + 1))
+    done
+    awk -v seed="$seed" -v rounds="$rounds" "$stats"'
+        # Sorts the readings of "<side> <metric>" into v[]; returns their count.
+        function sorted(key, v,    n, i) {
+            n = count[key]
+            for (i = 1; i <= n; i++) v[i] = cell[key, i]
+            sort(v, n)
+            return n
+        }
+        { key = $1 " " $2; cell[key, ++count[key]] = $3; if ($1 == "p" && !seen[$2]++) order[++metrics] = $2 }
+        END {
+            printf "layers seed %s, %d rounds:\n%-40s %14s %14s %8s %12s\n", seed, rounds,
+                "metric", "parent median", "change median", "ratio", "parent q3-q1"
+            for (m = 1; m <= metrics; m++) {
+                name = order[m]; np = sorted("p " name, p); nc = sorted("c " name, c)
+                pm = quantile(p, np, 0.5); cm = quantile(c, nc, 0.5)
+                printf "%-40s %14.6g %14.6g %8s %12.4g\n", name, pm, cm,
+                    pm == 0 ? "-" : sprintf("%.3f", cm / pm), quantile(p, np, 0.75) - quantile(p, np, 0.25)
+            }
+        }' "$cells"
+    exit 0
+fi
 seed=${4:-7} seconds=${5:-15} pairs=${6:-10} metric=${7:-run_s}
 shown=$metric
 [ "$metric" = all ] && shown=run_s
@@ -62,14 +119,7 @@ done
 
 # Inputs, in order: the manifest (bound and direction per end-to-end
 # metric), the per-run digests and failure counts, the metric cells.
-awk -v m="$metric" -v w="$workload" -v seed="$seed" -v manifest="$manifest" -v runs="$runs" '
-    function quantile(v, n, q,    pos, lo, frac) {
-        pos = (n - 1) * q; lo = int(pos); frac = pos - lo
-        return lo + 1 < n ? v[lo + 1] + frac * (v[lo + 2] - v[lo + 1]) : v[n]
-    }
-    function sort(v, n,    i, j, t) {
-        for (i = 2; i <= n; i++) { t = v[i]; for (j = i - 1; j >= 1 && v[j] > t; j--) v[j + 1] = v[j]; v[j + 1] = t }
-    }
+awk -v m="$metric" -v w="$workload" -v seed="$seed" -v manifest="$manifest" -v runs="$runs" "$stats"'
     function field(line, key,    s) {
         if (!match(line, "\"" key "\": *\"?[^\",}]+")) return ""
         s = substr(line, RSTART, RLENGTH); sub(/^[^:]*: *"?/, "", s); return s
