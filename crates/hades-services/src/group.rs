@@ -41,6 +41,26 @@
 //! installs a view at or after the restart — the group-level face of the
 //! rejoin protocol.
 //!
+//! That view history is **polled**, not pushed: a member re-reads it
+//! (`rebind`) at the head of every submission tick, every received
+//! message and every Δ-delivery, so the instant a member notices an
+//! install — and takes over — is the instant of its next such event. The
+//! *set of instants at which a member ticks* is therefore modelled
+//! behaviour, not bookkeeping. Ticks are armed from two places — after
+//! every tick, for the source's next submission instant, and at every
+//! response that extends a closed-loop schedule — and a source with a
+//! client timeout always names a next instant while a request is
+//! outstanding (see [`RequestSource::next_submission_after`]), so without
+//! care every response would start one more never-ending chain of ticks
+//! over the same instants. The invariant that prevents it: **at most one
+//! submission tick is pending per firing instant per life** of a member.
+//! A second arm for an instant that already has one is dropped — the set
+//! of tick instants stays what it was, only the duplicates at one instant
+//! go — and the instant compared is the one the timer *fires* at on the
+//! engine's timeline ([`ActorCtx::timer_fires_at`]), because on a node
+//! with a skewed clock two arms of one local instant made at different
+//! times fire apart, and each of them is a poll.
+//!
 //! What a member did is appended to its shared [`GroupLog`] and — when a
 //! tap is installed ([`ReplicaGroup::with_tap`]) — handed to it at the
 //! same engine instant as a [`MonitorEvent`]: leadership handoffs,
@@ -228,9 +248,17 @@ pub trait RequestSource: std::fmt::Debug {
     /// `0..n` are the gateway's responsibility by `now`.
     fn submissions_through(&mut self, now: Time) -> u64;
 
-    /// The next scheduled submission instant strictly after `now`, if
-    /// any is known yet. Closed-loop sources return `None` while the
-    /// next request still waits on a response.
+    /// The next instant strictly after `now` at which the gateway must
+    /// run a submission tick, if any is known yet: the next scheduled
+    /// submission, or — for a closed loop with a client timeout — the
+    /// instant the outstanding request is abandoned and re-issued. A
+    /// closed loop *without* a timeout returns `None` while its next
+    /// request waits on a response; one *with* a timeout never does
+    /// while a request is outstanding inside the horizon, so every tick
+    /// arms a successor. Members keep at most one pending tick per
+    /// firing instant (see the module doc), so asking again for an
+    /// instant already armed costs nothing — but each distinct instant
+    /// returned is one more poll of the membership view, i.e. behaviour.
     fn next_submission_after(&mut self, now: Time) -> Option<Time>;
 
     /// Reports the **first** client-visible output of request `id`,
@@ -410,9 +438,9 @@ impl GroupConfig {
         }
     }
 
-    /// The next scheduled submission instant strictly after `now`;
-    /// `None` once an explicit source is exhausted (or, closed-loop,
-    /// still waiting on a response).
+    /// The next submission-tick instant strictly after `now`; `None`
+    /// once an explicit source is exhausted (or, closed-loop without a
+    /// timeout, still waiting on a response).
     fn next_submission_after(&self, now: Time) -> Option<Time> {
         match &self.source {
             Some(s) => s.borrow_mut().next_submission_after(now),
@@ -618,6 +646,10 @@ pub struct ReplicaGroup {
     /// concurrently with the interim gateway.
     await_view_since: Option<Time>,
     epoch: u64,
+    /// Engine instants at which a `GK_TICK` of this life is pending — at
+    /// most one per instant (see the module doc); a handful of entries,
+    /// one per request inside the client timeout window.
+    ticks: Vec<Time>,
     log: Rc<RefCell<GroupLog>>,
     tap: Option<ProtocolTap>,
 }
@@ -690,6 +722,7 @@ impl ReplicaGroup {
             seen_view: None,
             await_view_since: None,
             epoch: 0,
+            ticks: Vec::new(),
             log: log.clone(),
             tap: None,
         };
@@ -708,16 +741,18 @@ impl ReplicaGroup {
         self.cfg.node.0
     }
 
-    /// The members currently live per the agreed view (static list when
-    /// no agent is attached), honouring the post-restart leadership
-    /// holdback.
-    fn live_members(&mut self, now: Time) -> Vec<u32> {
+    /// The leader per the agreed view: the lowest member it holds live
+    /// (the static list's head when no agent is attached, no view is
+    /// installed yet or the view holds no member), honouring the
+    /// post-restart leadership holdback.
+    fn live_leader(&mut self, now: Time) -> u32 {
+        let head = self.cfg.members[0];
         let Some(source) = &self.view_source else {
-            return self.cfg.members.clone();
+            return head;
         };
         let source = source.borrow();
         let Some(view) = source.views.iter().rev().find(|v| v.installed_at <= now) else {
-            return self.cfg.members.clone();
+            return head;
         };
         if view.number != self.seen_view.unwrap_or(u32::MAX) {
             // First observation of this install: one re-bind.
@@ -736,27 +771,22 @@ impl ReplicaGroup {
                 self.await_view_since = None;
             }
         }
-        let mut live: Vec<u32> = self
-            .cfg
+        // Rejoin in progress: this member must not count itself live (a
+        // stale pre-crash view could otherwise hand it leadership
+        // concurrently with the interim leader).
+        let (me, held_back) = (self.me(), self.await_view_since.is_some());
+        self.cfg
             .members
             .iter()
             .copied()
-            .filter(|m| view.members.contains(m))
-            .collect();
-        if self.await_view_since.is_some() {
-            // Rejoin in progress: this member must not count itself live
-            // (a stale pre-crash view could otherwise hand it leadership
-            // concurrently with the interim leader).
-            live.retain(|m| *m != self.me());
-        }
-        live
+            .find(|m| view.members.contains(m) && !(held_back && *m == me))
+            .unwrap_or(head)
     }
 
     /// Re-reads the agreed view and re-binds leadership; runs the
     /// style-specific takeover when leadership lands here.
     fn rebind(&mut self, now: Time, ctx: &mut ActorCtx<'_>) {
-        let live = self.live_members(now);
-        let leader = live.first().copied().unwrap_or(self.cfg.members[0]);
+        let leader = self.live_leader(now);
         if leader != self.cur_leader {
             let old = self.cur_leader;
             self.cur_leader = leader;
@@ -776,12 +806,7 @@ impl ReplicaGroup {
     }
 
     fn fanout(&mut self, ctx: &mut ActorCtx<'_>, tag: u64, payload: u64) {
-        let targets: Vec<(ActorId, NodeId)> = self
-            .cfg
-            .peers
-            .iter()
-            .map(|(n, a)| (*a, NodeId(*n)))
-            .collect();
+        let targets = self.cfg.peers.iter().map(|(n, a)| (*a, NodeId(*n)));
         let accepted = ctx.fanout(targets, tag, payload, self.cfg.attempts);
         self.log.borrow_mut().messages_sent += accepted as u64;
     }
@@ -803,11 +828,6 @@ impl ReplicaGroup {
         true
     }
 
-    /// Records a client-visible output and feeds it back into the shared
-    /// request source — the closed-loop response hook. When the report
-    /// extends the schedule (the closed-loop client's next request), this
-    /// member arms its own tick at the new instant and wakes every peer
-    /// there too, so whichever member is gateway *then* submits it.
     /// Hands the tap, if any, the event `build` makes of this member's
     /// group and node ids.
     fn observe(&self, now: Time, build: impl FnOnce(u32, u32) -> MonitorEvent) {
@@ -816,6 +836,11 @@ impl ReplicaGroup {
         }
     }
 
+    /// Records a client-visible output and feeds it back into the shared
+    /// request source — the closed-loop response hook. When the report
+    /// extends the schedule (the closed-loop client's next request), this
+    /// member arms its own tick at the new instant and wakes every peer
+    /// there too, so whichever member is gateway *then* submits it.
     fn emit(&mut self, id: u64, now: Time, ctx: &mut ActorCtx<'_>) {
         if !self.emitted_ids.insert(id) {
             return;
@@ -833,9 +858,9 @@ impl ReplicaGroup {
             .as_ref()
             .and_then(|s| s.borrow_mut().on_response(id, now));
         if let Some(next) = next {
-            ctx.timer_at(next, tag(GK_TICK, self.epoch & 0xFFFF));
+            self.arm_tick(next, ctx);
             let me = self.me();
-            for (n, actor) in self.cfg.peers.clone() {
+            for &(n, actor) in &self.cfg.peers {
                 if n != me {
                     ctx.notify_at(actor, next, GN_WAKE);
                 }
@@ -843,10 +868,24 @@ impl ReplicaGroup {
         }
     }
 
+    /// The one place a `GK_TICK` is armed: nothing when a tick of this
+    /// life is already pending for the instant this one would fire at.
+    /// That instant is where the timer lands on the engine's timeline,
+    /// not `at` — on a skewed node two arms of one `at` from different
+    /// `now`s fire apart, and each is a poll of the view log that the
+    /// dedup must keep (see the module doc).
+    fn arm_tick(&mut self, at: Time, ctx: &mut ActorCtx<'_>) {
+        let fires_at = ctx.timer_fires_at(at);
+        if !self.ticks.contains(&fires_at) {
+            self.ticks.push(fires_at);
+            ctx.timer_at(at, tag(GK_TICK, self.epoch & 0xFFFF));
+        }
+    }
+
     fn arm_next_tick(&mut self, now: Time, ctx: &mut ActorCtx<'_>) {
         // An exhausted explicit schedule arms nothing: the stream is over.
         if let Some(next) = self.cfg.next_submission_after(now) {
-            ctx.timer_at(next, tag(GK_TICK, self.epoch & 0xFFFF));
+            self.arm_tick(next, ctx);
         }
     }
 
@@ -1078,6 +1117,8 @@ impl ReplicaGroup {
 
     fn on_restart(&mut self, now: Time, ctx: &mut ActorCtx<'_>) {
         self.epoch += 1;
+        // The previous life's timers are dead (epoch check): none pends.
+        self.ticks.clear();
         self.log.borrow_mut().restarts.push(now);
         // Volatile protocol state is gone; the executed set and the
         // service state survive on local stable storage (the requests of
@@ -1252,7 +1293,10 @@ impl NetActor for ReplicaGroup {
                     return; // timer of a previous life
                 }
                 match t >> 60 {
-                    GK_TICK => self.on_tick(now, ctx),
+                    GK_TICK => {
+                        self.ticks.retain(|t| *t != now);
+                        self.on_tick(now, ctx);
+                    }
                     GK_DELIVER => self.on_deliver(now, ctx),
                     GK_RESYNC => self.finish_order_resync(),
                     GK_PULL
@@ -1385,6 +1429,7 @@ mod tests {
     use super::*;
     use crate::membership::View;
     use hades_sim::{ActorEngine, FaultPlan, LinkConfig, Network, SimRng};
+    use hades_telemetry::{Probe, Profiler, Registry};
 
     fn us(n: u64) -> Duration {
         Duration::from_micros(n)
@@ -1858,6 +1903,93 @@ mod tests {
         for log in &logs {
             assert_eq!(log.borrow().delivery_order(), reference);
         }
+    }
+
+    /// A one-member group on node 0 driven by the open-loop schedule
+    /// `times_us`: the runtime and the member's log.
+    fn solo_on_schedule(times_us: &[u64], plan: FaultPlan) -> (ActorEngine, Rc<RefCell<GroupLog>>) {
+        let link = LinkConfig::reliable(us(10), us(40));
+        let net = Network::homogeneous(1, link, SimRng::seed_from(5)).with_fault_plan(plan);
+        let mut rt = ActorEngine::new(net);
+        let times = times_us.iter().map(|t| Time::ZERO + us(*t)).collect();
+        let (member, log) = ReplicaGroup::new(
+            GroupConfig {
+                group: 0,
+                node: NodeId(0),
+                members: vec![0],
+                style: ReplicaStyle::Active,
+                request_period: Duration::ZERO,
+                first_request_at: Time::ZERO,
+                source: Some(Rc::new(RefCell::new(FixedSchedule::new(times)))),
+                delta: us(60),
+                attempts: 1,
+                peers: vec![(0, ActorId(0))],
+            },
+            None,
+        );
+        rt.add_actor(Box::new(member));
+        (rt, log)
+    }
+
+    fn submitted_ids(log: &Rc<RefCell<GroupLog>>) -> Vec<u64> {
+        log.borrow().submitted.iter().map(|(id, _)| *id).collect()
+    }
+
+    #[test]
+    fn two_arms_for_one_instant_deliver_one_tick() {
+        // `Start` arms the tick of the first submission; the wake right
+        // behind it runs a tick at t = 0 whose successor is that same
+        // instant. Unchecked, the second arm doubles every tick from
+        // there to the end of the schedule.
+        let (mut rt, log) = solo_on_schedule(&[1_000, 2_000, 3_000], FaultPlan::new());
+        let profiler = Profiler::enabled();
+        let unnamed = Probe::new(
+            &Registry::disabled(),
+            &profiler,
+            |_, _| None,
+            |_, _, _| false,
+        );
+        rt.set_probe(unnamed);
+        rt.postbox().notify(ActorId(0), GN_WAKE);
+        rt.run(t_ms(5));
+        assert_eq!(submitted_ids(&log), vec![0, 1, 2]);
+        let timers: u64 = profiler
+            .report()
+            .actors
+            .iter()
+            .filter(|a| a.label == GROUP_LABEL && a.class == "timer")
+            .map(|a| a.events)
+            .sum();
+        assert_eq!(timers, 6, "three ticks and three Δ-deliveries");
+    }
+
+    #[test]
+    fn restart_mid_wait_clears_the_pending_ticks() {
+        // Down over [2 ms, 3 ms) with the tick for 5 ms pending: that
+        // timer belongs to the previous life and is ignored when it
+        // fires, so the new life must arm its own for the same instant.
+        let plan = FaultPlan::new().crash_window(NodeId(0), t_ms(2), t_ms(3));
+        let (mut rt, log) = solo_on_schedule(&[1_000, 5_000, 9_000], plan);
+        rt.run(t_ms(12));
+        let log = log.borrow();
+        assert_eq!(log.restarts, vec![t_ms(3)]);
+        assert_eq!(
+            log.submitted,
+            vec![(0, t_ms(1)), (1, t_ms(5)), (2, t_ms(9))]
+        );
+    }
+
+    #[test]
+    fn member_on_a_fast_clock_submits_every_scheduled_id() {
+        // +1 %: every tick fires short of the instant it was armed for,
+        // finds nothing due and re-arms for the same instant from closer
+        // in. The re-arm fires elsewhere on the engine's timeline, so it
+        // is not a duplicate — keyed on the instant asked for, it would
+        // be dropped and the request never submitted.
+        let plan = FaultPlan::new().skew_clock(NodeId(0), Time::ZERO, 10_000_000);
+        let (mut rt, log) = solo_on_schedule(&[1_000, 2_000, 3_000, 4_000], plan);
+        rt.run(t_ms(6));
+        assert_eq!(submitted_ids(&log), vec![0, 1, 2, 3]);
     }
 
     #[test]

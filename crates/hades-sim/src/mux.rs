@@ -313,23 +313,30 @@ impl ActorCtx<'_> {
     /// firing instant stretches or compresses accordingly. Unskewed nodes
     /// (the only case on a fault-free run) fire exactly at `at`.
     pub fn timer_at(&mut self, at: Time, tag: u64) {
-        let mut at = at.max(self.now);
+        let at = self.timer_fires_at(at);
+        self.staged
+            .push((at, self.self_id, ActorEvent::Timer { tag }));
+    }
+
+    /// The engine instant at which a timer armed *now* for `at` fires —
+    /// what [`ActorCtx::timer_at`] posts. Two arms of one `at` from
+    /// different `now`s fire apart on a skewed node, so an actor that
+    /// keeps at most one timer per instant must key on this, not on `at`.
+    pub fn timer_fires_at(&self, at: Time) -> Time {
+        let at = at.max(self.now);
         let drift = self
             .net
             .fault_plan()
             .clock_drift_ppb(self.self_node, self.now);
         let local = at - self.now;
-        if drift != 0 && !local.is_zero() {
-            // A fast clock compresses the wait but must never collapse a
-            // nonzero local interval to zero real time: an actor that
-            // re-arms an absolute deadline on an early fire would then
-            // spin forever at one instant.
-            let real =
-                hades_time::clock::dilate_interval(local, drift).max(Duration::from_nanos(1));
-            at = self.now + real;
+        if drift == 0 || local.is_zero() {
+            return at;
         }
-        self.staged
-            .push((at, self.self_id, ActorEvent::Timer { tag }));
+        // A fast clock compresses the wait but must never collapse a
+        // nonzero local interval to zero real time: an actor that
+        // re-arms an absolute deadline on an early fire would then
+        // spin forever at one instant.
+        self.now + hades_time::clock::dilate_interval(local, drift).max(Duration::from_nanos(1))
     }
 
     /// Arms a timer `after` from now.

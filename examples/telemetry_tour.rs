@@ -15,8 +15,9 @@
 //! The spec also carries an enabled [`Profiler`]
 //! (`ClusterSpec::profile`), so the same run yields a deterministic
 //! profile: the tour prints the top event kinds by engine work, the
-//! heartbeat share of the network traffic and the first folded
-//! flamegraph stacks — attribution the aggregate counters cannot give.
+//! actor deliveries folded by `(label, class)`, the heartbeat share of
+//! the network traffic and the first folded flamegraph stacks —
+//! attribution the aggregate counters cannot give.
 //!
 //! A second, nastier run then trips the watchdog
 //! (`ClusterSpec::monitors`): node 0 restarts one millisecond after
@@ -120,6 +121,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     kinds.sort_by_key(|k| std::cmp::Reverse(k.count));
     for k in kinds.iter().take(5) {
         println!("{:20} {:>8} events", k.name, k.count);
+    }
+    // The kind table says *what* the engine delivered; folding the
+    // per-actor rows over the nodes says *to whom* — the table that
+    // names a layer delivering more events than it has work for.
+    println!("\n== profile: actor deliveries by (label, class) ==");
+    let mut by_actor = std::collections::BTreeMap::<(&str, &str), u64>::new();
+    for a in &profile.actors {
+        *by_actor.entry((&a.label, &a.class)).or_default() += a.events;
+    }
+    for ((label, class), events) in &by_actor {
+        println!("{label:10} {class:9} {events:>8} events");
     }
     println!(
         "heartbeats: {} of {} messages ({} permille), {} permille of all events",

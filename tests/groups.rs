@@ -263,6 +263,55 @@ fn style_aware_admission_charges_roles_not_members() {
 }
 
 #[test]
+fn closed_loop_tick_deliveries_grow_with_responses_not_their_square() {
+    // A closed loop with a client timeout always names a next tick
+    // instant, and every response arms one on every member: the timer
+    // deliveries of the group must stay a small constant per response
+    // (submission tick, timeout tick, Δ-delivery) however long the run.
+    // They once grew with the square — every response started a chain
+    // of ticks that never ended — at ~150 per response over 200 ms.
+    let group_timers = |horizon: Duration| {
+        let start = Time::ZERO + ms(2);
+        let workload = ClosedLoop::new(us(500), ms(1), start).with_timeout(ms(4));
+        let run = ClusterSpec::new(3)
+            .horizon(horizon)
+            .seed(7)
+            .profile(Profiler::enabled())
+            .service(
+                ServiceSpec::replicated(
+                    "store",
+                    ReplicaStyle::SemiActive,
+                    vec![0, 1, 2],
+                    GroupLoad::default(),
+                )
+                .workload(Box::new(workload)),
+            )
+            .run()
+            .unwrap();
+        let timers: u64 = run
+            .profile()
+            .expect("profiler attached")
+            .actors
+            .iter()
+            .filter(|a| a.label == "group" && a.class == "timer")
+            .map(|a| a.events)
+            .sum();
+        let outputs = run.report().groups[0].outputs;
+        assert!(outputs >= 20, "the loop ran: {outputs} responses");
+        assert!(
+            timers <= 4 * 3 * outputs,
+            "{timers} group timer deliveries for {outputs} responses on 3 members"
+        );
+        timers
+    };
+    let (short, long) = (group_timers(ms(40)), group_timers(ms(160)));
+    assert!(
+        long * 10 <= short * 45,
+        "4× the horizon took {short} → {long} group timer deliveries"
+    );
+}
+
+#[test]
 fn group_runs_are_deterministic() {
     let a = group_spec(7).run().unwrap();
     let b = group_spec(7).run().unwrap();
