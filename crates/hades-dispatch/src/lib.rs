@@ -36,6 +36,7 @@ pub mod resources;
 pub mod runq;
 pub mod sim;
 pub mod thread;
+mod window;
 
 pub use costs::CostModel;
 pub use monitor::{MonitorEvent, MonitorReport};

@@ -21,7 +21,8 @@ use crate::notify::{
 use crate::report::{InstanceRecord, RunReport};
 use crate::resources::{Admission, ResourceManager, ResourceProtocol};
 use crate::runq::RunQueue;
-use crate::thread::{Thread, ThreadId, ThreadState};
+use crate::thread::{InvPhase, Thread, ThreadId, ThreadState};
+use crate::window::IdWindow;
 use hades_sim::mux::{self, ActorEvent, ActorHost, ActorId, ControlOp, NetActor, Postbox};
 use hades_sim::{
     Delivery, Engine, EventId, KernelModel, LinkConfig, Network, NodeId, Scheduler, SimRng,
@@ -31,7 +32,7 @@ use hades_task::arrival::ArrivalMonitor;
 use hades_task::{Eu, EuIndex, InvocationMode, Priority, Task, TaskId, TaskSet};
 use hades_telemetry::Probe;
 use hades_time::{Duration, Time};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::rc::Rc;
 
 /// How actual action execution times relate to declared WCETs.
@@ -137,12 +138,14 @@ impl SimConfig {
 /// Online deadline-miss hook: `(missed_deadline, task, activated, node)`.
 pub type MissTap = Rc<dyn Fn(Time, TaskId, Time, u32)>;
 
+/// `task` is a position in `TaskSet::tasks()`, resolved when the event is
+/// posted: an event can only name a task that exists.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Ev {
-    Activate { task: TaskId, gen: u32 },
+    Activate { task: usize, gen: u32 },
     WorkDone { node: u32 },
     EarliestReached { thread: ThreadId, node: u32 },
-    DeadlineCheck { task: TaskId, instance: u64 },
+    DeadlineCheck { task: usize, instance: u64 },
     LatestCheck { thread: ThreadId },
     RemoteArrive { thread: ThreadId, pred: EuIndex },
     OmissionCheck { thread: ThreadId, pred: EuIndex },
@@ -197,8 +200,10 @@ enum Exec {
     Irq(usize),
 }
 
-#[derive(Debug, Default)]
+#[derive(Default)]
 struct NodeState {
+    /// The scheduler policy installed on this node, if any.
+    policy: Option<Box<dyn SchedulerPolicy>>,
     /// The live threads of this node (`ThreadState::is_live`), in
     /// ascending id order: what the scheduler task is handed on every
     /// notification. `spawn_instance` appends (ids are handed out
@@ -233,8 +238,9 @@ struct NodeState {
 
 #[derive(Debug)]
 struct InstanceState {
-    /// The instance's threads, indexed by `EuIndex` (ascending ids).
-    threads: Vec<ThreadId>,
+    /// The instance's threads have consecutive ids from this one on, in
+    /// `EuIndex` order.
+    first_thread: u64,
     /// How many of them are still live.
     live: usize,
     deadline: Time,
@@ -249,30 +255,38 @@ struct InstanceState {
     sync_waiters: Vec<(ThreadId, u32)>,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum InvPhase {
-    Pre,
-    WaitingTarget,
-    Post,
+/// The run-time state of one task; `Inner::task_state` holds one per task,
+/// parallel to `TaskSet::tasks()`.
+#[derive(Debug, Default)]
+struct TaskState {
+    /// The instances something can still name, by instance number; the
+    /// next activation takes `instances.next_id()`.
+    instances: IdWindow<InstanceState>,
+    arrivals: ArrivalMonitor,
+    /// Auto-activation window `[from, until)`; `None` activates over the
+    /// whole run.
+    window: Option<(Time, Time)>,
+    /// Periodic-chain generation: bumped when a restart re-anchors the
+    /// chain, so the superseded chain's pending activations die instead
+    /// of duplicating it.
+    chain_gen: u32,
 }
+
+/// An instance: the position of its task in `TaskSet::tasks()` and its
+/// instance number.
+type InstanceKey = (usize, u64);
 
 struct Inner {
     tasks: Rc<TaskSet>,
     cfg: SimConfig,
-    /// Live threads only: a thread is dropped when it finishes or dies.
-    threads: HashMap<ThreadId, Thread>,
-    next_thread: u64,
+    task_state: Vec<TaskState>,
+    /// Live threads only, by `ThreadId`: a thread is dropped when it
+    /// finishes or dies, and the next one takes `threads.next_id()`.
+    threads: IdWindow<Thread>,
     nodes: Vec<NodeState>,
     resmgr: Vec<ResourceManager>,
     network: Network,
     condvars: hades_task::condvar::CondVarTable,
-    instances: HashMap<(TaskId, u64), InstanceState>,
-    next_instance: HashMap<TaskId, u64>,
-    arrival_monitors: HashMap<TaskId, ArrivalMonitor>,
-    /// Remote predecessor messages that have arrived, per thread.
-    remote_arrived: HashMap<ThreadId, HashSet<EuIndex>>,
-    inv_phase: HashMap<ThreadId, InvPhase>,
-    policies: HashMap<u32, Box<dyn SchedulerPolicy>>,
     actors: ActorHost,
     postbox: Postbox,
     miss_tap: Option<MissTap>,
@@ -285,13 +299,6 @@ struct Inner {
     scheduler_cpu: Duration,
     kernel_cpu: Duration,
     node_cpu: Vec<Duration>,
-    /// Auto-activation windows `[from, until)` per task; tasks without an
-    /// entry activate over the whole run.
-    activation_windows: HashMap<TaskId, (Time, Time)>,
-    /// Periodic-chain generation per task: bumped when a restart
-    /// re-anchors the chain, so the superseded chain's pending
-    /// activations die instead of duplicating it.
-    chain_gen: HashMap<TaskId, u32>,
     rng: SimRng,
 }
 
@@ -377,20 +384,14 @@ impl DispatchSim {
             .map(|_| ResourceManager::new(cfg.protocol.clone()))
             .collect();
         let inner = Inner {
+            task_state: tasks.iter().map(|_| TaskState::default()).collect(),
             tasks: Rc::new(tasks),
             cfg,
-            threads: HashMap::new(),
-            next_thread: 0,
+            threads: IdWindow::default(),
             nodes: (0..node_count).map(|_| NodeState::default()).collect(),
             resmgr: protocol_per_node,
             network,
             condvars: hades_task::condvar::CondVarTable::new(),
-            instances: HashMap::new(),
-            next_instance: HashMap::new(),
-            arrival_monitors: HashMap::new(),
-            remote_arrived: HashMap::new(),
-            inv_phase: HashMap::new(),
-            policies: HashMap::new(),
             actors: ActorHost::new(),
             postbox: Postbox::new(),
             miss_tap: None,
@@ -403,8 +404,6 @@ impl DispatchSim {
             scheduler_cpu: Duration::ZERO,
             kernel_cpu: Duration::ZERO,
             node_cpu: vec![Duration::ZERO; node_count],
-            activation_windows: HashMap::new(),
-            chain_gen: HashMap::new(),
             rng: rng.split(0x4558),
         };
         DispatchSim {
@@ -416,9 +415,12 @@ impl DispatchSim {
 
     /// Installs a scheduler policy on `node`. The policy runs as the
     /// scheduler task of that node at the highest application priority,
-    /// charged [`CostModel::sched_notif`] per notification.
+    /// charged [`CostModel::sched_notif`] per notification. A policy for a
+    /// node the task set does not use is never notified, and is dropped.
     pub fn set_policy(&mut self, node: u32, policy: Box<dyn SchedulerPolicy>) {
-        self.inner.policies.insert(node, policy);
+        if let Some(ns) = self.inner.nodes.get_mut(node as usize) {
+            ns.policy = Some(policy);
+        }
     }
 
     /// Registers a middleware protocol actor hosted by this run loop.
@@ -497,8 +499,8 @@ impl DispatchSim {
     /// Panics if the task is unknown or the simulation already ran.
     pub fn set_activation_window(&mut self, task: TaskId, from: Time, until: Time) {
         assert!(!self.ran, "simulation already ran");
-        assert!(self.inner.tasks.get(task).is_some(), "unknown task {task}");
-        self.inner.activation_windows.insert(task, (from, until));
+        let pos = self.known(task);
+        self.inner.task_state[pos].window = Some((from, until));
     }
 
     /// Requests an activation of `task` at absolute time `at` (for
@@ -509,8 +511,17 @@ impl DispatchSim {
     /// Panics if the task is unknown or the simulation already ran.
     pub fn activate_at(&mut self, task: TaskId, at: Time) {
         assert!(!self.ran, "simulation already ran");
-        assert!(self.inner.tasks.get(task).is_some(), "unknown task {task}");
+        let task = self.known(task);
         self.engine.post(at, Ev::Activate { task, gen: 0 });
+    }
+
+    /// Position of `task` in the task set; panics with `unknown task` if
+    /// it has none. Every event and table entry is made from a position
+    /// obtained here or by walking the set, which is why the handlers
+    /// index the set without a check.
+    fn known(&self, task: TaskId) -> usize {
+        let pos = self.inner.tasks.position(task);
+        pos.unwrap_or_else(|| panic!("unknown task {task}"))
     }
 
     /// Runs the simulation to its horizon and returns the report.
@@ -542,20 +553,11 @@ impl DispatchSim {
         assert!(!self.ran, "simulation already ran");
         self.ran = true;
         if self.inner.cfg.auto_activate {
-            for task in self.inner.tasks.tasks() {
+            for (pos, task) in self.inner.tasks.iter().enumerate() {
                 if task.arrival.min_separation().is_some() {
-                    let start = self
-                        .inner
-                        .activation_windows
-                        .get(&task.id)
-                        .map_or(Time::ZERO, |(from, _)| *from);
-                    self.engine.post(
-                        start,
-                        Ev::Activate {
-                            task: task.id,
-                            gen: 0,
-                        },
-                    );
+                    let window = self.inner.task_state[pos].window;
+                    let start = window.map_or(Time::ZERO, |(from, _)| from);
+                    self.engine.post(start, Ev::Activate { task: pos, gen: 0 });
                 }
             }
         }
@@ -620,6 +622,14 @@ impl Inner {
     /// to work *progress* at the speed in force when the interval started
     /// — safe because a fault transition resynchronises `since` at every
     /// speed-window edge, so no charging interval straddles a boundary.
+    ///
+    /// Charging is exact at speed 1000: however an interval is split
+    /// into calls, the progress adds up to the elapsed time, so a call
+    /// that changes nothing else is a no-op. At any other speed it is
+    /// floor-per-interval — each call rounds `elapsed × speed / 1000`
+    /// down on its own — so *how often* a slowed node is synced shifts
+    /// its completion instants by nanoseconds. Recorded runs contain
+    /// that artefact; [`Inner::reschedule_touched`] preserves it.
     fn sync_clock(&mut self, node: u32, now: Time) {
         let speed = self
             .network
@@ -641,7 +651,7 @@ impl Inner {
         };
         let lane = match exec {
             Exec::App(tid) => {
-                let th = self.threads.get_mut(&tid).expect("running thread exists");
+                let th = self.threads.get_mut(tid.0).expect("running thread exists");
                 th.remaining = th.remaining.saturating_sub(progress);
                 th.name.as_str()
             }
@@ -710,35 +720,28 @@ impl Inner {
     fn apply_control(&mut self, op: &ControlOp, now: Time, sched: &mut Scheduler<Ev>) {
         match *op {
             ControlOp::AdmitTask { task, at } => {
-                let task = TaskId(task);
-                if self.tasks.get(task).is_none() {
+                let Some(task) = self.tasks.position(TaskId(task)) else {
                     return;
-                }
+                };
+                let st = &mut self.task_state[task];
                 let at = at.max(now);
-                let until = self
-                    .activation_windows
-                    .get(&task)
-                    .map_or(Time::MAX, |(_, u)| *u);
+                let until = st.window.map_or(Time::MAX, |(_, u)| u);
                 let until = if until <= at { Time::MAX } else { until };
-                self.activation_windows.insert(task, (at, until));
+                st.window = Some((at, until));
                 // Re-anchor the chain at the admission instant; any stale
                 // pending activation of a previous window dies against
                 // the bumped generation.
-                let gen = self.chain_gen.entry(task).or_insert(0);
-                *gen += 1;
-                sched.post(at, Ev::Activate { task, gen: *gen });
+                st.chain_gen += 1;
+                let gen = st.chain_gen;
+                sched.post(at, Ev::Activate { task, gen });
             }
             ControlOp::RetireTask { task, at } => {
-                let task = TaskId(task);
-                if self.tasks.get(task).is_none() {
+                let Some(task) = self.tasks.position(TaskId(task)) else {
                     return;
-                }
-                let at = at.max(now);
-                let from = self
-                    .activation_windows
-                    .get(&task)
-                    .map_or(Time::ZERO, |(f, _)| *f);
-                self.activation_windows.insert(task, (from, at));
+                };
+                let st = &mut self.task_state[task];
+                let from = st.window.map_or(Time::ZERO, |(f, _)| f);
+                st.window = Some((from, at.max(now)));
             }
             ControlOp::SlowNode {
                 node,
@@ -791,10 +794,10 @@ impl Inner {
         for tid in std::mem::take(&mut self.nodes[node as usize].live) {
             // Fail-silent death, not an application fault: the thread just
             // stops existing, without orphan alarms.
-            let th = self.retire(tid).expect("victim thread");
+            let th = self.threads.remove(tid.0).expect("victim thread");
             self.resmgr[node as usize].release_all(tid);
-            let key = (th.task, th.instance);
-            if let Some(inst) = self.instances.get_mut(&key) {
+            let key = (th.task_pos, th.instance);
+            if let Some(inst) = self.task_state[key.0].instances.get_mut(key.1) {
                 inst.live -= 1;
             }
             self.reap_instance(key);
@@ -837,30 +840,21 @@ impl Inner {
         if !self.cfg.auto_activate {
             return;
         }
-        let reanchor: Vec<TaskId> = self
-            .tasks
-            .tasks()
-            .iter()
-            .filter(|t| {
-                t.heug
-                    .eus()
-                    .first()
-                    .is_some_and(|eu| eu.processor().0 == node)
-            })
-            .filter(|t| t.arrival.min_separation().is_some())
-            .filter_map(|t| {
-                let (from, until) = self.activation_windows.get(&t.id)?;
-                // `>=`: a window opening at the crash instant itself was
-                // missed too (the node died before spawning anything).
-                let opened_while_down =
-                    down_since.is_some_and(|d| *from >= d) && *from <= now && now < *until;
-                opened_while_down.then_some(t.id)
-            })
-            .collect();
-        for task in reanchor {
-            let gen = self.chain_gen.entry(task).or_insert(0);
-            *gen += 1;
-            sched.post(now, Ev::Activate { task, gen: *gen });
+        for (task, (t, st)) in self.tasks.iter().zip(&mut self.task_state).enumerate() {
+            let home = t.heug.eus().first().map(|eu| eu.processor().0);
+            if home != Some(node) || t.arrival.min_separation().is_none() {
+                continue;
+            }
+            let Some((from, until)) = st.window else {
+                continue;
+            };
+            // `>=`: a window opening at the crash instant itself was
+            // missed too (the node died before spawning anything).
+            if down_since.is_some_and(|d| from >= d) && from <= now && now < until {
+                st.chain_gen += 1;
+                let gen = st.chain_gen;
+                sched.post(now, Ev::Activate { task, gen });
+            }
         }
     }
 
@@ -868,7 +862,7 @@ impl Inner {
     fn current_remaining(&self, node: u32) -> Duration {
         let ns = &self.nodes[node as usize];
         match ns.current {
-            Some(Exec::App(tid)) => self.threads[&tid].remaining,
+            Some(Exec::App(tid)) => self.threads[tid.0].remaining,
             Some(Exec::Sched) => ns.sched_remaining,
             Some(Exec::Irq(_)) => ns.irq_remaining,
             None => Duration::ZERO,
@@ -892,7 +886,7 @@ impl Inner {
         let sched_wants = ns.sched_busy || !ns.sched_fifo.is_empty();
         match ns.current {
             Some(Exec::App(tid)) => {
-                let th = &self.threads[&tid];
+                let th = &self.threads[tid.0];
                 if sched_wants && th.preemptable_by(Priority::APP_MAX) {
                     return Some(Exec::Sched);
                 }
@@ -918,6 +912,34 @@ impl Inner {
     /// [`Ev::WorkDone`] queued, due when `current` runs out of work; an idle
     /// or down node has none. It is re-armed (cancelled, and a new one
     /// posted) only when `current` or that instant changed.
+    ///
+    /// The rule every handler follows, and the reason no handler has to
+    /// look at a node it did not touch: *every mutation of a node's
+    /// dispatcher state is followed by a reschedule of that node in the
+    /// same handler*, so between events `current` is what
+    /// [`Inner::desired_exec`] picks and the armed completion is right.
+    /// The mutation sites, each with the reschedule that covers it:
+    ///
+    /// - run queue and thread states: `try_unblock` (from
+    ///   `spawn_instance`, the `EarliestReached` and `RemoteArrive`
+    ///   handlers, `finish_inv_pre`, `instance_thread_done` for
+    ///   synchronous waiters — each reschedules the thread's node — and
+    ///   `recheck_blocked`, whose callers `complete_thread` and
+    ///   `abort_thread` are covered below); `boost_priority` (a resource
+    ///   holder is on the admitting thread's node); `apply_attr_change`
+    ///   (`scheduler_step` hands a policy its own node's threads, and the
+    ///   `WorkDone` handler reschedules that node);
+    /// - `current` and the thread table: `complete_thread` (the finishing
+    ///   thread's node; every node when a condition variable changed,
+    ///   because those are system-wide), `abort_thread` (its callers
+    ///   `deadline_check` and `omission_check` pass the victims' nodes to
+    ///   [`Inner::reschedule_touched`]);
+    /// - scheduler FIFO: `notify` (always on the node its caller
+    ///   reschedules);
+    /// - interrupt queue: `kernel_irq`;
+    /// - CPU speed: `fault_transition` at every slow-window edge;
+    /// - `crash_node` leaves nothing to schedule, and `restart_node`
+    ///   brings the node up empty.
     fn reschedule(&mut self, node: u32, now: Time, sched: &mut Scheduler<Ev>) {
         if self.nodes[node as usize].down {
             return; // a dead node schedules nothing
@@ -929,7 +951,7 @@ impl Inner {
             // Put the displaced exec back where it belongs.
             match ns.current {
                 Some(Exec::App(tid)) => {
-                    let th = self.threads.get_mut(&tid).expect("displaced thread");
+                    let th = self.threads.get_mut(tid.0).expect("displaced thread");
                     if th.state == ThreadState::Running {
                         th.state = ThreadState::Runnable;
                         ns.runq.insert(tid, th.prio, th.runnable_since);
@@ -943,7 +965,7 @@ impl Inner {
             match desired {
                 Some(Exec::App(tid)) => {
                     ns.runq.remove(tid);
-                    let th = self.threads.get_mut(&tid).expect("dispatched thread");
+                    let th = self.threads.get_mut(tid.0).expect("dispatched thread");
                     th.state = ThreadState::Running;
                     if !th.started {
                         th.started = true;
@@ -997,20 +1019,47 @@ impl Inner {
         }
     }
 
+    /// Reschedules the nodes a handler touched (`touched` ascending, as
+    /// the whole-cluster walk this replaces went), which by the rule on
+    /// [`Inner::reschedule`] are all that can have changed.
+    ///
+    /// One coupling keeps it from being just those: under an injected CPU
+    /// slowdown [`Inner::sync_clock`] floors per charging interval, so
+    /// the foreign completions that used to re-sync a slowed node are
+    /// part of where its completions fall. While the fault plan holds any
+    /// slow window the walk therefore also covers every node that has
+    /// one, touched or not. (Carrying the `elapsed × speed mod 1000`
+    /// remainder per node would make charging split-invariant and this
+    /// guard unnecessary, at the price of re-recording every run that
+    /// contains a slowdown.)
+    fn reschedule_touched(&mut self, touched: &[u32], now: Time, sched: &mut Scheduler<Ev>) {
+        debug_assert!(touched.windows(2).all(|w| w[0] < w[1]));
+        if !self.network.fault_plan().any_slow_windows() {
+            for &node in touched {
+                self.reschedule(node, now, sched);
+            }
+            return;
+        }
+        for node in 0..self.nodes.len() as u32 {
+            if touched.contains(&node) || self.network.fault_plan().has_slow_windows(NodeId(node)) {
+                self.reschedule(node, now, sched);
+            }
+        }
+    }
+
     // ------------------------------------------------------------------
     // Activation & thread creation
     // ------------------------------------------------------------------
 
-    fn activate(&mut self, task_id: TaskId, gen: u32, now: Time, sched: &mut Scheduler<Ev>) {
-        if gen != self.chain_gen.get(&task_id).copied().unwrap_or(0) {
+    fn activate(&mut self, pos: usize, gen: u32, now: Time, sched: &mut Scheduler<Ev>) {
+        let st = &self.task_state[pos];
+        if gen != st.chain_gen {
             return; // a restart re-anchored this task's chain
         }
+        let window_until = st.window.map(|(_, until)| until);
         let tasks = Rc::clone(&self.tasks);
-        let task = tasks.get(task_id).expect("activation for unknown task");
-        let window_until = self
-            .activation_windows
-            .get(&task_id)
-            .map(|(_, until)| *until);
+        let task = &tasks.tasks()[pos];
+        let task_id = task.id;
         if window_until.is_some_and(|until| now >= until) {
             return; // the task's mode was retired: stop the chain
         }
@@ -1022,7 +1071,7 @@ impl Inner {
                 if next <= Time::ZERO + self.cfg.horizon
                     && window_until.is_none_or(|until| next < until)
                 {
-                    sched.post(next, Ev::Activate { task: task_id, gen });
+                    sched.post(next, Ev::Activate { task: pos, gen });
                 }
             }
         }
@@ -1033,8 +1082,7 @@ impl Inner {
             return;
         }
         // Arrival-law monitoring.
-        let mon = self.arrival_monitors.entry(task_id).or_default();
-        if mon.observe(task.arrival, now) {
+        if self.task_state[pos].arrivals.observe(task.arrival, now) {
             self.monitor.push(MonitorEvent::ArrivalLawViolation {
                 task: task_id,
                 at: now,
@@ -1044,16 +1092,27 @@ impl Inner {
                     format!("arrival_violation {task_id}")
                 });
         }
-        self.spawn_instance(task, now, sched);
+        self.spawn_instance(task, pos, now, sched);
     }
 
-    /// Creates the threads of one instance of `task` activated at `now`.
-    fn spawn_instance(&mut self, task: &Task, now: Time, sched: &mut Scheduler<Ev>) -> u64 {
-        let instance = {
-            let n = self.next_instance.entry(task.id).or_insert(0);
-            let v = *n;
-            *n += 1;
-            v
+    /// Creates the threads of one instance of `task` (at `pos` in the
+    /// task set) activated at `now`.
+    fn spawn_instance(
+        &mut self,
+        task: &Task,
+        pos: usize,
+        now: Time,
+        sched: &mut Scheduler<Ev>,
+    ) -> u64 {
+        let instance = self.task_state[pos].instances.next_id();
+        // Only trace records read a thread's name.
+        let trace = self.cfg.trace;
+        let name = move |eu: &str| {
+            if trace {
+                format!("{}.{}#{}", task.name(), eu, instance)
+            } else {
+                String::new()
+            }
         };
         let deadline = now + task.deadline;
         let record_idx = self.records.len();
@@ -1065,18 +1124,16 @@ impl Inner {
             completed: None,
             missed: false,
         });
-        // EuIndex -> ThreadId, for precedence wiring.
-        let first_thread = self.next_thread;
-        let mut threads = Vec::with_capacity(task.heug.eus().len());
-        let mut touched_nodes: HashSet<u32> = HashSet::new();
+        let first_thread = self.threads.next_id();
+        let mut touched: Vec<u32> = Vec::new();
         for (i, eu) in task.heug.eus().iter().enumerate() {
             let eu_idx = EuIndex(i as u32);
-            let tid = ThreadId(self.next_thread);
-            self.next_thread += 1;
-            threads.push(tid);
+            let tid = ThreadId(self.threads.next_id());
             let node = eu.processor().0;
             self.nodes[node as usize].live.push(tid);
-            touched_nodes.insert(node);
+            if !touched.contains(&node) {
+                touched.push(node);
+            }
             let preds = task.heug.predecessors(eu_idx).len();
             let th = match eu {
                 Eu::Code(code) => {
@@ -1103,7 +1160,7 @@ impl Inner {
                     let pt = code.timing.pt.min(Priority::APP_MAX).max(prio);
                     Thread {
                         id: tid,
-                        name: format!("{}.{}#{}", task.name(), code.name, instance),
+                        name: name(&code.name),
                         task: task.id,
                         instance,
                         eu: eu_idx,
@@ -1124,35 +1181,38 @@ impl Inner {
                         started: false,
                         first_run: None,
                         runnable_since: now,
+                        task_pos: pos,
+                        inv_phase: None,
+                        remote_arrived: Vec::new(),
                     }
                 }
-                Eu::Inv(inv) => {
-                    self.inv_phase.insert(tid, InvPhase::Pre);
-                    Thread {
-                        id: tid,
-                        name: format!("{}.{}#{}", task.name(), inv.name, instance),
-                        task: task.id,
-                        instance,
-                        eu: eu_idx,
-                        node,
-                        prio: Priority::APP_MAX.lower(1),
-                        pt: Priority::APP_MAX.lower(1),
-                        earliest: now,
-                        latest: None,
-                        abs_deadline: deadline,
-                        activation: now,
-                        remaining: self.cfg.costs.inv_start.max(Duration::from_nanos(1)),
-                        action_wcet: self.cfg.costs.inv_start.max(Duration::from_nanos(1)),
-                        action_actual: self.cfg.costs.inv_start.max(Duration::from_nanos(1)),
-                        preds_pending: preds,
-                        waits: Vec::new(),
-                        resources: Vec::new(),
-                        state: ThreadState::Blocked,
-                        started: false,
-                        first_run: None,
-                        runnable_since: now,
-                    }
-                }
+                Eu::Inv(inv) => Thread {
+                    id: tid,
+                    name: name(&inv.name),
+                    task: task.id,
+                    instance,
+                    eu: eu_idx,
+                    node,
+                    prio: Priority::APP_MAX.lower(1),
+                    pt: Priority::APP_MAX.lower(1),
+                    earliest: now,
+                    latest: None,
+                    abs_deadline: deadline,
+                    activation: now,
+                    remaining: self.cfg.costs.inv_start.max(Duration::from_nanos(1)),
+                    action_wcet: self.cfg.costs.inv_start.max(Duration::from_nanos(1)),
+                    action_actual: self.cfg.costs.inv_start.max(Duration::from_nanos(1)),
+                    preds_pending: preds,
+                    waits: Vec::new(),
+                    resources: Vec::new(),
+                    state: ThreadState::Blocked,
+                    started: false,
+                    first_run: None,
+                    runnable_since: now,
+                    task_pos: pos,
+                    inv_phase: Some(InvPhase::Pre),
+                    remote_arrived: Vec::new(),
+                },
             };
             if let Some(latest) = th.latest {
                 sched.post(latest, Ev::LatestCheck { thread: tid });
@@ -1160,36 +1220,32 @@ impl Inner {
             if th.earliest > now {
                 sched.post(th.earliest, Ev::EarliestReached { thread: tid, node });
             }
-            self.threads.insert(tid, th);
+            self.threads.push(th);
             self.notify(node, NotificationKind::Atv, tid, now);
         }
-        self.instances.insert(
-            (task.id, instance),
-            InstanceState {
-                live: threads.len(),
-                threads,
-                deadline,
-                completed: None,
-                missed: false,
-                checked: false,
-                record_idx,
-                sync_waiters: Vec::new(),
-            },
-        );
-        sched.post(
+        self.task_state[pos].instances.push(InstanceState {
+            first_thread,
+            live: task.heug.eus().len(),
             deadline,
-            Ev::DeadlineCheck {
-                task: task.id,
-                instance,
-            },
-        );
+            completed: None,
+            missed: false,
+            checked: false,
+            record_idx,
+            sync_waiters: Vec::new(),
+        });
+        let check = Ev::DeadlineCheck {
+            task: pos,
+            instance,
+        };
+        sched.post(deadline, check);
         // Try to unblock every new thread, then reschedule touched nodes.
-        for tid in (first_thread..self.next_thread).map(ThreadId) {
+        for tid in (first_thread..self.threads.next_id()).map(ThreadId) {
             self.try_unblock(tid, now);
         }
-        let mut nodes: Vec<u32> = touched_nodes.into_iter().collect();
-        nodes.sort_unstable();
-        for node in nodes {
+        // Not `reschedule_touched`: an activation never re-synced a
+        // foreign node, slowed or not.
+        touched.sort_unstable();
+        for &node in &touched {
             self.reschedule(node, now, sched);
         }
         instance
@@ -1203,13 +1259,13 @@ impl Inner {
     /// resources and inserts the thread into the run queue. Does *not*
     /// reschedule — callers batch that.
     fn try_unblock(&mut self, tid: ThreadId, now: Time) -> bool {
-        let Some(th) = self.threads.get(&tid) else {
+        let Some(th) = self.threads.get(tid.0) else {
             return false;
         };
         if th.state != ThreadState::Blocked || self.nodes[th.node as usize].down {
             return false;
         }
-        if let Some(InvPhase::WaitingTarget) = self.inv_phase.get(&tid) {
+        if th.inv_phase == Some(InvPhase::WaitingTarget) {
             return false;
         }
         if !th.precedence_satisfied() {
@@ -1242,7 +1298,7 @@ impl Inner {
                 }
             }
         }
-        let th = self.threads.get_mut(&tid).expect("thread checked above");
+        let th = self.threads.get_mut(tid.0).expect("thread checked above");
         th.state = ThreadState::Runnable;
         th.runnable_since = now;
         self.nodes[node as usize].runq.insert(tid, th.prio, now);
@@ -1253,7 +1309,7 @@ impl Inner {
 
     /// PCP priority inheritance: raise `holder` to `prio` if higher.
     fn boost_priority(&mut self, holder: ThreadId, prio: Priority, now: Time) {
-        let Some(th) = self.threads.get_mut(&holder) else {
+        let Some(th) = self.threads.get_mut(holder.0) else {
             return;
         };
         if !th.state.is_live() || th.prio >= prio {
@@ -1274,7 +1330,7 @@ impl Inner {
         let mut blocked: Vec<(Priority, ThreadId)> = self.nodes[node as usize]
             .live
             .iter()
-            .map(|tid| &self.threads[tid])
+            .map(|tid| &self.threads[tid.0])
             .filter(|t| t.state == ThreadState::Blocked)
             .map(|t| (t.prio, t.id))
             .collect();
@@ -1290,7 +1346,8 @@ impl Inner {
 
     fn complete_thread(&mut self, tid: ThreadId, now: Time, sched: &mut Scheduler<Ev>) {
         // Inv_EU phase transitions intercept ordinary completion.
-        match self.inv_phase.get(&tid) {
+        let th = self.threads.get_mut(tid.0).expect("completing thread");
+        match th.inv_phase {
             Some(InvPhase::Pre) => {
                 self.finish_inv_pre(tid, now, sched);
                 return;
@@ -1298,9 +1355,8 @@ impl Inner {
             Some(InvPhase::WaitingTarget) => unreachable!("waiting inv thread cannot run"),
             Some(InvPhase::Post) | None => {}
         }
-        let th = self.threads.get_mut(&tid).expect("completing thread");
         th.state = ThreadState::Finished;
-        let (node, task_id, instance, eu) = (th.node, th.task, th.instance, th.eu);
+        let (node, task_pos, instance, eu) = (th.node, th.task_pos, th.instance, th.eu);
         let had_resources = !th.resources.is_empty();
         if th.terminated_early() {
             self.monitor.push(MonitorEvent::EarlyTermination {
@@ -1321,7 +1377,7 @@ impl Inner {
         }
         // Condition variables.
         let tasks = Rc::clone(&self.tasks);
-        let task = tasks.get(task_id).expect("task of thread");
+        let task = &tasks.tasks()[task_pos];
         let mut condvar_changed = false;
         if let Eu::Code(c) = task.heug.eu(eu) {
             for &cv in &c.sets {
@@ -1340,48 +1396,49 @@ impl Inner {
         // Precedence propagation.
         self.propagate_precedence(task, tid, now, sched);
         self.notify(node, NotificationKind::Trm, tid, now);
-        self.retire(tid);
-        self.instance_thread_done((task_id, instance), now, sched);
-        // Reschedule every node we may have touched (conservative but
-        // deterministic).
-        for n in 0..self.nodes.len() as u32 {
-            self.reschedule(n, now, sched);
+        self.threads.remove(tid.0);
+        self.instance_thread_done((task_pos, instance), now, sched);
+        if condvar_changed {
+            // The recheck above may have made threads runnable anywhere.
+            for n in 0..self.nodes.len() as u32 {
+                self.reschedule(n, now, sched);
+            }
+        } else {
+            self.reschedule_touched(&[node], now, sched);
         }
     }
 
     fn finish_inv_pre(&mut self, tid: ThreadId, now: Time, sched: &mut Scheduler<Ev>) {
-        let (task_id, eu_idx, node) = {
-            let th = &self.threads[&tid];
-            (th.task, th.eu, th.node)
+        let (task_pos, eu_idx, node) = {
+            let th = &self.threads[tid.0];
+            (th.task_pos, th.eu, th.node)
         };
         let tasks = Rc::clone(&self.tasks);
-        let inv = tasks
-            .get(task_id)
-            .expect("task of inv thread")
+        let inv = tasks.tasks()[task_pos]
             .heug
             .eu(eu_idx)
             .as_inv()
             .expect("inv thread wraps Inv_EU");
-        let (target, mode) = (inv.target, inv.mode);
-        let target_task = tasks.get(target).expect("validated invocation target");
-        let inst = self.spawn_instance(target_task, now, sched);
-        match mode {
+        // `TaskSet::new` rejects a set with a dangling invocation target.
+        let target = tasks
+            .position(inv.target)
+            .expect("validated invocation target");
+        let inst = self.spawn_instance(&tasks.tasks()[target], target, now, sched);
+        let th = self.threads.get_mut(tid.0).expect("inv thread");
+        th.state = ThreadState::Blocked;
+        th.remaining = self.cfg.costs.inv_end.max(Duration::from_nanos(1));
+        match inv.mode {
             InvocationMode::Synchronous => {
-                self.inv_phase.insert(tid, InvPhase::WaitingTarget);
-                let th = self.threads.get_mut(&tid).expect("inv thread");
-                th.state = ThreadState::Blocked;
-                th.remaining = self.cfg.costs.inv_end.max(Duration::from_nanos(1));
-                self.instances
-                    .get_mut(&(target, inst))
+                th.inv_phase = Some(InvPhase::WaitingTarget);
+                self.task_state[target]
+                    .instances
+                    .get_mut(inst)
                     .expect("just spawned")
                     .sync_waiters
                     .push((tid, node));
             }
             InvocationMode::Asynchronous => {
-                self.inv_phase.insert(tid, InvPhase::Post);
-                let th = self.threads.get_mut(&tid).expect("inv thread");
-                th.state = ThreadState::Blocked;
-                th.remaining = self.cfg.costs.inv_end.max(Duration::from_nanos(1));
+                th.inv_phase = Some(InvPhase::Post);
                 self.try_unblock(tid, now);
             }
         }
@@ -1397,17 +1454,18 @@ impl Inner {
         now: Time,
         sched: &mut Scheduler<Ev>,
     ) {
-        let th = &self.threads[&done];
-        let (key, done_eu, done_node) = ((th.task, th.instance), th.eu, th.node);
+        let th = &self.threads[done.0];
+        let (done_eu, done_node) = (th.eu, th.node);
+        let first_thread = self.task_state[th.task_pos].instances[th.instance].first_thread;
         for s in task.heug.successors(done_eu) {
             // The successor thread of the same instance. It may be dead
             // already; a remote handoff is transmitted all the same.
-            let succ_tid = self.instances[&key].threads[s.0 as usize];
+            let succ_tid = ThreadId(first_thread + s.0 as u64);
             let succ_node = task.heug.eu(s).processor().0;
             if succ_node == done_node {
                 // Local precedence: verified by the dispatcher (its cost
                 // was charged to the predecessor's WCET already).
-                if let Some(th) = self.threads.get_mut(&succ_tid) {
+                if let Some(th) = self.threads.get_mut(succ_tid.0) {
                     th.preds_pending = th.preds_pending.saturating_sub(1);
                     self.try_unblock(succ_tid, now);
                 }
@@ -1420,7 +1478,7 @@ impl Inner {
                     .transit(NodeId(done_node), NodeId(succ_node), now);
                 self.trace
                     .record_with(now, NodeId(done_node), TraceKind::MsgSend, || {
-                        format!("{} -> {}", self.threads[&done].name, s)
+                        format!("{} -> {}", self.threads[done.0].name, s)
                     });
                 let deadline_guess = now + self.network.max_delay() + Duration::from_nanos(1);
                 match fate {
@@ -1462,8 +1520,8 @@ impl Inner {
     }
 
     /// One thread of instance `key` finished.
-    fn instance_thread_done(&mut self, key: (TaskId, u64), now: Time, sched: &mut Scheduler<Ev>) {
-        let Some(inst) = self.instances.get_mut(&key) else {
+    fn instance_thread_done(&mut self, key: InstanceKey, now: Time, sched: &mut Scheduler<Ev>) {
+        let Some(inst) = self.task_state[key.0].instances.get_mut(key.1) else {
             return;
         };
         inst.live -= 1;
@@ -1476,8 +1534,8 @@ impl Inner {
             for (w, node) in std::mem::take(&mut inst.sync_waiters) {
                 // A waiter that died meanwhile has no phase left to
                 // advance; its node is re-evaluated all the same.
-                if let Some(phase) = self.inv_phase.get_mut(&w) {
-                    *phase = InvPhase::Post;
+                if let Some(th) = self.threads.get_mut(w.0) {
+                    th.inv_phase = Some(InvPhase::Post);
                     self.try_unblock(w, now);
                 }
                 self.reschedule(node, now, sched);
@@ -1488,13 +1546,13 @@ impl Inner {
 
     /// Drops the bookkeeping of instance `key` once nothing can name it
     /// any more: no live thread left and its `DeadlineCheck` delivered.
-    fn reap_instance(&mut self, key: (TaskId, u64)) {
-        if self
-            .instances
-            .get(&key)
+    fn reap_instance(&mut self, key: InstanceKey) {
+        let instances = &mut self.task_state[key.0].instances;
+        if instances
+            .get(key.1)
             .is_some_and(|i| i.live == 0 && i.checked)
         {
-            self.instances.remove(&key);
+            instances.remove(key.1);
         }
     }
 
@@ -1507,13 +1565,6 @@ impl Inner {
         }
     }
 
-    /// Forgets a finished or dead thread, once its last use is behind us.
-    fn retire(&mut self, tid: ThreadId) -> Option<Thread> {
-        self.remote_arrived.remove(&tid);
-        self.inv_phase.remove(&tid);
-        self.threads.remove(&tid)
-    }
-
     // ------------------------------------------------------------------
     // Scheduler task
     // ------------------------------------------------------------------
@@ -1522,7 +1573,7 @@ impl Inner {
         if self.nodes[node as usize].down {
             return;
         }
-        let Some(policy) = self.policies.get(&node) else {
+        let Some(policy) = &self.nodes[node as usize].policy else {
             return;
         };
         if !policy.subscriptions().contains(&kind) {
@@ -1531,7 +1582,7 @@ impl Inner {
         self.notifications += 1;
         self.trace
             .record_with(now, NodeId(node), TraceKind::Notify, || {
-                format!("{} {}", kind.label(), self.threads[&tid].name)
+                format!("{} {}", kind.label(), self.threads[tid.0].name)
             });
         self.nodes[node as usize].sched_fifo.push(Notification {
             kind,
@@ -1562,7 +1613,7 @@ impl Inner {
             .live
             .iter()
             .map(|tid| {
-                let t = &self.threads[tid];
+                let t = &self.threads[tid.0];
                 debug_assert!(t.node == node && t.state.is_live());
                 ThreadSnapshot {
                     thread: t.id,
@@ -1578,13 +1629,11 @@ impl Inner {
                 }
             })
             .collect();
-        let changes = {
-            let policy = self
-                .policies
-                .get_mut(&node)
-                .expect("scheduler step without policy");
-            policy.on_notification(&n, &live)
-        };
+        // Only `notify` fills the FIFO, and only for a node with a policy.
+        let policy = self.nodes[node as usize].policy.as_mut();
+        let changes = policy
+            .expect("scheduler step without policy")
+            .on_notification(&n, &live);
         for c in changes {
             self.apply_attr_change(node, c, now, sched);
         }
@@ -1599,7 +1648,7 @@ impl Inner {
         now: Time,
         sched: &mut Scheduler<Ev>,
     ) {
-        let Some(th) = self.threads.get_mut(&c.thread) else {
+        let Some(th) = self.threads.get_mut(c.thread.0) else {
             return;
         };
         if !th.state.is_live() {
@@ -1642,22 +1691,19 @@ impl Inner {
     // Monitoring helpers
     // ------------------------------------------------------------------
 
-    fn deadline_check(
-        &mut self,
-        task: TaskId,
-        instance: u64,
-        now: Time,
-        sched: &mut Scheduler<Ev>,
-    ) {
-        let Some(inst) = self.instances.get_mut(&(task, instance)) else {
+    fn deadline_check(&mut self, pos: usize, instance: u64, now: Time, sched: &mut Scheduler<Ev>) {
+        let instances = &mut self.task_state[pos].instances;
+        let Some(inst) = instances.get_mut(instance) else {
             return;
         };
         inst.checked = true;
         if inst.completed.is_some() {
-            self.instances.remove(&(task, instance));
+            instances.remove(instance);
             return;
         }
         inst.missed = true;
+        let t = &self.tasks.tasks()[pos];
+        let (task, eus) = (t.id, t.heug.eus());
         let activated = self.records[inst.record_idx].activated;
         self.records[inst.record_idx].missed = true;
         self.monitor.push(MonitorEvent::DeadlineMiss {
@@ -1665,12 +1711,8 @@ impl Inner {
             instance,
             deadline: now,
         });
-        if let Some(tap) = self.miss_tap.clone() {
-            let node = self
-                .tasks
-                .get(task)
-                .and_then(|t| t.heug.eus().first().map(|eu| eu.processor().0))
-                .unwrap_or(0);
+        if let Some(tap) = &self.miss_tap {
+            let node = eus.first().map_or(0, |eu| eu.processor().0);
             tap(now, task, activated, node);
         }
         self.trace
@@ -1679,24 +1721,24 @@ impl Inner {
             });
         if matches!(self.cfg.miss_policy, MissPolicy::AbortInstance) {
             // The dead among them are skipped by `abort_thread`.
-            for tid in inst.threads.clone() {
-                self.abort_thread(tid, now);
-            }
-            for n in 0..self.nodes.len() as u32 {
-                self.reschedule(n, now, sched);
-            }
+            let threads = inst.first_thread..inst.first_thread + eus.len() as u64;
+            let mut touched: Vec<u32> = threads
+                .filter_map(|tid| self.abort_thread(ThreadId(tid), now))
+                .collect();
+            touched.sort_unstable();
+            touched.dedup();
+            self.reschedule_touched(&touched, now, sched);
         }
-        self.reap_instance((task, instance));
+        self.reap_instance((pos, instance));
     }
 
     /// Kills a live thread (aborted instance or lost predecessor) and
-    /// counts it as an orphan.
-    fn abort_thread(&mut self, tid: ThreadId, now: Time) {
-        let Some(th) = self.threads.get_mut(&tid) else {
-            return;
-        };
+    /// counts it as an orphan. Returns the node it died on, for the
+    /// caller to reschedule; `None` if there was nothing left to kill.
+    fn abort_thread(&mut self, tid: ThreadId, now: Time) -> Option<u32> {
+        let th = self.threads.get_mut(tid.0)?;
         if !th.state.is_live() {
-            return;
+            return None;
         }
         let node = th.node;
         let was_running = th.state == ThreadState::Running;
@@ -1713,13 +1755,13 @@ impl Inner {
             thread: tid,
             at: now,
         });
-        let th = self.retire(tid).expect("aborted thread");
+        let th = self.threads.remove(tid.0).expect("aborted thread");
         self.trace
             .record_with(now, NodeId(node), TraceKind::Alarm, || {
                 format!("orphan {}", th.name)
             });
-        let key = (th.task, th.instance);
-        if let Some(inst) = self.instances.get_mut(&key) {
+        let key = (th.task_pos, th.instance);
+        if let Some(inst) = self.task_state[key.0].instances.get_mut(key.1) {
             inst.live -= 1;
             // An aborted instance can never complete: record it as missed
             // immediately rather than waiting for the deadline to pass.
@@ -1729,6 +1771,7 @@ impl Inner {
             }
         }
         self.reap_instance(key);
+        Some(node)
     }
 
     fn omission_check(
@@ -1738,17 +1781,10 @@ impl Inner {
         now: Time,
         sched: &mut Scheduler<Ev>,
     ) {
-        let arrived = self
-            .remote_arrived
-            .get(&tid)
-            .is_some_and(|s| s.contains(&pred));
-        if arrived {
-            return;
-        }
-        let Some(th) = self.threads.get(&tid) else {
+        let Some(th) = self.threads.get(tid.0) else {
             return;
         };
-        if !th.state.is_live() {
+        if th.remote_arrived.contains(&pred) || !th.state.is_live() {
             return;
         }
         self.monitor.push(MonitorEvent::NetworkOmission {
@@ -1762,10 +1798,8 @@ impl Inner {
         // The successor can never run: reap it (and transitively its own
         // successors will be reaped by their own watchdogs or the stall
         // detector; we reap just this thread here).
-        self.abort_thread(tid, now);
-        for n in 0..self.nodes.len() as u32 {
-            self.reschedule(n, now, sched);
-        }
+        let touched = self.abort_thread(tid, now);
+        self.reschedule_touched(touched.as_slice(), now, sched);
     }
 
     fn remote_arrive(
@@ -1775,13 +1809,14 @@ impl Inner {
         now: Time,
         sched: &mut Scheduler<Ev>,
     ) {
-        // A late delivery to a dead thread must not re-create its entry.
-        let Some(th) = self.threads.get_mut(&tid) else {
+        // A late delivery to a dead thread is dropped.
+        let Some(th) = self.threads.get_mut(tid.0) else {
             return;
         };
-        if !self.remote_arrived.entry(tid).or_default().insert(pred) {
+        if th.remote_arrived.contains(&pred) {
             return; // duplicate delivery
         }
+        th.remote_arrived.push(pred);
         let node = th.node;
         th.preds_pending = th.preds_pending.saturating_sub(1);
         self.trace
@@ -1793,7 +1828,7 @@ impl Inner {
     }
 
     fn latest_check(&mut self, tid: ThreadId, now: Time) {
-        let Some(th) = self.threads.get(&tid) else {
+        let Some(th) = self.threads.get(tid.0) else {
             return;
         };
         if th.state.is_live() && !th.started {
@@ -1832,13 +1867,13 @@ impl Inner {
         // Threads still blocked *past their deadline* when the run ends can
         // never make progress; blocked threads with remaining slack are
         // merely in flight at the horizon cutoff, not stalled.
-        let mut stuck: Vec<ThreadId> = self
+        // The thread table iterates in ascending id order.
+        let stuck: Vec<ThreadId> = self
             .threads
             .values()
             .filter(|t| t.state == ThreadState::Blocked && t.abs_deadline <= end)
             .map(|t| t.id)
             .collect();
-        stuck.sort();
         if !stuck.is_empty() {
             self.monitor.push(MonitorEvent::Stall {
                 threads: stuck,
@@ -2656,7 +2691,8 @@ mod tests {
             self.inner.handle(now, event, sched);
             for (n, ns) in self.inner.nodes.iter().enumerate() {
                 let busy = !ns.down && ns.current.is_some();
-                assert_eq!(ns.armed.is_some(), busy, "node {n} at {now}: {ns:?}");
+                let state = (ns.down, ns.current, ns.armed);
+                assert_eq!(ns.armed.is_some(), busy, "node {n} at {now}: {state:?}");
             }
         }
     }
@@ -2782,8 +2818,9 @@ mod tests {
         );
         assert_eq!(done(2), 9, "dist loses the instance node 1 was down for");
         assert_eq!((done(3), done(4)), (4, 4), "the crash kills one call");
+        let calls = sim.inner.threads.values().filter(|t| t.inv_phase.is_some());
         assert_eq!(
-            sim.inner.inv_phase.len(),
+            calls.count(),
             1,
             "the call that died waiting for its target left no phase behind"
         );
@@ -2801,13 +2838,14 @@ mod tests {
         let (r, _) = run_audited(&mut sim);
         assert_eq!(r.instances.len(), 20_001);
         assert_eq!(r.misses(), 0);
-        assert_eq!(sim.inner.next_thread, 40_003);
+        assert_eq!(sim.inner.threads.next_id(), 40_003);
         let inner = &sim.inner;
+        // Records held, and the slots their id windows span (holes and all).
         let sizes = [
             inner.threads.len(),
-            inner.instances.len(),
-            inner.remote_arrived.len(),
-            inner.inv_phase.len(),
+            inner.threads.span(),
+            inner.task_state.iter().map(|t| t.instances.len()).sum(),
+            inner.task_state.iter().map(|t| t.instances.span()).sum(),
             inner.nodes.iter().map(|n| n.live.len()).sum(),
         ];
         // What is in flight at the horizon, plus the instances whose
@@ -2885,5 +2923,118 @@ mod tests {
         }
         assert_eq!(Ev::FaultTransition { node: 0 }.kind(), 8);
         assert_eq!(EV_KINDS[8], "fault_transition");
+    }
+
+    // ------------------------------------------------------------------
+    // Touched-node rescheduling
+    // ------------------------------------------------------------------
+
+    /// Delivers events to `inner` and keeps the trail of values the
+    /// `remaining` of node 1's thread goes through.
+    struct Trail<'a> {
+        inner: &'a mut Inner,
+        remaining: Vec<u64>,
+    }
+
+    impl Simulation for Trail<'_> {
+        type Event = Ev;
+
+        fn handle(&mut self, now: Time, event: Ev, sched: &mut Scheduler<Ev>) {
+            self.inner.handle(now, event, sched);
+            let mut on_node_1 = self.inner.threads.values().filter(|t| t.node == 1);
+            if let Some(th) = on_node_1.next() {
+                if self.remaining.last() != Some(&th.remaining.as_nanos()) {
+                    self.remaining.push(th.remaining.as_nanos());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn foreign_completions_still_resync_a_slowed_node() {
+        // The scenario of `tests/locality.rs` — node 0 completes short
+        // threads while node 1 runs one 10 ms thread — with node 1 at
+        // 700 ‰ from t = 1 ms. `sync_clock` floors `elapsed × 700 / 1000`
+        // per charging interval, so each of node 0's completions that
+        // re-syncs node 1 loses it a fraction of a nanosecond, and the
+        // instants below contain that loss: they are what the
+        // whole-cluster walk of `complete_thread` produced before
+        // `reschedule_touched` replaced it. Charged in one interval, the
+        // thread would finish 128 ns earlier, at 13 857 143 ns.
+        let ns = Duration::from_nanos;
+        let short = Task::new(
+            TaskId(0),
+            Heug::single(CodeEu::new("short", ns(9_973), ProcessorId(0))).unwrap(),
+            ArrivalLaw::Periodic(ns(99_991)),
+            ns(99_991),
+        );
+        let long = Task::new(
+            TaskId(1),
+            Heug::single(CodeEu::new("long", us(10_000), ProcessorId(1))).unwrap(),
+            ArrivalLaw::Aperiodic,
+            us(30_000),
+        );
+        let set = TaskSet::new(vec![short, long]).unwrap();
+        let mut cfg = SimConfig::ideal(Duration::from_millis(20));
+        cfg.trace = false;
+        let slow_from = Time::ZERO + us(1_000);
+        let plan = hades_sim::FaultPlan::new().slow_node(NodeId(1), slow_from, Time::MAX, 700);
+        let net = Network::homogeneous(2, cfg.link, SimRng::seed_from(1)).with_fault_plan(plan);
+        let mut sim = DispatchSim::with_network(set, cfg, net);
+        sim.activate_at(TaskId(1), Time::ZERO);
+        sim.prime();
+        let mut trail = Trail {
+            inner: &mut sim.inner,
+            remaining: Vec::new(),
+        };
+        sim.engine
+            .run(&mut trail, Time::ZERO + Duration::from_millis(20));
+        let trail = trail.remaining;
+        let r = sim.inner.finish(sim.engine.now());
+        // As recorded on the commit before the touched-node walk.
+        let done = r.of_task(TaskId(1))[0].completed;
+        assert_eq!(done, Some(Time::ZERO + ns(13_857_271)));
+        assert_eq!(trail.len(), 141, "one value per re-sync of node 1");
+        assert_eq!(trail.iter().sum::<u64>(), 696_646_045);
+        let head = [10_000_000, 9_990_027, 9_890_036, 9_790_045, 9_690_054];
+        assert_eq!(trail[..5], head, "full speed: exact");
+        let slowed = [9_000_000, 8_993_082, 8_923_089];
+        assert_eq!(trail[11..14], slowed, "99 991 ns at 700 ‰ = 69 993.7");
+        assert_eq!(trail[138..], [173_964, 103_971, 33_978]);
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown task T9")]
+    fn activation_window_of_an_unknown_task_panics() {
+        let set = TaskSet::new(vec![periodic(0, "a", 100, 1000, 1)]).unwrap();
+        let mut sim = DispatchSim::new(set, SimConfig::ideal(Duration::from_millis(1)));
+        sim.set_activation_window(TaskId(9), Time::ZERO, Time::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown task T9")]
+    fn activation_of_an_unknown_task_panics() {
+        let set = TaskSet::new(vec![periodic(0, "a", 100, 1000, 1)]).unwrap();
+        let mut sim = DispatchSim::new(set, SimConfig::ideal(Duration::from_millis(1)));
+        sim.activate_at(TaskId(9), Time::ZERO);
+    }
+
+    #[test]
+    fn per_task_state_is_kept_by_position_not_by_id() {
+        // Sparse, unordered ids: each task's window, chain and instance
+        // numbering are its own.
+        let set = TaskSet::new(vec![
+            periodic(700, "a", 100, 1000, 1),
+            periodic(3, "b", 100, 1000, 2),
+        ])
+        .unwrap();
+        let mut sim = DispatchSim::new(set, SimConfig::ideal(Duration::from_millis(5)));
+        sim.set_activation_window(TaskId(3), Time::ZERO + us(2000), Time::ZERO + us(4000));
+        let r = sim.run();
+        let numbers = |t| -> Vec<u64> { r.of_task(TaskId(t)).iter().map(|i| i.instance).collect() };
+        assert_eq!(numbers(700), [0, 1, 2, 3, 4, 5]);
+        assert_eq!(numbers(3), [0, 1]);
+        assert_eq!(r.of_task(TaskId(3))[0].activated, Time::ZERO + us(2000));
+        assert!(r.all_deadlines_met());
     }
 }

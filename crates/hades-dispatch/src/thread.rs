@@ -46,13 +46,24 @@ impl ThreadState {
     }
 }
 
+/// Where an `Inv_EU` thread stands: it runs once before spawning its
+/// target (`Pre`), waits for a synchronous target to complete
+/// (`WaitingTarget`), and runs once more after it (`Post`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum InvPhase {
+    Pre,
+    WaitingTarget,
+    Post,
+}
+
 /// The run-time representation of one `Code_EU` (or invocation bookkeeping
 /// unit) of one task instance.
 #[derive(Debug, Clone)]
 pub struct Thread {
     /// Unique id.
     pub id: ThreadId,
-    /// Display name (`task.eu#instance`).
+    /// Display name (`task.eu#instance`); empty unless the run records a
+    /// trace, its only reader.
     pub name: String,
     /// Owning task.
     pub task: TaskId,
@@ -97,6 +108,12 @@ pub struct Thread {
     pub first_run: Option<Time>,
     /// Time the thread entered the run queue (FIFO tie-breaking).
     pub runnable_since: Time,
+    /// Position of the owning task in `TaskSet::tasks()`.
+    pub(crate) task_pos: usize,
+    /// The invocation phase, of an `Inv_EU` thread.
+    pub(crate) inv_phase: Option<InvPhase>,
+    /// Remote predecessors whose message has arrived.
+    pub(crate) remote_arrived: Vec<EuIndex>,
 }
 
 impl Thread {
@@ -147,6 +164,9 @@ mod tests {
             started: false,
             first_run: None,
             runnable_since: Time::ZERO,
+            task_pos: 0,
+            inv_phase: None,
+            remote_arrived: Vec::new(),
         }
     }
 

@@ -20,7 +20,7 @@ use hades_cluster::{
     ClusterRun, ClusterSpec, GroupLoad, ScenarioPlan, ServiceSpec, SpecError, TraceReplay,
 };
 use hades_services::ReplicaStyle;
-use hades_telemetry::{fabric as metrics, HistogramSummary, MetricsSnapshot, Registry};
+use hades_telemetry::{fabric as metrics, HistogramSummary, MetricsSnapshot, Profiler, Registry};
 use hades_time::{Duration, Time};
 
 use crate::director::FabricDirector;
@@ -97,6 +97,7 @@ pub struct FabricSpec {
     load: GroupLoad,
     plan: ScenarioPlan,
     registry: Registry,
+    profile: Profiler,
     min_gap: Duration,
 }
 
@@ -124,6 +125,7 @@ impl FabricSpec {
             },
             plan: ScenarioPlan::new(),
             registry: Registry::default(),
+            profile: Profiler::disabled(),
             min_gap: Duration::from_micros(250),
         }
     }
@@ -181,6 +183,15 @@ impl FabricSpec {
     /// family into it after the run, next to the cluster's own metrics.
     pub fn telemetry(mut self, registry: Registry) -> Self {
         self.registry = registry;
+        self
+    }
+
+    /// Attaches a [`Profiler`] to the lowered cluster
+    /// ([`ClusterSpec::profile`]): `run.cluster.profile()` then holds the
+    /// fabric's engine work by event kind and by actor, and
+    /// [`Profiler::wall_totals`] the host time each kind's handlers took.
+    pub fn profile(mut self, profiler: Profiler) -> Self {
+        self.profile = profiler;
         self
     }
 
@@ -260,7 +271,8 @@ impl FabricSpec {
             .horizon(self.horizon)
             .scenario(self.plan.clone())
             .driver(Box::new(FabricDirector::new(&router, placements.clone())))
-            .telemetry(self.registry.clone());
+            .telemetry(self.registry.clone())
+            .profile(self.profile.clone());
         for s in 0..self.shards {
             let trace = TraceReplay::new(per_shard[s as usize].clone());
             spec = spec

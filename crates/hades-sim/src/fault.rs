@@ -394,6 +394,11 @@ impl FaultPlan {
         self.slows.get(&node).is_some_and(|ws| !ws.is_empty())
     }
 
+    /// Whether any node at all has a slow window scheduled.
+    pub fn any_slow_windows(&self) -> bool {
+        !self.slows.is_empty()
+    }
+
     /// Skews `node`'s local clock from `start` on: it advances at
     /// `1 + drift_ppb / 1e9` of real rate (builder form). A later entry
     /// for the same node supersedes earlier ones from its start instant.

@@ -223,7 +223,13 @@ impl TaskSet {
 
     /// The task with the given id.
     pub fn get(&self, id: TaskId) -> Option<&Task> {
-        self.by_id.get(&id).map(|i| &self.tasks[*i])
+        self.position(id).map(|i| &self.tasks[i])
+    }
+
+    /// Position of the task with the given id in [`TaskSet::tasks`], for
+    /// callers that keep per-task state in a parallel table.
+    pub fn position(&self, id: TaskId) -> Option<usize> {
+        self.by_id.get(&id).copied()
     }
 
     /// All tasks, in insertion order.

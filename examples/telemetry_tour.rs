@@ -17,7 +17,9 @@
 //! profile: the tour prints the top event kinds by engine work, the
 //! actor deliveries folded by `(label, class)`, the heartbeat share of
 //! the network traffic and the first folded flamegraph stacks —
-//! attribution the aggregate counters cannot give.
+//! attribution the aggregate counters cannot give. A small sharded
+//! fabric is then profiled the same way (`FabricSpec::profile`) and the
+//! tour prints its handler wall time by event kind.
 //!
 //! A second, nastier run then trips the watchdog
 //! (`ClusterSpec::monitors`): node 0 restarts one millisecond after
@@ -156,6 +158,33 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Some(profile.total_events),
         telemetry.metrics.counter("engine.events"),
         "profiled totals must agree with the engine counter"
+    );
+
+    // ---- the same question of a sharded fabric, in host time ----
+    // `FabricSpec::profile` hands the profiler to the lowered cluster;
+    // its per-kind wall totals (volatile: host nanoseconds) say which
+    // handlers a fabric run spends its time in.
+    let fabric_profiler = Profiler::enabled();
+    let fabric = FabricSpec::new(6, 8)
+        .class(LoadClass::new("web", 60_000, Duration::from_secs(5)))
+        .horizon(ms(10))
+        .seed(42)
+        .telemetry(Registry::enabled())
+        .profile(fabric_profiler.clone())
+        .run()?;
+    let fabric_profile = fabric.cluster.profile().expect("profiler attached");
+    println!("\n== a 6-node, 8-shard fabric: handler wall time by event kind ==");
+    let mut wall = fabric_profiler.wall_totals();
+    wall.sort_by_key(|(_, ns)| std::cmp::Reverse(*ns));
+    for (kind, ns) in &wall {
+        let events = fabric_profile.kind(kind).map_or(0, |k| k.count);
+        let each = ns / events.max(1);
+        println!("{kind:20} {events:>8} events {ns:>12} ns {each:>7} ns/event");
+    }
+    assert_eq!(
+        Some(fabric_profile.total_events),
+        fabric.cluster.telemetry().metrics.counter("engine.events"),
+        "the fabric's profile must account for every engine event"
     );
 
     // ---- the watchdog run: a rejoin with no one left to serve it ----

@@ -174,6 +174,38 @@ fn a_node_crash_moves_exactly_the_crashed_placements_shards() {
     );
 }
 
+#[test]
+fn a_profiled_fabric_accounts_for_every_engine_event() {
+    let small = |profiler: Profiler| {
+        FabricSpec::new(6, 8)
+            .class(LoadClass::new("web", 60_000, Duration::from_secs(5)))
+            .horizon(ms(10))
+            .seed(3)
+            .telemetry(Registry::enabled())
+            .profile(profiler)
+            .scenario(ScenarioPlan::new().crash(NodeId(1), Time::ZERO + ms(4)))
+    };
+    let profiler = Profiler::enabled();
+    let run = small(profiler.clone()).run().expect("fabric runs");
+    let profile = run.cluster.profile().expect("profiler attached");
+    assert_eq!(
+        Some(profile.total_events),
+        run.cluster.telemetry().metrics.counter("engine.events")
+    );
+    // The request path shows up under its own kinds and actors...
+    for kind in ["activate", "work_done", "actor.message"] {
+        assert!(profile.kind(kind).is_some_and(|k| k.count > 0), "{kind}");
+    }
+    assert!(profile.actors.iter().any(|a| a.label == "group"));
+    let wall = profiler.wall_totals();
+    assert!(wall.iter().any(|(kind, ns)| kind == "work_done" && *ns > 0));
+    // ...and observing it changes nothing.
+    let plain = small(Profiler::disabled()).run().expect("fabric runs");
+    assert_eq!(plain.cluster.profile(), None);
+    assert_eq!(plain.report, run.report);
+    assert_eq!(plain.cluster.events(), run.cluster.events());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
