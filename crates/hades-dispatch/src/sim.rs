@@ -288,6 +288,9 @@ struct Inner {
     network: Network,
     condvars: hades_task::condvar::CondVarTable,
     actors: ActorHost,
+    /// Scratch: one actor delivery's reactions as engine events, on their
+    /// way into the queue as one run.
+    actor_posts: Vec<(Time, u64, Ev)>,
     postbox: Postbox,
     miss_tap: Option<MissTap>,
     probe: Probe,
@@ -393,6 +396,7 @@ impl DispatchSim {
             network,
             condvars: hades_task::condvar::CondVarTable::new(),
             actors: ActorHost::new(),
+            actor_posts: Vec::new(),
             postbox: Postbox::new(),
             miss_tap: None,
             probe: Probe::default(),
@@ -1961,10 +1965,17 @@ impl Simulation for Inner {
             Ev::KernelIrq { node, activity } => self.kernel_irq(node, activity, now, sched),
             Ev::FaultTransition { node } => self.fault_transition(node, now, sched),
             Ev::Actor { actor, ev } => {
-                let reactions = self.actors.deliver(actor, ev, now, &mut self.network);
-                for (at, to, ev) in reactions.posts {
-                    sched.post(at, Ev::Actor { actor: to, ev });
-                }
+                let reactions = self.actors.deliver_ordered(
+                    sched.next_seq(),
+                    actor,
+                    ev,
+                    now,
+                    &mut self.network,
+                );
+                let posts = reactions.posts.drain(..);
+                self.actor_posts
+                    .extend(posts.map(|(at, seq, (actor, ev))| (at, seq, Ev::Actor { actor, ev })));
+                sched.post_run(&mut self.actor_posts, reactions.seqs);
                 for op in &reactions.controls {
                     self.apply_control(op, now, sched);
                 }

@@ -13,7 +13,16 @@
 //! * **crash detection** — emits heartbeats every `H` to all peers and
 //!   suspects a peer whose silence exceeds `T₀ = H + δmax + γ` (the
 //!   perfect-detector timeout of [`crate::detect`]); detection happens
-//!   within [`crate::DetectorConfig::detection_bound`] of the crash;
+//!   within [`crate::DetectorConfig::detection_bound`] of the crash. Every
+//!   sign of life *reserves* the peer's next deadline as a
+//!   [`Place`] in the delivery order — the instant and the tie-break a
+//!   timer armed right then would have — and the agent keeps **one**
+//!   time-out in the engine's queue, in the earliest live place, re-armed
+//!   when it fires: a deadline a later heartbeat voided costs the
+//!   simulator nothing, and one that comes due fires exactly where its
+//!   own timer would have. After a restart the agent drops every place
+//!   that came due during the outage — the host delivered nothing then,
+//!   the queued time-out included — and queues under what is left;
 //! * **membership** — on suspicion it floods a view-change proposal
 //!   (`f + 1` rounds, FloodSet-style, as in [`crate::consensus`]) and
 //!   installs the agreed view at a bounded time after the first round;
@@ -60,7 +69,7 @@
 use crate::memberset::{MemberSet, MAX_NODES};
 use crate::membership::View;
 use crate::recovery::{RecoveryConfig, RejoinRecord};
-use hades_sim::mux::{ActorCtx, ActorEvent, ActorId, NetActor};
+use hades_sim::mux::{ActorCtx, ActorEvent, ActorId, NetActor, Place};
 use hades_sim::NodeId;
 use hades_telemetry::monitor::{MonitorEvent, ProtocolTap};
 use hades_time::{Duration, Time};
@@ -143,10 +152,6 @@ pub fn agent_is_heartbeat(class: &str, tag: u64) -> bool {
 
 fn hb_tag(epoch: u64) -> u64 {
     tag(KIND_HB_TICK, epoch & 0xFFFF)
-}
-
-fn timeout_tag(peer: u32, gen: u32) -> u64 {
-    tag(KIND_TIMEOUT, ((peer as u64) << 32) | gen as u64)
 }
 
 fn round_tag(target: u32, round: u32) -> u64 {
@@ -466,9 +471,19 @@ struct PendingRejoin {
 #[derive(Debug)]
 pub struct NodeAgent {
     cfg: AgentConfig,
-    /// Heartbeat generation per peer; a timeout fires only if no newer
-    /// heartbeat bumped the generation.
-    gen: Vec<u32>,
+    /// The silence deadline of each peer: the place in the delivery order
+    /// reserved at its last sign of life, `None` once it fired.
+    deadline: Vec<Option<Place>>,
+    /// `(peer, deadline)`s still live beside a newer one of the same peer.
+    /// [`NodeAgent::finish_rejoin`] sets a deadline without withdrawing the
+    /// one a heartbeat heard while rejoining set, so a peer can hold two —
+    /// and the earlier one must still suspect it if it stays silent. The
+    /// peer's next sign of life voids them all.
+    held_over: Vec<(u32, Place)>,
+    /// Places a `KIND_TIMEOUT` is queued in: one — at or before the
+    /// earliest deadline — and a superseded later one only after a clock
+    /// speed-up pulled a new deadline ahead of it.
+    armed: Vec<Place>,
     /// Peers this agent itself suspects.
     suspected_local: MemberSet,
     /// Union of own suspicions and exclusions adopted from peers'
@@ -565,7 +580,9 @@ impl NodeAgent {
         let log = Rc::new(RefCell::new(AgentLog::new(cfg.node.0)));
         let agent = NodeAgent {
             cfg,
-            gen: vec![0; cfg.nodes as usize],
+            deadline: vec![None; cfg.nodes as usize],
+            held_over: Vec::new(),
+            armed: Vec::new(),
             suspected_local: MemberSet::new(),
             excluded: MemberSet::new(),
             joining: MemberSet::new(),
@@ -619,6 +636,53 @@ impl NodeAgent {
         if let Some(tap) = &self.tap {
             (tap.0)(now, &build(self.cfg.node.0));
         }
+    }
+
+    /// Queues the one silence time-out in `place` if it comes before every
+    /// one already queued; otherwise the fire of an earlier one re-arms.
+    fn arm(&mut self, place: Place, ctx: &mut ActorCtx<'_>) {
+        if self.armed.iter().all(|queued| place < *queued) {
+            ctx.timer_in(place, tag(KIND_TIMEOUT, place.seq));
+            self.armed.push(place);
+        }
+    }
+
+    /// Arms at the earliest live deadline: after a fire, and after a
+    /// restart forgot what the outage swallowed. (A scan of every peer —
+    /// never done per heartbeat.)
+    fn rearm(&mut self, ctx: &mut ActorCtx<'_>) {
+        let held_over = self.held_over.iter().map(|(_, place)| place);
+        if let Some(&earliest) = self.deadline.iter().flatten().chain(held_over).min() {
+            self.arm(earliest, ctx);
+        }
+    }
+
+    /// Withdraws the live deadline reserved under `seq` and names its peer.
+    fn take_deadline(&mut self, seq: u64) -> Option<u32> {
+        let newest = |d: &Option<Place>| d.is_some_and(|place| place.seq == seq);
+        if let Some(peer) = self.deadline.iter().position(newest) {
+            self.deadline[peer] = None;
+            return Some(peer as u32);
+        }
+        let held = self.held_over.iter().position(|(_, p)| p.seq == seq)?;
+        Some(self.held_over.swap_remove(held).0)
+    }
+
+    /// Records one more silence deadline of `peer`, `T₀` from now.
+    fn add_deadline(&mut self, peer: u32, now: Time, ctx: &mut ActorCtx<'_>) {
+        let place = ctx.reserve(now + self.cfg.timeout(ctx.max_delay()));
+        if let Some(earlier) = self.deadline[peer as usize].replace(place) {
+            self.held_over.push((peer, earlier));
+        }
+        self.arm(place, ctx);
+    }
+
+    /// `peer` gave a sign of life: its earlier deadlines are void, the
+    /// next is `T₀` from now.
+    fn watch(&mut self, peer: u32, now: Time, ctx: &mut ActorCtx<'_>) {
+        self.deadline[peer as usize] = None;
+        self.held_over.retain(|&(held, _)| held != peer);
+        self.add_deadline(peer, now, ctx);
     }
 
     fn have_mask(&self) -> bool {
@@ -859,11 +923,12 @@ impl NodeAgent {
             view,
             restarted_at: p.restarted_at,
         });
-        // Resume watching the peers of the (re)joined view.
-        let timeout = self.cfg.timeout(ctx.max_delay());
+        // Resume watching the peers of the (re)joined view — on top of
+        // any deadline still live from before: a heartbeat heard while
+        // rejoining set one, and it stays in force.
         for peer in self.view_mask.to_vec() {
             if NodeId(peer) != self.cfg.node {
-                ctx.timer_at(now + timeout, timeout_tag(peer, self.gen[peer as usize]));
+                self.add_deadline(peer, now, ctx);
             }
         }
     }
@@ -930,11 +995,7 @@ impl NodeAgent {
             });
         }
         self.excluded.remove(joiner);
-        self.gen[joiner as usize] += 1;
-        ctx.timer_at(
-            now + self.cfg.timeout(ctx.max_delay()),
-            timeout_tag(joiner, self.gen[joiner as usize]),
-        );
+        self.watch(joiner, now, ctx);
         if let Some(t) = &self.serving {
             if t.to == joiner && t.to_epoch == epoch {
                 // A retransmitted JOIN of the joiner this transfer already
@@ -1069,12 +1130,15 @@ impl NodeAgent {
                 ctx.timer_after(self.cfg.heartbeat_period, hb_tag(self.epoch));
             }
             KIND_TIMEOUT => {
-                let peer = ((t >> 32) & 0x0FFF_FFFF) as u32;
-                let gen = (t & 0xFFFF_FFFF) as u32;
-                if self.rejoining
-                    || self.gen[peer as usize] != gen
-                    || self.suspected_local.contains(peer)
-                {
+                // The place this fire was queued in is the tag's body. Only
+                // a deadline still live there means silence; either way the
+                // next earliest takes the queue.
+                let seq = t & ((1 << 60) - 1);
+                self.armed.retain(|queued| queued.seq != seq);
+                let due = self.take_deadline(seq);
+                self.rearm(ctx);
+                let Some(peer) = due else { return };
+                if self.rejoining || self.suspected_local.contains(peer) {
                     return;
                 }
                 self.suspected_local.insert(peer);
@@ -1209,6 +1273,17 @@ impl NodeAgent {
 
     fn on_restart(&mut self, now: Time, ctx: &mut ActorCtx<'_>) {
         self.log.borrow_mut().restarts.push(now);
+        // The host dropped every delivery of the outage: a deadline that
+        // came due in it is gone unfired, and so is a time-out queued in
+        // it — forget both, and queue under what is still to come. (A
+        // deadline due at this very instant fires after this handler, into
+        // the rejoin, whichever side of the restart it was reserved on.)
+        for deadline in &mut self.deadline {
+            *deadline = deadline.filter(|place| place.at >= now);
+        }
+        self.held_over.retain(|(_, place)| place.at >= now);
+        self.armed.retain(|queued| queued.at >= now);
+        self.rearm(ctx);
         self.begin_rejoin(now, ctx);
     }
 
@@ -1331,10 +1406,9 @@ impl NetActor for NodeAgent {
                 ctx.timer_after(self.cfg.heartbeat_period, hb_tag(self.epoch));
                 // Until the first heartbeat arrives, a peer is treated as
                 // heard-from at time zero.
-                let timeout = self.cfg.timeout(ctx.max_delay());
                 for peer in 0..self.cfg.nodes {
                     if NodeId(peer) != self.cfg.node {
-                        ctx.timer_at(now + timeout, timeout_tag(peer, 0));
+                        self.add_deadline(peer, now, ctx);
                     }
                 }
             }
@@ -1344,14 +1418,10 @@ impl NetActor for NodeAgent {
                 MSG_HB => {
                     let p = from.0;
                     self.log.borrow_mut().heartbeats_seen += 1;
-                    self.gen[p as usize] += 1;
                     if self.rejoining {
                         self.hb_since_rejoin.insert(p);
                     }
-                    ctx.timer_at(
-                        now + self.cfg.timeout(ctx.max_delay()),
-                        timeout_tag(p, self.gen[p as usize]),
-                    );
+                    self.watch(p, now, ctx);
                 }
                 MSG_VC => {
                     if self.rejoining && !self.have_sync {
@@ -2183,5 +2253,81 @@ mod tests {
                 "node {n} ends with full membership"
             );
         }
+    }
+
+    /// Instant at which `observer` first suspected `suspect`.
+    fn suspected_at(log: &Rc<RefCell<AgentLog>>, suspect: u32) -> Option<Time> {
+        let log = log.borrow();
+        let hit = log.suspicions.iter().find(|(peer, _)| *peer == suspect);
+        hit.map(|&(_, at)| at)
+    }
+
+    #[test]
+    fn detector_survives_an_outage_that_swallowed_its_time_out() {
+        // Node 1 is down for 5 ms — five detection windows: every deadline
+        // it held, and the one time-out it had queued, came due in the
+        // outage and were dropped by the host. Back up and readmitted, it
+        // must still suspect node 2, which falls silent at 25 ms — at the
+        // instant the per-heartbeat-timer detector did (recorded from it).
+        let plan = FaultPlan::new()
+            .crash_window(NodeId(1), Time::ZERO + ms(3), Time::ZERO + ms(8))
+            .crash_at(NodeId(2), Time::ZERO + us(25_100));
+        let logs = cluster(4, plan, 21, ms(40));
+        assert_eq!(logs[1].borrow().rejoins.len(), 1, "node 1 rejoined");
+        let at = suspected_at(&logs[1], 2).expect("the restarted node still detects");
+        assert_eq!(at, Time::from_nanos(26_066_417));
+    }
+
+    #[test]
+    fn deadline_pulled_ahead_of_the_queued_one_by_a_clock_speed_up_fires_first() {
+        // From 4.5 ms node 0's clock runs 31× fast, so the deadlines it
+        // reserves for the 5 ms heartbeats (T₀ / 31 ≈ 34 µs after each)
+        // come due *before* the time-out it has queued for the 4 ms ones
+        // (≈ 5.06 ms). It gets no heartbeat in that time and (wrongly, but
+        // on its own clock's time) suspects its peers — at the instants the
+        // per-heartbeat-timer detector did, the first before the time-out
+        // that was queued when the clock sped up.
+        let plan = FaultPlan::new().skew_clock(NodeId(0), Time::ZERO + us(4_500), 30_000_000_000);
+        let logs = cluster(4, plan, 22, ms(6));
+        let observed = logs[0].borrow().suspicions.clone();
+        let at = |ns| Time::from_nanos(ns);
+        assert_eq!(
+            observed[..3],
+            [(1, at(5_046_113)), (3, at(5_052_910)), (2, at(5_061_299))]
+        );
+        let queued_before = Time::ZERO + ms(4) + us(10) + cfg(0, 4).timeout(us(40));
+        assert!(observed[0].1 < queued_before);
+    }
+
+    #[test]
+    fn a_deadline_set_while_rejoining_stays_live_beside_the_one_rejoin_adds() {
+        // Why `held_over` exists. A rejoining node records a deadline for
+        // every heartbeat it hears; `finish_rejoin` then sets a *second*
+        // one for each member, T₀ from readmission, and withdraws nothing.
+        // A peer that fell silent just before readmission is therefore
+        // suspected T₀ after its last heartbeat — not T₀ after the
+        // readmission, which is what replacing the deadline would give.
+        let outage =
+            |plan: FaultPlan| plan.crash_window(NodeId(1), Time::ZERO + ms(4), Time::ZERO + ms(11));
+        let dry = cluster(5, outage(FaultPlan::new()), 9, ms(30));
+        let readmitted = dry[1].borrow().rejoins[0].readmitted_at;
+        // Node 3 dies right after the readmission, before its next beat.
+        let silent_from = readmitted + us(1);
+        let last_beat = Time::from_nanos(readmitted.as_nanos() / 1_000_000 * 1_000_000);
+        assert!(silent_from < last_beat + ms(1));
+        let logs = cluster(
+            5,
+            outage(FaultPlan::new().crash_at(NodeId(3), silent_from)),
+            9,
+            ms(30),
+        );
+        assert_eq!(logs[1].borrow().rejoins[0].readmitted_at, readmitted);
+        let at = suspected_at(&logs[1], 3).expect("node 1 suspects node 3");
+        let timeout = cfg(1, 5).timeout(us(40));
+        assert!(
+            at > last_beat + timeout && at <= last_beat + us(40) + timeout,
+            "suspected at {at}: T₀ after the last heartbeat of {last_beat}"
+        );
+        assert!(at < readmitted + timeout, "not T₀ after the readmission");
     }
 }

@@ -6,11 +6,27 @@
 //! borrows simple, makes event payloads inspectable in traces, and guarantees
 //! a deterministic total order of event delivery (time, then posting order).
 //!
-//! The queue is a binary heap of `(time, posting sequence, slot)` keys over a
-//! slab of payloads; nothing is hashed. Cancelling empties the slot and
-//! leaves its key in the heap as a *tombstone*, skipped when it surfaces. A
-//! slot is reused, one generation older, once its key is popped, so an
-//! [`EventId`] that outlives its event never touches the next occupant.
+//! The queue is a binary heap of `(time, order seq, slot)` *keys* over a
+//! slab of payloads; nothing is hashed. A key stands for one queued single
+//! ([`Scheduler::post`]) or for one whole *run* — everything a handler
+//! staged, posted at once by [`Scheduler::post_run`], kept sorted in a
+//! slab of its own under the key of its earliest pending element and
+//! re-keyed in place as elements are delivered. A broadcast's 95 copies therefore cost
+//! the heap one key, not 95, which is why [`Scheduler::depth`] and
+//! [`Engine::depth_peak`] count keys (the heap's size is what a push or
+//! pop pays for) while [`Engine::pending`] counts events.
+//!
+//! The order seq is the FIFO tie-break: the counter [`Scheduler::post`]
+//! advances. A handler may also *take* a seq now ([`Scheduler::next_seq`],
+//! consumed through [`Scheduler::post_run`]) and queue under it later: the
+//! event is then delivered exactly where one posted at the taking would
+//! have been (see [`crate::mux::Place`]).
+//!
+//! Cancelling empties the slot of a single and leaves its key in the heap
+//! as a *tombstone*, skipped when it surfaces; run elements have no
+//! [`EventId`] and cannot be cancelled. A slot is reused, one generation
+//! older, once its key is popped, so an [`EventId`] that outlives its
+//! event never touches the next occupant.
 //!
 //! The engine observes nothing: it keeps two plain integers
 //! ([`Engine::delivered`], [`Engine::depth_peak`]), hands handlers the
@@ -19,7 +35,7 @@
 
 use hades_time::Time;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 /// Identifier of a posted event; used to cancel it before it fires: the
 /// event's slot in the payload slab, and the slot's generation at posting.
@@ -50,19 +66,39 @@ struct Slot<E> {
     payload: Option<E>,
 }
 
+/// Set in a heap key's third field when it indexes `runs`, not `slots`.
+const RUN: u32 = 1 << 31;
+
+/// Index of the entry just pushed onto a slab now `len` long; it must
+/// leave the [`RUN`] bit free.
+fn newest(len: usize) -> u32 {
+    let index = u32::try_from(len - 1).ok();
+    index
+        .filter(|i| i & RUN == 0)
+        .expect("fewer than 2^31 queued events")
+}
+
 /// The event queue itself, handed to [`Simulation::handle`] for posting and
 /// cancelling events during event processing; both take effect at once.
 #[derive(Debug)]
 pub struct Scheduler<E> {
     now: Time,
-    /// One key per posted event that has not surfaced yet, tombstones
-    /// included; `seq` counts posts, so it is the FIFO tie-break.
+    /// `(time, order seq, slot)`: one key per queued single that has not
+    /// surfaced yet, tombstones included, and — the slot flagged [`RUN`] —
+    /// one per run in flight, under its earliest pending element.
     heap: BinaryHeap<Reverse<(Time, u64, u32)>>,
     slots: Vec<Slot<E>>,
     /// Slots with no key in the heap.
     free: Vec<u32>,
+    /// The pending `(time, seq, event)` elements of each run in flight,
+    /// latest first: the earliest — the one its key names — pops off the
+    /// end. A spent run is an empty `Vec` holding no allocation.
+    runs: Vec<Vec<(Time, u64, E)>>,
+    /// Entries of `runs` with no key in the heap.
+    free_runs: Vec<u32>,
+    /// The order seq the next post takes: the FIFO tie-break.
     next_seq: u64,
-    /// Slots holding a payload.
+    /// Events queued and not cancelled, run elements included.
     live: usize,
     /// High water of `heap.len()`, tombstones and all.
     depth_peak: usize,
@@ -73,21 +109,75 @@ impl<E> Scheduler<E> {
     /// a programming error and panics here, in the offending handler.
     pub fn post(&mut self, at: Time, event: E) -> EventId {
         assert!(at >= self.now, "posting event into the past");
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.single(at, seq, event)
+    }
+
+    /// Queues one event alone under the key `(at, seq)`.
+    fn single(&mut self, at: Time, seq: u64, event: E) -> EventId {
         let slot = self.free.pop().unwrap_or_else(|| {
             self.slots.push(Slot {
                 gen: 0,
                 payload: None,
             });
-            u32::try_from(self.slots.len() - 1).expect("fewer than 2^32 queued events")
+            newest(self.slots.len())
         });
-        self.heap.push(Reverse((at, self.next_seq, slot)));
-        self.depth_peak = self.depth_peak.max(self.heap.len());
-        self.next_seq += 1;
+        self.push_key(at, seq, slot);
         self.live += 1;
         let entry = &mut self.slots[slot as usize];
         entry.payload = Some(event);
         let gen = entry.gen;
         EventId { slot, gen }
+    }
+
+    fn push_key(&mut self, at: Time, seq: u64, slot: u32) {
+        self.heap.push(Reverse((at, seq, slot)));
+        self.depth_peak = self.depth_peak.max(self.heap.len());
+    }
+
+    /// The order seq the next post will take. A handler that stages its
+    /// posts numbers them from here and hands them over in one
+    /// [`Scheduler::post_run`].
+    pub fn next_seq(&self) -> u64 {
+        self.next_seq
+    }
+
+    /// Posts everything one handler staged — `(time, seq, event)` elements,
+    /// drained from `staged`, whose capacity stays with the caller — under
+    /// **one** heap key, and advances the order counter by the `seqs` the
+    /// handler took from [`Scheduler::next_seq`] on. An element's seq is
+    /// one of those, or one taken by an earlier handler and not queued
+    /// under yet; each is delivered where a [`Scheduler::post`] made when
+    /// its seq was taken would have been. Run elements cannot be cancelled.
+    ///
+    /// # Panics
+    ///
+    /// Panics, like [`Scheduler::post`], if an element lies in the past.
+    pub fn post_run(&mut self, staged: &mut Vec<(Time, u64, E)>, seqs: u64) {
+        self.next_seq += seqs;
+        for &(at, seq, _) in staged.iter() {
+            assert!(at >= self.now, "posting event into the past");
+            debug_assert!(seq < self.next_seq, "seq {seq} was never taken");
+        }
+        if staged.len() < 2 {
+            if let Some((at, seq, event)) = staged.pop() {
+                self.single(at, seq, event);
+            }
+            return;
+        }
+        staged.sort_unstable_by_key(|&(at, seq, _)| Reverse((at, seq)));
+        let &(at, seq, _) = staged.last().expect("two or more elements");
+        let slot = self.free_runs.pop().unwrap_or_else(|| {
+            self.runs.push(Vec::new());
+            newest(self.runs.len())
+        });
+        self.push_key(at, seq, slot | RUN);
+        self.live += staged.len();
+        // An allocation of the run's own size, given back when it is spent.
+        let run = &mut self.runs[slot as usize];
+        run.reserve_exact(staged.len());
+        run.append(staged);
     }
 
     /// Cancels a previously posted event in O(1): the payload is dropped at
@@ -101,8 +191,9 @@ impl<E> Scheduler<E> {
         }
     }
 
-    /// Keys in the queue right now, tombstones included: what a profiler's
-    /// timeline samples as the pending-queue length.
+    /// Keys in the queue right now — one per queued single, tombstones
+    /// included, and one per run in flight: what a profiler's timeline
+    /// samples as the pending-queue length.
     pub fn depth(&self) -> u64 {
         self.heap.len() as u64
     }
@@ -112,15 +203,39 @@ impl<E> Scheduler<E> {
     fn pop(&mut self, until: Time) -> Option<E> {
         loop {
             let &Reverse((at, _, slot)) = self.heap.peek().filter(|key| key.0 .0 <= until)?;
-            self.heap.pop();
-            self.free.push(slot);
-            let entry = &mut self.slots[slot as usize];
-            entry.gen = entry.gen.wrapping_add(1);
-            if let Some(payload) = entry.payload.take() {
+            let event = if slot & RUN == 0 {
+                self.heap.pop();
+                self.free.push(slot);
+                let entry = &mut self.slots[slot as usize];
+                entry.gen = entry.gen.wrapping_add(1);
+                entry.payload.take()
+            } else {
+                // The key moves to the run's next element and sinks to its
+                // place when `top` drops; the last element keeps no more
+                // than its own room while it waits.
+                let mut top = self.heap.peek_mut().expect("peeked above");
+                let run = &mut self.runs[(slot ^ RUN) as usize];
+                let (_, _, event) = run.pop().expect("a run in flight holds an element");
+                match run.last() {
+                    Some(&(next_at, next_seq, _)) => {
+                        *top = Reverse((next_at, next_seq, slot));
+                        if run.len() == 1 {
+                            run.shrink_to_fit();
+                        }
+                    }
+                    None => {
+                        PeekMut::pop(top);
+                        *run = Vec::new();
+                        self.free_runs.push(slot ^ RUN);
+                    }
+                }
+                Some(event)
+            };
+            if let Some(event) = event {
                 debug_assert!(at >= self.now, "event queue went backwards");
                 self.now = at;
                 self.live -= 1;
-                return Some(payload);
+                return Some(event);
             }
         }
     }
@@ -144,6 +259,8 @@ impl<E> Engine<E> {
                 heap: BinaryHeap::new(),
                 slots: Vec::new(),
                 free: Vec::new(),
+                runs: Vec::new(),
+                free_runs: Vec::new(),
                 next_seq: 0,
                 live: 0,
                 depth_peak: 0,
@@ -162,15 +279,16 @@ impl<E> Engine<E> {
         self.delivered
     }
 
-    /// High-water mark of the queue depth (heap keys, tombstones included)
-    /// over every post so far.
+    /// High-water mark of the queue depth (heap keys: one per queued
+    /// single, tombstones included, one per run in flight) over every post
+    /// so far.
     pub fn depth_peak(&self) -> u64 {
         self.queue.depth_peak as u64
     }
 
-    /// Number of pending (not yet delivered, not cancelled) events, in O(1).
-    /// Tombstones do not count here; [`Engine::depth_peak`] is the heap's
-    /// length and does include them.
+    /// Number of pending (not yet delivered, not cancelled) events, in O(1),
+    /// every element of a run counted. Tombstones do not count here;
+    /// [`Engine::depth_peak`] is the heap's length and does include them.
     pub fn pending(&self) -> usize {
         self.queue.live
     }
@@ -413,6 +531,164 @@ mod tests {
             type Event = ();
             fn handle(&mut self, now: Time, (): (), sched: &mut Scheduler<()>) {
                 sched.post(now - Duration::from_nanos(1), ());
+                unreachable!("the post returned: reported too late");
+            }
+        }
+        let mut e = Engine::new();
+        e.post(Time::from_nanos(10), ());
+        e.run_to_completion(&mut Backwards);
+    }
+
+    /// `(time, seq, event)` elements for [`Scheduler::post_run`], numbered
+    /// from the queue's next seq on in the order given.
+    fn staged(e: &Engine<Ev>, items: &[(u64, Ev)]) -> Vec<(Time, u64, Ev)> {
+        let numbered = items.iter().zip(e.queue.next_seq()..);
+        numbered
+            .map(|((at, ev), seq)| (Time::from_nanos(*at), seq, ev.clone()))
+            .collect()
+    }
+
+    #[test]
+    fn runs_deliver_exactly_as_single_posts() {
+        // One random script — event i is posted `delay[i]` (0..4 ns: ties
+        // everywhere) after its parent fires, the roots up front — played
+        // twice: every event its own `post`, and every handler's children
+        // (and the roots, in random chunks) as one `post_run`.
+        struct Script {
+            children: Vec<Vec<(u64, u32)>>,
+            batched: bool,
+            seen: Vec<(Time, u32)>,
+        }
+        impl Simulation for Script {
+            type Event = u32;
+            fn handle(&mut self, now: Time, id: u32, sched: &mut Scheduler<u32>) {
+                self.seen.push((now, id));
+                let children = &self.children[id as usize];
+                let due = |delay: u64| now + Duration::from_nanos(delay);
+                if self.batched {
+                    let numbered = children.iter().zip(sched.next_seq()..);
+                    let mut run: Vec<_> = numbered
+                        .map(|(&(delay, child), seq)| (due(delay), seq, child))
+                        .collect();
+                    sched.post_run(&mut run, children.len() as u64);
+                    assert!(run.is_empty(), "the staged buffer comes back drained");
+                } else {
+                    for &(delay, child) in children {
+                        sched.post(due(delay), child);
+                    }
+                }
+            }
+        }
+        for seed in 0..200 {
+            let mut rng = crate::SimRng::seed_from(seed);
+            let n = 2 + rng.below(80) as u32;
+            let roots = 1 + rng.below(n as u64 / 2) as u32;
+            let mut children = vec![Vec::new(); n as usize];
+            for id in roots..n {
+                let parent = rng.below(id as u64) as usize;
+                children[parent].push((rng.below(4), id));
+            }
+            let root_at: Vec<u64> = (0..roots).map(|_| rng.below(4)).collect();
+            let play = |batched: bool, rng: &mut crate::SimRng| {
+                let mut e = Engine::new();
+                let mut next = 0;
+                while next < roots {
+                    let chunk = if batched { 1 + rng.below(6) as u32 } else { 1 };
+                    let ids = next..(next + chunk).min(roots);
+                    next = ids.end;
+                    if chunk == 1 {
+                        e.post(Time::from_nanos(root_at[ids.start as usize]), ids.start);
+                        continue;
+                    }
+                    let numbered = ids.zip(e.queue.next_seq()..);
+                    let mut run: Vec<_> = numbered
+                        .map(|(id, seq)| (Time::from_nanos(root_at[id as usize]), seq, id))
+                        .collect();
+                    let seqs = run.len() as u64;
+                    e.queue.post_run(&mut run, seqs);
+                }
+                let mut sim = Script {
+                    children: children.clone(),
+                    batched,
+                    seen: Vec::new(),
+                };
+                assert_eq!(e.run_to_completion(&mut sim), n as u64);
+                assert_eq!(e.pending(), 0);
+                assert!(e.queue.heap.is_empty());
+                assert_eq!(e.queue.free.len(), e.queue.slots.len(), "every slot freed");
+                assert_eq!(e.queue.free_runs.len(), e.queue.runs.len(), "and every run");
+                sim.seen
+            };
+            let singly = play(false, &mut rng);
+            assert_eq!(singly, play(true, &mut rng), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn a_run_is_one_key_counted_by_element_and_resumes_mid_way() {
+        let mut e = Engine::new();
+        let single = e.post(Time::from_nanos(20), Ev::Ping(0));
+        let mut run = staged(
+            &e,
+            &[(30, Ev::Ping(3)), (10, Ev::Ping(1)), (20, Ev::Ping(2))],
+        );
+        e.queue.post_run(&mut run, 3);
+        e.post(Time::from_nanos(20), Ev::Ping(9));
+        assert_eq!(e.pending(), 5, "pending counts run elements");
+        assert_eq!(
+            e.queue.depth(),
+            3,
+            "depth counts keys: two singles, one run"
+        );
+        assert_eq!(e.depth_peak(), 3);
+        // Stop in the middle of the run: its key moved to the next element.
+        let mut sim = Recorder::default();
+        assert_eq!(e.run(&mut sim, Time::from_nanos(15)), 1);
+        assert_eq!((e.pending(), e.queue.depth()), (4, 3));
+        // A single cancelled next to the run leaves the run alone.
+        e.cancel(single);
+        assert_eq!((e.pending(), e.queue.depth()), (3, 3));
+        assert_eq!(e.run(&mut sim, Time::from_nanos(20)), 2);
+        assert_eq!(e.run_to_completion(&mut sim), 1);
+        assert_eq!(
+            sim.seen,
+            vec![
+                (Time::from_nanos(10), Ev::Ping(1)),
+                (Time::from_nanos(20), Ev::Ping(2)), // seq 3: before Ping(9), seq 4
+                (Time::from_nanos(20), Ev::Ping(9)),
+                (Time::from_nanos(30), Ev::Ping(3)),
+            ]
+        );
+        assert_eq!(e.depth_peak(), 3);
+        assert_eq!(e.queue.free.len(), e.queue.slots.len());
+        assert_eq!(e.queue.free_runs.len(), e.queue.runs.len());
+    }
+
+    #[test]
+    fn a_seq_taken_early_is_queued_under_late() {
+        // Seq 0 is taken and left unused; what is later queued under it
+        // is delivered before the event posted in between, at a tie.
+        let mut e = Engine::new();
+        e.queue.post_run(&mut Vec::new(), 1);
+        e.post(Time::from_nanos(5), Ev::Ping(1));
+        let late = (Time::from_nanos(5), 0, Ev::Ping(0));
+        e.queue.post_run(&mut vec![late], 0);
+        let mut sim = Recorder::default();
+        e.run_to_completion(&mut sim);
+        let order: Vec<Ev> = sim.seen.into_iter().map(|(_, ev)| ev).collect();
+        assert_eq!(order, [Ev::Ping(0), Ev::Ping(1)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "into the past")]
+    fn a_run_element_in_the_past_panics_in_the_handler() {
+        struct Backwards;
+        impl Simulation for Backwards {
+            type Event = ();
+            fn handle(&mut self, now: Time, (): (), sched: &mut Scheduler<()>) {
+                let seq = sched.next_seq();
+                let mut run = vec![(now, seq, ()), (now - Duration::from_nanos(1), seq + 1, ())];
+                sched.post_run(&mut run, 2);
                 unreachable!("the post returned: reported too late");
             }
         }

@@ -63,7 +63,8 @@ pub use engine::{Engine, EventId, Scheduler, Simulation};
 pub use fault::{CrashWindow, FaultPlan, OmissionWindow};
 pub use kernel::{KernelActivity, KernelModel};
 pub use mux::{
-    ActorCtx, ActorEngine, ActorEvent, ActorHost, ActorId, ControlOp, NetActor, Postbox, Reactions,
+    ActorCtx, ActorEngine, ActorEvent, ActorHost, ActorId, ControlOp, NetActor, Place, Postbox,
+    Reactions,
 };
 pub use net::{Delivery, LinkConfig, Network, NetworkStats, NodeId};
 pub use rng::SimRng;

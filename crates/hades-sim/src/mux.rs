@@ -15,11 +15,20 @@
 //!   [`ActorEvent`]s, and reacts through an [`ActorCtx`] (timers + network
 //!   sends).
 //! * [`ActorHost`] — owns a set of actors and routes one event to one
-//!   actor, translating its staged reactions ([`Reactions`]) into
-//!   `(time, actor, event)` triples and [`ControlOp`]s the embedding
-//!   engine posts and applies. Events addressed to an actor whose node
-//!   has crashed are dropped, so a dead node goes silent exactly as the
-//!   fault plan dictates.
+//!   actor, handing back its staged [`Reactions`]: the events to post,
+//!   numbered in staging order from the engine's next order seq so the
+//!   embedding posts them as **one** [`Scheduler::post_run`] — one heap
+//!   key for a whole broadcast — and the [`ControlOp`]s to apply. Events
+//!   addressed to an actor whose node has crashed are dropped, so a dead
+//!   node goes silent exactly as the fault plan dictates.
+//! * [`Place`] — a reserved position in the delivery order. Every timer
+//!   and send takes the next order seq as it is staged;
+//!   [`ActorCtx::reserve`] takes one *without* queueing anything, and
+//!   [`ActorCtx::timer_in`] queues a timer under it later, at most once.
+//!   Reserving costs one seq and no queue work, so an actor whose
+//!   deadlines are mostly superseded before they come due keeps them as
+//!   places and has one timer in the queue instead of one per deadline —
+//!   with every fire exactly where an eagerly armed timer's would be.
 //! * [`ActorEngine`] — a ready-made standalone runtime (host + engine +
 //!   network) for running actors without a dispatcher, used by unit tests
 //!   and service-level experiments.
@@ -281,6 +290,26 @@ pub trait NetActor {
     fn handle(&mut self, now: Time, ev: ActorEvent, ctx: &mut ActorCtx<'_>);
 }
 
+/// A reserved place in the delivery order: the engine instant a timer
+/// fires at and the order seq that breaks its ties — exactly the
+/// `(time, seq)` an [`ActorCtx::timer_at`] made at the reservation would
+/// have been queued under. [`ActorCtx::reserve`] takes one (it costs one
+/// seq and no queue work) and [`ActorCtx::timer_in`] queues a timer there,
+/// in this handler or a later one, **at most once**: an actor that
+/// supersedes most of its deadlines before they come due (a failure
+/// detector) keeps the places and queues only under the earliest.
+/// Places order as the engine delivers them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Place {
+    /// The engine instant of the place.
+    pub at: Time,
+    /// Its position among the events of that instant.
+    pub seq: u64,
+}
+
+/// One staged reaction: `(fire_time, order seq, (target_actor, event))`.
+pub type Staged = (Time, u64, (ActorId, ActorEvent));
+
 /// The interface an actor reacts through: arm timers, send messages,
 /// inspect the shared network.
 #[derive(Debug)]
@@ -291,7 +320,9 @@ pub struct ActorCtx<'a> {
     self_label: &'static str,
     net: &'a mut Network,
     probe: &'a Probe,
-    staged: Vec<(Time, ActorId, ActorEvent)>,
+    /// The order seq the next staged reaction or reservation takes.
+    next_seq: u64,
+    staged: &'a mut Vec<Staged>,
     controls: Vec<ControlOp>,
 }
 
@@ -313,9 +344,31 @@ impl ActorCtx<'_> {
     /// firing instant stretches or compresses accordingly. Unskewed nodes
     /// (the only case on a fault-free run) fire exactly at `at`.
     pub fn timer_at(&mut self, at: Time, tag: u64) {
+        let place = self.reserve(at);
+        self.timer_in(place, tag);
+    }
+
+    /// Takes the [`Place`] a timer armed now for `at` would fire in — the
+    /// instant [`ActorCtx::timer_fires_at`] gives and the next order seq —
+    /// and queues nothing.
+    pub fn reserve(&mut self, at: Time) -> Place {
         let at = self.timer_fires_at(at);
-        self.staged
-            .push((at, self.self_id, ActorEvent::Timer { tag }));
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        Place { at, seq }
+    }
+
+    /// Arms a timer for the reacting actor in a place it reserved and has
+    /// not used. The place must not have passed.
+    pub fn timer_in(&mut self, place: Place, tag: u64) {
+        let timer = (self.self_id, ActorEvent::Timer { tag });
+        self.staged.push((place.at, place.seq, timer));
+    }
+
+    /// Stages `ev` for `to` at `at`, under the next order seq.
+    fn stage(&mut self, at: Time, to: ActorId, ev: ActorEvent) {
+        self.staged.push((at, self.next_seq, (to, ev)));
+        self.next_seq += 1;
     }
 
     /// The engine instant at which a timer armed *now* for `at` fires —
@@ -357,15 +410,8 @@ impl ActorCtx<'_> {
                     to_node.0,
                     WIRE_BYTES,
                 );
-                self.staged.push((
-                    at,
-                    to,
-                    ActorEvent::Message {
-                        from: self.self_node,
-                        tag,
-                        payload,
-                    },
-                ));
+                let from = self.self_node;
+                self.stage(at, to, ActorEvent::Message { from, tag, payload });
                 true
             }
             Delivery::Omitted => false,
@@ -412,8 +458,7 @@ impl ActorCtx<'_> {
     /// no omission). Delivery to an actor whose node is down at `at` is
     /// still dropped by the host.
     pub fn notify_at(&mut self, to: ActorId, at: Time, tag: u64) {
-        let at = at.max(self.now);
-        self.staged.push((at, to, ActorEvent::Notify { tag }));
+        self.stage(at.max(self.now), to, ActorEvent::Notify { tag });
     }
 
     /// Whether `node` has crashed by now (per the fault plan).
@@ -440,8 +485,11 @@ impl ActorCtx<'_> {
 /// vocabulary. [`ActorEngine`] is the standalone embedding.
 #[derive(Default)]
 pub struct ActorHost {
-    actors: Vec<Option<Box<dyn NetActor>>>,
+    actors: Vec<Box<dyn NetActor>>,
     probe: Probe,
+    /// What the last delivery staged, lent out in its [`Reactions`]: one
+    /// buffer for the whole run, so staging allocates nothing.
+    staged: Vec<Staged>,
 }
 
 impl std::fmt::Debug for ActorHost {
@@ -470,7 +518,7 @@ impl ActorHost {
     /// Registers an actor, returning its id.
     pub fn add(&mut self, actor: Box<dyn NetActor>) -> ActorId {
         let id = ActorId(self.actors.len() as u32);
-        self.actors.push(Some(actor));
+        self.actors.push(actor);
         id
     }
 
@@ -495,8 +543,7 @@ impl ActorHost {
     pub fn restart_schedule(&self, plan: &FaultPlan) -> Vec<(Time, ActorId)> {
         let restarts = plan.restarts();
         let mut out = Vec::new();
-        for (idx, slot) in self.actors.iter().enumerate() {
-            let Some(actor) = slot else { continue };
+        for (idx, actor) in self.actors.iter().enumerate() {
             let node = actor.node();
             for (n, at) in &restarts {
                 if *n == node {
@@ -515,11 +562,8 @@ impl ActorHost {
         self.actors
             .iter()
             .enumerate()
-            .filter_map(|(idx, slot)| {
-                slot.as_ref()
-                    .filter(|a| a.node() == node)
-                    .map(|_| ActorId(idx as u32))
-            })
+            .filter(|(_, actor)| actor.node() == node)
+            .map(|(idx, _)| ActorId(idx as u32))
             .collect()
     }
 
@@ -534,17 +578,33 @@ impl ActorHost {
         ev: ActorEvent,
         now: Time,
         net: &mut Network,
-    ) -> Reactions {
-        let Some(slot) = self.actors.get_mut(id.0 as usize) else {
-            return Reactions::default();
+    ) -> Reactions<'_> {
+        self.deliver_ordered(0, id, ev, now, net)
+    }
+
+    /// [`ActorHost::deliver`] for an embedding that posts the reactions
+    /// as one [`Scheduler::post_run`]: they are numbered from `next_seq`,
+    /// its engine's [`Scheduler::next_seq`], on.
+    pub fn deliver_ordered(
+        &mut self,
+        next_seq: u64,
+        id: ActorId,
+        ev: ActorEvent,
+        now: Time,
+        net: &mut Network,
+    ) -> Reactions<'_> {
+        self.staged.clear();
+        let mut reactions = Reactions {
+            posts: &mut self.staged,
+            seqs: 0,
+            controls: Vec::new(),
         };
-        let Some(mut actor) = slot.take() else {
-            return Reactions::default();
+        let Some(actor) = self.actors.get_mut(id.0 as usize) else {
+            return reactions;
         };
         let node = actor.node();
         if net.fault_plan().is_crashed(node, now) {
-            self.actors[id.0 as usize] = Some(actor);
-            return Reactions::default();
+            return reactions;
         }
         let (class, tag) = ev.class();
         let label = actor.label();
@@ -557,25 +617,28 @@ impl ActorHost {
             self_label: label,
             net,
             probe: &self.probe,
-            staged: Vec::new(),
+            next_seq,
+            staged: reactions.posts,
             controls: Vec::new(),
         };
         actor.handle(now, ev, &mut ctx);
-        let reactions = Reactions {
-            posts: ctx.staged,
-            controls: ctx.controls,
-        };
-        self.actors[id.0 as usize] = Some(actor);
+        reactions.seqs = ctx.next_seq - next_seq;
+        reactions.controls = ctx.controls;
         reactions
     }
 }
 
 /// Everything one delivered event caused: events to post on the
 /// embedding engine, and control ops to apply to the running run.
-#[derive(Debug, Default)]
-pub struct Reactions {
-    /// `(fire_time, target_actor, event)` triples to post.
-    pub posts: Vec<(Time, ActorId, ActorEvent)>,
+#[derive(Debug)]
+pub struct Reactions<'a> {
+    /// The events to post, each under the order seq it was staged with:
+    /// the host's own buffer, for the embedding to drain.
+    pub posts: &'a mut Vec<Staged>,
+    /// Order seqs the handler took, from the `next_seq` it was delivered
+    /// under: one per staged send, timer and notify and one per
+    /// [`ActorCtx::reserve`] — what [`Scheduler::post_run`] advances by.
+    pub seqs: u64,
     /// Control operations to apply (in staging order) before the engine
     /// processes its next event.
     pub controls: Vec<ControlOp>,
@@ -680,10 +743,10 @@ impl Simulation for HostSim<'_> {
 
     fn handle(&mut self, now: Time, (id, ev): Self::Event, sched: &mut Scheduler<Self::Event>) {
         let _handling = self.host.probe.event(now.as_nanos(), sched.depth(), None);
-        let reactions = self.host.deliver(id, ev, now, self.net);
-        for (at, to, ev) in reactions.posts {
-            sched.post(at, (to, ev));
-        }
+        let reactions = self
+            .host
+            .deliver_ordered(sched.next_seq(), id, ev, now, self.net);
+        sched.post_run(reactions.posts, reactions.seqs);
         for op in &reactions.controls {
             if let Some((node, _, Some(r))) = apply_network_op(self.net.fault_plan_mut(), op, now) {
                 for actor in self.host.actors_on(node) {
@@ -1177,6 +1240,79 @@ mod tests {
         assert_eq!(a.len(), 2);
         assert_eq!(a[0].0, 1);
         assert_eq!(a[1].0, 2);
+    }
+
+    #[test]
+    fn a_timer_queued_late_in_a_reserved_place_fires_where_the_eager_one_did() {
+        // Two actors on one node arm timers for the same instants, so every
+        // fire is a tie broken by the order seq. Actor 0 arms its 50 µs
+        // timer at Start (eager) or only reserves the place there and
+        // queues the timer from its 20 µs one (lazy): same delivery log.
+        type Log = std::rc::Rc<std::cell::RefCell<Vec<(u32, u64, Time)>>>;
+        struct Tied {
+            id: u32,
+            eager: bool,
+            place: Option<Place>,
+            log: Log,
+        }
+        impl NetActor for Tied {
+            fn node(&self) -> NodeId {
+                NodeId(0)
+            }
+            fn handle(&mut self, now: Time, ev: ActorEvent, ctx: &mut ActorCtx<'_>) {
+                let at = |n| Time::ZERO + Duration::from_micros(n);
+                match ev {
+                    ActorEvent::Start => {
+                        ctx.timer_at(at(50), 10);
+                        if self.id == 0 && self.eager {
+                            ctx.timer_at(at(50), 11);
+                        } else if self.id == 0 {
+                            self.place = Some(ctx.reserve(at(50)));
+                        }
+                        ctx.timer_at(at(20), 12);
+                        ctx.timer_at(at(50), 13);
+                    }
+                    ActorEvent::Timer { tag } => {
+                        self.log.borrow_mut().push((self.id, tag, now));
+                        if tag == 12 && self.id == 0 {
+                            ctx.timer_at(at(50), 14); // a later seq, same instant
+                            if let Some(place) = self.place.take() {
+                                ctx.timer_in(place, 11);
+                            }
+                        }
+                    }
+                    _ => {}
+                }
+            }
+        }
+        let run = |eager: bool| {
+            let net = Network::homogeneous(2, LinkConfig::default(), SimRng::seed_from(9));
+            let mut rt = ActorEngine::new(net);
+            let log = Log::default();
+            for id in 0..2 {
+                rt.add_actor(Box::new(Tied {
+                    id,
+                    eager,
+                    place: None,
+                    log: log.clone(),
+                }));
+            }
+            rt.run(Time::ZERO + Duration::from_millis(1));
+            let fired = log.borrow().clone();
+            fired
+        };
+        let eager = run(true);
+        assert_eq!(eager, run(false));
+        let at_50: Vec<(u32, u64)> = eager
+            .iter()
+            .filter(|(_, _, t)| *t == Time::ZERO + Duration::from_micros(50))
+            .map(|&(id, tag, _)| (id, tag))
+            .collect();
+        assert_eq!(
+            at_50,
+            [(0, 10), (0, 11), (0, 13), (1, 10), (1, 13), (0, 14)],
+            "tag 11 fires in the place taken at Start, not where it was queued"
+        );
     }
 
     /// Two [`Counter`]s pinging each other over a 2-node network, under

@@ -24,16 +24,20 @@
 //! columns above, which they contain — and says so in CHANGES.md; a
 //! refactor of the observation plumbing must leave them where they are.
 //!
-//! Last re-record (PR 21, one pending submission tick per instant in
-//! `ReplicaGroup`): `engine.events` −187 on each cluster row,
-//! `queue_depth_peak` −24 on `cluster48` / `cluster96`, and the
+//! Last re-record (PR 23, one heap key per handler batch and one silence
+//! time-out per agent): `engine.events` / `queue_depth_peak` 23 436 →
+//! 15 938 / 1 965 → 349 on `cluster24`, 92 679 → 60 435 / 8 670 → 677 on
+//! `cluster48`, 385 837 → 252 267 / 44 604 → 1 377 on `cluster96`,
+//! 185 996 → 178 479 / 2 900 → 1 370 on the fabric row, and the
 //! `metrics` / `profile` digests with them (`engine.events`,
-//! `actors.timer_events`, the `actor.timer` kind and interval rows, the
-//! three `("group", "timer")` actor rows — nothing else). The drop is
-//! small here and ÷ 1.9 on the lab's steady workloads for one reason:
-//! the duplicate ticks it removes grew with the *square* of the
-//! responses served, and these rows serve 37 in 30 ms where the lab
-//! serves ~1 200 in 200 ms.
+//! `engine.queue_depth_peak`, `actors.timer_events`; the profile's
+//! `total_events` and the share derived from it, the `actor.timer` kind
+//! row, `events` / `queue_depth_max` / `actor.timer` of the interval
+//! rows, the `("agent", "timer")` actor rows and their folded lines —
+//! nothing else). The events that went are the silence time-outs a later
+//! heartbeat had already voided (one per heartbeat received, before);
+//! the depth fell because it counts heap keys, and a handler's whole
+//! batch — a heartbeat's 95 copies — now rides one.
 
 use hades::prelude::*;
 use hades_telemetry::MetricsSnapshot;
@@ -157,10 +161,10 @@ fn metrics_hash(m: &MetricsSnapshot) -> u64 {
 #[test]
 fn cluster24() {
     let spans = (48, 0xbf96_ca99_59ee_5ae2);
-    let run = assert_cluster_row(24, [23_436, 8_284, 1_965, 1_031], spans);
+    let run = assert_cluster_row(24, [15_938, 8_284, 349, 1_031], spans);
     let metrics = metrics_hash(&run.telemetry().metrics);
     assert_eq!(
-        metrics, 0x850c_f2d7_6ca8_1d03,
+        metrics, 0x0642_6ac1_69dc_069f,
         "metrics: FNV-1a of the snapshot JSONL"
     );
     let profiled = perf_scenario(24, 7, ms(30))
@@ -171,7 +175,7 @@ fn cluster24() {
     let export = profile.to_jsonl() + &profile.to_folded();
     let got = fnv1a(export.as_bytes());
     assert_eq!(
-        got, 0x0e83_2f95_262f_bcd3,
+        got, 0xd084_a1f8_6a78_f0e9,
         "profile: FNV-1a of the JSONL + folded export"
     );
 }
@@ -179,13 +183,13 @@ fn cluster24() {
 #[test]
 fn cluster48() {
     let spans = (48, 0x18c6_4043_4f61_68d5);
-    assert_cluster_row(48, [92_679, 34_972, 8_670, 1_943], spans);
+    assert_cluster_row(48, [60_435, 34_972, 677, 1_943], spans);
 }
 
 #[test]
 fn cluster96() {
     let spans = (48, 0x1844_cd72_f324_9d13);
-    assert_cluster_row(96, [385_837, 143_644, 44_604, 3_767], spans);
+    assert_cluster_row(96, [252_267, 143_644, 1_377, 3_767], spans);
 }
 
 #[test]
@@ -195,11 +199,11 @@ fn fabric_1m() {
         .run()
         .expect("valid fabric spec");
     let response = [3_003, 134_000, 134_000, 134_000];
-    let counts = [185_996, 8_326, 2_900, 46_302];
+    let counts = [178_479, 8_326, 1_370, 46_302];
     assert_row(&run.metrics, counts, "fabric.response_ns", response);
     let metrics = metrics_hash(&run.metrics);
     assert_eq!(
-        metrics, 0x20fc_da9f_2580_425b,
+        metrics, 0xf826_9a04_2381_6f47,
         "metrics: FNV-1a of the snapshot JSONL"
     );
 }

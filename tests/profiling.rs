@@ -271,6 +271,35 @@ fn registry_and_profile_agree_on_every_shared_quantity() {
     }
 }
 
+/// The failure detector keeps one silence time-out queued per agent, not
+/// one per heartbeat received: on a fault-free run an agent's only timers
+/// are its heartbeat tick and that time-out, which fires at most once per
+/// detection window `T₀ > H` — so at most two fire per period.
+#[test]
+fn steady_state_agent_fires_at_most_two_silence_timeouts_per_heartbeat_period() {
+    let (nodes, horizon) = (12, ms(40));
+    let run = ClusterSpec::new(nodes)
+        .seed(5)
+        .horizon(horizon)
+        .profile(Profiler::enabled())
+        .run()
+        .expect("valid spec");
+    let periods = horizon.as_nanos() / MiddlewareConfig::default().heartbeat_period.as_nanos();
+    let profile = run.profile().expect("profiler attached");
+    let agent_timers =
+        |a: &&hades_telemetry::ActorProfile| a.label == "agent" && a.class == "timer";
+    let rows: Vec<_> = profile.actors.iter().filter(agent_timers).collect();
+    assert_eq!(rows.len(), nodes as usize);
+    for row in rows {
+        let timeouts = row.events - periods; // one heartbeat tick per period
+        assert!(
+            (1..=2 * periods).contains(&timeouts),
+            "node {}: {timeouts} silence time-outs in {periods} periods",
+            row.node
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
