@@ -1,11 +1,11 @@
 //! Experiment driver: regenerates every figure/table-shaped result of the
-//! paper (`--list` prints the index, `bench::run_experiment` holds it).
+//! paper (`--list` prints the index, `bench::ALL_EXPERIMENTS` holds it).
 //!
 //! Usage:
 //! ```text
 //! experiments            # run everything
 //! experiments <name>...  # run selected experiments
-//! experiments --list     # list experiment names
+//! experiments --list     # list experiment names and what each reproduces
 //! ```
 
 use bench::{run_experiment, ALL_EXPERIMENTS};
@@ -13,13 +13,13 @@ use bench::{run_experiment, ALL_EXPERIMENTS};
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--list") {
-        for name in ALL_EXPERIMENTS {
-            println!("{name}");
+        for (name, reproduces, _) in ALL_EXPERIMENTS {
+            println!("{name:<17}{reproduces}");
         }
         return;
     }
     let selected: Vec<&str> = if args.is_empty() {
-        ALL_EXPERIMENTS.to_vec()
+        ALL_EXPERIMENTS.iter().map(|entry| entry.0).collect()
     } else {
         args.iter().map(String::as_str).collect()
     };

@@ -249,9 +249,9 @@ pub fn groups_scenario(seed: u64, horizon: Duration, delta_multicast_vc: bool) -
     spec
 }
 
-/// The replication-group experiment: per-style outcome of the same
-/// client request stream across a leader crash + restart, and the
-/// view-change transport comparison.
+/// E10 / \[Pol96\], the replication-group experiment: per-style outcome
+/// of the same client request stream across a leader crash + restart, and
+/// the view-change transport comparison.
 pub fn cluster_groups() -> String {
     let mut out = String::new();
     let _ = writeln!(

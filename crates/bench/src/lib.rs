@@ -1,6 +1,6 @@
 //! Experiment harness regenerating every figure- and table-shaped result
-//! of the paper; [`run_experiment`] is the index (E1–E14 plus the cluster
-//! experiments), and `experiments --list` prints it.
+//! of the paper; [`ALL_EXPERIMENTS`] is the index (E1–E14, their
+//! extensions and the cluster tables), and `experiments --list` prints it.
 //!
 //! Each experiment is a pure function returning a printable report, so the
 //! `experiments` binary and this crate's tests draw from the same code.
@@ -13,60 +13,51 @@ pub mod policies;
 pub mod services;
 pub mod sweep;
 
-/// Runs the experiment with the given name; `None` if unknown.
-pub fn run_experiment(name: &str) -> Option<String> {
-    Some(match name {
-        "fig1" => figures::fig1_architecture(),
-        "fig2" => figures::fig2_edf_cooperation(),
-        "fig3" => figures::fig3_spuri_translation(),
-        "costs" => costs::dispatcher_cost_table(),
-        "kernel" => costs::kernel_activity_table(),
-        "feasibility" => sweep::feasibility_acceptance_sweep(),
-        "validation" => sweep::validation_miss_rates(),
-        "clocksync" => services::clocksync_precision(),
-        "broadcast" => services::broadcast_latency(),
-        "replication" => services::replication_comparison(),
-        "srp_pcp" => policies::srp_vs_pcp(),
-        "rm_vs_edf" => policies::rm_vs_edf_schedulability(),
-        "spring" => policies::spring_success_ratio(),
-        "monitoring" => figures::monitoring_coverage(),
-        "ablation" => extensions::cost_ablation(),
-        "overload" => extensions::spring_overload(),
-        "modes" => extensions::mode_change_table(),
-        "latency" => extensions::latency_distribution(),
-        "cluster" => cluster::cluster_failover(),
-        "cluster_scaling" => cluster::cluster_scaling(),
-        "cluster_recovery" => cluster::cluster_recovery(),
-        "cluster_groups" => cluster::cluster_groups(),
-        _ => return None,
-    })
-}
+/// One row of the index: the name `experiments` takes, what it reproduces
+/// (a paper experiment `E1`–`E14`, an `extension` of one, or a `cluster`
+/// table) and the function that runs it.
+type Entry = (&'static str, &'static str, fn() -> String);
 
-/// All experiment names, in presentation order.
-pub const ALL_EXPERIMENTS: &[&str] = &[
-    "fig1",
-    "fig2",
-    "fig3",
-    "costs",
-    "kernel",
-    "feasibility",
-    "validation",
-    "clocksync",
-    "broadcast",
-    "replication",
-    "srp_pcp",
-    "rm_vs_edf",
-    "spring",
-    "monitoring",
-    "ablation",
-    "overload",
-    "modes",
-    "latency",
-    "cluster",
-    "cluster_scaling",
-    "cluster_recovery",
-    "cluster_groups",
+/// The experiment index, in presentation order.
+pub const ALL_EXPERIMENTS: &[Entry] = &[
+    ("fig1", "E1", figures::fig1_architecture),
+    ("fig2", "E2", figures::fig2_edf_cooperation),
+    ("fig3", "E3", figures::fig3_spuri_translation),
+    ("costs", "E4", costs::dispatcher_cost_table),
+    ("kernel", "E5", costs::kernel_activity_table),
+    ("feasibility", "E6", sweep::feasibility_acceptance_sweep),
+    ("validation", "E7", sweep::validation_miss_rates),
+    ("clocksync", "E8", services::clocksync_precision),
+    ("broadcast", "E9", services::broadcast_latency),
+    (
+        "replication",
+        "E10 (in-cluster, = cluster_groups)",
+        cluster::cluster_groups,
+    ),
+    ("srp_pcp", "E11", policies::srp_vs_pcp),
+    ("rm_vs_edf", "E12", policies::rm_vs_edf_schedulability),
+    ("spring", "E13", policies::spring_success_ratio),
+    ("monitoring", "E14", figures::monitoring_coverage),
+    ("ablation", "extension", extensions::cost_ablation),
+    ("overload", "extension", extensions::spring_overload),
+    ("modes", "extension", extensions::mode_change_table),
+    ("latency", "extension", extensions::latency_distribution),
+    ("cluster", "cluster", cluster::cluster_failover),
+    ("cluster_scaling", "cluster", cluster::cluster_scaling),
+    ("cluster_recovery", "cluster", cluster::cluster_recovery),
 ];
+
+/// Runs the experiment with the given name; `None` if unknown.
+/// `cluster_groups` is E10's in-cluster name and runs `replication`.
+pub fn run_experiment(name: &str) -> Option<String> {
+    let name = if name == "cluster_groups" {
+        "replication"
+    } else {
+        name
+    };
+    let entry = ALL_EXPERIMENTS.iter().find(|entry| entry.0 == name)?;
+    Some(entry.2())
+}
 
 #[cfg(test)]
 mod tests {
@@ -74,7 +65,7 @@ mod tests {
 
     #[test]
     fn every_listed_experiment_runs_and_produces_output() {
-        for name in ALL_EXPERIMENTS {
+        for (name, ..) in ALL_EXPERIMENTS {
             let out = run_experiment(name).unwrap_or_else(|| panic!("{name} missing"));
             assert!(out.len() > 40, "{name} produced almost no output");
         }
@@ -83,5 +74,14 @@ mod tests {
     #[test]
     fn unknown_experiment_is_none() {
         assert!(run_experiment("nope").is_none());
+    }
+
+    #[test]
+    fn cluster_groups_is_replication_and_listed_once() {
+        assert_eq!(
+            run_experiment("cluster_groups"),
+            run_experiment("replication")
+        );
+        assert!(ALL_EXPERIMENTS.iter().all(|e| e.0 != "cluster_groups"));
     }
 }

@@ -1,17 +1,14 @@
-//! E8–E10: service experiments — clock sync precision, broadcast latency,
-//! replication style comparison.
+//! E8/E9: service experiments — clock sync precision, broadcast latency.
+//! (E10, the replication style comparison, runs in the cluster:
+//! `crate::cluster::cluster_groups`.)
 
-use hades_services::{BroadcastSim, ClockSyncConfig, ClockSyncRun, ReplicaStyle, ReplicationSim};
-use hades_sim::{FaultPlan, LinkConfig, Network, NodeId, SimRng};
+use hades_services::{BroadcastSim, ClockSyncConfig, ClockSyncRun};
+use hades_sim::{LinkConfig, Network, NodeId, SimRng};
 use hades_time::{Duration, Time};
 use std::fmt::Write;
 
 fn us(n: u64) -> Duration {
     Duration::from_micros(n)
-}
-
-fn ms(n: u64) -> Duration {
-    Duration::from_millis(n)
 }
 
 /// E8: clock-sync precision vs drift, with and without a Byzantine clock.
@@ -101,49 +98,6 @@ pub fn broadcast_latency() -> String {
         "\nexpected shape: with a retry budget matched to the loss rate the\n\
          broadcast completes everywhere within its (f+1)-hop bound; message\n\
          cost grows with the retry budget."
-    );
-    out
-}
-
-/// E10: failover latency and overhead across replication styles.
-pub fn replication_comparison() -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "E10 / [Pol96] — replication style comparison");
-    let _ = writeln!(out, "============================================");
-    let _ = writeln!(
-        out,
-        "{:<12} {:>8} {:>9} {:>12} {:>8} {:>10}",
-        "style", "served", "delayed", "failover", "work", "messages"
-    );
-    let styles = [
-        ReplicaStyle::Active,
-        ReplicaStyle::SemiActive,
-        ReplicaStyle::Passive {
-            checkpoint_every: 4,
-        },
-    ];
-    for style in styles {
-        let plan = FaultPlan::new().crash_at(NodeId(0), Time::ZERO + ms(10));
-        let net =
-            Network::homogeneous(3, LinkConfig::reliable(us(5), us(20)), SimRng::seed_from(1))
-                .with_fault_plan(plan);
-        let outc = ReplicationSim::new(style, 30, ms(1)).execute(net);
-        let _ = writeln!(
-            out,
-            "{:<12} {:>8} {:>9} {:>12} {:>8} {:>10}",
-            outc.style_name,
-            outc.served,
-            outc.delayed_by_failover,
-            outc.failover_latency.to_string(),
-            outc.execution_work,
-            outc.messages
-        );
-    }
-    let _ = writeln!(
-        out,
-        "\nexpected shape: active masks the crash (zero failover) at ~n× work;\n\
-         semi-active pays one detection latency; passive pays detection +\n\
-         replay with the lowest healthy-path overhead."
     );
     out
 }

@@ -9,8 +9,8 @@
 //! demand is charged by the dispatcher in virtual time *and* appears in
 //! the Section 5 analyses exactly like application load.
 
-use hades_services::{RecoveryConfig, ReplicaStyle};
-use hades_sim::LinkConfig;
+use hades_services::{AgentConfig, RecoveryConfig, ReplicaStyle};
+use hades_sim::{LinkConfig, NodeId};
 use hades_task::prelude::*;
 use hades_time::{Duration, SyncRound, Time};
 
@@ -140,6 +140,27 @@ impl MiddlewareConfig {
         SyncRound::new(eps, self.drift_ppb, self.sync_period)
             .steady_state_precision()
             .max(self.clock_precision_floor)
+    }
+
+    /// The Δ of the replicated services' atomic multicast over `link`:
+    /// `δmax + γ`.
+    pub fn group_delta(&self, link: &LinkConfig) -> Duration {
+        link.delay_max + self.clock_precision(link)
+    }
+
+    /// The agent configuration installed on `node` of a `nodes`-node
+    /// cluster whose links are `link`.
+    pub fn agent_config(&self, node: NodeId, nodes: u32, link: &LinkConfig) -> AgentConfig {
+        AgentConfig {
+            node,
+            nodes,
+            heartbeat_period: self.heartbeat_period,
+            clock_precision: self.clock_precision(link),
+            f: self.f,
+            recovery: self.recovery,
+            vc_delta_multicast: self.delta_multicast_vc,
+            vc_attempts: self.vc_attempts,
+        }
     }
 
     /// Builds the three middleware tasks of `node`, with reserved task ids

@@ -61,7 +61,7 @@ use hades_dispatch::{CostModel, DispatchSim, SimConfig};
 use hades_sched::analysis::rta::{rta_feasible, RtaTask};
 use hades_sched::{edf_feasible, EdfAnalysisConfig, EdfPolicy, ModeChange, Policy};
 use hades_services::actors::{
-    agent_is_heartbeat, agent_msg_name, AgentConfig, AgentLog, NodeAgent, AGENT_LABEL,
+    agent_is_heartbeat, agent_msg_name, AgentLog, NodeAgent, AGENT_LABEL,
 };
 use hades_services::group::{
     group_msg_name, GroupConfig, GroupLog, ReplicaGroup, RequestSource, GROUP_LABEL,
@@ -670,34 +670,22 @@ impl ClusterSpec {
     /// The Δ of the replicated services' atomic multicast: `δmax + γ`
     /// for this spec's link model and synchronized-clock precision.
     pub fn group_delta(&self) -> Duration {
-        self.link.delay_max + self.middleware.clock_precision(&self.link)
+        self.middleware.group_delta(&self.link)
     }
 
     /// The detection bound `H + T₀ = 2H + δmax + γ` this deployment's
     /// detector guarantees.
     pub fn detection_bound(&self) -> Duration {
-        self.agent_config(NodeId(0))
+        self.middleware
+            .agent_config(NodeId(0), self.nodes, &self.link)
             .detection_bound(self.link.delay_max)
     }
 
     /// The analytic worst-case rejoin latency (restart → re-admission).
     pub fn rejoin_bound(&self) -> Duration {
-        self.agent_config(NodeId(0))
+        self.middleware
+            .agent_config(NodeId(0), self.nodes, &self.link)
             .rejoin_bound(self.link.delay_max)
-    }
-
-    /// The agent configuration installed on `node`.
-    fn agent_config(&self, node: NodeId) -> AgentConfig {
-        AgentConfig {
-            node,
-            nodes: self.nodes,
-            heartbeat_period: self.middleware.heartbeat_period,
-            clock_precision: self.middleware.clock_precision(&self.link),
-            f: self.middleware.f,
-            recovery: self.middleware.recovery,
-            vc_delta_multicast: self.middleware.delta_multicast_vc,
-            vc_attempts: self.middleware.vc_attempts,
-        }
     }
 
     /// Validates the whole spec, collecting every finding.
@@ -1023,23 +1011,6 @@ struct Lowered {
 }
 
 impl Lowered {
-    fn agent_config(&self, node: NodeId) -> AgentConfig {
-        AgentConfig {
-            node,
-            nodes: self.nodes,
-            heartbeat_period: self.middleware.heartbeat_period,
-            clock_precision: self.middleware.clock_precision(&self.link),
-            f: self.middleware.f,
-            recovery: self.middleware.recovery,
-            vc_delta_multicast: self.middleware.delta_multicast_vc,
-            vc_attempts: self.middleware.vc_attempts,
-        }
-    }
-
-    fn group_delta(&self) -> Duration {
-        self.link.delay_max + self.middleware.clock_precision(&self.link)
-    }
-
     /// Builds and runs the deployment, producing the report + events.
     ///
     /// `drivers` are the registered reactive controllers; the canned
@@ -1052,12 +1023,11 @@ impl Lowered {
         watchdog: Option<Watchdog>,
         span_cap: Option<usize>,
     ) -> Result<ClusterRun, SpecError> {
-        let detection_bound = self
-            .agent_config(NodeId(0))
-            .detection_bound(self.link.delay_max);
-        let rejoin_bound = self
-            .agent_config(NodeId(0))
-            .rejoin_bound(self.link.delay_max);
+        let agent_config = self
+            .middleware
+            .agent_config(NodeId(0), self.nodes, &self.link);
+        let detection_bound = agent_config.detection_bound(self.link.delay_max);
+        let rejoin_bound = agent_config.rejoin_bound(self.link.delay_max);
 
         // ---- assemble the task set: application + mode-change targets +
         // middleware + per-recovery cost tasks ----
@@ -1249,7 +1219,7 @@ impl Lowered {
         // timing model: a healthy group answers within `Δ + δmax`, a
         // healthy rejoin completes within the analytic rejoin bound.
         let watchdog: Option<Rc<RefCell<Watchdog>>> = watchdog.map(|mut dog| {
-            let output_bound = self.group_delta() + self.link.delay_max;
+            let output_bound = self.middleware.group_delta(&self.link) + self.link.delay_max;
             dog.configure(&MonitorParams {
                 output_bound,
                 transfer_stall: rejoin_bound,
@@ -1289,14 +1259,17 @@ impl Lowered {
         // ---- per-node middleware agents on the same engine ----
         let logs: Vec<Rc<RefCell<AgentLog>>> = (0..self.nodes)
             .map(|node| {
-                let (agent, log) = NodeAgent::new(self.agent_config(NodeId(node)));
+                let cfg = self
+                    .middleware
+                    .agent_config(NodeId(node), self.nodes, &self.link);
+                let (agent, log) = NodeAgent::new(cfg);
                 sim.add_actor(Box::new(agent.with_tap(tap.clone())));
                 log
             })
             .collect();
 
         // ---- replication-group members, after the agents ----
-        let delta = self.group_delta();
+        let delta = self.middleware.group_delta(&self.link);
         let mut next_actor = self.nodes;
         let mut group_logs: Vec<Vec<Rc<RefCell<GroupLog>>>> = Vec::new();
         let mut group_peers: Vec<Vec<(u32, ActorId)>> = Vec::new();

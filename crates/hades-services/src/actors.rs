@@ -1,19 +1,18 @@
 //! Engine-driven service actors: the per-node middleware agent.
 //!
-//! The sibling modules ([`crate::detect`], [`crate::membership`],
-//! [`crate::replication`]) are *self-contained* protocol simulations: each
-//! owns its whole timeline and is convenient for studying one service in
-//! isolation. A cluster runtime needs the same protocols as **actors** on
-//! a shared engine, interleaved with the dispatcher and with each other —
-//! the composition the paper deploys on every node.
+//! A cluster runtime needs detection, membership and recovery as
+//! **actors** on a shared engine, interleaved with the dispatcher and with
+//! each other — the composition the paper deploys on every node.
 //!
 //! [`NodeAgent`] is that composition for one node. It runs four layers in
 //! one state machine:
 //!
 //! * **crash detection** — emits heartbeats every `H` to all peers and
-//!   suspects a peer whose silence exceeds `T₀ = H + δmax + γ` (the
-//!   perfect-detector timeout of [`crate::detect`]); detection happens
-//!   within [`crate::DetectorConfig::detection_bound`] of the crash. Every
+//!   suspects a peer whose silence exceeds `T₀ = H + δmax + γ`
+//!   ([`AgentConfig::timeout`]). On a synchronous substrate (bounded
+//!   delay δmax, clocks within γ) that makes the detector *perfect*: a
+//!   silent node is crashed, never merely slow, and detection happens
+//!   within [`AgentConfig::detection_bound`] of the crash. Every
 //!   sign of life *reserves* the peer's next deadline as a
 //!   [`Place`] in the delivery order — the instant and the tie-break a
 //!   timer armed right then would have — and the agent keeps **one**
@@ -70,7 +69,7 @@ use crate::memberset::{MemberSet, MAX_NODES};
 use crate::membership::View;
 use crate::recovery::{RecoveryConfig, RejoinRecord};
 use hades_sim::mux::{ActorCtx, ActorEvent, ActorId, NetActor, Place};
-use hades_sim::NodeId;
+use hades_sim::{ActorEngine, Network, NodeId};
 use hades_telemetry::monitor::{MonitorEvent, ProtocolTap};
 use hades_time::{Duration, Time};
 use std::cell::RefCell;
@@ -433,7 +432,7 @@ struct PendingRejoin {
 /// ```
 /// use hades_services::actors::{AgentConfig, NodeAgent};
 /// use hades_services::recovery::RecoveryConfig;
-/// use hades_sim::{ActorEngine, FaultPlan, LinkConfig, Network, NodeId, SimRng};
+/// use hades_sim::{FaultPlan, LinkConfig, Network, NodeId, SimRng};
 /// use hades_time::{Duration, Time};
 ///
 /// let plan = FaultPlan::new().crash_window(
@@ -446,23 +445,16 @@ struct PendingRejoin {
 ///     LinkConfig::reliable(Duration::from_micros(10), Duration::from_micros(40)),
 ///     SimRng::seed_from(1),
 /// ).with_fault_plan(plan);
-/// let mut rt = ActorEngine::new(net);
-/// let logs: Vec<_> = (0..4)
-///     .map(|n| {
-///         let (agent, log) = NodeAgent::new(AgentConfig {
-///             node: NodeId(n),
-///             nodes: 4,
-///             heartbeat_period: Duration::from_millis(1),
-///             clock_precision: Duration::from_micros(10),
-///             f: 1,
-///             recovery: RecoveryConfig::default(),
-///             vc_delta_multicast: true,
-///             vc_attempts: 1,
-///         });
-///         rt.add_actor(Box::new(agent));
-///         log
-///     })
-///     .collect();
+/// let (mut rt, logs) = NodeAgent::cluster(net, AgentConfig {
+///     node: NodeId(0), // filled in per agent
+///     nodes: 4,
+///     heartbeat_period: Duration::from_millis(1),
+///     clock_precision: Duration::from_micros(10),
+///     f: 1,
+///     recovery: RecoveryConfig::default(),
+///     vc_delta_multicast: true,
+///     vc_attempts: 1,
+/// });
 /// rt.run(Time::ZERO + Duration::from_millis(30));
 /// let joiner = logs[2].borrow();
 /// assert_eq!(joiner.rejoins.len(), 1, "node 2 rejoined");
@@ -619,6 +611,25 @@ impl NodeAgent {
             tap: None,
         };
         (agent, log)
+    }
+
+    /// An [`ActorEngine`] over `net` hosting one agent per node, each
+    /// configured as `cfg` with `node` and `nodes` filled in from the
+    /// network, next to the agents' logs in node order — the standalone
+    /// rig of the service's own tests, examples and experiments. The
+    /// caller runs the engine.
+    pub fn cluster(net: Network, cfg: AgentConfig) -> (ActorEngine, Vec<Rc<RefCell<AgentLog>>>) {
+        let nodes = net.node_count();
+        let mut rt = ActorEngine::new(net);
+        let logs = (0..nodes)
+            .map(|n| {
+                let node = NodeId(n);
+                let (agent, log) = NodeAgent::new(AgentConfig { node, nodes, ..cfg });
+                rt.add_actor(Box::new(agent));
+                log
+            })
+            .collect();
+        (rt, logs)
     }
 
     /// Installs the online observation tap; every externally visible
@@ -1581,7 +1592,7 @@ impl NetActor for NodeAgent {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hades_sim::{ActorEngine, FaultPlan, LinkConfig, Network, SimRng};
+    use hades_sim::{FaultPlan, LinkConfig, SimRng};
 
     fn us(n: u64) -> Duration {
         Duration::from_micros(n)
@@ -1604,28 +1615,25 @@ mod tests {
         }
     }
 
+    /// The test rig's links: δmax = 40 µs, with `omit_permille` omissions.
+    fn net(nodes: u32, omit_permille: u32, plan: FaultPlan, seed: u64) -> Network {
+        let link = LinkConfig::reliable(us(10), us(40)).with_omissions(omit_permille);
+        Network::homogeneous(nodes, link, SimRng::seed_from(seed)).with_fault_plan(plan)
+    }
+
+    fn run(net: Network, cfg: AgentConfig, horizon: Duration) -> Vec<Rc<RefCell<AgentLog>>> {
+        let (mut rt, logs) = NodeAgent::cluster(net, cfg);
+        rt.run(Time::ZERO + horizon);
+        logs
+    }
+
     fn cluster(
         nodes: u32,
         plan: FaultPlan,
         seed: u64,
         horizon: Duration,
     ) -> Vec<Rc<RefCell<AgentLog>>> {
-        let net = Network::homogeneous(
-            nodes,
-            LinkConfig::reliable(us(10), us(40)),
-            SimRng::seed_from(seed),
-        )
-        .with_fault_plan(plan);
-        let mut rt = ActorEngine::new(net);
-        let logs: Vec<_> = (0..nodes)
-            .map(|n| {
-                let (agent, log) = NodeAgent::new(cfg(n, nodes));
-                rt.add_actor(Box::new(agent));
-                log
-            })
-            .collect();
-        rt.run(Time::ZERO + horizon);
-        logs
+        run(net(nodes, 0, plan, seed), cfg(0, nodes), horizon)
     }
 
     #[test]
@@ -1708,6 +1716,55 @@ mod tests {
             vec![(0, vec![0, 1, 2, 3]), (1, vec![0, 1, 2]), (2, vec![0, 2]),]
         );
         assert_eq!(logs[2].borrow().view_members(), reference);
+        // Both crashes are suspected, in order, and no live node ever is.
+        for n in [0usize, 2] {
+            let suspects: Vec<u32> = logs[n].borrow().suspicions.iter().map(|s| s.0).collect();
+            assert_eq!(suspects, vec![3, 1], "node {n}");
+        }
+    }
+
+    #[test]
+    fn peer_dead_from_the_start_is_suspected_at_exactly_the_timeout() {
+        // Never heard from: the deadline set at start-up is the one that
+        // fires, T₀ = H + δmax + γ after time zero.
+        let timeout = cfg(0, 4).timeout(us(40));
+        assert_eq!(timeout, ms(1) + us(40) + us(10));
+        assert_eq!(cfg(0, 4).detection_bound(us(40)), ms(2) + us(50));
+        let plan = FaultPlan::new().crash_at(NodeId(1), Time::ZERO);
+        let logs = cluster(4, plan, 4, ms(5));
+        for n in [0usize, 2, 3] {
+            assert_eq!(
+                logs[n].borrow().suspicions,
+                vec![(1, Time::ZERO + timeout)],
+                "node {n}"
+            );
+        }
+    }
+
+    #[test]
+    fn one_lost_heartbeat_is_masked_only_by_a_timeout_beyond_two_periods() {
+        // The 5 ms heartbeat of node 1 never reaches node 0. The gap it
+        // leaves is 2H: silent with T₀ > 2H, a (false) suspicion with the
+        // default T₀ = 1.05 ms — the omission degree a time-out masks is
+        // a property of the configuration, not of luck.
+        let lost = || {
+            let (from, until) = (Time::ZERO + us(4_900), Time::ZERO + us(5_100));
+            FaultPlan::new().cut_link(NodeId(1), NodeId(0), from, until)
+        };
+        let suspicions = |cfg: AgentConfig| -> Vec<Vec<(u32, Time)>> {
+            let logs = run(net(4, 0, lost(), 6), cfg, ms(20));
+            logs.iter().map(|l| l.borrow().suspicions.clone()).collect()
+        };
+        let tolerant = AgentConfig {
+            clock_precision: ms(2),
+            ..cfg(0, 4)
+        };
+        assert!(tolerant.timeout(us(40)) > ms(2));
+        assert!(suspicions(tolerant).iter().all(Vec::is_empty));
+        let strict = suspicions(cfg(0, 4));
+        assert_eq!(strict[0].len(), 1, "node 0 suspects once: {strict:?}");
+        assert_eq!(strict[0][0].0, 1);
+        assert!(strict[1..].iter().all(Vec::is_empty), "{strict:?}");
     }
 
     #[test]
@@ -1906,36 +1963,18 @@ mod tests {
         // small checkpoint keeps the re-served stream short.
         let mut completed_retries = 0u64;
         for seed in 0..5u64 {
-            let lossy_cfg = |node: u32| AgentConfig {
-                node: NodeId(node),
-                nodes: 4,
-                heartbeat_period: ms(1),
+            let lossy_cfg = AgentConfig {
                 clock_precision: us(3_500),
-                f: 1,
                 recovery: RecoveryConfig {
                     checkpoint_bytes: 2_000,
                     ..RecoveryConfig::default()
                 },
                 vc_delta_multicast: false,
-                vc_attempts: 1,
+                ..cfg(0, 4)
             };
             let plan =
                 FaultPlan::new().crash_window(NodeId(2), Time::ZERO + ms(8), Time::ZERO + ms(20));
-            let net = Network::homogeneous(
-                4,
-                LinkConfig::reliable(us(10), us(40)).with_omissions(100),
-                SimRng::seed_from(900 + seed),
-            )
-            .with_fault_plan(plan);
-            let mut rt = ActorEngine::new(net);
-            let logs: Vec<_> = (0..4)
-                .map(|n| {
-                    let (agent, log) = NodeAgent::new(lossy_cfg(n));
-                    rt.add_actor(Box::new(agent));
-                    log
-                })
-                .collect();
-            rt.run(Time::ZERO + ms(80));
+            let logs = run(net(4, 100, plan, 900 + seed), lossy_cfg, ms(80));
             let joiner = logs[2].borrow();
             assert!(
                 !joiner.rejoins.is_empty(),
@@ -1958,33 +1997,14 @@ mod tests {
         // without re-serving the whole stream from scratch.
         let mut resent_total = 0u64;
         for seed in 0..5u64 {
-            let lossy_cfg = |node: u32| AgentConfig {
-                node: NodeId(node),
-                nodes: 4,
-                heartbeat_period: ms(1),
+            let lossy_cfg = AgentConfig {
                 clock_precision: us(3_500),
-                f: 1,
-                recovery: RecoveryConfig::default(),
                 vc_delta_multicast: false,
-                vc_attempts: 1,
+                ..cfg(0, 4)
             };
             let plan =
                 FaultPlan::new().crash_window(NodeId(2), Time::ZERO + ms(8), Time::ZERO + ms(20));
-            let net = Network::homogeneous(
-                4,
-                LinkConfig::reliable(us(10), us(40)).with_omissions(100),
-                SimRng::seed_from(2_400 + seed),
-            )
-            .with_fault_plan(plan);
-            let mut rt = ActorEngine::new(net);
-            let logs: Vec<_> = (0..4)
-                .map(|n| {
-                    let (agent, log) = NodeAgent::new(lossy_cfg(n));
-                    rt.add_actor(Box::new(agent));
-                    log
-                })
-                .collect();
-            rt.run(Time::ZERO + ms(80));
+            let logs = run(net(4, 100, plan, 2_400 + seed), lossy_cfg, ms(80));
             let joiner = logs[2].borrow();
             assert!(
                 !joiner.rejoins.is_empty(),
@@ -2010,37 +2030,23 @@ mod tests {
         // interval rejoins on the log tail alone: the joiner's durable
         // cursor (advanced by its own heartbeat ticks before the crash)
         // already covers the snapshot the server would ship.
-        let run = |delta_on: bool| {
-            let mk_cfg = |node: u32| AgentConfig {
+        let rejoin = |delta_on: bool| {
+            let delta_cfg = AgentConfig {
                 recovery: RecoveryConfig {
                     delta_transfers: delta_on,
                     ..RecoveryConfig::default()
                 },
-                ..cfg(node, 4)
+                ..cfg(0, 4)
             };
             let plan =
                 FaultPlan::new().crash_window(NodeId(2), Time::ZERO + ms(22), Time::ZERO + ms(24));
-            let net = Network::homogeneous(
-                4,
-                LinkConfig::reliable(us(10), us(40)),
-                SimRng::seed_from(41),
-            )
-            .with_fault_plan(plan);
-            let mut rt = ActorEngine::new(net);
-            let logs: Vec<_> = (0..4)
-                .map(|n| {
-                    let (agent, log) = NodeAgent::new(mk_cfg(n));
-                    rt.add_actor(Box::new(agent));
-                    log
-                })
-                .collect();
-            rt.run(Time::ZERO + ms(50));
+            let logs = run(net(4, 0, plan, 41), delta_cfg, ms(50));
             let joiner = logs[2].borrow();
             assert_eq!(joiner.rejoins.len(), 1, "delta_on={delta_on}");
             joiner.rejoins[0]
         };
-        let delta = run(true);
-        let full = run(false);
+        let delta = rejoin(true);
+        let full = rejoin(false);
         assert!(delta.delta, "the short outage took the delta path");
         assert!(!full.delta, "the flag off forces a full transfer");
         assert!(
@@ -2061,30 +2067,16 @@ mod tests {
         // An outage crossing a checkpoint boundary leaves the joiner's
         // durable cursor behind the server's retention window: the delta
         // flag alone must not shrink that transfer.
-        let mk_cfg = |node: u32| AgentConfig {
+        let delta_cfg = AgentConfig {
             recovery: RecoveryConfig {
                 delta_transfers: true,
                 ..RecoveryConfig::default()
             },
-            ..cfg(node, 4)
+            ..cfg(0, 4)
         };
         let plan =
             FaultPlan::new().crash_window(NodeId(2), Time::ZERO + ms(15), Time::ZERO + ms(45));
-        let net = Network::homogeneous(
-            4,
-            LinkConfig::reliable(us(10), us(40)),
-            SimRng::seed_from(43),
-        )
-        .with_fault_plan(plan);
-        let mut rt = ActorEngine::new(net);
-        let logs: Vec<_> = (0..4)
-            .map(|n| {
-                let (agent, log) = NodeAgent::new(mk_cfg(n));
-                rt.add_actor(Box::new(agent));
-                log
-            })
-            .collect();
-        rt.run(Time::ZERO + ms(70));
+        let logs = run(net(4, 0, plan, 43), delta_cfg, ms(70));
         let joiner = logs[2].borrow();
         assert_eq!(joiner.rejoins.len(), 1);
         let r = joiner.rejoins[0];
@@ -2102,32 +2094,13 @@ mod tests {
         // same exclusion view; this is the transport-level analogue of
         // the `ReplicaGroup` per-copy retry pattern.
         for seed in 0..5u64 {
-            let lossy_cfg = |node: u32| AgentConfig {
-                node: NodeId(node),
-                nodes: 5,
-                heartbeat_period: ms(1),
+            let lossy_cfg = AgentConfig {
                 clock_precision: us(3_500),
-                f: 1,
-                recovery: RecoveryConfig::default(),
-                vc_delta_multicast: true,
                 vc_attempts: 4,
+                ..cfg(0, 5)
             };
             let plan = FaultPlan::new().crash_at(NodeId(2), Time::ZERO + ms(6));
-            let net = Network::homogeneous(
-                5,
-                LinkConfig::reliable(us(10), us(40)).with_omissions(100),
-                SimRng::seed_from(1_700 + seed),
-            )
-            .with_fault_plan(plan);
-            let mut rt = ActorEngine::new(net);
-            let logs: Vec<_> = (0..5)
-                .map(|n| {
-                    let (agent, log) = NodeAgent::new(lossy_cfg(n));
-                    rt.add_actor(Box::new(agent));
-                    log
-                })
-                .collect();
-            rt.run(Time::ZERO + ms(40));
+            let logs = run(net(5, 100, plan, 1_700 + seed), lossy_cfg, ms(40));
             let reference = logs[0].borrow().view_members();
             assert_eq!(
                 reference.last().map(|(_, m)| m.clone()),

@@ -1,116 +1,24 @@
 //! Time-bounded reliable communication (the "Rel. Bcast" / "Rel. Mcast"
 //! boxes of Figure 1).
 //!
-//! Three primitives, each with an explicit worst-case delivery bound so the
+//! Two primitives, each with an explicit worst-case delivery bound so the
 //! feasibility test can account for communication:
 //!
-//! * [`ReliableP2p`] — point-to-point with positive acknowledgement and
-//!   bounded retransmission: masks up to `retries` omission failures;
-//!   worst-case delivery `retries · (2δmax)` after which the omission is
-//!   *detected* (fail-aware, never silent).
 //! * [`BroadcastSim`] — reliable broadcast by message diffusion: every
 //!   correct receiver relays the first copy it sees, so delivery tolerates
 //!   `f` crashed nodes with bound `(f + 1) · δmax`.
-//! * [`DeltaMulticast`] — Δ-protocol atomic multicast on synchronized
-//!   clocks: messages carry a sender timestamp and are delivered at
-//!   `ts + Δ` in timestamp order, giving total order across the group.
+//! * [`DeltaInbox`] — the receive side of Δ-protocol atomic multicast on
+//!   synchronized clocks: messages carry a sender timestamp and are
+//!   delivered at `ts + Δ` in timestamp order, giving total order across
+//!   the group when `Δ ≥ δmax + γ`.
+//!
+//! Point-to-point retransmission is not a primitive of its own: every
+//! actor sends through `hades_sim::mux::ActorCtx::send`, and the per-copy
+//! attempt budget of `ActorCtx::fanout` is what masks omissions.
 
 use hades_sim::{Delivery, Engine, Network, NodeId, Scheduler, Simulation};
 use hades_time::{Duration, Time};
 use std::collections::{BTreeMap, BTreeSet, HashSet};
-
-// ---------------------------------------------------------------------
-// Reliable point-to-point
-// ---------------------------------------------------------------------
-
-/// Configuration of the acknowledged point-to-point primitive.
-#[derive(Debug, Clone, Copy)]
-pub struct P2pConfig {
-    /// Maximum number of transmissions (1 = no retry).
-    pub max_attempts: u32,
-    /// Retransmission timeout; must be at least the round-trip bound
-    /// `2δmax` to avoid spurious retries.
-    pub timeout: Duration,
-}
-
-impl P2pConfig {
-    /// A configuration derived from the network's worst-case delay:
-    /// timeout `2δmax + 1 µs`, with the given attempt budget.
-    pub fn for_network(net: &Network, max_attempts: u32) -> Self {
-        P2pConfig {
-            max_attempts,
-            timeout: net.max_delay().saturating_mul(2) + Duration::from_micros(1),
-        }
-    }
-
-    /// Worst-case time until delivery-or-detection: all attempts time out.
-    pub fn detection_bound(&self) -> Duration {
-        self.timeout.saturating_mul(self.max_attempts as u64)
-    }
-}
-
-/// Outcome of one reliable send.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum P2pOutcome {
-    /// Delivered (and acknowledged) at the given time, on the given
-    /// attempt (1-based).
-    Delivered {
-        /// When the receiver got the message.
-        delivered_at: Time,
-        /// Which attempt succeeded.
-        attempt: u32,
-    },
-    /// All attempts exhausted: omission *detected* at the given time.
-    Failed {
-        /// When the sender gave up.
-        detected_at: Time,
-    },
-}
-
-impl P2pOutcome {
-    /// Whether the message arrived.
-    pub fn is_delivered(&self) -> bool {
-        matches!(self, P2pOutcome::Delivered { .. })
-    }
-}
-
-/// The acknowledged, retransmitting point-to-point primitive.
-#[derive(Debug)]
-pub struct ReliableP2p {
-    cfg: P2pConfig,
-}
-
-impl ReliableP2p {
-    /// Creates the primitive.
-    pub fn new(cfg: P2pConfig) -> Self {
-        ReliableP2p { cfg }
-    }
-
-    /// Sends one message `from → to` at `now`, driving retransmissions
-    /// until delivery or attempt exhaustion. Mutates the network's RNG
-    /// state (each attempt samples the link).
-    pub fn send(&self, net: &mut Network, from: NodeId, to: NodeId, now: Time) -> P2pOutcome {
-        let mut t = now;
-        for attempt in 1..=self.cfg.max_attempts {
-            match net.transit(from, to, t) {
-                Delivery::At(arrival) => {
-                    // The ack may be lost too, triggering a duplicate
-                    // transmission, but the *data* is delivered; duplicate
-                    // suppression is by sequence number. Delivery time is
-                    // what the bound promises.
-                    return P2pOutcome::Delivered {
-                        delivered_at: arrival,
-                        attempt,
-                    };
-                }
-                Delivery::Omitted => {
-                    t += self.cfg.timeout;
-                }
-            }
-        }
-        P2pOutcome::Failed { detected_at: t }
-    }
-}
 
 // ---------------------------------------------------------------------
 // Reliable broadcast by diffusion
@@ -270,66 +178,15 @@ impl BroadcastSim {
 // Δ-protocol atomic multicast
 // ---------------------------------------------------------------------
 
-/// Atomic multicast on synchronized clocks: a message stamped `ts` is
-/// delivered at `ts + Δ` in `(ts, sender)` order. If the network can hold
-/// its delay bound and clocks their precision, `Δ ≥ δmax + γ` guarantees
-/// every correct receiver delivers every message, in the same total order.
-#[derive(Debug)]
-pub struct DeltaMulticast {
-    /// The delivery delay Δ.
-    pub delta: Duration,
-}
-
-impl DeltaMulticast {
-    /// Creates the protocol with `Δ = δmax + precision`.
-    pub fn for_network(net: &Network, precision: Duration) -> Self {
-        DeltaMulticast {
-            delta: net.max_delay() + precision,
-        }
-    }
-
-    /// Computes each receiver's delivery sequence for a set of multicasts
-    /// `(sender, timestamp)`. A message reaches a receiver only if its
-    /// transit arrives by `ts + Δ`; late arrivals are discarded (and would
-    /// be flagged by the sender's ack protocol). Returns per-receiver
-    /// ordered lists of `(timestamp, sender)`.
-    pub fn deliver_all(
-        &self,
-        net: &mut Network,
-        sends: &[(NodeId, Time)],
-    ) -> BTreeMap<u32, Vec<(Time, u32)>> {
-        let mut out: BTreeMap<u32, Vec<(Time, u32)>> = BTreeMap::new();
-        let nodes: Vec<NodeId> = net.nodes().collect();
-        for receiver in &nodes {
-            let mut inbox: Vec<(Time, u32)> = Vec::new();
-            for (sender, ts) in sends {
-                if sender == receiver {
-                    inbox.push((*ts, sender.0)); // local copy always on time
-                    continue;
-                }
-                if let Delivery::At(arrival) = net.transit(*sender, *receiver, *ts) {
-                    if arrival <= *ts + self.delta {
-                        inbox.push((*ts, sender.0));
-                    }
-                }
-            }
-            // Deliver in (timestamp, sender) order at ts + Δ.
-            inbox.sort();
-            out.insert(receiver.0, inbox);
-        }
-        out
-    }
-}
-
-/// Actor-side Δ-protocol delivery buffer: the engine-driven face of
-/// [`DeltaMulticast`].
+/// Δ-protocol delivery buffer: atomic multicast on synchronized clocks.
 ///
 /// A [`crate::group::ReplicaGroup`] (or any other actor) feeds every
 /// received multicast copy into the inbox with its sender timestamp; the
 /// inbox discards late copies (arrival past `ts + Δ`), suppresses
 /// duplicates by message id, and releases messages at `ts + Δ` in
-/// `(ts, sender, id)` order — the total order the Δ-protocol guarantees
-/// across receivers with synchronized clocks.
+/// `(ts, sender, id)` order. If the network holds its delay bound and
+/// clocks their precision, `Δ ≥ δmax + γ` guarantees every correct
+/// receiver delivers every message, in that same total order.
 ///
 /// # Examples
 ///
@@ -455,59 +312,6 @@ mod tests {
         )
     }
 
-    fn lossy_net(n: u32, permille: u32, seed: u64) -> Network {
-        Network::homogeneous(
-            n,
-            LinkConfig::reliable(us(5), us(20)).with_omissions(permille),
-            SimRng::seed_from(seed),
-        )
-    }
-
-    #[test]
-    fn p2p_delivers_first_attempt_on_healthy_link() {
-        let mut net = reliable_net(2, 1);
-        let p2p = ReliableP2p::new(P2pConfig::for_network(&net, 3));
-        match p2p.send(&mut net, NodeId(0), NodeId(1), Time::ZERO) {
-            P2pOutcome::Delivered {
-                attempt,
-                delivered_at,
-            } => {
-                assert_eq!(attempt, 1);
-                assert!(delivered_at <= Time::ZERO + us(20));
-            }
-            P2pOutcome::Failed { .. } => panic!("healthy link failed"),
-        }
-    }
-
-    #[test]
-    fn p2p_retries_mask_omissions() {
-        // 50% loss: with 8 attempts delivery is near-certain.
-        let mut net = lossy_net(2, 500, 3);
-        let p2p = ReliableP2p::new(P2pConfig::for_network(&net, 8));
-        let mut delivered = 0;
-        for i in 0..100 {
-            let t = Time::ZERO + us(1000 * i);
-            if p2p.send(&mut net, NodeId(0), NodeId(1), t).is_delivered() {
-                delivered += 1;
-            }
-        }
-        assert!(delivered >= 98, "only {delivered}/100 delivered");
-    }
-
-    #[test]
-    fn p2p_detects_permanent_omission_within_bound() {
-        let plan = FaultPlan::new().cut_link(NodeId(0), NodeId(1), Time::ZERO, Time::MAX);
-        let mut net = reliable_net(2, 1).with_fault_plan(plan);
-        let cfg = P2pConfig::for_network(&net, 4);
-        let p2p = ReliableP2p::new(cfg);
-        match p2p.send(&mut net, NodeId(0), NodeId(1), Time::ZERO) {
-            P2pOutcome::Failed { detected_at } => {
-                assert_eq!(detected_at, Time::ZERO + cfg.detection_bound());
-            }
-            P2pOutcome::Delivered { .. } => panic!("cut link delivered"),
-        }
-    }
-
     #[test]
     fn broadcast_reaches_all_on_healthy_network() {
         let out = BroadcastSim::new(reliable_net(5, 2), 1).broadcast(NodeId(0), Time::ZERO);
@@ -559,37 +363,6 @@ mod tests {
     }
 
     #[test]
-    fn delta_multicast_total_order_across_receivers() {
-        let mut net = reliable_net(4, 7);
-        let dm = DeltaMulticast::for_network(&net, us(2));
-        let sends = vec![
-            (NodeId(0), Time::ZERO + us(10)),
-            (NodeId(1), Time::ZERO + us(5)),
-            (NodeId(2), Time::ZERO + us(10)), // same ts as node 0: sender order
-        ];
-        let deliveries = dm.deliver_all(&mut net, &sends);
-        let reference = deliveries.get(&0).unwrap().clone();
-        assert_eq!(
-            reference,
-            vec![
-                (Time::ZERO + us(5), 1),
-                (Time::ZERO + us(10), 0),
-                (Time::ZERO + us(10), 2),
-            ]
-        );
-        for (node, seq) in &deliveries {
-            assert_eq!(seq, &reference, "receiver {node} diverged");
-        }
-    }
-
-    #[test]
-    fn delta_bound_uses_network_delay() {
-        let net = reliable_net(3, 8);
-        let dm = DeltaMulticast::for_network(&net, us(3));
-        assert_eq!(dm.delta, us(23));
-    }
-
-    #[test]
     fn delta_inbox_orders_by_timestamp_then_sender() {
         let mut inbox = DeltaInbox::new(us(50));
         let t = |n| Time::ZERO + us(n);
@@ -601,6 +374,40 @@ mod tests {
             inbox.due(t(60)),
             vec![(0, t(5), 2), (1, t(10), 1), (2, t(10), 3)],
             "(ts, sender) order, all due by 60"
+        );
+    }
+
+    #[test]
+    fn delta_inboxes_release_the_same_order_whatever_the_arrival_order() {
+        // Five stamped messages — two share a timestamp, so the sender
+        // breaks the tie — reach two receivers in different orders.
+        let t = |n| Time::ZERO + us(n);
+        let msgs = [
+            (10u64, t(10), 0u32),
+            (11, t(5), 1),
+            (12, t(10), 2),
+            (13, t(7), 3),
+            (14, t(12), 1),
+        ];
+        let release = |arrival: [usize; 5]| {
+            let mut inbox = DeltaInbox::new(us(22));
+            for (k, i) in arrival.into_iter().enumerate() {
+                let (id, ts, sender) = msgs[i];
+                assert!(inbox.accept(id, ts, sender, t(13 + k as u64)).is_some());
+            }
+            inbox.due(t(34))
+        };
+        let first = release([0, 1, 2, 3, 4]);
+        assert_eq!(first, release([4, 2, 3, 0, 1]));
+        assert_eq!(
+            first,
+            vec![
+                (11, t(5), 1),
+                (13, t(7), 3),
+                (10, t(10), 0),
+                (12, t(10), 2),
+                (14, t(12), 1),
+            ]
         );
     }
 

@@ -1,14 +1,12 @@
 //! Replication groups over Δ-atomic multicast: in-cluster active,
 //! semi-active and passive replication as engine-driven actors.
 //!
-//! [`crate::replication::ReplicationSim`] compares the three replication
-//! styles of \[Pol96\] in closed form, on a private timeline. This module
-//! runs the same styles **on the shared DES network**: a
-//! [`ReplicaGroup`] is one member of a replicated service, client
-//! requests enter through an actor-ised Δ-protocol atomic multicast
-//! (the [`crate::comm::DeltaInbox`] delivery discipline of
-//! [`crate::comm::DeltaMulticast`]), and the group re-binds to the agreed
-//! membership view on every view change:
+//! This module runs the three replication styles of \[Pol96\]
+//! ([`crate::replication::ReplicaStyle`]) **on the shared DES network**:
+//! a [`ReplicaGroup`] is one member of a replicated service, client
+//! requests enter through Δ-protocol atomic multicast (the
+//! [`crate::comm::DeltaInbox`] delivery discipline), and the group
+//! re-binds to the agreed membership view on every view change:
 //!
 //! * **request entry** — the *gateway* (lowest live member) timestamps
 //!   request `k` at its scheduled submission tick and multicasts it to
@@ -1798,6 +1796,61 @@ mod tests {
             "the adopted fold covers the blackout window"
         );
         assert_eq!(logs[2].borrow().final_state, reference.final_state);
+        // The crash itself was masked with zero outage: the survivors
+        // delivered every request, each exactly at ts + Δ, and the
+        // leader's vote for each went out at that same instant.
+        let order = reference.delivery_order();
+        assert_eq!(order, (0..order.len() as u64).collect::<Vec<_>>());
+        for ((id, ts, at), vote) in reference.delivered.iter().zip(&reference.emitted) {
+            assert_eq!(*at, *ts + us(60));
+            assert_eq!(*vote, (*id, *at));
+        }
+    }
+
+    #[test]
+    fn passive_backup_crash_costs_the_primary_nothing() {
+        let plan = FaultPlan::new().crash_at(NodeId(2), t_ms(5));
+        let views = view_schedule(vec![
+            (0, vec![0, 1, 2], Time::ZERO),
+            (1, vec![0, 1], t_ms(6)),
+        ]);
+        let style = ReplicaStyle::Passive {
+            checkpoint_every: 3,
+        };
+        let logs = run_group(style, 3, plan, Some(views), 5, ms(20), 1, 0);
+        let primary = logs[0].borrow();
+        assert!(primary.handoffs.is_empty() && primary.replayed == 0);
+        let served: Vec<u64> = primary.emitted.iter().map(|(id, _)| *id).collect();
+        assert_eq!(served, (0..served.len() as u64).collect::<Vec<_>>());
+        assert!(served.len() >= 18, "no request delayed past the horizon");
+        for ((id, ts, at), output) in primary.delivered.iter().zip(&primary.emitted) {
+            assert_eq!(*at, *ts + us(60));
+            assert_eq!(*output, (*id, *at));
+        }
+    }
+
+    #[test]
+    fn styles_fold_one_stream_to_one_state_at_falling_cost() {
+        // The same fault-free request stream under each style: whoever
+        // executes ends on the same fold; what differs is who executes
+        // and how much is sent.
+        let run = |style| run_group(style, 3, FaultPlan::new(), None, 6, ms(12), 1, 0);
+        let sent = |logs: &[Rc<RefCell<GroupLog>>]| -> u64 {
+            logs.iter().map(|l| l.borrow().messages_sent).sum()
+        };
+        let active = run(ReplicaStyle::Active);
+        let semi = run(ReplicaStyle::SemiActive);
+        let passive = run(ReplicaStyle::Passive {
+            checkpoint_every: 4,
+        });
+        let fold = active[0].borrow().final_state;
+        assert_eq!(semi[0].borrow().final_state, fold);
+        assert_eq!(passive[0].borrow().final_state, fold);
+        assert!(
+            passive[1].borrow().emitted.is_empty(),
+            "backups do not execute"
+        );
+        assert!(sent(&passive) < sent(&semi) && sent(&semi) < sent(&active));
     }
 
     #[test]

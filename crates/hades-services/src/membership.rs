@@ -1,23 +1,13 @@
-//! View-based group membership.
+//! View-based group membership: the agreed view record.
 //!
 //! Replication and reconfiguration need the group to agree on *who is in*:
 //! a **membership** service producing a totally ordered sequence of views.
-//! This implementation composes two HADES services exactly as a
-//! safety-critical deployment would: the [`crate::detect`] heartbeat
-//! detector observes crashes (perfect on the synchronous substrate), and
-//! each exclusion is agreed by [`crate::consensus`] flooding consensus
-//! before a new view is installed — so all surviving members step through
-//! identical views at bounded times after each failure.
-//!
-//! Membership circulates as a [`MemberSet`]: agreement runs once per
-//! 32-bit wire word of the set, which is sound because the exclusion
-//! merge is bitwise — so clusters are no longer bounded by what fits in
-//! one `u64` consensus value.
+//! The service itself runs inside [`crate::actors::NodeAgent`] — the
+//! heartbeat detector raises a suspicion, the exclusion (or re-admission)
+//! is agreed by a bounded flood of proposals, and every surviving member
+//! installs the identical next [`View`] a bounded time after the failure.
+//! This module holds the record those installs produce.
 
-use crate::consensus::{ConsensusConfig, FloodConsensus};
-use crate::detect::{DetectorConfig, HeartbeatDetector};
-use crate::memberset::MemberSet;
-use hades_sim::Network;
 use hades_time::Time;
 
 /// One installed view: the agreed membership after some failures.
@@ -29,233 +19,4 @@ pub struct View {
     pub members: Vec<u32>,
     /// When the view was installed (agreement reached).
     pub installed_at: Time,
-}
-
-impl View {
-    /// Membership as a [`MemberSet`] — the encoding circulated through
-    /// consensus and the agent wire protocols.
-    pub fn member_set(&self) -> MemberSet {
-        MemberSet::from_members(&self.members)
-    }
-
-    /// Builds a view from an agreed membership set.
-    pub fn from_set(number: u32, set: &MemberSet, installed_at: Time) -> View {
-        View {
-            number,
-            members: set.to_vec(),
-            installed_at,
-        }
-    }
-}
-
-/// Result of a membership run: the sequence of views every surviving
-/// member installed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MembershipOutcome {
-    /// Installed views, in order.
-    pub views: Vec<View>,
-    /// Messages consumed by the agreement rounds.
-    pub messages: u64,
-}
-
-impl MembershipOutcome {
-    /// The final agreed membership.
-    pub fn final_members(&self) -> &[u32] {
-        &self.views.last().expect("view 0 always exists").members
-    }
-}
-
-/// The membership service simulation: detector-triggered, consensus-agreed
-/// view changes.
-///
-/// # Examples
-///
-/// ```
-/// use hades_services::membership::MembershipSim;
-/// use hades_services::DetectorConfig;
-/// use hades_sim::{FaultPlan, LinkConfig, Network, NodeId, SimRng};
-/// use hades_time::{Duration, Time};
-///
-/// let plan = FaultPlan::new().crash_at(NodeId(2), Time::ZERO + Duration::from_millis(5));
-/// let net = Network::homogeneous(
-///     4,
-///     LinkConfig::reliable(Duration::from_micros(10), Duration::from_micros(40)),
-///     SimRng::seed_from(1),
-/// ).with_fault_plan(plan);
-/// let out = MembershipSim::new(DetectorConfig {
-///     heartbeat_period: Duration::from_millis(1),
-///     clock_precision: Duration::from_micros(10),
-///     horizon: Duration::from_millis(20),
-/// }).execute(net);
-/// assert_eq!(out.final_members(), &[0, 1, 3]);
-/// ```
-#[derive(Debug)]
-pub struct MembershipSim {
-    detector: DetectorConfig,
-}
-
-impl MembershipSim {
-    /// Creates the service with the given detector configuration.
-    pub fn new(detector: DetectorConfig) -> Self {
-        MembershipSim { detector }
-    }
-
-    /// Runs detection + agreement over `net` and returns the view history.
-    pub fn execute(self, net: Network) -> MembershipOutcome {
-        let n = net.node_count();
-        let words = MemberSet::wire_words(n);
-        let mut views = vec![View::from_set(0, &MemberSet::full(n), Time::ZERO)];
-        let mut messages = 0u64;
-        // Observe crashes (the observer stands for any correct member; the
-        // detector is perfect, so all members reach the same suspicions
-        // within the bound).
-        // Observe from a member that never crashes: a crashed observer
-        // would wrongly suspect everyone it can no longer hear.
-        let observer = (0..n)
-            .map(hades_sim::NodeId)
-            .find(|m| net.fault_plan().crash_time(*m).is_none())
-            .unwrap_or(hades_sim::NodeId(0));
-        let detector_net = net.clone();
-        let outcome = HeartbeatDetector::new(self.detector).observe_from(detector_net, observer);
-        let mut suspicions: Vec<(Time, u32)> = outcome
-            .suspected_at
-            .iter()
-            .map(|(node, at)| (*at, *node))
-            .collect();
-        suspicions.sort();
-        for (at, crashed) in suspicions {
-            let current = views.last().expect("nonempty").clone();
-            if !current.members.contains(&crashed) {
-                continue;
-            }
-            let mut proposed = current.member_set();
-            proposed.remove(crashed);
-            // Every member proposes the new set; crashed members do not
-            // participate (the consensus run excludes them via the fault
-            // plan). Agreement runs once per wire word — the exclusion
-            // merge is bitwise, so word-wise decisions compose into the
-            // same agreed set.
-            let mut agreed = MemberSet::new();
-            let mut decided_at = at;
-            for w in 0..words {
-                let word = proposed.wire_word(w) as u64;
-                let proposals: Vec<u64> = (0..n).map(|_| word).collect();
-                let agree_net = net.clone();
-                let outcome = FloodConsensus::new(ConsensusConfig {
-                    f: 1,
-                    proposals,
-                    start: at,
-                })
-                .execute(agree_net);
-                messages += outcome.messages;
-                debug_assert!(outcome.agreement_holds());
-                decided_at = outcome.decided_at;
-                agreed.set_wire_word(w, outcome.decided_value().unwrap_or(word) as u32);
-            }
-            views.push(View::from_set(current.number + 1, &agreed, decided_at));
-        }
-        MembershipOutcome { views, messages }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use hades_sim::{FaultPlan, LinkConfig, NodeId, SimRng};
-    use hades_time::Duration;
-
-    fn us(n: u64) -> Duration {
-        Duration::from_micros(n)
-    }
-
-    fn ms(n: u64) -> Duration {
-        Duration::from_millis(n)
-    }
-
-    fn detector() -> DetectorConfig {
-        DetectorConfig {
-            heartbeat_period: ms(1),
-            clock_precision: us(10),
-            horizon: ms(30),
-        }
-    }
-
-    fn net(plan: FaultPlan, seed: u64) -> Network {
-        Network::homogeneous(
-            4,
-            LinkConfig::reliable(us(10), us(40)),
-            SimRng::seed_from(seed),
-        )
-        .with_fault_plan(plan)
-    }
-
-    #[test]
-    fn stable_group_keeps_view_zero() {
-        let out = MembershipSim::new(detector()).execute(net(FaultPlan::new(), 1));
-        assert_eq!(out.views.len(), 1);
-        assert_eq!(out.final_members(), &[0, 1, 2, 3]);
-        assert_eq!(out.views[0].number, 0);
-        assert_eq!(out.messages, 0);
-    }
-
-    #[test]
-    fn single_crash_installs_one_new_view() {
-        let plan = FaultPlan::new().crash_at(NodeId(2), Time::ZERO + ms(5));
-        let out = MembershipSim::new(detector()).execute(net(plan, 2));
-        assert_eq!(out.views.len(), 2);
-        assert_eq!(out.final_members(), &[0, 1, 3]);
-        assert_eq!(out.views[1].number, 1);
-        assert!(out.views[1].installed_at > Time::ZERO + ms(5));
-        assert!(out.messages > 0);
-    }
-
-    #[test]
-    fn two_crashes_install_two_views_in_order() {
-        let plan = FaultPlan::new()
-            .crash_at(NodeId(1), Time::ZERO + ms(3))
-            .crash_at(NodeId(3), Time::ZERO + ms(12));
-        let out = MembershipSim::new(detector()).execute(net(plan, 3));
-        assert_eq!(out.views.len(), 3);
-        assert_eq!(out.views[1].members, vec![0, 2, 3]);
-        assert_eq!(out.views[2].members, vec![0, 2]);
-        assert!(out.views[1].installed_at < out.views[2].installed_at);
-    }
-
-    #[test]
-    fn view_member_set_roundtrip() {
-        let v = View {
-            number: 1,
-            members: vec![0, 2, 3, 70],
-            installed_at: Time::ZERO,
-        };
-        let set = v.member_set();
-        assert_eq!(set.to_vec(), vec![0, 2, 3, 70]);
-        let back = View::from_set(1, &set, Time::ZERO);
-        assert_eq!(back, v);
-    }
-
-    #[test]
-    fn membership_agrees_beyond_64_nodes() {
-        // 96 nodes take three wire words of agreement per view change —
-        // the case the single-u64 consensus value could not carry.
-        let plan = FaultPlan::new().crash_at(NodeId(77), Time::ZERO + ms(5));
-        let net = Network::homogeneous(
-            96,
-            LinkConfig::reliable(us(10), us(40)),
-            SimRng::seed_from(5),
-        )
-        .with_fault_plan(plan);
-        let out = MembershipSim::new(detector()).execute(net);
-        assert_eq!(out.views.len(), 2);
-        let expected: Vec<u32> = (0..96).filter(|n| *n != 77).collect();
-        assert_eq!(out.final_members(), expected.as_slice());
-    }
-
-    #[test]
-    fn deterministic_given_seed() {
-        let plan = || FaultPlan::new().crash_at(NodeId(2), Time::ZERO + ms(5));
-        let a = MembershipSim::new(detector()).execute(net(plan(), 7));
-        let b = MembershipSim::new(detector()).execute(net(plan(), 7));
-        assert_eq!(a, b);
-    }
 }

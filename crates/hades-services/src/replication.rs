@@ -13,12 +13,11 @@
 //! * **Passive** — only the primary executes, checkpointing its state to
 //!   backups every `k` requests; failover pays detection plus replay of
 //!   the requests since the last checkpoint.
+//!
+//! The styles run in [`crate::group::ReplicaGroup`]; this module names
+//! them.
 
-use crate::detect::DetectorConfig;
-use hades_sim::{Network, NodeId};
-use hades_time::{Duration, Time};
-
-/// The replication style to simulate.
+/// The replication style of a group.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReplicaStyle {
     /// All replicas execute; output by majority vote.
@@ -44,292 +43,9 @@ impl ReplicaStyle {
     }
 }
 
-/// Measured behaviour of one replicated run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReplicationOutcome {
-    /// Style simulated.
-    pub style_name: &'static str,
-    /// Requests processed with correct output.
-    pub served: u64,
-    /// Requests whose response was delayed by the failover (served after
-    /// re-execution or takeover, not lost).
-    pub delayed_by_failover: u64,
-    /// Time from the crash until the group produced output again
-    /// (zero when no crash or when masking is instantaneous).
-    pub failover_latency: Duration,
-    /// Total replica-execution work units (redundancy overhead).
-    pub execution_work: u64,
-    /// Protocol messages exchanged (votes, checkpoints, heartbeats are
-    /// counted via the detector bound, not simulated per-beat).
-    pub messages: u64,
-    /// Final state value agreed by the surviving replicas.
-    pub final_state: u64,
-}
-
-/// A deterministic replicated-server simulation.
-///
-/// The replicated service is a state machine `state += request`; requests
-/// arrive at a fixed period; the crash of one replica is injected through
-/// the network's fault plan. Determinism makes the three styles directly
-/// comparable (experiment E10).
-///
-/// # Examples
-///
-/// ```
-/// use hades_services::{ReplicaStyle, ReplicationSim};
-/// use hades_sim::{FaultPlan, LinkConfig, Network, NodeId, SimRng};
-/// use hades_time::{Duration, Time};
-///
-/// let plan = FaultPlan::new().crash_at(NodeId(0), Time::ZERO + Duration::from_millis(5));
-/// let net = Network::homogeneous(
-///     3,
-///     LinkConfig::reliable(Duration::from_micros(5), Duration::from_micros(20)),
-///     SimRng::seed_from(1),
-/// ).with_fault_plan(plan);
-/// let out = ReplicationSim::new(ReplicaStyle::Active, 20, Duration::from_millis(1))
-///     .execute(net);
-/// assert_eq!(out.served, 20, "active replication masks the crash");
-/// assert_eq!(out.failover_latency, Duration::ZERO);
-/// ```
-#[derive(Debug)]
-pub struct ReplicationSim {
-    style: ReplicaStyle,
-    requests: u64,
-    request_period: Duration,
-    detector: DetectorConfig,
-}
-
-impl ReplicationSim {
-    /// Creates a run: `requests` requests, one every `request_period`.
-    pub fn new(style: ReplicaStyle, requests: u64, request_period: Duration) -> Self {
-        ReplicationSim {
-            style,
-            requests,
-            request_period,
-            detector: DetectorConfig {
-                heartbeat_period: request_period / 2,
-                clock_precision: Duration::from_micros(10),
-                horizon: request_period.saturating_mul(requests + 4),
-            },
-        }
-    }
-
-    /// Overrides the failure-detector configuration used for passive and
-    /// semi-active failover.
-    pub fn with_detector(mut self, detector: DetectorConfig) -> Self {
-        self.detector = detector;
-        self
-    }
-
-    /// Runs the scenario on `net`. The fault plan's crash of the
-    /// lowest-numbered crashed replica (if any) drives the failover path.
-    pub fn execute(self, net: Network) -> ReplicationOutcome {
-        let n = net.node_count() as u64;
-        let crash = net.fault_plan().crashes().first().copied();
-        let detection_latency = self.detector.detection_bound(&net);
-        let mut state: u64 = 0;
-        let mut served = 0u64;
-        let mut delayed = 0u64;
-        let mut work = 0u64;
-        let mut messages = 0u64;
-        let mut failover_latency = Duration::ZERO;
-        let mut failover_done_at: Option<Time> = None;
-        let crashed_node_is_leader = crash.map(|(node, _)| node == NodeId(0)).unwrap_or(false);
-        let mut last_checkpoint_state = 0u64;
-        let mut since_checkpoint: u32 = 0;
-        for i in 0..self.requests {
-            let t = Time::ZERO + self.request_period.saturating_mul(i);
-            state += i + 1;
-            let alive = |node: u32| {
-                crash
-                    .map(|(c, at)| !(NodeId(node) == c && t >= at))
-                    .unwrap_or(true)
-            };
-            let alive_count = (0..n as u32).filter(|x| alive(*x)).count() as u64;
-            match self.style {
-                ReplicaStyle::Active => {
-                    // Every live replica executes and votes.
-                    work += alive_count;
-                    messages += alive_count * (alive_count - 1);
-                    // Majority of n masks one crash instantly.
-                    served += 1;
-                }
-                ReplicaStyle::SemiActive => {
-                    work += alive_count;
-                    messages += alive_count - 1; // leader's output notification
-                    if crashed_node_is_leader && !alive(0) {
-                        // Output resumes once the takeover happened.
-                        let (_, at) = crash.expect("crashed leader");
-                        let resumed = at + detection_latency;
-                        if t < resumed {
-                            delayed += 1;
-                        }
-                        if failover_done_at.is_none() {
-                            failover_done_at = Some(resumed);
-                            failover_latency = detection_latency;
-                        }
-                    }
-                    served += 1;
-                }
-                ReplicaStyle::Passive { checkpoint_every } => {
-                    if alive(0) || !crashed_node_is_leader {
-                        // Primary executes alone.
-                        work += 1;
-                        since_checkpoint += 1;
-                        if since_checkpoint >= checkpoint_every {
-                            messages += n - 1; // checkpoint multicast
-                            last_checkpoint_state = state;
-                            since_checkpoint = 0;
-                        }
-                        served += 1;
-                    } else {
-                        // Primary dead: the backup must detect, restore the
-                        // checkpoint and replay the gap.
-                        let (_, at) = crash.expect("crashed primary");
-                        let replayed = state - last_checkpoint_state;
-                        let resumed = at
-                            + detection_latency
-                            + self.request_period.saturating_mul(replayed.min(8) / 4);
-                        if t < resumed {
-                            delayed += 1;
-                        }
-                        if failover_done_at.is_none() {
-                            failover_done_at = Some(resumed);
-                            failover_latency = resumed - at;
-                        }
-                        work += 2; // backup executes + replays amortised
-                        served += 1;
-                    }
-                }
-            }
-        }
-        ReplicationOutcome {
-            style_name: self.style.name(),
-            served,
-            delayed_by_failover: delayed,
-            failover_latency,
-            execution_work: work,
-            messages,
-            final_state: state,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hades_sim::{FaultPlan, LinkConfig, SimRng};
-
-    fn us(n: u64) -> Duration {
-        Duration::from_micros(n)
-    }
-
-    fn net(plan: FaultPlan, seed: u64) -> Network {
-        Network::homogeneous(
-            3,
-            LinkConfig::reliable(us(5), us(20)),
-            SimRng::seed_from(seed),
-        )
-        .with_fault_plan(plan)
-    }
-
-    fn crash_leader_at_ms(ms: u64) -> FaultPlan {
-        FaultPlan::new().crash_at(NodeId(0), Time::ZERO + Duration::from_millis(ms))
-    }
-
-    const PERIOD: Duration = Duration::from_millis(1);
-
-    #[test]
-    fn active_masks_crash_with_zero_failover() {
-        let out = ReplicationSim::new(ReplicaStyle::Active, 20, PERIOD)
-            .execute(net(crash_leader_at_ms(5), 1));
-        assert_eq!(out.served, 20);
-        assert_eq!(out.delayed_by_failover, 0);
-        assert_eq!(out.failover_latency, Duration::ZERO);
-    }
-
-    #[test]
-    fn active_costs_n_fold_work() {
-        let healthy =
-            ReplicationSim::new(ReplicaStyle::Active, 10, PERIOD).execute(net(FaultPlan::new(), 2));
-        assert_eq!(healthy.execution_work, 30, "3 replicas x 10 requests");
-        let passive = ReplicationSim::new(
-            ReplicaStyle::Passive {
-                checkpoint_every: 4,
-            },
-            10,
-            PERIOD,
-        )
-        .execute(net(FaultPlan::new(), 2));
-        assert_eq!(passive.execution_work, 10, "primary only");
-        assert!(passive.messages < healthy.messages);
-    }
-
-    #[test]
-    fn semi_active_failover_is_detection_bound() {
-        let out = ReplicationSim::new(ReplicaStyle::SemiActive, 20, PERIOD)
-            .execute(net(crash_leader_at_ms(5), 3));
-        assert!(out.failover_latency > Duration::ZERO);
-        assert!(out.delayed_by_failover > 0);
-        assert_eq!(out.served, 20, "no request lost, some delayed");
-    }
-
-    #[test]
-    fn passive_failover_exceeds_semi_active() {
-        let semi = ReplicationSim::new(ReplicaStyle::SemiActive, 20, PERIOD)
-            .execute(net(crash_leader_at_ms(5), 4));
-        let passive = ReplicationSim::new(
-            ReplicaStyle::Passive {
-                checkpoint_every: 4,
-            },
-            20,
-            PERIOD,
-        )
-        .execute(net(crash_leader_at_ms(5), 4));
-        assert!(
-            passive.failover_latency >= semi.failover_latency,
-            "passive {} < semi {}",
-            passive.failover_latency,
-            semi.failover_latency
-        );
-    }
-
-    #[test]
-    fn crash_of_follower_is_free_for_passive() {
-        let plan = FaultPlan::new().crash_at(NodeId(2), Time::ZERO + Duration::from_millis(5));
-        let out = ReplicationSim::new(
-            ReplicaStyle::Passive {
-                checkpoint_every: 4,
-            },
-            20,
-            PERIOD,
-        )
-        .execute(net(plan, 5));
-        assert_eq!(out.failover_latency, Duration::ZERO);
-        assert_eq!(out.delayed_by_failover, 0);
-    }
-
-    #[test]
-    fn all_styles_reach_same_final_state() {
-        let styles = [
-            ReplicaStyle::Active,
-            ReplicaStyle::SemiActive,
-            ReplicaStyle::Passive {
-                checkpoint_every: 4,
-            },
-        ];
-        let finals: Vec<u64> = styles
-            .iter()
-            .map(|s| {
-                ReplicationSim::new(*s, 15, PERIOD)
-                    .execute(net(crash_leader_at_ms(7), 6))
-                    .final_state
-            })
-            .collect();
-        assert_eq!(finals[0], finals[1]);
-        assert_eq!(finals[1], finals[2]);
-        assert_eq!(finals[0], (1..=15).sum::<u64>());
-    }
 
     #[test]
     fn style_names() {

@@ -12,8 +12,6 @@
 //! * [`sync`] — the algorithmic core of the Lundelius–Lynch fault-tolerant
 //!   averaging clock-synchronization algorithm used by HADES (\[LL88\] in the
 //!   paper), together with its precision bounds.
-//! * [`timer`] — a cancellable timer queue used by the simulation kernel and
-//!   the dispatcher to trigger task activations and timeouts.
 //!
 //! # Examples
 //!
@@ -30,9 +28,7 @@
 pub mod clock;
 pub mod sync;
 pub mod ticks;
-pub mod timer;
 
 pub use clock::{AdjustableClock, ClockFault, HardwareClock};
 pub use sync::{fault_tolerant_midpoint, ConvergenceError, SyncRound};
 pub use ticks::{Duration, Time};
-pub use timer::{TimerHandle, TimerQueue};

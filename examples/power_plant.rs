@@ -6,8 +6,8 @@
 //!
 //! 1. **Clock synchronization** (Lundelius–Lynch) keeps the four protection
 //!    channels within a known precision, despite one Byzantine clock;
-//! 2. a **heartbeat detector** watches the channels and must catch a crash
-//!    within its analytic bound;
+//! 2. the channels' **node agents** exchange heartbeats and must catch a
+//!    crash within the detector's analytic bound;
 //! 3. the trip decision is reached by **flooding consensus** among the
 //!    surviving channels;
 //! 4. the decision is disseminated by **reliable broadcast**;
@@ -19,9 +19,10 @@
 //! Run with: `cargo run --example power_plant`
 
 use hades::prelude::*;
+use hades_services::recovery::RecoveryConfig;
 use hades_services::{
-    BroadcastSim, ClockSyncConfig, ClockSyncRun, ConsensusConfig, DependencyTracker,
-    DetectorConfig, FloodConsensus, HeartbeatDetector, StableStore,
+    AgentConfig, BroadcastSim, ClockSyncConfig, ClockSyncRun, ConsensusConfig, DependencyTracker,
+    FloodConsensus, NodeAgent, StableStore,
 };
 
 fn main() {
@@ -53,20 +54,28 @@ fn main() {
         "correct clocks converge despite Byzantine"
     );
 
-    // 2. Crash detection of channel 3.
-    let det_cfg = DetectorConfig {
+    // 2. Crash detection of channel 3: the four channels' agents watch
+    //    each other; channel 0's log speaks for the survivors.
+    let agents = AgentConfig {
+        node: NodeId(0),
+        nodes: 4,
         heartbeat_period: ms(1),
         clock_precision: sync.analytic_bound,
-        horizon: ms(30),
+        f: 1,
+        recovery: RecoveryConfig::default(),
+        vc_delta_multicast: true,
+        vc_attempts: 1,
     };
+    let bound = agents.detection_bound(link.delay_max);
     let net = Network::homogeneous(4, link, SimRng::seed_from(11)).with_fault_plan(plan.clone());
-    let det = HeartbeatDetector::new(det_cfg).observe(net);
-    let latency = det.detection_latency[&3];
-    println!(
-        "[detector]    channel 3 suspected after {latency} (bound {})",
-        det.bound
-    );
-    assert!(det.is_perfect(), "no false alarms, detection within bound");
+    let (mut rt, logs) = NodeAgent::cluster(net, agents);
+    rt.run(Time::ZERO + ms(30));
+    let suspicions = logs[0].borrow().suspicions.clone();
+    assert_eq!(suspicions.len(), 1, "no false alarms");
+    let (suspect, suspected_at) = suspicions[0];
+    let latency = suspected_at - crash_time;
+    println!("[detector]    channel {suspect} suspected after {latency} (bound {bound})");
+    assert!(suspect == 3 && latency <= bound, "detection within bound");
 
     // 3. Consensus on the trip decision among surviving channels
     //    (1 = trip, 0 = stay): any channel voting trip must win — encode
@@ -75,7 +84,7 @@ fn main() {
     let consensus = FloodConsensus::new(ConsensusConfig {
         f: 1,
         proposals: vec![1, 0, 1, 1], // channel 1 demands a trip
-        start: crash_time + det.bound,
+        start: crash_time + bound,
     })
     .execute(net);
     assert!(consensus.agreement_holds());

@@ -8,7 +8,6 @@
 use proptest::prelude::*;
 
 use hades::prelude::*;
-use hades_services::DetectorConfig;
 
 fn us(n: u64) -> Duration {
     Duration::from_micros(n)
@@ -172,18 +171,12 @@ fn identical_reports_for_identical_seeds() {
 #[test]
 fn cluster_bound_matches_detector_config() {
     let spec = failover_spec(1);
+    let mw = MiddlewareConfig::default();
     let link = LinkConfig::reliable(us(10), us(50));
-    let gamma = MiddlewareConfig::default().clock_precision(&link);
-    let net = Network::homogeneous(4, link, SimRng::seed_from(0));
-    let detector = DetectorConfig {
-        heartbeat_period: MiddlewareConfig::default().heartbeat_period,
-        clock_precision: gamma,
-        horizon: ms(100),
-    };
     assert_eq!(
         spec.detection_bound(),
-        detector.detection_bound(&net),
-        "the cluster runtime honours the detector's analytic bound"
+        mw.heartbeat_period.saturating_mul(2) + link.delay_max + mw.clock_precision(&link),
+        "the cluster's detection bound is H + T₀ = 2H + δmax + γ"
     );
 }
 
@@ -422,7 +415,7 @@ fn spec_validation_collects_every_issue_with_service_diagnostics() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Detection latency never exceeds the `DetectorConfig` bound, for any
+    /// Detection latency never exceeds the detector's analytic bound, for any
     /// victim, crash time, seed and cluster size.
     #[test]
     fn detection_latency_never_exceeds_bound(

@@ -2,10 +2,8 @@
 //! network, service composition, and end-to-end determinism.
 
 use hades::prelude::*;
-use hades_services::{
-    BroadcastSim, ConsensusConfig, DetectorConfig, FloodConsensus, HeartbeatDetector, P2pConfig,
-    ReliableP2p,
-};
+use hades_services::recovery::RecoveryConfig;
+use hades_services::{AgentConfig, BroadcastSim, ConsensusConfig, FloodConsensus, NodeAgent};
 
 fn us(n: u64) -> Duration {
     Duration::from_micros(n)
@@ -117,14 +115,28 @@ fn detector_feeds_consensus_based_reconfiguration() {
     // reconfigures by consensus on the surviving membership.
     let link = LinkConfig::reliable(us(10), us(40));
     let plan = FaultPlan::new().crash_at(NodeId(2), Time::ZERO + ms(4));
-    let det = HeartbeatDetector::new(DetectorConfig {
+    let net = Network::homogeneous(4, link, SimRng::seed_from(8)).with_fault_plan(plan.clone());
+    let agents = AgentConfig {
+        node: NodeId(0),
+        nodes: 4,
         heartbeat_period: ms(1),
         clock_precision: us(20),
-        horizon: ms(15),
-    })
-    .observe(Network::homogeneous(4, link, SimRng::seed_from(8)).with_fault_plan(plan.clone()));
-    assert!(det.is_perfect());
-    let suspected_at = det.suspected_at[&2];
+        f: 1,
+        recovery: RecoveryConfig::default(),
+        vc_delta_multicast: true,
+        vc_attempts: 1,
+    };
+    let (mut rt, logs) = NodeAgent::cluster(net, agents);
+    rt.run(Time::ZERO + ms(15));
+    let suspicions = logs[0].borrow().suspicions.clone();
+    assert_eq!(suspicions.len(), 1, "no false suspicion");
+    let (suspect, suspected_at) = suspicions[0];
+    assert_eq!(suspect, 2);
+    let latency = suspected_at - (Time::ZERO + ms(4));
+    assert!(
+        latency <= agents.detection_bound(us(40)),
+        "within the bound"
+    );
 
     // Proposals encode each node's view (bitmask of live members);
     // consensus starts after suspicion.
@@ -144,25 +156,8 @@ fn detector_feeds_consensus_based_reconfiguration() {
 }
 
 #[test]
-fn reliable_p2p_composes_with_broadcast_bounds() {
+fn diffusion_broadcast_reaches_all_over_lossy_links() {
     let link = LinkConfig::reliable(us(10), us(40)).with_omissions(200);
-    let mut net = Network::homogeneous(4, link, SimRng::seed_from(10));
-    let p2p = ReliableP2p::new(P2pConfig::for_network(&net, 6));
-    let mut worst = Duration::ZERO;
-    for i in 0..50 {
-        let t = Time::ZERO + ms(i);
-        if let hades_services::P2pOutcome::Delivered { delivered_at, .. } =
-            p2p.send(&mut net, NodeId(0), NodeId(1), t)
-        {
-            worst = worst.max(delivered_at - t);
-        } else {
-            panic!("six attempts at 20% loss should always deliver");
-        }
-    }
-    let cfg = P2pConfig::for_network(&net, 6);
-    assert!(worst <= cfg.detection_bound(), "worst {worst} within bound");
-
-    // Diffusion broadcast over the same lossy fabric still reaches all.
     let out = BroadcastSim::new(Network::homogeneous(4, link, SimRng::seed_from(11)), 1)
         .broadcast(NodeId(0), Time::ZERO);
     assert!(out.agreement_holds());

@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use hades_services::actors::{AgentConfig, NodeAgent};
 use hades_services::memberset::{MemberSet, MAX_NODES};
 use hades_services::recovery::RecoveryConfig;
-use hades_sim::{ActorEngine, FaultPlan, LinkConfig, Network, NodeId, SimRng};
+use hades_sim::{FaultPlan, LinkConfig, Network, NodeId, SimRng};
 use hades_time::{Duration, Time};
 
 fn us(n: u64) -> Duration {
@@ -97,23 +97,16 @@ proptest! {
             SimRng::seed_from(seed),
         )
         .with_fault_plan(plan);
-        let mut rt = ActorEngine::new(net);
-        let logs: Vec<_> = (0..96)
-            .map(|n| {
-                let (agent, log) = NodeAgent::new(AgentConfig {
-                    node: NodeId(n),
-                    nodes: 96,
-                    heartbeat_period: ms(1),
-                    clock_precision: us(10),
-                    f: 1,
-                    recovery: RecoveryConfig::default(),
-                    vc_delta_multicast: true,
-                    vc_attempts: 1,
-                });
-                rt.add_actor(Box::new(agent));
-                log
-            })
-            .collect();
+        let (mut rt, logs) = NodeAgent::cluster(net, AgentConfig {
+            node: NodeId(0),
+            nodes: 96,
+            heartbeat_period: ms(1),
+            clock_precision: us(10),
+            f: 1,
+            recovery: RecoveryConfig::default(),
+            vc_delta_multicast: true,
+            vc_attempts: 1,
+        });
         rt.run(Time::ZERO + ms(10));
         let reference = logs[if victim == 0 { 1 } else { 0 } as usize]
             .borrow()

@@ -4,8 +4,8 @@
 
 use hades::prelude::*;
 use hades_services::checkpoint::{CheckpointService, Replayable};
-use hades_services::membership::MembershipSim;
-use hades_services::{DependencyTracker, DetectorConfig};
+use hades_services::recovery::RecoveryConfig;
+use hades_services::{AgentConfig, DependencyTracker, NodeAgent};
 
 fn us(n: u64) -> Duration {
     Duration::from_micros(n)
@@ -43,15 +43,28 @@ fn membership_checkpoint_and_orphan_chain() {
     let link = LinkConfig::reliable(us(10), us(40));
     let plan = FaultPlan::new().crash_at(NodeId(0), Time::ZERO + ms(12));
     let net = Network::homogeneous(4, link, SimRng::seed_from(5)).with_fault_plan(plan);
-    let membership = MembershipSim::new(DetectorConfig {
-        heartbeat_period: ms(1),
-        clock_precision: us(20),
-        horizon: ms(30),
-    })
-    .execute(net);
-    assert_eq!(membership.views.len(), 2);
-    assert_eq!(membership.final_members(), &[1, 2, 3]);
-    let takeover_at = membership.views[1].installed_at;
+    let (mut rt, logs) = NodeAgent::cluster(
+        net,
+        AgentConfig {
+            node: NodeId(0),
+            nodes: 4,
+            heartbeat_period: ms(1),
+            clock_precision: us(20),
+            f: 1,
+            recovery: RecoveryConfig::default(),
+            vc_delta_multicast: true,
+            vc_attempts: 1,
+        },
+    );
+    rt.run(Time::ZERO + ms(30));
+    let views = logs[1].borrow().views.clone();
+    assert_eq!(views.len(), 2);
+    assert_eq!(views[1].members, vec![1, 2, 3]);
+    let agreed = logs[1].borrow().view_members();
+    for survivor in &logs[2..] {
+        assert_eq!(survivor.borrow().view_members(), agreed);
+    }
+    let takeover_at = views[1].installed_at;
     assert!(takeover_at > Time::ZERO + ms(12));
     assert!(takeover_at < Time::ZERO + ms(16), "bounded reconfiguration");
 
