@@ -8,9 +8,10 @@
 
 use hades_dispatch::{CostModel, DispatchSim, SimConfig};
 use hades_sched::{edf_feasible, EdfAnalysisConfig, ModeChange, SpringPolicy};
-use hades_sim::{KernelModel, Summary};
+use hades_sim::KernelModel;
 use hades_task::prelude::*;
 use hades_task::spuri::SpuriTask;
+use hades_telemetry::HistogramSummary;
 use std::fmt::Write;
 
 fn us(n: u64) -> Duration {
@@ -253,13 +254,21 @@ pub fn latency_distribution() -> String {
         let report = sim.run();
         let _ = writeln!(out, "\n{policy} (misses: {}):", report.misses());
         for id in 0..3u32 {
-            let samples: Vec<Duration> = report
+            let samples: Vec<u64> = report
                 .of_task(TaskId(id))
                 .iter()
-                .filter_map(|i| i.response_time())
+                .filter_map(|i| i.response_time().map(|d| d.as_nanos()))
                 .collect();
-            if let Some(s) = Summary::of(&samples) {
-                let _ = writeln!(out, "  T{id}: {}", s.render());
+            if let Some(s) = HistogramSummary::of(&samples) {
+                let [min, mean, p50, p95, p99, p999, max] =
+                    [s.min, s.mean, s.p50, s.p95, s.p99, s.p999, s.max]
+                        .map(|ns| Duration::from_nanos(ns).to_string());
+                let _ = writeln!(
+                    out,
+                    "  T{id}: n={:<5} min={min:<9} mean={mean:<9} p50={p50:<9} p95={p95:<9} \
+                     p99={p99:<9} p999={p999:<9} max={max}",
+                    s.count
+                );
             }
         }
     }
@@ -271,4 +280,25 @@ pub fn latency_distribution() -> String {
          tail latencies on the fast tasks."
     );
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn latency_rows_render_every_statistic() {
+        // The fast task runs unpreempted under RM: every statistic is its
+        // WCET, printed in the fixed-width row of every task.
+        let out = latency_distribution();
+        let row = out
+            .lines()
+            .find(|l| l.starts_with("  T0:"))
+            .expect("a T0 row");
+        assert_eq!(
+            row,
+            "  T0: n=200   min=300us     mean=300us     p50=300us     p95=300us     \
+             p99=300us     p999=300us     max=300us"
+        );
+    }
 }

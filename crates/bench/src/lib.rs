@@ -26,7 +26,7 @@ pub const ALL_EXPERIMENTS: &[Entry] = &[
     ("costs", "E4", costs::dispatcher_cost_table),
     ("kernel", "E5", costs::kernel_activity_table),
     ("feasibility", "E6", sweep::feasibility_acceptance_sweep),
-    ("validation", "E7", sweep::validation_miss_rates),
+    ("validation", "E7", sweep::accepted_set_miss_rates),
     ("clocksync", "E8", services::clocksync_precision),
     ("broadcast", "E9", services::broadcast_latency),
     (

@@ -109,7 +109,7 @@ pub fn feasibility_acceptance_sweep() -> String {
 
 /// E7: execute accepted sets on the costed platform; the cost-aware test
 /// must produce zero misses, the naive test demonstrably does not.
-pub fn validation_miss_rates() -> String {
+pub fn accepted_set_miss_rates() -> String {
     let mut out = String::new();
     let costs = CostModel::measured_default();
     let kernel = KernelModel::chorus_like();

@@ -520,16 +520,25 @@ pub(crate) struct ControlState {
     seen_views: BTreeMap<u32, Vec<u32>>,
     /// View numbers whose failover (if any) was already emitted.
     emitted_failovers: BTreeSet<u32>,
+    /// Task → (home node, whether it is injected middleware).
+    origin: BTreeMap<TaskId, (u32, bool)>,
 }
 
 impl ControlState {
+    pub(crate) fn new(origin: BTreeMap<TaskId, (u32, bool)>) -> Self {
+        ControlState {
+            origin,
+            ..ControlState::default()
+        }
+    }
+
     fn push(&mut self, ev: ClusterEvent) {
         self.events.push(ev.clone());
         self.pending.push_back(ev);
     }
 
-    /// Translates one protocol tap observation into cluster events.
-    /// Returns whether anything was queued (a control wake is needed).
+    /// Translates one tap observation into cluster events. Returns
+    /// whether anything was queued (a control wake is needed).
     pub(crate) fn on_protocol_event(&mut self, now: Time, ev: &MonitorEvent) -> bool {
         let before = self.pending.len();
         match ev {
@@ -598,37 +607,33 @@ impl ControlState {
                     at: now,
                 });
             }
-            // Suspicion clears, rejoin phase marks and per-request
-            // submit/deliver/emit marks feed the invariant watchdog, not
-            // the cluster event stream.
+            // Instances overlapping an applied down window of their node
+            // are crash casualties, not scheduling outcomes, and emit
+            // nothing.
+            MonitorEvent::DeadlineMiss {
+                node,
+                task,
+                activated,
+                ..
+            } => {
+                let task = TaskId(*task);
+                let (node, middleware) = self.origin.get(&task).copied().unwrap_or((*node, false));
+                let windows = self.applied.down_windows(NodeId(node));
+                if !ScenarioPlan::windows_overlap(&windows, *activated, now) {
+                    self.push(ClusterEvent::DeadlineMiss {
+                        node,
+                        task,
+                        middleware,
+                        at: now,
+                    });
+                }
+            }
+            // Suspicion clears, rejoin phase marks, per-request
+            // submit/deliver/emit marks and the other dispatcher alarms
+            // feed the invariant watchdog, not the cluster event stream.
             _ => {}
         }
         self.pending.len() > before
-    }
-
-    /// Translates one dispatcher deadline miss. Instances overlapping an
-    /// applied down window of their node are crash casualties, not
-    /// scheduling outcomes, and emit nothing. Returns whether anything
-    /// was queued.
-    pub(crate) fn on_miss(
-        &mut self,
-        now: Time,
-        task: TaskId,
-        activated: Time,
-        node: u32,
-        middleware: bool,
-    ) -> bool {
-        let windows = self.applied.down_windows(NodeId(node));
-        if ScenarioPlan::windows_overlap(&windows, activated, now) {
-            return false;
-        }
-        self.push(ClusterEvent::DeadlineMiss {
-            node,
-            task,
-            middleware,
-            at: now,
-        });
-        true
     }
 }
 

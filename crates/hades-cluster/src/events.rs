@@ -10,9 +10,8 @@
 //! Since the reactive-control-plane redesign the stream is no longer
 //! synthesized from logs after the run: every event is emitted **at its
 //! engine timestamp** through the protocol tap
-//! ([`hades_telemetry::monitor::ProtocolTap`], fed by every agent and
-//! group member) and the dispatcher's miss tap, and delivered to the
-//! registered
+//! ([`hades_telemetry::monitor::ProtocolTap`], fed by every agent, group
+//! member and the dispatcher), and delivered to the registered
 //! [`ScenarioDriver`](crate::ScenarioDriver)s *during* the run; the
 //! stream returned here is the accumulation of exactly those deliveries.
 //!

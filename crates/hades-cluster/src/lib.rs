@@ -36,8 +36,10 @@
 //! Agents and group members append to their `AgentLog` / `GroupLog` and
 //! hand each transition, as a [`hades_telemetry::monitor::MonitorEvent`],
 //! to the one [`hades_telemetry::monitor::ProtocolTap`] the run installs
-//! on all of them. The tap gives the same `&event` to the control plane
-//! (which derives the [`ClusterEvent`]s the drivers see) and, when
+//! on all of them and on the dispatcher, whose Section 3.2.1 alarms
+//! (deadline misses among them) are `MonitorEvent`s too. The tap gives
+//! the same `&event` to the control plane (which derives the
+//! [`ClusterEvent`]s the drivers see) and, when
 //! monitors are registered, to the invariant watchdog; it must not
 //! re-enter the engine — it records, and at most posts a wake for the
 //! control actor. After the run the logs are folded once into the

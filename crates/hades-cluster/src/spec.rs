@@ -1211,7 +1211,7 @@ impl Lowered {
         // ---- the reactive control plane: shared state + event taps ----
         // Actor ids: agents are 0..nodes (the protocol addresses them by
         // node id), group members follow, the control actor comes last.
-        let state = Rc::new(RefCell::new(ControlState::default()));
+        let state = Rc::new(RefCell::new(ControlState::new(origin.clone())));
         let postbox = sim.postbox();
         let total_members: u32 = self.groups.iter().map(|g| g.members.len() as u32).sum();
         let control_id = ActorId(self.nodes + total_members);
@@ -1227,9 +1227,10 @@ impl Lowered {
             });
             Rc::new(RefCell::new(dog))
         });
-        // One tap for every agent and group member: the control plane
-        // and the watchdog read the same event. It only records and
-        // requests a control wake — it never re-enters the engine.
+        // One tap for the dispatcher, every agent and every group member:
+        // the control plane and the watchdog read the same event. It only
+        // records and requests a control wake — it never re-enters the
+        // engine.
         let tap = {
             let state = state.clone();
             let postbox = postbox.clone();
@@ -1244,17 +1245,7 @@ impl Lowered {
                 }
             }))
         };
-        {
-            let state = state.clone();
-            let postbox = postbox.clone();
-            let origin = origin.clone();
-            sim.set_miss_tap(Rc::new(move |now, task, activated, node| {
-                let (home, mw) = origin.get(&task).copied().unwrap_or((node, false));
-                if state.borrow_mut().on_miss(now, task, activated, home, mw) {
-                    postbox.notify(control_id, 0);
-                }
-            }));
-        }
+        sim.set_tap(tap.clone());
 
         // ---- per-node middleware agents on the same engine ----
         let logs: Vec<Rc<RefCell<AgentLog>>> = (0..self.nodes)

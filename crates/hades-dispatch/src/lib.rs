@@ -15,7 +15,8 @@
 //! primitive* (priority / earliest-start changes), exactly as in
 //! Section 3.2.2. It also performs the monitoring duties of Section 3.2.1:
 //! deadline misses, arrival-law violations, early terminations, orphans,
-//! deadlocks/stalls and network omissions.
+//! deadlocks/stalls and network omissions — each a telemetry
+//! `MonitorEvent` on the run's one tap ([`DispatchSim::set_tap`]).
 //!
 //! Every dispatcher-induced activity is *charged in virtual time* according
 //! to a [`CostModel`] (Section 4.1), and background kernel interrupts from a
@@ -39,7 +40,7 @@ pub mod thread;
 mod window;
 
 pub use costs::CostModel;
-pub use monitor::{MonitorEvent, MonitorReport};
+pub use monitor::MonitorReport;
 pub use notify::{AttrChange, Notification, NotificationKind, SchedulerPolicy, ThreadSnapshot};
 pub use report::{InstanceRecord, RunReport};
 pub use resources::ResourceProtocol;

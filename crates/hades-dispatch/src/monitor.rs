@@ -11,89 +11,12 @@
 //!    make progress),
 //! 5. network omission failures, observed through remote precedence
 //!    constraints that fail to arrive in time.
+//!
+//! Each alarm is a telemetry [`MonitorEvent`], the type the protocol
+//! actors emit too: the run's tap hears it when it is raised
+//! ([`crate::DispatchSim::set_tap`]), then this report records it.
 
-use crate::thread::ThreadId;
-use hades_task::TaskId;
-use hades_time::{Duration, Time};
-
-/// One monitoring alarm raised by the dispatcher.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MonitorEvent {
-    /// A task instance missed its deadline.
-    DeadlineMiss {
-        /// The task.
-        task: TaskId,
-        /// The instance sequence number.
-        instance: u64,
-        /// The absolute deadline that passed.
-        deadline: Time,
-    },
-    /// An activation request arrived earlier than the task's arrival law
-    /// permits.
-    ArrivalLawViolation {
-        /// The task.
-        task: TaskId,
-        /// When the illegal activation arrived.
-        at: Time,
-    },
-    /// A thread's action completed in less than its declared WCET; the
-    /// freed time can be reclaimed.
-    EarlyTermination {
-        /// The thread.
-        thread: ThreadId,
-        /// Declared worst case.
-        wcet: Duration,
-        /// Observed execution time.
-        actual: Duration,
-    },
-    /// A thread was killed without completing (aborted instance, lost
-    /// predecessor, ...).
-    Orphan {
-        /// The thread.
-        thread: ThreadId,
-        /// When it was reaped.
-        at: Time,
-    },
-    /// A thread exceeded its latest start time — the runtime signature of a
-    /// blocking overrun or a deadlock.
-    LatestStartExceeded {
-        /// The thread.
-        thread: ThreadId,
-        /// The latest start bound that passed.
-        latest: Time,
-    },
-    /// Threads were still blocked when the simulation ran out of events —
-    /// the progress-based deadlock/stall detector.
-    Stall {
-        /// The blocked threads.
-        threads: Vec<ThreadId>,
-        /// Time of detection.
-        at: Time,
-    },
-    /// A remote precedence constraint did not arrive within the network's
-    /// worst-case delay: a network omission failure.
-    NetworkOmission {
-        /// The thread whose predecessor message was lost.
-        waiting: ThreadId,
-        /// When the loss was established.
-        detected_at: Time,
-    },
-}
-
-impl MonitorEvent {
-    /// Short label for traces and report tables.
-    pub fn label(&self) -> &'static str {
-        match self {
-            MonitorEvent::DeadlineMiss { .. } => "deadline_miss",
-            MonitorEvent::ArrivalLawViolation { .. } => "arrival_violation",
-            MonitorEvent::EarlyTermination { .. } => "early_termination",
-            MonitorEvent::Orphan { .. } => "orphan",
-            MonitorEvent::LatestStartExceeded { .. } => "latest_start_exceeded",
-            MonitorEvent::Stall { .. } => "stall",
-            MonitorEvent::NetworkOmission { .. } => "network_omission",
-        }
-    }
-}
+use hades_telemetry::MonitorEvent;
 
 /// Aggregated monitoring output of one run.
 #[derive(Debug, Clone, Default)]
@@ -119,37 +42,37 @@ impl MonitorReport {
 
     /// Number of deadline misses.
     pub fn deadline_misses(&self) -> usize {
-        self.count("deadline_miss")
+        self.count(|e| matches!(e, MonitorEvent::DeadlineMiss { .. }))
     }
 
     /// Number of arrival-law violations.
     pub fn arrival_violations(&self) -> usize {
-        self.count("arrival_violation")
+        self.count(|e| matches!(e, MonitorEvent::ArrivalLawViolation { .. }))
     }
 
     /// Number of early terminations.
     pub fn early_terminations(&self) -> usize {
-        self.count("early_termination")
+        self.count(|e| matches!(e, MonitorEvent::EarlyTermination { .. }))
     }
 
     /// Number of orphaned threads.
     pub fn orphans(&self) -> usize {
-        self.count("orphan")
+        self.count(|e| matches!(e, MonitorEvent::Orphan { .. }))
     }
 
     /// Number of network omissions detected.
     pub fn network_omissions(&self) -> usize {
-        self.count("network_omission")
+        self.count(|e| matches!(e, MonitorEvent::NetworkOmission { .. }))
     }
 
     /// Number of stall detections.
     pub fn stalls(&self) -> usize {
-        self.count("stall")
+        self.count(|e| matches!(e, MonitorEvent::Stall { .. }))
     }
 
     /// Number of latest-start overruns.
     pub fn latest_start_exceeded(&self) -> usize {
-        self.count("latest_start_exceeded")
+        self.count(|e| matches!(e, MonitorEvent::LatestStartExceeded { .. }))
     }
 
     /// Whether no alarms at all were raised.
@@ -166,31 +89,34 @@ impl MonitorReport {
             .all(|e| matches!(e, MonitorEvent::EarlyTermination { .. }))
     }
 
-    fn count(&self, label: &str) -> usize {
-        self.events.iter().filter(|e| e.label() == label).count()
+    fn count(&self, kind: impl Fn(&MonitorEvent) -> bool) -> usize {
+        self.events.iter().filter(|e| kind(e)).count()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hades_time::{Duration, Time};
 
     #[test]
     fn counters_by_kind() {
         let mut r = MonitorReport::new();
         assert!(r.is_clean());
         r.push(MonitorEvent::DeadlineMiss {
-            task: TaskId(0),
+            node: 0,
+            task: 0,
             instance: 1,
+            activated: Time::ZERO,
             deadline: Time::from_nanos(10),
         });
         r.push(MonitorEvent::EarlyTermination {
-            thread: ThreadId(1),
+            thread: 1,
             wcet: Duration::from_nanos(10),
             actual: Duration::from_nanos(5),
         });
         r.push(MonitorEvent::Orphan {
-            thread: ThreadId(2),
+            thread: 2,
             at: Time::from_nanos(20),
         });
         assert_eq!(r.deadline_misses(), 1);
@@ -207,51 +133,11 @@ mod tests {
     fn early_termination_only_is_healthy() {
         let mut r = MonitorReport::new();
         r.push(MonitorEvent::EarlyTermination {
-            thread: ThreadId(1),
+            thread: 1,
             wcet: Duration::from_nanos(10),
             actual: Duration::from_nanos(5),
         });
         assert!(r.is_healthy());
         assert!(!r.is_clean());
-    }
-
-    #[test]
-    fn labels_are_distinct() {
-        let evs = [
-            MonitorEvent::DeadlineMiss {
-                task: TaskId(0),
-                instance: 0,
-                deadline: Time::ZERO,
-            },
-            MonitorEvent::ArrivalLawViolation {
-                task: TaskId(0),
-                at: Time::ZERO,
-            },
-            MonitorEvent::EarlyTermination {
-                thread: ThreadId(0),
-                wcet: Duration::ZERO,
-                actual: Duration::ZERO,
-            },
-            MonitorEvent::Orphan {
-                thread: ThreadId(0),
-                at: Time::ZERO,
-            },
-            MonitorEvent::LatestStartExceeded {
-                thread: ThreadId(0),
-                latest: Time::ZERO,
-            },
-            MonitorEvent::Stall {
-                threads: vec![],
-                at: Time::ZERO,
-            },
-            MonitorEvent::NetworkOmission {
-                waiting: ThreadId(0),
-                detected_at: Time::ZERO,
-            },
-        ];
-        let mut labels: Vec<&str> = evs.iter().map(|e| e.label()).collect();
-        labels.sort_unstable();
-        labels.dedup();
-        assert_eq!(labels.len(), evs.len());
     }
 }

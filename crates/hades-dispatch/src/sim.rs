@@ -14,7 +14,7 @@
 //! precedence constraints").
 
 use crate::costs::CostModel;
-use crate::monitor::{MonitorEvent, MonitorReport};
+use crate::monitor::MonitorReport;
 use crate::notify::{
     AttrChange, Notification, NotificationKind, NotificationQueue, SchedulerPolicy, ThreadSnapshot,
 };
@@ -30,7 +30,7 @@ use hades_sim::{
 };
 use hades_task::arrival::ArrivalMonitor;
 use hades_task::{Eu, EuIndex, InvocationMode, Priority, Task, TaskId, TaskSet};
-use hades_telemetry::Probe;
+use hades_telemetry::{MonitorEvent, Probe, ProtocolTap};
 use hades_time::{Duration, Time};
 use std::collections::VecDeque;
 use std::rc::Rc;
@@ -134,9 +134,6 @@ impl SimConfig {
         }
     }
 }
-
-/// Online deadline-miss hook: `(missed_deadline, task, activated, node)`.
-pub type MissTap = Rc<dyn Fn(Time, TaskId, Time, u32)>;
 
 /// `task` is a position in `TaskSet::tasks()`, resolved when the event is
 /// posted: an event can only name a task that exists.
@@ -276,6 +273,23 @@ struct TaskState {
 /// instance number.
 type InstanceKey = (usize, u64);
 
+/// Every Section 3.2.1 alarm goes to the tap, then into the report, so
+/// the two cannot disagree. A field, so raising borrows only this.
+#[derive(Default)]
+struct Alarms {
+    tap: Option<ProtocolTap>,
+    report: MonitorReport,
+}
+
+impl Alarms {
+    fn raise(&mut self, now: Time, ev: MonitorEvent) {
+        if let Some(tap) = &self.tap {
+            (tap.0)(now, &ev);
+        }
+        self.report.push(ev);
+    }
+}
+
 struct Inner {
     tasks: Rc<TaskSet>,
     cfg: SimConfig,
@@ -292,10 +306,9 @@ struct Inner {
     /// way into the queue as one run.
     actor_posts: Vec<(Time, u64, Ev)>,
     postbox: Postbox,
-    miss_tap: Option<MissTap>,
     probe: Probe,
     ctx_switches: u64,
-    monitor: MonitorReport,
+    alarms: Alarms,
     records: Vec<InstanceRecord>,
     trace: Trace,
     notifications: u64,
@@ -398,10 +411,9 @@ impl DispatchSim {
             actors: ActorHost::new(),
             actor_posts: Vec::new(),
             postbox: Postbox::new(),
-            miss_tap: None,
             probe: Probe::default(),
             ctx_switches: 0,
-            monitor: MonitorReport::new(),
+            alarms: Alarms::default(),
             records: Vec::new(),
             trace,
             notifications: 0,
@@ -455,14 +467,13 @@ impl DispatchSim {
         self.inner.postbox.clone()
     }
 
-    /// Installs the online deadline-miss hook, called at every miss the
-    /// instant it is detected (the missed deadline) with
-    /// `(now, task, instance_activation, home_node)`. The embedding uses
-    /// it to surface misses to a control plane *during* the run instead
-    /// of scraping [`RunReport::instances`] after it.
-    pub fn set_miss_tap(&mut self, tap: MissTap) {
+    /// Installs the run's observation tap: it hears every Section 3.2.1
+    /// alarm as a [`MonitorEvent`] at the instant it is raised (a miss at
+    /// the missed deadline), before [`RunReport::monitor`] records it —
+    /// in one stream with the protocol actors that share the tap.
+    pub fn set_tap(&mut self, tap: ProtocolTap) {
         assert!(!self.ran, "simulation already ran");
-        self.inner.miss_tap = Some(tap);
+        self.inner.alarms.tap = Some(tap);
     }
 
     /// Statistics of the shared network (message fates observed so far).
@@ -1087,10 +1098,13 @@ impl Inner {
         }
         // Arrival-law monitoring.
         if self.task_state[pos].arrivals.observe(task.arrival, now) {
-            self.monitor.push(MonitorEvent::ArrivalLawViolation {
-                task: task_id,
-                at: now,
-            });
+            self.alarms.raise(
+                now,
+                MonitorEvent::ArrivalLawViolation {
+                    task: task_id.0,
+                    at: now,
+                },
+            );
             self.trace
                 .record_with(now, NodeId(0), TraceKind::Alarm, || {
                     format!("arrival_violation {task_id}")
@@ -1363,11 +1377,14 @@ impl Inner {
         let (node, task_pos, instance, eu) = (th.node, th.task_pos, th.instance, th.eu);
         let had_resources = !th.resources.is_empty();
         if th.terminated_early() {
-            self.monitor.push(MonitorEvent::EarlyTermination {
-                thread: tid,
-                wcet: th.action_wcet,
-                actual: th.action_actual,
-            });
+            self.alarms.raise(
+                now,
+                MonitorEvent::EarlyTermination {
+                    thread: tid.0,
+                    wcet: th.action_wcet,
+                    actual: th.action_actual,
+                },
+            );
         }
         self.trace
             .record(now, NodeId(node), TraceKind::Finish, th.name.as_str());
@@ -1710,15 +1727,16 @@ impl Inner {
         let (task, eus) = (t.id, t.heug.eus());
         let activated = self.records[inst.record_idx].activated;
         self.records[inst.record_idx].missed = true;
-        self.monitor.push(MonitorEvent::DeadlineMiss {
-            task,
-            instance,
-            deadline: now,
-        });
-        if let Some(tap) = &self.miss_tap {
-            let node = eus.first().map_or(0, |eu| eu.processor().0);
-            tap(now, task, activated, node);
-        }
+        self.alarms.raise(
+            now,
+            MonitorEvent::DeadlineMiss {
+                node: eus.first().map_or(0, |eu| eu.processor().0),
+                task: task.0,
+                instance,
+                activated,
+                deadline: now,
+            },
+        );
         self.trace
             .record_with(now, NodeId(0), TraceKind::Alarm, || {
                 format!("deadline_miss {task}#{instance}")
@@ -1755,10 +1773,13 @@ impl Inner {
         if self.resmgr[node as usize].release_all(tid) {
             self.recheck_blocked(node, now);
         }
-        self.monitor.push(MonitorEvent::Orphan {
-            thread: tid,
-            at: now,
-        });
+        self.alarms.raise(
+            now,
+            MonitorEvent::Orphan {
+                thread: tid.0,
+                at: now,
+            },
+        );
         let th = self.threads.remove(tid.0).expect("aborted thread");
         self.trace
             .record_with(now, NodeId(node), TraceKind::Alarm, || {
@@ -1791,10 +1812,13 @@ impl Inner {
         if th.remote_arrived.contains(&pred) || !th.state.is_live() {
             return;
         }
-        self.monitor.push(MonitorEvent::NetworkOmission {
-            waiting: tid,
-            detected_at: now,
-        });
+        self.alarms.raise(
+            now,
+            MonitorEvent::NetworkOmission {
+                waiting: tid.0,
+                detected_at: now,
+            },
+        );
         self.trace
             .record_with(now, NodeId(th.node), TraceKind::Alarm, || {
                 format!("network_omission {}", th.name)
@@ -1837,10 +1861,13 @@ impl Inner {
         };
         if th.state.is_live() && !th.started {
             let latest = th.latest.expect("latest check armed with a bound");
-            self.monitor.push(MonitorEvent::LatestStartExceeded {
-                thread: tid,
-                latest,
-            });
+            self.alarms.raise(
+                now,
+                MonitorEvent::LatestStartExceeded {
+                    thread: tid.0,
+                    latest,
+                },
+            );
             self.trace
                 .record_with(now, NodeId(th.node), TraceKind::Alarm, || {
                     format!("latest_start_exceeded {}", th.name)
@@ -1872,21 +1899,24 @@ impl Inner {
         // never make progress; blocked threads with remaining slack are
         // merely in flight at the horizon cutoff, not stalled.
         // The thread table iterates in ascending id order.
-        let stuck: Vec<ThreadId> = self
+        let stuck: Vec<u64> = self
             .threads
             .values()
             .filter(|t| t.state == ThreadState::Blocked && t.abs_deadline <= end)
-            .map(|t| t.id)
+            .map(|t| t.id.0)
             .collect();
         if !stuck.is_empty() {
-            self.monitor.push(MonitorEvent::Stall {
-                threads: stuck,
-                at: end,
-            });
+            self.alarms.raise(
+                end,
+                MonitorEvent::Stall {
+                    threads: stuck,
+                    at: end,
+                },
+            );
         }
         let telemetry = self.probe.registry();
         if telemetry.is_enabled() {
-            let misses = self.monitor.deadline_misses() as u64;
+            let misses = self.alarms.report.deadline_misses() as u64;
             telemetry
                 .counter("dispatch.ctx_switches")
                 .add(self.ctx_switches);
@@ -1908,7 +1938,7 @@ impl Inner {
         }
         RunReport {
             instances: std::mem::take(&mut self.records),
-            monitor: std::mem::take(&mut self.monitor),
+            monitor: std::mem::take(&mut self.alarms.report),
             trace: std::mem::replace(&mut self.trace, Trace::disabled()),
             notifications: self.notifications,
             scheduler_cpu: self.scheduler_cpu,

@@ -10,8 +10,9 @@
 //! * [`net`] — a network of point-to-point links with bounded delays
 //!   `[δmin, δmax]`, omission failures and performance (late-delivery)
 //!   failures, matching the paper's communication fault model.
-//! * [`fault`] — fault plans: scripted node crashes, link-omission windows
-//!   and probabilistic omissions.
+//! * [`fault`] — fault plans: scripted crash windows (crash and restart),
+//!   one-way link cuts, degraded links (extra delay and loss), slow nodes
+//!   and clock skews; probabilistic omissions live on the link.
 //! * [`kernel`] — the background kernel-activity model of Section 4.2:
 //!   a periodic clock interrupt and sporadic network interrupts, each with a
 //!   worst-case execution time and pseudo-period.
@@ -56,7 +57,6 @@ pub mod kernel;
 pub mod mux;
 pub mod net;
 pub mod rng;
-pub mod stats;
 pub mod trace;
 
 pub use engine::{Engine, EventId, Scheduler, Simulation};
@@ -68,5 +68,4 @@ pub use mux::{
 };
 pub use net::{Delivery, LinkConfig, Network, NetworkStats, NodeId};
 pub use rng::SimRng;
-pub use stats::Summary;
 pub use trace::{Gantt, Trace, TraceEvent, TraceKind};

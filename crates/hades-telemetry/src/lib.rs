@@ -32,6 +32,15 @@
 //! cluster-wide protocol invariant breaks, instead of waiting for the
 //! post-run report.
 //!
+//! Each observation type exists once, here: every protocol observation
+//! and Section 3.2.1 dispatcher alarm is one [`MonitorEvent`] on one
+//! [`ProtocolTap`], every order statistic one [`HistogramSummary`].
+//! Three channels stay beside the tap, none of them an observation:
+//! `hades_sim::mux::Postbox` is the wake channel a tap uses, because a
+//! tap must not re-enter the engine; `hades_sim::Trace` is the event log
+//! and Gantt chart that Figure 2 and `hades-dispatch/tests/locality.rs`
+//! read; [`Probe`] carries the engine-side counters.
+//!
 //! The **profiling layer** ([`profile`]) follows the same split: a
 //! [`Profiler`], fed by the probe, attributes engine work per event
 //! kind, per actor and per link deterministically (with per-kind
@@ -88,8 +97,9 @@ pub mod monitor;
 pub mod probe;
 pub mod profile;
 pub mod span;
+pub mod stats;
 
-pub use metrics::{Counter, Gauge, Histogram, HistogramSummary, MetricsSnapshot, Registry};
+pub use metrics::{Counter, Gauge, Histogram, MetricsSnapshot, Registry};
 pub use monitor::{
     Monitor, MonitorCtx, MonitorEvent, MonitorParams, ProtocolTap, Violation, Watchdog,
 };
@@ -99,6 +109,7 @@ pub use profile::{
     DELIVERY_CLASSES,
 };
 pub use span::{Phase, Span, SpanId, SpanLog};
+pub use stats::HistogramSummary;
 
 /// The deterministic telemetry a run hands back to its caller: the
 /// metrics snapshot and the protocol span log, both `Eq`-comparable so

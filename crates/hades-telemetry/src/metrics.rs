@@ -9,8 +9,7 @@
 //!
 //! Histograms record raw `u64` samples (engine-time nanoseconds by
 //! convention) and summarise them with **exact nearest-rank**
-//! percentiles — the same semantics as `hades_sim::stats::Summary`,
-//! extended to p999.
+//! percentiles up to p999 ([`HistogramSummary`]).
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
@@ -18,6 +17,7 @@ use std::fmt::Write as _;
 use std::rc::Rc;
 
 use crate::json;
+use crate::stats::HistogramSummary;
 
 #[derive(Debug, Default)]
 struct RegistryInner {
@@ -217,57 +217,6 @@ impl Histogram {
     /// Number of recorded samples (0 when inert).
     pub fn count(&self) -> usize {
         self.0.as_ref().map_or(0, |c| c.borrow().len())
-    }
-}
-
-/// Exact order statistics of one histogram, nearest-rank semantics
-/// (`ceil(q·n)`-th smallest sample, 1-based), per-mille resolution so
-/// p999 is exact too.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HistogramSummary {
-    /// Number of samples.
-    pub count: u64,
-    /// Smallest sample.
-    pub min: u64,
-    /// Largest sample.
-    pub max: u64,
-    /// Arithmetic mean, rounded down.
-    pub mean: u64,
-    /// Median (nearest-rank).
-    pub p50: u64,
-    /// 95th percentile.
-    pub p95: u64,
-    /// 99th percentile.
-    pub p99: u64,
-    /// 99.9th percentile.
-    pub p999: u64,
-}
-
-impl HistogramSummary {
-    /// Summarises `samples`; `None` when empty.
-    pub fn of(samples: &[u64]) -> Option<HistogramSummary> {
-        if samples.is_empty() {
-            return None;
-        }
-        let mut sorted = samples.to_vec();
-        sorted.sort_unstable();
-        let n = sorted.len();
-        let total: u128 = sorted.iter().map(|v| *v as u128).sum();
-        // Nearest-rank at per-mille resolution: ceil(permille/1000 · n).
-        let rank = |permille: usize| {
-            let idx = (permille * n).div_ceil(1000).max(1) - 1;
-            sorted[idx.min(n - 1)]
-        };
-        Some(HistogramSummary {
-            count: n as u64,
-            min: sorted[0],
-            max: sorted[n - 1],
-            mean: (total / n as u128) as u64,
-            p50: rank(500),
-            p95: rank(950),
-            p99: rank(990),
-            p999: rank(999),
-        })
     }
 }
 

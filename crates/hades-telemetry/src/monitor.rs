@@ -5,17 +5,17 @@
 //! counterpart of the post-run report assertions.
 //!
 //! The module is simulation-agnostic: it speaks [`MonitorEvent`], a
-//! neutral vocabulary of protocol observations (view installs, rejoin
-//! phase transitions, request submissions and outputs). The protocol
-//! actors emit that type themselves — `hades_services::NodeAgent` the
-//! view, suspicion and rejoin events, `hades_services::ReplicaGroup`
-//! members the handoff and request events — through one [`ProtocolTap`];
-//! nothing translates in between. The embedding control plane feeds
-//! each event through [`Watchdog::observe`] at its engine instant and
-//! services [`Watchdog::take_wakeups`] by arming engine timers (e.g.
-//! `notify_at`) that call [`Watchdog::wake`] back at each deadline — the
-//! watchdog itself never touches a clock, which is what keeps violation
-//! timestamps deterministic engine time.
+//! neutral vocabulary of observations (view installs, rejoin phases,
+//! requests and outputs, scheduling alarms). The sources emit that type
+//! themselves — `hades_services::NodeAgent` the view, suspicion and
+//! rejoin events, `hades_services::ReplicaGroup` members the handoff and
+//! request events, `hades_dispatch::DispatchSim` its Section 3.2.1 alarms
+//! — through one [`ProtocolTap`]; nothing translates in between. The
+//! embedding control plane feeds each event through [`Watchdog::observe`]
+//! at its engine instant and services [`Watchdog::take_wakeups`] by
+//! arming engine timers (e.g. `notify_at`) that call [`Watchdog::wake`]
+//! back at each deadline — the watchdog itself never touches a clock,
+//! which is what keeps violation timestamps deterministic engine time.
 //!
 //! Five invariants ship built in (see [`Watchdog::standard`]):
 //!
@@ -59,9 +59,9 @@ use hades_time::{Duration, Time};
 
 use crate::json::{self, Json};
 
-/// One neutral protocol observation, handed to the [`ProtocolTap`] by
-/// the actor it happened in and fed to [`Watchdog::observe`] at that
-/// engine instant.
+/// One neutral observation, handed to the [`ProtocolTap`] by the
+/// protocol actor or dispatcher it happened in and fed to
+/// [`Watchdog::observe`] at that engine instant.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MonitorEvent {
     /// An agent installed an agreed view.
@@ -160,10 +160,67 @@ pub enum MonitorEvent {
         /// (a second emission of the same id is then a violation).
         expect_unique: bool,
     },
+    /// Dispatcher alarm: a task instance missed its deadline.
+    DeadlineMiss {
+        /// The task's home node (the processor of its first unit).
+        node: u32,
+        /// The task id.
+        task: u32,
+        /// The instance sequence number.
+        instance: u64,
+        /// When the instance was activated.
+        activated: Time,
+        /// The absolute deadline that passed (the instant of the alarm).
+        deadline: Time,
+    },
+    /// Dispatcher alarm: an activation came earlier than its arrival law.
+    ArrivalLawViolation {
+        /// The task id.
+        task: u32,
+        /// When the illegal activation arrived.
+        at: Time,
+    },
+    /// Dispatcher alarm: an action completed under its declared WCET.
+    EarlyTermination {
+        /// The thread id.
+        thread: u64,
+        /// Declared worst case.
+        wcet: Duration,
+        /// Observed execution time.
+        actual: Duration,
+    },
+    /// Dispatcher alarm: a thread was killed without completing.
+    Orphan {
+        /// The thread id.
+        thread: u64,
+        /// When it was reaped.
+        at: Time,
+    },
+    /// Dispatcher alarm: a thread had not started by its latest start.
+    LatestStartExceeded {
+        /// The thread id.
+        thread: u64,
+        /// The latest start bound that passed.
+        latest: Time,
+    },
+    /// Dispatcher alarm: threads still blocked past their deadline at the end.
+    Stall {
+        /// The blocked thread ids, ascending.
+        threads: Vec<u64>,
+        /// The end of the run.
+        at: Time,
+    },
+    /// Dispatcher alarm: a remote precedence message missed `δmax`.
+    NetworkOmission {
+        /// The thread whose predecessor message was lost.
+        waiting: u64,
+        /// When the loss was established.
+        detected_at: Time,
+    },
 }
 
-/// The online observation callback of the protocol actors:
-/// `(now, event)`, invoked synchronously inside the emitting actor's
+/// The online observation callback of the protocol actors and the
+/// dispatcher: `(now, event)`, invoked synchronously inside the emitter's
 /// handler at the emission instant. A tap must not re-enter the engine;
 /// it records, and at most leaves a wake request for a control actor.
 #[derive(Clone)]

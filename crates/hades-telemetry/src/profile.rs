@@ -45,7 +45,7 @@ use std::rc::Rc;
 use hades_time::Duration;
 
 use crate::json::{self, Json};
-use crate::metrics::HistogramSummary;
+use crate::stats::HistogramSummary;
 
 /// The actor delivery classes, in the order the `class` argument of
 /// [`Probe::delivery`](crate::Probe::delivery) indexes them.

@@ -21,7 +21,7 @@
 //!
 //! | Crate | Contents |
 //! |-------|----------|
-//! | [`hades_time`] | tick-exact time, drifting clocks, LL88 averaging core, timers |
+//! | [`hades_time`] | tick-exact time, drifting clocks, LL88 averaging core |
 //! | [`hades_sim`] | deterministic DES engine, bounded-delay faulty network, kernel activity model, traces |
 //! | [`hades_task`] | the HEUG task model (Section 3), arrival laws, resources, condition variables, Spuri translation (Figure 3) |
 //! | [`hades_dispatch`] | the generic dispatcher: run queue, preemption thresholds, PCP/SRP, notifications, cost charging, monitoring |
@@ -30,7 +30,7 @@
 //! | [`hades_cluster`] | the integrated multi-node runtime: N per-node stacks (dispatcher + policy + services) over one shared engine and network |
 //! | [`hades_chaos`] | gray-failure fault fabric programs and the invariant-guided scenario fuzzer (generate → watchdog oracle → shrink → corpus) |
 //! | [`hades_fabric`] | sharded service fabric: consistent-hash shard placement, population-scale load classes (10⁶ clients as rate multipliers), rebalancing director, per-shard latency report |
-//! | [`hades_telemetry`] | engine-time metrics registry, protocol trace spans, deterministic profiler (time/traffic attribution, flamegraph export), JSONL export — near-free when disabled |
+//! | [`hades_telemetry`] | the one observation tap (protocol events and dispatcher alarms) and invariant watchdog, engine-time metrics registry, protocol trace spans, deterministic profiler (time/traffic attribution, flamegraph export), JSONL export — near-free when disabled |
 //!
 //! ## Quickstart
 //!
@@ -83,8 +83,7 @@ pub mod prelude {
         TraceReplay, ViewChangeStats, Workload,
     };
     pub use hades_dispatch::{
-        CostModel, DispatchSim, ExecTimeModel, MissPolicy, MonitorEvent, ResourceProtocol,
-        RunReport, SimConfig,
+        CostModel, DispatchSim, ExecTimeModel, MissPolicy, ResourceProtocol, RunReport, SimConfig,
     };
     pub use hades_fabric::{
         Arrival, FabricDirector, FabricReport, FabricRun, FabricSpec, HashRing, LoadClass,
@@ -95,11 +94,12 @@ pub mod prelude {
         SpringPlanner, SpringPolicy,
     };
     pub use hades_services::ReplicaStyle;
-    pub use hades_sim::{FaultPlan, KernelModel, LinkConfig, Network, NodeId, SimRng, Summary};
+    pub use hades_sim::{FaultPlan, KernelModel, LinkConfig, Network, NodeId, SimRng};
     pub use hades_task::prelude::*;
     pub use hades_task::spuri::SpuriTask;
     pub use hades_telemetry::{
-        ProfileReport, Profiler, Registry, RunTelemetry, Violation, Watchdog,
+        MonitorEvent, ProfileReport, Profiler, ProtocolTap, Registry, RunTelemetry, Violation,
+        Watchdog,
     };
     pub use hades_time::{Duration, Time};
 }

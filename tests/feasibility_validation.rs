@@ -7,27 +7,9 @@
 //! (zero overheads) does not have this property — it accepts sets that
 //! miss deadlines once overheads are real.
 
+use bench::sweep::random_set;
 use hades::prelude::*;
 use hades_sim::SimRng;
-
-fn random_set(rng: &mut SimRng, n_tasks: u32, target_util_permille: u64) -> Vec<SpuriTask> {
-    // Split the utilisation budget across tasks; random periods.
-    let mut tasks = Vec::new();
-    let share = target_util_permille / n_tasks as u64;
-    for i in 0..n_tasks {
-        let period_us = rng.range_inclusive(2_000, 20_000);
-        let c_us = (period_us * share / 1000).max(50);
-        let deadline_us = rng.range_inclusive(c_us.saturating_mul(2).max(500), period_us);
-        tasks.push(SpuriTask::independent(
-            TaskId(i),
-            format!("t{i}"),
-            Duration::from_micros(c_us),
-            Duration::from_micros(deadline_us),
-            Duration::from_micros(period_us),
-        ));
-    }
-    tasks
-}
 
 fn run_with_costs(tasks: &[SpuriTask], costs: CostModel, kernel: KernelModel) -> RunReport {
     let blocking = hades_sched::analysis::edf_demand::spuri_blocking(tasks);
@@ -58,7 +40,7 @@ fn cost_aware_acceptance_is_sound_on_the_costed_platform() {
     let mut accepted = 0;
     for trial in 0..40 {
         let util = rng.range_inclusive(300, 850);
-        let tasks = random_set(&mut rng.split(trial), 4, util);
+        let tasks = random_set(2_024_000 + trial, 4, util);
         let verdict = edf_feasible(&tasks, &cfg);
         if !verdict.feasible {
             continue;
@@ -128,7 +110,7 @@ fn cost_aware_acceptance_is_monotone_in_overheads() {
     let cfg = EdfAnalysisConfig::with_platform(costs, kernel);
     for trial in 0..60 {
         let util = rng.range_inclusive(200, 990);
-        let tasks = random_set(&mut rng.split(1000 + trial), 5, util);
+        let tasks = random_set(77_000 + trial, 5, util);
         let aware = edf_feasible(&tasks, &cfg);
         let naive = edf_feasible(&tasks, &EdfAnalysisConfig::naive());
         if aware.feasible {

@@ -18,7 +18,7 @@ use std::rc::Rc;
 
 use hades::prelude::*;
 use hades_sim::NodeId;
-use hades_telemetry::monitor::{validate_violations, violations_to_jsonl};
+use hades_telemetry::monitor::{validate_violations, violations_to_jsonl, Monitor, MonitorCtx};
 
 fn us(n: u64) -> Duration {
     Duration::from_micros(n)
@@ -209,4 +209,55 @@ fn fault_free_run_stays_silent_and_unperturbed() {
     );
     assert_eq!(watched.report(), bare.report());
     assert_eq!(watched.events(), bare.events());
+}
+
+/// Records the instant of every dispatcher deadline miss the watchdog
+/// feeds it.
+struct MissRecorder {
+    seen: Rc<RefCell<Vec<Time>>>,
+}
+
+impl Monitor for MissRecorder {
+    fn name(&self) -> &'static str {
+        "miss-recorder"
+    }
+
+    fn on_event(&mut self, now: Time, event: &MonitorEvent, _ctx: &mut MonitorCtx<'_>) {
+        if let MonitorEvent::DeadlineMiss { .. } = event {
+            self.seen.borrow_mut().push(now);
+        }
+    }
+}
+
+#[test]
+fn watchdog_hears_every_deadline_miss_the_control_plane_does() {
+    // An overloaded node 0 (U > 1) next to a replicated store: the
+    // dispatcher's misses reach a custom monitor through the same tap
+    // that yields `ClusterEvent::DeadlineMiss`. No crash, so no miss is
+    // filtered as a down-window casualty.
+    let seen = Rc::new(RefCell::new(Vec::new()));
+    let run = ClusterSpec::new(3)
+        .horizon(ms(40))
+        .service(ServiceSpec::replicated(
+            "store",
+            ReplicaStyle::Active,
+            vec![1, 2],
+            GroupLoad::default(),
+        ))
+        .service(ServiceSpec::periodic("heavy-a", 0, ms(1), ms(2)))
+        .service(ServiceSpec::periodic("heavy-b", 0, us(1_100), ms(2)))
+        .monitors(Watchdog::new().with(Box::new(MissRecorder { seen: seen.clone() })))
+        .run()
+        .expect("valid spec");
+    let misses: Vec<Time> = run
+        .events()
+        .iter()
+        .filter_map(|e| match e {
+            ClusterEvent::DeadlineMiss { at, .. } => Some(*at),
+            _ => None,
+        })
+        .collect();
+    assert!(!misses.is_empty(), "the overloaded node missed deadlines");
+    assert_eq!(*seen.borrow(), misses);
+    assert!(run.violations().is_empty(), "{:?}", run.violations());
 }

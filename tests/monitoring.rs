@@ -1,12 +1,52 @@
 //! Experiment E14 as a test: every monitoring event class of
 //! Section 3.2.1 is detected by the dispatcher. The paper remarks that no
 //! existing real-time environment implemented all of them; this test pins
-//! each one to a concrete fault-injection scenario.
+//! each one to a concrete fault-injection scenario. Every scenario runs
+//! with a tap installed, and the tap hears exactly the report's alarms.
+
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use hades::prelude::*;
 
 fn us(n: u64) -> Duration {
     Duration::from_micros(n)
+}
+
+/// Runs `sim` with a tap installed and checks the one feed: the tap
+/// hears exactly `report.monitor.events()`, in order, each at the
+/// instant the event names. Returns the report and what the tap heard.
+fn run_tapped(mut sim: DispatchSim) -> (RunReport, Vec<(Time, MonitorEvent)>) {
+    let heard = Rc::new(RefCell::new(Vec::new()));
+    let sink = heard.clone();
+    sim.set_tap(ProtocolTap(Rc::new(move |now, ev: &MonitorEvent| {
+        sink.borrow_mut().push((now, ev.clone()));
+    })));
+    let report = sim.run();
+    let heard = heard.take();
+    let events: Vec<MonitorEvent> = heard.iter().map(|(_, ev)| ev.clone()).collect();
+    assert_eq!(
+        events,
+        report.monitor.events(),
+        "the tap and the report agree"
+    );
+    for (now, ev) in &heard {
+        let named = match ev {
+            MonitorEvent::DeadlineMiss { deadline, .. } => Some(*deadline),
+            MonitorEvent::ArrivalLawViolation { at, .. }
+            | MonitorEvent::Orphan { at, .. }
+            | MonitorEvent::Stall { at, .. } => Some(*at),
+            MonitorEvent::LatestStartExceeded { latest, .. } => Some(*latest),
+            MonitorEvent::NetworkOmission { detected_at, .. } => Some(*detected_at),
+            // Raised at the completion instant, which it does not name.
+            MonitorEvent::EarlyTermination { .. } => None,
+            other => panic!("not a dispatcher alarm: {other:?}"),
+        };
+        if let Some(at) = named {
+            assert_eq!(*now, at, "{ev:?} heard at its own instant");
+        }
+    }
+    (report, heard)
 }
 
 fn single(id: u32, name: &str, wcet: Duration) -> Task {
@@ -27,7 +67,7 @@ fn deadline_violation_is_detected() {
         .build()
         .unwrap();
     sim.activate_at(TaskId(0), Time::ZERO);
-    let report = sim.run();
+    let (report, _) = run_tapped(sim);
     assert_eq!(report.monitor.deadline_misses(), 1);
     assert_eq!(report.misses(), 1);
 }
@@ -48,7 +88,7 @@ fn arrival_law_violation_is_detected() {
         .unwrap();
     sim.activate_at(TaskId(0), Time::ZERO);
     sim.activate_at(TaskId(0), Time::ZERO + us(200)); // pseudo-period violated
-    let report = sim.run();
+    let (report, _) = run_tapped(sim);
     assert_eq!(report.monitor.arrival_violations(), 1);
 }
 
@@ -64,13 +104,18 @@ fn early_termination_is_detected_and_is_not_a_fault() {
         .build()
         .unwrap();
     sim.activate_at(TaskId(0), Time::ZERO);
-    let report = sim.run();
+    let (report, heard) = run_tapped(sim);
     assert_eq!(report.monitor.early_terminations(), 1);
     assert!(
         report.monitor.is_healthy(),
         "early termination is informational"
     );
     assert!(report.all_deadlines_met());
+    assert_eq!(
+        Some(heard[0].0),
+        report.instances[0].completed,
+        "heard at the completion instant"
+    );
 }
 
 #[test]
@@ -97,7 +142,7 @@ fn orphans_are_reaped_when_an_instance_aborts() {
         .build()
         .unwrap();
     sim.activate_at(TaskId(0), Time::ZERO);
-    let report = sim.run();
+    let (report, _) = run_tapped(sim);
     assert_eq!(report.monitor.deadline_misses(), 1);
     assert!(
         report.monitor.orphans() >= 1,
@@ -132,7 +177,7 @@ fn latest_start_overrun_is_detected() {
         .unwrap();
     sim.activate_at(TaskId(0), Time::ZERO);
     sim.activate_at(TaskId(1), Time::ZERO);
-    let report = sim.run();
+    let (report, _) = run_tapped(sim);
     assert_eq!(report.monitor.latest_start_exceeded(), 1);
 }
 
@@ -172,7 +217,7 @@ fn stall_deadlock_is_detected_for_unsatisfiable_waits() {
         .unwrap();
     sim.activate_at(TaskId(0), Time::ZERO);
     sim.activate_at(TaskId(1), Time::ZERO);
-    let report = sim.run();
+    let (report, _) = run_tapped(sim);
     assert_eq!(
         report.monitor.stalls(),
         1,
@@ -201,7 +246,7 @@ fn network_omission_is_detected_via_remote_precedence() {
         .build()
         .unwrap();
     sim.activate_at(TaskId(0), Time::ZERO);
-    let report = sim.run();
+    let (report, _) = run_tapped(sim);
     assert_eq!(report.monitor.network_omissions(), 1);
     assert_eq!(report.monitor.orphans(), 1, "the receiver thread is reaped");
 }

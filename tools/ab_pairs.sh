@@ -135,7 +135,9 @@ awk -v m="$metric" -v w="$workload" -v seed="$seed" -v manifest="$manifest" -v r
         sort(ps, n); sort(cs, n)
     }
     FILENAME == manifest {
-        if ($0 ~ /"bound"/) { name = field($0, "name"); order[++metrics] = name; bound[name] = field($0, "bound"); better[name] = field($0, "better") }
+        # `+ 0`: a bound compared as a string would rank a tiny worsening
+        # printed as "1e-05" above "0.25".
+        if ($0 ~ /"bound"/) { name = field($0, "name"); order[++metrics] = name; bound[name] = field($0, "bound") + 0; better[name] = field($0, "better") }
         next
     }
     FILENAME == runs { if ($3 != "0" || $6 != "0") bad = 1; if ($2 != $5) moved = 1; next }
