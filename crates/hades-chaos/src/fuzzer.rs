@@ -12,7 +12,8 @@
 //! single remaining op loses the violation), then narrow what is left
 //! (halve long fault windows, shed burst victims), then *canonicalize*
 //! it — shift surviving ops earlier in time and relabel their nodes
-//! downward — while the violation keeps firing. Canonical minimized
+//! downward — while the violation keeps firing, repeating all four until
+//! a pass changes nothing. Canonical minimized
 //! programs let [`ChaosFuzzer::campaign`] discard isomorphic
 //! counterexamples (same fault shape up to node relabeling and time
 //! translation) instead of reporting the same bug once per seed quirk.
@@ -321,8 +322,10 @@ impl ChaosFuzzer {
     /// keeps reproducing. Phases 3 and 4 canonicalize: shift surviving
     /// ops earlier (halving their start offset, windows keep their
     /// length) and relabel node identifiers downward, again only while
-    /// the same key keeps firing. Every accepted step strictly shrinks
-    /// a well-founded measure (op count, window length, start offset,
+    /// the same key keeps firing. The four phases repeat until a whole
+    /// pass leaves the program unchanged, since a later phase can make an
+    /// op removable again. Every accepted step strictly shrinks a
+    /// well-founded measure (op count, window length, start offset,
     /// node-label sum), so the loop terminates; determinism of the runs
     /// makes the whole shrink a pure function of `(program, key)`.
     pub fn shrink(&self, program: &ChaosProgram, key: &ViolationKey) -> ChaosProgram {
@@ -330,74 +333,80 @@ impl ChaosFuzzer {
         if !self.reproduces(&best, key) {
             return best;
         }
-        // Phase 1: drop whole ops until no single removal reproduces.
         loop {
-            let mut removed = false;
-            let mut i = 0;
-            while i < best.ops.len() {
-                if best.ops.len() == 1 {
+            let before = best.clone();
+            // Phase 1: drop whole ops until no single removal reproduces.
+            loop {
+                let mut removed = false;
+                let mut i = 0;
+                while i < best.ops.len() {
+                    if best.ops.len() == 1 {
+                        break;
+                    }
+                    let mut candidate = best.clone();
+                    candidate.ops.remove(i);
+                    if self.reproduces(&candidate, key) {
+                        best = candidate;
+                        removed = true;
+                    } else {
+                        i += 1;
+                    }
+                }
+                if !removed {
                     break;
                 }
-                let mut candidate = best.clone();
-                candidate.ops.remove(i);
-                if self.reproduces(&candidate, key) {
-                    best = candidate;
-                    removed = true;
-                } else {
-                    i += 1;
-                }
             }
-            if !removed {
-                break;
-            }
-        }
-        // Phase 2: narrow surviving ops while the violation holds.
-        loop {
-            let mut narrowed = false;
-            for i in 0..best.ops.len() {
-                while let Some(candidate) = narrow_op(&best, i) {
-                    if self.reproduces(&candidate, key) {
-                        best = candidate;
-                        narrowed = true;
-                    } else {
-                        break;
+            // Phase 2: narrow surviving ops while the violation holds.
+            loop {
+                let mut narrowed = false;
+                for i in 0..best.ops.len() {
+                    while let Some(candidate) = narrow_op(&best, i) {
+                        if self.reproduces(&candidate, key) {
+                            best = candidate;
+                            narrowed = true;
+                        } else {
+                            break;
+                        }
                     }
                 }
-            }
-            if !narrowed {
-                break;
-            }
-        }
-        // Phase 3: shift surviving ops earlier in time.
-        loop {
-            let mut shifted = false;
-            for i in 0..best.ops.len() {
-                while let Some(candidate) = shift_op(&best, i) {
-                    if self.reproduces(&candidate, key) {
-                        best = candidate;
-                        shifted = true;
-                    } else {
-                        break;
-                    }
+                if !narrowed {
+                    break;
                 }
             }
-            if !shifted {
-                break;
-            }
-        }
-        // Phase 4: relabel node identifiers toward the smallest ids.
-        loop {
-            let mut lowered = false;
-            'ops: for i in 0..best.ops.len() {
-                for candidate in lower_nodes(&best, i) {
-                    if self.reproduces(&candidate, key) {
-                        best = candidate;
-                        lowered = true;
-                        continue 'ops;
+            // Phase 3: shift surviving ops earlier in time.
+            loop {
+                let mut shifted = false;
+                for i in 0..best.ops.len() {
+                    while let Some(candidate) = shift_op(&best, i) {
+                        if self.reproduces(&candidate, key) {
+                            best = candidate;
+                            shifted = true;
+                        } else {
+                            break;
+                        }
                     }
                 }
+                if !shifted {
+                    break;
+                }
             }
-            if !lowered {
+            // Phase 4: relabel node identifiers toward the smallest ids.
+            loop {
+                let mut lowered = false;
+                'ops: for i in 0..best.ops.len() {
+                    for candidate in lower_nodes(&best, i) {
+                        if self.reproduces(&candidate, key) {
+                            best = candidate;
+                            lowered = true;
+                            continue 'ops;
+                        }
+                    }
+                }
+                if !lowered {
+                    break;
+                }
+            }
+            if best == before {
                 break;
             }
         }
@@ -822,6 +831,61 @@ mod tests {
             assert!(
                 !fuzzer.reproduces(&without, &key),
                 "op {i} is load-bearing in the minimized program"
+            );
+        }
+    }
+
+    #[test]
+    fn shrinking_repeats_its_phases_until_no_single_op_can_go() {
+        // Campaign seed 11, program #070: one pass of the four phases
+        // left 3 ops, one of them removable once the others had been
+        // narrowed and shifted.
+        let fuzzer = ChaosFuzzer::standard(FuzzConfig::default(), 11);
+        let ns = Time::from_nanos;
+        let program = ChaosProgram {
+            ops: vec![
+                ChaosOp::Crash {
+                    node: 3,
+                    at: ns(16_570_000),
+                    until: None,
+                },
+                ChaosOp::CcfBurst {
+                    root: 3,
+                    victims: vec![2, 0, 1],
+                    spacing: Duration::from_micros(179),
+                    down: ms(10),
+                },
+                ChaosOp::Throttle {
+                    service: "store".into(),
+                    at: ns(59_540_000),
+                    permille: 149,
+                },
+                ChaosOp::Crash {
+                    node: 0,
+                    at: ns(57_030_000),
+                    until: Some(ns(59_620_000)),
+                },
+                ChaosOp::Crash {
+                    node: 3,
+                    at: ns(34_520_000),
+                    until: Some(ns(55_430_000)),
+                },
+                ChaosOp::Crash {
+                    node: 3,
+                    at: ns(53_720_000),
+                    until: None,
+                },
+            ],
+        };
+        let key = silence_key();
+        let minimized = fuzzer.shrink(&program, &key);
+        assert!(fuzzer.reproduces(&minimized, &key));
+        for i in 0..minimized.ops.len() {
+            let mut without = minimized.clone();
+            without.ops.remove(i);
+            assert!(
+                !fuzzer.reproduces(&without, &key),
+                "op {i} of {minimized:?} is removable"
             );
         }
     }

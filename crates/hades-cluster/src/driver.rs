@@ -22,6 +22,17 @@
 //!   [`ScenarioDriver::static_plan`] so the offline feasibility and
 //!   transition analyses still see it.
 //!
+//! # The applied fault plan
+//!
+//! The control plane records every fault op it stages — crashes,
+//! restarts, cuts, degraded links, slow nodes, clock skews, scripted and
+//! reactive alike — in a [`FaultPlan`] of its own, applied with
+//! [`mux::apply_network_op`], the function the network applies the same
+//! op with at the same instant. The two plans therefore cannot drift:
+//! online classification (a `Detected` latency, a `FailedOver`, the
+//! crash-casualty filter on `DeadlineMiss`) and the post-run report read
+//! that one record of who was down when.
+//!
 //! # Event-delivery timing contract
 //!
 //! An event is delivered to every driver at the virtual instant it was
@@ -38,8 +49,8 @@
 use crate::events::ClusterEvent;
 use crate::scenario::ScenarioPlan;
 use hades_services::group::{RequestSource, GN_WAKE};
-use hades_sim::mux::{ActorCtx, ActorEvent, ActorId, ControlOp, NetActor};
-use hades_sim::NodeId;
+use hades_sim::mux::{self, ActorCtx, ActorEvent, ActorId, ControlOp, NetActor};
+use hades_sim::{FaultPlan, NodeId};
 use hades_task::TaskId;
 use hades_telemetry::monitor::{MonitorEvent, Watchdog};
 use hades_time::{Duration, Time};
@@ -151,15 +162,10 @@ impl PlanDriver {
 
 impl ScenarioDriver for PlanDriver {
     fn on_start(&mut self, _now: Time, ctl: &mut ControlHandle<'_>) {
-        let mut nodes: Vec<NodeId> = self.plan.crashes().iter().map(|(n, _)| *n).collect();
-        nodes.sort();
-        nodes.dedup();
-        for node in nodes {
-            for (crash_at, restart_at) in self.plan.down_windows(node) {
-                match restart_at {
-                    Some(r) => ctl.crash_window(node.0, crash_at, r),
-                    None => ctl.crash_at(node.0, crash_at),
-                }
+        for (node, w) in self.plan.fault_plan().crash_windows() {
+            match w.restart_at {
+                Some(r) => ctl.crash_window(node.0, w.crash_at, r),
+                None => ctl.crash_at(node.0, w.crash_at),
             }
         }
         for p in self.plan.partitions() {
@@ -206,49 +212,19 @@ pub(crate) struct ServiceControl {
 }
 
 /// A command collected from a driver callback, applied by the control
-/// actor right after the callback returns.
+/// actor right after the callback returns. Node ranges are checked when
+/// the command is issued.
 #[derive(Debug, Clone)]
 enum Command {
+    /// Crash `node` at `at`, down until `until` (`None` = for good),
+    /// subject to the crash rule of [`ControlActor::apply`].
     Crash {
         node: u32,
         at: Time,
         until: Option<Time>,
     },
-    Restart {
-        node: u32,
-        at: Time,
-    },
-    Partition {
-        a: u32,
-        b: u32,
-        from: Time,
-        until: Time,
-    },
-    CutOneWay {
-        from: u32,
-        to: u32,
-        at: Time,
-        until: Time,
-    },
-    Degrade {
-        from: u32,
-        to: u32,
-        at: Time,
-        until: Time,
-        extra_delay: Duration,
-        loss_permille: u32,
-    },
-    Slow {
-        node: u32,
-        at: Time,
-        until: Time,
-        speed_permille: u32,
-    },
-    Skew {
-        node: u32,
-        at: Time,
-        drift_ppb: i64,
-    },
+    /// Any other network fault op, staged as issued.
+    Net(ControlOp),
     Throttle {
         service: usize,
         permille: u32,
@@ -340,52 +316,63 @@ impl ControlHandle<'_> {
     }
 
     /// Crashes `node` permanently, effective now. Out-of-range nodes are
-    /// ignored.
+    /// ignored here and by every fault method below.
     pub fn crash(&mut self, node: u32) {
         self.crash_at(node, self.now);
     }
 
     /// Crashes `node` permanently at `at` (clamped to now).
+    ///
+    /// The crash rule, shared with [`ControlHandle::crash_window`]: a
+    /// crash of a node already down at `at` is a no-op, and a restart
+    /// already booked for a later window of the same node ends this
+    /// crash — the node comes back then.
     pub fn crash_at(&mut self, node: u32, at: Time) {
-        self.cmds.push(Command::Crash {
-            node,
-            at,
-            until: None,
-        });
+        self.crash_until(node, at, None);
     }
 
     /// Crashes `node` for the window `[at, until)` — it restarts (cold,
-    /// running the rejoin protocol) at `until`.
+    /// running the rejoin protocol) at `until`. The crash rule of
+    /// [`ControlHandle::crash_at`] applies: no-op if the node is already
+    /// down at `at`, and a restart already booked for a later window
+    /// caps `until`.
     pub fn crash_window(&mut self, node: u32, at: Time, until: Time) {
-        self.cmds.push(Command::Crash {
-            node,
-            at,
-            until: Some(until),
-        });
+        self.crash_until(node, at, Some(until));
     }
 
     /// Schedules a restart of an already-injected crash of `node` at
     /// `at`. A no-op when no open crash window covers `at`.
     pub fn restart_at(&mut self, node: u32, at: Time) {
-        self.cmds.push(Command::Restart { node, at });
+        self.node_op(
+            node,
+            ControlOp::Restart {
+                node: NodeId(node),
+                at,
+            },
+        );
     }
 
     /// Cuts both directions of the `a ↔ b` link during `[from, until]`.
     pub fn partition(&mut self, a: u32, b: u32, from: Time, until: Time) {
-        self.cmds.push(Command::Partition { a, b, from, until });
+        self.cut_link(a, b, from, until);
+        self.cut_link(b, a, from, until);
     }
 
     /// Cuts only the directed link `from → to` during `[at, until]` — an
     /// *asymmetric* partition: `from`'s messages to `to` vanish while the
     /// reverse direction keeps delivering, so the two sides disagree
-    /// about each other's health. Out-of-range or self links are ignored.
+    /// about each other's health. Self links are ignored.
     pub fn cut_link(&mut self, from: u32, to: u32, at: Time, until: Time) {
-        self.cmds.push(Command::CutOneWay {
+        self.link_op(
             from,
             to,
-            at,
-            until,
-        });
+            ControlOp::CutLink {
+                from: NodeId(from),
+                to: NodeId(to),
+                from_t: at,
+                until_t: until,
+            },
+        );
     }
 
     /// Degrades (without severing) the directed link `from → to` during
@@ -401,14 +388,18 @@ impl ControlHandle<'_> {
         extra_delay: Duration,
         loss_permille: u32,
     ) {
-        self.cmds.push(Command::Degrade {
+        self.link_op(
             from,
             to,
-            at,
-            until,
-            extra_delay,
-            loss_permille,
-        });
+            ControlOp::DegradeLink {
+                from: NodeId(from),
+                to: NodeId(to),
+                from_t: at,
+                until_t: until,
+                extra_delay,
+                loss_permille,
+            },
+        );
     }
 
     /// Slows `node`'s CPU to `speed_permille / 1000` of nominal during
@@ -416,23 +407,29 @@ impl ControlHandle<'_> {
     /// lags — a straggler that can miss heartbeat deadlines without
     /// being down. `speed_permille` is clamped to `1..=1000`.
     pub fn slow_node(&mut self, node: u32, at: Time, until: Time, speed_permille: u32) {
-        self.cmds.push(Command::Slow {
+        self.node_op(
             node,
-            at,
-            until,
-            speed_permille,
-        });
+            ControlOp::SlowNode {
+                node: NodeId(node),
+                from_t: at,
+                until_t: until,
+                speed_permille,
+            },
+        );
     }
 
     /// Skews `node`'s local clock from `at` on: the node's timers run at
     /// `1 + drift_ppb / 1e9` of real rate (negative drift = slow clock =
     /// late heartbeats). A later skew of the same node supersedes it.
     pub fn skew_clock(&mut self, node: u32, at: Time, drift_ppb: i64) {
-        self.cmds.push(Command::Skew {
+        self.node_op(
             node,
-            at,
-            drift_ppb,
-        });
+            ControlOp::SkewClock {
+                node: NodeId(node),
+                at,
+                drift_ppb,
+            },
+        );
     }
 
     /// Retunes the named replicated service's live workload to
@@ -491,6 +488,24 @@ impl ControlHandle<'_> {
         self.cmds.push(Command::ShardMoved { shard, from, to });
     }
 
+    fn crash_until(&mut self, node: u32, at: Time, until: Option<Time>) {
+        if node < self.nodes {
+            self.cmds.push(Command::Crash { node, at, until });
+        }
+    }
+
+    fn node_op(&mut self, node: u32, op: ControlOp) {
+        if node < self.nodes {
+            self.cmds.push(Command::Net(op));
+        }
+    }
+
+    fn link_op(&mut self, from: u32, to: u32, op: ControlOp) {
+        if from < self.nodes && to < self.nodes && from != to {
+            self.cmds.push(Command::Net(op));
+        }
+    }
+
     /// Registration indices of every service named `service`.
     fn matching(&self, service: &str) -> Vec<usize> {
         self.services
@@ -504,14 +519,15 @@ impl ControlHandle<'_> {
 
 /// Everything the control plane accumulates during a run: the events
 /// emitted so far (the final stream), the queue still to be delivered
-/// to drivers, the *applied* fault script (the classification source
-/// for the post-run report), and the view bookkeeping for first-install
-/// and failover derivation.
+/// to drivers, the *applied* fault plan (the one classification source,
+/// online and in the post-run report), and the view bookkeeping for
+/// first-install and failover derivation.
 #[derive(Debug, Default)]
 pub(crate) struct ControlState {
-    /// Faults actually applied (scripted replays and reactive
-    /// injections alike), as a scenario plan.
-    pub(crate) applied: ScenarioPlan,
+    /// Every fault op staged so far (scripted replays and reactive
+    /// injections alike), applied exactly as the network applies it —
+    /// crash windows, cuts, degraded links, slow nodes and skews.
+    pub(crate) applied: FaultPlan,
     /// The full online event stream, in emission order.
     pub(crate) events: Vec<ClusterEvent>,
     /// Events emitted but not yet delivered to drivers.
@@ -566,7 +582,9 @@ impl ControlState {
                     if let Some(prev) = number.checked_sub(1).and_then(|p| self.seen_views.get(&p))
                     {
                         if let (Some(&old), Some(&new)) = (prev.first(), members.first()) {
-                            if old != new && new == *node && self.applied.is_down(NodeId(old), now)
+                            if old != new
+                                && new == *node
+                                && self.applied.is_crashed(NodeId(old), now)
                             {
                                 self.emitted_failovers.insert(*number);
                                 self.push(ClusterEvent::FailedOver {
@@ -618,8 +636,7 @@ impl ControlState {
             } => {
                 let task = TaskId(*task);
                 let (node, middleware) = self.origin.get(&task).copied().unwrap_or((*node, false));
-                let windows = self.applied.down_windows(NodeId(node));
-                if !ScenarioPlan::windows_overlap(&windows, *activated, now) {
+                if !self.applied.down_during(NodeId(node), *activated, now) {
                     self.push(ClusterEvent::DeadlineMiss {
                         node,
                         task,
@@ -760,173 +777,41 @@ impl ControlActor {
         }
     }
 
-    /// Applies one collected command: records it in the applied plan,
-    /// stages the runtime op, and emits the service-control events.
+    /// Stages one network fault op: applies it to the applied plan with
+    /// the network's own rule, then hands it to the engine, which applies
+    /// it to the network's plan at this same instant.
+    fn stage(&self, op: ControlOp, now: Time, ctx: &mut ActorCtx<'_>) {
+        mux::apply_network_op(&mut self.state.borrow_mut().applied, &op, now);
+        ctx.control(op);
+    }
+
+    /// Applies one collected command: stages its fault op, or applies
+    /// its service control and emits the event.
     fn apply(&mut self, cmd: Command, now: Time, ctx: &mut ActorCtx<'_>) {
         match cmd {
+            // The crash rule: a crash of a node already down is a no-op,
+            // and a restart already booked for a later window of the
+            // node ends this one.
             Command::Crash { node, at, until } => {
-                if node >= self.nodes {
-                    return;
-                }
+                let node = NodeId(node);
                 let at = at.max(now);
-                let until = until.map(|u| u.max(at + Duration::from_nanos(1)));
-                let window = {
-                    let mut state = self.state.borrow_mut();
-                    if state.applied.is_down(NodeId(node), at) {
-                        return; // already down: a second crash is a no-op
-                    }
-                    state.applied = std::mem::take(&mut state.applied).crash(NodeId(node), at);
-                    if let Some(u) = until {
-                        state.applied = std::mem::take(&mut state.applied).restart(NodeId(node), u);
-                    }
-                    // Inject exactly the window the applied plan ends up
-                    // recording: a restart already on the books (e.g. a
-                    // scripted window later in the run) may close this
-                    // crash earlier than requested, and the runtime
-                    // fault plan must never disagree with the report's
-                    // classification source.
-                    state
-                        .applied
-                        .down_windows(NodeId(node))
-                        .iter()
-                        .find(|(c, r)| *c <= at && r.is_none_or(|r| at < r))
-                        .copied()
-                };
-                let Some((win_at, win_until)) = window else {
-                    return;
-                };
-                ctx.control(ControlOp::Crash {
-                    node: NodeId(node),
-                    at: win_at,
-                    until: win_until,
-                });
-            }
-            Command::Restart { node, at } => {
-                if node >= self.nodes {
-                    return;
-                }
-                let at = at.max(now + Duration::from_nanos(1));
-                {
-                    let mut state = self.state.borrow_mut();
-                    // Record only a restart that really closes an OPEN
-                    // window, mirroring the runtime op's no-op semantics
-                    // (a window whose restart is already scheduled is
-                    // never shortened).
-                    let open = state
-                        .applied
-                        .down_windows(NodeId(node))
-                        .iter()
-                        .any(|(c, r)| *c < at && r.is_none());
-                    if !open {
+                let booked = {
+                    let state = self.state.borrow();
+                    if state.applied.is_crashed(node, at) {
                         return;
                     }
-                    state.applied = std::mem::take(&mut state.applied).restart(NodeId(node), at);
-                }
-                ctx.control(ControlOp::Restart {
-                    node: NodeId(node),
-                    at,
-                });
+                    state
+                        .applied
+                        .windows_of(node)
+                        .iter()
+                        .filter_map(|w| w.restart_at)
+                        .find(|r| *r > at)
+                };
+                // `apply_network_op` lifts an `until` at or before `at`.
+                let until = until.into_iter().chain(booked).min();
+                self.stage(ControlOp::Crash { node, at, until }, now, ctx);
             }
-            Command::Partition { a, b, from, until } => {
-                if a >= self.nodes || b >= self.nodes || a == b {
-                    return;
-                }
-                let from = from.max(now);
-                let until = until.max(from);
-                {
-                    let mut state = self.state.borrow_mut();
-                    state.applied = std::mem::take(&mut state.applied).partition(
-                        NodeId(a),
-                        NodeId(b),
-                        from,
-                        until,
-                    );
-                }
-                ctx.control(ControlOp::CutLink {
-                    from: NodeId(a),
-                    to: NodeId(b),
-                    from_t: from,
-                    until_t: until,
-                });
-                ctx.control(ControlOp::CutLink {
-                    from: NodeId(b),
-                    to: NodeId(a),
-                    from_t: from,
-                    until_t: until,
-                });
-            }
-            Command::CutOneWay {
-                from,
-                to,
-                at,
-                until,
-            } => {
-                if from >= self.nodes || to >= self.nodes || from == to {
-                    return;
-                }
-                let at = at.max(now);
-                let until = until.max(at);
-                ctx.control(ControlOp::CutLink {
-                    from: NodeId(from),
-                    to: NodeId(to),
-                    from_t: at,
-                    until_t: until,
-                });
-            }
-            Command::Degrade {
-                from,
-                to,
-                at,
-                until,
-                extra_delay,
-                loss_permille,
-            } => {
-                if from >= self.nodes || to >= self.nodes || from == to {
-                    return;
-                }
-                let at = at.max(now);
-                let until = until.max(at);
-                ctx.control(ControlOp::DegradeLink {
-                    from: NodeId(from),
-                    to: NodeId(to),
-                    from_t: at,
-                    until_t: until,
-                    extra_delay,
-                    loss_permille,
-                });
-            }
-            Command::Slow {
-                node,
-                at,
-                until,
-                speed_permille,
-            } => {
-                if node >= self.nodes {
-                    return;
-                }
-                let at = at.max(now);
-                let until = until.max(at + Duration::from_nanos(1));
-                ctx.control(ControlOp::SlowNode {
-                    node: NodeId(node),
-                    from_t: at,
-                    until_t: until,
-                    speed_permille,
-                });
-            }
-            Command::Skew {
-                node,
-                at,
-                drift_ppb,
-            } => {
-                if node >= self.nodes {
-                    return;
-                }
-                ctx.control(ControlOp::SkewClock {
-                    node: NodeId(node),
-                    at: at.max(now),
-                    drift_ppb,
-                });
-            }
+            Command::Net(op) => self.stage(op, now, ctx),
             Command::Throttle { service, permille } => {
                 self.retune(service, permille, now, ctx);
                 self.state.borrow_mut().push(ClusterEvent::WorkloadRetuned {

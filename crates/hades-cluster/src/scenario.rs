@@ -1,9 +1,11 @@
 //! Scenario plans: scripted failures and transitions driving an
 //! end-to-end cluster run.
 //!
-//! A [`ScenarioPlan`] is the cluster-level face of
-//! [`hades_sim::FaultPlan`], plus the operational transitions the fault
-//! plan does not know about:
+//! A [`ScenarioPlan`] is a builder that compiles to a
+//! [`hades_sim::FaultPlan`] ([`ScenarioPlan::fault_plan`]) — the one
+//! record of who is down when, which every query about the script reads
+//! — plus the operational transitions the fault plan does not know
+//! about:
 //!
 //! * node **crashes** and **restarts** — a crash followed by a scripted
 //!   restart compiles into a [`hades_sim::CrashWindow`], so the shared
@@ -68,8 +70,9 @@ pub struct ModeChangeScript {
 ///     .restart(NodeId(0), ms(70))
 ///     .partition(NodeId(1), NodeId(2), ms(10), ms(12));
 /// assert_eq!(plan.crashes().len(), 1);
-/// assert!(plan.is_down(NodeId(0), ms(60)));
-/// assert!(!plan.is_down(NodeId(0), ms(70)), "restarted");
+/// let faults = plan.fault_plan();
+/// assert!(faults.is_crashed(NodeId(0), ms(60)));
+/// assert!(!faults.is_crashed(NodeId(0), ms(70)), "restarted");
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ScenarioPlan {
@@ -166,154 +169,62 @@ impl ScenarioPlan {
         &self.mode_changes
     }
 
-    /// When `node` first crashes, if ever.
-    pub fn crash_time(&self, node: NodeId) -> Option<Time> {
-        self.crashes
-            .iter()
-            .filter(|(n, _)| *n == node)
-            .map(|(_, t)| *t)
-            .min()
-    }
-
-    /// When `node` first restarts, if ever.
-    pub fn restart_time(&self, node: NodeId) -> Option<Time> {
-        self.restarts
-            .iter()
-            .filter(|(n, _)| *n == node)
-            .map(|(_, t)| *t)
-            .min()
-    }
-
-    /// The down windows of `node` as `(crash_at, restart_at)` pairs in
-    /// crash order; a `None` restart is a permanent crash. Each crash is
-    /// paired with the earliest scripted restart after it, and
-    /// overlapping or adjacent windows merge — a crash scripted while the
-    /// node is already down is a no-op, mirroring
-    /// [`hades_sim::FaultPlan`]'s window normalization so the compiled
-    /// fault plan and these queries can never disagree.
-    pub fn down_windows(&self, node: NodeId) -> Vec<(Time, Option<Time>)> {
-        let mut crashes: Vec<Time> = self
-            .crashes
-            .iter()
-            .filter(|(n, _)| *n == node)
-            .map(|(_, t)| *t)
-            .collect();
-        crashes.sort();
-        let mut restarts: Vec<Time> = self
-            .restarts
-            .iter()
-            .filter(|(n, _)| *n == node)
-            .map(|(_, t)| *t)
-            .collect();
-        restarts.sort();
-        let mut merged: Vec<(Time, Option<Time>)> = Vec::new();
-        for c in crashes {
-            let r = restarts.iter().find(|r| **r > c).copied();
-            match merged.last_mut() {
-                Some((_, last_r)) if last_r.is_none_or(|x| c <= x) => {
-                    *last_r = match (*last_r, r) {
-                        (Some(a), Some(b)) => Some(a.max(b)),
-                        _ => None,
-                    };
-                }
-                _ => merged.push((c, r)),
-            }
-        }
-        merged
-    }
-
-    /// Interval test over precomputed [`ScenarioPlan::down_windows`]:
-    /// whether any window overlaps `[from, to]`. The single source of
-    /// truth for window/interval intersection.
-    pub fn windows_overlap(windows: &[(Time, Option<Time>)], from: Time, to: Time) -> bool {
-        windows
-            .iter()
-            .any(|(c, r)| *c <= to && r.is_none_or(|r| from < r))
-    }
-
-    /// The crash instant of the down window of `node` that covers `at`
-    /// (`crash ≤ at < restart`), if any — the one rule classifying a
-    /// suspicion of `node` raised at `at`: inside such a window it is a
-    /// detection, with latency `at - crash`; raised before the crash or
-    /// from the restart on, it is a false suspicion and must not
-    /// masquerade as a zero-latency success.
-    pub(crate) fn down_since(&self, node: NodeId, at: Time) -> Option<Time> {
-        self.down_windows(node)
-            .into_iter()
-            .find(|(c, r)| *c <= at && r.is_none_or(|r| at < r))
-            .map(|(c, _)| c)
-    }
-
-    /// Whether `node` is down at `now` under this scenario.
-    pub fn is_down(&self, node: NodeId, now: Time) -> bool {
-        Self::windows_overlap(&self.down_windows(node), now, now)
-    }
-
-    /// Whether `node` stays up throughout `[from, to]`.
-    pub fn up_during(&self, node: NodeId, from: Time, to: Time) -> bool {
-        !Self::windows_overlap(&self.down_windows(node), from, to)
-    }
-
-    /// The restarts that end a down window of
-    /// [`ScenarioPlan::down_windows`], ordered by node then time — the
-    /// restarts that will really happen (and really trigger rejoins).
-    pub fn matched_restarts(&self) -> Vec<(NodeId, Time)> {
-        let mut nodes: Vec<NodeId> = self.restarts.iter().map(|(n, _)| *n).collect();
-        nodes.sort();
-        nodes.dedup();
-        nodes
-            .iter()
-            .flat_map(|n| {
-                self.down_windows(*n)
-                    .into_iter()
-                    .filter_map(|(_, r)| r.map(|r| (*n, r)))
-            })
-            .collect()
-    }
-
     /// Scripted restarts that end no down window: no crash of the node
     /// precedes them, they fall while the node is already up (a second
     /// restart for the same window), or they collide with another
     /// scripted crash at the same instant. Invalid — the cluster build
     /// rejects them rather than silently running a contradictory plan.
     pub fn orphan_restarts(&self) -> Vec<(NodeId, Time)> {
-        let matched = self.matched_restarts();
+        let matched = self.fault_plan().restarts();
         self.restarts
             .iter()
-            .filter(|(n, t)| !matched.contains(&(*n, *t)))
+            .filter(|r| !matched.contains(r))
             .copied()
             .collect()
     }
 
-    /// Compiles the scenario's failure script into the network fault plan.
+    /// Compiles the scenario's failure script into the network fault
+    /// plan. Each crash ends at the earliest scripted restart of its node
+    /// after it (none: the crash is permanent); the plan merges
+    /// overlapping and adjacent windows, so a crash scripted while the
+    /// node is already down is a no-op.
     pub fn fault_plan(&self) -> FaultPlan {
         let mut plan = FaultPlan::new();
-        let mut nodes: Vec<NodeId> = self.crashes.iter().map(|(n, _)| *n).collect();
-        nodes.sort();
-        nodes.dedup();
-        for node in nodes {
-            for (crash_at, restart_at) in self.down_windows(node) {
-                plan = match restart_at {
-                    Some(r) => plan.crash_window(node, crash_at, r),
-                    None => plan.crash_at(node, crash_at),
-                };
-            }
+        for &(node, at) in &self.crashes {
+            plan.add_crash(node, at, self.restart_after(node, at));
         }
         for p in &self.partitions {
-            plan = plan.cut_link(p.a, p.b, p.from, p.until);
-            plan = plan.cut_link(p.b, p.a, p.from, p.until);
+            plan.add_cut(p.a, p.b, p.from, p.until);
+            plan.add_cut(p.b, p.a, p.from, p.until);
         }
         plan
+    }
+
+    /// The earliest scripted restart of `node` strictly after `at`.
+    fn restart_after(&self, node: NodeId, at: Time) -> Option<Time> {
+        self.restarts
+            .iter()
+            .filter(|(n, t)| *n == node && *t > at)
+            .map(|(_, t)| *t)
+            .min()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hades_sim::CrashWindow;
     use hades_time::Duration;
 
     fn ms(n: u64) -> Time {
         Time::ZERO + Duration::from_millis(n)
+    }
+
+    fn window(crash: u64, restart: Option<u64>) -> CrashWindow {
+        CrashWindow {
+            crash_at: ms(crash),
+            restart_at: restart.map(ms),
+        }
     }
 
     #[test]
@@ -322,31 +233,33 @@ mod tests {
             .crash(NodeId(1), ms(10))
             .restart(NodeId(1), ms(20))
             .crash(NodeId(1), ms(30));
+        let faults = plan.fault_plan();
         assert_eq!(
-            plan.down_windows(NodeId(1)),
-            vec![(ms(10), Some(ms(20))), (ms(30), None)]
+            faults.windows_of(NodeId(1)),
+            [window(10, Some(20)), window(30, None)]
         );
-        assert!(plan.is_down(NodeId(1), ms(15)));
-        assert!(!plan.is_down(NodeId(1), ms(25)));
-        assert!(plan.is_down(NodeId(1), ms(40)));
-        assert!(plan.up_during(NodeId(1), ms(21), ms(29)));
-        assert!(!plan.up_during(NodeId(1), ms(5), ms(12)));
+        assert!(faults.is_crashed(NodeId(1), ms(15)));
+        assert!(!faults.is_crashed(NodeId(1), ms(25)));
+        assert!(faults.is_crashed(NodeId(1), ms(40)));
+        assert!(!faults.down_during(NodeId(1), ms(21), ms(29)));
+        assert!(faults.down_during(NodeId(1), ms(5), ms(12)));
         assert!(plan.orphan_restarts().is_empty());
     }
 
     #[test]
     fn a_suspicion_is_a_detection_from_the_crash_until_the_restart() {
-        let plan = ScenarioPlan::new()
+        let faults = ScenarioPlan::new()
             .crash(NodeId(1), ms(10))
             .restart(NodeId(1), ms(20))
-            .crash(NodeId(1), ms(30));
+            .crash(NodeId(1), ms(30))
+            .fault_plan();
         let one_ns = Duration::from_nanos(1);
-        assert_eq!(plan.down_since(NodeId(1), ms(10) - one_ns), None);
-        assert_eq!(plan.down_since(NodeId(1), ms(10)), Some(ms(10)));
-        assert_eq!(plan.down_since(NodeId(1), ms(20) - one_ns), Some(ms(10)));
-        assert_eq!(plan.down_since(NodeId(1), ms(20)), None);
-        assert_eq!(plan.down_since(NodeId(1), ms(99)), Some(ms(30)));
-        assert_eq!(plan.down_since(NodeId(0), ms(15)), None);
+        assert_eq!(faults.down_since(NodeId(1), ms(10) - one_ns), None);
+        assert_eq!(faults.down_since(NodeId(1), ms(10)), Some(ms(10)));
+        assert_eq!(faults.down_since(NodeId(1), ms(20) - one_ns), Some(ms(10)));
+        assert_eq!(faults.down_since(NodeId(1), ms(20)), None);
+        assert_eq!(faults.down_since(NodeId(1), ms(99)), Some(ms(30)));
+        assert_eq!(faults.down_since(NodeId(0), ms(15)), None);
     }
 
     #[test]
@@ -357,19 +270,18 @@ mod tests {
 
     #[test]
     fn overlapping_windows_merge_like_the_fault_plan() {
-        // A crash scripted while the node is already down is a no-op: the
-        // windows merge exactly as FaultPlan::normalize merges them, so
-        // the compiled plan and the scenario queries agree.
+        // A crash scripted while the node is already down is a no-op: its
+        // window merges into the one already in force.
         let plan = ScenarioPlan::new()
             .crash(NodeId(1), ms(10))
             .restart(NodeId(1), ms(30))
             .crash(NodeId(1), ms(20));
-        assert_eq!(plan.down_windows(NodeId(1)), vec![(ms(10), Some(ms(30)))]);
-        assert_eq!(plan.matched_restarts(), vec![(NodeId(1), ms(30))]);
+        let faults = plan.fault_plan();
+        assert_eq!(faults.windows_of(NodeId(1)), [window(10, Some(30))]);
+        assert_eq!(faults.restarts(), vec![(NodeId(1), ms(30))]);
         assert!(plan.orphan_restarts().is_empty());
-        assert!(plan.is_down(NodeId(1), ms(25)));
-        assert!(!plan.is_down(NodeId(1), ms(30)));
-        assert!(!plan.fault_plan().is_crashed(NodeId(1), ms(30)));
+        assert!(faults.is_crashed(NodeId(1), ms(25)));
+        assert!(!faults.is_crashed(NodeId(1), ms(30)));
 
         // A restart exactly at the next crash instant ends no window
         // (the node goes straight back down): invalid, flagged.
@@ -377,7 +289,7 @@ mod tests {
             .crash(NodeId(1), ms(10))
             .restart(NodeId(1), ms(20))
             .crash(NodeId(1), ms(20));
-        assert_eq!(plan.down_windows(NodeId(1)), vec![(ms(10), None)]);
+        assert_eq!(plan.fault_plan().windows_of(NodeId(1)), [window(10, None)]);
         assert_eq!(plan.orphan_restarts(), vec![(NodeId(1), ms(20))]);
 
         // A second restart while the node is already up is equally

@@ -66,10 +66,9 @@ use hades_services::actors::{
 use hades_services::group::{
     group_msg_name, GroupConfig, GroupLog, ReplicaGroup, RequestSource, GROUP_LABEL,
 };
-use hades_services::membership::View;
 use hades_services::ReplicaStyle;
 use hades_sim::mux::ActorId;
-use hades_sim::{KernelModel, LinkConfig, Network, NodeId, SimRng};
+use hades_sim::{FaultPlan, KernelModel, LinkConfig, Network, NodeId, SimRng};
 use hades_task::spuri::SpuriTask;
 use hades_task::task::TaskSetError;
 use hades_task::{Task, TaskId, TaskSet};
@@ -1069,24 +1068,22 @@ impl Lowered {
         // therefore not charged here — the inherent price of closing the
         // loop at run time.
         let transfer_span = self.middleware.recovery.transfer_bound(self.link.delay_max);
+        let static_faults = self.static_scenario.fault_plan();
         let mut recovery_windows: Vec<(TaskId, Time, Time)> = Vec::new();
-        for (k, (joiner, restart_at)) in self.static_scenario.matched_restarts().iter().enumerate()
-        {
+        for (k, (joiner, restart_at)) in static_faults.restarts().iter().enumerate() {
             // The protocol's server is the lowest surviving *view member*;
             // statically we approximate it as the lowest node that is up
-            // at the restart and not itself mid-rejoin (its own restart,
-            // if any, lies at least one rejoin bound in the past).
-            let server =
-                (0..self.nodes).find(|n| {
-                    NodeId(*n) != *joiner
-                        && !self.static_scenario.is_down(NodeId(*n), *restart_at)
-                        && self.static_scenario.down_windows(NodeId(*n)).iter().all(
-                            |(c, r)| match r {
-                                Some(r) => *c > *restart_at || *r + rejoin_bound <= *restart_at,
-                                None => *c > *restart_at,
-                            },
-                        )
-                });
+            // at the restart and not itself mid-rejoin: each of its windows
+            // starts after the restart or ended at least one rejoin bound
+            // before it.
+            let server = (0..self.nodes).find(|n| {
+                NodeId(*n) != *joiner
+                    && static_faults.windows_of(NodeId(*n)).iter().all(|w| {
+                        w.crash_at > *restart_at
+                            || w.restart_at
+                                .is_some_and(|r| r + rejoin_bound <= *restart_at)
+                    })
+            });
             let Some(server) = server else { continue };
             for (node, task) in self
                 .middleware
@@ -1121,28 +1118,16 @@ impl Lowered {
         // t = 0 must drop it). The driver's re-injection of the same
         // window is a no-op (see `apply_network_op`), so no duplicate
         // transition or restart events arise.
-        let mut initial_plan = hades_sim::FaultPlan::new();
-        {
-            let sc = &self.static_scenario;
-            let mut seeded: Vec<NodeId> = sc.crashes().iter().map(|(n, _)| *n).collect();
-            seeded.sort();
-            seeded.dedup();
-            for node in seeded {
-                for (c, r) in sc.down_windows(node) {
-                    if c == Time::ZERO {
-                        initial_plan = match r {
-                            Some(r) => initial_plan.crash_window(node, c, r),
-                            None => initial_plan.crash_at(node, c),
-                        };
-                    }
-                }
+        let mut initial_plan = FaultPlan::new();
+        for (node, w) in static_faults.crash_windows() {
+            if w.crash_at == Time::ZERO {
+                initial_plan.add_crash(node, w.crash_at, w.restart_at);
             }
-            for p in sc.partitions() {
-                if p.from == Time::ZERO {
-                    initial_plan = initial_plan
-                        .cut_link(p.a, p.b, p.from, p.until)
-                        .cut_link(p.b, p.a, p.from, p.until);
-                }
+        }
+        for p in self.static_scenario.partitions() {
+            if p.from == Time::ZERO {
+                initial_plan.add_cut(p.a, p.b, p.from, p.until);
+                initial_plan.add_cut(p.b, p.a, p.from, p.until);
             }
         }
         let net = Network::homogeneous(
@@ -1340,29 +1325,36 @@ impl Lowered {
         let network = sim.network_stats();
 
         // ---- fold everything into the report ----
-        // Classification runs against the *applied* fault script —
+        // Classification runs against the *applied* fault plan —
         // scripted replays and reactive injections alike — not the
         // static plan, so reactive faults are first-class citizens of
         // the report.
-        let applied = state.borrow().applied.clone();
+        let (applied, events) = {
+            let mut state = state.borrow_mut();
+            (
+                std::mem::take(&mut state.applied),
+                std::mem::take(&mut state.events),
+            )
+        };
+        debug_assert_eq!(
+            applied.crash_windows(),
+            sim.fault_plan().crash_windows(),
+            "the report's outages must be the network's"
+        );
         let node_reports = self.node_reports(&run, &origin, feasibility, &applied);
-        let (detections, heartbeats_seen) = self.detections(&logs, &applied);
+        let (detections, failovers, handoffs) = fold_events(&events, &applied);
+        let heartbeats_seen = logs.iter().map(|l| l.borrow().heartbeats_seen).sum();
         let survivors: Vec<u32> = (0..self.nodes)
-            .filter(|n| applied.crash_time(NodeId(*n)).is_none())
+            .filter(|n| applied.windows_of(NodeId(*n)).is_empty())
             .collect();
-        let reference_views: Vec<View> = survivors
+        let view_history: Vec<(u32, Vec<u32>)> = survivors
             .first()
-            .map(|n| logs[*n as usize].borrow().views.clone())
+            .map(|n| logs[*n as usize].borrow().view_members())
             .unwrap_or_default();
-        let view_history: Vec<(u32, Vec<u32>)> = reference_views
-            .iter()
-            .map(|v| (v.number, v.members.clone()))
-            .collect();
         let views_agree = survivors
             .iter()
             .all(|n| logs[*n as usize].borrow().view_members() == view_history);
-        let failovers = self.failovers(&logs, &reference_views, &applied);
-        let recoveries = self.recoveries(&logs, &applied);
+        let recoveries = self.recoveries(&logs, &applied, &detections);
         let mode_changes: Vec<report::ModeChangeRecord> = mode_plans
             .iter()
             .map(|p| {
@@ -1384,7 +1376,7 @@ impl Lowered {
             })
             .collect();
 
-        let (groups, request_folds) = self.group_reports(&group_logs, delta, &applied);
+        let (groups, request_folds) = self.group_reports(&group_logs, delta, &applied, &handoffs);
         let view_changes = view_history
             .last()
             .map(|(number, _)| *number)
@@ -1444,7 +1436,7 @@ impl Lowered {
             views_agree,
             failovers,
             recoveries,
-            scripted_rejoins: applied.matched_restarts().len() as u32,
+            scripted_rejoins: applied.restarts().len() as u32,
             rejoin_bound,
             mode_changes,
             groups,
@@ -1457,7 +1449,6 @@ impl Lowered {
         };
         // The event stream is exactly what the drivers saw, re-sorted
         // under the documented deterministic tie-break.
-        let events = std::mem::take(&mut state.borrow_mut().events);
         let mut cluster_run = ClusterRun::new(report, events);
         if let Some(dog) = &watchdog {
             cluster_run = cluster_run.with_violations(dog.borrow().violations());
@@ -1642,7 +1633,8 @@ impl Lowered {
         &self,
         group_logs: &[Vec<Rc<RefCell<GroupLog>>>],
         delta: Duration,
-        applied: &ScenarioPlan,
+        applied: &FaultPlan,
+        handoffs: &[report::GroupHandoff],
     ) -> (Vec<report::GroupReport>, Vec<RequestFold>) {
         let mut out = Vec::new();
         let mut folds = Vec::new();
@@ -1660,7 +1652,7 @@ impl Lowered {
                 .members
                 .iter()
                 .enumerate()
-                .filter(|(_, m)| applied.down_windows(NodeId(**m)).is_empty())
+                .filter(|(_, m)| applied.windows_of(NodeId(**m)).is_empty())
                 .map(|(i, _)| i)
                 .collect();
             let reference_idx = full_time.first().copied().unwrap_or_else(|| {
@@ -1710,20 +1702,6 @@ impl Lowered {
                 ReplicaStyle::Active => (0, surplus),
                 _ => (surplus, logs.iter().map(|l| l.suppressed).sum()),
             };
-            let mut handoffs: Vec<report::GroupHandoff> = logs
-                .iter()
-                .flat_map(|l| {
-                    l.handoffs
-                        .iter()
-                        .map(|(from, to, at)| report::GroupHandoff {
-                            group: g as u32,
-                            from: *from,
-                            to: *to,
-                            at: *at,
-                        })
-                })
-                .collect();
-            handoffs.sort_by_key(|h| (h.at, h.to));
             let abandoned = group.source.borrow().abandoned();
             self.telemetry
                 .counter("group.requests_abandoned")
@@ -1742,7 +1720,11 @@ impl Lowered {
                 outputs,
                 duplicate_outputs,
                 duplicates_suppressed,
-                handoffs,
+                handoffs: handoffs
+                    .iter()
+                    .filter(|h| h.group == g as u32)
+                    .copied()
+                    .collect(),
                 delivery_bound: delta,
                 output_bound,
                 on_time_outputs: on_time,
@@ -1845,35 +1827,26 @@ impl Lowered {
     fn recoveries(
         &self,
         logs: &[Rc<RefCell<AgentLog>>],
-        applied: &ScenarioPlan,
+        applied: &FaultPlan,
+        detections: &[report::DetectionRecord],
     ) -> Vec<report::RecoveryRecord> {
         let mut out = Vec::new();
         for node in 0..self.nodes {
-            let windows = applied.down_windows(NodeId(node));
             let rejoins = logs[node as usize].borrow().rejoins.clone();
             for rj in rejoins {
-                let Some((crashed_at, _)) = windows
+                let Some(crashed_at) = applied
+                    .windows_of(NodeId(node))
                     .iter()
-                    .find(|(_, r)| *r == Some(rj.restarted_at))
-                    .copied()
+                    .find(|w| w.restart_at == Some(rj.restarted_at))
+                    .map(|w| w.crash_at)
                 else {
                     continue;
                 };
-                let detected_at = logs
+                let detected_at = detections
                     .iter()
-                    .enumerate()
-                    .filter(|(observer, _)| *observer != node as usize)
-                    .filter_map(|(_, l)| {
-                        l.borrow()
-                            .suspicions
-                            .iter()
-                            .filter(|(suspect, at)| {
-                                *suspect == node && *at >= crashed_at && *at < rj.restarted_at
-                            })
-                            .map(|(_, at)| *at)
-                            .min()
-                    })
-                    .min();
+                    .filter(|d| d.suspect == node && d.observer != node)
+                    .map(|d| d.suspected_at)
+                    .find(|at| *at >= crashed_at && *at < rj.restarted_at);
                 out.push(report::RecoveryRecord {
                     node,
                     crashed_at,
@@ -1978,7 +1951,7 @@ impl Lowered {
         run: &hades_dispatch::RunReport,
         origin: &BTreeMap<TaskId, (u32, bool)>,
         feasibility: Vec<report::NodeFeasibility>,
-        applied: &ScenarioPlan,
+        applied: &FaultPlan,
     ) -> Vec<report::NodeReport> {
         let mut reports: Vec<report::NodeReport> = feasibility
             .into_iter()
@@ -1986,7 +1959,10 @@ impl Lowered {
             .map(|(node, feasibility)| report::NodeReport {
                 node: node as u32,
                 crashed_at: applied.crash_time(NodeId(node as u32)),
-                restarted_at: applied.restart_time(NodeId(node as u32)),
+                restarted_at: applied
+                    .windows_of(NodeId(node as u32))
+                    .first()
+                    .and_then(|w| w.restart_at),
                 app_instances: 0,
                 app_misses: 0,
                 middleware_instances: 0,
@@ -1994,9 +1970,6 @@ impl Lowered {
                 worst_app_response: None,
                 feasibility,
             })
-            .collect();
-        let down_windows: Vec<Vec<(Time, Option<Time>)>> = (0..self.nodes)
-            .map(|n| applied.down_windows(NodeId(n)))
             .collect();
         for inst in &run.instances {
             let Some((node, is_mw)) = origin.get(&inst.task) else {
@@ -2011,8 +1984,7 @@ impl Lowered {
             let settled = inst
                 .completed
                 .map_or(inst.deadline, |c| c.min(inst.deadline));
-            if ScenarioPlan::windows_overlap(&down_windows[*node as usize], inst.activated, settled)
-            {
+            if applied.down_during(NodeId(*node), inst.activated, settled) {
                 continue;
             }
             let r = &mut reports[*node as usize];
@@ -2029,83 +2001,70 @@ impl Lowered {
         }
         reports
     }
+}
 
-    fn detections(
-        &self,
-        logs: &[Rc<RefCell<AgentLog>>],
-        applied: &ScenarioPlan,
-    ) -> (Vec<report::DetectionRecord>, u64) {
-        let mut detections = Vec::new();
-        let mut heartbeats = 0;
-        for log in logs {
-            let log = log.borrow();
-            heartbeats += log.heartbeats_seen;
-            for (suspect, at) in &log.suspicions {
-                // Classified against the applied fault script — scripted
-                // replays and reactive injections alike.
-                let covering = applied.down_since(NodeId(*suspect), *at);
-                let crashed_at = covering.or_else(|| applied.crash_time(NodeId(*suspect)));
-                let latency = covering.map(|c| *at - c);
-                detections.push(report::DetectionRecord {
-                    suspect: *suspect,
-                    observer: log.node,
-                    crashed_at,
-                    suspected_at: *at,
-                    latency,
-                });
-            }
-        }
-        detections.sort_by_key(|d| (d.suspected_at, d.observer, d.suspect));
-        (detections, heartbeats)
-    }
-
-    fn failovers(
-        &self,
-        logs: &[Rc<RefCell<AgentLog>>],
-        reference_views: &[View],
-        applied: &ScenarioPlan,
-    ) -> Vec<report::FailoverRecord> {
-        let mut failovers = Vec::new();
-        for (crashed, crash_at) in applied.crashes() {
-            // The view in force when the crash happened, per the reference
-            // history.
-            let Some(current) = reference_views
-                .iter()
-                .rfind(|v| v.installed_at <= *crash_at)
-            else {
-                continue;
-            };
-            if current.members.first() != Some(&crashed.0) {
-                continue; // not the primary: no failover
-            }
-            let Some(next) = reference_views
-                .iter()
-                .find(|v| v.number == current.number + 1)
-            else {
-                continue; // no successor view observed
-            };
-            let Some(&new_primary) = next.members.first() else {
-                continue;
-            };
-            // Takeover is effective when the *new primary itself* installs
-            // the promoting view.
-            let taken_over_at = logs[new_primary as usize]
-                .borrow()
-                .views
-                .iter()
-                .find(|v| v.number == next.number)
-                .map(|v| v.installed_at)
-                .unwrap_or(next.installed_at);
-            failovers.push(report::FailoverRecord {
-                failed_primary: crashed.0,
-                crashed_at: *crash_at,
+/// The report sections read from the event stream the drivers saw:
+/// detections (classified online, sorted by instant, observer and
+/// suspect), failovers in takeover order, and group handoffs (sorted by
+/// instant and new leader). A failover's crash is the applied window the
+/// old primary was down in when its successor took over.
+fn fold_events(
+    events: &[crate::ClusterEvent],
+    applied: &FaultPlan,
+) -> (
+    Vec<report::DetectionRecord>,
+    Vec<report::FailoverRecord>,
+    Vec<report::GroupHandoff>,
+) {
+    let (mut detections, mut failovers, mut handoffs) = (Vec::new(), Vec::new(), Vec::new());
+    for e in events {
+        match *e {
+            crate::ClusterEvent::Detected {
+                observer,
+                suspect,
+                at,
+                latency,
+            } => detections.push(report::DetectionRecord {
+                suspect,
+                observer,
+                crashed_at: latency
+                    .map(|l| at - l)
+                    .or_else(|| applied.crash_time(NodeId(suspect))),
+                suspected_at: at,
+                latency,
+            }),
+            crate::ClusterEvent::FailedOver {
+                failed_primary,
                 new_primary,
-                taken_over_at,
-                latency: taken_over_at - *crash_at,
-            });
+                at,
+            } => {
+                if let Some(crashed_at) = applied.down_since(NodeId(failed_primary), at) {
+                    failovers.push(report::FailoverRecord {
+                        failed_primary,
+                        crashed_at,
+                        new_primary,
+                        taken_over_at: at,
+                        latency: at - crashed_at,
+                    });
+                }
+            }
+            crate::ClusterEvent::Handoff {
+                group,
+                from,
+                to,
+                at,
+            } => handoffs.push(report::GroupHandoff {
+                group,
+                from,
+                to,
+                at,
+            }),
+            _ => {}
         }
-        failovers
     }
+    detections.sort_by_key(|d| (d.suspected_at, d.observer, d.suspect));
+    handoffs.sort_by_key(|h| (h.at, h.to));
+    (detections, failovers, handoffs)
 }
 
 /// What one group's members logged about its client requests, folded

@@ -481,6 +481,12 @@ impl DispatchSim {
         self.inner.network.stats()
     }
 
+    /// The shared network's fault plan: the seeded windows plus every
+    /// fault op applied so far.
+    pub fn fault_plan(&self) -> &hades_sim::FaultPlan {
+        self.inner.network.fault_plan()
+    }
+
     /// Installs the run's observation probe, the one hook this run loop
     /// is observed through: every delivered event is reported once with
     /// its [`Ev`]-variant kind ([`Probe::event`]), hosted actor

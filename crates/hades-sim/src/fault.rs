@@ -435,10 +435,28 @@ impl FaultPlan {
 
     /// The first scheduled crash time of `node`, if any.
     pub fn crash_time(&self, node: NodeId) -> Option<Time> {
-        self.crashes
-            .get(&node)
-            .and_then(|ws| ws.first())
+        self.windows_of(node).first().map(|w| w.crash_at)
+    }
+
+    /// The crash windows of `node`: disjoint, in crash order.
+    pub fn windows_of(&self, node: NodeId) -> &[CrashWindow] {
+        self.crashes.get(&node).map_or(&[], Vec::as_slice)
+    }
+
+    /// The crash instant of the window of `node` covering `at`, if any:
+    /// how long the node has been down at `at`.
+    pub fn down_since(&self, node: NodeId, at: Time) -> Option<Time> {
+        self.windows_of(node)
+            .iter()
+            .find(|w| w.covers(at))
             .map(|w| w.crash_at)
+    }
+
+    /// Whether `node` is down at any instant of `[from, to]`.
+    pub fn down_during(&self, node: NodeId, from: Time, to: Time) -> bool {
+        self.windows_of(node)
+            .iter()
+            .any(|w| w.crash_at <= to && w.restart_at.is_none_or(|r| from < r))
     }
 
     /// The next state transition of `node` strictly after `now`: the
@@ -521,6 +539,23 @@ mod tests {
         assert!(!p.is_crashed(N0, Time::MAX));
         assert_eq!(p.crash_time(N1), Some(ns(100)));
         assert_eq!(p.crash_time(N0), None);
+    }
+
+    #[test]
+    fn window_queries_read_the_merged_windows() {
+        let p = FaultPlan::new()
+            .crash_window(N1, ns(100), ns(200))
+            .crash_at(N1, ns(400));
+        assert_eq!(p.windows_of(N1).len(), 2);
+        assert!(p.windows_of(N0).is_empty());
+        assert_eq!(p.down_since(N1, ns(99)), None);
+        assert_eq!(p.down_since(N1, ns(199)), Some(ns(100)));
+        assert_eq!(p.down_since(N1, ns(200)), None, "restart is exclusive");
+        assert_eq!(p.down_since(N1, ns(9_999)), Some(ns(400)));
+        assert!(p.down_during(N1, ns(50), ns(100)), "crash is inclusive");
+        assert!(!p.down_during(N1, ns(200), ns(399)));
+        assert!(p.down_during(N1, ns(300), ns(400)));
+        assert!(!p.down_during(N0, Time::ZERO, Time::MAX));
     }
 
     #[test]

@@ -682,13 +682,16 @@ pub fn apply_network_op(
             let at = at.max(now + Duration::from_nanos(1));
             plan.add_restart(node, at).then_some((node, at, Some(at)))
         }
+        // A link window starts no earlier than now and ends no earlier
+        // than it starts.
         ControlOp::CutLink {
             from,
             to,
             from_t,
             until_t,
         } => {
-            plan.add_cut(from, to, from_t.max(now), until_t.max(now));
+            let start = from_t.max(now);
+            plan.add_cut(from, to, start, until_t.max(start));
             None
         }
         ControlOp::DegradeLink {
@@ -699,11 +702,12 @@ pub fn apply_network_op(
             extra_delay,
             loss_permille,
         } => {
+            let start = from_t.max(now);
             plan.add_degrade(
                 Some(from),
                 Some(to),
-                from_t.max(now),
-                until_t.max(now),
+                start,
+                until_t.max(start),
                 extra_delay,
                 loss_permille,
             );

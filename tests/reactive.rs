@@ -178,6 +178,80 @@ fn reactive_crash_merging_into_a_scripted_window_stays_consistent() {
     assert_eq!(report.node_reports[2].app_misses, 0);
 }
 
+/// Stages two crashes of node 2 at time zero, in the given order:
+/// `(at, until)`, `None` = permanent.
+#[derive(Debug)]
+struct TwoCrashes([(Time, Option<Time>); 2]);
+
+impl ScenarioDriver for TwoCrashes {
+    fn on_start(&mut self, _now: Time, ctl: &mut ControlHandle<'_>) {
+        for (at, until) in self.0 {
+            match until {
+                Some(until) => ctl.crash_window(2, at, until),
+                None => ctl.crash_at(2, at),
+            }
+        }
+    }
+
+    fn on_event(&mut self, _now: Time, _event: &ClusterEvent, _ctl: &mut ControlHandle<'_>) {}
+}
+
+fn run_two_crashes(crashes: [(Time, Option<Time>); 2]) -> ClusterRun {
+    let mut spec = ClusterSpec::new(4)
+        .horizon(ms(120))
+        .seed(3)
+        .driver(Box::new(TwoCrashes(crashes)));
+    for node in 0..4 {
+        spec = spec.service(ServiceSpec::periodic("app", node, us(100), ms(2)));
+    }
+    spec.run().unwrap()
+}
+
+#[test]
+fn a_window_staged_after_a_permanent_crash_reports_no_restart() {
+    // The network merges [10 ms, 50 ms) into the permanent crash at
+    // 30 ms: node 2 never comes back, and the report must not say it
+    // restarted at 50 ms.
+    let run = run_two_crashes([(t_ms(30), None), (t_ms(10), Some(t_ms(50)))]);
+    let report = run.report();
+    assert_eq!(report.node_reports[2].crashed_at, Some(t_ms(10)));
+    assert_eq!(report.node_reports[2].restarted_at, None);
+    assert_eq!(report.scripted_rejoins, 0);
+    assert!(report.recoveries.is_empty());
+    assert_eq!(report.view_history.last().unwrap().1, vec![0, 1, 3]);
+}
+
+#[test]
+fn a_window_merged_into_a_later_one_restarts_with_it() {
+    // [30 ms, 41 ms) overlaps the already staged [40 ms, 70 ms): the
+    // network keeps node 2 down over [30 ms, 70 ms), and so must the
+    // report.
+    let run = run_two_crashes([(t_ms(40), Some(t_ms(70))), (t_ms(30), Some(t_ms(41)))]);
+    let report = run.report();
+    assert_eq!(report.node_reports[2].restarted_at, Some(t_ms(70)));
+    let (rejoined_at, latency) = run
+        .events()
+        .iter()
+        .find_map(|e| match e {
+            ClusterEvent::RejoinCompleted {
+                node: 2,
+                at,
+                latency,
+                ..
+            } => Some((*at, *latency)),
+            _ => None,
+        })
+        .expect("node 2 rejoined");
+    assert_eq!(report.recoveries.len(), 1);
+    let recovery = &report.recoveries[0];
+    assert_eq!(
+        (recovery.node, recovery.crashed_at, recovery.restarted_at),
+        (2, t_ms(30), t_ms(70))
+    );
+    assert_eq!(recovery.rejoin_latency, latency);
+    assert_eq!(recovery.restarted_at + recovery.rejoin_latency, rejoined_at);
+}
+
 #[test]
 fn cascade_runs_are_deterministic() {
     let build = || {
