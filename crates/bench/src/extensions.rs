@@ -11,8 +11,10 @@ use hades_sched::{edf_feasible, EdfAnalysisConfig, ModeChange, SpringPolicy};
 use hades_sim::KernelModel;
 use hades_task::prelude::*;
 use hades_task::spuri::SpuriTask;
-use hades_telemetry::HistogramSummary;
+use hades_telemetry::{HistogramSummary, MonitorEvent, ProtocolTap};
+use std::cell::RefCell;
 use std::fmt::Write;
+use std::rc::Rc;
 
 fn us(n: u64) -> Duration {
     Duration::from_micros(n)
@@ -251,15 +253,24 @@ pub fn latency_distribution() -> String {
         if policy == "EDF" {
             sim.set_policy(0, Box::new(hades_sched::EdfPolicy::new()));
         }
+        // Response samples per task id, from each settled instance.
+        let responses = Rc::new(RefCell::new(vec![Vec::new(); 3]));
+        let sink = Rc::clone(&responses);
+        sim.set_tap(ProtocolTap(Rc::new(move |_, ev: &MonitorEvent| {
+            if let MonitorEvent::InstanceSettled {
+                task,
+                activated,
+                completed: Some(done),
+                ..
+            } = ev
+            {
+                sink.borrow_mut()[*task as usize].push((*done - *activated).as_nanos());
+            }
+        })));
         let report = sim.run();
         let _ = writeln!(out, "\n{policy} (misses: {}):", report.misses());
-        for id in 0..3u32 {
-            let samples: Vec<u64> = report
-                .of_task(TaskId(id))
-                .iter()
-                .filter_map(|i| i.response_time().map(|d| d.as_nanos()))
-                .collect();
-            if let Some(s) = HistogramSummary::of(&samples) {
+        for (id, samples) in responses.take().iter().enumerate() {
+            if let Some(s) = HistogramSummary::of(samples) {
                 let [min, mean, p50, p95, p99, p999, max] =
                     [s.min, s.mean, s.p50, s.p95, s.p99, s.p999, s.max]
                         .map(|ns| Duration::from_nanos(ns).to_string());

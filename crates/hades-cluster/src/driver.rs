@@ -30,8 +30,9 @@
 //! [`mux::apply_network_op`], the function the network applies the same
 //! op with at the same instant. The two plans therefore cannot drift:
 //! online classification (a `Detected` latency, a `FailedOver`, the
-//! crash-casualty filter on `DeadlineMiss`) and the post-run report read
-//! that one record of who was down when.
+//! crash-casualty filter on `DeadlineMiss` and on each settled instance
+//! the node reports count) and the post-run report read that one record
+//! of who was down when.
 //!
 //! # Event-delivery timing contract
 //!
@@ -47,6 +48,7 @@
 //! pure function of the spec.
 
 use crate::events::ClusterEvent;
+use crate::report::NodeReport;
 use crate::scenario::ScenarioPlan;
 use hades_services::group::{RequestSource, GN_WAKE};
 use hades_sim::mux::{self, ActorCtx, ActorEvent, ActorId, ControlOp, NetActor};
@@ -517,11 +519,46 @@ impl ControlHandle<'_> {
     }
 }
 
+/// Task → (home node, whether it is injected middleware), sorted by task
+/// id: the one look-up of the per-instance path, a binary search.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Origins(Vec<(TaskId, (u32, bool))>);
+
+impl Origins {
+    /// Records `task`'s origin.
+    pub(crate) fn insert(&mut self, task: TaskId, origin: (u32, bool)) {
+        match self.0.binary_search_by_key(&task, |(t, _)| *t) {
+            Ok(i) => self.0[i].1 = origin,
+            Err(i) => self.0.insert(i, (task, origin)),
+        }
+    }
+
+    /// `task`'s origin, if it has one.
+    pub(crate) fn get(&self, task: TaskId) -> Option<(u32, bool)> {
+        let i = self.0.binary_search_by_key(&task, |(t, _)| *t).ok()?;
+        Some(self.0[i].1)
+    }
+}
+
+/// One settled instance as a node report counts it.
+#[derive(Debug, Clone, Copy)]
+struct Outcome {
+    node: u32,
+    middleware: bool,
+    activated: Time,
+    /// The instant its fate was sealed: completion, or the deadline if
+    /// that came first (a miss is a miss from the deadline on).
+    settled: Time,
+    missed: bool,
+    response: Option<Duration>,
+}
+
 /// Everything the control plane accumulates during a run: the events
 /// emitted so far (the final stream), the queue still to be delivered
 /// to drivers, the *applied* fault plan (the one classification source,
-/// online and in the post-run report), and the view bookkeeping for
-/// first-install and failover derivation.
+/// online and in the post-run report), the view bookkeeping for
+/// first-install and failover derivation, and the node reports' instance
+/// counts, folded as the dispatcher settles each instance.
 #[derive(Debug, Default)]
 pub(crate) struct ControlState {
     /// Every fault op staged so far (scripted replays and reactive
@@ -536,15 +573,73 @@ pub(crate) struct ControlState {
     seen_views: BTreeMap<u32, Vec<u32>>,
     /// View numbers whose failover (if any) was already emitted.
     emitted_failovers: BTreeSet<u32>,
-    /// Task → (home node, whether it is injected middleware).
-    origin: BTreeMap<TaskId, (u32, bool)>,
+    origin: Origins,
+    /// One report per node, by node: the instance counts fold in online
+    /// ([`ControlState::fold`]); the crash fields are the lowering's.
+    pub(crate) node_reports: Vec<NodeReport>,
+    /// Outcomes sealed at the current instant, held until time moves on
+    /// (see [`ControlState::settle`]).
+    held: Vec<Outcome>,
 }
 
 impl ControlState {
-    pub(crate) fn new(origin: BTreeMap<TaskId, (u32, bool)>) -> Self {
+    pub(crate) fn new(origin: Origins, node_reports: Vec<NodeReport>) -> Self {
         ControlState {
             origin,
+            node_reports,
             ..ControlState::default()
+        }
+    }
+
+    /// Counts one settled instance in its home node's report, unless the
+    /// node was down during any instant of `[activated, settled]`: such
+    /// an instance is a casualty of the crash (recorded by the recovery
+    /// machinery), not a scheduling outcome. An instance whose fate was
+    /// sealed before the crash — on-time completion or a miss at its
+    /// deadline — still counts.
+    fn fold(&mut self, o: Outcome) {
+        if self
+            .applied
+            .down_during(NodeId(o.node), o.activated, o.settled)
+        {
+            return;
+        }
+        let r = &mut self.node_reports[o.node as usize];
+        if o.middleware {
+            r.middleware_instances += 1;
+            r.middleware_misses += o.missed as u64;
+        } else {
+            r.app_instances += 1;
+            r.app_misses += o.missed as u64;
+            if let Some(rt) = o.response {
+                r.worst_app_response = Some(r.worst_app_response.map_or(rt, |w| w.max(rt)));
+            }
+        }
+    }
+
+    /// Folds in one settled instance.
+    ///
+    /// The same-instant rule: an outcome sealed at `now` itself is held
+    /// until a later instant or the end of the run. A fault op staged
+    /// later at this same instant can still open a window at `now` that
+    /// covers it; one staged at any later instant crashes no earlier than
+    /// that, after `settled`. So the count equals the one the final
+    /// applied plan gives.
+    fn settle(&mut self, now: Time, o: Outcome) {
+        if o.settled == now {
+            self.held.push(o);
+        } else {
+            self.fold(o);
+        }
+    }
+
+    /// Folds the held outcomes once time has moved past their instant
+    /// (`Time::MAX` at the end of the run).
+    pub(crate) fn release_held(&mut self, now: Time) {
+        if self.held.first().is_some_and(|o| o.settled < now) {
+            for o in std::mem::take(&mut self.held) {
+                self.fold(o);
+            }
         }
     }
 
@@ -556,6 +651,7 @@ impl ControlState {
     /// Translates one tap observation into cluster events. Returns
     /// whether anything was queued (a control wake is needed).
     pub(crate) fn on_protocol_event(&mut self, now: Time, ev: &MonitorEvent) -> bool {
+        self.release_held(now);
         let before = self.pending.len();
         match ev {
             MonitorEvent::Suspected { observer, suspect } => {
@@ -635,7 +731,7 @@ impl ControlState {
                 ..
             } => {
                 let task = TaskId(*task);
-                let (node, middleware) = self.origin.get(&task).copied().unwrap_or((*node, false));
+                let (node, middleware) = self.origin.get(task).unwrap_or((*node, false));
                 if !self.applied.down_during(NodeId(node), *activated, now) {
                     self.push(ClusterEvent::DeadlineMiss {
                         node,
@@ -643,6 +739,27 @@ impl ControlState {
                         middleware,
                         at: now,
                     });
+                }
+            }
+            // Report input, not an event: the node reports count it.
+            MonitorEvent::InstanceSettled {
+                task,
+                activated,
+                deadline,
+                completed,
+                missed,
+                ..
+            } => {
+                if let Some((node, middleware)) = self.origin.get(TaskId(*task)) {
+                    let outcome = Outcome {
+                        node,
+                        middleware,
+                        activated: *activated,
+                        settled: completed.map_or(*deadline, |c| c.min(*deadline)),
+                        missed: *missed,
+                        response: completed.map(|c| c - *activated),
+                    };
+                    self.settle(now, outcome);
                 }
             }
             // Suspicion clears, rejoin phase marks, per-request

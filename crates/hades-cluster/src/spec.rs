@@ -49,7 +49,7 @@
 //! ```
 
 use crate::driver::{
-    ControlActor, ControlState, ScenarioDriver, ServiceControl, ServiceControlKind,
+    ControlActor, ControlState, Origins, ScenarioDriver, ServiceControl, ServiceControlKind,
 };
 use crate::events::ClusterRun;
 use crate::middleware::{GroupLoad, MiddlewareConfig, MIDDLEWARE_TASK_BASE};
@@ -72,7 +72,7 @@ use hades_sim::{FaultPlan, KernelModel, LinkConfig, Network, NodeId, SimRng};
 use hades_task::spuri::SpuriTask;
 use hades_task::task::TaskSetError;
 use hades_task::{Task, TaskId, TaskSet};
-use hades_telemetry::monitor::{MonitorParams, ProtocolTap};
+use hades_telemetry::monitor::{MonitorEvent, MonitorParams, ProtocolTap};
 use hades_telemetry::{Probe, Profiler, Registry, RunTelemetry, SpanLog, Watchdog};
 use hades_time::{Duration, Time};
 use std::cell::{Ref, RefCell};
@@ -1030,7 +1030,7 @@ impl Lowered {
 
         // ---- assemble the task set: application + mode-change targets +
         // middleware + per-recovery cost tasks ----
-        let mut origin: BTreeMap<TaskId, (u32, bool)> = BTreeMap::new();
+        let mut origin = Origins::default();
         let mut tasks: Vec<Task> = Vec::new();
         for (node, task) in &self.app_tasks {
             origin.insert(task.id, (*node, false));
@@ -1196,7 +1196,22 @@ impl Lowered {
         // ---- the reactive control plane: shared state + event taps ----
         // Actor ids: agents are 0..nodes (the protocol addresses them by
         // node id), group members follow, the control actor comes last.
-        let state = Rc::new(RefCell::new(ControlState::new(origin.clone())));
+        let node_reports = feasibility
+            .into_iter()
+            .enumerate()
+            .map(|(node, feasibility)| report::NodeReport {
+                node: node as u32,
+                crashed_at: None,
+                restarted_at: None,
+                app_instances: 0,
+                app_misses: 0,
+                middleware_instances: 0,
+                middleware_misses: 0,
+                worst_app_response: None,
+                feasibility,
+            })
+            .collect();
+        let state = Rc::new(RefCell::new(ControlState::new(origin, node_reports)));
         let postbox = sim.postbox();
         let total_members: u32 = self.groups.iter().map(|g| g.members.len() as u32).sum();
         let control_id = ActorId(self.nodes + total_members);
@@ -1213,9 +1228,10 @@ impl Lowered {
             Rc::new(RefCell::new(dog))
         });
         // One tap for the dispatcher, every agent and every group member:
-        // the control plane and the watchdog read the same event. It only
-        // records and requests a control wake — it never re-enters the
-        // engine.
+        // the control plane and the watchdog read the same event — except
+        // a settled instance, which is report input for the control plane
+        // and no invariant's business. It only records and requests a
+        // control wake — it never re-enters the engine.
         let tap = {
             let state = state.clone();
             let postbox = postbox.clone();
@@ -1223,7 +1239,9 @@ impl Lowered {
             ProtocolTap(Rc::new(move |now, ev| {
                 let mut wake = state.borrow_mut().on_protocol_event(now, ev);
                 if let Some(dog) = &watchdog {
-                    wake |= dog.borrow_mut().observe(now, ev);
+                    if !matches!(ev, MonitorEvent::InstanceSettled { .. }) {
+                        wake |= dog.borrow_mut().observe(now, ev);
+                    }
                 }
                 if wake {
                     postbox.notify(control_id, 0);
@@ -1329,11 +1347,13 @@ impl Lowered {
         // scripted replays and reactive injections alike — not the
         // static plan, so reactive faults are first-class citizens of
         // the report.
-        let (applied, events) = {
+        let (applied, events, mut node_reports) = {
             let mut state = state.borrow_mut();
+            state.release_held(Time::MAX);
             (
                 std::mem::take(&mut state.applied),
                 std::mem::take(&mut state.events),
+                std::mem::take(&mut state.node_reports),
             )
         };
         debug_assert_eq!(
@@ -1341,7 +1361,11 @@ impl Lowered {
             sim.fault_plan().crash_windows(),
             "the report's outages must be the network's"
         );
-        let node_reports = self.node_reports(&run, &origin, feasibility, &applied);
+        for r in &mut node_reports {
+            let windows = applied.windows_of(NodeId(r.node));
+            r.crashed_at = windows.first().map(|w| w.crash_at);
+            r.restarted_at = windows.first().and_then(|w| w.restart_at);
+        }
         let (detections, failovers, handoffs) = fold_events(&events, &applied);
         let heartbeats_seen = logs.iter().map(|l| l.borrow().heartbeats_seen).sum();
         let survivors: Vec<u32> = (0..self.nodes)
@@ -1358,11 +1382,10 @@ impl Lowered {
         let mode_changes: Vec<report::ModeChangeRecord> = mode_plans
             .iter()
             .map(|p| {
-                let first_new_completion = run
-                    .instances
+                let first_new_completion = p
+                    .introduced
                     .iter()
-                    .filter(|i| p.introduced.contains(&i.task))
-                    .filter_map(|i| i.completed)
+                    .filter_map(|t| run.outcome(*t)?.first_completion)
                     .min();
                 report::ModeChangeRecord {
                     at: p.at,
@@ -1875,16 +1898,16 @@ impl Lowered {
         &self,
         node: u32,
         tasks: &[Task],
-        origin: &BTreeMap<TaskId, (u32, bool)>,
+        origin: &Origins,
     ) -> report::NodeFeasibility {
         let mut spuri: Vec<SpuriTask> = Vec::new();
         let mut app_util = 0u32;
         let mut mw_util = 0u32;
         for task in tasks {
-            let Some((home, is_mw)) = origin.get(&task.id) else {
+            let Some((home, is_mw)) = origin.get(task.id) else {
                 continue;
             };
-            if *home != node {
+            if home != node {
                 continue;
             }
             let Some(period) = task.arrival.min_separation() else {
@@ -1892,7 +1915,7 @@ impl Lowered {
             };
             let c = task.wcet();
             let permille = (c.as_nanos() * 1000 / period.as_nanos().max(1)) as u32;
-            if *is_mw {
+            if is_mw {
                 mw_util += permille;
             } else {
                 app_util += permille;
@@ -1944,62 +1967,6 @@ impl Lowered {
             middleware_utilization_permille: mw_util,
             inflated_utilization_permille: (integrated.utilization * 1000.0).round() as u32,
         }
-    }
-
-    fn node_reports(
-        &self,
-        run: &hades_dispatch::RunReport,
-        origin: &BTreeMap<TaskId, (u32, bool)>,
-        feasibility: Vec<report::NodeFeasibility>,
-        applied: &FaultPlan,
-    ) -> Vec<report::NodeReport> {
-        let mut reports: Vec<report::NodeReport> = feasibility
-            .into_iter()
-            .enumerate()
-            .map(|(node, feasibility)| report::NodeReport {
-                node: node as u32,
-                crashed_at: applied.crash_time(NodeId(node as u32)),
-                restarted_at: applied
-                    .windows_of(NodeId(node as u32))
-                    .first()
-                    .and_then(|w| w.restart_at),
-                app_instances: 0,
-                app_misses: 0,
-                middleware_instances: 0,
-                middleware_misses: 0,
-                worst_app_response: None,
-                feasibility,
-            })
-            .collect();
-        for inst in &run.instances {
-            let Some((node, is_mw)) = origin.get(&inst.task) else {
-                continue;
-            };
-            // Account only live spans: an instance interrupted by its
-            // node's crash window is a casualty of the crash (recorded by
-            // the recovery machinery), not a scheduling outcome. An
-            // instance whose fate was settled before the crash — on-time
-            // completion or a miss at its deadline — still counts; only
-            // the span up to that settling instant must be up.
-            let settled = inst
-                .completed
-                .map_or(inst.deadline, |c| c.min(inst.deadline));
-            if applied.down_during(NodeId(*node), inst.activated, settled) {
-                continue;
-            }
-            let r = &mut reports[*node as usize];
-            if *is_mw {
-                r.middleware_instances += 1;
-                r.middleware_misses += inst.missed as u64;
-            } else {
-                r.app_instances += 1;
-                r.app_misses += inst.missed as u64;
-                if let Some(rt) = inst.response_time() {
-                    r.worst_app_response = Some(r.worst_app_response.map_or(rt, |w| w.max(rt)));
-                }
-            }
-        }
-        reports
     }
 }
 

@@ -26,6 +26,13 @@
 //! The entry point is [`DispatchSim`]: build it from a
 //! [`hades_task::TaskSet`], choose costs / kernel / policy / resource
 //! protocol, and [`DispatchSim::run`] it to get a [`RunReport`].
+//!
+//! The report is O(tasks), not O(activations): when an instance's
+//! outcome becomes final the dispatcher folds it into its task's
+//! [`TaskOutcome`] and hands it once to the tap as
+//! `MonitorEvent::InstanceSettled`. Memory stays flat however long the
+//! simulated horizon; a caller that wants every instance collects that
+//! stream.
 
 #![warn(missing_docs)]
 
@@ -42,7 +49,7 @@ mod window;
 pub use costs::CostModel;
 pub use monitor::MonitorReport;
 pub use notify::{AttrChange, Notification, NotificationKind, SchedulerPolicy, ThreadSnapshot};
-pub use report::{InstanceRecord, RunReport};
+pub use report::{RunReport, Tallies, TaskOutcome};
 pub use resources::ResourceProtocol;
 pub use runq::RunQueue;
 pub use sim::{DispatchSim, ExecTimeModel, MissPolicy, SimConfig};

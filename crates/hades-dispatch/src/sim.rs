@@ -18,7 +18,7 @@ use crate::monitor::MonitorReport;
 use crate::notify::{
     AttrChange, Notification, NotificationKind, NotificationQueue, SchedulerPolicy, ThreadSnapshot,
 };
-use crate::report::{InstanceRecord, RunReport};
+use crate::report::{RunReport, Tallies, TaskOutcome};
 use crate::resources::{Admission, ResourceManager, ResourceProtocol};
 use crate::runq::RunQueue;
 use crate::thread::{InvPhase, Thread, ThreadId, ThreadState};
@@ -240,13 +240,14 @@ struct InstanceState {
     first_thread: u64,
     /// How many of them are still live.
     live: usize,
+    activated: Time,
     deadline: Time,
     completed: Option<Time>,
     missed: bool,
     /// Whether the instance's `DeadlineCheck` has fired; an instance with
-    /// no live thread left is dropped once it has.
+    /// no live thread left is dropped once it has — its outcome is final
+    /// then ([`settle`]).
     checked: bool,
-    record_idx: usize,
     /// Inv_EU threads (possibly of other tasks) waiting for this instance
     /// to complete, with their nodes.
     sync_waiters: Vec<(ThreadId, u32)>,
@@ -254,8 +255,10 @@ struct InstanceState {
 
 /// The run-time state of one task; `Inner::task_state` holds one per task,
 /// parallel to `TaskSet::tasks()`.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct TaskState {
+    /// What the task's settled instances came to.
+    outcome: TaskOutcome,
     /// The instances something can still name, by instance number; the
     /// next activation takes `instances.next_id()`.
     instances: IdWindow<InstanceState>,
@@ -274,7 +277,8 @@ struct TaskState {
 type InstanceKey = (usize, u64);
 
 /// Every Section 3.2.1 alarm goes to the tap, then into the report, so
-/// the two cannot disagree. A field, so raising borrows only this.
+/// the two cannot disagree; an instance outcome goes to the tap only. A
+/// field, so raising borrows only this.
 #[derive(Default)]
 struct Alarms {
     tap: Option<ProtocolTap>,
@@ -288,6 +292,38 @@ impl Alarms {
         }
         self.report.push(ev);
     }
+}
+
+/// Instance `instance` of `task` was just dropped from the dispatcher's
+/// tables, so nothing can change its outcome any more: fold it into the
+/// task's tally and hand it to the tap as
+/// [`MonitorEvent::InstanceSettled`].
+fn settle(
+    outcome: &mut TaskOutcome,
+    alarms: &Alarms,
+    task: &Task,
+    instance: u64,
+    inst: &InstanceState,
+    now: Time,
+) {
+    outcome.settle(inst.activated, inst.completed, inst.missed);
+    if let Some(tap) = &alarms.tap {
+        let ev = MonitorEvent::InstanceSettled {
+            node: home_node(task),
+            task: task.id.0,
+            instance,
+            activated: inst.activated,
+            deadline: inst.deadline,
+            completed: inst.completed,
+            missed: inst.missed,
+        };
+        (tap.0)(now, &ev);
+    }
+}
+
+/// The processor of a task's first unit: where its activations happen.
+fn home_node(task: &Task) -> u32 {
+    task.heug.eus().first().map_or(0, |eu| eu.processor().0)
 }
 
 struct Inner {
@@ -309,7 +345,6 @@ struct Inner {
     probe: Probe,
     ctx_switches: u64,
     alarms: Alarms,
-    records: Vec<InstanceRecord>,
     trace: Trace,
     notifications: u64,
     scheduler_cpu: Duration,
@@ -400,7 +435,16 @@ impl DispatchSim {
             .map(|_| ResourceManager::new(cfg.protocol.clone()))
             .collect();
         let inner = Inner {
-            task_state: tasks.iter().map(|_| TaskState::default()).collect(),
+            task_state: tasks
+                .iter()
+                .map(|t| TaskState {
+                    outcome: TaskOutcome::new(t.id),
+                    instances: IdWindow::default(),
+                    arrivals: ArrivalMonitor::default(),
+                    window: None,
+                    chain_gen: 0,
+                })
+                .collect(),
             tasks: Rc::new(tasks),
             cfg,
             threads: IdWindow::default(),
@@ -414,7 +458,6 @@ impl DispatchSim {
             probe: Probe::default(),
             ctx_switches: 0,
             alarms: Alarms::default(),
-            records: Vec::new(),
             trace,
             notifications: 0,
             scheduler_cpu: Duration::ZERO,
@@ -470,7 +513,12 @@ impl DispatchSim {
     /// Installs the run's observation tap: it hears every Section 3.2.1
     /// alarm as a [`MonitorEvent`] at the instant it is raised (a miss at
     /// the missed deadline), before [`RunReport::monitor`] records it —
-    /// in one stream with the protocol actors that share the tap.
+    /// in one stream with the protocol actors that share the tap. It also
+    /// hears each instance's outcome once, as
+    /// [`MonitorEvent::InstanceSettled`], when the dispatcher drops the
+    /// instance (no live thread left and its deadline checked), or at the
+    /// end of the run for one still in flight; that outcome is already
+    /// folded into [`RunReport::instances`] and is not an alarm.
     pub fn set_tap(&mut self, tap: ProtocolTap) {
         assert!(!self.ran, "simulation already ran");
         self.inner.alarms.tap = Some(tap);
@@ -821,7 +869,7 @@ impl Inner {
             if let Some(inst) = self.task_state[key.0].instances.get_mut(key.1) {
                 inst.live -= 1;
             }
-            self.reap_instance(key);
+            self.reap_instance(key, now);
         }
         let ns = &mut self.nodes[node as usize];
         ns.down = true;
@@ -1098,8 +1146,7 @@ impl Inner {
         }
         // Kill switch: a down node neither monitors arrivals nor spawns
         // work — the activation is simply lost with the node.
-        let home = task.heug.eus().first().map_or(0, |eu| eu.processor().0);
-        if self.nodes[home as usize].down {
+        if self.nodes[home_node(task) as usize].down {
             return;
         }
         // Arrival-law monitoring.
@@ -1139,15 +1186,7 @@ impl Inner {
             }
         };
         let deadline = now + task.deadline;
-        let record_idx = self.records.len();
-        self.records.push(InstanceRecord {
-            task: task.id,
-            instance,
-            activated: now,
-            deadline,
-            completed: None,
-            missed: false,
-        });
+        self.task_state[pos].outcome.activated += 1;
         let first_thread = self.threads.next_id();
         let mut touched: Vec<u32> = Vec::new();
         for (i, eu) in task.heug.eus().iter().enumerate() {
@@ -1250,11 +1289,11 @@ impl Inner {
         self.task_state[pos].instances.push(InstanceState {
             first_thread,
             live: task.heug.eus().len(),
+            activated: now,
             deadline,
             completed: None,
             missed: false,
             checked: false,
-            record_idx,
             sync_waiters: Vec::new(),
         });
         let check = Ev::DeadlineCheck {
@@ -1555,9 +1594,6 @@ impl Inner {
         if inst.live == 0 && inst.completed.is_none() {
             inst.completed = Some(now);
             inst.missed |= now > inst.deadline;
-            let rec = &mut self.records[inst.record_idx];
-            rec.completed = Some(now);
-            rec.missed = inst.missed;
             for (w, node) in std::mem::take(&mut inst.sync_waiters) {
                 // A waiter that died meanwhile has no phase left to
                 // advance; its node is re-evaluated all the same.
@@ -1568,19 +1604,24 @@ impl Inner {
                 self.reschedule(node, now, sched);
             }
         }
-        self.reap_instance(key);
+        self.reap_instance(key, now);
     }
 
     /// Drops the bookkeeping of instance `key` once nothing can name it
-    /// any more: no live thread left and its `DeadlineCheck` delivered.
-    fn reap_instance(&mut self, key: InstanceKey) {
-        let instances = &mut self.task_state[key.0].instances;
-        if instances
+    /// any more — no live thread left and its `DeadlineCheck` delivered —
+    /// and settles its outcome.
+    fn reap_instance(&mut self, key: InstanceKey, now: Time) {
+        let st = &mut self.task_state[key.0];
+        if !st
+            .instances
             .get(key.1)
             .is_some_and(|i| i.live == 0 && i.checked)
         {
-            instances.remove(key.1);
+            return;
         }
+        let inst = st.instances.remove(key.1).expect("reaped instance");
+        let task = &self.tasks.tasks()[key.0];
+        settle(&mut st.outcome, &self.alarms, task, key.1, &inst, now);
     }
 
     /// Takes `tid`, which just stopped being live, off its node's live
@@ -1719,27 +1760,26 @@ impl Inner {
     // ------------------------------------------------------------------
 
     fn deadline_check(&mut self, pos: usize, instance: u64, now: Time, sched: &mut Scheduler<Ev>) {
-        let instances = &mut self.task_state[pos].instances;
-        let Some(inst) = instances.get_mut(instance) else {
+        let st = &mut self.task_state[pos];
+        let Some(inst) = st.instances.get_mut(instance) else {
             return;
         };
         inst.checked = true;
+        let t = &self.tasks.tasks()[pos];
         if inst.completed.is_some() {
-            instances.remove(instance);
+            let inst = st.instances.remove(instance).expect("checked instance");
+            settle(&mut st.outcome, &self.alarms, t, instance, &inst, now);
             return;
         }
         inst.missed = true;
-        let t = &self.tasks.tasks()[pos];
         let (task, eus) = (t.id, t.heug.eus());
-        let activated = self.records[inst.record_idx].activated;
-        self.records[inst.record_idx].missed = true;
         self.alarms.raise(
             now,
             MonitorEvent::DeadlineMiss {
-                node: eus.first().map_or(0, |eu| eu.processor().0),
+                node: home_node(t),
                 task: task.0,
                 instance,
-                activated,
+                activated: inst.activated,
                 deadline: now,
             },
         );
@@ -1757,7 +1797,7 @@ impl Inner {
             touched.dedup();
             self.reschedule_touched(&touched, now, sched);
         }
-        self.reap_instance((pos, instance));
+        self.reap_instance((pos, instance), now);
     }
 
     /// Kills a live thread (aborted instance or lost predecessor) and
@@ -1798,10 +1838,9 @@ impl Inner {
             // immediately rather than waiting for the deadline to pass.
             if inst.completed.is_none() {
                 inst.missed = true;
-                self.records[inst.record_idx].missed = true;
             }
         }
-        self.reap_instance(key);
+        self.reap_instance(key, now);
         Some(node)
     }
 
@@ -1942,8 +1981,14 @@ impl Inner {
                     .set(cpu.as_nanos());
             }
         }
+        // The instances still held at the end are final now too.
+        for (task, st) in self.tasks.iter().zip(&mut self.task_state) {
+            for (instance, inst) in st.instances.iter() {
+                settle(&mut st.outcome, &self.alarms, task, instance, inst, end);
+            }
+        }
         RunReport {
-            instances: std::mem::take(&mut self.records),
+            instances: Tallies(self.task_state.iter().map(|st| st.outcome).collect()),
             monitor: std::mem::take(&mut self.alarms.report),
             trace: std::mem::replace(&mut self.trace, Trace::disabled()),
             notifications: self.notifications,
@@ -2035,9 +2080,56 @@ impl Simulation for Inner {
 mod tests {
     use super::*;
     use hades_task::prelude::*;
+    use std::cell::RefCell;
 
     fn us(n: u64) -> Duration {
         Duration::from_micros(n)
+    }
+
+    /// One instance outcome, as the tap heard it settle.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    struct Settled {
+        at: Time,
+        task: TaskId,
+        instance: u64,
+        activated: Time,
+        completed: Option<Time>,
+        missed: bool,
+    }
+
+    /// Installs a tap that keeps every settled instance, in settling
+    /// order; read it once the run is over.
+    fn settled(sim: &mut DispatchSim) -> Rc<RefCell<Vec<Settled>>> {
+        let heard = Rc::new(RefCell::new(Vec::new()));
+        let sink = Rc::clone(&heard);
+        sim.set_tap(ProtocolTap(Rc::new(move |at, ev: &MonitorEvent| {
+            if let MonitorEvent::InstanceSettled {
+                task,
+                instance,
+                activated,
+                completed,
+                missed,
+                ..
+            } = *ev
+            {
+                sink.borrow_mut().push(Settled {
+                    at,
+                    task: TaskId(task),
+                    instance,
+                    activated,
+                    completed,
+                    missed,
+                });
+            }
+        })));
+        heard
+    }
+
+    /// The settled instances of `task`, in activation order.
+    fn of_task(all: &[Settled], task: TaskId) -> Vec<Settled> {
+        let mut v: Vec<Settled> = all.iter().filter(|s| s.task == task).cloned().collect();
+        v.sort_by_key(|s| s.instance);
+        v
     }
 
     fn periodic(id: u32, name: &str, wcet_us: u64, period_us: u64, prio: u32) -> Task {
@@ -2089,13 +2181,15 @@ mod tests {
         let mut sim = DispatchSim::new(set, SimConfig::ideal(Duration::from_millis(5)));
         sim.activate_at(TaskId(0), Time::ZERO);
         sim.activate_at(TaskId(1), Time::ZERO + us(200));
+        let heard = settled(&mut sim);
         let r = sim.run();
+        let heard = heard.take();
         assert!(r.all_deadlines_met());
         // high finishes at 300 (released 200 + 100), low at 600 (preempted
         // for 100).
-        let recs = r.of_task(TaskId(1));
+        let recs = of_task(&heard, TaskId(1));
         assert_eq!(recs[0].completed, Some(Time::ZERO + us(300)));
-        let recs = r.of_task(TaskId(0));
+        let recs = of_task(&heard, TaskId(0));
         assert_eq!(recs[0].completed, Some(Time::ZERO + us(600)));
     }
 
@@ -2125,14 +2219,16 @@ mod tests {
         let mut sim = DispatchSim::new(set, SimConfig::ideal(Duration::from_millis(5)));
         sim.activate_at(TaskId(0), Time::ZERO);
         sim.activate_at(TaskId(1), Time::ZERO + us(100));
-        let r = sim.run();
+        let heard = settled(&mut sim);
+        sim.run();
+        let heard = heard.take();
         // mid waits for base: base done at 400, mid at 500.
         assert_eq!(
-            r.of_task(TaskId(0))[0].completed,
+            of_task(&heard, TaskId(0))[0].completed,
             Some(Time::ZERO + us(400))
         );
         assert_eq!(
-            r.of_task(TaskId(1))[0].completed,
+            of_task(&heard, TaskId(1))[0].completed,
             Some(Time::ZERO + us(500))
         );
     }
@@ -2186,11 +2282,13 @@ mod tests {
         cfg.miss_policy = MissPolicy::AbortInstance;
         let mut sim = DispatchSim::new(set, cfg);
         sim.activate_at(TaskId(0), Time::ZERO);
+        let heard = settled(&mut sim);
         let r = sim.run();
         assert_eq!(r.misses(), 1);
         assert_eq!(r.monitor.deadline_misses(), 1);
         assert_eq!(r.monitor.orphans(), 1, "aborted thread counted as orphan");
-        assert_eq!(r.instances[0].completed, None);
+        assert_eq!(heard.borrow()[0].completed, None);
+        assert_eq!(r.outcome(TaskId(0)).unwrap().completed, 0);
     }
 
     #[test]
@@ -2204,10 +2302,14 @@ mod tests {
         let set = TaskSet::new(vec![t]).unwrap();
         let mut sim = DispatchSim::new(set, SimConfig::ideal(Duration::from_millis(2)));
         sim.activate_at(TaskId(0), Time::ZERO);
+        let heard = settled(&mut sim);
         let r = sim.run();
         assert_eq!(r.misses(), 1);
-        assert_eq!(r.instances[0].completed, Some(Time::ZERO + us(800)));
-        assert!(r.instances[0].missed);
+        let heard = heard.take();
+        assert_eq!(heard[0].completed, Some(Time::ZERO + us(800)));
+        assert!(heard[0].missed);
+        // Late, but completed: its response counts.
+        assert_eq!(r.worst_response_times()[&TaskId(0)], us(800));
     }
 
     #[test]
@@ -2237,9 +2339,10 @@ mod tests {
         let set = TaskSet::new(vec![t]).unwrap();
         let mut sim = DispatchSim::new(set, SimConfig::ideal(Duration::from_millis(1)));
         sim.activate_at(TaskId(0), Time::ZERO);
+        let heard = settled(&mut sim);
         let r = sim.run();
         assert!(r.all_deadlines_met());
-        assert_eq!(r.instances[0].completed, Some(Time::ZERO + us(60)));
+        assert_eq!(heard.borrow()[0].completed, Some(Time::ZERO + us(60)));
     }
 
     #[test]
@@ -2259,10 +2362,11 @@ mod tests {
         cfg.link = LinkConfig::reliable(us(100), us(100));
         let mut sim = DispatchSim::new(set, cfg);
         sim.activate_at(TaskId(0), Time::ZERO);
+        let heard = settled(&mut sim);
         let r = sim.run();
         assert!(r.all_deadlines_met());
         // 10 (a) + 100 (net) + 10 (b) = 120.
-        assert_eq!(r.instances[0].completed, Some(Time::ZERO + us(120)));
+        assert_eq!(heard.borrow()[0].completed, Some(Time::ZERO + us(120)));
         assert_eq!(r.monitor.network_omissions(), 0);
     }
 
@@ -2318,10 +2422,12 @@ mod tests {
         let mut sim = DispatchSim::new(set, SimConfig::ideal(Duration::from_millis(1)));
         sim.activate_at(TaskId(1), Time::ZERO); // consumer first: must wait
         sim.activate_at(TaskId(0), Time::ZERO + us(10));
+        let heard = settled(&mut sim);
         let r = sim.run();
         assert!(r.all_deadlines_met());
         // producer: 10..60; consumer starts only after cv set at 60.
-        assert_eq!(r.of_task(TaskId(1))[0].completed, Some(Time::ZERO + us(70)));
+        let consumer = of_task(&heard.take(), TaskId(1));
+        assert_eq!(consumer[0].completed, Some(Time::ZERO + us(70)));
     }
 
     #[test]
@@ -2353,13 +2459,15 @@ mod tests {
         let mut sim = DispatchSim::new(set, SimConfig::ideal(Duration::from_millis(1)));
         sim.activate_at(TaskId(0), Time::ZERO);
         sim.activate_at(TaskId(1), Time::ZERO + us(10)); // higher prio, but must wait
-        let r = sim.run();
+        let heard = settled(&mut sim);
+        sim.run();
+        let heard = heard.take();
         assert_eq!(
-            r.of_task(TaskId(0))[0].completed,
+            of_task(&heard, TaskId(0))[0].completed,
             Some(Time::ZERO + us(100))
         );
         assert_eq!(
-            r.of_task(TaskId(1))[0].completed,
+            of_task(&heard, TaskId(1))[0].completed,
             Some(Time::ZERO + us(200)),
             "t1 blocked until t0 released the resource"
         );
@@ -2469,11 +2577,13 @@ mod tests {
         cfg.auto_activate = false;
         let mut sim = DispatchSim::new(set, cfg);
         sim.activate_at(TaskId(0), Time::ZERO);
+        let heard = settled(&mut sim);
         let r = sim.run();
+        let heard = heard.take();
         assert!(r.all_deadlines_met());
-        let callee_rec = r.of_task(TaskId(1))[0];
+        let callee_rec = &of_task(&heard, TaskId(1))[0];
         assert!(callee_rec.completed.is_some());
-        let caller_rec = r.of_task(TaskId(0))[0];
+        let caller_rec = &of_task(&heard, TaskId(0))[0];
         // pre 10 + inv (>=1ns) + callee 100 + inv end + post 10 ≈ 120.
         let done = caller_rec.completed.unwrap() - Time::ZERO;
         assert!(done >= us(120), "caller done at {done}");
@@ -2496,10 +2606,13 @@ mod tests {
                 max_permille: 1000,
             };
             let mut sim = DispatchSim::new(set, cfg);
-            sim.run()
+            let heard = settled(&mut sim);
+            let r = sim.run();
+            (r, heard.take())
         };
-        let a = mk();
-        let b = mk();
+        let (a, a_settled) = mk();
+        let (b, b_settled) = mk();
+        assert_eq!(a_settled, b_settled);
         assert_eq!(a.instances, b.instances);
         assert_eq!(a.monitor.events(), b.monitor.events());
         assert_eq!(a.kernel_cpu, b.kernel_cpu);
@@ -2517,6 +2630,7 @@ mod tests {
         let net = Network::homogeneous(2, cfg.link, SimRng::seed_from(0))
             .with_fault_plan(hades_sim::FaultPlan::new().crash_window(NodeId(0), down, up));
         let mut sim = DispatchSim::with_network(set, cfg, net);
+        let heard = settled(&mut sim);
         let r = sim.run();
         for seg in r.trace.segments() {
             if seg.node == NodeId(0) {
@@ -2529,8 +2643,7 @@ mod tests {
         // Activations at 0 and 1 ms ran; 2 and 3 ms died with the node;
         // 4 and 5 ms ran again after the cold restart (6 ms activates at
         // the horizon and cannot finish).
-        let done: Vec<u64> = r
-            .instances
+        let done: Vec<u64> = of_task(&heard.take(), TaskId(0))
             .iter()
             .filter(|i| i.completed.is_some())
             .map(|i| (i.activated - Time::ZERO).as_nanos() / 1_000_000)
@@ -2561,14 +2674,14 @@ mod tests {
         let mut sim = DispatchSim::with_network(set, cfg, net);
         sim.set_activation_window(TaskId(0), Time::ZERO, switch);
         sim.set_activation_window(TaskId(1), switch, Time::MAX);
+        let heard = settled(&mut sim);
         let r = sim.run();
-        let old: Vec<u64> = r
-            .of_task(TaskId(0))
+        let heard = heard.take();
+        let old: Vec<u64> = of_task(&heard, TaskId(0))
             .iter()
             .map(|i| (i.activated - Time::ZERO).as_nanos() / 1_000)
             .collect();
-        let new: Vec<u64> = r
-            .of_task(TaskId(1))
+        let new: Vec<u64> = of_task(&heard, TaskId(1))
             .iter()
             .map(|i| (i.activated - Time::ZERO).as_nanos() / 1_000)
             .collect();
@@ -2598,9 +2711,9 @@ mod tests {
             .with_fault_plan(hades_sim::FaultPlan::new().crash_window(NodeId(0), down, up));
         let mut sim = DispatchSim::with_network(set, cfg, net);
         sim.set_activation_window(TaskId(0), Time::ZERO, Time::MAX);
-        let r = sim.run();
-        let acts: Vec<u64> = r
-            .of_task(TaskId(0))
+        let heard = settled(&mut sim);
+        sim.run();
+        let acts: Vec<u64> = of_task(&heard.take(), TaskId(0))
             .iter()
             .map(|i| (i.activated - Time::ZERO).as_nanos() / 1_000)
             .collect();
@@ -2632,14 +2745,14 @@ mod tests {
         let switch = Time::ZERO + Duration::from_millis(3);
         sim.set_activation_window(TaskId(0), Time::ZERO, switch);
         sim.set_activation_window(TaskId(1), switch, Time::MAX);
+        let heard = settled(&mut sim);
         let r = sim.run();
-        let old: Vec<u64> = r
-            .of_task(TaskId(0))
+        let heard = heard.take();
+        let old: Vec<u64> = of_task(&heard, TaskId(0))
             .iter()
             .map(|i| (i.activated - Time::ZERO).as_nanos() / 1_000_000)
             .collect();
-        let new: Vec<u64> = r
-            .of_task(TaskId(1))
+        let new: Vec<u64> = of_task(&heard, TaskId(1))
             .iter()
             .map(|i| (i.activated - Time::ZERO).as_nanos() / 1_000_000)
             .collect();
@@ -2846,14 +2959,18 @@ mod tests {
         let net = Network::homogeneous(2, cfg.link, SimRng::seed_from(3))
             .with_fault_plan(hades_sim::FaultPlan::new().crash_window(NodeId(1), down, up));
         let mut sim = DispatchSim::with_network(set, cfg, net);
+        let heard = settled(&mut sim);
         let (r, audit) = run_audited(&mut sim);
+        let heard = heard.take();
         assert!(audit.calls.get() > 80, "{} snapshots", audit.calls.get());
         assert!(audit.work_done.get() > 100, "{}", audit.work_done.get());
         let done = |t: u32| {
-            r.of_task(TaskId(t))
+            let n = of_task(&heard, TaskId(t))
                 .iter()
                 .filter(|i| i.completed.is_some())
-                .count()
+                .count();
+            assert_eq!(r.outcome(TaskId(t)).unwrap().completed, n as u64);
+            n
         };
         // The activations at the horizon itself are still in flight.
         assert_eq!(done(0), 10, "beat completes every period");
@@ -2937,14 +3054,15 @@ mod tests {
         .unwrap();
         let mut sim = DispatchSim::new(set, SimConfig::ideal(Duration::from_millis(20)));
         assert!(sim.inner.cfg.costs.sched_notif.is_zero());
+        let heard = settled(&mut sim);
         let (r, audit) = run_audited(&mut sim);
         assert_eq!(r.finished_at, Time::ZERO + Duration::from_millis(20));
         assert_eq!(r.instances.len(), 21 + 11);
         // All but the two activated at the horizon itself have completed.
-        assert_eq!(
-            r.instances.iter().filter(|i| i.completed.is_some()).count(),
-            30
-        );
+        let heard = heard.take();
+        assert_eq!(heard.len(), 21 + 11);
+        assert_eq!(heard.iter().filter(|i| i.completed.is_some()).count(), 30);
+        assert_eq!(r.instances.iter().map(|t| t.completed).sum::<u64>(), 30);
         assert_eq!(r.misses(), 0);
         // Two notifications (activation, termination) per completed thread.
         assert!(audit.calls.get() >= 60, "{} snapshots", audit.calls.get());
@@ -3029,6 +3147,7 @@ mod tests {
         let net = Network::homogeneous(2, cfg.link, SimRng::seed_from(1)).with_fault_plan(plan);
         let mut sim = DispatchSim::with_network(set, cfg, net);
         sim.activate_at(TaskId(1), Time::ZERO);
+        let heard = settled(&mut sim);
         sim.prime();
         let mut trail = Trail {
             inner: &mut sim.inner,
@@ -3037,9 +3156,9 @@ mod tests {
         sim.engine
             .run(&mut trail, Time::ZERO + Duration::from_millis(20));
         let trail = trail.remaining;
-        let r = sim.inner.finish(sim.engine.now());
+        sim.inner.finish(sim.engine.now());
         // As recorded on the commit before the touched-node walk.
-        let done = r.of_task(TaskId(1))[0].completed;
+        let done = of_task(&heard.take(), TaskId(1))[0].completed;
         assert_eq!(done, Some(Time::ZERO + ns(13_857_271)));
         assert_eq!(trail.len(), 141, "one value per re-sync of node 1");
         assert_eq!(trail.iter().sum::<u64>(), 696_646_045);
@@ -3077,11 +3196,23 @@ mod tests {
         .unwrap();
         let mut sim = DispatchSim::new(set, SimConfig::ideal(Duration::from_millis(5)));
         sim.set_activation_window(TaskId(3), Time::ZERO + us(2000), Time::ZERO + us(4000));
+        let heard = settled(&mut sim);
         let r = sim.run();
-        let numbers = |t| -> Vec<u64> { r.of_task(TaskId(t)).iter().map(|i| i.instance).collect() };
+        let heard = heard.take();
+        let numbers = |t| -> Vec<u64> {
+            of_task(&heard, TaskId(t))
+                .iter()
+                .map(|i| i.instance)
+                .collect()
+        };
         assert_eq!(numbers(700), [0, 1, 2, 3, 4, 5]);
         assert_eq!(numbers(3), [0, 1]);
-        assert_eq!(r.of_task(TaskId(3))[0].activated, Time::ZERO + us(2000));
+        assert_eq!(
+            of_task(&heard, TaskId(3))[0].activated,
+            Time::ZERO + us(2000)
+        );
+        let activated = |t| r.outcome(TaskId(t)).map(|o| o.activated);
+        assert_eq!((activated(700), activated(3)), (Some(6), Some(2)));
         assert!(r.all_deadlines_met());
     }
 }

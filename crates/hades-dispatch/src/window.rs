@@ -75,6 +75,13 @@ impl<T> IdWindow<T> {
         self.slots.iter().filter_map(|s| s.as_deref())
     }
 
+    /// The records held with their ids, in ascending id order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, &T)> {
+        let ids = self.base..;
+        ids.zip(&self.slots)
+            .filter_map(|(id, s)| Some((id, s.as_deref()?)))
+    }
+
     /// Number of slots the window spans, holes included.
     #[cfg(test)]
     pub(crate) fn span(&self) -> usize {

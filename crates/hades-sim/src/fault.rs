@@ -16,7 +16,6 @@
 
 use crate::net::NodeId;
 use hades_time::{Duration, Time};
-use std::collections::HashMap;
 
 /// A time window during which messages on matching links are dropped.
 ///
@@ -144,13 +143,35 @@ impl CrashWindow {
 /// assert!(!plan.is_crashed(NodeId(1), Time::from_nanos(500)), "restarted");
 /// assert!(plan.link_cut(NodeId(0), NodeId(1), Time::from_nanos(15)));
 /// ```
+///
+/// The per-node scripts (crash, slow and skew windows) are dense tables
+/// indexed by node id, so the per-message and per-instance probes
+/// ([`FaultPlan::is_crashed`], [`FaultPlan::down_during`]) are one bounds
+/// check and a scan of that node's few windows. A table grows to the
+/// largest node id a fault names; a node no fault names costs nothing to
+/// probe.
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
-    crashes: HashMap<NodeId, Vec<CrashWindow>>,
+    crashes: Vec<Vec<CrashWindow>>,
     windows: Vec<OmissionWindow>,
     degraded: Vec<DegradedWindow>,
-    slows: HashMap<NodeId, Vec<SlowWindow>>,
-    skews: HashMap<NodeId, Vec<ClockSkew>>,
+    slows: Vec<Vec<SlowWindow>>,
+    skews: Vec<Vec<ClockSkew>>,
+}
+
+/// The row of `node` in a per-node table: empty if the table never grew
+/// that far.
+fn row<T>(table: &[Vec<T>], node: NodeId) -> &[T] {
+    table.get(node.0 as usize).map_or(&[], Vec::as_slice)
+}
+
+/// The row of `node`, growing the table to reach it.
+fn row_mut<T>(table: &mut Vec<Vec<T>>, node: NodeId) -> &mut Vec<T> {
+    let i = node.0 as usize;
+    if table.len() <= i {
+        table.resize_with(i + 1, Vec::new);
+    }
+    &mut table[i]
 }
 
 impl FaultPlan {
@@ -162,11 +183,7 @@ impl FaultPlan {
     /// Schedules a permanent crash (fail-silent, no restart) of `node` at
     /// time `at`.
     pub fn crash_at(mut self, node: NodeId, at: Time) -> Self {
-        self.crashes.entry(node).or_default().push(CrashWindow {
-            crash_at: at,
-            restart_at: None,
-        });
-        self.normalize(node);
+        self.add_crash(node, at, None);
         self
     }
 
@@ -177,21 +194,13 @@ impl FaultPlan {
     ///
     /// Panics if `restart_at <= crash_at`.
     pub fn crash_window(mut self, node: NodeId, crash_at: Time, restart_at: Time) -> Self {
-        assert!(restart_at > crash_at, "restart must follow the crash");
-        self.crashes.entry(node).or_default().push(CrashWindow {
-            crash_at,
-            restart_at: Some(restart_at),
-        });
-        self.normalize(node);
+        self.add_crash(node, crash_at, Some(restart_at));
         self
     }
 
     /// Sorts and merges a node's crash windows so queries are simple scans
     /// over disjoint, ordered intervals.
-    fn normalize(&mut self, node: NodeId) {
-        let Some(ws) = self.crashes.get_mut(&node) else {
-            return;
-        };
+    fn normalize(ws: &mut Vec<CrashWindow>) {
         ws.sort_by_key(|w| (w.crash_at, w.restart_at.unwrap_or(Time::MAX)));
         let mut merged: Vec<CrashWindow> = Vec::with_capacity(ws.len());
         for w in ws.drain(..) {
@@ -212,15 +221,20 @@ impl FaultPlan {
     /// In-place form of [`FaultPlan::crash_at`] / [`FaultPlan::crash_window`]
     /// for **runtime** fault injection into a plan already owned by a
     /// running network: adds the window and re-normalizes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `restart_at <= at`.
     pub fn add_crash(&mut self, node: NodeId, at: Time, restart_at: Option<Time>) {
         if let Some(r) = restart_at {
             assert!(r > at, "restart must follow the crash");
         }
-        self.crashes.entry(node).or_default().push(CrashWindow {
+        let ws = row_mut(&mut self.crashes, node);
+        ws.push(CrashWindow {
             crash_at: at,
             restart_at,
         });
-        self.normalize(node);
+        Self::normalize(ws);
     }
 
     /// Closes the **open** (permanent) crash window of `node` covering
@@ -231,7 +245,7 @@ impl FaultPlan {
     /// shortened (the restart events posted for it would fire spuriously
     /// on the then-live node).
     pub fn add_restart(&mut self, node: NodeId, at: Time) -> bool {
-        let Some(ws) = self.crashes.get_mut(&node) else {
+        let Some(ws) = self.crashes.get_mut(node.0 as usize) else {
             return false;
         };
         let Some(w) = ws
@@ -241,7 +255,7 @@ impl FaultPlan {
             return false;
         };
         w.restart_at = Some(at);
-        self.normalize(node);
+        Self::normalize(ws);
         true
     }
 
@@ -368,7 +382,7 @@ impl FaultPlan {
     /// Panics if `end <= start`.
     pub fn add_slow(&mut self, node: NodeId, start: Time, end: Time, speed_permille: u32) {
         assert!(end > start, "slow window must have positive length");
-        self.slows.entry(node).or_default().push(SlowWindow {
+        row_mut(&mut self.slows, node).push(SlowWindow {
             start,
             end,
             speed_permille: speed_permille.clamp(1, 1000),
@@ -378,10 +392,8 @@ impl FaultPlan {
     /// The CPU speed (‰ of nominal) of `node` at `now`: the minimum over
     /// all covering slow windows, `1000` when none covers.
     pub fn speed_permille(&self, node: NodeId, now: Time) -> u32 {
-        self.slows
-            .get(&node)
-            .into_iter()
-            .flatten()
+        row(&self.slows, node)
+            .iter()
             .filter(|w| w.covers(now))
             .map(|w| w.speed_permille)
             .min()
@@ -391,10 +403,11 @@ impl FaultPlan {
     /// Whether `node` has any slow windows scheduled (cheap guard letting
     /// embeddings skip speed resynchronisation entirely on healthy runs).
     pub fn has_slow_windows(&self, node: NodeId) -> bool {
-        self.slows.get(&node).is_some_and(|ws| !ws.is_empty())
+        !row(&self.slows, node).is_empty()
     }
 
-    /// Whether any node at all has a slow window scheduled.
+    /// Whether any node at all has a slow window scheduled. Exact: the
+    /// table grows only when a window is added.
     pub fn any_slow_windows(&self) -> bool {
         !self.slows.is_empty()
     }
@@ -409,7 +422,7 @@ impl FaultPlan {
 
     /// In-place form of [`FaultPlan::skew_clock`] for runtime injection.
     pub fn add_skew(&mut self, node: NodeId, start: Time, drift_ppb: i64) {
-        let entries = self.skews.entry(node).or_default();
+        let entries = row_mut(&mut self.skews, node);
         entries.push(ClockSkew { start, drift_ppb });
         entries.sort_by_key(|s| s.start);
     }
@@ -417,10 +430,8 @@ impl FaultPlan {
     /// The clock drift (ppb) of `node` in force at `now`: the latest
     /// entry whose start is at or before `now`, `0` when none.
     pub fn clock_drift_ppb(&self, node: NodeId, now: Time) -> i64 {
-        self.skews
-            .get(&node)
-            .into_iter()
-            .flatten()
+        row(&self.skews, node)
+            .iter()
             .rfind(|s| s.start <= now)
             .map_or(0, |s| s.drift_ppb)
     }
@@ -428,9 +439,7 @@ impl FaultPlan {
     /// Whether `node` is down at `now`: inside some crash window
     /// (crash instant inclusive, restart instant exclusive).
     pub fn is_crashed(&self, node: NodeId, now: Time) -> bool {
-        self.crashes
-            .get(&node)
-            .is_some_and(|ws| ws.iter().any(|w| w.covers(now)))
+        self.windows_of(node).iter().any(|w| w.covers(now))
     }
 
     /// The first scheduled crash time of `node`, if any.
@@ -440,7 +449,7 @@ impl FaultPlan {
 
     /// The crash windows of `node`: disjoint, in crash order.
     pub fn windows_of(&self, node: NodeId) -> &[CrashWindow] {
-        self.crashes.get(&node).map_or(&[], Vec::as_slice)
+        row(&self.crashes, node)
     }
 
     /// The crash instant of the window of `node` covering `at`, if any:
@@ -465,18 +474,11 @@ impl FaultPlan {
     /// resynchronisation points off this.
     pub fn next_transition(&self, node: NodeId, now: Time) -> Option<Time> {
         let crash_edges = self
-            .crashes
-            .get(&node)
-            .into_iter()
-            .flatten()
+            .windows_of(node)
+            .iter()
             .flat_map(|w| [Some(w.crash_at), w.restart_at])
             .flatten();
-        let slow_edges = self
-            .slows
-            .get(&node)
-            .into_iter()
-            .flatten()
-            .flat_map(|w| [w.start, w.end]);
+        let slow_edges = row(&self.slows, node).iter().flat_map(|w| [w.start, w.end]);
         crash_edges.chain(slow_edges).filter(|t| *t > now).min()
     }
 
@@ -488,13 +490,9 @@ impl FaultPlan {
     /// All scheduled crash windows as `(node, window)` pairs, ordered by
     /// node then crash time.
     pub fn crash_windows(&self) -> Vec<(NodeId, CrashWindow)> {
-        let mut v: Vec<_> = self
-            .crashes
-            .iter()
-            .flat_map(|(n, ws)| ws.iter().map(|w| (*n, *w)))
-            .collect();
-        v.sort_by_key(|(n, w)| (*n, w.crash_at));
-        v
+        self.by_node()
+            .flat_map(|(n, ws)| ws.iter().map(move |w| (n, *w)))
+            .collect()
     }
 
     /// All scheduled restarts as `(node, time)` pairs in node order.
@@ -508,13 +506,16 @@ impl FaultPlan {
     /// First scheduled crashes as `(node, time)` pairs in node order
     /// (one entry per crashing node).
     pub fn crashes(&self) -> Vec<(NodeId, Time)> {
-        let mut v: Vec<_> = self
-            .crashes
-            .iter()
-            .filter_map(|(n, ws)| ws.first().map(|w| (*n, w.crash_at)))
-            .collect();
-        v.sort();
-        v
+        self.by_node()
+            .filter_map(|(n, ws)| Some((n, ws.first()?.crash_at)))
+            .collect()
+    }
+
+    /// Every node's crash windows (each row disjoint and in crash order),
+    /// in node order.
+    fn by_node(&self) -> impl Iterator<Item = (NodeId, &[CrashWindow])> {
+        let nodes = (0..).map(NodeId);
+        nodes.zip(self.crashes.iter().map(Vec::as_slice))
     }
 }
 
@@ -556,6 +557,29 @@ mod tests {
         assert!(!p.down_during(N1, ns(200), ns(399)));
         assert!(p.down_during(N1, ns(300), ns(400)));
         assert!(!p.down_during(N0, Time::ZERO, Time::MAX));
+    }
+
+    #[test]
+    fn a_node_past_every_table_has_no_faults() {
+        // The tables are dense by node id and grow only to the largest
+        // node a fault names; a probe beyond them (the control plane's
+        // virtual node) finds nothing and allocates nothing.
+        let far = NodeId(u32::MAX);
+        let p = FaultPlan::new().crash_at(N2, ns(5));
+        assert!(!p.is_crashed(far, ns(10)));
+        assert!(p.windows_of(far).is_empty());
+        assert!(!p.down_during(far, Time::ZERO, Time::MAX));
+        assert_eq!(p.next_transition(far, Time::ZERO), None);
+        assert_eq!(
+            (
+                p.speed_permille(far, ns(10)),
+                p.clock_drift_ppb(far, ns(10))
+            ),
+            (1000, 0)
+        );
+        assert!(!p.any_slow_windows(), "a crash is not a slow window");
+        let p = p.slow_node(N0, ns(1), ns(2), 500);
+        assert!(p.any_slow_windows() && p.has_slow_windows(N0) && !p.has_slow_windows(N2));
     }
 
     #[test]

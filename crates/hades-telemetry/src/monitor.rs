@@ -10,7 +10,8 @@
 //! themselves — `hades_services::NodeAgent` the view, suspicion and
 //! rejoin events, `hades_services::ReplicaGroup` members the handoff and
 //! request events, `hades_dispatch::DispatchSim` its Section 3.2.1 alarms
-//! — through one [`ProtocolTap`]; nothing translates in between. The
+//! and each instance's settled outcome — through one [`ProtocolTap`];
+//! nothing translates in between. The
 //! embedding control plane feeds each event through [`Watchdog::observe`]
 //! at its engine instant and services [`Watchdog::take_wakeups`] by
 //! arming engine timers (e.g. `notify_at`) that call [`Watchdog::wake`]
@@ -216,6 +217,25 @@ pub enum MonitorEvent {
         waiting: u64,
         /// When the loss was established.
         detected_at: Time,
+    },
+    /// Dispatcher outcome, not an alarm: a task instance's fate became
+    /// final (heard once per activation, when the dispatcher drops the
+    /// instance — or at the end of the run for one still held then).
+    InstanceSettled {
+        /// The task's home node (the processor of its first unit).
+        node: u32,
+        /// The task id.
+        task: u32,
+        /// The instance sequence number.
+        instance: u64,
+        /// When the instance was activated.
+        activated: Time,
+        /// Its absolute deadline.
+        deadline: Time,
+        /// When its last thread finished, if it did.
+        completed: Option<Time>,
+        /// Whether it missed its deadline (completed late, or never).
+        missed: bool,
     },
 }
 

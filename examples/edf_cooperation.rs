@@ -71,12 +71,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .any(|d| d.starts_with("Trm") && d.contains("t2")),
         "Trm τ2 notification present"
     );
-    let t2_done = report.of_task(TaskId(2))[0]
-        .completed
-        .expect("t2 completes");
-    let t1_done = report.of_task(TaskId(1))[0]
-        .completed
-        .expect("t1 completes");
+    // One instance each, so a task's first completion is its completion.
+    let done = |task| {
+        let outcome = report.outcome(task).expect("task in the set");
+        assert_eq!(outcome.activated, 1);
+        outcome.first_completion
+    };
+    let t2_done = done(TaskId(2)).expect("t2 completes");
+    let t1_done = done(TaskId(1)).expect("t1 completes");
     assert!(t2_done < t1_done, "τ2 (tighter deadline) finished first");
     assert!(report.all_deadlines_met());
     println!("\nτ2 completed at {t2_done}, τ1 resumed and completed at {t1_done} ✓");

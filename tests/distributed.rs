@@ -1,6 +1,9 @@
 //! Cross-crate distributed scenarios: multi-node HEUGs over the faulty
 //! network, service composition, and end-to-end determinism.
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use hades::prelude::*;
 use hades_services::recovery::RecoveryConfig;
 use hades_services::{AgentConfig, BroadcastSim, ConsensusConfig, FloodConsensus, NodeAgent};
@@ -11,6 +14,20 @@ fn us(n: u64) -> Duration {
 
 fn ms(n: u64) -> Duration {
     Duration::from_millis(n)
+}
+
+/// Runs `sim`, returning the report and every instance outcome the tap
+/// heard settle, with its instant, in settling order.
+fn run_settled(mut sim: DispatchSim) -> (RunReport, Vec<(Time, MonitorEvent)>) {
+    let heard = Rc::new(RefCell::new(Vec::new()));
+    let sink = heard.clone();
+    sim.set_tap(ProtocolTap(Rc::new(move |now, ev: &MonitorEvent| {
+        if matches!(ev, MonitorEvent::InstanceSettled { .. }) {
+            sink.borrow_mut().push((now, ev.clone()));
+        }
+    })));
+    let report = sim.run();
+    (report, heard.take())
 }
 
 /// A three-stage pipeline spanning three nodes.
@@ -61,19 +78,22 @@ fn pipeline_survives_transient_link_cut_with_detection() {
         SimRng::seed_from(5),
     )
     .with_fault_plan(plan);
-    let report = HadesNode::new()
+    let sim = HadesNode::new()
         .task(pipeline_task())
         .network(net)
         .horizon(ms(20))
-        .run()
+        .build()
         .unwrap();
+    let (report, settled) = run_settled(sim);
     assert!(report.monitor.network_omissions() >= 1);
     assert!(report.misses() >= 1, "cut-window instances cannot complete");
     // Instances after the window complete again.
-    let completed_late = report
-        .instances
+    let completed_late = settled
         .iter()
-        .filter(|i| i.activated >= Time::ZERO + ms(6) && i.completed.is_some())
+        .filter(|(_, ev)| {
+            matches!(ev, MonitorEvent::InstanceSettled { activated, completed: Some(_), .. }
+                if *activated >= Time::ZERO + ms(6))
+        })
         .count();
     assert!(completed_late >= 5, "recovery after the window");
 }
@@ -81,7 +101,7 @@ fn pipeline_survives_transient_link_cut_with_detection() {
 #[test]
 fn end_to_end_determinism_across_reruns() {
     let run = || {
-        HadesNode::new()
+        let sim = HadesNode::new()
             .task(pipeline_task())
             .link(
                 LinkConfig::reliable(us(20), us(80))
@@ -98,11 +118,13 @@ fn end_to_end_determinism_across_reruns() {
             })
             .horizon(ms(30))
             .seed(1234)
-            .run()
-            .unwrap()
+            .build()
+            .unwrap();
+        run_settled(sim)
     };
-    let a = run();
-    let b = run();
+    let (a, a_settled) = run();
+    let (b, b_settled) = run();
+    assert_eq!(a_settled, b_settled);
     assert_eq!(a.instances, b.instances);
     assert_eq!(a.monitor.events(), b.monitor.events());
     assert_eq!(a.kernel_cpu, b.kernel_cpu);

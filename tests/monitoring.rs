@@ -2,7 +2,8 @@
 //! Section 3.2.1 is detected by the dispatcher. The paper remarks that no
 //! existing real-time environment implemented all of them; this test pins
 //! each one to a concrete fault-injection scenario. Every scenario runs
-//! with a tap installed, and the tap hears exactly the report's alarms.
+//! with a tap installed, and the tap hears exactly the report's alarms —
+//! plus one settled outcome per activated instance.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -13,17 +14,41 @@ fn us(n: u64) -> Duration {
     Duration::from_micros(n)
 }
 
-/// Runs `sim` with a tap installed and checks the one feed: the tap
-/// hears exactly `report.monitor.events()`, in order, each at the
-/// instant the event names. Returns the report and what the tap heard.
-fn run_tapped(mut sim: DispatchSim) -> (RunReport, Vec<(Time, MonitorEvent)>) {
+/// What the tap heard: the alarms, and the settled instance outcomes.
+type Heard = Vec<(Time, MonitorEvent)>;
+
+/// Runs `sim` with a tap installed and checks the one feed: apart from
+/// one settled outcome per activated instance, heard no earlier than its
+/// fate was sealed, the tap hears exactly `report.monitor.events()`, in
+/// order, each at the instant the event names. Returns the report, the
+/// alarms and the outcomes.
+fn run_tapped(mut sim: DispatchSim) -> (RunReport, Heard, Heard) {
     let heard = Rc::new(RefCell::new(Vec::new()));
     let sink = heard.clone();
     sim.set_tap(ProtocolTap(Rc::new(move |now, ev: &MonitorEvent| {
         sink.borrow_mut().push((now, ev.clone()));
     })));
     let report = sim.run();
-    let heard = heard.take();
+    let (settled, heard): (Heard, Heard) = heard
+        .take()
+        .into_iter()
+        .partition(|(_, ev)| matches!(ev, MonitorEvent::InstanceSettled { .. }));
+    assert_eq!(settled.len(), report.instances.len(), "each settles once");
+    for (now, ev) in &settled {
+        let MonitorEvent::InstanceSettled {
+            deadline,
+            completed,
+            ..
+        } = ev
+        else {
+            unreachable!()
+        };
+        let sealed = completed.map_or(*deadline, |c| c.min(*deadline));
+        assert!(
+            *now >= sealed || *now == report.finished_at,
+            "{ev:?} at {now}"
+        );
+    }
     let events: Vec<MonitorEvent> = heard.iter().map(|(_, ev)| ev.clone()).collect();
     assert_eq!(
         events,
@@ -46,7 +71,7 @@ fn run_tapped(mut sim: DispatchSim) -> (RunReport, Vec<(Time, MonitorEvent)>) {
             assert_eq!(*now, at, "{ev:?} heard at its own instant");
         }
     }
-    (report, heard)
+    (report, heard, settled)
 }
 
 fn single(id: u32, name: &str, wcet: Duration) -> Task {
@@ -67,7 +92,7 @@ fn deadline_violation_is_detected() {
         .build()
         .unwrap();
     sim.activate_at(TaskId(0), Time::ZERO);
-    let (report, _) = run_tapped(sim);
+    let (report, ..) = run_tapped(sim);
     assert_eq!(report.monitor.deadline_misses(), 1);
     assert_eq!(report.misses(), 1);
 }
@@ -88,7 +113,7 @@ fn arrival_law_violation_is_detected() {
         .unwrap();
     sim.activate_at(TaskId(0), Time::ZERO);
     sim.activate_at(TaskId(0), Time::ZERO + us(200)); // pseudo-period violated
-    let (report, _) = run_tapped(sim);
+    let (report, ..) = run_tapped(sim);
     assert_eq!(report.monitor.arrival_violations(), 1);
 }
 
@@ -104,17 +129,24 @@ fn early_termination_is_detected_and_is_not_a_fault() {
         .build()
         .unwrap();
     sim.activate_at(TaskId(0), Time::ZERO);
-    let (report, heard) = run_tapped(sim);
+    let (report, heard, settled) = run_tapped(sim);
     assert_eq!(report.monitor.early_terminations(), 1);
     assert!(
         report.monitor.is_healthy(),
         "early termination is informational"
     );
     assert!(report.all_deadlines_met());
+    let MonitorEvent::InstanceSettled { completed, .. } = settled[0].1 else {
+        unreachable!()
+    };
     assert_eq!(
         Some(heard[0].0),
-        report.instances[0].completed,
+        completed,
         "heard at the completion instant"
+    );
+    assert_eq!(
+        report.outcome(TaskId(0)).unwrap().first_completion,
+        completed
     );
 }
 
@@ -142,7 +174,7 @@ fn orphans_are_reaped_when_an_instance_aborts() {
         .build()
         .unwrap();
     sim.activate_at(TaskId(0), Time::ZERO);
-    let (report, _) = run_tapped(sim);
+    let (report, ..) = run_tapped(sim);
     assert_eq!(report.monitor.deadline_misses(), 1);
     assert!(
         report.monitor.orphans() >= 1,
@@ -177,7 +209,7 @@ fn latest_start_overrun_is_detected() {
         .unwrap();
     sim.activate_at(TaskId(0), Time::ZERO);
     sim.activate_at(TaskId(1), Time::ZERO);
-    let (report, _) = run_tapped(sim);
+    let (report, ..) = run_tapped(sim);
     assert_eq!(report.monitor.latest_start_exceeded(), 1);
 }
 
@@ -217,7 +249,7 @@ fn stall_deadlock_is_detected_for_unsatisfiable_waits() {
         .unwrap();
     sim.activate_at(TaskId(0), Time::ZERO);
     sim.activate_at(TaskId(1), Time::ZERO);
-    let (report, _) = run_tapped(sim);
+    let (report, ..) = run_tapped(sim);
     assert_eq!(
         report.monitor.stalls(),
         1,
@@ -246,7 +278,7 @@ fn network_omission_is_detected_via_remote_precedence() {
         .build()
         .unwrap();
     sim.activate_at(TaskId(0), Time::ZERO);
-    let (report, _) = run_tapped(sim);
+    let (report, ..) = run_tapped(sim);
     assert_eq!(report.monitor.network_omissions(), 1);
     assert_eq!(report.monitor.orphans(), 1, "the receiver thread is reaped");
 }

@@ -252,6 +252,119 @@ fn a_window_merged_into_a_later_one_restarts_with_it() {
     assert_eq!(recovery.restarted_at + recovery.rejoin_latency, rejoined_at);
 }
 
+/// An application task on `node` activated every 1 ms, running `wcet`
+/// and due `deadline` after each activation. Under the default RM
+/// priorities its 1 ms period outranks every middleware task, and with
+/// the default zero dispatcher costs each instance runs from its
+/// activation for exactly `wcet`.
+fn app_task(id: u32, node: u32, wcet: Duration, deadline: Duration) -> ServiceSpec {
+    let eu = CodeEu::new(format!("app{id}"), wcet, ProcessorId(node));
+    let law = ArrivalLaw::Periodic(ms(1));
+    let task = Task::new(TaskId(id), Heug::single(eu).unwrap(), law, deadline);
+    ServiceSpec::task(format!("app{id}"), node, task)
+}
+
+/// Crashes the node of the first application deadline miss, at the miss.
+#[derive(Debug, Default)]
+struct CrashOnMiss {
+    fired: bool,
+}
+
+impl ScenarioDriver for CrashOnMiss {
+    fn on_event(&mut self, _now: Time, event: &ClusterEvent, ctl: &mut ControlHandle<'_>) {
+        if let ClusterEvent::DeadlineMiss {
+            node,
+            middleware: false,
+            ..
+        } = event
+        {
+            if !std::mem::replace(&mut self.fired, true) {
+                ctl.crash(*node);
+            }
+        }
+    }
+}
+
+#[test]
+fn a_crash_staged_at_an_instance_completion_keeps_it_out_of_the_node_report() {
+    // Node 1's first instance runs [0, 100 µs) and is due at 100 µs. At
+    // that instant its deadline check runs first (a miss: not done yet),
+    // then its completion, then the driver's reaction to the miss crashes
+    // node 1. The crash covers the instant the instance's fate was
+    // sealed, so it is a crash casualty, not a scheduling outcome — and
+    // every later activation dies with the node.
+    let run = ClusterSpec::new(3)
+        .horizon(ms(10))
+        .service(app_task(0, 1, us(100), us(100)))
+        .driver(Box::new(CrashOnMiss::default()))
+        .run()
+        .unwrap();
+    let miss = run
+        .events()
+        .iter()
+        .find_map(|e| match e {
+            ClusterEvent::DeadlineMiss { node: 1, at, .. } => Some(*at),
+            _ => None,
+        })
+        .expect("node 1's first instance missed");
+    assert_eq!(miss, Time::ZERO + us(100));
+    let n1 = &run.report().node_reports[1];
+    assert_eq!(
+        n1.crashed_at,
+        Some(miss),
+        "crashed at the completion instant"
+    );
+    assert_eq!(
+        (n1.app_instances, n1.app_misses, n1.worst_app_response),
+        (0, 0, None)
+    );
+}
+
+#[test]
+fn a_late_completion_counts_as_a_miss_and_its_response_as_the_worst() {
+    // Due 50 µs after each activation, done after 100 µs: every instance
+    // that completes is late. The activations are at 0, 1, …, 10 ms; the
+    // one at the horizon is still in flight, neither done nor missed.
+    let run = ClusterSpec::new(3)
+        .horizon(ms(10))
+        .service(app_task(0, 1, us(100), us(50)))
+        .run()
+        .unwrap();
+    let n1 = &run.report().node_reports[1];
+    assert_eq!((n1.app_instances, n1.app_misses), (11, 10));
+    assert_eq!(n1.worst_app_response, Some(us(100)), "the late response");
+    let misses = run.events_of_kind("deadline-miss").count();
+    assert_eq!(misses, 10);
+}
+
+#[test]
+fn an_instance_in_flight_at_the_horizon_counts_unless_a_later_crash_covers_it() {
+    // The run ends at 10.2 ms, while the instances activated at 10 ms on
+    // nodes 1 and 2 run [10 ms, 10.3 ms), due at 11 ms. Node 2 is
+    // scripted to crash at 10.5 ms: after the horizon, but inside the
+    // span its in-flight instance would have needed, so that instance is
+    // a casualty. Node 1's is counted, not missed, with no response.
+    let crash = Time::ZERO + us(10_500);
+    let run = ClusterSpec::new(3)
+        .horizon(us(10_200))
+        .scenario(ScenarioPlan::new().crash(NodeId(2), crash))
+        .service(app_task(0, 1, us(300), ms(1)))
+        .service(app_task(1, 2, us(300), ms(1)))
+        .run()
+        .unwrap();
+    let r = run.report();
+    let (n1, n2) = (&r.node_reports[1], &r.node_reports[2]);
+    assert_eq!(
+        (n1.app_instances, n1.app_misses, n1.worst_app_response),
+        (11, 0, Some(us(300)))
+    );
+    assert_eq!(n2.crashed_at, Some(crash));
+    assert_eq!(
+        (n2.app_instances, n2.app_misses, n2.worst_app_response),
+        (10, 0, Some(us(300)))
+    );
+}
+
 #[test]
 fn cascade_runs_are_deterministic() {
     let build = || {
