@@ -15,12 +15,11 @@
 //! * it reacts through a [`ControlHandle`] that can inject crashes,
 //!   restarts and partitions into the *running* network, retire or
 //!   admit (standby) services, and retune live workloads;
-//! * the offline path is not a second mechanism: [`PlanDriver`] is the
-//!   canned driver a [`crate::ScenarioPlan`] lowers onto — it replays
-//!   the scripted fault plan through the same control ops a reactive
-//!   driver would use, and surfaces the plan through
-//!   [`ScenarioDriver::static_plan`] so the offline feasibility and
-//!   transition analyses still see it.
+//! * the offline path is not a second mechanism: at start the control
+//!   plane replays the spec's [`crate::ScenarioPlan`] through the same
+//!   control ops a reactive driver would use, before any registered
+//!   driver starts; the offline feasibility and transition analyses read
+//!   the same plan.
 //!
 //! # The applied fault plan
 //!
@@ -125,64 +124,10 @@ pub trait ScenarioDriver: fmt::Debug {
     /// module-level timing contract).
     fn on_event(&mut self, now: Time, event: &ClusterEvent, ctl: &mut ControlHandle<'_>);
 
-    /// Called at every periodic control tick
-    /// ([`crate::ClusterSpec::driver_tick`]). The default does nothing.
+    /// Called at every periodic control tick, once per millisecond of
+    /// engine time. The default does nothing.
     fn on_tick(&mut self, now: Time, ctl: &mut ControlHandle<'_>) {
         let _ = (now, ctl);
-    }
-
-    /// The offline-known part of this driver's script, if any. The spec
-    /// lowering folds it into the *static* analyses (recovery cost
-    /// tasks, mode-change transition analysis, restart validation)
-    /// exactly as a [`crate::ClusterSpec::scenario`] plan — reactive
-    /// injections cannot be analyzed offline, scripted ones still are.
-    fn static_plan(&self) -> Option<&ScenarioPlan> {
-        None
-    }
-}
-
-/// The canned [`ScenarioDriver`] an offline [`ScenarioPlan`] lowers
-/// onto: at start it injects the plan's crash windows and partitions
-/// through the same control ops a reactive driver uses, and it exposes
-/// the plan as its [`ScenarioDriver::static_plan`] so the offline
-/// analyses (and mode-change lowering) still see it.
-///
-/// `ClusterSpec::scenario(plan)` **is** `ClusterSpec::driver(Box::new(
-/// PlanDriver::new(plan)))` — one mechanism, two spellings; the
-/// equivalence is property-tested (byte-identical reports).
-#[derive(Debug, Clone)]
-pub struct PlanDriver {
-    plan: ScenarioPlan,
-}
-
-impl PlanDriver {
-    /// Wraps `plan`.
-    pub fn new(plan: ScenarioPlan) -> Self {
-        PlanDriver { plan }
-    }
-}
-
-impl ScenarioDriver for PlanDriver {
-    fn on_start(&mut self, _now: Time, ctl: &mut ControlHandle<'_>) {
-        for (node, w) in self.plan.fault_plan().crash_windows() {
-            match w.restart_at {
-                Some(r) => ctl.crash_window(node.0, w.crash_at, r),
-                None => ctl.crash_at(node.0, w.crash_at),
-            }
-        }
-        for p in self.plan.partitions() {
-            ctl.partition(p.a.0, p.b.0, p.from, p.until);
-        }
-        // Mode changes are not replayed here: they need the offline
-        // transition analysis (safe release offsets, introduced tasks in
-        // the task set), so they lower statically off `static_plan()`;
-        // the control plane emits their events online.
-    }
-
-    fn on_event(&mut self, _now: Time, _event: &ClusterEvent, _ctl: &mut ControlHandle<'_>) {}
-
-    fn static_plan(&self) -> Option<&ScenarioPlan> {
-        Some(&self.plan)
     }
 }
 
@@ -490,6 +435,20 @@ impl ControlHandle<'_> {
         self.cmds.push(Command::ShardMoved { shard, from, to });
     }
 
+    /// Issues `plan`'s crash windows, then its partitions: the spec's own
+    /// script, replayed at start before any registered driver runs. Mode
+    /// changes are not replayed: they need the offline transition
+    /// analysis, so they lower statically and the control plane emits
+    /// their events at the script instant.
+    fn replay(&mut self, plan: &ScenarioPlan) {
+        for (node, w) in plan.fault_plan().crash_windows() {
+            self.crash_until(node.0, w.crash_at, w.restart_at);
+        }
+        for p in plan.partitions() {
+            self.partition(p.a.0, p.b.0, p.from, p.until);
+        }
+    }
+
     fn crash_until(&mut self, node: u32, at: Time, until: Option<Time>) {
         if node < self.nodes {
             self.cmds.push(Command::Crash { node, at, until });
@@ -771,6 +730,8 @@ impl ControlState {
     }
 }
 
+/// The period of the drivers' [`ScenarioDriver::on_tick`].
+const TICK: Duration = Duration::from_millis(1);
 /// Control-actor timer tag: the periodic driver tick.
 const CK_TICK: u64 = 1;
 /// Control-actor timer tag: a watchdog deadline (stalled transfer or
@@ -786,12 +747,14 @@ const CK_MODE: u64 = 16;
 /// never touches the simulated network; it reacts only through timers,
 /// control ops and out-of-band notifies.
 pub(crate) struct ControlActor {
+    /// The spec's own plan as commands, applied at start before the
+    /// drivers start.
+    script: Vec<Command>,
     drivers: Vec<Box<dyn ScenarioDriver>>,
     state: Rc<RefCell<ControlState>>,
     services: Vec<ServiceControl>,
     nodes: u32,
     horizon: Time,
-    tick: Duration,
     /// `(script_at, released_at)` of the statically lowered mode
     /// changes; their events are emitted online at the script instant.
     mode_marks: Vec<(Time, Time)>,
@@ -817,22 +780,30 @@ impl fmt::Debug for ControlActor {
 impl ControlActor {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
+        plan: &ScenarioPlan,
         drivers: Vec<Box<dyn ScenarioDriver>>,
         state: Rc<RefCell<ControlState>>,
         services: Vec<ServiceControl>,
         nodes: u32,
         horizon: Time,
-        tick: Duration,
         mode_marks: Vec<(Time, Time)>,
         watchdog: Option<Rc<RefCell<Watchdog>>>,
     ) -> Self {
+        let mut script = Vec::new();
+        ControlHandle {
+            now: Time::ZERO,
+            nodes,
+            services: &services,
+            cmds: &mut script,
+        }
+        .replay(plan);
         ControlActor {
+            script,
             drivers,
             state,
             services,
             nodes,
             horizon,
-            tick,
             mode_marks,
             watchdog,
             armed: BTreeSet::new(),
@@ -1023,13 +994,16 @@ impl NetActor for ControlActor {
                 for (i, (at, _)) in self.mode_marks.clone().into_iter().enumerate() {
                     ctx.timer_at(at, CK_MODE + i as u64);
                 }
+                for cmd in std::mem::take(&mut self.script) {
+                    self.apply(cmd, now, ctx);
+                }
                 for idx in 0..self.drivers.len() {
                     self.call_driver(idx, now, ctx, |d, ctl| d.on_start(now, ctl));
                 }
                 self.service_watchdog(now, ctx);
                 self.drain_pending(now, ctx);
-                if !self.tick.is_zero() && now + self.tick <= self.horizon {
-                    ctx.timer_after(self.tick, CK_TICK);
+                if now + TICK <= self.horizon {
+                    ctx.timer_after(TICK, CK_TICK);
                 }
             }
             ActorEvent::Notify { .. } => {
@@ -1046,8 +1020,8 @@ impl NetActor for ControlActor {
                 }
                 self.service_watchdog(now, ctx);
                 self.drain_pending(now, ctx);
-                if now + self.tick <= self.horizon {
-                    ctx.timer_after(self.tick, CK_TICK);
+                if now + TICK <= self.horizon {
+                    ctx.timer_after(TICK, CK_TICK);
                 }
             }
             ActorEvent::Timer { tag } if tag >= CK_MODE => {

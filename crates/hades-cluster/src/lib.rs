@@ -24,8 +24,8 @@
 //!   receives every [`ClusterEvent`] at its engine timestamp and can
 //!   inject crashes/restarts/partitions, retire or admit services and
 //!   retune live [`Workload`]s through a [`ControlHandle`] — the
-//!   offline [`ScenarioPlan`] is just the canned [`PlanDriver`]
-//!   replaying a script over the same machinery;
+//!   offline [`ScenarioPlan`] is replayed at start through the same
+//!   control ops, before the registered drivers start;
 //! * the run produces a [`ClusterRun`]: the aggregate [`ClusterReport`]
 //!   (per-node deadline statistics and schedulability, detection
 //!   latencies against the analytic bound, the agreed view history and
@@ -100,7 +100,7 @@ pub mod scenario;
 pub mod spec;
 pub mod workload;
 
-pub use driver::{ControlHandle, PlanDriver, ScenarioDriver};
+pub use driver::{ControlHandle, ScenarioDriver};
 pub use events::{ClusterEvent, ClusterRun};
 pub use middleware::{
     GroupLoad, MiddlewareConfig, GROUP_TASK_BASE, GROUP_TASK_STRIDE, MIDDLEWARE_TASKS_PER_NODE,
@@ -614,30 +614,36 @@ mod tests {
             assert_eq!(d.suspect, 3);
             assert_eq!(d.crashed_at, Some(Time::ZERO));
         }
-        // And the same scenario expressed as the canned driver matches.
-        let via_driver = quad()
-            .driver(Box::new(PlanDriver::new(
-                ScenarioPlan::new().crash(NodeId(3), Time::ZERO),
-            )))
-            .run()
-            .unwrap();
-        assert_eq!(&report, via_driver.report());
     }
 
     #[test]
-    fn scenario_and_its_canned_driver_are_the_same_run() {
-        // `.scenario(plan)` IS `.driver(PlanDriver::new(plan))`: the
-        // byte-identical equivalence the proptest suite checks over
-        // random plans, pinned here on the acceptance scenario.
-        let plan = ScenarioPlan::new()
-            .crash(NodeId(0), Time::ZERO + ms(20))
-            .restart(NodeId(0), Time::ZERO + ms(35))
-            .partition(NodeId(1), NodeId(2), Time::ZERO + ms(5), Time::ZERO + ms(6));
-        let via_scenario = quad().scenario(plan.clone()).run().unwrap();
-        let via_driver = quad()
-            .driver(Box::new(PlanDriver::new(plan)))
+    fn the_scenario_is_replayed_before_the_registered_drivers() {
+        // The plan's window [10 ms, 30 ms) is staged first, so a driver's
+        // permanent crash of the same node at 20 ms falls while it is
+        // already down: a no-op under the crash rule, and the node
+        // restarts at 30 ms as scripted. Staged the other way round, the
+        // permanent crash would swallow the restart.
+        #[derive(Debug)]
+        struct LateCrash;
+        impl ScenarioDriver for LateCrash {
+            fn on_start(&mut self, _now: Time, ctl: &mut ControlHandle<'_>) {
+                ctl.crash_at(3, Time::ZERO + ms(20));
+            }
+            fn on_event(&mut self, _: Time, _: &ClusterEvent, _: &mut ControlHandle<'_>) {}
+        }
+        let report = quad()
+            .scenario(
+                ScenarioPlan::new()
+                    .crash(NodeId(3), Time::ZERO + ms(10))
+                    .restart(NodeId(3), Time::ZERO + ms(30)),
+            )
+            .driver(Box::new(LateCrash))
             .run()
-            .unwrap();
-        assert_eq!(via_scenario, via_driver);
+            .unwrap()
+            .into_report();
+        let n3 = &report.node_reports[3];
+        assert_eq!(n3.crashed_at, Some(Time::ZERO + ms(10)));
+        assert_eq!(n3.restarted_at, Some(Time::ZERO + ms(30)));
+        assert_eq!(report.recoveries.len(), 1, "node 3 rejoined");
     }
 }

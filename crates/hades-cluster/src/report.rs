@@ -366,11 +366,6 @@ impl ClusterReport {
                 .all(|r| r.rejoin_latency <= self.rejoin_bound)
     }
 
-    /// Total state-transfer bytes shipped across all recoveries.
-    pub fn recovery_bytes(&self) -> u64 {
-        self.recoveries.iter().map(|r| r.bytes_transferred).sum()
-    }
-
     /// A human-readable multi-line summary (used by the experiment
     /// harness).
     pub fn summary(&self) -> String {

@@ -136,19 +136,6 @@ impl ScenarioPlan {
             && self.mode_changes.is_empty()
     }
 
-    /// This plan with every entry of `other` appended — the union the
-    /// spec lowering analyzes when scripted faults come both from
-    /// [`crate::ClusterSpec::scenario`] and from drivers'
-    /// [`crate::ScenarioDriver::static_plan`]s.
-    pub fn merged(&self, other: &ScenarioPlan) -> ScenarioPlan {
-        let mut out = self.clone();
-        out.crashes.extend(other.crashes.iter().copied());
-        out.restarts.extend(other.restarts.iter().copied());
-        out.partitions.extend(other.partitions.iter().copied());
-        out.mode_changes.extend(other.mode_changes.iter().cloned());
-        out
-    }
-
     /// Scripted crashes, in insertion order.
     pub fn crashes(&self) -> &[(NodeId, Time)] {
         &self.crashes

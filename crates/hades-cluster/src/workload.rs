@@ -20,10 +20,10 @@
 //! back from the replica-group gateway through the actor-side
 //! [`RequestSource`] hook — the generated stream reacts to congestion
 //! (a failover stall pushes every later submission out; fast responses
-//! pull them in). The pre-feedback behaviour — the analytic
-//! client-visible bound substituted for the response — survives as
-//! [`ClosedLoop::analytic`], and is what [`Workload::request_times`]
-//! (validation, baselines) reports for both variants.
+//! pull them in). Its [`Workload::request_times`] (validation) is the
+//! pre-feedback approximation, the analytic client-visible bound
+//! substituted for the response: a [`ConstantRate`] of period
+//! `think + response_bound`, the congestion-blind baseline.
 
 use hades_services::group::{FixedSchedule, RequestSource};
 use hades_time::{Duration, Time};
@@ -197,31 +197,26 @@ impl Workload for TraceReplay {
 /// [`RequestSource::on_response`], and the next submission is scheduled
 /// `think` after it — the stream genuinely reacts to congestion (a
 /// failover stall pushes later submissions out; responses faster than
-/// the analytic bound pull them in). [`ClosedLoop::analytic`] restores
-/// the pre-feedback approximation — a constant period of
-/// `think + response_bound` — which also remains the
-/// [`Workload::request_times`] schedule of both variants (validation and
-/// baseline comparisons).
+/// the analytic bound pull them in). Its [`Workload::request_times`]
+/// schedule (validation) is the pre-feedback approximation, one request
+/// per `think + response_bound`: what
+/// `ConstantRate::new(think + response_bound, start)` generates as the
+/// congestion-blind baseline.
 ///
 /// Admission: the live loop's peak rate is bounded by `think` alone
 /// (a response can never land before its request), so admission charges
-/// the cost tasks at period `think` — conservative under feedback. The
-/// analytic variant keeps the constant `think + response_bound` period
-/// it actually generates.
+/// the cost tasks at period `think` — conservative under feedback.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClosedLoop {
     /// Client think time between response and next request. Must be
     /// positive (it bounds the live loop's admission rate).
     pub think: Duration,
     /// The analytic response bound (`ClusterSpec::group_delta() + δmax`
-    /// for an in-cluster service): the stand-in response of the analytic
-    /// variant, and the baseline `request_times` of both.
+    /// for an in-cluster service): the stand-in response of the baseline
+    /// `request_times`.
     pub response_bound: Duration,
     /// First submission instant.
     pub start: Time,
-    /// Whether to run open-loop on the analytic approximation instead of
-    /// live measured feedback (see [`ClosedLoop::analytic`]).
-    pub open_loop: bool,
     /// Client-side request timeout: an outstanding request unanswered
     /// for this long is **abandoned** and re-issued, so the loop
     /// survives losing its request to a whole-group outage (without a
@@ -238,17 +233,8 @@ impl ClosedLoop {
             think,
             response_bound,
             start,
-            open_loop: false,
             timeout: None,
         }
-    }
-
-    /// The analytic-bound approximation: an open-loop constant-period
-    /// stream of `think + response_bound` — the closed loop's worst-case
-    /// (slowest) cycle, useful as the congestion-blind baseline.
-    pub fn analytic(mut self) -> Self {
-        self.open_loop = true;
-        self
     }
 
     /// Arms a client-side timeout: an outstanding request unanswered
@@ -274,19 +260,10 @@ impl Workload for ClosedLoop {
     }
 
     fn admission_period(&self, _horizon: Duration) -> Duration {
-        if self.open_loop {
-            self.think + self.response_bound
-        } else {
-            self.think
-        }
+        self.think
     }
 
     fn build_source(&self, horizon: Duration) -> Rc<RefCell<dyn RequestSource>> {
-        if self.open_loop {
-            return Rc::new(RefCell::new(FixedSchedule::new(
-                self.request_times(horizon),
-            )));
-        }
         let end = Time::ZERO + horizon;
         Rc::new(RefCell::new(ClosedLoopSource {
             think: self.think,
@@ -498,13 +475,15 @@ mod tests {
     #[test]
     fn closed_loop_baseline_period_is_think_plus_response_bound() {
         let w = ClosedLoop::new(ms(1), us(100), Time::ZERO + ms(1));
-        // The analytic baseline schedule is shared by both variants...
+        // The analytic baseline schedule is the constant-rate stream...
         let times = w.request_times(ms(10));
         assert_eq!(times[1] - times[0], ms(1) + us(100));
+        let baseline = ConstantRate::new(ms(1) + us(100), Time::ZERO + ms(1));
+        assert_eq!(times, baseline.request_times(ms(10)));
         // ...but live admission charges the peak (think-only) rate,
-        // while the analytic variant charges what it generates.
+        // while the baseline charges what it generates.
         assert_eq!(w.admission_period(ms(10)), ms(1));
-        assert_eq!(w.analytic().admission_period(ms(10)), ms(1) + us(100));
+        assert_eq!(baseline.admission_period(ms(10)), ms(1) + us(100));
     }
 
     #[test]

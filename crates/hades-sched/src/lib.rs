@@ -30,6 +30,9 @@ pub mod modes;
 pub mod spring;
 pub mod spring_policy;
 
+use hades_dispatch::DispatchSim;
+use hades_task::Task;
+
 /// The scheduling policy a deployment installs on its nodes.
 ///
 /// Static policies (RM/DM) are burned into the task set's priorities
@@ -48,6 +51,45 @@ pub enum Policy {
     /// Use the priorities declared on each `Code_EU` unchanged (for
     /// hand-tuned assignments and protocol experiments).
     Manual,
+}
+
+impl Policy {
+    /// Deploys `tasks` under this policy — the one policy set-up of both
+    /// front doors, `hades::HadesNode` and `hades_cluster::ClusterSpec`:
+    /// RM and DM burn their static priorities into the tasks
+    /// ([`assign_rm`] / [`assign_dm`]), `build` makes the dispatcher from
+    /// the prioritised tasks, and EDF then installs one [`EdfPolicy`]
+    /// scheduler task on every node that hosts a unit.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `build` returns.
+    pub fn deploy<E>(
+        self,
+        mut tasks: Vec<Task>,
+        build: impl FnOnce(Vec<Task>) -> Result<DispatchSim, E>,
+    ) -> Result<DispatchSim, E> {
+        let mut edf_nodes: Vec<u32> = Vec::new();
+        match self {
+            Policy::RateMonotonic => assign_rm(&mut tasks),
+            Policy::DeadlineMonotonic => assign_dm(&mut tasks),
+            Policy::Edf => {
+                edf_nodes = tasks
+                    .iter()
+                    .flat_map(|t| t.heug.eus().iter())
+                    .map(|e| e.processor().0)
+                    .collect();
+                edf_nodes.sort_unstable();
+                edf_nodes.dedup();
+            }
+            Policy::Manual => {}
+        }
+        let mut sim = build(tasks)?;
+        for node in edf_nodes {
+            sim.set_policy(node, Box::new(EdfPolicy::new()));
+        }
+        Ok(sim)
+    }
 }
 
 pub use analysis::edf_demand::{edf_feasible, EdfAnalysisConfig, FeasibilityReport};

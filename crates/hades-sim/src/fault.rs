@@ -280,30 +280,6 @@ impl FaultPlan {
         self
     }
 
-    /// Drops every message received by `node` within `[start, end]`
-    /// (receive-omission failure of that node).
-    pub fn isolate_inbound(mut self, node: NodeId, start: Time, end: Time) -> Self {
-        self.windows.push(OmissionWindow {
-            from: None,
-            to: Some(node),
-            start,
-            end,
-        });
-        self
-    }
-
-    /// Drops every message sent by `node` within `[start, end]`
-    /// (send-omission failure of that node).
-    pub fn isolate_outbound(mut self, node: NodeId, start: Time, end: Time) -> Self {
-        self.windows.push(OmissionWindow {
-            from: Some(node),
-            to: None,
-            start,
-            end,
-        });
-        self
-    }
-
     /// Degrades the directed link `from → to` within `[start, end]`:
     /// every message suffers `extra_delay` plus an additional
     /// `extra_loss_permille` chance of loss (gray failure, builder form).
@@ -656,21 +632,6 @@ mod tests {
         assert!(p.link_cut(N0, N1, ns(20)));
         assert!(!p.link_cut(N0, N1, ns(21)));
         assert!(!p.link_cut(N1, N0, ns(15)), "reverse direction unaffected");
-    }
-
-    #[test]
-    fn inbound_isolation_uses_wildcard_sender() {
-        let p = FaultPlan::new().isolate_inbound(N2, Time::ZERO, ns(50));
-        assert!(p.link_cut(N0, N2, ns(25)));
-        assert!(p.link_cut(N1, N2, ns(25)));
-        assert!(!p.link_cut(N2, N0, ns(25)));
-    }
-
-    #[test]
-    fn outbound_isolation_uses_wildcard_receiver() {
-        let p = FaultPlan::new().isolate_outbound(N2, Time::ZERO, ns(50));
-        assert!(p.link_cut(N2, N0, ns(25)));
-        assert!(!p.link_cut(N0, N2, ns(25)));
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! * **per-actor shares** — deliveries per `(label, node, class)` for
 //!   every hosted protocol actor;
 //! * **timeline** — queue depth, event mix and heartbeat share per
-//!   configurable engine-time interval;
+//!   engine-time interval ([`Profiler::DEFAULT_INTERVAL`]);
 //! * **traffic matrix** — messages and bytes per
 //!   `(sender label, message kind, from, to)` link.
 //!
@@ -72,6 +72,9 @@ struct Bucket {
     by_kind: Vec<u64>,
 }
 
+/// The timeline interval in engine ns.
+const INTERVAL_NS: u64 = Profiler::DEFAULT_INTERVAL.as_nanos();
+
 /// Traffic-matrix cell key: `(send kind row, from node, to node)`.
 type TrafficKey = (usize, u32, u32);
 /// Accumulated `(messages, bytes)` for one traffic cell.
@@ -80,7 +83,6 @@ type TrafficCell = (u64, u64);
 /// Everything one profiler has recorded; fed by the [`crate::Probe`].
 #[derive(Debug, Default)]
 pub(crate) struct ProfileState {
-    interval_ns: u64,
     total_events: u64,
     heartbeat_events: u64,
     total_msgs: u64,
@@ -99,7 +101,7 @@ pub(crate) struct ProfileState {
 impl ProfileState {
     #[inline]
     fn bucket(&mut self, now_ns: u64) -> &mut Bucket {
-        self.buckets.entry(now_ns / self.interval_ns).or_default()
+        self.buckets.entry(now_ns / INTERVAL_NS).or_default()
     }
 
     /// The row of the event kind `name`, opened on first use.
@@ -192,17 +194,13 @@ pub struct Profiler {
 }
 
 impl Profiler {
-    /// The default timeline interval (1 engine-time millisecond).
+    /// The timeline interval (1 engine-time millisecond).
     pub const DEFAULT_INTERVAL: Duration = Duration::from_millis(1);
 
-    /// An enabled profiler recording with the default timeline interval.
+    /// An enabled profiler.
     pub fn enabled() -> Self {
-        let state = ProfileState {
-            interval_ns: Self::DEFAULT_INTERVAL.as_nanos(),
-            ..ProfileState::default()
-        };
         Profiler {
-            inner: Some(Rc::new(RefCell::new(state))),
+            inner: Some(Rc::new(RefCell::new(ProfileState::default()))),
         }
     }
 
@@ -215,15 +213,6 @@ impl Profiler {
     /// Whether this profiler records.
     pub fn is_enabled(&self) -> bool {
         self.inner.is_some()
-    }
-
-    /// Sets the timeline bucketing interval (engine time). Zero is
-    /// clamped to one nanosecond. Call before the run; changing the
-    /// interval mid-run splits earlier samples at the old width.
-    pub fn set_interval(&self, interval: Duration) {
-        if let Some(i) = &self.inner {
-            i.borrow_mut().interval_ns = interval.as_nanos().max(1);
-        }
     }
 
     /// The bare run-loop feed: one call per delivered event with the
@@ -295,7 +284,7 @@ impl Profiler {
                     .collect();
                 mix.sort();
                 IntervalProfile {
-                    start_ns: idx * i.interval_ns,
+                    start_ns: idx * INTERVAL_NS,
                     events: b.events,
                     queue_depth_max: b.queue_depth_max,
                     heartbeat_events: b.heartbeat_events,
@@ -319,7 +308,7 @@ impl Profiler {
             (&a.sender, &a.kind, a.from, a.to).cmp(&(&b.sender, &b.kind, b.from, b.to))
         });
         ProfileReport {
-            interval_ns: i.interval_ns,
+            interval_ns: INTERVAL_NS,
             total_events: i.total_events,
             heartbeat_events: i.heartbeat_events,
             total_msgs: i.total_msgs,
@@ -702,16 +691,15 @@ mod tests {
     #[test]
     fn timeline_buckets_split_on_the_interval() {
         let p = Profiler::enabled();
-        p.set_interval(Duration::from_nanos(100));
         p.tick(10, 4);
         p.tick(20, 9);
-        p.tick(150, 2);
+        p.tick(INTERVAL_NS + 50, 2);
         let r = p.report();
         assert_eq!(r.timeline.len(), 2);
         assert_eq!(r.timeline[0].start_ns, 0);
         assert_eq!(r.timeline[0].events, 2);
         assert_eq!(r.timeline[0].queue_depth_max, 9);
-        assert_eq!(r.timeline[1].start_ns, 100);
+        assert_eq!(r.timeline[1].start_ns, INTERVAL_NS);
         assert_eq!(r.timeline[1].events, 1);
         assert_eq!(r.total_events, 3);
     }
@@ -719,7 +707,6 @@ mod tests {
     #[test]
     fn heartbeat_classifier_feeds_shares_and_timeline() {
         let p = Profiler::enabled();
-        p.set_interval(Duration::from_nanos(100));
         let k = probe(&p, &[]);
         p.tick(10, 1);
         p.tick(20, 1);

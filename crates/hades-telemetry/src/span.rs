@@ -138,12 +138,6 @@ impl SpanLog {
         }
     }
 
-    /// Installs (or clears) the span cap. Lowering the cap takes effect
-    /// at the next mint.
-    pub fn set_cap(&mut self, cap: Option<usize>) {
-        self.cap = cap;
-    }
-
     /// The configured span cap, if any.
     pub fn cap(&self) -> Option<usize> {
         self.cap

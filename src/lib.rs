@@ -78,9 +78,9 @@ pub mod prelude {
     };
     pub use hades_cluster::{
         Bursty, ClosedLoop, ClusterEvent, ClusterReport, ClusterRun, ClusterSpec, ConstantRate,
-        ControlHandle, GroupLoad, GroupReport, MiddlewareConfig, ModeChangeRecord, PlanDriver,
-        RecoveryRecord, ScenarioDriver, ScenarioPlan, ServiceSpec, SpecError, SpecIssue,
-        TraceReplay, ViewChangeStats, Workload,
+        ControlHandle, GroupLoad, GroupReport, MiddlewareConfig, ModeChangeRecord, RecoveryRecord,
+        ScenarioDriver, ScenarioPlan, ServiceSpec, SpecError, SpecIssue, TraceReplay,
+        ViewChangeStats, Workload,
     };
     pub use hades_dispatch::{
         CostModel, DispatchSim, ExecTimeModel, MissPolicy, ResourceProtocol, RunReport, SimConfig,

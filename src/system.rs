@@ -1,7 +1,16 @@
 //! High-level deployment builder: tasks + policy + platform → report.
+//!
+//! [`HadesNode`] deploys a task set on its own: any number of
+//! processors, one included, running only the tasks it is given, and it
+//! returns the dispatcher's report. It is the front door of the
+//! single-node experiments and of the paper's figures. The cluster's
+//! front door, `hades_cluster::ClusterSpec`, cannot stand in for it: its
+//! validation rejects fewer than two nodes (detection and membership
+//! need a peer), and its lowering injects the middleware cost tasks and
+//! a protocol agent per node into every run. Both front doors set their
+//! scheduling policy up through the one [`Policy::deploy`].
 
 use hades_dispatch::{CostModel, DispatchSim, ResourceProtocol, RunReport, SimConfig};
-use hades_sched::EdfPolicy;
 use hades_sim::{KernelModel, LinkConfig, Network};
 use hades_task::task::TaskSetError;
 use hades_task::{Task, TaskSet};
@@ -152,39 +161,20 @@ impl HadesNode {
         if self.tasks.is_empty() {
             return Err(SystemError::NoTasks);
         }
-        match self.policy {
-            Policy::RateMonotonic => hades_sched::assign_rm(&mut self.tasks),
-            Policy::DeadlineMonotonic => hades_sched::assign_dm(&mut self.tasks),
-            Policy::Edf | Policy::Manual => {}
-        }
-        let set = TaskSet::new(self.tasks).map_err(SystemError::InvalidTaskSet)?;
-        if self.srp {
-            let (levels, ceilings) = hades_dispatch::resources::srp_parameters(&set);
-            self.cfg.protocol = ResourceProtocol::Srp { levels, ceilings };
-        } else if self.pcp {
-            let ceilings = hades_dispatch::resources::pcp_ceilings(&set);
-            self.cfg.protocol = ResourceProtocol::Pcp { ceilings };
-        }
-        let nodes: Vec<u32> = {
-            let mut v: Vec<u32> = set
-                .iter()
-                .flat_map(|t| t.heug.eus().iter())
-                .map(|e| e.processor().0)
-                .collect();
-            v.sort_unstable();
-            v.dedup();
-            v
-        };
-        let mut sim = match self.network {
-            Some(net) => DispatchSim::with_network(set, self.cfg, net),
-            None => DispatchSim::new(set, self.cfg),
-        };
-        if self.policy == Policy::Edf {
-            for node in nodes {
-                sim.set_policy(node, Box::new(EdfPolicy::new()));
+        self.policy.deploy(self.tasks, |tasks| {
+            let set = TaskSet::new(tasks).map_err(SystemError::InvalidTaskSet)?;
+            if self.srp {
+                let (levels, ceilings) = hades_dispatch::resources::srp_parameters(&set);
+                self.cfg.protocol = ResourceProtocol::Srp { levels, ceilings };
+            } else if self.pcp {
+                let ceilings = hades_dispatch::resources::pcp_ceilings(&set);
+                self.cfg.protocol = ResourceProtocol::Pcp { ceilings };
             }
-        }
-        Ok(sim)
+            Ok(match self.network {
+                Some(net) => DispatchSim::with_network(set, self.cfg, net),
+                None => DispatchSim::new(set, self.cfg),
+            })
+        })
     }
 
     /// Builds and runs the deployment.

@@ -11,12 +11,7 @@
 //!   measurably shifts with measured responses (and under failover
 //!   congestion) versus the analytic-bound baseline;
 //! * **standby service admission** — a driver admits a pre-declared
-//!   service mid-run;
-//! * and the plan/driver equivalence property: an arbitrary offline
-//!   `ScenarioPlan` and its canned-driver lowering produce
-//!   byte-identical `ClusterRun`s.
-
-use proptest::prelude::*;
+//!   service mid-run.
 
 use hades::prelude::*;
 
@@ -560,8 +555,12 @@ fn driver_admits_a_standby_service_on_detection() {
 /// client with a deliberately loose analytic response bound (1 ms), so
 /// live measured feedback and the analytic baseline differ visibly.
 fn closed_loop_spec(seed: u64, live: bool, crash_gateway: bool) -> ClusterSpec {
-    let workload = ClosedLoop::new(ms(1), ms(1), t_ms(1));
-    let workload = if live { workload } else { workload.analytic() };
+    let workload: Box<dyn Workload> = if live {
+        Box::new(ClosedLoop::new(ms(1), ms(1), t_ms(1)))
+    } else {
+        // The analytic baseline: one request per think + response bound.
+        Box::new(ConstantRate::new(ms(1) + ms(1), t_ms(1)))
+    };
     let mut spec = ClusterSpec::new(3).horizon(ms(60)).seed(seed).service(
         ServiceSpec::replicated(
             "loop-store",
@@ -569,7 +568,7 @@ fn closed_loop_spec(seed: u64, live: bool, crash_gateway: bool) -> ClusterSpec {
             vec![0, 1, 2],
             GroupLoad::default(),
         )
-        .workload(Box::new(workload)),
+        .workload(workload),
     );
     if crash_gateway {
         // The gateway (lowest member) dies mid-run and rejoins later:
@@ -653,7 +652,6 @@ fn retire_and_admit_cycle_a_running_service() {
     let spec = ClusterSpec::new(2)
         .horizon(ms(40))
         .seed(1)
-        .driver_tick(ms(1))
         .service(ServiceSpec::periodic("cycled", 0, us(200), ms(2)))
         .service(ServiceSpec::periodic("steady", 1, us(200), ms(2)))
         .driver(Box::new(Cycle::default()));
@@ -696,7 +694,6 @@ fn a_shared_service_name_addresses_every_entry_registered_under_it() {
     let run = ClusterSpec::new(3)
         .horizon(ms(40))
         .seed(2)
-        .driver_tick(ms(1))
         .service(ServiceSpec::periodic("ctl", 0, us(200), ms(2)))
         .service(ServiceSpec::periodic("ctl", 1, us(200), ms(2)))
         .service(ServiceSpec::periodic("steady", 2, us(200), ms(2)))
@@ -714,47 +711,5 @@ fn a_shared_service_name_addresses_every_entry_registered_under_it() {
             n <= 3 && n < steady / 3,
             "node {node}: {n} instances vs steady {steady}"
         );
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// An arbitrary offline `ScenarioPlan` and its canned-driver
-    /// lowering produce byte-identical `ClusterRun`s (report AND event
-    /// stream): the offline path really is one driver among others.
-    #[test]
-    fn scenario_plan_equals_its_canned_driver_lowering(
-        seed in 0u64..10_000,
-        victim in 0u32..4,
-        crash_ms in 2u64..20,
-        down_ms in 5u64..15,
-        with_restart in 0u8..2,
-        with_partition in 0u8..2,
-    ) {
-        let (with_restart, with_partition) = (with_restart == 1, with_partition == 1);
-        let mut plan = ScenarioPlan::new().crash(NodeId(victim), t_ms(crash_ms));
-        if with_restart {
-            plan = plan.restart(NodeId(victim), t_ms(crash_ms + down_ms));
-        }
-        if with_partition {
-            let a = (victim + 1) % 4;
-            let b = (victim + 2) % 4;
-            plan = plan.partition(NodeId(a), NodeId(b), t_ms(1), t_ms(3));
-        }
-        let base = |seed: u64| {
-            let mut spec = ClusterSpec::new(4).horizon(ms(50)).seed(seed);
-            for node in 0..4 {
-                spec = spec.service(ServiceSpec::periodic("app", node, us(100), ms(2)));
-            }
-            spec
-        };
-        let via_scenario = base(seed).scenario(plan.clone()).run().unwrap();
-        let via_driver = base(seed)
-            .driver(Box::new(PlanDriver::new(plan)))
-            .run()
-            .unwrap();
-        prop_assert_eq!(via_scenario.report(), via_driver.report());
-        prop_assert_eq!(via_scenario.events(), via_driver.events());
     }
 }
