@@ -108,11 +108,6 @@ impl CostModel {
         self.act_start + self.act_end
     }
 
-    /// Fixed overhead of a task invocation: `C_inv_start + C_inv_end`.
-    pub fn invocation_overhead(&self) -> Duration {
-        self.inv_start + self.inv_end
-    }
-
     /// The inflated WCET of an action with `local_edges` outgoing local and
     /// `remote_edges` outgoing remote precedence constraints — the
     /// substitution `w → w + C_act_start + C_act_end + Σ C_prec` that
@@ -162,7 +157,6 @@ mod tests {
     fn overhead_sums() {
         let m = CostModel::measured_default();
         assert_eq!(m.action_overhead(), Duration::from_micros(6));
-        assert_eq!(m.invocation_overhead(), Duration::from_micros(9));
     }
 
     #[test]

@@ -105,21 +105,6 @@ impl ResourceManager {
         self.srp_locked.iter().map(|(_, c)| *c).max().unwrap_or(0)
     }
 
-    /// Whether `thread` currently holds any resource.
-    pub fn holds_any(&self, thread: ThreadId) -> bool {
-        self.holders
-            .values()
-            .any(|hs| hs.iter().any(|h| h.thread == thread))
-    }
-
-    /// Threads currently holding `resource`.
-    pub fn holders_of(&self, resource: ResourceId) -> Vec<ThreadId> {
-        self.holders
-            .get(&resource)
-            .map(|hs| hs.iter().map(|h| h.thread).collect())
-            .unwrap_or_default()
-    }
-
     fn mode_conflict(&self, thread: ThreadId, uses: &[ResourceUse]) -> Option<ThreadId> {
         for u in uses {
             if let Some(hs) = self.holders.get(&u.id) {
@@ -313,7 +298,6 @@ mod tests {
             m.try_admit(ThreadId(1), TaskId(0), Priority::new(1), &excl(R0)),
             Admission::Granted
         );
-        assert!(m.holds_any(ThreadId(1)));
         assert_eq!(
             m.try_admit(ThreadId(2), TaskId(1), Priority::new(9), &excl(R0)),
             Admission::Blocked { boost: Vec::new() }
@@ -336,7 +320,6 @@ mod tests {
             m.try_admit(ThreadId(2), TaskId(1), Priority::new(1), &shared(R0)),
             Admission::Granted
         );
-        assert_eq!(m.holders_of(R0).len(), 2);
         // A writer must wait for both readers.
         assert!(matches!(
             m.try_admit(ThreadId(3), TaskId(2), Priority::new(5), &excl(R0)),

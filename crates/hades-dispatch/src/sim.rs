@@ -211,6 +211,12 @@ struct NodeState {
     runq: RunQueue,
     current: Option<Exec>,
     since: Time,
+    /// Work `current` has done beyond its whole nanoseconds, in
+    /// thousandths of a nanosecond: what [`Inner::sync_clock`] carries
+    /// from one charging interval to the next. Zero whenever `current`
+    /// changes or the node is idle, crashed or just restarted, so it is
+    /// never non-zero on a node that was never slowed.
+    carry: u32,
     /// The one live [`Ev::WorkDone`] of this node, with the exec it was
     /// armed for and the instant it fires at; see [`Inner::reschedule`].
     armed: Option<(EventId, Exec, Time)>,
@@ -692,13 +698,13 @@ impl Inner {
     /// — safe because a fault transition resynchronises `since` at every
     /// speed-window edge, so no charging interval straddles a boundary.
     ///
-    /// Charging is exact at speed 1000: however an interval is split
-    /// into calls, the progress adds up to the elapsed time, so a call
-    /// that changes nothing else is a no-op. At any other speed it is
-    /// floor-per-interval — each call rounds `elapsed × speed / 1000`
-    /// down on its own — so *how often* a slowed node is synced shifts
-    /// its completion instants by nanoseconds. Recorded runs contain
-    /// that artefact; [`Inner::reschedule_touched`] preserves it.
+    /// The rule: with `carry` the node's [`NodeState::carry`], the
+    /// interval adds `elapsed × speed + carry` thousandths of a
+    /// nanosecond of work; the whole nanoseconds are progress and the
+    /// rest (`mod 1000`) is the new carry. Charging is therefore exact
+    /// however an interval is split into calls — the progress of the
+    /// pieces adds up to the progress of the whole — so a call that
+    /// changes nothing else on the node moves none of its completions.
     fn sync_clock(&mut self, node: u32, now: Time) {
         let speed = self
             .network
@@ -707,16 +713,21 @@ impl Inner {
         let ns = &mut self.nodes[node as usize];
         let Some(exec) = ns.current else {
             ns.since = now;
+            ns.carry = 0;
             return;
         };
         let elapsed = now - ns.since;
         if elapsed.is_zero() {
             return;
         }
+        // At full speed the carry is left as it is: `elapsed × 1000` is a
+        // whole number of nanoseconds.
         let progress = if speed == 1000 {
             elapsed
         } else {
-            Duration::from_nanos((elapsed.as_nanos() as u128 * speed as u128 / 1000) as u64)
+            let work = elapsed.as_nanos() as u128 * speed as u128 + ns.carry as u128;
+            ns.carry = (work % 1000) as u32;
+            Duration::from_nanos((work / 1000) as u64)
         };
         let lane = match exec {
             Exec::App(tid) => {
@@ -742,16 +753,19 @@ impl Inner {
     }
 
     /// Wall-clock time `rem` of work takes on `node` at the CPU speed in
-    /// force at `now`. Ceiling division guarantees the completion instant
-    /// never undershoots the work, so a slowed exec still finishes at its
-    /// armed [`Ev::WorkDone`].
+    /// force at `now`: the least `wall` with
+    /// `wall × speed + carry ≥ rem × 1000`, the carry being the work
+    /// [`Inner::sync_clock`] has already banked. So a slowed exec
+    /// finishes at its armed [`Ev::WorkDone`] with exactly `rem` charged,
+    /// and a re-sync mid-interval computes that same instant again.
     fn wall_for(&self, node: u32, now: Time, rem: Duration) -> Duration {
         let speed = self.network.fault_plan().speed_permille(NodeId(node), now);
         if speed == 1000 {
             rem
         } else {
-            let scaled = (rem.as_nanos() as u128 * 1000).div_ceil(speed as u128);
-            Duration::from_nanos(scaled as u64)
+            let carry = self.nodes[node as usize].carry as u128;
+            let work = (rem.as_nanos() as u128 * 1000).saturating_sub(carry);
+            Duration::from_nanos(work.div_ceil(speed as u128) as u64)
         }
     }
 
@@ -883,6 +897,7 @@ impl Inner {
         ns.irq_pending.clear();
         ns.irq_remaining = Duration::ZERO;
         ns.since = now;
+        ns.carry = 0;
         if let Some((id, ..)) = ns.armed.take() {
             sched.cancel(id); // nothing completes on a dead node
         }
@@ -904,14 +919,14 @@ impl Inner {
         ns.down = false;
         ns.down_since = None;
         ns.since = now;
+        ns.carry = 0;
         self.trace
             .record(now, NodeId(node), TraceKind::Alarm, "node_restart");
         if !self.cfg.auto_activate {
             return;
         }
         for (task, (t, st)) in self.tasks.iter().zip(&mut self.task_state).enumerate() {
-            let home = t.heug.eus().first().map(|eu| eu.processor().0);
-            if home != Some(node) || t.arrival.min_separation().is_none() {
+            if home_node(t) != node || t.arrival.min_separation().is_none() {
                 continue;
             }
             let Some((from, until)) = st.window else {
@@ -987,22 +1002,26 @@ impl Inner {
     /// dispatcher state is followed by a reschedule of that node in the
     /// same handler*, so between events `current` is what
     /// [`Inner::desired_exec`] picks and the armed completion is right.
-    /// The mutation sites, each with the reschedule that covers it:
+    /// Because [`Inner::sync_clock`] charges exactly however an interval
+    /// is split, rescheduling a node whose state did not change moves
+    /// nothing but its trace segments. The mutation sites, each with the
+    /// reschedule that covers it:
     ///
     /// - run queue and thread states: `try_unblock` (from
-    ///   `spawn_instance`, the `EarliestReached` and `RemoteArrive`
-    ///   handlers, `finish_inv_pre`, `instance_thread_done` for
-    ///   synchronous waiters — each reschedules the thread's node — and
+    ///   `spawn_instance`, which passes its threads' nodes to
+    ///   [`Inner::reschedule_touched`]; the `EarliestReached` and
+    ///   `RemoteArrive` handlers, `finish_inv_pre`, `instance_thread_done`
+    ///   for synchronous waiters — each reschedules the thread's node — and
     ///   `recheck_blocked`, whose callers `complete_thread` and
     ///   `abort_thread` are covered below); `boost_priority` (a resource
     ///   holder is on the admitting thread's node); `apply_attr_change`
     ///   (`scheduler_step` hands a policy its own node's threads, and the
     ///   `WorkDone` handler reschedules that node);
     /// - `current` and the thread table: `complete_thread` (the finishing
-    ///   thread's node; every node when a condition variable changed,
-    ///   because those are system-wide), `abort_thread` (its callers
-    ///   `deadline_check` and `omission_check` pass the victims' nodes to
-    ///   [`Inner::reschedule_touched`]);
+    ///   thread's node through `reschedule_touched`; every node when a
+    ///   condition variable changed, because those are system-wide),
+    ///   `abort_thread` (its callers `deadline_check` and `omission_check`
+    ///   pass the victims' nodes to `reschedule_touched`);
     /// - scheduler FIFO: `notify` (always on the node its caller
     ///   reschedules);
     /// - interrupt queue: `kernel_irq`;
@@ -1073,6 +1092,7 @@ impl Inner {
             let ns = &mut self.nodes[node as usize];
             ns.current = desired;
             ns.since = now;
+            ns.carry = 0;
         }
         // (Re)arm the completion, unless the one armed still stands.
         let want = self.nodes[node as usize].current.map(|exec| {
@@ -1091,28 +1111,10 @@ impl Inner {
     /// Reschedules the nodes a handler touched (`touched` ascending, as
     /// the whole-cluster walk this replaces went), which by the rule on
     /// [`Inner::reschedule`] are all that can have changed.
-    ///
-    /// One coupling keeps it from being just those: under an injected CPU
-    /// slowdown [`Inner::sync_clock`] floors per charging interval, so
-    /// the foreign completions that used to re-sync a slowed node are
-    /// part of where its completions fall. While the fault plan holds any
-    /// slow window the walk therefore also covers every node that has
-    /// one, touched or not. (Carrying the `elapsed × speed mod 1000`
-    /// remainder per node would make charging split-invariant and this
-    /// guard unnecessary, at the price of re-recording every run that
-    /// contains a slowdown.)
     fn reschedule_touched(&mut self, touched: &[u32], now: Time, sched: &mut Scheduler<Ev>) {
         debug_assert!(touched.windows(2).all(|w| w[0] < w[1]));
-        if !self.network.fault_plan().any_slow_windows() {
-            for &node in touched {
-                self.reschedule(node, now, sched);
-            }
-            return;
-        }
-        for node in 0..self.nodes.len() as u32 {
-            if touched.contains(&node) || self.network.fault_plan().has_slow_windows(NodeId(node)) {
-                self.reschedule(node, now, sched);
-            }
+        for &node in touched {
+            self.reschedule(node, now, sched);
         }
     }
 
@@ -1305,12 +1307,8 @@ impl Inner {
         for tid in (first_thread..self.threads.next_id()).map(ThreadId) {
             self.try_unblock(tid, now);
         }
-        // Not `reschedule_touched`: an activation never re-synced a
-        // foreign node, slowed or not.
         touched.sort_unstable();
-        for &node in &touched {
-            self.reschedule(node, now, sched);
-        }
+        self.reschedule_touched(&touched, now, sched);
         instance
     }
 

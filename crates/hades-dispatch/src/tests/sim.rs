@@ -1002,38 +1002,28 @@ fn actor_event_kinds_follow_the_delivery_classes() {
 // Touched-node rescheduling
 // ------------------------------------------------------------------
 
-/// Delivers events to `inner` and keeps the trail of values the
-/// `remaining` of node 1's thread goes through.
-struct Trail<'a> {
-    inner: &'a mut Inner,
-    remaining: Vec<u64>,
-}
+/// Delivers events to `inner` and re-syncs node 1 after each of them,
+/// whether or not the event touched it.
+struct Resync<'a>(&'a mut Inner);
 
-impl Simulation for Trail<'_> {
+impl Simulation for Resync<'_> {
     type Event = Ev;
 
     fn handle(&mut self, now: Time, event: Ev, sched: &mut Scheduler<Ev>) {
-        self.inner.handle(now, event, sched);
-        let mut on_node_1 = self.inner.threads.values().filter(|t| t.node == 1);
-        if let Some(th) = on_node_1.next() {
-            if self.remaining.last() != Some(&th.remaining.as_nanos()) {
-                self.remaining.push(th.remaining.as_nanos());
-            }
-        }
+        self.0.handle(now, event, sched);
+        self.0.reschedule(1, now, sched);
     }
 }
 
 #[test]
-fn foreign_completions_still_resync_a_slowed_node() {
+fn a_slowed_completion_ignores_foreign_resyncs() {
     // The scenario of `tests/locality.rs` — node 0 completes short
     // threads while node 1 runs one 10 ms thread — with node 1 at
-    // 700 ‰ from t = 1 ms. `sync_clock` floors `elapsed × 700 / 1000`
-    // per charging interval, so each of node 0's completions that
-    // re-syncs node 1 loses it a fraction of a nanosecond, and the
-    // instants below contain that loss: they are what the
-    // whole-cluster walk of `complete_thread` produced before
-    // `reschedule_touched` replaced it. Charged in one interval, the
-    // thread would finish 128 ns earlier, at 13 857 143 ns.
+    // 700 ‰ from t = 1 ms. 1 ms at full speed leaves 9 ms of work, which
+    // takes ⌈9 ms / 0.7⌉ = 12 857 143 ns at 700 ‰: the thread completes
+    // at 13 857 143 ns alone, beside node 0's load, and with node 1
+    // re-synced after every event of the run (99 991 ns at 700 ‰ is
+    // 69 993.7 ns of work, so each re-sync carries a fraction).
     let ns = Duration::from_nanos;
     let short = Task::new(
         TaskId(0),
@@ -1047,34 +1037,34 @@ fn foreign_completions_still_resync_a_slowed_node() {
         ArrivalLaw::Aperiodic,
         us(30_000),
     );
-    let set = TaskSet::new(vec![short, long]).unwrap();
-    let mut cfg = SimConfig::ideal(Duration::from_millis(20));
+    let horizon = Duration::from_millis(20);
+    let mut cfg = SimConfig::ideal(horizon);
     cfg.trace = false;
     let slow_from = Time::ZERO + us(1_000);
-    let plan = hades_sim::FaultPlan::new().slow_node(NodeId(1), slow_from, Time::MAX, 700);
-    let net = Network::homogeneous(2, cfg.link, SimRng::seed_from(1)).with_fault_plan(plan);
-    let mut sim = DispatchSim::with_network(set, cfg, net);
-    sim.activate_at(TaskId(1), Time::ZERO);
-    let heard = settled(&mut sim);
-    sim.prime();
-    let mut trail = Trail {
-        inner: &mut sim.inner,
-        remaining: Vec::new(),
-    };
-    sim.engine
-        .run(&mut trail, Time::ZERO + Duration::from_millis(20));
-    let trail = trail.remaining;
-    sim.inner.finish(sim.engine.now());
-    // As recorded on the commit before the touched-node walk.
-    let done = of_task(&heard.take(), TaskId(1))[0].completed;
-    assert_eq!(done, Some(Time::ZERO + ns(13_857_271)));
-    assert_eq!(trail.len(), 141, "one value per re-sync of node 1");
-    assert_eq!(trail.iter().sum::<u64>(), 696_646_045);
-    let head = [10_000_000, 9_990_027, 9_890_036, 9_790_045, 9_690_054];
-    assert_eq!(trail[..5], head, "full speed: exact");
-    let slowed = [9_000_000, 8_993_082, 8_923_089];
-    assert_eq!(trail[11..14], slowed, "99 991 ns at 700 ‰ = 69 993.7");
-    assert_eq!(trail[138..], [173_964, 103_971, 33_978]);
+    let runs = [
+        (vec![long.clone()], false),
+        (vec![short.clone(), long.clone()], false),
+        (vec![short, long], true),
+    ];
+    for (tasks, resync) in runs {
+        let plan = hades_sim::FaultPlan::new().slow_node(NodeId(1), slow_from, Time::MAX, 700);
+        let net = Network::homogeneous(2, cfg.link, SimRng::seed_from(1)).with_fault_plan(plan);
+        let n = tasks.len();
+        let mut sim = DispatchSim::with_network(TaskSet::new(tasks).unwrap(), cfg.clone(), net);
+        sim.activate_at(TaskId(1), Time::ZERO);
+        let heard = settled(&mut sim);
+        if resync {
+            sim.prime();
+            sim.engine
+                .run(&mut Resync(&mut sim.inner), Time::ZERO + horizon);
+            sim.inner.finish(sim.engine.now());
+        } else {
+            sim.run();
+        }
+        let done = of_task(&heard.take(), TaskId(1))[0].completed;
+        let run = format!("{n} task(s), re-synced after every event: {resync}");
+        assert_eq!(done, Some(Time::ZERO + ns(13_857_143)), "{run}");
+    }
 }
 
 #[test]

@@ -4,7 +4,7 @@
 //! it happened on, not the cluster.
 
 use hades_dispatch::{CostModel, DispatchSim, RunReport, SimConfig};
-use hades_sim::NodeId;
+use hades_sim::{FaultPlan, Network, NodeId, SimRng};
 use hades_task::prelude::*;
 use hades_telemetry::{MonitorEvent, ProtocolTap};
 use std::cell::RefCell;
@@ -30,8 +30,17 @@ fn task(id: u32, node: u32, wcet_us: u64, law: ArrivalLaw, deadline_us: u64, pri
 /// end of the run, which is its last event, not a per-node quantity.)
 type Settled = Vec<MonitorEvent>;
 
-fn run(tasks: Vec<Task>, cfg: &SimConfig, once: &[TaskId]) -> (RunReport, Settled) {
-    let mut sim = DispatchSim::new(TaskSet::new(tasks).unwrap(), cfg.clone());
+/// Runs `tasks` over a network large enough for every test here, with
+/// `plan`'s faults, activating each of `once` at time zero.
+fn run(
+    tasks: Vec<Task>,
+    cfg: &SimConfig,
+    once: &[TaskId],
+    plan: &FaultPlan,
+) -> (RunReport, Settled) {
+    let net = Network::homogeneous(64, cfg.link, SimRng::seed_from(cfg.seed));
+    let net = net.with_fault_plan(plan.clone());
+    let mut sim = DispatchSim::with_network(TaskSet::new(tasks).unwrap(), cfg.clone(), net);
     for &t in once {
         sim.activate_at(t, Time::ZERO);
     }
@@ -85,9 +94,10 @@ fn a_completion_leaves_the_other_nodes_alone() {
         ..CostModel::zero()
     };
     assert!(cfg.trace);
-    let (both, both_settled) = run(vec![short(), long()], &cfg, &[TaskId(1)]);
-    let (node0, node0_settled) = run(vec![short()], &cfg, &[]);
-    let (node1, node1_settled) = run(vec![long()], &cfg, &[TaskId(1)]);
+    let none = FaultPlan::new();
+    let (both, both_settled) = run(vec![short(), long()], &cfg, &[TaskId(1)], &none);
+    let (node0, node0_settled) = run(vec![short()], &cfg, &[], &none);
+    let (node1, node1_settled) = run(vec![long()], &cfg, &[TaskId(1)], &none);
 
     assert_eq!(records_of(&both_settled, &[TaskId(0)]).len(), 101);
     assert_eq!(both.outcome(TaskId(0)).unwrap().activated, 101);
@@ -135,15 +145,31 @@ fn independent_nodes_in_one_run_equal_as_many_runs_of_one() {
             task(lo.0, node, 400 + 3 * k, slow, 1_300 + 11 * k, 2),
         ]
     };
+    // Every other node is slowed from mid-run on, at speeds that do not
+    // divide 1000: at 700 ‰ for 5 ms, or at 333 ‰ to the end. Its
+    // completions then fall where its own work puts them, however often
+    // the other nodes' events interleave with its charging intervals.
+    let at = |us: u64| Time::ZERO + Duration::from_micros(us);
+    let mut slowed = FaultPlan::new();
+    for node in (1..64u32).step_by(2) {
+        let from = at(2_000 + 150 * node as u64);
+        slowed = match node % 4 {
+            1 => slowed.slow_node(NodeId(node), from, from + Duration::from_millis(5), 700),
+            _ => slowed.slow_node(NodeId(node), from, Time::MAX, 333),
+        };
+    }
     let mut cfg = SimConfig::ideal(Duration::from_millis(20));
     cfg.costs = CostModel::measured_default();
     cfg.trace = false;
-    for n in [1u32, 8, 64] {
-        let (all, all_settled) = run((0..n).flat_map(tasks_of).collect(), &cfg, &[]);
+    for (n, plan) in [1u32, 8, 64]
+        .into_iter()
+        .flat_map(|n| [(n, FaultPlan::new()), (n, slowed.clone())])
+    {
+        let (all, all_settled) = run((0..n).flat_map(tasks_of).collect(), &cfg, &[], &plan);
         assert!(all.instances.len() > 30 * n as usize);
         assert_eq!(all_settled.len(), all.instances.len());
         for node in 0..n {
-            let (alone, alone_settled) = run(tasks_of(node), &cfg, &[]);
+            let (alone, alone_settled) = run(tasks_of(node), &cfg, &[], &plan);
             let ids = [TaskId(2 * node), TaskId(2 * node + 1)];
             assert_eq!(
                 records_of(&all_settled, &ids),

@@ -112,11 +112,6 @@ impl ArrivalMonitor {
     pub fn violations(&self) -> u32 {
         self.violations
     }
-
-    /// Time of the last observed activation.
-    pub fn last_activation(&self) -> Option<Time> {
-        self.last
-    }
 }
 
 #[cfg(test)]
@@ -180,7 +175,6 @@ mod tests {
         assert!(m.observe(law, Time::from_nanos(10)), "too soon");
         assert!(!m.observe(law, Time::from_nanos(10 + 1_000_000)));
         assert_eq!(m.violations(), 1);
-        assert_eq!(m.last_activation(), Some(Time::from_nanos(1_000_010)));
     }
 
     #[test]
