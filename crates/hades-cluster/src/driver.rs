@@ -512,12 +512,51 @@ struct Outcome {
     response: Option<Duration>,
 }
 
+/// One group's deliveries as its `request` spans phase them: per request
+/// id, the Δ-order stamp and the first delivery instant, folded as the
+/// members deliver.
+#[derive(Debug)]
+pub(crate) struct DeliveryFold {
+    /// The group's members in list order.
+    members: Vec<u32>,
+    /// `id → (ts, rank, first delivery)`: `ts` as the first member in
+    /// list order that delivered the id stamped it, `rank` that member's
+    /// index in `members`.
+    first: BTreeMap<u64, (Time, usize, Time)>,
+}
+
+impl DeliveryFold {
+    pub(crate) fn new(members: Vec<u32>) -> Self {
+        DeliveryFold {
+            members,
+            first: BTreeMap::new(),
+        }
+    }
+
+    fn record(&mut self, member: u32, id: u64, ts: Time, at: Time) {
+        let rank = self.members.iter().position(|m| *m == member);
+        let rank = rank.unwrap_or(self.members.len());
+        let e = self.first.entry(id).or_insert((ts, rank, at));
+        if rank < e.1 {
+            (e.0, e.1) = (ts, rank);
+        }
+        e.2 = e.2.min(at);
+    }
+
+    /// The Δ-order stamp and first delivery of request `id`, if any
+    /// member delivered it.
+    pub(crate) fn get(&self, id: u64) -> Option<(Time, Time)> {
+        self.first.get(&id).map(|(ts, _, at)| (*ts, *at))
+    }
+}
+
 /// Everything the control plane accumulates during a run: the events
 /// emitted so far (the final stream), the queue still to be delivered
 /// to drivers, the *applied* fault plan (the one classification source,
 /// online and in the post-run report), the view bookkeeping for
-/// first-install and failover derivation, and the node reports' instance
-/// counts, folded as the dispatcher settles each instance.
+/// first-install and failover derivation, the node reports' instance
+/// counts, folded as the dispatcher settles each instance, and the
+/// groups' deliveries when spans will be built.
 #[derive(Debug, Default)]
 pub(crate) struct ControlState {
     /// Every fault op staged so far (scripted replays and reactive
@@ -539,13 +578,20 @@ pub(crate) struct ControlState {
     /// Outcomes sealed at the current instant, held until time moves on
     /// (see [`ControlState::settle`]).
     held: Vec<Outcome>,
+    /// One fold per group, by group; empty when no span reads them.
+    pub(crate) deliveries: Vec<DeliveryFold>,
 }
 
 impl ControlState {
-    pub(crate) fn new(origin: Origins, node_reports: Vec<NodeReport>) -> Self {
+    pub(crate) fn new(
+        origin: Origins,
+        node_reports: Vec<NodeReport>,
+        deliveries: Vec<DeliveryFold>,
+    ) -> Self {
         ControlState {
             origin,
             node_reports,
+            deliveries,
             ..ControlState::default()
         }
     }
@@ -721,9 +767,20 @@ impl ControlState {
                     self.settle(now, outcome);
                 }
             }
+            // Span input, not an event.
+            MonitorEvent::RequestDelivered {
+                group,
+                member,
+                id,
+                ts,
+            } => {
+                if let Some(fold) = self.deliveries.get_mut(*group as usize) {
+                    fold.record(*member, *id, *ts, now);
+                }
+            }
             // Suspicion clears, rejoin phase marks, per-request
-            // submit/deliver/emit marks and the other dispatcher alarms
-            // feed the invariant watchdog, not the cluster event stream.
+            // submit/emit marks and the other dispatcher alarms feed the
+            // invariant watchdog, not the cluster event stream.
             _ => {}
         }
         self.pending.len() > before

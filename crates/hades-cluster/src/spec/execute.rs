@@ -136,7 +136,18 @@ impl Lowered {
                 feasibility,
             })
             .collect();
-        let state = Rc::new(RefCell::new(ControlState::new(origin, node_reports)));
+        // Only the `request` spans read each delivery's stamp and instant.
+        let deliveries = if self.spec.telemetry.is_enabled() {
+            let members = self.groups.iter().map(|g| g.members.clone());
+            members.map(DeliveryFold::new).collect()
+        } else {
+            Vec::new()
+        };
+        let state = Rc::new(RefCell::new(ControlState::new(
+            origin,
+            node_reports,
+            deliveries,
+        )));
         let postbox = sim.postbox();
         let total_members: u32 = self.groups.iter().map(|g| g.members.len() as u32).sum();
         let control_id = ActorId(self.spec.nodes + total_members);

@@ -23,13 +23,14 @@ impl Lowered {
         // scripted replays and reactive injections alike — not the
         // static plan, so reactive faults are first-class citizens of
         // the report.
-        let (applied, events, mut node_reports) = {
+        let (applied, events, mut node_reports, deliveries) = {
             let mut state = state.borrow_mut();
             state.release_held(Time::MAX);
             (
                 std::mem::take(&mut state.applied),
                 std::mem::take(&mut state.events),
                 std::mem::take(&mut state.node_reports),
+                std::mem::take(&mut state.deliveries),
             )
         };
         debug_assert_eq!(
@@ -157,8 +158,12 @@ impl Lowered {
             cluster_run = cluster_run.with_violations(dog.borrow().violations());
         }
         if self.spec.telemetry.is_enabled() {
-            let spans =
-                self.build_spans(cluster_run.report(), cluster_run.events(), &request_folds);
+            let spans = self.build_spans(
+                cluster_run.report(),
+                cluster_run.events(),
+                &request_folds,
+                &deliveries,
+            );
             self.spec
                 .telemetry
                 .counter("telemetry.spans_dropped")
@@ -176,9 +181,10 @@ impl Lowered {
 
     /// Builds the protocol trace spans from the finished run's records.
     ///
-    /// Spans are built post-run from the report's own records and the
-    /// request fold the report was built from, so they cost nothing
-    /// during simulation; every timestamp is the engine instant an agent
+    /// Spans are built post-run from the report's own records, the
+    /// request fold the report was built from and the deliveries the
+    /// control plane folded, so they cost little during simulation;
+    /// every timestamp is the engine instant an agent
     /// or group member logged, ids are minted in a fixed record order
     /// (recoveries, failovers, group handoffs, view agreements, client
     /// requests), so the span log — like the metrics snapshot — is a
@@ -188,6 +194,7 @@ impl Lowered {
         report: &report::ClusterReport,
         events: &[crate::ClusterEvent],
         request_folds: &[RequestFold],
+        deliveries: &[DeliveryFold],
     ) -> SpanLog {
         let mut spans = match self.spec.span_cap {
             Some(cap) => SpanLog::with_cap(cap),
@@ -301,7 +308,7 @@ impl Lowered {
         }
         // Client requests through the Δ-atomic multicast: submission →
         // first client-visible output, phased order → deliver → emit.
-        for (g, fold) in request_folds.iter().enumerate() {
+        for (g, (fold, order)) in request_folds.iter().zip(deliveries).enumerate() {
             for (id, sub) in &fold.submitted_at {
                 let Some(out) = fold.output_at.get(id) else {
                     continue;
@@ -313,9 +320,9 @@ impl Lowered {
                     *sub,
                     (*out).max(*sub),
                 );
-                if let Some((ts, delivered)) = fold.ordered.get(id) {
-                    let ts = (*ts).max(*sub);
-                    let delivered = (*delivered).max(ts);
+                if let Some((ts, delivered)) = order.get(*id) {
+                    let ts = ts.max(*sub);
+                    let delivered = delivered.max(ts);
                     spans.phase(root, "order", *sub, ts);
                     spans.phase(root, "deliver", ts, delivered);
                     spans.phase(root, "emit", delivered, (*out).max(delivered));
@@ -327,7 +334,7 @@ impl Lowered {
 
     /// Folds every group's member logs into its report section; on a
     /// telemetry run the request folds it read go on to the span builder
-    /// (a bare run keeps none and skips the Δ-order part).
+    /// (a bare run keeps none).
     fn group_reports(
         &self,
         group_logs: &[Vec<Rc<RefCell<GroupLog>>>],
@@ -359,16 +366,14 @@ impl Lowered {
                     .max_by_key(|i| logs[*i].delivered.len())
                     .unwrap_or(0)
             });
-            let reference = logs[reference_idx].delivery_order();
-            let order_consistent = logs.iter().all(|l| l.order_consistent_with(&reference));
+            let reference = &logs[reference_idx].delivered;
+            let order_consistent = logs.iter().all(|l| l.order_consistent_with(reference));
             let order_agreement = if full_time.is_empty() {
                 order_consistent
             } else {
-                full_time
-                    .iter()
-                    .all(|i| logs[*i].delivery_order() == reference)
+                full_time.iter().all(|i| logs[*i].delivered == *reference)
             };
-            let fold = RequestFold::of(&logs, spans_wanted);
+            let fold = RequestFold::of(&logs);
             let (submitted_at, output_at) = (&fold.submitted_at, &fold.output_at);
             let outputs = output_at.len() as u64;
             let output_bound = delta + self.spec.link.delay_max;
@@ -566,9 +571,6 @@ fn fold_events(
 struct RequestFold {
     /// First submission per request id.
     submitted_at: BTreeMap<u64, Time>,
-    /// Δ-order timestamp and first delivery per request id — only the
-    /// spans read it, so it is folded only when they are wanted.
-    ordered: BTreeMap<u64, (Time, Time)>,
     /// First client-visible output per request id.
     output_at: BTreeMap<u64, Time>,
     /// Outputs emitted over all members, redundant copies included.
@@ -576,18 +578,12 @@ struct RequestFold {
 }
 
 impl RequestFold {
-    fn of(member_logs: &[Ref<'_, GroupLog>], spans_wanted: bool) -> Self {
+    fn of(member_logs: &[Ref<'_, GroupLog>]) -> Self {
         let mut fold = RequestFold::default();
         for log in member_logs {
             for (id, at) in &log.submitted {
                 let e = fold.submitted_at.entry(*id).or_insert(*at);
                 *e = (*e).min(*at);
-            }
-            if spans_wanted {
-                for (id, ts, delivered_at) in &log.delivered {
-                    let e = fold.ordered.entry(*id).or_insert((*ts, *delivered_at));
-                    e.1 = e.1.min(*delivered_at);
-                }
             }
             for (id, at) in &log.emitted {
                 fold.emissions += 1;

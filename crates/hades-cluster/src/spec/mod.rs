@@ -49,7 +49,8 @@
 //! ```
 
 use crate::driver::{
-    ControlActor, ControlState, Origins, ScenarioDriver, ServiceControl, ServiceControlKind,
+    ControlActor, ControlState, DeliveryFold, Origins, ScenarioDriver, ServiceControl,
+    ServiceControlKind,
 };
 use crate::events::ClusterRun;
 use crate::middleware::{GroupLoad, MiddlewareConfig, MIDDLEWARE_TASK_BASE};

@@ -16,6 +16,7 @@
 //! actor sends through `hades_sim::mux::ActorCtx::send`, and the per-copy
 //! attempt budget of `ActorCtx::fanout` is what masks omissions.
 
+use crate::idset::IdSet;
 use hades_sim::{Delivery, Engine, Network, NodeId, Scheduler, Simulation};
 use hades_time::{Duration, Time};
 use std::collections::{BTreeMap, BTreeSet, HashSet};
@@ -220,7 +221,7 @@ pub struct DeltaInbox {
     /// Pending copies as `(ts, sender, id)` — the delivery order.
     pending: BTreeSet<(Time, u32, u64)>,
     /// Ids already accepted or delivered (duplicate suppression).
-    seen: HashSet<u64>,
+    seen: IdSet,
     /// Copies discarded for arriving past `ts + Δ`.
     late_discards: u64,
     /// Duplicate copies suppressed.
@@ -245,6 +246,11 @@ impl DeltaInbox {
     /// arriving at `now`. Returns the delivery due time `ts + Δ` when the
     /// copy was accepted (the caller arms a timer there), `None` when it
     /// was discarded as late or suppressed as a duplicate.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a copy that is not late carries an id past the 20-bit
+    /// request-id space (`id ≥ 2^20`).
     pub fn accept(&mut self, id: u64, ts: Time, sender: u32, now: Time) -> Option<Time> {
         if now > ts + self.delta {
             self.late_discards += 1;
@@ -274,7 +280,7 @@ impl DeltaInbox {
 
     /// Whether message `id` has been accepted (or already delivered).
     pub fn knows(&self, id: u64) -> bool {
-        self.seen.contains(&id)
+        self.seen.contains(id)
     }
 
     /// Copies discarded for arriving past their delivery instant.

@@ -76,13 +76,14 @@
 
 use crate::actors::AgentLog;
 use crate::comm::DeltaInbox;
+use crate::idset::{IdSet, ID_LIMIT};
 use crate::replication::ReplicaStyle;
 use hades_sim::mux::{ActorCtx, ActorEvent, ActorId, NetActor};
 use hades_sim::NodeId;
 use hades_telemetry::monitor::{MonitorEvent, ProtocolTap};
 use hades_time::{Duration, Time};
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
 
 /// Message kind: one client request, Δ-multicast by the gateway.
@@ -158,7 +159,7 @@ fn tag(kind: u64, body: u64) -> u64 {
 /// wrapping into order divergence.
 fn req_payload(id: u64, ts: Time) -> u64 {
     let ns = (ts - Time::ZERO).as_nanos();
-    assert!(id < 1 << 20, "request id {id} exceeds the 20-bit payload");
+    assert!(id < ID_LIMIT, "request id {id} exceeds the 20-bit payload");
     assert!(
         ns < 1 << 44,
         "timestamp {ns} ns exceeds the 44-bit payload (~4.9 h horizon cap)"
@@ -464,9 +465,11 @@ pub struct GroupLog {
     pub node: u32,
     /// Requests this member submitted as the gateway: `(id, at)`.
     pub submitted: Vec<(u64, Time)>,
-    /// The member's delivery sequence: `(id, ts, delivered_at)` in
-    /// delivery order — the sequence the agreement checks compare.
-    pub delivered: Vec<(u64, Time, Time)>,
+    /// The member's delivery sequence, as request ids in delivery
+    /// order — the sequence the agreement checks compare. Each
+    /// delivery's Δ-order stamp and instant go to the tap
+    /// ([`MonitorEvent::RequestDelivered`]), not here.
+    pub delivered: Vec<u64>,
     /// Client-visible outputs this member emitted: `(id, at)`. For
     /// active replication these are the member's votes (the voter keeps
     /// the first copy per request); for semi-active and passive only
@@ -515,17 +518,12 @@ impl GroupLog {
         }
     }
 
-    /// The delivery sequence as request ids only.
-    pub fn delivery_order(&self) -> Vec<u64> {
-        self.delivered.iter().map(|(id, _, _)| *id).collect()
-    }
-
     /// Whether this member's delivery sequence is a subsequence of
     /// `reference` — the consistency a member that missed requests
     /// (downtime, unmasked omissions) must still satisfy.
     pub fn order_consistent_with(&self, reference: &[u64]) -> bool {
         let mut it = reference.iter();
-        self.delivery_order().iter().all(|id| it.any(|r| r == id))
+        self.delivered.iter().all(|id| it.any(|r| r == id))
     }
 }
 
@@ -575,10 +573,10 @@ impl GroupLog {
 ///     })
 ///     .collect();
 /// rt.run(Time::ZERO + Duration::from_millis(10));
-/// let reference = logs[0].borrow().delivery_order();
+/// let reference = logs[0].borrow().delivered.clone();
 /// assert!(!reference.is_empty());
 /// for log in &logs {
-///     assert_eq!(log.borrow().delivery_order(), reference);
+///     assert_eq!(log.borrow().delivered, reference);
 /// }
 /// ```
 #[derive(Debug)]
@@ -590,7 +588,7 @@ pub struct ReplicaGroup {
     inbox: DeltaInbox,
     /// Order-sensitive fold of the executed requests.
     state: u64,
-    executed: HashSet<u64>,
+    executed: IdSet,
     /// Ids below this floor are covered by an adopted catch-up snapshot:
     /// folded into `state` already, never re-executed.
     executed_floor: u64,
@@ -624,7 +622,7 @@ pub struct ReplicaGroup {
     /// a reordered in-flight copy is not dropped) and the stream is
     /// adopted at the lowest buffered sequence number.
     order_resync: bool,
-    emitted_ids: HashSet<u64>,
+    emitted_ids: IdSet,
     /// Passive: watermark of the last received checkpoint.
     ckpt_watermark: Option<u64>,
     executions_since_ckpt: u64,
@@ -695,7 +693,7 @@ impl ReplicaGroup {
             cfg,
             view_source,
             state: 0,
-            executed: HashSet::new(),
+            executed: IdSet::default(),
             executed_floor: 0,
             executed_count: 0,
             last_executed: None,
@@ -709,7 +707,7 @@ impl ReplicaGroup {
             next_seq: 0,
             cur_order_leader: None,
             order_resync: false,
-            emitted_ids: HashSet::new(),
+            emitted_ids: IdSet::default(),
             ckpt_watermark: None,
             executions_since_ckpt: 0,
             makeup_floor: 0,
@@ -909,11 +907,12 @@ impl ReplicaGroup {
         self.rebind(now, ctx);
         let due = self.inbox.due(now);
         for (id, ts, sender) in due {
-            self.log.borrow_mut().delivered.push((id, ts, now));
+            self.log.borrow_mut().delivered.push(id);
             self.observe(now, |group, member| MonitorEvent::RequestDelivered {
                 group,
                 member,
                 id,
+                ts,
             });
             match self.cfg.style {
                 ReplicaStyle::Active => {
@@ -1345,7 +1344,7 @@ impl NetActor for ReplicaGroup {
                     }
                     GMSG_VOTE => {
                         let (id, count, digest) = vote_decode(payload);
-                        if self.executed.contains(&id) {
+                        if self.executed.contains(id) {
                             // A redundant copy of an output this member
                             // already produced: the voter suppresses it.
                             // The digest cross-check is only meaningful

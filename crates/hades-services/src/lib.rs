@@ -54,6 +54,7 @@ pub mod comm;
 pub mod consensus;
 pub mod depend;
 pub mod group;
+mod idset;
 pub mod memberset;
 pub mod membership;
 pub mod recovery;

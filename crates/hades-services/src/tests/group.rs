@@ -2,6 +2,7 @@ use super::*;
 use crate::membership::View;
 use hades_sim::{ActorEngine, FaultPlan, LinkConfig, Network, SimRng};
 use hades_telemetry::{Probe, Profiler, Registry};
+use std::collections::HashSet;
 
 fn us(n: u64) -> Duration {
     Duration::from_micros(n)
@@ -53,6 +54,44 @@ fn run_group(
     attempts: u32,
     omissions_permille: u32,
 ) -> Vec<Rc<RefCell<GroupLog>>> {
+    let (logs, _) = run_group_tapped(
+        style,
+        nodes,
+        plan,
+        views,
+        seed,
+        horizon,
+        attempts,
+        omissions_permille,
+    );
+    logs
+}
+
+/// One delivery as the tap saw it: `(member, id, ts, delivered_at)`.
+type Delivery = (u32, u64, Time, Time);
+
+/// [`run_group`], with every member's deliveries recorded from the tap
+/// in the order they happened.
+#[allow(clippy::too_many_arguments)]
+fn run_group_tapped(
+    style: ReplicaStyle,
+    nodes: u32,
+    plan: FaultPlan,
+    views: Option<Rc<RefCell<AgentLog>>>,
+    seed: u64,
+    horizon: Duration,
+    attempts: u32,
+    omissions_permille: u32,
+) -> (Vec<Rc<RefCell<GroupLog>>>, Vec<Delivery>) {
+    let deliveries = Rc::new(RefCell::new(Vec::new()));
+    let tap = {
+        let deliveries = deliveries.clone();
+        ProtocolTap(Rc::new(move |now, ev| {
+            if let MonitorEvent::RequestDelivered { member, id, ts, .. } = ev {
+                deliveries.borrow_mut().push((*member, *id, *ts, now));
+            }
+        }))
+    };
     let link = LinkConfig::reliable(us(10), us(40)).with_omissions(omissions_permille);
     let net = Network::homogeneous(nodes, link, SimRng::seed_from(seed)).with_fault_plan(plan);
     let mut rt = ActorEngine::new(net);
@@ -75,17 +114,27 @@ fn run_group(
                 },
                 views.clone(),
             );
-            rt.add_actor(Box::new(member));
+            rt.add_actor(Box::new(member.with_tap(tap.clone())));
             log
         })
         .collect();
     rt.run(Time::ZERO + horizon);
-    logs
+    let deliveries = deliveries.borrow().clone();
+    (logs, deliveries)
+}
+
+/// `member`'s deliveries, from a tap recording, in its delivery order.
+fn deliveries_of(deliveries: &[Delivery], member: u32) -> Vec<(u64, Time, Time)> {
+    deliveries
+        .iter()
+        .filter(|d| d.0 == member)
+        .map(|&(_, id, ts, at)| (id, ts, at))
+        .collect()
 }
 
 #[test]
 fn active_group_delivers_identical_order_and_unique_outputs() {
-    let logs = run_group(
+    let (logs, deliveries) = run_group_tapped(
         ReplicaStyle::Active,
         3,
         FaultPlan::new(),
@@ -95,16 +144,18 @@ fn active_group_delivers_identical_order_and_unique_outputs() {
         1,
         0,
     );
-    let reference = logs[0].borrow().delivery_order();
+    let reference = logs[0].borrow().delivered.clone();
     assert!(reference.len() >= 10, "requests flowed: {reference:?}");
     assert_eq!(reference, (0..reference.len() as u64).collect::<Vec<_>>());
     let mut unique = HashSet::new();
     let mut emissions = 0u64;
     for log in &logs {
         let log = log.borrow();
-        assert_eq!(log.delivery_order(), reference, "node {} order", log.node);
+        assert_eq!(log.delivered, reference, "node {} order", log.node);
         // Delivery exactly at ts + Δ.
-        for (_, ts, at) in &log.delivered {
+        let tapped = deliveries_of(&deliveries, log.node);
+        assert_eq!(tapped.len(), log.delivered.len(), "the tap saw each one");
+        for (_, ts, at) in &tapped {
             assert_eq!(*at, *ts + us(60));
         }
         emissions += log.emitted.len() as u64;
@@ -146,7 +197,7 @@ fn semi_active_leader_emits_followers_suppress() {
         leader.final_state, follower.final_state,
         "followers executed the leader's decided order"
     );
-    assert_eq!(leader.delivery_order(), follower.delivery_order());
+    assert_eq!(leader.delivered, follower.delivered);
 }
 
 #[test]
@@ -173,15 +224,14 @@ fn semi_active_crash_hands_over_and_preserves_order() {
     // Requests kept flowing: the new gateway resubmitted what the
     // dead leader never multicast, and ordering resumed.
     let follower = logs[2].borrow();
-    assert_eq!(new_leader.delivery_order(), follower.delivery_order());
+    assert_eq!(new_leader.delivered, follower.delivered);
     assert_eq!(new_leader.final_state, follower.final_state);
-    let expected: Vec<u64> = (0..new_leader.delivery_order().len() as u64).collect();
+    let expected: Vec<u64> = (0..new_leader.delivered.len() as u64).collect();
     assert_eq!(
-        new_leader.delivery_order(),
-        expected,
+        new_leader.delivered, expected,
         "no request lost across the handoff"
     );
-    assert!(new_leader.delivery_order().len() >= 15, "traffic sustained");
+    assert!(new_leader.delivered.len() >= 15, "traffic sustained");
     // Exactly one emission per request across the group.
     let mut all: Vec<u64> = logs
         .iter()
@@ -255,7 +305,7 @@ fn returning_leader_second_tenure_does_not_collide_with_its_first() {
             "node {n} silently diverged from the returning leader"
         );
     }
-    assert!(leader.delivery_order().len() >= 3, "requests kept flowing");
+    assert!(leader.delivered.len() >= 3, "requests kept flowing");
 }
 
 #[test]
@@ -339,10 +389,10 @@ fn omissions_are_masked_by_the_attempt_budget() {
         8,
         150,
     );
-    let reference = logs[0].borrow().delivery_order();
+    let reference = logs[0].borrow().delivered.clone();
     assert!(reference.len() >= 12);
     for log in &logs {
-        assert_eq!(log.borrow().delivery_order(), reference);
+        assert_eq!(log.borrow().delivered, reference);
     }
 }
 
@@ -356,13 +406,14 @@ fn restarted_active_member_catches_up_to_the_full_fold() {
     let crash = t_ms(5);
     let restart = t_ms(12);
     let plan = FaultPlan::new().crash_window(NodeId(1), crash, restart);
-    let logs = run_group(ReplicaStyle::Active, 3, plan, None, 21, ms(30), 1, 0);
+    let (logs, deliveries) =
+        run_group_tapped(ReplicaStyle::Active, 3, plan, None, 21, ms(30), 1, 0);
     let joiner = logs[1].borrow();
     assert_eq!(joiner.restarts, vec![restart]);
     assert_eq!(joiner.catchups, 1, "the snapshot was adopted");
     let reference = logs[0].borrow();
     assert!(
-        joiner.delivery_order().len() < reference.delivery_order().len(),
+        joiner.delivered.len() < reference.delivered.len(),
         "the blackout window is genuinely missing from its own deliveries"
     );
     assert_eq!(
@@ -373,9 +424,11 @@ fn restarted_active_member_catches_up_to_the_full_fold() {
     // The crash itself was masked with zero outage: the survivors
     // delivered every request, each exactly at ts + Δ, and the
     // leader's vote for each went out at that same instant.
-    let order = reference.delivery_order();
-    assert_eq!(order, (0..order.len() as u64).collect::<Vec<_>>());
-    for ((id, ts, at), vote) in reference.delivered.iter().zip(&reference.emitted) {
+    let order = &reference.delivered;
+    assert_eq!(*order, (0..order.len() as u64).collect::<Vec<_>>());
+    let tapped = deliveries_of(&deliveries, 0);
+    assert_eq!(tapped.len(), order.len(), "the tap saw each delivery");
+    for ((id, ts, at), vote) in tapped.iter().zip(&reference.emitted) {
         assert_eq!(*at, *ts + us(60));
         assert_eq!(*vote, (*id, *at));
     }
@@ -391,13 +444,19 @@ fn passive_backup_crash_costs_the_primary_nothing() {
     let style = ReplicaStyle::Passive {
         checkpoint_every: 3,
     };
-    let logs = run_group(style, 3, plan, Some(views), 5, ms(20), 1, 0);
+    let (logs, deliveries) = run_group_tapped(style, 3, plan, Some(views), 5, ms(20), 1, 0);
     let primary = logs[0].borrow();
     assert!(primary.handoffs.is_empty() && primary.replayed == 0);
     let served: Vec<u64> = primary.emitted.iter().map(|(id, _)| *id).collect();
     assert_eq!(served, (0..served.len() as u64).collect::<Vec<_>>());
     assert!(served.len() >= 18, "no request delayed past the horizon");
-    for ((id, ts, at), output) in primary.delivered.iter().zip(&primary.emitted) {
+    let tapped = deliveries_of(&deliveries, 0);
+    assert_eq!(
+        tapped.len(),
+        primary.delivered.len(),
+        "the tap saw each one"
+    );
+    for ((id, ts, at), output) in tapped.iter().zip(&primary.emitted) {
         assert_eq!(*at, *ts + us(60));
         assert_eq!(*output, (*id, *at));
     }
@@ -525,10 +584,10 @@ fn explicit_schedule_drives_submissions_and_ends_the_stream() {
         times,
         "one submission per scheduled instant, at that instant"
     );
-    let reference = gateway.delivery_order();
+    let reference = gateway.delivered.clone();
     assert_eq!(reference, vec![0, 1, 2, 3, 4, 5]);
     for log in &logs {
-        assert_eq!(log.borrow().delivery_order(), reference);
+        assert_eq!(log.borrow().delivered, reference);
     }
 }
 
@@ -651,11 +710,7 @@ fn fixed_schedule_throttle_is_absolute_against_nominal_and_resumable() {
 #[test]
 fn subsequence_consistency_helper() {
     let mut log = GroupLog::new(0, 0);
-    log.delivered = vec![
-        (0, Time::ZERO, Time::ZERO),
-        (2, Time::ZERO, Time::ZERO),
-        (3, Time::ZERO, Time::ZERO),
-    ];
+    log.delivered = vec![0, 2, 3];
     assert!(log.order_consistent_with(&[0, 1, 2, 3]));
     assert!(!log.order_consistent_with(&[0, 3, 2]));
 }

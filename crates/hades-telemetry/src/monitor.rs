@@ -148,6 +148,9 @@ pub enum MonitorEvent {
         member: u32,
         /// The request id.
         id: u64,
+        /// The request's Δ-order stamp, as the copy this member
+        /// accepted carried it (delivery is at `ts + Δ`).
+        ts: Time,
     },
     /// A member emitted the group's output for a request.
     OutputEmitted {
