@@ -49,6 +49,11 @@ impl ClusterSpec {
         let mut next_auto = 0u32;
         for (index, service) in self.services.iter().enumerate() {
             let sref = service.service_ref(index);
+            if service.stray_workload {
+                issues.push(SpecIssue::WorkloadWithoutGroup {
+                    service: sref.clone(),
+                });
+            }
             match &service.kind {
                 ServiceKind::Replicated {
                     style,

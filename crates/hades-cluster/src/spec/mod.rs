@@ -171,6 +171,13 @@ pub enum SpecIssue {
         /// The offending service.
         service: ServiceRef,
     },
+    /// A workload was given to a service that is not replicated: only a
+    /// replica group serves a client request stream
+    /// ([`ServiceSpec::workload`]).
+    WorkloadWithoutGroup {
+        /// The offending service.
+        service: ServiceRef,
+    },
     /// A workload generated more requests than the 20-bit request-id
     /// wire encoding addresses.
     WorkloadTooLong {
@@ -267,6 +274,9 @@ impl fmt::Display for SpecIssue {
             }
             SpecIssue::NonMonotoneWorkload { service } => {
                 write!(f, "{service}: workload instants not strictly increasing")
+            }
+            SpecIssue::WorkloadWithoutGroup { service } => {
+                write!(f, "{service}: only replicated services take a workload")
             }
             SpecIssue::WorkloadTooLong { service, requests } => write!(
                 f,
@@ -365,6 +375,9 @@ pub struct ServiceSpec {
     name: String,
     kind: ServiceKind,
     standby: bool,
+    /// [`ServiceSpec::workload`] was called on a service that is not
+    /// replicated; validation reports it.
+    stray_workload: bool,
 }
 
 impl ServiceSpec {
@@ -392,19 +405,17 @@ impl ServiceSpec {
                 workload,
             },
             standby: false,
+            stray_workload: false,
         }
     }
 
-    /// Replaces a replicated service's request stream.
-    ///
-    /// # Panics
-    ///
-    /// Panics when called on a non-replicated service — only replicated
-    /// services serve a client request stream.
+    /// Replaces a replicated service's request stream. Only replicated
+    /// services serve one: on any other service the workload is dropped
+    /// and validation reports [`SpecIssue::WorkloadWithoutGroup`].
     pub fn workload(mut self, workload: Box<dyn Workload>) -> Self {
         match &mut self.kind {
             ServiceKind::Replicated { workload: w, .. } => *w = workload,
-            _ => panic!("only replicated services take a workload"),
+            _ => self.stray_workload = true,
         }
         self
     }
@@ -417,6 +428,7 @@ impl ServiceSpec {
             name: name.into(),
             kind: ServiceKind::Periodic { node, wcet, period },
             standby: false,
+            stray_workload: false,
         }
     }
 
@@ -427,6 +439,7 @@ impl ServiceSpec {
             name: name.into(),
             kind: ServiceKind::Task { node, task },
             standby: false,
+            stray_workload: false,
         }
     }
 

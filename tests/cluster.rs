@@ -412,6 +412,34 @@ fn spec_validation_collects_every_issue_with_service_diagnostics() {
     }
 }
 
+#[test]
+fn a_workload_on_a_task_service_is_reported_beside_other_issues() {
+    // The builder accepts the call; validation names the misuse and
+    // still reports the same service's other problem.
+    let spec = ClusterSpec::new(3).horizon(ms(10)).service(
+        ServiceSpec::periodic("ticker", 9, us(100), ms(1))
+            .workload(Box::new(ConstantRate::new(ms(1), Time::ZERO))),
+    );
+    let err = spec.validate().unwrap_err();
+    assert_eq!(err.issues.len(), 2, "{err}");
+    assert!(err.issues.iter().any(|i| matches!(
+        i,
+        SpecIssue::WorkloadWithoutGroup { service } if service.name == "ticker"
+    )));
+    assert!(err
+        .issues
+        .iter()
+        .any(|i| matches!(i, SpecIssue::NodeOutOfRange { node: 9, .. })));
+    assert!(err
+        .to_string()
+        .contains("only replicated services take a workload"));
+    assert_eq!(
+        spec.run().unwrap_err(),
+        err,
+        "run() reports the same issues"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
