@@ -184,8 +184,8 @@ impl Lowered {
     /// Spans are built post-run from the report's own records, the
     /// request fold the report was built from and the deliveries the
     /// control plane folded, so they cost little during simulation;
-    /// every timestamp is the engine instant an agent
-    /// or group member logged, ids are minted in a fixed record order
+    /// every timestamp is the engine instant an agent or group member
+    /// logged or observed, ids are minted in a fixed record order
     /// (recoveries, failovers, group handoffs, view agreements, client
     /// requests), so the span log — like the metrics snapshot — is a
     /// deterministic function of spec and seed.

@@ -114,6 +114,6 @@ fn group_heap_slope_per_request_is_bounded() {
 
 /// Bytes of heap high water per request served, at most. The logs'
 /// entries and the schedule come to ~77 B a request on this stream;
-/// a hash set of ids per set, and `(id, ts, at)` triples in the
-/// delivery logs, come to ~260 B.
+/// keeping the three id sets as hash sets and each delivery as an
+/// `(id, ts, at)` triple comes to ~260 B.
 const BOUND: usize = 150;
