@@ -87,6 +87,10 @@ impl ClusterSpec {
                         issues.push(SpecIssue::ZeroPeriod { service: sref });
                         continue;
                     }
+                    if workload.timeout().is_some_and(|t| t.is_zero()) {
+                        issues.push(SpecIssue::ZeroTimeout { service: sref });
+                        continue;
+                    }
                     // Reject over-long streams *before* materializing
                     // them: at the (peak) admission rate, the horizon
                     // bounds the request count, so a runaway generator

@@ -166,6 +166,13 @@ pub enum SpecIssue {
         /// The offending service.
         service: ServiceRef,
     },
+    /// A workload's client-side request timeout is zero
+    /// ([`crate::ClosedLoop::with_timeout`]): it would abandon every
+    /// request.
+    ZeroTimeout {
+        /// The offending service.
+        service: ServiceRef,
+    },
     /// A workload generated a schedule that is not strictly increasing.
     NonMonotoneWorkload {
         /// The offending service.
@@ -271,6 +278,9 @@ impl fmt::Display for SpecIssue {
             ),
             SpecIssue::ZeroPeriod { service } => {
                 write!(f, "{service}: zero period/admission rate")
+            }
+            SpecIssue::ZeroTimeout { service } => {
+                write!(f, "{service}: zero request timeout")
             }
             SpecIssue::NonMonotoneWorkload { service } => {
                 write!(f, "{service}: workload instants not strictly increasing")

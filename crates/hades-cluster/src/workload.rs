@@ -50,6 +50,12 @@ pub trait Workload: fmt::Debug {
     /// analyses must budget for. Must be positive.
     fn admission_period(&self, horizon: Duration) -> Duration;
 
+    /// The client-side request timeout, for a workload that abandons
+    /// unanswered requests. Must be positive.
+    fn timeout(&self) -> Option<Duration> {
+        None
+    }
+
     /// Builds the actor-side [`RequestSource`] the replica-group gateway
     /// runs — shared by every member of the group. The default lowers
     /// the pre-materialized [`Workload::request_times`] schedule into an
@@ -221,7 +227,8 @@ pub struct ClosedLoop {
     /// for this long is **abandoned** and re-issued, so the loop
     /// survives losing its request to a whole-group outage (without a
     /// timeout, a live loop whose in-flight request died with every
-    /// member stalls forever). `None` (the default) never abandons.
+    /// member stalls forever). `None` (the default) never abandons. Must
+    /// be positive.
     pub timeout: Option<Duration>,
 }
 
@@ -243,12 +250,10 @@ impl ClosedLoop {
     /// `GroupReport::abandoned` and the `group.requests_abandoned`
     /// telemetry counter.
     ///
-    /// # Panics
-    ///
-    /// Panics on a zero timeout (a request can never respond before it
-    /// is submitted, so a zero timeout would abandon everything).
+    /// A zero timeout is kept as given, and validation reports it as
+    /// [`crate::SpecIssue::ZeroTimeout`]: a request can never respond
+    /// before it is submitted, so it would abandon everything.
     pub fn with_timeout(mut self, timeout: Duration) -> Self {
-        assert!(!timeout.is_zero(), "the request timeout must be positive");
         self.timeout = Some(timeout);
         self
     }
@@ -261,6 +266,10 @@ impl Workload for ClosedLoop {
 
     fn admission_period(&self, _horizon: Duration) -> Duration {
         self.think
+    }
+
+    fn timeout(&self) -> Option<Duration> {
+        self.timeout
     }
 
     fn build_source(&self, horizon: Duration) -> Rc<RefCell<dyn RequestSource>> {

@@ -25,8 +25,8 @@ use crate::thread::{InvPhase, Thread, ThreadId, ThreadState};
 use crate::window::IdWindow;
 use hades_sim::mux::{self, ActorEvent, ActorHost, ActorId, ControlOp, NetActor, Postbox};
 use hades_sim::{
-    Delivery, Engine, EventId, KernelModel, LinkConfig, Network, NodeId, Scheduler, SimRng,
-    Simulation, Trace, TraceKind,
+    Delivery, Engine, EventId, KernelModel, LinkConfig, Network, NodeId, Retarget, Scheduler,
+    SimRng, Simulation, Trace, TraceKind,
 };
 use hades_task::arrival::ArrivalMonitor;
 use hades_task::{Eu, EuIndex, InvocationMode, Priority, Task, TaskId, TaskSet};
@@ -144,7 +144,7 @@ impl SimConfig {
 
 /// `task` is a position in `TaskSet::tasks()`, resolved when the event is
 /// posted: an event can only name a task that exists.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Ev {
     Activate { task: usize, gen: u32 },
     WorkDone { node: u32 },
@@ -192,6 +192,27 @@ impl Ev {
             Ev::KernelIrq { .. } => 7,
             Ev::FaultTransition { .. } => 8,
             Ev::Actor { ev, .. } => 9 + ev.class().0,
+        }
+    }
+}
+
+/// What an actor stages is posted as [`Ev::Actor`].
+impl From<(ActorId, ActorEvent)> for Ev {
+    fn from((actor, ev): (ActorId, ActorEvent)) -> Self {
+        Ev::Actor { actor, ev }
+    }
+}
+
+/// An actor event is re-addressed by swapping its actor; the others have
+/// no address and are never posted in a run.
+impl Retarget for Ev {
+    fn retarget(&self, target: u32) -> Self {
+        match *self {
+            Ev::Actor { ev, .. } => Ev::Actor {
+                actor: ActorId(target),
+                ev,
+            },
+            other => other,
         }
     }
 }
@@ -301,9 +322,6 @@ struct Inner {
     network: Network,
     condvars: hades_task::condvar::CondVarTable,
     actors: ActorHost,
-    /// Scratch: one actor delivery's reactions as engine events, on their
-    /// way into the queue as one run.
-    actor_posts: Vec<(Time, u64, Ev)>,
     postbox: Postbox,
     probe: Probe,
     ctx_switches: u64,
@@ -416,7 +434,6 @@ impl DispatchSim {
             network,
             condvars: hades_task::condvar::CondVarTable::new(),
             actors: ActorHost::new(),
-            actor_posts: Vec::new(),
             postbox: Postbox::new(),
             probe: Probe::default(),
             ctx_switches: 0,
@@ -695,10 +712,8 @@ impl Simulation for Inner {
                     now,
                     &mut self.network,
                 );
-                let posts = reactions.posts.drain(..);
-                self.actor_posts
-                    .extend(posts.map(|(at, seq, (actor, ev))| (at, seq, Ev::Actor { actor, ev })));
-                sched.post_run(&mut self.actor_posts, reactions.seqs);
+                let posts = &mut *reactions.posts;
+                sched.post_run(&mut posts.events, &mut posts.copies, reactions.seqs);
                 for op in &reactions.controls {
                     self.apply_control(op, now, sched);
                 }

@@ -9,24 +9,34 @@
 //! The queue is a binary heap of `(time, order seq, slot)` *keys* over a
 //! slab of payloads; nothing is hashed. A key stands for one queued single
 //! ([`Scheduler::post`]) or for one whole *run* — everything a handler
-//! staged, posted at once by [`Scheduler::post_run`], kept sorted in a
-//! slab of its own under the key of its earliest pending element and
-//! re-keyed in place as elements are delivered. A broadcast's 95 copies therefore cost
-//! the heap one key, not 95, which is why [`Scheduler::depth`] and
-//! [`Engine::depth_peak`] count keys (the heap's size is what a push or
-//! pop pays for) while [`Engine::pending`] counts events.
+//! staged, posted at once by [`Scheduler::post_run`] — under the key of
+//! its earliest pending copy, re-keyed in place as copies are delivered.
+//! A broadcast's 95 copies therefore cost the heap one key, not 95, which
+//! is why [`Scheduler::depth`] and [`Engine::depth_peak`] count keys (the
+//! heap's size is what a push or pop pays for) while [`Engine::pending`]
+//! counts events.
+//!
+//! A run stores each distinct event once and each queued copy as a
+//! 24-byte [`RunCopy`], `(time, seq, target, slot)`: the run's one
+//! allocation is its copies, kept sorted latest first, and the events
+//! sit in the payload slab beside the singles, each slot counting down
+//! the copies that still share it. A copy's event is built when it is
+//! delivered, by the event type's [`Retarget`] hook — the payload
+//! re-addressed to the copy's target — so a multicast of one message to
+//! 95 peers holds one message and 95 records, not 95 messages.
 //!
 //! The order seq is the FIFO tie-break: the counter [`Scheduler::post`]
 //! advances. A handler may also *take* a seq now ([`Scheduler::next_seq`],
 //! consumed through [`Scheduler::post_run`]) and queue under it later: the
 //! event is then delivered exactly where one posted at the taking would
-//! have been (see [`crate::mux::Place`]).
+//! have been (see [`crate::mux::Place`]), as long as that place still lies
+//! after the event being handled.
 //!
 //! Cancelling empties the slot of a single and leaves its key in the heap
-//! as a *tombstone*, skipped when it surfaces; run elements have no
+//! as a *tombstone*, skipped when it surfaces; run copies have no
 //! [`EventId`] and cannot be cancelled. A slot is reused, one generation
-//! older, once its key is popped, so an [`EventId`] that outlives its
-//! event never touches the next occupant.
+//! older, once its key is popped or its last copy delivered, so an
+//! [`EventId`] that outlives its event never touches the next occupant.
 //!
 //! The engine observes nothing: it keeps two plain integers
 //! ([`Engine::delivered`], [`Engine::depth_peak`]), hands handlers the
@@ -58,10 +68,24 @@ pub trait Simulation {
     fn handle(&mut self, now: Time, event: Self::Event, sched: &mut Scheduler<Self::Event>);
 }
 
+/// An event type whose queued copies share one payload: the hook
+/// [`Scheduler::post_run`] builds each copy's event with, at delivery.
+pub trait Retarget {
+    /// This event, addressed to `target` instead.
+    fn retarget(&self, target: u32) -> Self;
+}
+
+/// One queued copy of a run, `(time, order seq, target, event)`: the
+/// event is an index into the events handed to [`Scheduler::post_run`]
+/// while staged, and the slab slot sharing it once queued.
+pub type RunCopy = (Time, u64, u32, u32);
+
 #[derive(Debug)]
 struct Slot<E> {
-    /// Bumped when the slot's key is popped: older ids stop matching.
+    /// Bumped when the slot is freed: older ids stop matching.
     gen: u32,
+    /// Queued run copies sharing `payload`; 0 for a single.
+    copies: u32,
     /// `None` while the slot is free or a tombstone.
     payload: Option<E>,
 }
@@ -83,22 +107,27 @@ fn newest(len: usize) -> u32 {
 #[derive(Debug)]
 pub struct Scheduler<E> {
     now: Time,
+    /// The order seq of the event being handled; `None` before the first.
+    now_seq: Option<u64>,
     /// `(time, order seq, slot)`: one key per queued single that has not
     /// surfaced yet, tombstones included, and — the slot flagged [`RUN`] —
-    /// one per run in flight, under its earliest pending element.
+    /// one per run in flight, under its earliest pending copy.
     heap: BinaryHeap<Reverse<(Time, u64, u32)>>,
+    /// Singles, and the events run copies share.
     slots: Vec<Slot<E>>,
-    /// Slots with no key in the heap.
+    /// Slots holding nothing queued.
     free: Vec<u32>,
-    /// The pending `(time, seq, event)` elements of each run in flight,
-    /// latest first: the earliest — the one its key names — pops off the
-    /// end. A spent run is an empty `Vec` holding no allocation.
-    runs: Vec<Vec<(Time, u64, E)>>,
+    /// The pending copies of each run in flight, latest first: the
+    /// earliest — the one its key names — pops off the end. A spent run
+    /// is an empty `Vec` holding no allocation.
+    runs: Vec<Vec<RunCopy>>,
     /// Entries of `runs` with no key in the heap.
     free_runs: Vec<u32>,
+    /// The event type's [`Retarget`] hook, set by [`Scheduler::post_run`].
+    retarget: fn(&E, u32) -> E,
     /// The order seq the next post takes: the FIFO tie-break.
     next_seq: u64,
-    /// Events queued and not cancelled, run elements included.
+    /// Events queued and not cancelled, run copies included.
     live: usize,
     /// High water of `heap.len()`, tombstones and all.
     depth_peak: usize,
@@ -116,19 +145,35 @@ impl<E> Scheduler<E> {
 
     /// Queues one event alone under the key `(at, seq)`.
     fn single(&mut self, at: Time, seq: u64, event: E) -> EventId {
+        let slot = self.occupy(event);
+        self.push_key(at, seq, slot);
+        self.live += 1;
+        EventId {
+            slot,
+            gen: self.slots[slot as usize].gen,
+        }
+    }
+
+    /// Puts `event` in a free slot.
+    fn occupy(&mut self, event: E) -> u32 {
         let slot = self.free.pop().unwrap_or_else(|| {
             self.slots.push(Slot {
                 gen: 0,
+                copies: 0,
                 payload: None,
             });
             newest(self.slots.len())
         });
-        self.push_key(at, seq, slot);
-        self.live += 1;
+        self.slots[slot as usize].payload = Some(event);
+        slot
+    }
+
+    /// Frees `slot` for reuse, one generation on, returning its event.
+    fn release(&mut self, slot: u32) -> Option<E> {
+        self.free.push(slot);
         let entry = &mut self.slots[slot as usize];
-        entry.payload = Some(event);
-        let gen = entry.gen;
-        EventId { slot, gen }
+        entry.gen = entry.gen.wrapping_add(1);
+        entry.payload.take()
     }
 
     fn push_key(&mut self, at: Time, seq: u64, slot: u32) {
@@ -143,41 +188,77 @@ impl<E> Scheduler<E> {
         self.next_seq
     }
 
-    /// Posts everything one handler staged — `(time, seq, event)` elements,
-    /// drained from `staged`, whose capacity stays with the caller — under
-    /// **one** heap key, and advances the order counter by the `seqs` the
-    /// handler took from [`Scheduler::next_seq`] on. An element's seq is
-    /// one of those, or one taken by an earlier handler and not queued
-    /// under yet; each is delivered where a [`Scheduler::post`] made when
-    /// its seq was taken would have been. Run elements cannot be cancelled.
+    /// Posts everything one handler staged under **one** heap key: each
+    /// distinct event of `events` once, and each queued copy as a
+    /// [`RunCopy`]. Both buffers are drained, and their capacity stays
+    /// with the caller. A copy names its target and the index of its event
+    /// in `events`, and every event is named by a copy; at delivery the
+    /// copy is that event, as an `E`, [retargeted](Retarget::retarget) to
+    /// its target.
+    ///
+    /// The order counter advances by the `seqs` the handler took from
+    /// [`Scheduler::next_seq`] on. A copy's seq is one of those, or one
+    /// taken by an earlier handler and not queued under yet; each copy is
+    /// delivered where a [`Scheduler::post`] made when its seq was taken
+    /// would have been. Run copies cannot be cancelled.
     ///
     /// # Panics
     ///
-    /// Panics, like [`Scheduler::post`], if an element lies in the past.
-    pub fn post_run(&mut self, staged: &mut Vec<(Time, u64, E)>, seqs: u64) {
+    /// Panics, like [`Scheduler::post`], if a copy lies in the past.
+    pub fn post_run<P>(&mut self, events: &mut Vec<P>, copies: &mut Vec<RunCopy>, seqs: u64)
+    where
+        E: Retarget + From<P>,
+    {
         self.next_seq += seqs;
-        for &(at, seq, _) in staged.iter() {
-            assert!(at >= self.now, "posting event into the past");
-            debug_assert!(seq < self.next_seq, "seq {seq} was never taken");
-        }
-        if staged.len() < 2 {
-            if let Some((at, seq, event)) = staged.pop() {
-                self.single(at, seq, event);
+        if copies.len() < 2 {
+            if let Some((at, seq, target, _)) = copies.pop() {
+                self.check(at, seq);
+                let event = E::from(events.pop().expect("a copy names an event"));
+                self.single(at, seq, event.retarget(target));
             }
+            debug_assert!(events.is_empty(), "every event is named by a copy");
             return;
         }
-        staged.sort_unstable_by_key(|&(at, seq, _)| Reverse((at, seq)));
-        let &(at, seq, _) = staged.last().expect("two or more elements");
-        let slot = self.free_runs.pop().unwrap_or_else(|| {
+        self.retarget = E::retarget;
+        // Each event takes a slot, counting the copies that share it; the
+        // copies name their events in order, each the same as the one
+        // before or the next.
+        let mut events = events.drain(..);
+        let (mut index, mut slot) = (None, 0);
+        for copy in copies.iter_mut() {
+            self.check(copy.0, copy.1);
+            if index != Some(copy.3) {
+                index = Some(copy.3);
+                let event = events.next().expect("a copy names an event");
+                slot = self.occupy(E::from(event));
+            }
+            copy.3 = slot;
+            self.slots[slot as usize].copies += 1;
+        }
+        debug_assert!(events.next().is_none(), "every event is named by a copy");
+        copies.sort_unstable_by_key(|&(at, seq, ..)| Reverse((at, seq)));
+        let &(at, seq, ..) = copies.last().expect("two or more copies");
+        let run = self.free_runs.pop().unwrap_or_else(|| {
             self.runs.push(Vec::new());
             newest(self.runs.len())
         });
-        self.push_key(at, seq, slot | RUN);
-        self.live += staged.len();
+        self.push_key(at, seq, run | RUN);
+        self.live += copies.len();
         // An allocation of the run's own size, given back when it is spent.
-        let run = &mut self.runs[slot as usize];
-        run.reserve_exact(staged.len());
-        run.append(staged);
+        let queued = &mut self.runs[run as usize];
+        queued.reserve_exact(copies.len());
+        queued.append(copies);
+    }
+
+    /// Checks that a copy queued under `(at, seq)` is still to come.
+    fn check(&self, at: Time, seq: u64) {
+        assert!(at >= self.now, "posting event into the past");
+        debug_assert!(seq < self.next_seq, "seq {seq} was never taken");
+        debug_assert!(
+            self.now_seq
+                .is_none_or(|now_seq| (at, seq) > (self.now, now_seq)),
+            "({at}, seq {seq}) has passed: it would come before the event being handled"
+        );
     }
 
     /// Cancels a previously posted event in O(1): the payload is dropped at
@@ -202,23 +283,21 @@ impl<E> Scheduler<E> {
     /// ahead of it, and advances the clock to it.
     fn pop(&mut self, until: Time) -> Option<E> {
         loop {
-            let &Reverse((at, _, slot)) = self.heap.peek().filter(|key| key.0 .0 <= until)?;
+            let &Reverse((at, seq, slot)) = self.heap.peek().filter(|key| key.0 .0 <= until)?;
             let event = if slot & RUN == 0 {
                 self.heap.pop();
-                self.free.push(slot);
-                let entry = &mut self.slots[slot as usize];
-                entry.gen = entry.gen.wrapping_add(1);
-                entry.payload.take()
+                self.release(slot)
             } else {
-                // The key moves to the run's next element and sinks to its
-                // place when `top` drops; the last element keeps no more
+                // The key moves to the run's next copy and sinks to its
+                // place when `top` drops; the last copy keeps no more
                 // than its own room while it waits.
                 let mut top = self.heap.peek_mut().expect("peeked above");
                 let run = &mut self.runs[(slot ^ RUN) as usize];
-                let (_, _, event) = run.pop().expect("a run in flight holds an element");
+                let (_, _, target, shared) = run.pop().expect("a run in flight holds a copy");
                 match run.last() {
-                    Some(&(next_at, next_seq, _)) => {
+                    Some(&(next_at, next_seq, ..)) => {
                         *top = Reverse((next_at, next_seq, slot));
+                        drop(top);
                         if run.len() == 1 {
                             run.shrink_to_fit();
                         }
@@ -229,11 +308,19 @@ impl<E> Scheduler<E> {
                         self.free_runs.push(slot ^ RUN);
                     }
                 }
+                let entry = &mut self.slots[shared as usize];
+                let payload = entry.payload.as_ref().expect("a queued copy's event");
+                let event = (self.retarget)(payload, target);
+                entry.copies -= 1;
+                if entry.copies == 0 {
+                    self.release(shared);
+                }
                 Some(event)
             };
             if let Some(event) = event {
                 debug_assert!(at >= self.now, "event queue went backwards");
                 self.now = at;
+                self.now_seq = Some(seq);
                 self.live -= 1;
                 return Some(event);
             }
@@ -256,11 +343,13 @@ impl<E> Engine<E> {
         Engine {
             queue: Scheduler {
                 now: Time::ZERO,
+                now_seq: None,
                 heap: BinaryHeap::new(),
                 slots: Vec::new(),
                 free: Vec::new(),
                 runs: Vec::new(),
                 free_runs: Vec::new(),
+                retarget: |_, _| unreachable!("no run was posted"),
                 next_seq: 0,
                 live: 0,
                 depth_peak: 0,
@@ -287,7 +376,7 @@ impl<E> Engine<E> {
     }
 
     /// Number of pending (not yet delivered, not cancelled) events, in O(1),
-    /// every element of a run counted. Tombstones do not count here;
+    /// every copy of a run counted. Tombstones do not count here;
     /// [`Engine::depth_peak`] is the heap's length and does include them.
     pub fn pending(&self) -> usize {
         self.queue.live
@@ -539,46 +628,107 @@ mod tests {
         e.run_to_completion(&mut Backwards);
     }
 
-    /// `(time, seq, event)` elements for [`Scheduler::post_run`], numbered
-    /// from the queue's next seq on in the order given.
-    fn staged(e: &Engine<Ev>, items: &[(u64, Ev)]) -> Vec<(Time, u64, Ev)> {
-        let numbered = items.iter().zip(e.queue.next_seq()..);
+    impl Retarget for Ev {
+        /// A ping's number is its address; a chain has none.
+        fn retarget(&self, target: u32) -> Self {
+            match self {
+                Ev::Ping(_) => Ev::Ping(target),
+                Ev::Chain(n) => Ev::Chain(*n),
+            }
+        }
+    }
+
+    impl Retarget for () {
+        fn retarget(&self, _: u32) {}
+    }
+
+    /// One `(time, ping)` per copy for [`Scheduler::post_run`], each its
+    /// own event, numbered from the queue's next seq on in the order given.
+    fn staged(e: &Engine<Ev>, items: &[(u64, u32)]) -> (Vec<Ev>, Vec<RunCopy>) {
+        let numbered = items.iter().zip(e.queue.next_seq()..).zip(0..);
         numbered
-            .map(|((at, ev), seq)| (Time::from_nanos(*at), seq, ev.clone()))
-            .collect()
+            .map(|((&(at, ping), seq), i)| (Ev::Ping(ping), (Time::from_nanos(at), seq, ping, i)))
+            .unzip()
+    }
+
+    /// Whether every slot and every run is free again.
+    fn all_free<E>(e: &Engine<E>) -> bool {
+        let q = &e.queue;
+        q.free.len() == q.slots.len()
+            && q.free_runs.len() == q.runs.len()
+            && q.slots.iter().all(|s| s.payload.is_none() && s.copies == 0)
+    }
+
+    /// A scripted event: its id and a word the copies of one staged run
+    /// may share.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    struct Word {
+        id: u32,
+        word: u8,
+    }
+
+    impl Retarget for Word {
+        fn retarget(&self, target: u32) -> Self {
+            Word {
+                id: target,
+                word: self.word,
+            }
+        }
+    }
+
+    /// Stages `(at, seq, target, word)` items as one run's events and
+    /// copies: consecutive copies of one word share its event.
+    fn share(items: impl IntoIterator<Item = (Time, u64, u32, u8)>) -> (Vec<Word>, Vec<RunCopy>) {
+        let (mut events, mut copies) = (Vec::<Word>::new(), Vec::new());
+        for (at, seq, id, word) in items {
+            if events.last().is_none_or(|last| last.word != word) {
+                events.push(Word { id, word });
+            }
+            copies.push((at, seq, id, events.len() as u32 - 1));
+        }
+        (events, copies)
     }
 
     #[test]
     fn runs_deliver_exactly_as_single_posts() {
         // One random script — event i is posted `delay[i]` (0..4 ns: ties
-        // everywhere) after its parent fires, the roots up front — played
-        // twice: every event its own `post`, and every handler's children
-        // (and the roots, in random chunks) as one `post_run`.
+        // everywhere) after its parent fires, the roots up front, each
+        // carrying a word from 0..3 — played twice: every event its own
+        // `post`, and every handler's children (and the roots, in random
+        // chunks) as one `post_run` whose consecutive copies of one word
+        // share one event.
         struct Script {
             children: Vec<Vec<(u64, u32)>>,
+            words: Vec<u8>,
             batched: bool,
-            seen: Vec<(Time, u32)>,
+            seen: Vec<(Time, Word)>,
         }
         impl Simulation for Script {
-            type Event = u32;
-            fn handle(&mut self, now: Time, id: u32, sched: &mut Scheduler<u32>) {
-                self.seen.push((now, id));
-                let children = &self.children[id as usize];
+            type Event = Word;
+            fn handle(&mut self, now: Time, ev: Word, sched: &mut Scheduler<Word>) {
+                assert_eq!(ev.word, self.words[ev.id as usize], "the copy's own word");
+                self.seen.push((now, ev));
+                let children = &self.children[ev.id as usize];
                 let due = |delay: u64| now + Duration::from_nanos(delay);
                 if self.batched {
                     let numbered = children.iter().zip(sched.next_seq()..);
-                    let mut run: Vec<_> = numbered
-                        .map(|(&(delay, child), seq)| (due(delay), seq, child))
-                        .collect();
-                    sched.post_run(&mut run, children.len() as u64);
-                    assert!(run.is_empty(), "the staged buffer comes back drained");
+                    let (mut events, mut copies) = share(numbered.map(|(&(delay, child), seq)| {
+                        (due(delay), seq, child, self.words[child as usize])
+                    }));
+                    sched.post_run(&mut events, &mut copies, children.len() as u64);
+                    assert!(
+                        events.is_empty() && copies.is_empty(),
+                        "both come back drained"
+                    );
                 } else {
                     for &(delay, child) in children {
-                        sched.post(due(delay), child);
+                        let word = self.words[child as usize];
+                        sched.post(due(delay), Word { id: child, word });
                     }
                 }
             }
         }
+        let mut shared = 0;
         for seed in 0..200 {
             let mut rng = crate::SimRng::seed_from(seed);
             let n = 2 + rng.below(80) as u32;
@@ -588,60 +738,72 @@ mod tests {
                 let parent = rng.below(id as u64) as usize;
                 children[parent].push((rng.below(4), id));
             }
+            let words: Vec<u8> = (0..n).map(|_| rng.below(3) as u8).collect();
+            shared += children
+                .iter()
+                .flat_map(|c| c.windows(2))
+                .filter(|w| words[w[0].1 as usize] == words[w[1].1 as usize])
+                .count();
             let root_at: Vec<u64> = (0..roots).map(|_| rng.below(4)).collect();
             let play = |batched: bool, rng: &mut crate::SimRng| {
                 let mut e = Engine::new();
+                let root = |id: u32| Word {
+                    id,
+                    word: words[id as usize],
+                };
                 let mut next = 0;
                 while next < roots {
                     let chunk = if batched { 1 + rng.below(6) as u32 } else { 1 };
                     let ids = next..(next + chunk).min(roots);
                     next = ids.end;
                     if chunk == 1 {
-                        e.post(Time::from_nanos(root_at[ids.start as usize]), ids.start);
+                        e.post(
+                            Time::from_nanos(root_at[ids.start as usize]),
+                            root(ids.start),
+                        );
                         continue;
                     }
                     let numbered = ids.zip(e.queue.next_seq()..);
-                    let mut run: Vec<_> = numbered
-                        .map(|(id, seq)| (Time::from_nanos(root_at[id as usize]), seq, id))
-                        .collect();
-                    let seqs = run.len() as u64;
-                    e.queue.post_run(&mut run, seqs);
+                    let (mut events, mut copies) = share(numbered.map(|(id, seq)| {
+                        let at = Time::from_nanos(root_at[id as usize]);
+                        (at, seq, id, words[id as usize])
+                    }));
+                    let seqs = copies.len() as u64;
+                    e.queue.post_run(&mut events, &mut copies, seqs);
                 }
                 let mut sim = Script {
                     children: children.clone(),
+                    words: words.clone(),
                     batched,
                     seen: Vec::new(),
                 };
                 assert_eq!(e.run_to_completion(&mut sim), n as u64);
                 assert_eq!(e.pending(), 0);
                 assert!(e.queue.heap.is_empty());
-                assert_eq!(e.queue.free.len(), e.queue.slots.len(), "every slot freed");
-                assert_eq!(e.queue.free_runs.len(), e.queue.runs.len(), "and every run");
+                assert!(all_free(&e), "every slot and every run freed");
                 sim.seen
             };
             let singly = play(false, &mut rng);
             assert_eq!(singly, play(true, &mut rng), "seed {seed}");
         }
+        assert!(shared > 500, "{shared} copies shared an event");
     }
 
     #[test]
     fn a_run_is_one_key_counted_by_element_and_resumes_mid_way() {
         let mut e = Engine::new();
         let single = e.post(Time::from_nanos(20), Ev::Ping(0));
-        let mut run = staged(
-            &e,
-            &[(30, Ev::Ping(3)), (10, Ev::Ping(1)), (20, Ev::Ping(2))],
-        );
-        e.queue.post_run(&mut run, 3);
+        let (mut events, mut copies) = staged(&e, &[(30, 3), (10, 1), (20, 2)]);
+        e.queue.post_run(&mut events, &mut copies, 3);
         e.post(Time::from_nanos(20), Ev::Ping(9));
-        assert_eq!(e.pending(), 5, "pending counts run elements");
+        assert_eq!(e.pending(), 5, "pending counts run copies");
         assert_eq!(
             e.queue.depth(),
             3,
             "depth counts keys: two singles, one run"
         );
         assert_eq!(e.depth_peak(), 3);
-        // Stop in the middle of the run: its key moved to the next element.
+        // Stop in the middle of the run: its key moved to the next copy.
         let mut sim = Recorder::default();
         assert_eq!(e.run(&mut sim, Time::from_nanos(15)), 1);
         assert_eq!((e.pending(), e.queue.depth()), (4, 3));
@@ -660,8 +822,78 @@ mod tests {
             ]
         );
         assert_eq!(e.depth_peak(), 3);
-        assert_eq!(e.queue.free.len(), e.queue.slots.len());
-        assert_eq!(e.queue.free_runs.len(), e.queue.runs.len());
+        assert!(all_free(&e));
+    }
+
+    #[test]
+    fn copies_share_one_slot_freed_with_the_last_of_them() {
+        // Two words: one shared by three copies, one by two.
+        let mut e = Engine::new();
+        let at = |ns| Time::from_nanos(ns);
+        let items = [(at(5), 0, 1, 7), (at(3), 1, 2, 7), (at(9), 2, 3, 7)];
+        let more = [(at(4), 3, 4, 8), (at(9), 4, 5, 8)];
+        let (mut events, mut copies) = share(items.into_iter().chain(more));
+        assert_eq!(events.len(), 2);
+        e.queue.post_run(&mut events, &mut copies, 5);
+        assert_eq!((e.pending(), e.queue.depth()), (5, 1));
+        let held = |e: &Engine<Word>| e.queue.slots.iter().filter(|s| s.payload.is_some()).count();
+        assert_eq!(held(&e), 2, "one slot per event, not per copy");
+        struct Seen(Vec<Word>);
+        impl Simulation for Seen {
+            type Event = Word;
+            fn handle(&mut self, _: Time, ev: Word, _: &mut Scheduler<Word>) {
+                self.0.push(ev);
+            }
+        }
+        let mut sim = Seen(Vec::new());
+        // Word 8's first copy and word 7's first two are out: both slots
+        // still hold their events.
+        assert_eq!(e.run(&mut sim, at(5)), 3);
+        assert_eq!((e.pending(), held(&e)), (2, 2));
+        assert_eq!(e.run_to_completion(&mut sim), 2);
+        let word = |id, word| Word { id, word };
+        assert_eq!(
+            sim.0,
+            [word(2, 7), word(4, 8), word(1, 7), word(3, 7), word(5, 8)]
+        );
+        assert_eq!(e.pending(), 0);
+        assert!(all_free(&e), "a spent run frees its event slots");
+        // The next posts reuse those slots rather than growing the slab.
+        let slots = e.queue.slots.len();
+        let later = items.map(|(t, seq, id, w)| (t + Duration::from_nanos(20), seq + 5, id, w));
+        let (mut events, mut copies) = share(later);
+        e.queue.post_run(&mut events, &mut copies, 3);
+        e.post(at(30), word(0, 0));
+        assert_eq!(e.queue.slots.len(), slots);
+    }
+
+    #[test]
+    fn depth_peak_counts_one_key_per_broadcast() {
+        // Four roots each broadcast one word to eight targets at one
+        // instant: 32 copies, four events, four keys.
+        struct Broadcast;
+        impl Simulation for Broadcast {
+            type Event = Word;
+            fn handle(&mut self, now: Time, ev: Word, sched: &mut Scheduler<Word>) {
+                if ev.word == 0 {
+                    let next = sched.next_seq();
+                    let items =
+                        (0..8).map(|i| (now + Duration::from_nanos(1), next + i, i as u32, 1));
+                    let (mut events, mut copies) = share(items);
+                    sched.post_run(&mut events, &mut copies, 8);
+                }
+            }
+        }
+        let mut e = Engine::new();
+        for id in 0..4 {
+            e.post(Time::ZERO, Word { id, word: 0 });
+        }
+        assert_eq!(e.run(&mut Broadcast, Time::ZERO), 4);
+        assert_eq!((e.pending(), e.queue.depth()), (32, 4));
+        assert_eq!(e.depth_peak(), 4, "the roots' keys, then one per run");
+        assert_eq!(e.run_to_completion(&mut Broadcast), 32);
+        assert_eq!(e.depth_peak(), 4);
+        assert!(all_free(&e));
     }
 
     #[test]
@@ -669,14 +901,39 @@ mod tests {
         // Seq 0 is taken and left unused; what is later queued under it
         // is delivered before the event posted in between, at a tie.
         let mut e = Engine::new();
-        e.queue.post_run(&mut Vec::new(), 1);
+        e.queue.post_run::<Ev>(&mut Vec::new(), &mut Vec::new(), 1);
         e.post(Time::from_nanos(5), Ev::Ping(1));
-        let late = (Time::from_nanos(5), 0, Ev::Ping(0));
-        e.queue.post_run(&mut vec![late], 0);
+        let late = (Time::from_nanos(5), 0, 0, 0);
+        e.queue.post_run(&mut vec![Ev::Ping(0)], &mut vec![late], 0);
         let mut sim = Recorder::default();
         e.run_to_completion(&mut sim);
         let order: Vec<Ev> = sim.seen.into_iter().map(|(_, ev)| ev).collect();
         assert_eq!(order, [Ev::Ping(0), Ev::Ping(1)]);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "has passed")]
+    fn queueing_under_a_place_that_has_passed_is_caught() {
+        // The first handler takes a seq for the instant 10; the second,
+        // handled at 10 under a later seq, queues under it anyway.
+        struct Late(Option<u64>);
+        impl Simulation for Late {
+            type Event = ();
+            fn handle(&mut self, now: Time, (): (), sched: &mut Scheduler<()>) {
+                match self.0 {
+                    None => {
+                        self.0 = Some(sched.next_seq());
+                        sched.post_run::<()>(&mut Vec::new(), &mut Vec::new(), 1);
+                        sched.post(now, ());
+                    }
+                    Some(seq) => sched.post_run(&mut vec![()], &mut vec![(now, seq, 0, 0)], 0),
+                }
+            }
+        }
+        let mut e = Engine::new();
+        e.post(Time::from_nanos(10), ());
+        e.run_to_completion(&mut Late(None));
     }
 
     #[test]
@@ -687,8 +944,9 @@ mod tests {
             type Event = ();
             fn handle(&mut self, now: Time, (): (), sched: &mut Scheduler<()>) {
                 let seq = sched.next_seq();
-                let mut run = vec![(now, seq, ()), (now - Duration::from_nanos(1), seq + 1, ())];
-                sched.post_run(&mut run, 2);
+                let past = now - Duration::from_nanos(1);
+                let mut copies = vec![(now, seq, 0, 0), (past, seq + 1, 0, 0)];
+                sched.post_run(&mut vec![()], &mut copies, 2);
                 unreachable!("the post returned: reported too late");
             }
         }

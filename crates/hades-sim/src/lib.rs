@@ -59,12 +59,12 @@ pub mod net;
 pub mod rng;
 pub mod trace;
 
-pub use engine::{Engine, EventId, Scheduler, Simulation};
+pub use engine::{Engine, EventId, Retarget, RunCopy, Scheduler, Simulation};
 pub use fault::{CrashWindow, FaultPlan, OmissionWindow};
 pub use kernel::{KernelActivity, KernelModel};
 pub use mux::{
     ActorCtx, ActorEngine, ActorEvent, ActorHost, ActorId, ControlOp, NetActor, Place, Postbox,
-    Reactions,
+    Reactions, Staged,
 };
 pub use net::{Delivery, LinkConfig, Network, NetworkStats, NodeId};
 pub use rng::SimRng;

@@ -21,6 +21,13 @@
 //!   key for a whole broadcast — and the [`ControlOp`]s to apply. Events
 //!   addressed to an actor whose node has crashed are dropped, so a dead
 //!   node goes silent exactly as the fault plan dictates.
+//! * [`Staged`] — the run layout those reactions are posted in. Every
+//!   timer, send and notify is one [`RunCopy`] `(time, seq, target,
+//!   event)`, and consecutive copies of one [`ActorEvent`] — a loop of
+//!   [`ActorCtx::send`]s like `NodeAgent`'s broadcast, an
+//!   [`ActorCtx::fanout`], each word of a proposal — share one staged
+//!   event. The engine keeps that event once for the whole run and
+//!   rebuilds each copy's `(actor, event)` at delivery ([`Retarget`]).
 //! * [`Place`] — a reserved position in the delivery order. Every timer
 //!   and send takes the next order seq as it is staged;
 //!   [`ActorCtx::reserve`] takes one *without* queueing anything, and
@@ -57,7 +64,7 @@
 //!   that host a task dispatcher and ignored by the bare
 //!   [`ActorEngine`]).
 
-use crate::engine::{Engine, Scheduler, Simulation};
+use crate::engine::{Engine, Retarget, RunCopy, Scheduler, Simulation};
 use crate::fault::FaultPlan;
 use crate::net::{Delivery, Network, NodeId};
 use hades_telemetry::Probe;
@@ -307,8 +314,44 @@ pub struct Place {
     pub seq: u64,
 }
 
-/// One staged reaction: `(fire_time, order seq, (target_actor, event))`.
-pub type Staged = (Time, u64, (ActorId, ActorEvent));
+/// What one handler staged, in the layout [`Scheduler::post_run`] takes:
+/// each run of consecutive identical events once, and each queued copy —
+/// one per timer, send and notify — as a [`RunCopy`] naming its target
+/// actor and its event. An embedding posts both buffers as they are; its
+/// event type is built `From` each staged `(actor, event)`.
+#[derive(Debug, Default)]
+pub struct Staged {
+    /// The distinct events, each as its first copy's `(actor, event)`.
+    pub events: Vec<(ActorId, ActorEvent)>,
+    /// `(fire time, order seq, target actor, index into events)`, in
+    /// staging order.
+    pub copies: Vec<RunCopy>,
+}
+
+impl Staged {
+    /// Stages `ev` for `to` at `(at, seq)`, sharing the last staged event
+    /// when it is the same.
+    #[inline]
+    fn push(&mut self, at: Time, seq: u64, to: ActorId, ev: ActorEvent) {
+        if self.events.last().is_none_or(|&(_, last)| last != ev) {
+            self.events.push((to, ev));
+        }
+        let event = self.events.len() as u32 - 1;
+        self.copies.push((at, seq, to.0, event));
+    }
+
+    fn clear(&mut self) {
+        self.events.clear();
+        self.copies.clear();
+    }
+}
+
+/// A queued actor event is re-addressed by swapping its actor.
+impl Retarget for (ActorId, ActorEvent) {
+    fn retarget(&self, target: u32) -> Self {
+        (ActorId(target), self.1)
+    }
+}
 
 /// The interface an actor reacts through: arm timers, send messages,
 /// inspect the shared network.
@@ -322,7 +365,7 @@ pub struct ActorCtx<'a> {
     probe: &'a Probe,
     /// The order seq the next staged reaction or reservation takes.
     next_seq: u64,
-    staged: &'a mut Vec<Staged>,
+    staged: &'a mut Staged,
     controls: Vec<ControlOp>,
 }
 
@@ -361,13 +404,14 @@ impl ActorCtx<'_> {
     /// Arms a timer for the reacting actor in a place it reserved and has
     /// not used. The place must not have passed.
     pub fn timer_in(&mut self, place: Place, tag: u64) {
-        let timer = (self.self_id, ActorEvent::Timer { tag });
-        self.staged.push((place.at, place.seq, timer));
+        let timer = ActorEvent::Timer { tag };
+        self.staged.push(place.at, place.seq, self.self_id, timer);
     }
 
     /// Stages `ev` for `to` at `at`, under the next order seq.
+    #[inline]
     fn stage(&mut self, at: Time, to: ActorId, ev: ActorEvent) {
-        self.staged.push((at, self.next_seq, (to, ev)));
+        self.staged.push(at, self.next_seq, to, ev);
         self.next_seq += 1;
     }
 
@@ -488,8 +532,8 @@ pub struct ActorHost {
     actors: Vec<Box<dyn NetActor>>,
     probe: Probe,
     /// What the last delivery staged, lent out in its [`Reactions`]: one
-    /// buffer for the whole run, so staging allocates nothing.
-    staged: Vec<Staged>,
+    /// pair of buffers for the whole run, so staging allocates nothing.
+    staged: Staged,
 }
 
 impl std::fmt::Debug for ActorHost {
@@ -632,9 +676,9 @@ impl ActorHost {
 /// embedding engine, and control ops to apply to the running run.
 #[derive(Debug)]
 pub struct Reactions<'a> {
-    /// The events to post, each under the order seq it was staged with:
-    /// the host's own buffer, for the embedding to drain.
-    pub posts: &'a mut Vec<Staged>,
+    /// The events to post, each copy under the order seq it was staged
+    /// with: the host's own buffers, for the embedding to drain.
+    pub posts: &'a mut Staged,
     /// Order seqs the handler took, from the `next_seq` it was delivered
     /// under: one per staged send, timer and notify and one per
     /// [`ActorCtx::reserve`] — what [`Scheduler::post_run`] advances by.
@@ -750,7 +794,8 @@ impl Simulation for HostSim<'_> {
         let reactions = self
             .host
             .deliver_ordered(sched.next_seq(), id, ev, now, self.net);
-        sched.post_run(reactions.posts, reactions.seqs);
+        let posts = &mut *reactions.posts;
+        sched.post_run(&mut posts.events, &mut posts.copies, reactions.seqs);
         for op in &reactions.controls {
             if let Some((node, _, Some(r))) = apply_network_op(self.net.fault_plan_mut(), op, now) {
                 for actor in self.host.actors_on(node) {

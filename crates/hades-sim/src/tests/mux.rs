@@ -204,6 +204,61 @@ fn fanout_reaches_every_target_and_masks_omissions() {
 }
 
 #[test]
+fn consecutive_copies_of_one_event_are_staged_once() {
+    /// Two broadcast words to the three peers, then a timer.
+    struct Proposer;
+    impl NetActor for Proposer {
+        fn node(&self) -> NodeId {
+            NodeId(0)
+        }
+        fn handle(&mut self, _: Time, _: ActorEvent, ctx: &mut ActorCtx<'_>) {
+            for word in [5, 6] {
+                let peers = (1..4).map(|p| (ActorId(p), NodeId(p)));
+                assert_eq!(ctx.fanout(peers, 2, word, 1), 3);
+            }
+            ctx.timer_after(Duration::from_micros(1), 0);
+        }
+    }
+    let mut net = Network::homogeneous(4, LinkConfig::default(), SimRng::seed_from(3));
+    let mut host = ActorHost::new();
+    host.add(Box::new(Proposer));
+    let reactions = host.deliver_ordered(40, ActorId(0), ActorEvent::Start, Time::ZERO, &mut net);
+    assert_eq!(reactions.seqs, 7);
+    let message = |payload| ActorEvent::Message {
+        from: NodeId(0),
+        tag: 2,
+        payload,
+    };
+    let staged = &reactions.posts;
+    assert_eq!(
+        staged.events,
+        [
+            (ActorId(1), message(5)),
+            (ActorId(1), message(6)),
+            (ActorId(0), ActorEvent::Timer { tag: 0 }),
+        ],
+        "each event once, as its first copy"
+    );
+    let copies: Vec<_> = staged
+        .copies
+        .iter()
+        .map(|&(_, seq, to, event)| (seq, to, event))
+        .collect();
+    assert_eq!(
+        copies,
+        [
+            (40, 1, 0),
+            (41, 2, 0),
+            (42, 3, 0),
+            (43, 1, 1),
+            (44, 2, 1),
+            (45, 3, 1),
+            (46, 0, 2)
+        ]
+    );
+}
+
+#[test]
 fn runtime_control_op_injects_a_crash_window_into_a_running_engine() {
     /// Node 0 pings node 1 every 100 µs and, at start, injects a
     /// crash window [1 ms, 2 ms) for node 1 through the control

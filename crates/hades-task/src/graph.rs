@@ -160,9 +160,13 @@ impl HeugBuilder {
                 .expect("cycle implies positive in-degree");
             return Err(GraphError::Cycle(EuIndex(stuck as u32)));
         }
+        // A task set keeps its graphs for the whole run: no spare room
+        // (a no-op for `Heug::single`, whose unit is allocated exactly).
+        let mut eus = self.eus;
+        eus.shrink_to_fit();
         Ok(Heug {
             name: self.name,
-            eus: self.eus,
+            eus,
             edges: self.edges,
             topo: order,
         })
@@ -186,9 +190,11 @@ impl Heug {
     /// Never fails for a well-formed `CodeEu`; the `Result` mirrors
     /// [`HeugBuilder::build`].
     pub fn single(eu: CodeEu) -> Result<Heug, GraphError> {
-        let name = eu.name.clone();
-        let mut b = HeugBuilder::new(name);
-        b.code_eu(eu);
+        let b = HeugBuilder {
+            name: eu.name.clone(),
+            eus: vec![Eu::Code(eu)],
+            edges: Vec::new(),
+        };
         b.build()
     }
 
@@ -451,6 +457,13 @@ mod tests {
         let d = b.code_eu(code("c", 1, 0));
         b.precede(a, c).precede(c, d).precede(d, a);
         assert!(matches!(b.build().unwrap_err(), GraphError::Cycle(_)));
+    }
+
+    #[test]
+    fn built_units_take_no_spare_room() {
+        assert_eq!(Heug::single(code("only", 5, 0)).unwrap().eus.capacity(), 1);
+        let g = diamond();
+        assert_eq!(g.eus.capacity(), g.eus.len());
     }
 
     #[test]

@@ -440,6 +440,28 @@ fn a_workload_on_a_task_service_is_reported_beside_other_issues() {
     );
 }
 
+#[test]
+fn a_zero_request_timeout_is_reported_not_panicked_on() {
+    // The builder records the zero; validation and run name it.
+    let loop_ = ClosedLoop::new(us(500), ms(1), Time::ZERO + ms(2)).with_timeout(Duration::ZERO);
+    let spec = ClusterSpec::new(3).horizon(ms(10)).service(
+        ServiceSpec::replicated(
+            "store",
+            ReplicaStyle::Active,
+            vec![0, 1, 2],
+            GroupLoad::default(),
+        )
+        .workload(Box::new(loop_)),
+    );
+    let err = spec.validate().unwrap_err();
+    assert!(
+        matches!(&err.issues[..], [SpecIssue::ZeroTimeout { service }] if service.name == "store"),
+        "{err}"
+    );
+    assert!(err.to_string().contains("zero request timeout"), "{err}");
+    assert_eq!(spec.run().unwrap_err(), err, "run() reports the same issue");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
