@@ -41,6 +41,9 @@ pub enum FabricError {
     },
     /// No load class was registered — the fabric would be idle.
     NoClasses,
+    /// The ring was asked for zero virtual nodes per placement, so no
+    /// key would have a placement to land on.
+    NoVirtualNodes,
     /// The lowered [`ClusterSpec`] failed validation.
     Cluster(SpecError),
 }
@@ -53,6 +56,12 @@ impl fmt::Display for FabricError {
                 "{nodes} nodes yield fewer than two placements of {replicas} replicas"
             ),
             FabricError::NoClasses => write!(f, "a fabric needs at least one load class"),
+            FabricError::NoVirtualNodes => {
+                write!(
+                    f,
+                    "a fabric's ring needs at least one virtual node per placement"
+                )
+            }
             FabricError::Cluster(e) => write!(f, "lowered cluster spec rejected: {e}"),
         }
     }
@@ -211,6 +220,12 @@ impl FabricSpec {
 
     /// The router this fabric shape induces (pure function of the
     /// shape — rebuildable anywhere).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the shape has zero placements (fewer nodes than
+    /// replicas) or zero virtual nodes; [`FabricSpec::run`] reports both
+    /// as a [`FabricError`] instead.
     pub fn router(&self) -> ShardRouter {
         ShardRouter::new(
             self.shards,
@@ -229,6 +244,9 @@ impl FabricSpec {
         }
         if self.classes.is_empty() {
             return Err(FabricError::NoClasses);
+        }
+        if self.vnodes == 0 {
+            return Err(FabricError::NoVirtualNodes);
         }
         let router = self.router();
 

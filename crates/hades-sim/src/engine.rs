@@ -7,7 +7,14 @@
 //! a deterministic total order of event delivery (time, then posting order).
 //!
 //! The queue is a binary heap of `(time, order seq, slot)` *keys* over a
-//! slab of payloads; nothing is hashed. A key stands for one queued single
+//! slab of payloads; nothing is hashed. Each key is packed into one
+//! `u128` whose integer order is the key's: time in nanoseconds in bits
+//! 127–64, the order seq in bits 63–24, the slot or run index in bits
+//! 23–0 (bit 23 flagging a run). No two queued keys share a seq, so the
+//! index bits never decide the order, and the heap compares and moves
+//! one integer per key. The packing caps an engine at fewer than 2^40
+//! order seqs and fewer than 2^23 queued singles or runs; both are
+//! checked where they would be crossed. A key stands for one queued single
 //! ([`Scheduler::post`]) or for one whole *run* — everything a handler
 //! staged, posted at once by [`Scheduler::post_run`] — under the key of
 //! its earliest pending copy, re-keyed in place as copies are delivered.
@@ -90,16 +97,39 @@ struct Slot<E> {
     payload: Option<E>,
 }
 
-/// Set in a heap key's third field when it indexes `runs`, not `slots`.
-const RUN: u32 = 1 << 31;
+/// Set in a heap key's index bits when it indexes `runs`, not `slots`;
+/// every index lies below it.
+const RUN: u32 = 1 << 23;
+
+/// Order seqs an engine hands out: the 40 bits of a key between its time
+/// and its index.
+const SEQ_LIMIT: u64 = 1 << 40;
+
+/// A heap key, `(time, order seq, index)` packed by [`pack`] and reversed
+/// so that the max-heap pops the earliest.
+type Key = Reverse<u128>;
+
+/// Packs `(at, seq, index)` into one integer that orders as the triple
+/// does; `seq` must lie below [`SEQ_LIMIT`] and `index` below `2 * RUN`.
+fn pack(at: Time, seq: u64, index: u32) -> u128 {
+    (at.as_nanos() as u128) << 64 | (seq as u128) << 24 | index as u128
+}
+
+/// The `(at, seq, index)` a key was packed from.
+fn unpack(key: u128) -> (Time, u64, u32) {
+    let at = Time::from_nanos((key >> 64) as u64);
+    (at, (key as u64) >> 24, key as u32 & (2 * RUN - 1))
+}
 
 /// Index of the entry just pushed onto a slab now `len` long; it must
-/// leave the [`RUN`] bit free.
+/// lie below [`RUN`], leaving the flag and the seq bits alone.
 fn newest(len: usize) -> u32 {
-    let index = u32::try_from(len - 1).ok();
-    index
-        .filter(|i| i & RUN == 0)
-        .expect("fewer than 2^31 queued events")
+    let index = len - 1;
+    assert!(
+        index < RUN as usize,
+        "fewer than 2^23 queued singles or runs per engine"
+    );
+    index as u32
 }
 
 /// The event queue itself, handed to [`Simulation::handle`] for posting and
@@ -109,10 +139,11 @@ pub struct Scheduler<E> {
     now: Time,
     /// The order seq of the event being handled; `None` before the first.
     now_seq: Option<u64>,
-    /// `(time, order seq, slot)`: one key per queued single that has not
-    /// surfaced yet, tombstones included, and — the slot flagged [`RUN`] —
-    /// one per run in flight, under its earliest pending copy.
-    heap: BinaryHeap<Reverse<(Time, u64, u32)>>,
+    /// `(time, order seq, slot)`, [packed](pack): one key per queued
+    /// single that has not surfaced yet, tombstones included, and — the
+    /// slot flagged [`RUN`] — one per run in flight, under its earliest
+    /// pending copy.
+    heap: BinaryHeap<Key>,
     /// Singles, and the events run copies share.
     slots: Vec<Slot<E>>,
     /// Slots holding nothing queued.
@@ -134,13 +165,27 @@ pub struct Scheduler<E> {
 }
 
 impl<E> Scheduler<E> {
-    /// Posts `event` to fire at absolute time `at`. Posting into the past is
-    /// a programming error and panics here, in the offending handler.
+    /// Posts `event` to fire at absolute time `at`.
+    ///
+    /// # Panics
+    ///
+    /// Posting into the past is a programming error and panics here, in
+    /// the offending handler. So does a post once the engine has handed
+    /// out 2^40 order seqs, or once 2^23 slots are taken at once.
     pub fn post(&mut self, at: Time, event: E) -> EventId {
         assert!(at >= self.now, "posting event into the past");
-        let seq = self.next_seq;
-        self.next_seq += 1;
+        let seq = self.take_seqs(1);
         self.single(at, seq, event)
+    }
+
+    /// Advances the order counter by `seqs`, returning the first taken.
+    fn take_seqs(&mut self, seqs: u64) -> u64 {
+        let first = self.next_seq;
+        self.next_seq = first
+            .checked_add(seqs)
+            .filter(|&next| next <= SEQ_LIMIT)
+            .expect("fewer than 2^40 order seqs per engine");
+        first
     }
 
     /// Queues one event alone under the key `(at, seq)`.
@@ -177,7 +222,7 @@ impl<E> Scheduler<E> {
     }
 
     fn push_key(&mut self, at: Time, seq: u64, slot: u32) {
-        self.heap.push(Reverse((at, seq, slot)));
+        self.heap.push(Reverse(pack(at, seq, slot)));
         self.depth_peak = self.depth_peak.max(self.heap.len());
     }
 
@@ -204,12 +249,14 @@ impl<E> Scheduler<E> {
     ///
     /// # Panics
     ///
-    /// Panics, like [`Scheduler::post`], if a copy lies in the past.
+    /// Panics, like [`Scheduler::post`], if a copy lies in the past, if the
+    /// seqs taken pass the engine's 2^40, or if a slot or a run past the
+    /// first 2^23 would be taken at once.
     pub fn post_run<P>(&mut self, events: &mut Vec<P>, copies: &mut Vec<RunCopy>, seqs: u64)
     where
         E: Retarget + From<P>,
     {
-        self.next_seq += seqs;
+        self.take_seqs(seqs);
         if copies.len() < 2 {
             if let Some((at, seq, target, _)) = copies.pop() {
                 self.check(at, seq);
@@ -236,7 +283,7 @@ impl<E> Scheduler<E> {
             self.slots[slot as usize].copies += 1;
         }
         debug_assert!(events.next().is_none(), "every event is named by a copy");
-        copies.sort_unstable_by_key(|&(at, seq, ..)| Reverse((at, seq)));
+        copies.sort_unstable_by_key(|&(at, seq, ..)| Reverse(pack(at, seq, 0)));
         let &(at, seq, ..) = copies.last().expect("two or more copies");
         let run = self.free_runs.pop().unwrap_or_else(|| {
             self.runs.push(Vec::new());
@@ -283,7 +330,11 @@ impl<E> Scheduler<E> {
     /// ahead of it, and advances the clock to it.
     fn pop(&mut self, until: Time) -> Option<E> {
         loop {
-            let &Reverse((at, seq, slot)) = self.heap.peek().filter(|key| key.0 .0 <= until)?;
+            let &Reverse(key) = self.heap.peek()?;
+            let (at, seq, slot) = unpack(key);
+            if at > until {
+                return None;
+            }
             let event = if slot & RUN == 0 {
                 self.heap.pop();
                 self.release(slot)
@@ -296,7 +347,7 @@ impl<E> Scheduler<E> {
                 let (_, _, target, shared) = run.pop().expect("a run in flight holds a copy");
                 match run.last() {
                     Some(&(next_at, next_seq, ..)) => {
-                        *top = Reverse((next_at, next_seq, slot));
+                        *top = Reverse(pack(next_at, next_seq, slot));
                         drop(top);
                         if run.len() == 1 {
                             run.shrink_to_fit();
@@ -953,6 +1004,83 @@ mod tests {
         let mut e = Engine::new();
         e.post(Time::from_nanos(10), ());
         e.run_to_completion(&mut Backwards);
+    }
+
+    /// The heap element stays one 16-byte integer.
+    const _: () = assert!(std::mem::size_of::<Key>() == 16);
+
+    #[test]
+    fn packed_keys_order_as_time_then_seq_and_read_back() {
+        let mut rng = crate::SimRng::seed_from(33);
+        // Small times and seqs tie often; full-width ones cover every bit.
+        let mut random = |wide: bool| {
+            let (time, seq) = if wide {
+                (rng.next_u64(), rng.below(SEQ_LIMIT))
+            } else {
+                (rng.below(4), rng.below(4))
+            };
+            (
+                Time::from_nanos(time),
+                seq,
+                rng.below(2 * RUN as u64) as u32,
+            )
+        };
+        let mut keys: Vec<(Time, u64, u32)> = (0..2000).map(|i| random(i % 2 == 0)).collect();
+        let top = SEQ_LIMIT - 1;
+        keys.extend([
+            (Time::MAX, top, RUN - 1),
+            (Time::MAX, top, 2 * RUN - 1),
+            (Time::MAX, 0, 0),
+            (Time::ZERO, top, 2 * RUN - 1),
+            (Time::ZERO, 0, RUN),
+            (Time::ZERO, 0, 0),
+        ]);
+        for &(at, seq, index) in &keys {
+            assert_eq!(unpack(pack(at, seq, index)), (at, seq, index));
+        }
+        for pair in keys.windows(2) {
+            let [a, b] = [pair[0], pair[1]];
+            let order = pack(a.0, a.1, a.2).cmp(&pack(b.0, b.1, b.2));
+            if a.1 != b.1 {
+                assert_eq!(order, (a.0, a.1).cmp(&(b.0, b.1)), "{a:?} against {b:?}");
+            }
+            assert_eq!(order, a.cmp(&b), "{a:?} against {b:?}");
+        }
+    }
+
+    /// The message `f` panics with.
+    fn panic_message(f: impl FnOnce()) -> String {
+        let payload =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).expect_err("it panics");
+        payload
+            .downcast_ref::<&str>()
+            .map(|m| m.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_default()
+    }
+
+    #[test]
+    fn the_seq_limit_panics_where_it_is_crossed() {
+        let mut e = Engine::new();
+        e.queue.next_seq = SEQ_LIMIT - 1;
+        e.post(Time::ZERO, Ev::Ping(0)); // the last seq there is
+        let message = panic_message(|| {
+            e.post(Time::ZERO, Ev::Ping(1));
+        });
+        assert!(message.contains("fewer than 2^40 order seqs"), "{message}");
+        let mut e = Engine::<Ev>::new();
+        e.queue.next_seq = SEQ_LIMIT - 2;
+        let message = panic_message(|| e.queue.post_run::<Ev>(&mut Vec::new(), &mut Vec::new(), 3));
+        assert!(message.contains("fewer than 2^40 order seqs"), "{message}");
+    }
+
+    #[test]
+    fn the_slot_limit_panics_where_it_is_crossed() {
+        assert_eq!(newest(RUN as usize), RUN - 1, "the last index there is");
+        let message = panic_message(|| {
+            newest(RUN as usize + 1);
+        });
+        assert!(message.contains("fewer than 2^23 queued"), "{message}");
     }
 
     #[test]

@@ -147,14 +147,19 @@ impl CrashWindow {
 /// The per-node scripts (crash, slow and skew windows) are dense tables
 /// indexed by node id, so the per-message and per-instance probes
 /// ([`FaultPlan::is_crashed`], [`FaultPlan::down_during`]) are one bounds
-/// check and a scan of that node's few windows. A table grows to the
-/// largest node id a fault names; a node no fault names costs nothing to
-/// probe.
+/// check and a scan of that node's few windows. The link windows (cuts
+/// and degradations) sit in the same kind of table, by sender, with one
+/// more row for degradations that filter no sender, so the per-message
+/// probes [`FaultPlan::link_cut`] and [`FaultPlan::degrade`] scan only the
+/// sender's windows and the wildcard ones. A table grows to the largest
+/// node id a fault names; a node no fault names costs nothing to probe.
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
     crashes: Vec<Vec<CrashWindow>>,
-    windows: Vec<OmissionWindow>,
-    degraded: Vec<DegradedWindow>,
+    cuts: Vec<Vec<OmissionWindow>>,
+    degraded: Vec<Vec<DegradedWindow>>,
+    /// Degradations with no sender filter.
+    degraded_any: Vec<DegradedWindow>,
     slows: Vec<Vec<SlowWindow>>,
     skews: Vec<Vec<ClockSkew>>,
 }
@@ -261,7 +266,7 @@ impl FaultPlan {
 
     /// In-place form of [`FaultPlan::cut_link`] for runtime injection.
     pub fn add_cut(&mut self, from: NodeId, to: NodeId, start: Time, end: Time) {
-        self.windows.push(OmissionWindow {
+        row_mut(&mut self.cuts, from).push(OmissionWindow {
             from: Some(from),
             to: Some(to),
             start,
@@ -271,12 +276,7 @@ impl FaultPlan {
 
     /// Drops every message `from → to` sent within `[start, end]`.
     pub fn cut_link(mut self, from: NodeId, to: NodeId, start: Time, end: Time) -> Self {
-        self.windows.push(OmissionWindow {
-            from: Some(from),
-            to: Some(to),
-            start,
-            end,
-        });
+        self.add_cut(from, to, start, end);
         self
     }
 
@@ -314,7 +314,11 @@ impl FaultPlan {
         extra_delay: Duration,
         extra_loss_permille: u32,
     ) {
-        self.degraded.push(DegradedWindow {
+        let windows = match from {
+            Some(from) => row_mut(&mut self.degraded, from),
+            None => &mut self.degraded_any,
+        };
+        windows.push(DegradedWindow {
             from,
             to,
             start,
@@ -327,15 +331,19 @@ impl FaultPlan {
     /// The combined degradation on the directed link `from → to` at `now`:
     /// total extra delay and saturated extra loss (‰) over every matching
     /// window, or `None` when no window matches (the common healthy case —
-    /// callers must draw no randomness then).
+    /// callers must draw no randomness then). Both sums are independent of
+    /// the order the windows were added in.
+    #[inline] // on `Network::transit`'s per-message path
     pub fn degrade(&self, from: NodeId, to: NodeId, now: Time) -> Option<(Duration, u32)> {
         let mut hit = false;
         let mut delay = Duration::ZERO;
         let mut loss: u32 = 0;
-        for w in self.degraded.iter().filter(|w| w.matches(from, to, now)) {
-            hit = true;
-            delay += w.extra_delay;
-            loss = (loss + w.extra_loss_permille).min(1000);
+        for windows in [row(&self.degraded, from), &self.degraded_any] {
+            for w in windows.iter().filter(|w| w.matches(from, to, now)) {
+                hit = true;
+                delay += w.extra_delay;
+                loss = (loss + w.extra_loss_permille).min(1000);
+            }
         }
         hit.then_some((delay, loss))
     }
@@ -454,7 +462,9 @@ impl FaultPlan {
 
     /// Whether the directed link `from → to` is cut at `now` by any window.
     pub fn link_cut(&self, from: NodeId, to: NodeId, now: Time) -> bool {
-        self.windows.iter().any(|w| w.matches(from, to, now))
+        row(&self.cuts, from)
+            .iter()
+            .any(|w| w.matches(from, to, now))
     }
 
     /// All scheduled crash windows as `(node, window)` pairs, ordered by
@@ -548,6 +558,8 @@ mod tests {
             (1000, 0)
         );
         assert!(!p.has_slow_windows(far));
+        assert!(!p.link_cut(far, N0, ns(10)));
+        assert_eq!(p.degrade(far, N0, ns(10)), None);
     }
 
     #[test]
@@ -644,6 +656,28 @@ mod tests {
         assert_eq!(p.degrade(N0, N1, ns(25)), Some((d(7), 700)));
         assert_eq!(p.degrade(N1, N0, ns(12)), None, "directional");
         assert_eq!(p.degrade(N0, N1, ns(31)), None);
+    }
+
+    #[test]
+    fn wildcard_degradations_reach_every_sender_and_stack_with_its_own() {
+        let d = Duration::from_nanos;
+        let p = FaultPlan::new()
+            .degrade_link(N2, N1, ns(10), ns(20), d(5), 600)
+            .cut_link(N2, N0, ns(10), ns(20));
+        let mut q = p.clone();
+        q.add_degrade(None, Some(N1), ns(15), ns(30), d(7), 700);
+        q.add_degrade(Some(N0), None, ns(0), ns(30), d(1), 0);
+        assert_eq!(p.degrade(N0, N1, ns(18)), None, "only N2's row matches");
+        assert_eq!(q.degrade(N0, N1, ns(18)), Some((d(8), 700)));
+        assert_eq!(q.degrade(N2, N1, ns(18)), Some((d(12), 1000)));
+        assert_eq!(q.degrade(N2, N1, ns(25)), Some((d(7), 700)));
+        assert_eq!(
+            q.degrade(N1, N0, ns(18)),
+            None,
+            "the wildcard filters its receiver"
+        );
+        assert!(q.link_cut(N2, N0, ns(15)));
+        assert!(!q.link_cut(N0, N2, ns(15)) && !q.link_cut(N2, N1, ns(15)));
     }
 
     #[test]

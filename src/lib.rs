@@ -86,8 +86,8 @@ pub mod prelude {
         CostModel, DispatchSim, ExecTimeModel, MissPolicy, ResourceProtocol, RunReport, SimConfig,
     };
     pub use hades_fabric::{
-        Arrival, FabricDirector, FabricReport, FabricRun, FabricSpec, HashRing, LoadClass,
-        PopulationWorkload, ShardRouter, ShardStats,
+        Arrival, FabricDirector, FabricError, FabricReport, FabricRun, FabricSpec, HashRing,
+        LoadClass, PopulationWorkload, ShardRouter, ShardStats,
     };
     pub use hades_sched::{
         assign_dm, assign_rm, edf_feasible, EdfAnalysisConfig, EdfPolicy, ModeChange,

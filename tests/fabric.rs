@@ -206,6 +206,21 @@ fn a_profiled_fabric_accounts_for_every_engine_event() {
     assert_eq!(plain.cluster.events(), run.cluster.events());
 }
 
+#[test]
+fn zero_virtual_nodes_are_an_error_not_a_panic() {
+    let spec = FabricSpec::new(6, 4)
+        .class(LoadClass::new("web", 1_000, Duration::from_secs(5)))
+        .vnodes(0);
+    let err = spec
+        .run()
+        .expect_err("a ring with no virtual node is rejected");
+    assert_eq!(err, FabricError::NoVirtualNodes);
+    assert_eq!(
+        err.to_string(),
+        "a fabric's ring needs at least one virtual node per placement"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
