@@ -51,7 +51,7 @@ impl Inner {
                 // the bumped generation.
                 st.chain_gen += 1;
                 let gen = st.chain_gen;
-                sched.post(at, Ev::Activate { task, gen });
+                sched.post(at, Ev::release(task, gen));
             }
             ControlOp::RetireTask { task, at } => {
                 let Some(task) = self.tasks.position(TaskId(task)) else {
@@ -172,7 +172,7 @@ impl Inner {
             if down_since.is_some_and(|d| from >= d) && from <= now && now < until {
                 st.chain_gen += 1;
                 let gen = st.chain_gen;
-                sched.post(now, Ev::Activate { task, gen });
+                sched.post(now, Ev::release(task, gen));
             }
         }
     }

@@ -146,17 +146,53 @@ impl SimConfig {
 /// posted: an event can only name a task that exists.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Ev {
-    Activate { task: usize, gen: u32 },
-    WorkDone { node: u32 },
-    EarliestReached { thread: ThreadId, node: u32 },
-    DeadlineCheck { task: usize, instance: u64 },
-    LatestCheck { thread: ThreadId },
-    RemoteArrive { thread: ThreadId, pred: EuIndex },
-    OmissionCheck { thread: ThreadId, pred: EuIndex },
-    KernelIrq { node: u32, activity: usize },
-    Actor { actor: ActorId, ev: ActorEvent },
-    FaultTransition { node: u32 },
+    /// A release of `task`'s chain `gen`. `check` is the instance whose
+    /// deadline falls on this release: the activation that spawned it
+    /// wrote it here instead of posting its own [`Ev::DeadlineCheck`],
+    /// which would have been delivered right after this event. The check
+    /// runs once the release is handled, whatever the release did.
+    Activate {
+        task: usize,
+        gen: u32,
+        check: Option<u64>,
+    },
+    WorkDone {
+        node: u32,
+    },
+    EarliestReached {
+        thread: ThreadId,
+        node: u32,
+    },
+    DeadlineCheck {
+        task: usize,
+        instance: u64,
+    },
+    LatestCheck {
+        thread: ThreadId,
+    },
+    RemoteArrive {
+        thread: ThreadId,
+        pred: EuIndex,
+    },
+    OmissionCheck {
+        thread: ThreadId,
+        pred: EuIndex,
+    },
+    KernelIrq {
+        node: u32,
+        activity: usize,
+    },
+    Actor {
+        actor: ActorId,
+        ev: ActorEvent,
+    },
+    FaultTransition {
+        node: u32,
+    },
 }
+
+// The engine moves every queued event by value.
+const _: () = assert!(std::mem::size_of::<Ev>() == 32);
 
 /// The profile's event kinds, declared to the probe once
 /// ([`Probe::kinds`]) and indexed by [`Ev::kind`]; the five `actor.`
@@ -179,6 +215,12 @@ const EV_KINDS: [&str; 14] = [
 ];
 
 impl Ev {
+    /// A release of `task`'s chain `gen` that checks no deadline (yet).
+    fn release(task: usize, gen: u32) -> Self {
+        let check = None;
+        Ev::Activate { task, gen, check }
+    }
+
     /// Index of this event's kind in [`EV_KINDS`].
     fn kind(&self) -> usize {
         match self {
@@ -278,7 +320,7 @@ struct InstanceState {
     deadline: Time,
     completed: Option<Time>,
     missed: bool,
-    /// Whether the instance's `DeadlineCheck` has fired; an instance with
+    /// Whether the instance's deadline has been checked; an instance with
     /// no live thread left is dropped once it has — its outcome is final
     /// then ([`settle`]).
     checked: bool,
@@ -561,7 +603,7 @@ impl DispatchSim {
     pub fn activate_at(&mut self, task: TaskId, at: Time) {
         assert!(!self.ran, "simulation already ran");
         let task = self.known(task);
-        self.engine.post(at, Ev::Activate { task, gen: 0 });
+        self.engine.post(at, Ev::release(task, 0));
     }
 
     /// Position of `task` in the task set; panics with `unknown task` if
@@ -606,7 +648,7 @@ impl DispatchSim {
                 if task.arrival.min_separation().is_some() {
                     let window = self.inner.task_state[pos].window;
                     let start = window.map_or(Time::ZERO, |(from, _)| from);
-                    self.engine.post(start, Ev::Activate { task: pos, gen: 0 });
+                    self.engine.post(start, Ev::release(pos, 0));
                 }
             }
         }
@@ -669,7 +711,15 @@ impl Simulation for Inner {
             .probe
             .event(now.as_nanos(), sched.depth(), Some(event.kind()));
         match event {
-            Ev::Activate { task, gen } => self.activate(task, gen, now, sched),
+            Ev::Activate { task, gen, check } => {
+                self.activate(task, gen, now, sched);
+                if let Some(instance) = check {
+                    // Wake what the release woke before the check runs,
+                    // as when the check was an event of its own.
+                    self.wake_notified(now, sched);
+                    self.deadline_check(task, instance, now, sched);
+                }
+            }
             Ev::WorkDone { node } => {
                 // Superseded completions were cancelled; this one is spent, so
                 // even a zero-length successor ending right now arms anew.
@@ -719,8 +769,14 @@ impl Simulation for Inner {
                 }
             }
         }
-        // Engine-time callbacks: wake every actor whose tap fired during
-        // this event, at this instant.
+        self.wake_notified(now, sched);
+    }
+}
+
+impl Inner {
+    /// Engine-time callbacks: wakes every actor whose tap fired during
+    /// the event being handled, at this instant.
+    fn wake_notified(&mut self, now: Time, sched: &mut Scheduler<Ev>) {
         for (to, tag) in self.postbox.drain() {
             sched.post(
                 now,

@@ -23,13 +23,16 @@ impl Inner {
         }
         // Auto re-activation for periodic/sporadic tasks (the chain stays
         // alive across node downtime so a restarted node resumes its load).
+        let mut release = None;
         if self.cfg.auto_activate {
             if let Some(p) = task.arrival.min_separation() {
                 let next = now + p;
                 if next <= Time::ZERO + self.cfg.horizon
                     && window_until.is_none_or(|until| next < until)
                 {
-                    sched.post(next, Ev::Activate { task: pos, gen });
+                    let seq = sched.next_seq();
+                    let id = sched.post(next, Ev::release(pos, gen));
+                    release = Some((id, next, seq));
                 }
             }
         }
@@ -52,16 +55,19 @@ impl Inner {
                     format!("arrival_violation {task_id}")
                 });
         }
-        self.spawn_instance(task, pos, now, sched);
+        self.spawn_instance(task, pos, now, release, sched);
     }
 
     /// Creates the threads of one instance of `task` (at `pos` in the
-    /// task set) activated at `now`.
+    /// task set) activated at `now`. `release` is the task's next
+    /// activation, if the caller just queued one: its id, instant and
+    /// order seq.
     fn spawn_instance(
         &mut self,
         task: &Task,
         pos: usize,
         now: Time,
+        release: Option<(EventId, Time, u64)>,
         sched: &mut Scheduler<Ev>,
     ) -> u64 {
         let instance = self.task_state[pos].instances.next_id();
@@ -185,11 +191,21 @@ impl Inner {
             checked: false,
             sync_waiters: Vec::new(),
         });
-        let check = Ev::DeadlineCheck {
-            task: pos,
-            instance,
-        };
-        sched.post(deadline, check);
+        // A deadline on the next release, with no key taken since that
+        // release was queued, would be checked by the event delivered
+        // right after it: the release checks it instead.
+        let next = release
+            .filter(|&(_, at, seq)| at == deadline && sched.next_seq() == seq + 1)
+            .and_then(|(id, ..)| sched.queued_mut(id));
+        if let Some(Ev::Activate { check, .. }) = next {
+            *check = Some(instance);
+        } else {
+            let check = Ev::DeadlineCheck {
+                task: pos,
+                instance,
+            };
+            sched.post(deadline, check);
+        }
         // Try to unblock every new thread, then reschedule touched nodes.
         for tid in (first_thread..self.threads.next_id()).map(ThreadId) {
             self.try_unblock(tid, now);
@@ -374,7 +390,7 @@ impl Inner {
         let target = tasks
             .position(inv.target)
             .expect("validated invocation target");
-        let inst = self.spawn_instance(&tasks.tasks()[target], target, now, sched);
+        let inst = self.spawn_instance(&tasks.tasks()[target], target, now, None, sched);
         let th = self.threads.get_mut(tid.0).expect("inv thread");
         th.state = ThreadState::Blocked;
         th.remaining = self.cfg.costs.inv_end.max(Duration::from_nanos(1));
@@ -493,7 +509,7 @@ impl Inner {
     }
 
     /// Drops the bookkeeping of instance `key` once nothing can name it
-    /// any more — no live thread left and its `DeadlineCheck` delivered —
+    /// any more — no live thread left and its deadline checked —
     /// and settles its outcome.
     pub(super) fn reap_instance(&mut self, key: InstanceKey, now: Time) {
         let st = &mut self.task_state[key.0];

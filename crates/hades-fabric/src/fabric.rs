@@ -30,6 +30,10 @@ use crate::workload::{LoadClass, PopulationWorkload};
 /// Why a fabric could not be assembled.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FabricError {
+    /// The fabric was asked for zero shards: no key would have a shard.
+    NoShards,
+    /// Placements were asked for zero replicas each.
+    NoReplicas,
     /// The node count does not yield at least two full placements of
     /// `replicas` nodes — with a single placement there is nowhere to
     /// move a shard.
@@ -44,6 +48,9 @@ pub enum FabricError {
     /// The ring was asked for zero virtual nodes per placement, so no
     /// key would have a placement to land on.
     NoVirtualNodes,
+    /// The per-shard request separation floor is zero, so a shard's
+    /// peak admission rate would be unbounded.
+    NoMinGap,
     /// The lowered [`ClusterSpec`] failed validation.
     Cluster(SpecError),
 }
@@ -51,6 +58,8 @@ pub enum FabricError {
 impl fmt::Display for FabricError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            FabricError::NoShards => write!(f, "a fabric needs at least one shard"),
+            FabricError::NoReplicas => write!(f, "placements need at least one replica"),
             FabricError::TooFewPlacements { nodes, replicas } => write!(
                 f,
                 "{nodes} nodes yield fewer than two placements of {replicas} replicas"
@@ -62,6 +71,7 @@ impl fmt::Display for FabricError {
                     "a fabric's ring needs at least one virtual node per placement"
                 )
             }
+            FabricError::NoMinGap => write!(f, "the separation floor must be positive"),
             FabricError::Cluster(e) => write!(f, "lowered cluster spec rejected: {e}"),
         }
     }
@@ -116,7 +126,6 @@ impl FabricSpec {
     /// replication and a light per-request cost (10 µs execute, 2 µs
     /// follower ordering) tuned for population-scale request counts.
     pub fn new(nodes: u32, shards: u32) -> Self {
-        assert!(shards > 0, "a fabric needs at least one shard");
         FabricSpec {
             nodes,
             shards,
@@ -147,7 +156,6 @@ impl FabricSpec {
 
     /// Sets the replicas per placement (default 3).
     pub fn replicas(mut self, replicas: u32) -> Self {
-        assert!(replicas > 0, "placements need at least one replica");
         self.replicas = replicas;
         self
     }
@@ -213,7 +221,6 @@ impl FabricSpec {
     /// microsecond-scale floor would flood the dispatcher with
     /// millions of releases across a hundred-group fabric.
     pub fn min_gap(mut self, min_gap: Duration) -> Self {
-        assert!(!min_gap.is_zero(), "the separation floor must be positive");
         self.min_gap = min_gap;
         self
     }
@@ -223,9 +230,9 @@ impl FabricSpec {
     ///
     /// # Panics
     ///
-    /// Panics if the shape has zero placements (fewer nodes than
-    /// replicas) or zero virtual nodes; [`FabricSpec::run`] reports both
-    /// as a [`FabricError`] instead.
+    /// Panics if the shape has zero shards, zero replicas, zero
+    /// placements (fewer nodes than replicas) or zero virtual nodes;
+    /// [`FabricSpec::run`] reports each as a [`FabricError`] instead.
     pub fn router(&self) -> ShardRouter {
         ShardRouter::new(
             self.shards,
@@ -235,6 +242,12 @@ impl FabricSpec {
 
     /// Assembles the fabric, runs it, and folds the per-shard report.
     pub fn run(self) -> Result<FabricRun, FabricError> {
+        if self.shards == 0 {
+            return Err(FabricError::NoShards);
+        }
+        if self.replicas == 0 {
+            return Err(FabricError::NoReplicas);
+        }
         let placements_n = self.nodes / self.replicas;
         if placements_n < 2 {
             return Err(FabricError::TooFewPlacements {
@@ -247,6 +260,9 @@ impl FabricSpec {
         }
         if self.vnodes == 0 {
             return Err(FabricError::NoVirtualNodes);
+        }
+        if self.min_gap.is_zero() {
+            return Err(FabricError::NoMinGap);
         }
         let router = self.router();
 

@@ -44,6 +44,8 @@
 //! [`EventId`] and cannot be cancelled. A slot is reused, one generation
 //! older, once its key is popped or its last copy delivered, so an
 //! [`EventId`] that outlives its event never touches the next occupant.
+//! The same id reaches a queued single's event to amend it in place
+//! ([`Scheduler::queued_mut`]), under the key it was posted with.
 //!
 //! The engine observes nothing: it keeps two plain integers
 //! ([`Engine::delivered`], [`Engine::depth_peak`]), hands handlers the
@@ -54,8 +56,9 @@ use hades_time::Time;
 use std::cmp::Reverse;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
-/// Identifier of a posted event; used to cancel it before it fires: the
-/// event's slot in the payload slab, and the slot's generation at posting.
+/// Identifier of a posted event; used to cancel or amend it before it
+/// fires: the event's slot in the payload slab, and the slot's generation
+/// at posting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EventId {
     slot: u32,
@@ -317,6 +320,15 @@ impl<E> Scheduler<E> {
         if slot.is_some_and(|s| s.gen == id.gen && s.payload.take().is_some()) {
             self.live -= 1;
         }
+    }
+
+    /// The event of a queued single, to amend in place before it fires;
+    /// its key, and so its place in the delivery order, stays as posted.
+    /// `None` once the event was delivered or cancelled, and for an id
+    /// whose slot has been handed out again.
+    pub fn queued_mut(&mut self, id: EventId) -> Option<&mut E> {
+        let slot = self.slots.get_mut(id.slot as usize);
+        slot.filter(|s| s.gen == id.gen)?.payload.as_mut()
     }
 
     /// Keys in the queue right now — one per queued single, tombstones
@@ -651,6 +663,35 @@ mod tests {
                 (Time::from_nanos(3), Ev::Ping(3)),
             ]
         );
+    }
+
+    #[test]
+    fn a_queued_single_is_amended_in_place_while_its_id_is_live() {
+        let mut e = Engine::new();
+        let first = e.post(Time::from_nanos(1), Ev::Ping(1));
+        let later = e.post(Time::from_nanos(1), Ev::Ping(2));
+        *e.queue.queued_mut(first).expect("queued") = Ev::Chain(0);
+        assert_eq!(e.queue.queued_mut(first), Some(&mut Ev::Chain(0)));
+        let mut sim = Recorder::default();
+        e.run_to_completion(&mut sim);
+        assert_eq!(
+            sim.seen,
+            vec![
+                (Time::from_nanos(1), Ev::Chain(0)),
+                (Time::from_nanos(1), Ev::Ping(2)),
+            ],
+            "the amended event keeps its place"
+        );
+        assert_eq!(e.queue.queued_mut(first), None, "delivered");
+        let cancelled = e.post(Time::from_nanos(2), Ev::Ping(3));
+        e.cancel(cancelled);
+        assert_eq!(e.queue.queued_mut(cancelled), None, "cancelled");
+        e.run_to_completion(&mut sim);
+        let next = e.post(Time::from_nanos(3), Ev::Ping(4));
+        assert_eq!(cancelled.slot, next.slot, "the freed slot is reused");
+        assert_eq!(e.queue.queued_mut(cancelled), None, "reused");
+        assert_eq!(e.queue.queued_mut(later), None, "reused by an older id");
+        assert_eq!(e.queue.queued_mut(next), Some(&mut Ev::Ping(4)));
     }
 
     #[test]

@@ -221,6 +221,35 @@ fn zero_virtual_nodes_are_an_error_not_a_panic() {
     );
 }
 
+/// The error `run` reports for a fabric of `nodes` nodes and `shards`
+/// shards under one web class, shaped further by `shape`.
+fn shape_error(nodes: u32, shards: u32, shape: fn(FabricSpec) -> FabricSpec) -> FabricError {
+    let spec =
+        FabricSpec::new(nodes, shards).class(LoadClass::new("web", 1_000, Duration::from_secs(5)));
+    shape(spec).run().expect_err("the shape is rejected")
+}
+
+#[test]
+fn zero_shards_are_an_error_not_a_panic() {
+    let err = shape_error(6, 0, |spec| spec);
+    assert_eq!(err, FabricError::NoShards);
+    assert_eq!(err.to_string(), "a fabric needs at least one shard");
+}
+
+#[test]
+fn zero_replicas_are_an_error_not_a_panic() {
+    let err = shape_error(6, 4, |spec| spec.replicas(0));
+    assert_eq!(err, FabricError::NoReplicas);
+    assert_eq!(err.to_string(), "placements need at least one replica");
+}
+
+#[test]
+fn a_zero_separation_floor_is_an_error_not_a_panic() {
+    let err = shape_error(6, 4, |spec| spec.min_gap(Duration::ZERO));
+    assert_eq!(err, FabricError::NoMinGap);
+    assert_eq!(err.to_string(), "the separation floor must be positive");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 

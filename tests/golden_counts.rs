@@ -24,20 +24,20 @@
 //! columns above, which they contain — and says so in CHANGES.md; a
 //! refactor of the observation plumbing must leave them where they are.
 //!
-//! Last re-record (PR 23, one heap key per handler batch and one silence
-//! time-out per agent): `engine.events` / `queue_depth_peak` 23 436 →
-//! 15 938 / 1 965 → 349 on `cluster24`, 92 679 → 60 435 / 8 670 → 677 on
-//! `cluster48`, 385 837 → 252 267 / 44 604 → 1 377 on `cluster96`,
-//! 185 996 → 178 479 / 2 900 → 1 370 on the fabric row, and the
-//! `metrics` / `profile` digests with them (`engine.events`,
-//! `engine.queue_depth_peak`, `actors.timer_events`; the profile's
-//! `total_events` and the share derived from it, the `actor.timer` kind
-//! row, `events` / `queue_depth_max` / `actor.timer` of the interval
-//! rows, the `("agent", "timer")` actor rows and their folded lines —
-//! nothing else). The events that went are the silence time-outs a later
-//! heartbeat had already voided (one per heartbeat received, before);
-//! the depth fell because it counts heap keys, and a handler's whole
-//! batch — a heartbeat's 95 copies — now rides one.
+//! Last re-record (a deadline that falls on its task's next release is
+//! checked by that release): `engine.events` / `queue_depth_peak`
+//! 15 938 → 14 940 / 349 → 226 on `cluster24`, 60 435 → 58 549 /
+//! 677 → 437 on `cluster48`, 252 267 → 248 605 / 1 377 → 900 on
+//! `cluster96`, 178 479 → 132 674 / 1 370 → 914 on the fabric row, and
+//! the `metrics` / `profile` digests with them (`engine.events`,
+//! `engine.queue_depth_peak`; the profile's `total_events` and the
+//! heartbeat event share derived from it, the `deadline_check` kind row
+//! and its folded line, and `events` / `queue_depth_max` / the
+//! `deadline_check` mix of the interval rows — nothing else). The events
+//! that went are the deadline checks that fell on the task's next
+//! release and were delivered right after it; that release now runs the
+//! check itself, so a periodic task with D = P holds one heap key, not
+//! two.
 
 use hades::prelude::*;
 use hades_telemetry::MetricsSnapshot;
@@ -161,10 +161,10 @@ fn metrics_hash(m: &MetricsSnapshot) -> u64 {
 #[test]
 fn cluster24() {
     let spans = (48, 0xbf96_ca99_59ee_5ae2);
-    let run = assert_cluster_row(24, [15_938, 8_284, 349, 1_031], spans);
+    let run = assert_cluster_row(24, [14_940, 8_284, 226, 1_031], spans);
     let metrics = metrics_hash(&run.telemetry().metrics);
     assert_eq!(
-        metrics, 0x0642_6ac1_69dc_069f,
+        metrics, 0xe0b7_33cc_0fc3_82ed,
         "metrics: FNV-1a of the snapshot JSONL"
     );
     let profiled = perf_scenario(24, 7, ms(30))
@@ -175,7 +175,7 @@ fn cluster24() {
     let export = profile.to_jsonl() + &profile.to_folded();
     let got = fnv1a(export.as_bytes());
     assert_eq!(
-        got, 0xd084_a1f8_6a78_f0e9,
+        got, 0xde10_c1c2_dd39_5544,
         "profile: FNV-1a of the JSONL + folded export"
     );
 }
@@ -183,13 +183,13 @@ fn cluster24() {
 #[test]
 fn cluster48() {
     let spans = (48, 0x18c6_4043_4f61_68d5);
-    assert_cluster_row(48, [60_435, 34_972, 677, 1_943], spans);
+    assert_cluster_row(48, [58_549, 34_972, 437, 1_943], spans);
 }
 
 #[test]
 fn cluster96() {
     let spans = (48, 0x1844_cd72_f324_9d13);
-    assert_cluster_row(96, [252_267, 143_644, 1_377, 3_767], spans);
+    assert_cluster_row(96, [248_605, 143_644, 900, 3_767], spans);
 }
 
 #[test]
@@ -199,11 +199,11 @@ fn fabric_1m() {
         .run()
         .expect("valid fabric spec");
     let response = [3_003, 134_000, 134_000, 134_000];
-    let counts = [178_479, 8_326, 1_370, 46_302];
+    let counts = [132_674, 8_326, 914, 46_302];
     assert_row(&run.metrics, counts, "fabric.response_ns", response);
     let metrics = metrics_hash(&run.metrics);
     assert_eq!(
-        metrics, 0xf826_9a04_2381_6f47,
+        metrics, 0x615c_a174_3133_b59d,
         "metrics: FNV-1a of the snapshot JSONL"
     );
 }
