@@ -425,23 +425,17 @@ impl Lowered {
             if home != node {
                 continue;
             }
-            let Some(period) = task.arrival.min_separation() else {
+            let Some(task) = spuri_of(task, node) else {
                 continue;
             };
-            let c = task.wcet();
-            let permille = (c.as_nanos() * 1000 / period.as_nanos().max(1)) as u32;
+            let permille =
+                (task.total_c().as_nanos() * 1000 / task.pseudo_period.as_nanos().max(1)) as u32;
             if is_mw {
                 mw_util += permille;
             } else {
                 app_util += permille;
             }
-            spuri.push(SpuriTask::independent(
-                task.id,
-                format!("n{node}.{}", task.name()),
-                c,
-                task.deadline,
-                period,
-            ));
+            spuri.push(task);
         }
         // Utilization figures come from the EDF demand analysis (they are
         // load measures, not verdicts); the feasibility verdicts use the

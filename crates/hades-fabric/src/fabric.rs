@@ -45,6 +45,12 @@ pub enum FabricError {
     },
     /// No load class was registered — the fabric would be idle.
     NoClasses,
+    /// A load class has no clients, no think time, or a `Bursty`
+    /// cycle of zero length ([`LoadClass::is_valid`]).
+    InvalidLoadClass {
+        /// The class's name.
+        name: String,
+    },
     /// The ring was asked for zero virtual nodes per placement, so no
     /// key would have a placement to land on.
     NoVirtualNodes,
@@ -65,6 +71,10 @@ impl fmt::Display for FabricError {
                 "{nodes} nodes yield fewer than two placements of {replicas} replicas"
             ),
             FabricError::NoClasses => write!(f, "a fabric needs at least one load class"),
+            FabricError::InvalidLoadClass { name } => write!(
+                f,
+                "load class {name:?} needs a client, a positive think time and a non-empty burst cycle"
+            ),
             FabricError::NoVirtualNodes => {
                 write!(
                     f,
@@ -263,6 +273,11 @@ impl FabricSpec {
         }
         if self.min_gap.is_zero() {
             return Err(FabricError::NoMinGap);
+        }
+        if let Some(class) = self.classes.iter().find(|c| !c.is_valid()) {
+            return Err(FabricError::InvalidLoadClass {
+                name: class.name.clone(),
+            });
         }
         let router = self.router();
 

@@ -89,12 +89,10 @@ pub struct LoadClass {
 impl LoadClass {
     /// A Poisson class of `clients` clients thinking `think` each.
     ///
-    /// # Panics
-    ///
-    /// Panics if `clients` is zero or `think` is zero.
+    /// Zero clients or a zero think time make a class that is not
+    /// [`valid`](LoadClass::is_valid): `FabricSpec::run` reports it as
+    /// `FabricError::InvalidLoadClass`.
     pub fn new(name: impl Into<String>, clients: u64, think: Duration) -> Self {
-        assert!(clients > 0, "a load class needs at least one client");
-        assert!(!think.is_zero(), "think time must be positive");
         LoadClass {
             name: name.into(),
             clients,
@@ -109,10 +107,20 @@ impl LoadClass {
         self
     }
 
+    /// Whether the class can generate a stream: at least one client, a
+    /// positive think time, and a `Bursty` cycle (`on + off`) that is
+    /// not empty.
+    pub fn is_valid(&self) -> bool {
+        let empty_cycle =
+            matches!(self.arrival, Arrival::Bursty { on, off } if on.is_zero() && off.is_zero());
+        self.clients > 0 && !self.think.is_zero() && !empty_cycle
+    }
+
     /// Mean aggregate inter-arrival gap, `think / clients`, floored at
-    /// one nanosecond tick.
+    /// one nanosecond tick; `Duration::MAX` for a class of no clients.
     pub fn mean_gap(&self) -> Duration {
-        Duration::from_nanos((self.think.as_nanos() / self.clients).max(1))
+        let gap = self.think.as_nanos().checked_div(self.clients);
+        Duration::from_nanos(gap.unwrap_or(u64::MAX).max(1))
     }
 }
 
@@ -171,8 +179,12 @@ impl PopulationWorkload {
     /// Materializes the aggregate stream as `(instant, key)` pairs —
     /// strictly increasing instants in `[start, horizon)`, each stamped
     /// with a deterministic 64-bit request key the router hashes onto a
-    /// shard.
+    /// shard. A class that is not [`valid`](LoadClass::is_valid) has an
+    /// empty stream.
     pub fn events(&self, horizon: Duration) -> Vec<(Time, u64)> {
+        if !self.class.is_valid() {
+            return Vec::new();
+        }
         let end = Time::ZERO + horizon;
         let mean_ns = self.class.mean_gap().as_nanos();
         let floor_ns = self.floor.as_nanos();

@@ -68,6 +68,7 @@
 use crate::memberset::{MemberSet, MAX_NODES};
 use crate::membership::View;
 use crate::recovery::{RecoveryConfig, RejoinRecord};
+use crate::wire;
 use hades_sim::mux::{ActorCtx, ActorEvent, ActorId, NetActor, Place};
 use hades_sim::{ActorEngine, Network, NodeId};
 use hades_telemetry::monitor::{MonitorEvent, ProtocolTap};
@@ -99,7 +100,7 @@ const MSG_NACK: u64 = 7;
 /// only — the joiner's durable checkpoint already covers the snapshot.
 const MSG_DSYNC: u64 = 8;
 
-/// Timer kinds (upper 4 bits of the tag; dispatch is on `tag >> 60`).
+/// Timer kinds (the kind field of a [`wire::TIMER`] tag).
 const KIND_HB_TICK: u64 = 1;
 const KIND_TIMEOUT: u64 = 2;
 const KIND_ROUND: u64 = 3;
@@ -112,10 +113,6 @@ const KIND_NACK: u64 = 8;
 /// Most missing chunks NACKed per gap-detection round; the next round
 /// picks up the remainder once these retransmissions land.
 const NACK_BATCH: u64 = 64;
-
-fn tag(kind: u64, body: u64) -> u64 {
-    (kind << 60) | body
-}
 
 /// The profiling label of [`NodeAgent`] actors (see
 /// `hades_sim::mux::NetActor::label`).
@@ -143,105 +140,10 @@ pub fn agent_msg_name(tag: u64) -> Option<&'static str> {
 /// (`class == "send"`).
 pub fn agent_is_heartbeat(class: &str, tag: u64) -> bool {
     match class {
-        "timer" => tag >> 60 == KIND_HB_TICK,
+        "timer" => wire::TIMER.unpack(tag)[0] == KIND_HB_TICK,
         "message" | "send" => tag == MSG_HB,
         _ => false,
     }
-}
-
-fn hb_tag(epoch: u64) -> u64 {
-    tag(KIND_HB_TICK, epoch & 0xFFFF)
-}
-
-fn round_tag(target: u32, round: u32) -> u64 {
-    tag(KIND_ROUND, ((target as u64) << 16) | round as u64)
-}
-
-fn xfer_tag(to: u32, seq: u64) -> u64 {
-    tag(KIND_XFER, ((to as u64) << 32) | (seq & 0xFFFF_FFFF))
-}
-
-fn replay_tag(epoch: u64) -> u64 {
-    tag(KIND_REPLAY, epoch & 0xFFFF)
-}
-
-/// View-change word: target view (16 bits) | word index (8 bits) | word
-/// bits (32 bits).
-fn vc_payload(target: u32, widx: u32, bits: u32) -> u64 {
-    ((target as u64 & 0xFFFF) << 48) | ((widx as u64 & 0xFF) << 32) | bits as u64
-}
-
-fn vc_decode(payload: u64) -> (u32, u32, u32) {
-    (
-        ((payload >> 48) & 0xFFFF) as u32,
-        ((payload >> 32) & 0xFF) as u32,
-        payload as u32,
-    )
-}
-
-/// Join announcement: epoch (16 bits) | announcer's last installed view
-/// (16 bits) | durable checkpoint generation (32 bits). The checkpoint
-/// cursor lets the server offer a delta transfer; the view lets a
-/// total-failure bootstrap pick a view number past every view any
-/// announcer has installed (view numbers never regress cluster-wide).
-fn join_payload(epoch: u64, view: u32, ckpt_gen: u64) -> u64 {
-    ((epoch & 0xFFFF) << 48) | ((view as u64 & 0xFFFF) << 32) | (ckpt_gen & 0xFFFF_FFFF)
-}
-
-fn join_decode(payload: u64) -> (u64, u32, u64) {
-    (
-        (payload >> 48) & 0xFFFF,
-        ((payload >> 32) & 0xFFFF) as u32,
-        payload & 0xFFFF_FFFF,
-    )
-}
-
-/// Selective-retransmission request: epoch (16 bits) | missing chunk
-/// sequence number (24 bits).
-fn nack_payload(epoch: u64, seq: u64) -> u64 {
-    ((epoch & 0xFFFF) << 48) | (seq & 0xFF_FFFF)
-}
-
-fn nack_decode(payload: u64) -> (u64, u64) {
-    ((payload >> 48) & 0xFFFF, payload & 0xFF_FFFF)
-}
-
-fn sync_payload(epoch: u64, log_tail: u64, view: u32) -> u64 {
-    ((epoch & 0xFFFF) << 48) | ((log_tail & 0xFFFF) << 32) | view as u64
-}
-
-fn sync_decode(payload: u64) -> (u64, u64, u32) {
-    (
-        (payload >> 48) & 0xFFFF,
-        (payload >> 32) & 0xFFFF,
-        payload as u32,
-    )
-}
-
-fn ckpt_payload(epoch: u64, seq: u64, total: u64) -> u64 {
-    ((epoch & 0xFFFF) << 48) | ((seq & 0xFF_FFFF) << 24) | (total & 0xFF_FFFF)
-}
-
-fn ckpt_decode(payload: u64) -> (u64, u64, u64) {
-    (
-        (payload >> 48) & 0xFFFF,
-        (payload >> 24) & 0xFF_FFFF,
-        payload & 0xFF_FFFF,
-    )
-}
-
-/// Membership word of a transfer preamble: epoch (16 bits) | word index
-/// (8 bits) | word bits (32 bits).
-fn mask_payload(epoch: u64, widx: u32, bits: u32) -> u64 {
-    ((epoch & 0xFFFF) << 48) | ((widx as u64 & 0xFF) << 32) | bits as u64
-}
-
-fn mask_decode(payload: u64) -> (u64, u32, u32) {
-    (
-        (payload >> 48) & 0xFFFF,
-        ((payload >> 32) & 0xFF) as u32,
-        payload as u32,
-    )
 }
 
 /// Static configuration of one node's agent.
@@ -653,7 +555,10 @@ impl NodeAgent {
     /// one already queued; otherwise the fire of an earlier one re-arms.
     fn arm(&mut self, place: Place, ctx: &mut ActorCtx<'_>) {
         if self.armed.iter().all(|queued| place < *queued) {
-            ctx.timer_in(place, tag(KIND_TIMEOUT, place.seq));
+            ctx.timer_in(
+                place,
+                wire::TIMER.pack([KIND_TIMEOUT, wire::TIMEOUT.pack([place.seq])]),
+            );
             self.armed.push(place);
         }
     }
@@ -661,7 +566,7 @@ impl NodeAgent {
     /// Arms at the earliest live deadline: after a fire, and after a
     /// restart forgot what the outage swallowed. (A scan of every peer —
     /// never done per heartbeat.)
-    fn rearm(&mut self, ctx: &mut ActorCtx<'_>) {
+    pub(super) fn rearm(&mut self, ctx: &mut ActorCtx<'_>) {
         let held_over = self.held_over.iter().map(|(_, place)| place);
         if let Some(&earliest) = self.deadline.iter().flatten().chain(held_over).min() {
             self.arm(earliest, ctx);
@@ -680,7 +585,7 @@ impl NodeAgent {
     }
 
     /// Records one more silence deadline of `peer`, `T₀` from now.
-    fn add_deadline(&mut self, peer: u32, now: Time, ctx: &mut ActorCtx<'_>) {
+    pub(super) fn add_deadline(&mut self, peer: u32, now: Time, ctx: &mut ActorCtx<'_>) {
         let place = ctx.reserve(now + self.cfg.timeout(ctx.max_delay()));
         if let Some(earlier) = self.deadline[peer as usize].replace(place) {
             self.held_over.push((peer, earlier));
@@ -690,7 +595,7 @@ impl NodeAgent {
 
     /// `peer` gave a sign of life: its earlier deadlines are void, the
     /// next is `T₀` from now.
-    fn watch(&mut self, peer: u32, now: Time, ctx: &mut ActorCtx<'_>) {
+    pub(super) fn watch(&mut self, peer: u32, now: Time, ctx: &mut ActorCtx<'_>) {
         self.deadline[peer as usize] = None;
         self.held_over.retain(|&(held, _)| held != peer);
         self.add_deadline(peer, now, ctx);
@@ -700,23 +605,31 @@ impl NodeAgent {
         self.mask_got.iter().all(|g| *g)
     }
 
-    fn broadcast(&self, ctx: &mut ActorCtx<'_>, tag: u64, payload: u64) {
-        let mut sent = 0u64;
-        let mut suppressed = 0u64;
-        for peer in 0..self.cfg.nodes {
-            if NodeId(peer) != self.cfg.node {
-                if ctx.send(ActorId(peer), NodeId(peer), tag, payload) {
-                    sent += 1;
-                } else {
-                    suppressed += 1;
-                }
-            }
-        }
-        if tag == MSG_HB {
+    /// Every agent as a fan-out target: agent *i* is actor *i* on node
+    /// *i* ([`AgentConfig::nodes`]), and a fan-out skips the sender.
+    fn peers(&self) -> impl Iterator<Item = (ActorId, NodeId)> {
+        (0..self.cfg.nodes).map(|p| (ActorId(p), NodeId(p)))
+    }
+
+    /// Sends a heartbeat to every peer, counting the copies the network
+    /// accepted and refused, and arms the next one `H` from now.
+    pub(super) fn heartbeat(&self, ctx: &mut ActorCtx<'_>) {
+        let sent = ctx.fanout(self.peers(), MSG_HB, 0, 1) as u64;
+        {
             let mut log = self.log.borrow_mut();
             log.heartbeats_sent += sent;
-            log.heartbeats_suppressed += suppressed;
+            log.heartbeats_suppressed += (self.cfg.nodes - 1) as u64 - sent;
         }
+        ctx.timer_after(
+            self.cfg.heartbeat_period,
+            wire::epoch_timer(KIND_HB_TICK, self.epoch),
+        );
+    }
+
+    /// Announces this node's rejoin to every peer.
+    fn announce_join(&self, ctx: &mut ActorCtx<'_>) {
+        let payload = wire::JOIN.pack([self.epoch, self.view_number as u64, self.durable_ckpt_gen]);
+        ctx.fanout(self.peers(), MSG_JOIN, payload, 1);
     }
 
     /// Sends the given wire words of a view-change proposal to every
@@ -730,18 +643,10 @@ impl NodeAgent {
         } else {
             1
         };
-        let targets: Vec<(ActorId, NodeId)> = (0..self.cfg.nodes)
-            .filter(|p| NodeId(*p) != self.cfg.node)
-            .map(|p| (ActorId(p), NodeId(p)))
-            .collect();
         let mut sent = 0u64;
-        for (widx, bits) in words {
-            sent += ctx.fanout(
-                targets.iter().copied(),
-                MSG_VC,
-                vc_payload(target, *widx, *bits),
-                attempts,
-            ) as u64;
+        for &(widx, bits) in words {
+            let payload = wire::VC.pack([target as u64, widx as u64, bits as u64]);
+            sent += ctx.fanout(self.peers(), MSG_VC, payload, attempts) as u64;
         }
         self.log.borrow_mut().vc_messages_sent += sent;
     }
@@ -767,7 +672,7 @@ impl NodeAgent {
     /// through the members' own sends, so a proposer's crash cannot hide
     /// its contribution — its atomic multicast either reached everyone
     /// or no one). The flood transport rebroadcasts every round instead.
-    fn begin_change(&mut self, now: Time, ctx: &mut ActorCtx<'_>) {
+    pub(super) fn begin_change(&mut self, now: Time, ctx: &mut ActorCtx<'_>) {
         let mut own = self.view_mask.union(&self.joining);
         own.subtract(&self.excluded);
         let words = self.cfg.wire_words();
@@ -797,18 +702,22 @@ impl NodeAgent {
                 let round = self.cfg.round_length(ctx.max_delay());
                 if !self.cfg.vc_delta_multicast {
                     for r in 1..=self.cfg.f {
-                        ctx.timer_at(now + round.saturating_mul(r as u64), round_tag(target, r));
+                        let body = wire::ROUND.pack([target as u64, r as u64]);
+                        ctx.timer_at(
+                            now + round.saturating_mul(r as u64),
+                            wire::TIMER.pack([KIND_ROUND, body]),
+                        );
                     }
                 }
                 ctx.timer_at(
                     now + round.saturating_mul(self.cfg.f as u64 + 1),
-                    tag(KIND_DECIDE, target as u64),
+                    wire::TIMER.pack([KIND_DECIDE, wire::DECIDE.pack([target as u64])]),
                 );
             }
         }
     }
 
-    fn install(&mut self, target: u32, now: Time, ctx: &mut ActorCtx<'_>) {
+    pub(super) fn install(&mut self, target: u32, now: Time, ctx: &mut ActorCtx<'_>) {
         let matches = self.changing.as_ref().is_some_and(|c| c.target == target);
         if !matches {
             return;
@@ -880,7 +789,7 @@ impl NodeAgent {
     /// not the server for stay queued: a later view change may make it
     /// the server (e.g. when the previous server is excluded), and
     /// entries of re-admitted joiners are pruned at install.
-    fn drain_pending_joins(&mut self, now: Time, ctx: &mut ActorCtx<'_>) {
+    pub(super) fn drain_pending_joins(&mut self, now: Time, ctx: &mut ActorCtx<'_>) {
         let mut i = 0;
         while i < self.pending_joins.len() {
             if self.serving.is_some() || self.changing.is_some() {
@@ -899,7 +808,7 @@ impl NodeAgent {
 
     /// The joiner is back in the view: close the rejoin record and resume
     /// detection duty.
-    fn finish_rejoin(&mut self, view: u32, now: Time, ctx: &mut ActorCtx<'_>) {
+    pub(super) fn finish_rejoin(&mut self, view: u32, now: Time, ctx: &mut ActorCtx<'_>) {
         self.rejoining = false;
         self.heard_joins.clear();
         self.stall_rounds = 0;
@@ -965,7 +874,7 @@ impl NodeAgent {
         self.nack_armed = true;
         self.xfer_seen_at_nack = self.xfer_seen;
         let delay = self.nack_delay(ctx.max_delay());
-        ctx.timer_after(delay, tag(KIND_NACK, self.epoch & 0xFFFF));
+        ctx.timer_after(delay, wire::epoch_timer(KIND_NACK, self.epoch));
     }
 
     /// Re-sends the stored preamble of the transfer in flight (the joiner
@@ -975,14 +884,11 @@ impl NodeAgent {
         let to = ActorId(t.to);
         let node = NodeId(t.to);
         let kind = if t.delta { MSG_DSYNC } else { MSG_SYNC };
-        ctx.send(to, node, kind, sync_payload(t.to_epoch, t.log_tail, t.view));
+        let sync = wire::SYNC.pack([t.to_epoch, t.log_tail, t.view as u64]);
+        ctx.send(to, node, kind, sync);
         for w in 0..self.cfg.wire_words() {
-            ctx.send(
-                to,
-                node,
-                MSG_MASK,
-                mask_payload(t.to_epoch, w, t.mask.wire_word(w)),
-            );
+            let mask = wire::MASK.pack([t.to_epoch, w as u64, t.mask.wire_word(w) as u64]);
+            ctx.send(to, node, MSG_MASK, mask);
         }
     }
 
@@ -1082,7 +988,7 @@ impl NodeAgent {
             ActorId(t.to),
             NodeId(t.to),
             MSG_CKPT,
-            ckpt_payload(t.to_epoch, t.next, t.total),
+            wire::CKPT.pack([t.to_epoch, t.next, t.total]),
         );
         t.next += 1;
         let (done, next_seq, to) = (t.next >= t.total, t.next, t.to);
@@ -1094,7 +1000,11 @@ impl NodeAgent {
             self.last_served = self.serving.take();
             self.drain_pending_joins(now, ctx);
         } else {
-            ctx.timer_after(self.cfg.recovery.chunk_interval, xfer_tag(to, next_seq));
+            let body = wire::XFER.pack([to as u64, next_seq]);
+            ctx.timer_after(
+                self.cfg.recovery.chunk_interval,
+                wire::TIMER.pack([KIND_XFER, body]),
+            );
         }
     }
 
@@ -1117,14 +1027,15 @@ impl NodeAgent {
         self.emit(now, |node| MonitorEvent::TransferCompleted { node });
         ctx.timer_at(
             now + self.cfg.recovery.replay_time(self.log_tail),
-            replay_tag(self.epoch),
+            wire::epoch_timer(KIND_REPLAY, self.epoch),
         );
     }
 
     fn on_timer(&mut self, now: Time, t: u64, ctx: &mut ActorCtx<'_>) {
-        match t >> 60 {
+        let [kind, body] = wire::TIMER.unpack(t);
+        match kind {
             KIND_HB_TICK => {
-                if t & 0xFFFF != self.epoch & 0xFFFF {
+                if !wire::same_epoch(body, self.epoch) {
                     return; // tick of a previous life
                 }
                 if !self.rejoining {
@@ -1137,14 +1048,13 @@ impl NodeAgent {
                         .durable_ckpt_gen
                         .max(self.cfg.recovery.checkpoint_gen_at(now));
                 }
-                self.broadcast(ctx, MSG_HB, 0);
-                ctx.timer_after(self.cfg.heartbeat_period, hb_tag(self.epoch));
+                self.heartbeat(ctx);
             }
             KIND_TIMEOUT => {
                 // The place this fire was queued in is the tag's body. Only
                 // a deadline still live there means silence; either way the
                 // next earliest takes the queue.
-                let seq = t & ((1 << 60) - 1);
+                let [seq] = wire::TIMEOUT.unpack(body);
                 self.armed.retain(|queued| queued.seq != seq);
                 let due = self.take_deadline(seq);
                 self.rearm(ctx);
@@ -1164,7 +1074,8 @@ impl NodeAgent {
                 }
             }
             KIND_ROUND => {
-                let target = ((t >> 16) & 0xFFFF) as u32;
+                let [target, _round] = wire::ROUND.unpack(body);
+                let target = target as u32;
                 let words = match &self.changing {
                     Some(c) if c.target == target => Some(self.all_words(&c.proposal)),
                     _ => None,
@@ -1173,10 +1084,10 @@ impl NodeAgent {
                     self.send_proposal_words(ctx, target, &words);
                 }
             }
-            KIND_DECIDE => self.install((t & 0xFFFF) as u32, now, ctx),
+            KIND_DECIDE => self.install(wire::DECIDE.unpack(body)[0] as u32, now, ctx),
             KIND_XFER => {
-                let to = ((t >> 32) & 0x0FFF_FFFF) as u32;
-                let seq = t & 0xFFFF_FFFF;
+                let [to, seq] = wire::XFER.unpack(body);
+                let to = to as u32;
                 if self
                     .serving
                     .as_ref()
@@ -1186,7 +1097,7 @@ impl NodeAgent {
                 }
             }
             KIND_JOIN_RETRY => {
-                if t & 0xFFFF != self.epoch & 0xFFFF || !self.rejoining || self.replayed {
+                if !wire::same_epoch(body, self.epoch) || !self.rejoining || self.replayed {
                     return;
                 }
                 let complete = self.xfer_total.is_some_and(|total| self.xfer_seen >= total);
@@ -1200,11 +1111,7 @@ impl NodeAgent {
                     // server exists (the true wedge — a joiner that went
                     // silent — stops re-announcing and still trips it).
                     self.emit(now, |node| MonitorEvent::RejoinAnnounced { node });
-                    self.broadcast(
-                        ctx,
-                        MSG_JOIN,
-                        join_payload(self.epoch, self.view_number, self.durable_ckpt_gen),
-                    );
+                    self.announce_join(ctx);
                     self.log.borrow_mut().join_retries += 1;
                     if !self.have_sync {
                         self.stall_rounds += 1;
@@ -1226,11 +1133,11 @@ impl NodeAgent {
                 self.xfer_seen_at_retry = self.xfer_seen;
                 ctx.timer_after(
                     self.cfg.heartbeat_period,
-                    tag(KIND_JOIN_RETRY, self.epoch & 0xFFFF),
+                    wire::epoch_timer(KIND_JOIN_RETRY, self.epoch),
                 );
             }
             KIND_NACK => {
-                if t & 0xFFFF != self.epoch & 0xFFFF {
+                if !wire::same_epoch(body, self.epoch) {
                     return; // round of a previous life
                 }
                 self.nack_armed = false;
@@ -1253,14 +1160,15 @@ impl NodeAgent {
                         .take(NACK_BATCH as usize)
                         .collect();
                     for seq in missing {
-                        ctx.send(server.0, server.1, MSG_NACK, nack_payload(self.epoch, seq));
+                        let nack = wire::NACK.pack([self.epoch, seq]);
+                        ctx.send(server.0, server.1, MSG_NACK, nack);
                         self.nacked.insert(seq);
                     }
                 }
                 self.arm_nack(ctx);
             }
             KIND_REPLAY => {
-                if t & 0xFFFF != self.epoch & 0xFFFF || self.replayed || !self.rejoining {
+                if !wire::same_epoch(body, self.epoch) || self.replayed || !self.rejoining {
                     return;
                 }
                 self.replayed = true;
@@ -1282,7 +1190,7 @@ impl NodeAgent {
         }
     }
 
-    fn on_restart(&mut self, now: Time, ctx: &mut ActorCtx<'_>) {
+    pub(super) fn on_restart(&mut self, now: Time, ctx: &mut ActorCtx<'_>) {
         self.log.borrow_mut().restarts.push(now);
         // The host dropped every delivery of the outage: a deadline that
         // came due in it is gone unfired, and so is a time-out queued in
@@ -1302,7 +1210,7 @@ impl NodeAgent {
     /// fresh epoch, all volatile protocol state dropped. Used on a cold
     /// restart and by the self-heal path when the cluster excluded a
     /// live node.
-    fn begin_rejoin(&mut self, now: Time, ctx: &mut ActorCtx<'_>) {
+    pub(super) fn begin_rejoin(&mut self, now: Time, ctx: &mut ActorCtx<'_>) {
         self.epoch += 1;
         self.rejoining = true;
         self.have_sync = false;
@@ -1338,16 +1246,11 @@ impl NodeAgent {
         // announcement that triggers the state transfer — re-announced on
         // the heartbeat cadence while the transfer makes no progress, so
         // a lost JOIN or preamble cannot stall the rejoin on lossy links.
-        self.broadcast(ctx, MSG_HB, 0);
-        ctx.timer_after(self.cfg.heartbeat_period, hb_tag(self.epoch));
-        self.broadcast(
-            ctx,
-            MSG_JOIN,
-            join_payload(self.epoch, self.view_number, self.durable_ckpt_gen),
-        );
+        self.heartbeat(ctx);
+        self.announce_join(ctx);
         ctx.timer_after(
             self.cfg.heartbeat_period,
-            tag(KIND_JOIN_RETRY, self.epoch & 0xFFFF),
+            wire::epoch_timer(KIND_JOIN_RETRY, self.epoch),
         );
     }
 
@@ -1360,7 +1263,7 @@ impl NodeAgent {
     /// reused) and finishes its rejoin from durable state. The other
     /// announcers' heartbeat-cadence retries then reach a live member and
     /// take the ordinary transfer + re-admission path.
-    fn bootstrap_view(&mut self, now: Time, ctx: &mut ActorCtx<'_>) {
+    pub(super) fn bootstrap_view(&mut self, now: Time, ctx: &mut ActorCtx<'_>) {
         let heard_max = self.heard_joins.values().copied().max().unwrap_or(0);
         let target = self.view_number.max(heard_max) + 1;
         self.view_number = target;
@@ -1413,8 +1316,7 @@ impl NetActor for NodeAgent {
                     members: self.view_mask.to_vec(),
                 });
                 // First heartbeat immediately, then every H.
-                self.broadcast(ctx, MSG_HB, 0);
-                ctx.timer_after(self.cfg.heartbeat_period, hb_tag(self.epoch));
+                self.heartbeat(ctx);
                 // Until the first heartbeat arrives, a peer is treated as
                 // heard-from at time zero.
                 for peer in 0..self.cfg.nodes {
@@ -1438,7 +1340,7 @@ impl NetActor for NodeAgent {
                     if self.rejoining && !self.have_sync {
                         return; // no view knowledge at all yet: sit it out
                     }
-                    let (target, widx, bits) = vc_decode(payload);
+                    let [target, widx, bits] = wire::VC.unpack(payload).map(|v| v as u32);
                     if target > self.view_number + 1 && !self.rejoining {
                         // A flood for a view beyond our next one proves we
                         // missed at least one install while believing
@@ -1486,7 +1388,7 @@ impl NetActor for NodeAgent {
                     }
                 }
                 MSG_JOIN => {
-                    let (epoch, view, ckpt_gen) = join_decode(payload);
+                    let [epoch, view, ckpt_gen] = wire::JOIN.unpack(payload);
                     if self.rejoining {
                         // Our own view_mask is stale, so this must not
                         // enter pending_joins (the drain could wrongly
@@ -1494,14 +1396,15 @@ impl NetActor for NodeAgent {
                         // the total-failure bootstrap; once some node is
                         // live again, the announcer's heartbeat-cadence
                         // retries take the ordinary path below.
-                        self.heard_joins.insert(from.0, view);
+                        self.heard_joins.insert(from.0, view as u32);
                     } else {
                         self.handle_join(from.0, epoch, ckpt_gen, now, ctx);
                     }
                 }
                 MSG_SYNC | MSG_DSYNC if self.rejoining => {
-                    let (epoch, log_tail, view) = sync_decode(payload);
-                    if epoch != self.epoch & 0xFFFF {
+                    let [epoch, log_tail, view] = wire::SYNC.unpack(payload);
+                    let view = view as u32;
+                    if !wire::same_epoch(epoch, self.epoch) {
                         return;
                     }
                     // A preamble for a *newer* view supersedes the transfer in
@@ -1526,8 +1429,9 @@ impl NetActor for NodeAgent {
                     self.maybe_start_replay(now, ctx);
                 }
                 MSG_MASK if self.rejoining => {
-                    let (epoch, widx, bits) = mask_decode(payload);
-                    if epoch != self.epoch & 0xFFFF || widx >= self.cfg.wire_words() {
+                    let [epoch, widx, bits] = wire::MASK.unpack(payload);
+                    let (widx, bits) = (widx as u32, bits as u32);
+                    if !wire::same_epoch(epoch, self.epoch) || widx >= self.cfg.wire_words() {
                         return;
                     }
                     self.view_mask.set_wire_word(widx, bits);
@@ -1535,8 +1439,8 @@ impl NetActor for NodeAgent {
                     self.maybe_start_replay(now, ctx);
                 }
                 MSG_CKPT if self.rejoining => {
-                    let (epoch, seq, total) = ckpt_decode(payload);
-                    if epoch != self.epoch & 0xFFFF {
+                    let [epoch, seq, total] = wire::CKPT.unpack(payload);
+                    if !wire::same_epoch(epoch, self.epoch) {
                         return;
                     }
                     if self.xfer_seen == 0 {
@@ -1561,7 +1465,7 @@ impl NetActor for NodeAgent {
                     self.maybe_start_replay(now, ctx);
                 }
                 MSG_NACK if !self.rejoining => {
-                    let (epoch, seq) = nack_decode(payload);
+                    let [epoch, seq] = wire::NACK.unpack(payload);
                     // The stream may still be pacing or may have finished:
                     // either way, resend exactly the requested chunk of
                     // the joiner's stream without disturbing the pacing.
@@ -1570,13 +1474,15 @@ impl NetActor for NodeAgent {
                         .as_ref()
                         .into_iter()
                         .chain(self.last_served.as_ref())
-                        .find(|t| t.to == from.0 && t.to_epoch & 0xFFFF == epoch && seq < t.total);
+                        .find(|t| {
+                            t.to == from.0 && wire::same_epoch(epoch, t.to_epoch) && seq < t.total
+                        });
                     if let Some(t) = stream {
                         ctx.send(
                             ActorId(t.to),
                             NodeId(t.to),
                             MSG_CKPT,
-                            ckpt_payload(t.to_epoch, seq, t.total),
+                            wire::CKPT.pack([t.to_epoch, seq, t.total]),
                         );
                         self.log.borrow_mut().chunks_sent += 1;
                     }

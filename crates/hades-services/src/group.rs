@@ -78,6 +78,7 @@ use crate::actors::AgentLog;
 use crate::comm::DeltaInbox;
 use crate::idset::{IdSet, ID_LIMIT};
 use crate::replication::ReplicaStyle;
+use crate::wire;
 use hades_sim::mux::{ActorCtx, ActorEvent, ActorId, NetActor};
 use hades_sim::NodeId;
 use hades_telemetry::monitor::{MonitorEvent, ProtocolTap};
@@ -108,7 +109,8 @@ const GMSG_SNAP_LO: u64 = 7;
 /// covered-id floor + executed count mod 4096).
 const GMSG_SNAP_MARK: u64 = 8;
 
-/// Timer kind: submission tick (every request period).
+/// Timer kind (the kind bits of a [`wire::epoch_timer`] tag): submission
+/// tick (every request period).
 const GK_TICK: u64 = 1;
 /// Timer kind: Δ-delivery instant of an accepted request.
 const GK_DELIVER: u64 = 2;
@@ -149,14 +151,8 @@ pub fn group_msg_name(tag: u64) -> Option<&'static str> {
     })
 }
 
-fn tag(kind: u64, body: u64) -> u64 {
-    (kind << 60) | body
-}
-
-/// Request payload: id in the top 20 bits, sender timestamp (ns) below.
-/// The packing bounds the protocol to ~4.9 h of virtual time (2^44 ns)
-/// and 2^20 requests — asserted at submission rather than silently
-/// wrapping into order divergence.
+/// The [`wire::REQ`] payload of request `id` stamped `ts`, asserting
+/// that both fit rather than silently wrapping into order divergence.
 fn req_payload(id: u64, ts: Time) -> u64 {
     let ns = (ts - Time::ZERO).as_nanos();
     assert!(id < ID_LIMIT, "request id {id} exceeds the 20-bit payload");
@@ -164,71 +160,7 @@ fn req_payload(id: u64, ts: Time) -> u64 {
         ns < 1 << 44,
         "timestamp {ns} ns exceeds the 44-bit payload (~4.9 h horizon cap)"
     );
-    (id << 44) | ns
-}
-
-fn req_decode(payload: u64) -> (u64, Time) {
-    (
-        (payload >> 44) & 0xF_FFFF,
-        Time::from_nanos(payload & ((1 << 44) - 1)),
-    )
-}
-
-/// Order: leader node (6 bits) | stream sequence number (38 bits) |
-/// request id (20 bits). Order streams are per-leader — a new leader
-/// always starts at sequence 0 and followers re-anchor on the stream
-/// switch — so a leader taking over with stale knowledge can never
-/// collide with (or be dropped against) its predecessor's numbering.
-fn order_payload(leader: u32, seq: u64, id: u64) -> u64 {
-    ((leader as u64 & 0x3F) << 58) | ((seq & 0x3F_FFFF_FFFF) << 20) | (id & 0xF_FFFF)
-}
-
-fn order_decode(payload: u64) -> (u32, u64, u64) {
-    (
-        (payload >> 58) as u32,
-        (payload >> 20) & 0x3F_FFFF_FFFF,
-        payload & 0xF_FFFF,
-    )
-}
-
-/// Vote: request id (20 bits) | executed count mod 4096 (12 bits) |
-/// state digest (32 bits). The count lets receivers skip the digest
-/// cross-check against members whose history legitimately differs (a
-/// restarted replica missed its blackout window).
-fn vote_payload(id: u64, count: u64, digest: u64) -> u64 {
-    ((id & 0xF_FFFF) << 44) | ((count & 0xFFF) << 32) | (digest & 0xFFFF_FFFF)
-}
-
-fn vote_decode(payload: u64) -> (u64, u64, u64) {
-    (
-        (payload >> 44) & 0xF_FFFF,
-        (payload >> 32) & 0xFFF,
-        payload & 0xFFFF_FFFF,
-    )
-}
-
-/// Catch-up snapshot part: joiner epoch (16 bits) | 32 payload bits.
-fn snap_payload(epoch: u64, bits: u64) -> u64 {
-    ((epoch & 0xFFFF) << 48) | (bits & 0xFFFF_FFFF)
-}
-
-fn snap_decode(payload: u64) -> (u64, u64) {
-    ((payload >> 48) & 0xFFFF, payload & 0xFFFF_FFFF)
-}
-
-/// Snapshot watermark: joiner epoch (16) | covered-id floor (20) |
-/// executed count mod 4096 (12). Ids below `floor` are folded into the
-/// shipped state and must not be re-executed by the joiner.
-fn snap_mark_payload(epoch: u64, floor: u64, count: u64) -> u64 {
-    ((epoch & 0xFFFF) << 48) | ((floor & 0xF_FFFF) << 12) | (count & 0xFFF)
-}
-
-fn snap_mark_decode(payload: u64) -> (u64, u64, u64) {
-    (
-        (payload >> 48) & 0xFFFF,
-        (payload >> 12) & 0xF_FFFF,
-        payload & 0xFFF,
-    )
+    wire::REQ.pack([id, ns])
 }
 
 /// The actor-side request stream of a replicated service: the gateway
@@ -423,7 +355,7 @@ impl GroupConfig {
 
     /// Number of scheduled submissions with instant `≤ now` — request
     /// ids `0..count` are the gateway's responsibility by `now`.
-    fn submissions_through(&self, now: Time) -> u64 {
+    pub(super) fn submissions_through(&self, now: Time) -> u64 {
         match &self.source {
             Some(s) => s.borrow_mut().submissions_through(now),
             None => {
@@ -769,7 +701,7 @@ impl ReplicaGroup {
 
     /// Re-reads the agreed view and re-binds leadership; runs the
     /// style-specific takeover when leadership lands here.
-    fn rebind(&mut self, now: Time, ctx: &mut ActorCtx<'_>) {
+    pub(super) fn rebind(&mut self, now: Time, ctx: &mut ActorCtx<'_>) {
         let leader = self.live_leader(now);
         if leader != self.cur_leader {
             let old = self.cur_leader;
@@ -825,7 +757,7 @@ impl ReplicaGroup {
     /// extends the schedule (the closed-loop client's next request), this
     /// member arms its own tick at the new instant and wakes every peer
     /// there too, so whichever member is gateway *then* submits it.
-    fn emit(&mut self, id: u64, now: Time, ctx: &mut ActorCtx<'_>) {
+    pub(super) fn emit(&mut self, id: u64, now: Time, ctx: &mut ActorCtx<'_>) {
         if !self.emitted_ids.insert(id) {
             return;
         }
@@ -862,11 +794,11 @@ impl ReplicaGroup {
         let fires_at = ctx.timer_fires_at(at);
         if !self.ticks.contains(&fires_at) {
             self.ticks.push(fires_at);
-            ctx.timer_at(at, tag(GK_TICK, self.epoch & 0xFFFF));
+            ctx.timer_at(at, wire::epoch_timer(GK_TICK, self.epoch));
         }
     }
 
-    fn arm_next_tick(&mut self, now: Time, ctx: &mut ActorCtx<'_>) {
+    pub(super) fn arm_next_tick(&mut self, now: Time, ctx: &mut ActorCtx<'_>) {
         // An exhausted explicit schedule arms nothing: the stream is over.
         if let Some(next) = self.cfg.next_submission_after(now) {
             self.arm_tick(next, ctx);
@@ -876,7 +808,7 @@ impl ReplicaGroup {
     /// Submission tick: the gateway submits the scheduled request plus
     /// any request it has no knowledge of (a predecessor gateway died
     /// before submitting it).
-    fn on_tick(&mut self, now: Time, ctx: &mut ActorCtx<'_>) {
+    pub(super) fn on_tick(&mut self, now: Time, ctx: &mut ActorCtx<'_>) {
         self.rebind(now, ctx);
         // The floor chases the contiguously-known prefix so a tick scans
         // only genuinely unknown ids, not the whole run so far.
@@ -892,7 +824,7 @@ impl ReplicaGroup {
                     self.log.borrow_mut().submitted.push((id, now));
                     self.observe(now, |group, _| MonitorEvent::RequestSubmitted { group, id });
                     if let Some(due) = self.inbox.accept(id, now, self.me(), now) {
-                        ctx.timer_at(due, tag(GK_DELIVER, self.epoch & 0xFFFF));
+                        ctx.timer_at(due, wire::epoch_timer(GK_DELIVER, self.epoch));
                     }
                     self.fanout(ctx, GMSG_REQ, req_payload(id, now));
                 }
@@ -903,7 +835,7 @@ impl ReplicaGroup {
 
     /// Δ-delivery instant: release everything due, in `(ts, sender)`
     /// order, and apply the style.
-    fn on_deliver(&mut self, now: Time, ctx: &mut ActorCtx<'_>) {
+    pub(super) fn on_deliver(&mut self, now: Time, ctx: &mut ActorCtx<'_>) {
         self.rebind(now, ctx);
         let due = self.inbox.due(now);
         for (id, ts, sender) in due {
@@ -926,9 +858,8 @@ impl ReplicaGroup {
                     self.execute(id);
                     // Every member votes; the voter keeps the first copy.
                     self.emit(id, now, ctx);
-                    let digest = self.state & 0xFFFF_FFFF;
-                    let count = self.executed_count;
-                    self.fanout(ctx, GMSG_VOTE, vote_payload(id, count, digest));
+                    let vote = wire::VOTE.pack([id, self.executed_count, self.state]);
+                    self.fanout(ctx, GMSG_VOTE, vote);
                 }
                 ReplicaStyle::SemiActive => {
                     if self.cur_leader == self.me() && !self.catching_up {
@@ -937,7 +868,7 @@ impl ReplicaGroup {
                         let seq = self.next_seq;
                         self.next_seq += 1;
                         let me = self.me();
-                        self.fanout(ctx, GMSG_ORDER, order_payload(me, seq, id));
+                        self.fanout(ctx, GMSG_ORDER, wire::ORDER.pack([me as u64, seq, id]));
                     } else {
                         self.pending.insert(id, (ts, sender));
                     }
@@ -978,7 +909,7 @@ impl ReplicaGroup {
     /// the lowest buffered sequence number (in-flight reordering is
     /// bounded by `δmax ≤ Δ`, so every copy of the burst has arrived)
     /// and apply contiguously.
-    fn finish_order_resync(&mut self) {
+    pub(super) fn finish_order_resync(&mut self) {
         if !self.order_resync {
             return;
         }
@@ -999,7 +930,7 @@ impl ReplicaGroup {
     }
 
     /// Pending deliveries in Δ-order — the takeover work list.
-    fn pending_in_order(&self) -> Vec<u64> {
+    pub(super) fn pending_in_order(&self) -> Vec<u64> {
         let mut v: Vec<(Time, u32, u64)> = self
             .pending
             .iter()
@@ -1013,7 +944,7 @@ impl ReplicaGroup {
     /// run) cannot wait on a snapshot that may never arrive, so the
     /// member falls back to the pre-catch-up behaviour — buffered
     /// deliveries execute now, the blackout window stays skipped.
-    fn abort_catchup(&mut self, now: Time, ctx: &mut ActorCtx<'_>) {
+    pub(super) fn abort_catchup(&mut self, now: Time, ctx: &mut ActorCtx<'_>) {
         if !self.catching_up {
             return;
         }
@@ -1062,7 +993,7 @@ impl ReplicaGroup {
                     let seq = self.next_seq;
                     self.next_seq += 1;
                     let me = self.me();
-                    self.fanout(ctx, GMSG_ORDER, order_payload(me, seq, id));
+                    self.fanout(ctx, GMSG_ORDER, wire::ORDER.pack([me as u64, seq, id]));
                 }
             }
             ReplicaStyle::Passive { .. } => {
@@ -1100,7 +1031,7 @@ impl ReplicaGroup {
         self.on_tick(now, ctx);
     }
 
-    fn on_restart(&mut self, now: Time, ctx: &mut ActorCtx<'_>) {
+    pub(super) fn on_restart(&mut self, now: Time, ctx: &mut ActorCtx<'_>) {
         self.epoch += 1;
         // The previous life's timers are dead (epoch check): none pends.
         self.ticks.clear();
@@ -1129,10 +1060,10 @@ impl ReplicaGroup {
             self.snap_hi = None;
             self.snap_lo = None;
             self.snap_mark = None;
-            self.fanout(ctx, GMSG_PULL, self.epoch & 0xFFFF);
+            self.fanout(ctx, GMSG_PULL, wire::epoch(self.epoch));
             ctx.timer_after(
                 self.cfg.delta.saturating_mul(4),
-                tag(GK_PULL, self.epoch & 0xFFFF),
+                wire::epoch_timer(GK_PULL, self.epoch),
             );
         }
     }
@@ -1169,9 +1100,8 @@ impl ReplicaGroup {
                     self.pending.remove(&id);
                     if self.execute(id) {
                         self.emit(id, now, ctx);
-                        let digest = self.state & 0xFFFF_FFFF;
-                        let count = self.executed_count;
-                        self.fanout(ctx, GMSG_VOTE, vote_payload(id, count, digest));
+                        let vote = wire::VOTE.pack([id, self.executed_count, self.state]);
+                        self.fanout(ctx, GMSG_VOTE, vote);
                     }
                 }
             }
@@ -1201,7 +1131,7 @@ impl ReplicaGroup {
                             let seq = self.next_seq;
                             self.next_seq += 1;
                             let me = self.me();
-                            self.fanout(ctx, GMSG_ORDER, order_payload(me, seq, id));
+                            self.fanout(ctx, GMSG_ORDER, wire::ORDER.pack([me as u64, seq, id]));
                         }
                     }
                 }
@@ -1215,7 +1145,7 @@ impl ReplicaGroup {
     /// the Δ-pipeline at the pull instant is already folded in and the
     /// snapshot overlaps the joiner's live stream instead of leaving a
     /// gap.
-    fn serve_pending_pulls(&mut self, now: Time, ctx: &mut ActorCtx<'_>) {
+    pub(super) fn serve_pending_pulls(&mut self, now: Time, ctx: &mut ActorCtx<'_>) {
         self.rebind(now, ctx);
         let pulls = std::mem::take(&mut self.pending_pulls);
         if pulls.is_empty() || self.catching_up || self.cur_leader != self.me() {
@@ -1232,11 +1162,11 @@ impl ReplicaGroup {
             };
             let to = NodeId(node);
             for (kind, payload) in [
-                (GMSG_SNAP_HI, snap_payload(epoch, self.state >> 32)),
-                (GMSG_SNAP_LO, snap_payload(epoch, self.state & 0xFFFF_FFFF)),
+                (GMSG_SNAP_HI, wire::SNAP.pack([epoch, self.state >> 32])),
+                (GMSG_SNAP_LO, wire::SNAP.pack([epoch, self.state])),
                 (
                     GMSG_SNAP_MARK,
-                    snap_mark_payload(epoch, floor, self.executed_count),
+                    wire::SNAP_MARK.pack([epoch, floor, self.executed_count]),
                 ),
             ] {
                 let accepted = ctx.fanout([(actor, to)], kind, payload, self.cfg.attempts);
@@ -1274,10 +1204,10 @@ impl NetActor for ReplicaGroup {
             ActorEvent::Notify { .. } => {}
             ActorEvent::Restart => self.on_restart(now, ctx),
             ActorEvent::Timer { tag: t } => {
-                if t & 0xFFFF != self.epoch & 0xFFFF {
+                if !wire::same_epoch(t, self.epoch) {
                     return; // timer of a previous life
                 }
-                match t >> 60 {
+                match wire::TIMER.unpack(t)[0] {
                     GK_TICK => {
                         self.ticks.retain(|t| *t != now);
                         self.on_tick(now, ctx);
@@ -1289,10 +1219,10 @@ impl NetActor for ReplicaGroup {
                         // (lost PULL or reply copies, or a leader change
                         // mid-answer).
                         if self.catching_up => {
-                            self.fanout(ctx, GMSG_PULL, self.epoch & 0xFFFF);
+                            self.fanout(ctx, GMSG_PULL, wire::epoch(self.epoch));
                             ctx.timer_after(
                                 self.cfg.delta.saturating_mul(4),
-                                tag(GK_PULL, self.epoch & 0xFFFF),
+                                wire::epoch_timer(GK_PULL, self.epoch),
                             );
                         }
                     GK_SNAP => self.serve_pending_pulls(now, ctx),
@@ -1307,14 +1237,16 @@ impl NetActor for ReplicaGroup {
                 self.rebind(now, ctx);
                 match t {
                     GMSG_REQ => {
-                        let (id, ts) = req_decode(payload);
+                        let [id, ns] = wire::REQ.unpack(payload);
+                        let ts = Time::from_nanos(ns);
                         if let Some(due) = self.inbox.accept(id, ts, from.0, now) {
-                            ctx.timer_at(due, tag(GK_DELIVER, self.epoch & 0xFFFF));
+                            ctx.timer_at(due, wire::epoch_timer(GK_DELIVER, self.epoch));
                         }
                         self.sync_inbox_counters();
                     }
                     GMSG_ORDER => {
-                        let (leader, seq, id) = order_decode(payload);
+                        let [leader, seq, id] = wire::ORDER.unpack(payload);
+                        let leader = leader as u32;
                         if self.cur_leader == self.me() {
                             return; // leaders decide, they don't follow
                         }
@@ -1333,7 +1265,7 @@ impl NetActor for ReplicaGroup {
                             if self.orders.is_empty() {
                                 ctx.timer_at(
                                     now + self.cfg.delta,
-                                    tag(GK_RESYNC, self.epoch & 0xFFFF),
+                                    wire::epoch_timer(GK_RESYNC, self.epoch),
                                 );
                             }
                             self.orders.insert(seq, id);
@@ -1343,7 +1275,7 @@ impl NetActor for ReplicaGroup {
                         }
                     }
                     GMSG_VOTE => {
-                        let (id, count, digest) = vote_decode(payload);
+                        let [id, count, digest] = wire::VOTE.unpack(payload);
                         if self.executed.contains(id) {
                             // A redundant copy of an output this member
                             // already produced: the voter suppresses it.
@@ -1373,31 +1305,31 @@ impl NetActor for ReplicaGroup {
                         // the puller's retransmission finds the leader.
                         if from.0 != self.me() && self.cur_leader == self.me() && !self.catching_up
                         => {
-                            let epoch = payload & 0xFFFF;
+                            let epoch = wire::epoch(payload);
                             self.pending_pulls.retain(|(n, _)| *n != from.0);
                             self.pending_pulls.push((from.0, epoch));
                             ctx.timer_at(
                                 now + self.cfg.delta.saturating_mul(2),
-                                tag(GK_SNAP, self.epoch & 0xFFFF),
+                                wire::epoch_timer(GK_SNAP, self.epoch),
                             );
                         }
                     GMSG_SNAP_HI if self.catching_up => {
-                        let (epoch, bits) = snap_decode(payload);
-                        if epoch == self.epoch & 0xFFFF {
+                        let [epoch, bits] = wire::SNAP.unpack(payload);
+                        if wire::same_epoch(epoch, self.epoch) {
                             self.snap_hi = Some(bits);
                             self.maybe_adopt_snapshot(now, ctx);
                         }
                     }
                     GMSG_SNAP_LO if self.catching_up => {
-                        let (epoch, bits) = snap_decode(payload);
-                        if epoch == self.epoch & 0xFFFF {
+                        let [epoch, bits] = wire::SNAP.unpack(payload);
+                        if wire::same_epoch(epoch, self.epoch) {
                             self.snap_lo = Some(bits);
                             self.maybe_adopt_snapshot(now, ctx);
                         }
                     }
                     GMSG_SNAP_MARK if self.catching_up => {
-                        let (epoch, floor, count) = snap_mark_decode(payload);
-                        if epoch == self.epoch & 0xFFFF {
+                        let [epoch, floor, count] = wire::SNAP_MARK.unpack(payload);
+                        if wire::same_epoch(epoch, self.epoch) {
                             self.snap_mark = Some((floor, count));
                             self.maybe_adopt_snapshot(now, ctx);
                         }

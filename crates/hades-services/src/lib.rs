@@ -60,6 +60,7 @@ pub mod membership;
 pub mod recovery;
 pub mod replication;
 pub mod storage;
+mod wire;
 
 pub use actors::{AgentConfig, AgentLog, NodeAgent};
 pub use checkpoint::{CheckpointService, Replayable};

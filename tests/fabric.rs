@@ -250,6 +250,62 @@ fn a_zero_separation_floor_is_an_error_not_a_panic() {
     assert_eq!(err.to_string(), "the separation floor must be positive");
 }
 
+/// The error `run` reports for a six-node, four-shard fabric whose one
+/// load class is `class`.
+fn class_error(class: LoadClass) -> FabricError {
+    FabricSpec::new(6, 4)
+        .class(class)
+        .run()
+        .expect_err("the load class is rejected")
+}
+
+#[test]
+fn a_class_without_clients_is_an_error_not_a_panic() {
+    let err = class_error(LoadClass::new("idle", 0, Duration::from_secs(5)));
+    assert_eq!(
+        err,
+        FabricError::InvalidLoadClass {
+            name: "idle".into()
+        }
+    );
+    assert_eq!(
+        err.to_string(),
+        "load class \"idle\" needs a client, a positive think time and a non-empty burst cycle"
+    );
+}
+
+#[test]
+fn a_class_without_think_time_is_an_error_not_a_panic() {
+    let err = class_error(LoadClass::new("eager", 1_000, Duration::ZERO));
+    assert_eq!(
+        err,
+        FabricError::InvalidLoadClass {
+            name: "eager".into()
+        }
+    );
+}
+
+#[test]
+fn a_bursty_class_without_a_cycle_is_an_error_not_a_panic() {
+    let class = LoadClass::new("flat", 1_000, Duration::from_secs(5)).arrival(Arrival::Bursty {
+        on: Duration::ZERO,
+        off: Duration::ZERO,
+    });
+    assert!(!class.is_valid());
+    // Neither the stream nor its mean gap divides by the empty cycle.
+    assert!(PopulationWorkload::new(class.clone(), 7)
+        .events(ms(5))
+        .is_empty());
+    assert_eq!(class.mean_gap(), Duration::from_millis(5));
+    let err = class_error(class);
+    assert_eq!(
+        err,
+        FabricError::InvalidLoadClass {
+            name: "flat".into()
+        }
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 

@@ -3,6 +3,7 @@
 # CHANGES.md entry, counted the same way every time.
 #
 #   tools/loc.sh [REV]
+#   tools/loc.sh --files
 #
 # Counts every line (code, comments, blanks) of every `.rs` file outside
 # `tests/` directories and outside `#[cfg(test)]` items, grouped by crate
@@ -10,16 +11,19 @@
 # `src/`, `benchmark`, `examples`). Without REV: the worktree (tracked
 # and untracked files, minus ignored ones). With REV (e.g. `HEAD~1`, or
 # `HEAD` before committing): the same count at that revision next to it,
-# and the delta worktree - REV per crate and in total.
+# and the delta worktree - REV per crate and in total. With --files: the
+# worktree's count per file instead of per crate, largest first, as
+# "<lines> <path>" (the CI file-size gate reads this).
 set -eu
 cd "$(git -C "$(dirname "$0")" rev-parse --show-toplevel)"
 rev=${1:-}
 
 # Reads "<<< path" headers followed by file contents; prints
-# "<crate> <lines>" per crate.
+# "<crate> <lines>" per crate, or "<path> <lines>" per file with BY=file.
 count() {
-    awk '
+    awk -v by="${BY:-crate}" '
         function crate_of(path,    part) {
+            if (by == "file") return path
             split(path, part, "/")
             if (part[1] == "crates") return part[2] == "vendor" ? "vendor/" part[3] : part[2]
             return part[1] == "src" ? "hades" : part[1]
@@ -53,7 +57,9 @@ at_rev() {
     done | count
 }
 
-if [ -z "$rev" ]; then
+if [ "$rev" = --files ]; then
+    BY=file worktree | awk '{ print $2, $1 }' | sort -k1,1nr -k2
+elif [ -z "$rev" ]; then
     worktree | sort | awk '
         { printf "%-22s %7d\n", $1, $2; total += $2 }
         END { printf "%-22s %7d\n", "total", total }'
