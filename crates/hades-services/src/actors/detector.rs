@@ -114,16 +114,7 @@ impl NodeAgent {
 
     /// `ActorEvent::Start`: view 0, the first heartbeat, the first deadlines.
     pub(super) fn on_start(&mut self, now: Time, ctx: &mut ActorCtx<'_>) {
-        self.log.borrow_mut().views.push(View {
-            number: 0,
-            members: self.view_mask.to_vec(),
-            installed_at: now,
-        });
-        self.emit(now, |node| MonitorEvent::ViewInstalled {
-            node,
-            number: 0,
-            members: self.view_mask.to_vec(),
-        });
+        self.record_view(0, now);
         // First heartbeat immediately, then every H.
         self.heartbeat(ctx);
         // Until the first heartbeat arrives, a peer is treated as

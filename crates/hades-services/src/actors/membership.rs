@@ -104,26 +104,7 @@ impl NodeAgent {
         // re-admission of a recovered node (exclusion wins in the merge).
         // Own live suspicions persist — they re-enter the next proposal.
         self.excluded = self.suspected_local.clone();
-        let members = self.view_mask.to_vec();
-        {
-            let mut log = self.log.borrow_mut();
-            log.views.push(View {
-                number: target,
-                members: members.clone(),
-                installed_at: now,
-            });
-            if let Some(&new_primary) = members.first() {
-                if new_primary != self.primary {
-                    self.primary = new_primary;
-                    log.primary_changes.push((new_primary, now));
-                }
-            }
-        }
-        self.emit(now, |node| MonitorEvent::ViewInstalled {
-            node,
-            number: target,
-            members: members.clone(),
-        });
+        self.record_view(target, now);
         if self.rejoining && self.view_mask.contains(self.cfg.node.0) {
             self.finish_rejoin(target, now, ctx);
         } else if !self.rejoining && !self.view_mask.contains(self.cfg.node.0) {
@@ -173,25 +154,34 @@ impl NodeAgent {
         mask.insert(self.cfg.node.0);
         self.view_mask = mask;
         self.changing = None;
-        let members = vec![self.cfg.node.0];
+        self.record_view(target, now);
+        self.finish_rejoin(target, now, ctx);
+    }
+
+    /// Logs view `number` (the current `view_mask`) as installed now,
+    /// moves the primary to its lowest member, and hands the install to
+    /// the tap.
+    pub(super) fn record_view(&mut self, number: u32, now: Time) {
+        let members = self.view_mask.to_vec();
         {
             let mut log = self.log.borrow_mut();
             log.views.push(View {
-                number: target,
+                number,
                 members: members.clone(),
                 installed_at: now,
             });
-            if self.primary != self.cfg.node.0 {
-                self.primary = self.cfg.node.0;
-                log.primary_changes.push((self.primary, now));
+            if let Some(&first) = members.first() {
+                if first != self.primary {
+                    self.primary = first;
+                    log.primary_changes.push((first, now));
+                }
             }
         }
         self.emit(now, |node| MonitorEvent::ViewInstalled {
             node,
-            number: target,
+            number,
             members,
         });
-        self.finish_rejoin(target, now, ctx);
     }
 
     /// A flood round of the view change in flight ([`KIND_ROUND`]).

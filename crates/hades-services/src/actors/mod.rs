@@ -221,7 +221,7 @@ impl AgentConfig {
 }
 
 /// Everything one agent observed and decided, readable after the run.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AgentLog {
     /// The observing node.
     pub node: u32,
@@ -260,18 +260,7 @@ impl AgentLog {
     fn new(node: u32) -> Self {
         AgentLog {
             node,
-            heartbeats_seen: 0,
-            suspicions: Vec::new(),
-            views: Vec::new(),
-            primary_changes: Vec::new(),
-            restarts: Vec::new(),
-            rejoins: Vec::new(),
-            transfers_served: 0,
-            chunks_sent: 0,
-            vc_messages_sent: 0,
-            join_retries: 0,
-            heartbeats_sent: 0,
-            heartbeats_suppressed: 0,
+            ..AgentLog::default()
         }
     }
 

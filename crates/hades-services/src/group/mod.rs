@@ -208,7 +208,7 @@ impl GroupConfig {
 
 /// Everything one group member observed and decided, readable after the
 /// run.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct GroupLog {
     /// The group.
     pub group: u32,
@@ -254,18 +254,7 @@ impl GroupLog {
         GroupLog {
             group,
             node,
-            submitted: Vec::new(),
-            delivered: Vec::new(),
-            emitted: Vec::new(),
-            suppressed: 0,
-            vote_mismatches: 0,
-            handoffs: Vec::new(),
-            restarts: Vec::new(),
-            replayed: 0,
-            catchups: 0,
-            messages_sent: 0,
-            late_discards: 0,
-            final_state: 0,
+            ..GroupLog::default()
         }
     }
 
