@@ -127,15 +127,18 @@ impl LoadClass {
 /// Salt separating the request-key stream from the gap stream.
 const KEY_SALT: u64 = 0x4B_45_59_53; // "KEYS"
 
+/// The minimum inter-arrival gap (peak-rate cap).
+const GAP_FLOOR: Duration = Duration::from_micros(1);
+
 /// Deterministic aggregate request stream of one [`LoadClass`].
 ///
 /// Implements [`Workload`], so it plugs into `ServiceSpec::workload`
 /// like any other generator; the fabric calls [`events`] instead to
 /// get keyed requests it can route to shards.
 ///
-/// Gaps are clamped below at `floor` (default 1 µs) so the admission
-/// charge a feasibility analysis derives from the peak rate stays
-/// finite even for very large populations.
+/// Gaps are clamped below at 1 µs so the admission charge a feasibility
+/// analysis derives from the peak rate stays finite even for very large
+/// populations.
 ///
 /// [`events`]: PopulationWorkload::events
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -144,7 +147,6 @@ pub struct PopulationWorkload {
     pub class: LoadClass,
     seed: u64,
     start: Time,
-    floor: Duration,
 }
 
 impl PopulationWorkload {
@@ -155,24 +157,12 @@ impl PopulationWorkload {
             class,
             seed,
             start: Time::ZERO + Duration::from_millis(1),
-            floor: Duration::from_micros(1),
         }
     }
 
     /// Overrides the first possible arrival instant.
     pub fn start(mut self, start: Time) -> Self {
         self.start = start;
-        self
-    }
-
-    /// Overrides the minimum inter-arrival gap (peak-rate cap).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `floor` is zero.
-    pub fn floor(mut self, floor: Duration) -> Self {
-        assert!(!floor.is_zero(), "the gap floor must be positive");
-        self.floor = floor;
         self
     }
 
@@ -187,7 +177,7 @@ impl PopulationWorkload {
         }
         let end = Time::ZERO + horizon;
         let mean_ns = self.class.mean_gap().as_nanos();
-        let floor_ns = self.floor.as_nanos();
+        let floor_ns = GAP_FLOOR.as_nanos();
         let mut out = Vec::new();
         let mut t = self.start;
         let mut draw = 0u64;
@@ -248,7 +238,7 @@ impl Workload for PopulationWorkload {
             .windows(2)
             .map(|w| w[1] - w[0])
             .min()
-            .unwrap_or_else(|| self.class.mean_gap().max(self.floor))
+            .unwrap_or_else(|| self.class.mean_gap().max(GAP_FLOOR))
     }
 }
 

@@ -9,7 +9,7 @@ use proptest::prelude::*;
 
 use hades::prelude::*;
 use hades_chaos::standard_spec;
-use hades_telemetry::monitor::validate_violations;
+use hades_telemetry::monitor::{validate_violations, Watchdog};
 
 fn us(n: u64) -> Duration {
     Duration::from_micros(n)
@@ -124,6 +124,46 @@ fn an_asymmetric_cut_raises_false_suspicions_end_to_end() {
         "one-way silence must look like a crash to the survivors"
     );
     assert!(!report.no_false_suspicions());
+}
+
+/// FNV-1a (64-bit) over `bytes`, continuing from `hash`.
+fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
+    for b in bytes {
+        hash ^= u64::from(*b);
+        hash = hash.wrapping_mul(0x0100_0000_01b3);
+    }
+    hash
+}
+
+#[test]
+fn the_seed_7_campaign_runs_keep_their_bytes() {
+    // The 24 programs `chaos_fuzz -- 7 24` generates, each run as the
+    // campaign runs it: the standard spec, the standard watchdog, the
+    // program as the driver. One hash pins every program's encoding and
+    // every run's report, event stream and violations.
+    let cfg = FuzzConfig::default();
+    let mut fuzzer = ChaosFuzzer::standard(cfg.clone(), 7);
+    let mut hash = 0xcbf2_9ce4_8422_2325;
+    for _ in 0..24 {
+        let program = fuzzer.generate();
+        let run = standard_spec(cfg.nodes, cfg.horizon, cfg.spec_seed)
+            .monitors(Watchdog::standard())
+            .driver(Box::new(ProgramDriver::new(program.clone())))
+            .run()
+            .expect("valid spec");
+        let text = format!(
+            "{}\n{:?}\n{:?}\n{:?}\n",
+            program.to_json(),
+            run.report(),
+            run.events(),
+            run.violations()
+        );
+        hash = fnv1a(hash, text.as_bytes());
+    }
+    assert_eq!(
+        hash, 0xfd9a_2c14_6033_f7f1,
+        "the seed-7 campaign's runs changed: {hash:#018x}"
+    );
 }
 
 proptest! {

@@ -544,3 +544,85 @@ proptest! {
         prop_assert_eq!(&report.view_history.last().unwrap().1, &expected);
     }
 }
+
+/// Four nodes, each with a 2 ms control task, under `plan`.
+fn scripted(plan: ScenarioPlan) -> ClusterSpec {
+    let mut spec = ClusterSpec::new(4).horizon(ms(60)).seed(3).scenario(plan);
+    for node in 0..4 {
+        spec = spec.service(ServiceSpec::periodic("control", node, us(200), ms(2)));
+    }
+    spec
+}
+
+#[test]
+fn scripted_crash_windows_replay_in_pairing_order() {
+    // Built out of order: the restart pairs with the first crash. Walked
+    // in builder order through the crash rule, the 30 ms crash would be
+    // a no-op (node 2 still down) and the 20 ms restart would then end
+    // the only window: node 2 would stay up from 20 ms on.
+    let at = |n| Time::ZERO + ms(n);
+    let run = scripted(
+        ScenarioPlan::new()
+            .crash(NodeId(2), at(10))
+            .crash(NodeId(2), at(30))
+            .restart(NodeId(2), at(20)),
+    )
+    .run()
+    .unwrap();
+    let crashes: Vec<Time> = run
+        .events()
+        .iter()
+        .filter_map(|e| match e {
+            ClusterEvent::Detected {
+                suspect: 2,
+                at,
+                latency: Some(l),
+                ..
+            } => Some(*at - *l),
+            _ => None,
+        })
+        .collect();
+    assert!(crashes.contains(&at(10)), "down from 10 ms: {crashes:?}");
+    assert!(
+        crashes.contains(&at(30)),
+        "down again from 30 ms: {crashes:?}"
+    );
+    assert!(
+        crashes.iter().all(|c| *c == at(10) || *c == at(30)),
+        "{crashes:?}"
+    );
+    let restarts: Vec<Time> = run
+        .events()
+        .iter()
+        .filter_map(|e| match e {
+            ClusterEvent::RejoinCompleted {
+                node: 2,
+                at,
+                latency,
+                ..
+            } => Some(*at - *latency),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(restarts, [at(20)], "back up from 20 ms");
+}
+
+#[test]
+fn a_partition_from_time_zero_drops_the_start_heartbeats() {
+    // The control plane replays the scenario at the zero instant, but the
+    // agents' first heartbeats go out in that same Start batch: a cut in
+    // force at t = 0 must already drop them. [0, 1 ms] ends before the
+    // next heartbeat round at 2 ms, so exactly the two Start heartbeats
+    // across 0 <-> 1 are lost.
+    let seen = |plan: ScenarioPlan| {
+        let run = scripted(plan).telemetry(Registry::enabled()).run().unwrap();
+        run.telemetry()
+            .metrics
+            .counter("agents.heartbeats_seen")
+            .unwrap()
+    };
+    let healthy = seen(ScenarioPlan::new());
+    let cut =
+        seen(ScenarioPlan::new().partition(NodeId(0), NodeId(1), Time::ZERO, Time::ZERO + ms(1)));
+    assert_eq!(healthy - cut, 2);
+}
