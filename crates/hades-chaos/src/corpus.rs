@@ -151,6 +151,7 @@ pub fn parse_corpus(text: &str) -> Result<Vec<CorpusScenario>, String> {
 mod tests {
     use super::*;
     use crate::program::ChaosOp;
+    use hades_cluster::FaultOp;
     use hades_time::Time;
 
     fn sample() -> CorpusScenario {
@@ -167,17 +168,17 @@ mod tests {
             },
             program: ChaosProgram {
                 ops: vec![
-                    ChaosOp::CutOneWay {
+                    ChaosOp::Fault(FaultOp::Cut {
                         from: 0,
                         to: 3,
                         at: ms(63),
                         until: ms(66),
-                    },
-                    ChaosOp::Crash {
+                    }),
+                    ChaosOp::Fault(FaultOp::Crash {
                         node: 1,
                         at: ms(61),
                         until: None,
-                    },
+                    }),
                 ],
             },
         }

@@ -18,7 +18,7 @@
 //! counterexamples (same fault shape up to node relabeling and time
 //! translation) instead of reporting the same bug once per seed quirk.
 
-use hades_cluster::ClusterSpec;
+use hades_cluster::{ClusterSpec, FaultOp};
 use hades_sim::SimRng;
 use hades_telemetry::monitor::{violations_to_jsonl, Violation, Watchdog};
 use hades_time::{Duration, Time};
@@ -209,7 +209,7 @@ impl ChaosFuzzer {
             let roll = self.rng.below(100);
             let op = if roll < 35 {
                 let (at, until) = self.window();
-                ChaosOp::Crash {
+                ChaosOp::Fault(FaultOp::Crash {
                     node: self.any_node(),
                     at,
                     until: if self.rng.chance_permille(250) {
@@ -217,42 +217,42 @@ impl ChaosFuzzer {
                     } else {
                         Some(until)
                     },
-                }
+                })
             } else if roll < 50 {
                 let from = self.any_node();
                 let to = (from + 1 + self.rng.below(self.cfg.nodes.max(2) as u64 - 1) as u32)
                     % self.cfg.nodes;
                 let (at, until) = self.window();
-                ChaosOp::CutOneWay {
+                ChaosOp::Fault(FaultOp::Cut {
                     from,
                     to,
                     at,
                     until,
-                }
+                })
             } else if roll < 62 {
                 let from = self.any_node();
                 let to = (from + 1 + self.rng.below(self.cfg.nodes.max(2) as u64 - 1) as u32)
                     % self.cfg.nodes;
                 let (at, until) = self.window();
-                ChaosOp::Degrade {
+                ChaosOp::Fault(FaultOp::Degrade {
                     from,
                     to,
                     at,
                     until,
                     extra_delay: Duration::from_micros(self.rng.range_inclusive(50, 2_000)),
                     loss_permille: self.rng.range_inclusive(100, 900) as u32,
-                }
+                })
             } else if roll < 72 {
                 let (at, until) = self.window();
-                ChaosOp::Slow {
+                ChaosOp::Fault(FaultOp::Slow {
                     node: self.any_node(),
                     at,
                     until,
                     speed_permille: self.rng.range_inclusive(50, 800) as u32,
-                }
+                })
             } else if roll < 79 {
                 let magnitude = self.rng.range_inclusive(100_000, 10_000_000) as i64;
-                ChaosOp::Skew {
+                ChaosOp::Fault(FaultOp::Skew {
                     node: self.any_node(),
                     at: self.instant(),
                     drift_ppb: if self.rng.chance_permille(500) {
@@ -260,7 +260,7 @@ impl ChaosFuzzer {
                     } else {
                         -magnitude
                     },
-                }
+                })
             } else if roll < 88 {
                 let root = self.any_node();
                 let spares = self.cfg.nodes.saturating_sub(1).max(1) as u64;
@@ -452,32 +452,64 @@ impl ChaosFuzzer {
     }
 }
 
+/// Every node id `op` names, in field order (a burst: root, then
+/// victims).
+fn nodes_mut(op: &mut ChaosOp) -> Vec<&mut u32> {
+    match op {
+        ChaosOp::Fault(
+            FaultOp::Crash { node, .. }
+            | FaultOp::Restart { node, .. }
+            | FaultOp::Slow { node, .. }
+            | FaultOp::Skew { node, .. },
+        ) => vec![node],
+        ChaosOp::Fault(FaultOp::Cut { from, to, .. } | FaultOp::Degrade { from, to, .. }) => {
+            vec![from, to]
+        }
+        ChaosOp::CcfBurst { root, victims, .. } => std::iter::once(root).chain(victims).collect(),
+        ChaosOp::Throttle { .. } | ChaosOp::Retire { .. } | ChaosOp::Admit { .. } => Vec::new(),
+    }
+}
+
+/// Every instant `op` names: its start, then its window's end if it has
+/// one. A detection-triggered burst names none.
+fn instants_mut(op: &mut ChaosOp) -> Vec<&mut Time> {
+    match op {
+        ChaosOp::Fault(FaultOp::Crash { at, until, .. }) => {
+            std::iter::once(at).chain(until).collect()
+        }
+        ChaosOp::Fault(
+            FaultOp::Cut { at, until, .. }
+            | FaultOp::Degrade { at, until, .. }
+            | FaultOp::Slow { at, until, .. },
+        ) => vec![at, until],
+        ChaosOp::Fault(FaultOp::Restart { at, .. } | FaultOp::Skew { at, .. })
+        | ChaosOp::Throttle { at, .. }
+        | ChaosOp::Retire { at, .. }
+        | ChaosOp::Admit { at, .. } => vec![at],
+        ChaosOp::CcfBurst { .. } => Vec::new(),
+    }
+}
+
 /// One strictly-smaller variant of op `i`, if any narrowing applies:
 /// halve a fault window of at least 2 ms, or drop the last burst
 /// victim. `None` when the op is already as tight as this pass goes.
 fn narrow_op(program: &ChaosProgram, i: usize) -> Option<ChaosProgram> {
     const FLOOR: Duration = Duration::from_millis(2);
-    let halve = |at: Time, until: Time| -> Option<Time> {
-        let len = until - at;
-        (len >= FLOOR).then(|| at + len / 2)
-    };
     let mut candidate = program.clone();
-    match &mut candidate.ops[i] {
-        ChaosOp::Crash {
-            at,
-            until: Some(until),
-            ..
-        } => *until = halve(*at, *until)?,
-        ChaosOp::CutOneWay { at, until, .. }
-        | ChaosOp::Degrade { at, until, .. }
-        | ChaosOp::Slow { at, until, .. } => *until = halve(*at, *until)?,
-        ChaosOp::CcfBurst { victims, .. } => {
-            if victims.len() <= 1 {
-                return None;
-            }
-            victims.pop();
+    let op = &mut candidate.ops[i];
+    if let ChaosOp::CcfBurst { victims, .. } = op {
+        if victims.len() <= 1 {
+            return None;
         }
-        _ => return None,
+        victims.pop();
+    } else if let [at, until] = &mut instants_mut(op)[..] {
+        let len = **until - **at;
+        if len < FLOOR {
+            return None;
+        }
+        **until = **at + len / 2;
+    } else {
+        return None;
     }
     Some(candidate)
 }
@@ -487,97 +519,37 @@ fn narrow_op(program: &ChaosProgram, i: usize) -> Option<ChaosProgram> {
 /// keeps its length. `None` when the op carries no instant
 /// (detection-triggered bursts) or already starts at the origin.
 fn shift_op(program: &ChaosProgram, i: usize) -> Option<ChaosProgram> {
-    let earlier = |at: Time| -> Option<Time> {
-        let offset = at - Time::ZERO;
-        let half = Duration::from_nanos(offset.as_nanos() / 2 / 10_000 * 10_000);
-        (half < offset).then(|| Time::ZERO + half)
-    };
     let mut candidate = program.clone();
-    match &mut candidate.ops[i] {
-        ChaosOp::Crash { at, until, .. } => {
-            let new_at = earlier(*at)?;
-            if let Some(until) = until {
-                *until = new_at + (*until - *at);
-            }
-            *at = new_at;
-        }
-        ChaosOp::CutOneWay { at, until, .. }
-        | ChaosOp::Degrade { at, until, .. }
-        | ChaosOp::Slow { at, until, .. } => {
-            let new_at = earlier(*at)?;
-            *until = new_at + (*until - *at);
-            *at = new_at;
-        }
-        ChaosOp::Skew { at, .. }
-        | ChaosOp::Throttle { at, .. }
-        | ChaosOp::Retire { at, .. }
-        | ChaosOp::Admit { at, .. } => *at = earlier(*at)?,
-        ChaosOp::CcfBurst { .. } => return None,
+    let mut instants = instants_mut(&mut candidate.ops[i]);
+    let at = **instants.first()?;
+    let offset = at - Time::ZERO;
+    let half = Duration::from_nanos(offset.as_nanos() / 2 / 10_000 * 10_000);
+    if half >= offset {
+        return None;
+    }
+    for t in &mut instants {
+        **t = Time::ZERO + half + (**t - at);
     }
     Some(candidate)
 }
 
 /// Every variant of op `i` with exactly one node identifier replaced
-/// by a strictly smaller one, smallest replacement first. Link ops
-/// never become self-links and burst victims stay distinct from each
-/// other and the root, so every candidate is still well-formed.
+/// by a strictly smaller one the op does not already name, smallest
+/// replacement first: link ops never become self-links and burst
+/// victims stay distinct from each other and the root, so every
+/// candidate is still well-formed.
 fn lower_nodes(program: &ChaosProgram, i: usize) -> Vec<ChaosProgram> {
+    let ids: Vec<u32> = nodes_mut(&mut program.ops[i].clone())
+        .into_iter()
+        .map(|n| *n)
+        .collect();
     let mut out = Vec::new();
-    let mut push = |op: ChaosOp| {
-        let mut candidate = program.clone();
-        candidate.ops[i] = op;
-        out.push(candidate);
-    };
-    match &program.ops[i] {
-        ChaosOp::Crash { node, .. } | ChaosOp::Slow { node, .. } | ChaosOp::Skew { node, .. } => {
-            for n in 0..*node {
-                let mut op = program.ops[i].clone();
-                match &mut op {
-                    ChaosOp::Crash { node, .. }
-                    | ChaosOp::Slow { node, .. }
-                    | ChaosOp::Skew { node, .. } => *node = n,
-                    _ => unreachable!(),
-                }
-                push(op);
-            }
+    for (slot, id) in ids.iter().enumerate() {
+        for n in (0..*id).filter(|n| !ids.contains(n)) {
+            let mut candidate = program.clone();
+            *nodes_mut(&mut candidate.ops[i])[slot] = n;
+            out.push(candidate);
         }
-        ChaosOp::CutOneWay { from, to, .. } | ChaosOp::Degrade { from, to, .. } => {
-            for f in (0..*from).filter(|f| f != to) {
-                let mut op = program.ops[i].clone();
-                match &mut op {
-                    ChaosOp::CutOneWay { from, .. } | ChaosOp::Degrade { from, .. } => *from = f,
-                    _ => unreachable!(),
-                }
-                push(op);
-            }
-            for t in (0..*to).filter(|t| t != from) {
-                let mut op = program.ops[i].clone();
-                match &mut op {
-                    ChaosOp::CutOneWay { to, .. } | ChaosOp::Degrade { to, .. } => *to = t,
-                    _ => unreachable!(),
-                }
-                push(op);
-            }
-        }
-        ChaosOp::CcfBurst { root, victims, .. } => {
-            for r in (0..*root).filter(|r| !victims.contains(r)) {
-                let mut op = program.ops[i].clone();
-                if let ChaosOp::CcfBurst { root, .. } = &mut op {
-                    *root = r;
-                }
-                push(op);
-            }
-            for (vi, v) in victims.iter().enumerate() {
-                for n in (0..*v).filter(|n| n != root && !victims.contains(n)) {
-                    let mut op = program.ops[i].clone();
-                    if let ChaosOp::CcfBurst { victims, .. } = &mut op {
-                        victims[vi] = n;
-                    }
-                    push(op);
-                }
-            }
-        }
-        ChaosOp::Throttle { .. } | ChaosOp::Retire { .. } | ChaosOp::Admit { .. } => {}
     }
     out
 }
@@ -589,87 +561,25 @@ fn lower_nodes(program: &ChaosProgram, i: usize) -> Vec<ChaosProgram> {
 /// charging a different node still collapses. Op order is preserved
 /// (the shrinker canonicalizes content, not sequence).
 fn signature(program: &ChaosProgram, key: &ViolationKey) -> String {
-    let instants = |op: &ChaosOp| -> Vec<Time> {
-        match op {
-            ChaosOp::Crash { at, until, .. } => {
-                let mut v = vec![*at];
-                v.extend(*until);
-                v
-            }
-            ChaosOp::CutOneWay { at, until, .. }
-            | ChaosOp::Degrade { at, until, .. }
-            | ChaosOp::Slow { at, until, .. } => vec![*at, *until],
-            ChaosOp::Skew { at, .. }
-            | ChaosOp::Throttle { at, .. }
-            | ChaosOp::Retire { at, .. }
-            | ChaosOp::Admit { at, .. } => vec![*at],
-            ChaosOp::CcfBurst { .. } => vec![],
-        }
-    };
-    let origin = program
+    let mut rebased = program.clone();
+    let origin = rebased
         .ops
-        .iter()
-        .flat_map(&instants)
+        .iter_mut()
+        .flat_map(instants_mut)
+        .map(|t| *t)
         .min()
         .unwrap_or(Time::ZERO);
     let mut relabel = std::collections::BTreeMap::new();
     if let Some(node) = key.node {
         relabel.insert(node, 0u32);
     }
-    let canon = |node: u32, map: &mut std::collections::BTreeMap<u32, u32>| -> u32 {
-        let next = map.len() as u32;
-        *map.entry(node).or_insert(next)
-    };
-    let mut rebased = program.clone();
     for op in &mut rebased.ops {
-        match op {
-            ChaosOp::Crash { node, at, until } => {
-                *node = canon(*node, &mut relabel);
-                *at = Time::ZERO + (*at - origin);
-                if let Some(until) = until {
-                    *until = Time::ZERO + (*until - origin);
-                }
-            }
-            ChaosOp::CutOneWay {
-                from,
-                to,
-                at,
-                until,
-            }
-            | ChaosOp::Degrade {
-                from,
-                to,
-                at,
-                until,
-                ..
-            } => {
-                *from = canon(*from, &mut relabel);
-                *to = canon(*to, &mut relabel);
-                *at = Time::ZERO + (*at - origin);
-                *until = Time::ZERO + (*until - origin);
-            }
-            ChaosOp::Slow {
-                node, at, until, ..
-            } => {
-                *node = canon(*node, &mut relabel);
-                *at = Time::ZERO + (*at - origin);
-                *until = Time::ZERO + (*until - origin);
-            }
-            ChaosOp::Skew { node, at, .. } => {
-                *node = canon(*node, &mut relabel);
-                *at = Time::ZERO + (*at - origin);
-            }
-            ChaosOp::CcfBurst { root, victims, .. } => {
-                *root = canon(*root, &mut relabel);
-                for victim in victims {
-                    *victim = canon(*victim, &mut relabel);
-                }
-            }
-            ChaosOp::Throttle { at, .. }
-            | ChaosOp::Retire { at, .. }
-            | ChaosOp::Admit { at, .. } => {
-                *at = Time::ZERO + (*at - origin);
-            }
+        for node in nodes_mut(op) {
+            let next = relabel.len() as u32;
+            *node = *relabel.entry(*node).or_insert(next);
+        }
+        for t in instants_mut(op) {
+            *t = Time::ZERO + (*t - origin);
         }
     }
     format!("{}/g{:?} {}", key.monitor, key.group, rebased.to_json())
@@ -692,17 +602,17 @@ mod tests {
     /// singleton-view bootstrap fixed the stall; kept as a heavy
     /// crash-storm program for engine-robustness tests.
     fn blackout_program() -> ChaosProgram {
-        let mut ops = vec![ChaosOp::Crash {
+        let mut ops = vec![ChaosOp::Fault(FaultOp::Crash {
             node: 0,
             at: t(15),
             until: Some(t(35)),
-        }];
+        })];
         for node in 1..4 {
-            ops.push(ChaosOp::Crash {
+            ops.push(ChaosOp::Fault(FaultOp::Crash {
                 node,
                 at: t(34),
                 until: Some(t(70)),
-            });
+            }));
         }
         ChaosProgram { ops }
     }
@@ -712,11 +622,11 @@ mod tests {
     /// starving the silent-group window.
     fn silence_program() -> ChaosProgram {
         ChaosProgram {
-            ops: vec![ChaosOp::Skew {
+            ops: vec![ChaosOp::Fault(FaultOp::Skew {
                 node: 0,
                 at: Time::ZERO,
                 drift_ppb: 8_799_611,
-            }],
+            })],
         }
     }
 
@@ -769,10 +679,12 @@ mod tests {
             assert!((2..=cfg.max_ops).contains(&p.ops.len()));
             for op in &p.ops {
                 match op {
-                    ChaosOp::Crash { node, .. }
-                    | ChaosOp::Slow { node, .. }
-                    | ChaosOp::Skew { node, .. } => assert!(*node < cfg.nodes),
-                    ChaosOp::CutOneWay { from, to, .. } | ChaosOp::Degrade { from, to, .. } => {
+                    ChaosOp::Fault(FaultOp::Crash { node, .. })
+                    | ChaosOp::Fault(FaultOp::Restart { node, .. })
+                    | ChaosOp::Fault(FaultOp::Slow { node, .. })
+                    | ChaosOp::Fault(FaultOp::Skew { node, .. }) => assert!(*node < cfg.nodes),
+                    ChaosOp::Fault(FaultOp::Cut { from, to, .. })
+                    | ChaosOp::Fault(FaultOp::Degrade { from, to, .. }) => {
                         assert!(*from < cfg.nodes && *to < cfg.nodes);
                         assert_ne!(from, to, "self-links are never cut");
                     }
@@ -797,11 +709,11 @@ mod tests {
     fn fast_clock_skew_does_not_wedge_the_engine() {
         let fuzzer = ChaosFuzzer::standard(FuzzConfig::default(), 1);
         let mut p = blackout_program();
-        p.ops.push(ChaosOp::Skew {
+        p.ops.push(ChaosOp::Fault(FaultOp::Skew {
             node: 2,
             at: t(1),
             drift_ppb: 1_000_000,
-        });
+        }));
         let _ = fuzzer.violations_of(&p);
     }
 
@@ -811,12 +723,12 @@ mod tests {
         let key = silence_key();
         // Pad the real counterexample with irrelevant noise ops.
         let mut padded = silence_program();
-        padded.ops.push(ChaosOp::CutOneWay {
+        padded.ops.push(ChaosOp::Fault(FaultOp::Cut {
             from: 1,
             to: 2,
             at: t(8),
             until: t(11),
-        });
+        }));
         padded.ops.push(ChaosOp::Throttle {
             service: "store".into(),
             at: t(5),
@@ -844,11 +756,11 @@ mod tests {
         let ns = Time::from_nanos;
         let program = ChaosProgram {
             ops: vec![
-                ChaosOp::Crash {
+                ChaosOp::Fault(FaultOp::Crash {
                     node: 3,
                     at: ns(16_570_000),
                     until: None,
-                },
+                }),
                 ChaosOp::CcfBurst {
                     root: 3,
                     victims: vec![2, 0, 1],
@@ -860,21 +772,21 @@ mod tests {
                     at: ns(59_540_000),
                     permille: 149,
                 },
-                ChaosOp::Crash {
+                ChaosOp::Fault(FaultOp::Crash {
                     node: 0,
                     at: ns(57_030_000),
                     until: Some(ns(59_620_000)),
-                },
-                ChaosOp::Crash {
+                }),
+                ChaosOp::Fault(FaultOp::Crash {
                     node: 3,
                     at: ns(34_520_000),
                     until: Some(ns(55_430_000)),
-                },
-                ChaosOp::Crash {
+                }),
+                ChaosOp::Fault(FaultOp::Crash {
                     node: 3,
                     at: ns(53_720_000),
                     until: None,
-                },
+                }),
             ],
         };
         let key = silence_key();
@@ -897,11 +809,11 @@ mod tests {
         // slide it all the way back to the origin.
         let fuzzer = ChaosFuzzer::standard(FuzzConfig::default(), 1);
         let late = ChaosProgram {
-            ops: vec![ChaosOp::Skew {
+            ops: vec![ChaosOp::Fault(FaultOp::Skew {
                 node: 0,
                 at: Time::ZERO + Duration::from_nanos(47_210_000),
                 drift_ppb: 8_799_611,
-            }],
+            })],
         };
         let minimized = fuzzer.shrink(&late, &silence_key());
         assert_eq!(minimized, silence_program(), "skew canonicalizes to t=0");
@@ -910,30 +822,30 @@ mod tests {
     #[test]
     fn shifting_halves_start_offsets_and_keeps_window_lengths() {
         let program = ChaosProgram {
-            ops: vec![ChaosOp::CutOneWay {
+            ops: vec![ChaosOp::Fault(FaultOp::Cut {
                 from: 1,
                 to: 2,
                 at: t(40),
                 until: t(44),
-            }],
+            })],
         };
         let shifted = shift_op(&program, 0).expect("shiftable");
         assert_eq!(
             shifted.ops[0],
-            ChaosOp::CutOneWay {
+            ChaosOp::Fault(FaultOp::Cut {
                 from: 1,
                 to: 2,
                 at: t(20),
                 until: t(24),
-            }
+            })
         );
         // At the origin there is nowhere earlier to go.
         let origin = ChaosProgram {
-            ops: vec![ChaosOp::Skew {
+            ops: vec![ChaosOp::Fault(FaultOp::Skew {
                 node: 0,
                 at: Time::ZERO,
                 drift_ppb: 1,
-            }],
+            })],
         };
         assert_eq!(shift_op(&origin, 0), None);
         // Detection-triggered bursts carry no instant to shift.
@@ -951,15 +863,15 @@ mod tests {
     #[test]
     fn node_lowering_keeps_links_and_bursts_well_formed() {
         let cut = ChaosProgram {
-            ops: vec![ChaosOp::CutOneWay {
+            ops: vec![ChaosOp::Fault(FaultOp::Cut {
                 from: 2,
                 to: 1,
                 at: t(10),
                 until: t(12),
-            }],
+            })],
         };
         for candidate in lower_nodes(&cut, 0) {
-            let ChaosOp::CutOneWay { from, to, .. } = &candidate.ops[0] else {
+            let ChaosOp::Fault(FaultOp::Cut { from, to, .. }) = &candidate.ops[0] else {
                 panic!("lowering changed the op kind");
             };
             assert_ne!(from, to, "lowering produced a self-link");
@@ -1001,32 +913,32 @@ mod tests {
         // node's successor.
         let a = ChaosProgram {
             ops: vec![
-                ChaosOp::Crash {
+                ChaosOp::Fault(FaultOp::Crash {
                     node: 1,
                     at: t(30),
                     until: Some(t(40)),
-                },
-                ChaosOp::CutOneWay {
+                }),
+                ChaosOp::Fault(FaultOp::Cut {
                     from: 1,
                     to: 2,
                     at: t(32),
                     until: t(36),
-                },
+                }),
             ],
         };
         let b = ChaosProgram {
             ops: vec![
-                ChaosOp::Crash {
+                ChaosOp::Fault(FaultOp::Crash {
                     node: 3,
                     at: t(50),
                     until: Some(t(60)),
-                },
-                ChaosOp::CutOneWay {
+                }),
+                ChaosOp::Fault(FaultOp::Cut {
                     from: 3,
                     to: 0,
                     at: t(52),
                     until: t(56),
-                },
+                }),
             ],
         };
         let key = |node| ViolationKey {
@@ -1037,7 +949,7 @@ mod tests {
         assert_eq!(signature(&a, &key(1)), signature(&b, &key(3)));
         // A different window length is a different bug shape.
         let mut c = b.clone();
-        if let ChaosOp::Crash { until, .. } = &mut c.ops[0] {
+        if let ChaosOp::Fault(FaultOp::Crash { until, .. }) = &mut c.ops[0] {
             *until = Some(t(61));
         }
         assert_ne!(signature(&b, &key(3)), signature(&c, &key(3)));

@@ -7,10 +7,10 @@
 //! machine-checkable oracle. This crate closes the loop into a fuzzer:
 //!
 //! * [`program::ChaosProgram`] is a *typed* fault/load script over the
-//!   full gray-failure vocabulary of the runtime control plane —
-//!   crash windows, asymmetric link cuts, degraded links, slow nodes,
-//!   clock skew, detection-triggered common-cause bursts, workload
-//!   throttles and service retire/admit;
+//!   full gray-failure vocabulary of the runtime control plane — every
+//!   [`hades_cluster::FaultOp`] (crash windows, asymmetric link cuts,
+//!   degraded links, slow nodes, clock skew), plus detection-triggered
+//!   common-cause bursts, workload throttles and service retire/admit;
 //! * [`program::ProgramDriver`] runs a program as a reactive
 //!   [`hades_cluster::ScenarioDriver`] against any spec;
 //! * [`fuzzer::ChaosFuzzer`] generates random programs from a seeded
@@ -41,6 +41,7 @@
 //! use hades_chaos::corpus::CorpusScenario;
 //! use hades_chaos::program::{ChaosOp, ChaosProgram};
 //! use hades_chaos::fuzzer::ViolationKey;
+//! use hades_cluster::FaultOp;
 //! use hades_time::{Duration, Time};
 //!
 //! let scenario = CorpusScenario {
@@ -50,7 +51,11 @@
 //!     seed: 7,
 //!     expect: ViolationKey { monitor: "silent-group".into(), node: None, group: Some(0) },
 //!     program: ChaosProgram {
-//!         ops: vec![ChaosOp::Skew { node: 0, at: Time::ZERO, drift_ppb: 8_799_611 }],
+//!         ops: vec![ChaosOp::Fault(FaultOp::Skew {
+//!             node: 0,
+//!             at: Time::ZERO,
+//!             drift_ppb: 8_799_611,
+//!         })],
 //!     },
 //! };
 //! assert!(scenario.reproduces(), "the committed counterexample still fires");

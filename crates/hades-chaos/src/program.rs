@@ -5,11 +5,11 @@
 //! generate, mutate, shrink and serialize. [`ProgramDriver`] lowers a
 //! program onto a running cluster through the same
 //! [`hades_cluster::ControlHandle`] a hand-written reactive driver
-//! would use: timed ops are staged at start, service-level ops apply at
+//! would use: fault ops are staged at start, service-level ops apply at
 //! their instant from the periodic tick, and common-cause bursts fire
 //! *reactively* on the first detection of their root fault.
 
-use hades_cluster::{ClusterEvent, ControlHandle, ScenarioDriver};
+use hades_cluster::{ClusterEvent, ControlHandle, FaultOp, ScenarioDriver};
 use hades_telemetry::json::{escape, Json};
 use hades_time::{Duration, Time};
 
@@ -17,61 +17,8 @@ use hades_time::{Duration, Time};
 /// control plane clamps anything aimed at the past to "now".
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ChaosOp {
-    /// Crash `node` at `at`; restart it at `until` (`None` = for good).
-    Crash {
-        /// The victim.
-        node: u32,
-        /// Crash instant.
-        at: Time,
-        /// Cold-restart instant, if the node comes back.
-        until: Option<Time>,
-    },
-    /// Sever only the directed link `from → to` during `[at, until]`.
-    CutOneWay {
-        /// Sender side of the dead direction.
-        from: u32,
-        /// Receiver side of the dead direction.
-        to: u32,
-        /// Window start.
-        at: Time,
-        /// Window end.
-        until: Time,
-    },
-    /// Degrade (without severing) the directed link `from → to`.
-    Degrade {
-        /// Sender side.
-        from: u32,
-        /// Receiver side.
-        to: u32,
-        /// Window start.
-        at: Time,
-        /// Window end.
-        until: Time,
-        /// Extra latency every message suffers inside the window.
-        extra_delay: Duration,
-        /// Extra loss chance (‰) inside the window.
-        loss_permille: u32,
-    },
-    /// Slow `node`'s CPU to `speed_permille / 1000` of nominal.
-    Slow {
-        /// The straggler.
-        node: u32,
-        /// Window start.
-        at: Time,
-        /// Window end.
-        until: Time,
-        /// CPU speed in permille of nominal (clamped to `1..=1000`).
-        speed_permille: u32,
-    },
-    /// Skew `node`'s local clock from `at` on.
-    Skew {
-        /// The node whose timers drift.
-        node: u32,
-        /// Skew onset.
-        at: Time,
-        /// Drift in parts-per-billion (negative = slow clock).
-        drift_ppb: i64,
-    },
+    /// A fault op, staged at start through [`ControlHandle::inject`].
+    Fault(FaultOp),
     /// Common-cause burst: when the crash of `root` is first *detected*
     /// by any survivor, each victim crashes in turn, staggered by
     /// `spacing`, each down for `down` — a correlated cascade seeded by
@@ -125,7 +72,7 @@ impl ChaosOp {
     /// One-line JSON encoding (the corpus element format).
     pub fn to_json(&self) -> String {
         match self {
-            ChaosOp::Crash { node, at, until } => {
+            ChaosOp::Fault(FaultOp::Crash { node, at, until }) => {
                 let until = match until {
                     Some(u) => format!("{}", ns(*u)),
                     None => "null".to_string(),
@@ -135,46 +82,52 @@ impl ChaosOp {
                     ns(*at)
                 )
             }
-            ChaosOp::CutOneWay {
+            ChaosOp::Fault(FaultOp::Restart { node, at }) => {
+                format!(
+                    "{{\"op\":\"restart\",\"node\":{node},\"at_ns\":{}}}",
+                    ns(*at)
+                )
+            }
+            ChaosOp::Fault(FaultOp::Cut {
                 from,
                 to,
                 at,
                 until,
-            } => format!(
+            }) => format!(
                 "{{\"op\":\"cut\",\"from\":{from},\"to\":{to},\"at_ns\":{},\"until_ns\":{}}}",
                 ns(*at),
                 ns(*until)
             ),
-            ChaosOp::Degrade {
+            ChaosOp::Fault(FaultOp::Degrade {
                 from,
                 to,
                 at,
                 until,
                 extra_delay,
                 loss_permille,
-            } => format!(
+            }) => format!(
                 "{{\"op\":\"degrade\",\"from\":{from},\"to\":{to},\"at_ns\":{},\"until_ns\":{},\
                  \"extra_delay_ns\":{},\"loss_permille\":{loss_permille}}}",
                 ns(*at),
                 ns(*until),
                 extra_delay.as_nanos()
             ),
-            ChaosOp::Slow {
+            ChaosOp::Fault(FaultOp::Slow {
                 node,
                 at,
                 until,
                 speed_permille,
-            } => format!(
+            }) => format!(
                 "{{\"op\":\"slow\",\"node\":{node},\"at_ns\":{},\"until_ns\":{},\
                  \"speed_permille\":{speed_permille}}}",
                 ns(*at),
                 ns(*until)
             ),
-            ChaosOp::Skew {
+            ChaosOp::Fault(FaultOp::Skew {
                 node,
                 at,
                 drift_ppb,
-            } => format!(
+            }) => format!(
                 "{{\"op\":\"skew\",\"node\":{node},\"at_ns\":{},\"drift_ppb\":{drift_ppb}}}",
                 ns(*at)
             ),
@@ -244,7 +197,7 @@ impl ChaosOp {
                 .ok_or(format!("op {op:?} missing \"service\""))
         };
         Ok(match op {
-            "crash" => ChaosOp::Crash {
+            "crash" => ChaosOp::Fault(FaultOp::Crash {
                 node: node("node")?,
                 at: time("at_ns")?,
                 until: match v.get("until_ns") {
@@ -253,35 +206,39 @@ impl ChaosOp {
                         u.as_u64().ok_or("crash until_ns must be integer or null")?,
                     )),
                 },
-            },
-            "cut" => ChaosOp::CutOneWay {
+            }),
+            "restart" => ChaosOp::Fault(FaultOp::Restart {
+                node: node("node")?,
+                at: time("at_ns")?,
+            }),
+            "cut" => ChaosOp::Fault(FaultOp::Cut {
                 from: node("from")?,
                 to: node("to")?,
                 at: time("at_ns")?,
                 until: time("until_ns")?,
-            },
-            "degrade" => ChaosOp::Degrade {
+            }),
+            "degrade" => ChaosOp::Fault(FaultOp::Degrade {
                 from: node("from")?,
                 to: node("to")?,
                 at: time("at_ns")?,
                 until: time("until_ns")?,
                 extra_delay: dur("extra_delay_ns")?,
                 loss_permille: node("loss_permille")?,
-            },
-            "slow" => ChaosOp::Slow {
+            }),
+            "slow" => ChaosOp::Fault(FaultOp::Slow {
                 node: node("node")?,
                 at: time("at_ns")?,
                 until: time("until_ns")?,
                 speed_permille: node("speed_permille")?,
-            },
-            "skew" => ChaosOp::Skew {
+            }),
+            "skew" => ChaosOp::Fault(FaultOp::Skew {
                 node: node("node")?,
                 at: time("at_ns")?,
                 drift_ppb: v
                     .get("drift_ppb")
                     .and_then(Json::as_f64)
                     .ok_or("skew missing drift_ppb")? as i64,
-            },
+            }),
             "ccf" => ChaosOp::CcfBurst {
                 root: node("root")?,
                 victims: v
@@ -343,9 +300,8 @@ impl ChaosProgram {
 /// Runs a [`ChaosProgram`] against a live cluster as a
 /// [`ScenarioDriver`].
 ///
-/// Fault-fabric ops (crashes, cuts, degrades, slows, skews) are staged
-/// once at start with their absolute instants — the control plane
-/// applies them on time. Service-level ops (throttle/retire/admit) have
+/// [`ChaosOp::Fault`] ops are staged once at start with their absolute
+/// instants — the control plane applies them on time. Service-level ops (throttle/retire/admit) have
 /// no timed control variant, so they apply from the periodic tick at
 /// the first tick at or after their instant. [`ChaosOp::CcfBurst`] is
 /// the reactive piece: it arms on the program and fires when the
@@ -400,35 +356,7 @@ impl ScenarioDriver for ProgramDriver {
     fn on_start(&mut self, _now: Time, ctl: &mut ControlHandle<'_>) {
         for (idx, op) in self.program.ops.iter().enumerate() {
             match op {
-                ChaosOp::Crash { node, at, until } => match until {
-                    Some(until) => ctl.crash_window(*node, *at, *until),
-                    None => ctl.crash_at(*node, *at),
-                },
-                ChaosOp::CutOneWay {
-                    from,
-                    to,
-                    at,
-                    until,
-                } => ctl.cut_link(*from, *to, *at, *until),
-                ChaosOp::Degrade {
-                    from,
-                    to,
-                    at,
-                    until,
-                    extra_delay,
-                    loss_permille,
-                } => ctl.degrade_link(*from, *to, *at, *until, *extra_delay, *loss_permille),
-                ChaosOp::Slow {
-                    node,
-                    at,
-                    until,
-                    speed_permille,
-                } => ctl.slow_node(*node, *at, *until, *speed_permille),
-                ChaosOp::Skew {
-                    node,
-                    at,
-                    drift_ppb,
-                } => ctl.skew_clock(*node, *at, *drift_ppb),
+                ChaosOp::Fault(op) => ctl.inject(*op),
                 ChaosOp::CcfBurst { .. } => self.bursts.push((idx, false)),
                 ChaosOp::Throttle { .. } | ChaosOp::Retire { .. } | ChaosOp::Admit { .. } => {
                     self.queued.push(idx)
@@ -464,7 +392,11 @@ impl ScenarioDriver for ProgramDriver {
             }
             for (i, victim) in victims.iter().enumerate() {
                 let at = now + spacing.saturating_mul(i as u64 + 1);
-                ctl.crash_window(*victim, at, at + *down);
+                ctl.inject(FaultOp::Crash {
+                    node: *victim,
+                    at,
+                    until: Some(at + *down),
+                });
             }
             self.bursts[slot].1 = true;
         }
@@ -492,41 +424,42 @@ mod tests {
     fn sample_program() -> ChaosProgram {
         ChaosProgram {
             ops: vec![
-                ChaosOp::Crash {
+                ChaosOp::Fault(FaultOp::Crash {
                     node: 0,
                     at: t(10),
                     until: Some(t(20)),
-                },
-                ChaosOp::Crash {
+                }),
+                ChaosOp::Fault(FaultOp::Crash {
                     node: 1,
                     at: t(12),
                     until: None,
-                },
-                ChaosOp::CutOneWay {
+                }),
+                ChaosOp::Fault(FaultOp::Cut {
                     from: 2,
                     to: 3,
                     at: t(5),
                     until: t(9),
-                },
-                ChaosOp::Degrade {
+                }),
+                ChaosOp::Fault(FaultOp::Degrade {
                     from: 1,
                     to: 0,
                     at: t(3),
                     until: t(40),
                     extra_delay: Duration::from_micros(250),
                     loss_permille: 400,
-                },
-                ChaosOp::Slow {
+                }),
+                ChaosOp::Fault(FaultOp::Slow {
                     node: 2,
                     at: t(6),
                     until: t(11),
                     speed_permille: 125,
-                },
-                ChaosOp::Skew {
+                }),
+                ChaosOp::Fault(FaultOp::Skew {
                     node: 3,
                     at: t(1),
                     drift_ppb: -2_000_000,
-                },
+                }),
+                ChaosOp::Fault(FaultOp::Restart { node: 1, at: t(30) }),
                 ChaosOp::CcfBurst {
                     root: 0,
                     victims: vec![2, 3],
@@ -582,19 +515,21 @@ mod tests {
         let mut program = sample_program();
         for op in &mut program.ops {
             match op {
-                ChaosOp::Crash { node, .. } | ChaosOp::Skew { node, .. } => *node = M,
-                ChaosOp::CutOneWay { from, to, .. } => (*from, *to) = (M, M),
-                ChaosOp::Degrade {
+                ChaosOp::Fault(FaultOp::Crash { node, .. })
+                | ChaosOp::Fault(FaultOp::Restart { node, .. })
+                | ChaosOp::Fault(FaultOp::Skew { node, .. }) => *node = M,
+                ChaosOp::Fault(FaultOp::Cut { from, to, .. }) => (*from, *to) = (M, M),
+                ChaosOp::Fault(FaultOp::Degrade {
                     from,
                     to,
                     loss_permille,
                     ..
-                } => (*from, *to, *loss_permille) = (M, M, M),
-                ChaosOp::Slow {
+                }) => (*from, *to, *loss_permille) = (M, M, M),
+                ChaosOp::Fault(FaultOp::Slow {
                     node,
                     speed_permille,
                     ..
-                } => (*node, *speed_permille) = (M, M),
+                }) => (*node, *speed_permille) = (M, M),
                 ChaosOp::CcfBurst { root, victims, .. } => (*root, *victims) = (M, vec![M, M - 1]),
                 ChaosOp::Throttle { permille, .. } => *permille = M,
                 ChaosOp::Retire { .. } | ChaosOp::Admit { .. } => {}

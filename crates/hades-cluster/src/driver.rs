@@ -12,9 +12,9 @@
 //! * it receives every [`ClusterEvent`] **at its engine timestamp**
 //!   (through the protocol tap and the mux postbox), plus a
 //!   periodic tick;
-//! * it reacts through a [`ControlHandle`] that can inject crashes,
-//!   restarts and partitions into the *running* network, retire or
-//!   admit (standby) services, and retune live workloads;
+//! * it reacts through a [`ControlHandle`] that can inject any
+//!   [`FaultOp`] into the *running* network, retire or admit (standby)
+//!   services, and retune live workloads;
 //! * the offline path is not a second mechanism: at start the control
 //!   plane replays the spec's [`crate::ScenarioPlan`] through the same
 //!   control ops a reactive driver would use, before any registered
@@ -48,7 +48,7 @@
 
 use crate::events::ClusterEvent;
 use crate::report::NodeReport;
-use crate::scenario::ScenarioPlan;
+use crate::scenario::{FaultOp, ScenarioPlan};
 use hades_services::group::{RequestSource, GN_WAKE};
 use hades_sim::mux::{self, ActorCtx, ActorEvent, ActorId, ControlOp, NetActor};
 use hades_sim::{FaultPlan, NodeId};
@@ -75,7 +75,7 @@ use std::rc::Rc;
 ///
 /// ```
 /// use hades_cluster::{
-///     ClusterEvent, ClusterSpec, ControlHandle, ScenarioDriver, ScenarioPlan, ServiceSpec,
+///     ClusterEvent, ClusterSpec, ControlHandle, FaultOp, ScenarioDriver, ScenarioPlan, ServiceSpec,
 /// };
 /// use hades_sim::NodeId;
 /// use hades_time::{Duration, Time};
@@ -86,11 +86,12 @@ use std::rc::Rc;
 /// }
 ///
 /// impl ScenarioDriver for Cascade {
-///     fn on_event(&mut self, _now: Time, event: &ClusterEvent, ctl: &mut ControlHandle<'_>) {
+///     fn on_event(&mut self, now: Time, event: &ClusterEvent, ctl: &mut ControlHandle<'_>) {
 ///         if let ClusterEvent::Detected { suspect: 0, .. } = event {
 ///             if !self.fired {
 ///                 self.fired = true;
-///                 ctl.crash(3); // reactive: injected at the detection instant
+///                 // Reactive: injected at the detection instant.
+///                 ctl.inject(FaultOp::Crash { node: 3, at: now, until: None });
 ///             }
 ///         }
 ///     }
@@ -163,30 +164,11 @@ pub(crate) struct ServiceControl {
 /// the command is issued.
 #[derive(Debug, Clone)]
 enum Command {
-    /// Crash `node` at `at`, down until `until` (`None` = for good),
-    /// subject to the crash rule of [`ControlActor::apply`].
-    Crash {
-        node: u32,
-        at: Time,
-        until: Option<Time>,
-    },
-    /// Any other network fault op, staged as issued.
-    Net(ControlOp),
-    Throttle {
-        service: usize,
-        permille: u32,
-    },
-    Retire {
-        service: usize,
-    },
-    Admit {
-        service: usize,
-    },
-    ShardMoved {
-        shard: u32,
-        from: u32,
-        to: u32,
-    },
+    Fault(FaultOp),
+    Throttle { service: usize, permille: u32 },
+    Retire { service: usize },
+    Admit { service: usize },
+    ShardMoved { shard: u32, from: u32, to: u32 },
 }
 
 /// The injection surface handed to every [`ScenarioDriver`] callback.
@@ -262,121 +244,23 @@ impl ControlHandle<'_> {
         self.nodes
     }
 
-    /// Crashes `node` permanently, effective now. Out-of-range nodes are
-    /// ignored here and by every fault method below.
-    pub fn crash(&mut self, node: u32) {
-        self.crash_at(node, self.now);
-    }
-
-    /// Crashes `node` permanently at `at` (clamped to now).
-    ///
-    /// The crash rule, shared with [`ControlHandle::crash_window`]: a
-    /// crash of a node already down at `at` is a no-op, and a restart
-    /// already booked for a later window of the same node ends this
-    /// crash — the node comes back then.
-    pub fn crash_at(&mut self, node: u32, at: Time) {
-        self.crash_until(node, at, None);
-    }
-
-    /// Crashes `node` for the window `[at, until)` — it restarts (cold,
-    /// running the rejoin protocol) at `until`. The crash rule of
-    /// [`ControlHandle::crash_at`] applies: no-op if the node is already
-    /// down at `at`, and a restart already booked for a later window
-    /// caps `until`.
-    pub fn crash_window(&mut self, node: u32, at: Time, until: Time) {
-        self.crash_until(node, at, Some(until));
-    }
-
-    /// Schedules a restart of an already-injected crash of `node` at
-    /// `at`. A no-op when no open crash window covers `at`.
-    pub fn restart_at(&mut self, node: u32, at: Time) {
-        self.node_op(
-            node,
-            ControlOp::Restart {
-                node: NodeId(node),
-                at,
-            },
-        );
-    }
-
-    /// Cuts both directions of the `a ↔ b` link during `[from, until]`.
-    pub fn partition(&mut self, a: u32, b: u32, from: Time, until: Time) {
-        self.cut_link(a, b, from, until);
-        self.cut_link(b, a, from, until);
-    }
-
-    /// Cuts only the directed link `from → to` during `[at, until]` — an
-    /// *asymmetric* partition: `from`'s messages to `to` vanish while the
-    /// reverse direction keeps delivering, so the two sides disagree
-    /// about each other's health. Self links are ignored.
-    pub fn cut_link(&mut self, from: u32, to: u32, at: Time, until: Time) {
-        self.link_op(
-            from,
-            to,
-            ControlOp::CutLink {
-                from: NodeId(from),
-                to: NodeId(to),
-                from_t: at,
-                until_t: until,
-            },
-        );
-    }
-
-    /// Degrades (without severing) the directed link `from → to` during
-    /// `[at, until]`: every message suffers `extra_delay` on top of its
-    /// drawn transit time plus an additional `loss_permille` chance of
-    /// loss — the gray-failure middle ground between healthy and cut.
-    pub fn degrade_link(
-        &mut self,
-        from: u32,
-        to: u32,
-        at: Time,
-        until: Time,
-        extra_delay: Duration,
-        loss_permille: u32,
-    ) {
-        self.link_op(
-            from,
-            to,
-            ControlOp::DegradeLink {
-                from: NodeId(from),
-                to: NodeId(to),
-                from_t: at,
-                until_t: until,
-                extra_delay,
-                loss_permille,
-            },
-        );
-    }
-
-    /// Slows `node`'s CPU to `speed_permille / 1000` of nominal during
-    /// `[at, until)`: the node stays up and keeps emitting, but its work
-    /// lags — a straggler that can miss heartbeat deadlines without
-    /// being down. `speed_permille` is clamped to `1..=1000`.
-    pub fn slow_node(&mut self, node: u32, at: Time, until: Time, speed_permille: u32) {
-        self.node_op(
-            node,
-            ControlOp::SlowNode {
-                node: NodeId(node),
-                from_t: at,
-                until_t: until,
-                speed_permille,
-            },
-        );
-    }
-
-    /// Skews `node`'s local clock from `at` on: the node's timers run at
-    /// `1 + drift_ppb / 1e9` of real rate (negative drift = slow clock =
-    /// late heartbeats). A later skew of the same node supersedes it.
-    pub fn skew_clock(&mut self, node: u32, at: Time, drift_ppb: i64) {
-        self.node_op(
-            node,
-            ControlOp::SkewClock {
-                node: NodeId(node),
-                at,
-                drift_ppb,
-            },
-        );
+    /// Stages `op` (see [`FaultOp`] for each kind and the crash rule).
+    /// An op naming a node outside the cluster, or a link from a node to
+    /// itself, is ignored.
+    pub fn inject(&mut self, op: FaultOp) {
+        let n = self.nodes;
+        let valid = match op {
+            FaultOp::Cut { from, to, .. } | FaultOp::Degrade { from, to, .. } => {
+                from < n && to < n && from != to
+            }
+            FaultOp::Crash { node, .. }
+            | FaultOp::Restart { node, .. }
+            | FaultOp::Slow { node, .. }
+            | FaultOp::Skew { node, .. } => node < n,
+        };
+        if valid {
+            self.cmds.push(Command::Fault(op));
+        }
     }
 
     /// Retunes the named replicated service's live workload to
@@ -433,38 +317,6 @@ impl ControlHandle<'_> {
     /// service names.
     pub fn mark_shard_moved(&mut self, shard: u32, from: u32, to: u32) {
         self.cmds.push(Command::ShardMoved { shard, from, to });
-    }
-
-    /// Issues `plan`'s crash windows, then its partitions: the spec's own
-    /// script, replayed at start before any registered driver runs. Mode
-    /// changes are not replayed: they need the offline transition
-    /// analysis, so they lower statically and the control plane emits
-    /// their events at the script instant.
-    fn replay(&mut self, plan: &ScenarioPlan) {
-        for (node, w) in plan.fault_plan().crash_windows() {
-            self.crash_until(node.0, w.crash_at, w.restart_at);
-        }
-        for p in plan.partitions() {
-            self.partition(p.a.0, p.b.0, p.from, p.until);
-        }
-    }
-
-    fn crash_until(&mut self, node: u32, at: Time, until: Option<Time>) {
-        if node < self.nodes {
-            self.cmds.push(Command::Crash { node, at, until });
-        }
-    }
-
-    fn node_op(&mut self, node: u32, op: ControlOp) {
-        if node < self.nodes {
-            self.cmds.push(Command::Net(op));
-        }
-    }
-
-    fn link_op(&mut self, from: u32, to: u32, op: ControlOp) {
-        if from < self.nodes && to < self.nodes && from != to {
-            self.cmds.push(Command::Net(op));
-        }
     }
 
     /// Registration indices of every service named `service`.
@@ -846,14 +698,30 @@ impl ControlActor {
         mode_marks: Vec<(Time, Time)>,
         watchdog: Option<Rc<RefCell<Watchdog>>>,
     ) -> Self {
+        // The spec's own script: its crash windows, paired by
+        // `fault_plan`, then its cuts in builder order. Mode changes are
+        // not replayed: they need the offline transition analysis, so
+        // they lower statically and the control plane emits their events
+        // at the script instant.
         let mut script = Vec::new();
-        ControlHandle {
+        let mut handle = ControlHandle {
             now: Time::ZERO,
             nodes,
             services: &services,
             cmds: &mut script,
+        };
+        for (node, w) in plan.fault_plan().crash_windows() {
+            handle.inject(FaultOp::Crash {
+                node: node.0,
+                at: w.crash_at,
+                until: w.restart_at,
+            });
         }
-        .replay(plan);
+        for op in plan.ops() {
+            if let FaultOp::Cut { .. } = op {
+                handle.inject(*op);
+            }
+        }
         ControlActor {
             script,
             drivers,
@@ -922,41 +790,92 @@ impl ControlActor {
         }
     }
 
-    /// Stages one network fault op: applies it to the applied plan with
-    /// the network's own rule, then hands it to the engine, which applies
-    /// it to the network's plan at this same instant.
-    fn stage(&self, op: ControlOp, now: Time, ctx: &mut ActorCtx<'_>) {
-        mux::apply_network_op(&mut self.state.borrow_mut().applied, &op, now);
-        ctx.control(op);
-    }
-
-    /// Applies one collected command: stages its fault op, or applies
-    /// its service control and emits the event.
+    /// Applies one collected command. A fault op is lowered to its
+    /// network op, applied to the applied plan with the network's own
+    /// rule, and handed to the engine, which applies it to the network's
+    /// plan at this same instant. A service control is applied and its
+    /// event emitted.
     fn apply(&mut self, cmd: Command, now: Time, ctx: &mut ActorCtx<'_>) {
         match cmd {
-            // The crash rule: a crash of a node already down is a no-op,
-            // and a restart already booked for a later window of the
-            // node ends this one.
-            Command::Crash { node, at, until } => {
-                let node = NodeId(node);
-                let at = at.max(now);
-                let booked = {
-                    let state = self.state.borrow();
-                    if state.applied.is_crashed(node, at) {
-                        return;
+            Command::Fault(op) => {
+                let op = match op {
+                    // The crash rule: a crash of a node already down is a
+                    // no-op, and a restart already booked for a later
+                    // window of the node ends this one.
+                    FaultOp::Crash { node, at, until } => {
+                        let node = NodeId(node);
+                        let at = at.max(now);
+                        let booked = {
+                            let state = self.state.borrow();
+                            if state.applied.is_crashed(node, at) {
+                                return;
+                            }
+                            state
+                                .applied
+                                .windows_of(node)
+                                .iter()
+                                .filter_map(|w| w.restart_at)
+                                .find(|r| *r > at)
+                        };
+                        // `apply_network_op` lifts an `until` at or before
+                        // `at`.
+                        let until = until.into_iter().chain(booked).min();
+                        ControlOp::Crash { node, at, until }
                     }
-                    state
-                        .applied
-                        .windows_of(node)
-                        .iter()
-                        .filter_map(|w| w.restart_at)
-                        .find(|r| *r > at)
+                    FaultOp::Restart { node, at } => ControlOp::Restart {
+                        node: NodeId(node),
+                        at,
+                    },
+                    FaultOp::Cut {
+                        from,
+                        to,
+                        at,
+                        until,
+                    } => ControlOp::CutLink {
+                        from: NodeId(from),
+                        to: NodeId(to),
+                        from_t: at,
+                        until_t: until,
+                    },
+                    FaultOp::Degrade {
+                        from,
+                        to,
+                        at,
+                        until,
+                        extra_delay,
+                        loss_permille,
+                    } => ControlOp::DegradeLink {
+                        from: NodeId(from),
+                        to: NodeId(to),
+                        from_t: at,
+                        until_t: until,
+                        extra_delay,
+                        loss_permille,
+                    },
+                    FaultOp::Slow {
+                        node,
+                        at,
+                        until,
+                        speed_permille,
+                    } => ControlOp::SlowNode {
+                        node: NodeId(node),
+                        from_t: at,
+                        until_t: until,
+                        speed_permille,
+                    },
+                    FaultOp::Skew {
+                        node,
+                        at,
+                        drift_ppb,
+                    } => ControlOp::SkewClock {
+                        node: NodeId(node),
+                        at,
+                        drift_ppb,
+                    },
                 };
-                // `apply_network_op` lifts an `until` at or before `at`.
-                let until = until.into_iter().chain(booked).min();
-                self.stage(ControlOp::Crash { node, at, until }, now, ctx);
+                mux::apply_network_op(&mut self.state.borrow_mut().applied, &op, now);
+                ctx.control(op);
             }
-            Command::Net(op) => self.stage(op, now, ctx),
             Command::Throttle { service, permille } => {
                 self.retune(service, permille, now, ctx);
                 self.state.borrow_mut().push(ClusterEvent::WorkloadRetuned {

@@ -110,7 +110,7 @@ pub use report::{
     ClusterReport, DetectionRecord, FailoverRecord, GroupHandoff, GroupReport, ModeChangeRecord,
     NodeFeasibility, NodeReport, RecoveryRecord, ViewChangeStats,
 };
-pub use scenario::{ModeChangeScript, Partition, ScenarioPlan};
+pub use scenario::{FaultOp, ModeChangeScript, ScenarioPlan};
 pub use spec::{ClusterSpec, ServiceRef, ServiceSpec, SpecError, SpecIssue, MAX_CLUSTER_NODES};
 pub use workload::{Bursty, ClosedLoop, ConstantRate, TraceReplay, Workload};
 
@@ -627,7 +627,11 @@ mod tests {
         struct LateCrash;
         impl ScenarioDriver for LateCrash {
             fn on_start(&mut self, _now: Time, ctl: &mut ControlHandle<'_>) {
-                ctl.crash_at(3, Time::ZERO + ms(20));
+                ctl.inject(FaultOp::Crash {
+                    node: 3,
+                    at: Time::ZERO + ms(20),
+                    until: None,
+                });
             }
             fn on_event(&mut self, _: Time, _: &ClusterEvent, _: &mut ControlHandle<'_>) {}
         }

@@ -1,5 +1,11 @@
 //! Scenario plans: scripted failures and transitions driving an
-//! end-to-end cluster run.
+//! end-to-end cluster run, and [`FaultOp`], the one fault vocabulary.
+//!
+//! A [`FaultOp`] is one fault: a crash, restart, directed link cut,
+//! degraded link, slowed CPU or skewed clock. A [`ScenarioPlan`] scripts
+//! them offline, a [`crate::ScenarioDriver`] injects them online through
+//! [`crate::ControlHandle::inject`], and a chaos program carries them as
+//! data; the control plane lowers every one the same way.
 //!
 //! A [`ScenarioPlan`] is a builder that compiles to a
 //! [`hades_sim::FaultPlan`] ([`ScenarioPlan::fault_plan`]) — the one
@@ -26,20 +32,92 @@
 
 use hades_sim::{FaultPlan, NodeId};
 use hades_task::{Task, TaskId};
-use hades_time::Time;
+use hades_time::{Duration, Time};
 
-/// A bidirectional link cut between two nodes over a time window; the
-/// window's end is the link's recovery.
+/// One fault op. Nodes are cluster node indices; times are absolute
+/// virtual instants, and the control plane clamps an instant in the past
+/// to "now".
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Partition {
-    /// One side.
-    pub a: NodeId,
-    /// The other side.
-    pub b: NodeId,
-    /// First instant of the cut (inclusive).
-    pub from: Time,
-    /// Last instant of the cut (inclusive); traffic resumes after.
-    pub until: Time,
+pub enum FaultOp {
+    /// Crash `node` at `at` (fail-stop: it neither sends, receives nor
+    /// executes) and restart it cold at `until`, running the rejoin
+    /// protocol (`None` = down for good). The crash rule: a crash of a
+    /// node already down at `at` is a no-op, and a restart already booked
+    /// for a later window of the same node ends this crash.
+    Crash {
+        /// The victim.
+        node: u32,
+        /// Crash instant.
+        at: Time,
+        /// Cold-restart instant, if the node comes back.
+        until: Option<Time>,
+    },
+    /// Restart `node` at `at`, closing the crash window open at `at`; a
+    /// no-op when none is. In a [`ScenarioPlan`] it pairs with the
+    /// latest scripted crash of the node before it.
+    Restart {
+        /// The restarting node.
+        node: u32,
+        /// Restart instant.
+        at: Time,
+    },
+    /// Sever only the directed link `from → to` during `[at, until]`:
+    /// `from`'s messages to `to` vanish while the reverse direction keeps
+    /// delivering. A partition is two cuts.
+    Cut {
+        /// Sender side of the dead direction.
+        from: u32,
+        /// Receiver side of the dead direction.
+        to: u32,
+        /// Window start.
+        at: Time,
+        /// Window end (inclusive); the link recovers after it.
+        until: Time,
+    },
+    /// Degrade (without severing) the directed link `from → to` during
+    /// `[at, until]`: every message suffers `extra_delay` on top of its
+    /// drawn transit time plus an additional `loss_permille` chance of
+    /// loss — the gray failure between healthy and cut.
+    Degrade {
+        /// Sender side.
+        from: u32,
+        /// Receiver side.
+        to: u32,
+        /// Window start.
+        at: Time,
+        /// Window end (inclusive).
+        until: Time,
+        /// Extra latency every message suffers inside the window.
+        extra_delay: Duration,
+        /// Extra loss chance (‰) inside the window.
+        loss_permille: u32,
+    },
+    /// Slow `node`'s CPU to `speed_permille / 1000` of nominal during
+    /// `[at, until)`: the node stays up and keeps emitting, but its work
+    /// lags — a straggler that can miss heartbeat deadlines without being
+    /// down.
+    Slow {
+        /// The straggler.
+        node: u32,
+        /// Window start.
+        at: Time,
+        /// Window end (exclusive).
+        until: Time,
+        /// CPU speed in permille of nominal (clamped to `1..=1000`).
+        speed_permille: u32,
+    },
+    /// Skew `node`'s local clock from `at` on: its timers run at
+    /// `1 + drift_ppb / 1e9` of real rate. A later skew of the same node
+    /// supersedes it.
+    Skew {
+        /// The node whose timers drift.
+        node: u32,
+        /// Skew onset.
+        at: Time,
+        /// Drift in parts-per-billion (negative = slow clock = late
+        /// heartbeats).
+        drift_ppb: i64,
+    },
 }
 
 /// A scripted application mode change: at `at`, the tasks in `retire`
@@ -60,7 +138,7 @@ pub struct ModeChangeScript {
 /// # Examples
 ///
 /// ```
-/// use hades_cluster::ScenarioPlan;
+/// use hades_cluster::{FaultOp, ScenarioPlan};
 /// use hades_sim::NodeId;
 /// use hades_time::{Duration, Time};
 ///
@@ -69,16 +147,15 @@ pub struct ModeChangeScript {
 ///     .crash(NodeId(0), ms(50))
 ///     .restart(NodeId(0), ms(70))
 ///     .partition(NodeId(1), NodeId(2), ms(10), ms(12));
-/// assert_eq!(plan.crashes().len(), 1);
+/// assert_eq!(plan.ops().len(), 4, "a partition is two cuts");
+/// assert_eq!(plan.ops()[0], FaultOp::Crash { node: 0, at: ms(50), until: None });
 /// let faults = plan.fault_plan();
 /// assert!(faults.is_crashed(NodeId(0), ms(60)));
 /// assert!(!faults.is_crashed(NodeId(0), ms(70)), "restarted");
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ScenarioPlan {
-    crashes: Vec<(NodeId, Time)>,
-    restarts: Vec<(NodeId, Time)>,
-    partitions: Vec<Partition>,
+    ops: Vec<FaultOp>,
     mode_changes: Vec<ModeChangeScript>,
 }
 
@@ -92,7 +169,11 @@ impl ScenarioPlan {
     /// executes from then on — until a scripted [`ScenarioPlan::restart`],
     /// if any).
     pub fn crash(mut self, node: NodeId, at: Time) -> Self {
-        self.crashes.push((node, at));
+        self.ops.push(FaultOp::Crash {
+            node: node.0,
+            at,
+            until: None,
+        });
         self
     }
 
@@ -101,14 +182,21 @@ impl ScenarioPlan {
     /// state transfer → replay → re-admission). Must follow a scripted
     /// crash of the same node; the cluster build rejects it otherwise.
     pub fn restart(mut self, node: NodeId, at: Time) -> Self {
-        self.restarts.push((node, at));
+        self.ops.push(FaultOp::Restart { node: node.0, at });
         self
     }
 
     /// Cuts both directions of the `a ↔ b` link during `[from, until]`;
     /// the link recovers after `until`.
     pub fn partition(mut self, a: NodeId, b: NodeId, from: Time, until: Time) -> Self {
-        self.partitions.push(Partition { a, b, from, until });
+        for (from_node, to) in [(a, b), (b, a)] {
+            self.ops.push(FaultOp::Cut {
+                from: from_node.0,
+                to: to.0,
+                at: from,
+                until,
+            });
+        }
         self
     }
 
@@ -130,25 +218,12 @@ impl ScenarioPlan {
 
     /// Whether the plan scripts nothing at all.
     pub fn is_empty(&self) -> bool {
-        self.crashes.is_empty()
-            && self.restarts.is_empty()
-            && self.partitions.is_empty()
-            && self.mode_changes.is_empty()
+        self.ops.is_empty() && self.mode_changes.is_empty()
     }
 
-    /// Scripted crashes, in insertion order.
-    pub fn crashes(&self) -> &[(NodeId, Time)] {
-        &self.crashes
-    }
-
-    /// Scripted restarts, in insertion order.
-    pub fn restarts(&self) -> &[(NodeId, Time)] {
-        &self.restarts
-    }
-
-    /// Scripted partitions, in insertion order.
-    pub fn partitions(&self) -> &[Partition] {
-        &self.partitions
+    /// Scripted fault ops, in insertion order.
+    pub fn ops(&self) -> &[FaultOp] {
+        &self.ops
     }
 
     /// Scripted mode changes, in insertion order.
@@ -163,11 +238,7 @@ impl ScenarioPlan {
     /// rejects them rather than silently running a contradictory plan.
     pub fn orphan_restarts(&self) -> Vec<(NodeId, Time)> {
         let matched = self.fault_plan().restarts();
-        self.restarts
-            .iter()
-            .filter(|r| !matched.contains(r))
-            .copied()
-            .collect()
+        self.restarts().filter(|r| !matched.contains(r)).collect()
     }
 
     /// Compiles the scenario's failure script into the network fault
@@ -177,23 +248,36 @@ impl ScenarioPlan {
     /// node is already down is a no-op.
     pub fn fault_plan(&self) -> FaultPlan {
         let mut plan = FaultPlan::new();
-        for &(node, at) in &self.crashes {
-            plan.add_crash(node, at, self.restart_after(node, at));
-        }
-        for p in &self.partitions {
-            plan.add_cut(p.a, p.b, p.from, p.until);
-            plan.add_cut(p.b, p.a, p.from, p.until);
+        for op in &self.ops {
+            match *op {
+                FaultOp::Crash { node, at, .. } => {
+                    let until = self
+                        .restarts()
+                        .filter(|(n, t)| n.0 == node && *t > at)
+                        .map(|(_, t)| t)
+                        .min();
+                    plan.add_crash(NodeId(node), at, until);
+                }
+                FaultOp::Cut {
+                    from,
+                    to,
+                    at,
+                    until,
+                } => plan.add_cut(NodeId(from), NodeId(to), at, until),
+                // Restarts end the crash windows above; the builder
+                // scripts no other op.
+                _ => {}
+            }
         }
         plan
     }
 
-    /// The earliest scripted restart of `node` strictly after `at`.
-    fn restart_after(&self, node: NodeId, at: Time) -> Option<Time> {
-        self.restarts
-            .iter()
-            .filter(|(n, t)| *n == node && *t > at)
-            .map(|(_, t)| *t)
-            .min()
+    /// Scripted restarts, in insertion order.
+    fn restarts(&self) -> impl Iterator<Item = (NodeId, Time)> + '_ {
+        self.ops.iter().filter_map(|op| match *op {
+            FaultOp::Restart { node, at } => Some((NodeId(node), at)),
+            _ => None,
+        })
     }
 }
 

@@ -52,10 +52,15 @@ impl Lowered {
                 initial_plan.add_crash(node, w.crash_at, w.restart_at);
             }
         }
-        for p in self.spec.scenario.partitions() {
-            if p.from == Time::ZERO {
-                initial_plan.add_cut(p.a, p.b, p.from, p.until);
-                initial_plan.add_cut(p.b, p.a, p.from, p.until);
+        for op in self.spec.scenario.ops() {
+            if let FaultOp::Cut {
+                from,
+                to,
+                at: Time::ZERO,
+                until,
+            } = *op
+            {
+                initial_plan.add_cut(NodeId(from), NodeId(to), Time::ZERO, until);
             }
         }
         let net = Network::homogeneous(

@@ -55,7 +55,7 @@ use crate::driver::{
 use crate::events::ClusterRun;
 use crate::middleware::{GroupLoad, MiddlewareConfig, MIDDLEWARE_TASK_BASE};
 use crate::report;
-use crate::scenario::{ModeChangeScript, ScenarioPlan};
+use crate::scenario::{FaultOp, ModeChangeScript, ScenarioPlan};
 use crate::workload::{ConstantRate, Workload};
 use hades_dispatch::{CostModel, DispatchSim, RunReport, SimConfig};
 use hades_sched::analysis::rta::{rta_feasible, RtaTask};

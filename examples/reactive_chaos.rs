@@ -45,7 +45,11 @@ impl ScenarioDriver for ChaosDriver {
             ClusterEvent::Detected { suspect: 0, .. } if !self.cascaded => {
                 self.cascaded = true;
                 println!("[driver] {now}: node 0 detected -> cascading crash onto node 4");
-                ctl.crash_window(4, now, now + ms(18));
+                ctl.inject(FaultOp::Crash {
+                    node: 4,
+                    at: now,
+                    until: Some(now + ms(18)),
+                });
             }
             // The overloaded analytics node misses a deadline: shed the
             // store's workload until the cluster heals.

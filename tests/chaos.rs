@@ -61,14 +61,14 @@ fn every_committed_scenario_shrinks_to_a_minimal_deterministic_program() {
         // Pad the committed program with ops that are irrelevant to
         // its violation; the shrinker must strip them all back out.
         let mut padded = scenario.program.clone();
-        padded.ops.push(ChaosOp::Degrade {
+        padded.ops.push(ChaosOp::Fault(FaultOp::Degrade {
             from: 1,
             to: 2,
             at: Time::ZERO + ms(3),
             until: Time::ZERO + ms(9),
             extra_delay: us(80),
             loss_permille: 200,
-        });
+        }));
         padded.ops.push(ChaosOp::Throttle {
             service: "store".into(),
             at: Time::ZERO + ms(5),
@@ -104,12 +104,12 @@ fn an_asymmetric_cut_raises_false_suspicions_end_to_end() {
     // suspect the perfectly alive node — the classic gray failure.
     let mut ops = Vec::new();
     for to in 0..3 {
-        ops.push(ChaosOp::CutOneWay {
+        ops.push(ChaosOp::Fault(FaultOp::Cut {
             from: 3,
             to,
             at: Time::ZERO + ms(10),
             until: Time::ZERO + ms(30),
-        });
+        }));
     }
     let run = standard_spec(4, ms(60), 11)
         .driver(Box::new(ProgramDriver::new(ChaosProgram { ops })))
@@ -220,17 +220,17 @@ proptest! {
         let after = Time::ZERO + horizon + ms(1);
         let baseline = standard_spec(4, horizon, seed).run().expect("valid spec");
         let ops = vec![
-            ChaosOp::CutOneWay { from: 0, to: 1, at: after, until: after + ms(2) },
-            ChaosOp::Degrade {
+            ChaosOp::Fault(FaultOp::Cut { from: 0, to: 1, at: after, until: after + ms(2) }),
+            ChaosOp::Fault(FaultOp::Degrade {
                 from: 1,
                 to: 2,
                 at: after,
                 until: after + ms(3),
                 extra_delay: us(extra_delay_us),
                 loss_permille: loss,
-            },
-            ChaosOp::Slow { node: 2, at: after, until: after + ms(2), speed_permille: speed },
-            ChaosOp::Skew { node: 3, at: after, drift_ppb: drift },
+            }),
+            ChaosOp::Fault(FaultOp::Slow { node: 2, at: after, until: after + ms(2), speed_permille: speed }),
+            ChaosOp::Fault(FaultOp::Skew { node: 3, at: after, drift_ppb: drift }),
         ];
         let armed = standard_spec(4, horizon, seed)
             .driver(Box::new(ProgramDriver::new(ChaosProgram { ops })))

@@ -36,14 +36,18 @@ struct CascadeDriver {
 }
 
 impl ScenarioDriver for CascadeDriver {
-    fn on_event(&mut self, _now: Time, event: &ClusterEvent, ctl: &mut ControlHandle<'_>) {
+    fn on_event(&mut self, now: Time, event: &ClusterEvent, ctl: &mut ControlHandle<'_>) {
         if self.fired {
             return;
         }
         if let ClusterEvent::Detected { suspect, .. } = event {
             if *suspect == self.trigger {
                 self.fired = true;
-                ctl.crash(self.victim);
+                ctl.inject(FaultOp::Crash {
+                    node: self.victim,
+                    at: now,
+                    until: None,
+                });
             }
         }
     }
@@ -124,9 +128,14 @@ struct EarlyCrash {
 impl ScenarioDriver for EarlyCrash {
     fn on_event(&mut self, _now: Time, _event: &ClusterEvent, _ctl: &mut ControlHandle<'_>) {}
 
-    fn on_tick(&mut self, _now: Time, ctl: &mut ControlHandle<'_>) {
+    fn on_tick(&mut self, now: Time, ctl: &mut ControlHandle<'_>) {
         if !std::mem::replace(&mut self.fired, true) {
-            ctl.crash(2); // node 2 is ALSO scripted to crash at 20 ms
+            // Node 2 is ALSO scripted to crash at 20 ms.
+            ctl.inject(FaultOp::Crash {
+                node: 2,
+                at: now,
+                until: None,
+            });
         }
     }
 }
@@ -181,10 +190,7 @@ struct TwoCrashes([(Time, Option<Time>); 2]);
 impl ScenarioDriver for TwoCrashes {
     fn on_start(&mut self, _now: Time, ctl: &mut ControlHandle<'_>) {
         for (at, until) in self.0 {
-            match until {
-                Some(until) => ctl.crash_window(2, at, until),
-                None => ctl.crash_at(2, at),
-            }
+            ctl.inject(FaultOp::Crash { node: 2, at, until });
         }
     }
 
@@ -266,7 +272,7 @@ struct CrashOnMiss {
 }
 
 impl ScenarioDriver for CrashOnMiss {
-    fn on_event(&mut self, _now: Time, event: &ClusterEvent, ctl: &mut ControlHandle<'_>) {
+    fn on_event(&mut self, now: Time, event: &ClusterEvent, ctl: &mut ControlHandle<'_>) {
         if let ClusterEvent::DeadlineMiss {
             node,
             middleware: false,
@@ -274,7 +280,11 @@ impl ScenarioDriver for CrashOnMiss {
         } = event
         {
             if !std::mem::replace(&mut self.fired, true) {
-                ctl.crash(*node);
+                ctl.inject(FaultOp::Crash {
+                    node: *node,
+                    at: now,
+                    until: None,
+                });
             }
         }
     }
