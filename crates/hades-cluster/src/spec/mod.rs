@@ -577,9 +577,9 @@ impl ClusterSpec {
 
     /// Installs the offline failure scenario. The offline analyses read
     /// it (feasibility, mode-change transitions, recovery cost windows),
-    /// and at run time the control plane replays its crashes, restarts
-    /// and partitions at start — through the same control ops reactive
-    /// drivers use, before any registered driver starts.
+    /// and at run time the control plane replays its fault ops at start —
+    /// through [`crate::ControlHandle::inject`], as reactive drivers do,
+    /// before any registered driver starts.
     pub fn scenario(mut self, scenario: ScenarioPlan) -> Self {
         self.scenario = scenario;
         self
