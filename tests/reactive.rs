@@ -723,3 +723,59 @@ fn a_shared_service_name_addresses_every_entry_registered_under_it() {
         );
     }
 }
+
+/// Slows two nodes at the first tick through windows the control plane
+/// must clamp: node 1's starts before the tick, node 2's ends before it
+/// starts.
+#[derive(Debug, Default)]
+struct ClampedSlowdowns {
+    fired: bool,
+}
+
+impl ScenarioDriver for ClampedSlowdowns {
+    fn on_event(&mut self, _now: Time, _event: &ClusterEvent, _ctl: &mut ControlHandle<'_>) {}
+
+    fn on_tick(&mut self, now: Time, ctl: &mut ControlHandle<'_>) {
+        if std::mem::replace(&mut self.fired, true) {
+            return;
+        }
+        ctl.inject(FaultOp::Slow {
+            node: 1,
+            at: now - us(500),
+            until: now + us(1_500),
+            speed_permille: 500,
+        });
+        ctl.inject(FaultOp::Slow {
+            node: 2,
+            at: now + us(4_100),
+            until: now + ms(4),
+            speed_permille: 1,
+        });
+    }
+}
+
+#[test]
+fn a_runtime_slowdown_is_clamped_to_now_and_to_a_positive_length() {
+    // The first tick is at 1 ms. Node 1's window [0.5 ms, 2.5 ms) runs
+    // from the tick: its instances activated at 1 ms (600 µs) and 2 ms
+    // (550 µs) run at half speed and are late. Node 2's window
+    // [5.1 ms, 5 ms) lasts 1 ns from 5.1 ms, inside the instance
+    // activated at 5 ms.
+    let run = ClusterSpec::new(3)
+        .horizon(ms(10))
+        .service(app_task(0, 1, us(300), us(500)))
+        .service(app_task(1, 2, us(300), us(500)))
+        .driver(Box::new(ClampedSlowdowns::default()))
+        .run()
+        .unwrap();
+    let r = run.report();
+    let (n1, n2) = (&r.node_reports[1], &r.node_reports[2]);
+    assert_eq!(
+        (n1.app_instances, n1.app_misses, n1.worst_app_response),
+        (11, 2, Some(us(600)))
+    );
+    assert_eq!(
+        (n2.app_instances, n2.app_misses, n2.worst_app_response),
+        (11, 0, Some(us(300) + Duration::from_nanos(1)))
+    );
+}
