@@ -194,7 +194,7 @@ impl Network {
     }
 
     /// Mutable access to the fault plan in force — the injection point
-    /// for **runtime** fault ops ([`crate::mux::ControlOp`]) applied to a
+    /// for **runtime** fault ops ([`FaultPlan::apply`]) applied to a
     /// network already owned by a running engine.
     pub fn fault_plan_mut(&mut self) -> &mut FaultPlan {
         &mut self.plan
@@ -276,16 +276,6 @@ impl Network {
             self.stats.delivered_on_time += 1;
             Delivery::At(now + healthy + extra)
         }
-    }
-
-    /// Broadcast helper: the fate of a message from `from` to every other
-    /// node, in node order.
-    pub fn broadcast(&mut self, from: NodeId, now: Time) -> Vec<(NodeId, Delivery)> {
-        let targets: Vec<NodeId> = self.nodes().filter(|n| *n != from).collect();
-        targets
-            .into_iter()
-            .map(|to| (to, self.transit(from, to, now)))
-            .collect()
     }
 }
 
@@ -456,19 +446,6 @@ mod tests {
         assert_eq!(t, Time::ZERO + micro(100));
         assert_eq!(net.max_delay(), micro(100));
         assert_eq!(net.link(NodeId(0), NodeId(1)).delay_max, micro(2));
-    }
-
-    #[test]
-    fn broadcast_reaches_all_other_nodes() {
-        let mut net = Network::homogeneous(
-            4,
-            LinkConfig::reliable(micro(1), micro(2)),
-            SimRng::seed_from(5),
-        );
-        let fates = net.broadcast(NodeId(2), Time::ZERO);
-        let targets: Vec<NodeId> = fates.iter().map(|(n, _)| *n).collect();
-        assert_eq!(targets, vec![NodeId(0), NodeId(1), NodeId(3)]);
-        assert!(fates.iter().all(|(_, d)| d.time().is_some()));
     }
 
     #[test]
