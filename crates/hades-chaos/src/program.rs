@@ -64,6 +64,9 @@ fn ns(t: Time) -> u64 {
 
 /// Corpus integers are input from outside the program: one past `u32` is
 /// an error naming its field, never a wrapped node id.
+/// 2^63: a `drift_ppb` decodes only from an integer in `-2^63..2^63`.
+const I64_BOUND: f64 = 9_223_372_036_854_775_808.0;
+
 pub(crate) fn narrow(key: &str, n: u64) -> Result<u32, String> {
     u32::try_from(n).map_err(|_| format!("{key:?} = {n} exceeds u32"))
 }
@@ -196,7 +199,7 @@ impl ChaosOp {
                 .map(str::to_string)
                 .ok_or(format!("op {op:?} missing \"service\""))
         };
-        Ok(match op {
+        let decoded = match op {
             "crash" => ChaosOp::Fault(FaultOp::Crash {
                 node: node("node")?,
                 at: time("at_ns")?,
@@ -237,7 +240,8 @@ impl ChaosOp {
                 drift_ppb: v
                     .get("drift_ppb")
                     .and_then(Json::as_f64)
-                    .ok_or("skew missing drift_ppb")? as i64,
+                    .filter(|d| d.fract() == 0.0 && (-I64_BOUND..I64_BOUND).contains(d))
+                    .ok_or("skew missing integer drift_ppb")? as i64,
             }),
             "ccf" => ChaosOp::CcfBurst {
                 root: node("root")?,
@@ -265,7 +269,27 @@ impl ChaosOp {
                 at: time("at_ns")?,
             },
             other => return Err(format!("unknown chaos op kind {other:?}")),
-        })
+        };
+        if let ChaosOp::Fault(
+            FaultOp::Crash {
+                at,
+                until: Some(until),
+                ..
+            }
+            | FaultOp::Cut { at, until, .. }
+            | FaultOp::Degrade { at, until, .. }
+            | FaultOp::Slow { at, until, .. },
+        ) = decoded
+        {
+            if until < at {
+                return Err(format!(
+                    "op {op:?} \"until_ns\" = {} precedes \"at_ns\" = {}",
+                    ns(until),
+                    ns(at)
+                ));
+            }
+        }
+        Ok(decoded)
     }
 }
 
@@ -540,6 +564,43 @@ mod tests {
         let parsed =
             ChaosProgram::from_json(&Json::parse(&line).expect("valid json")).expect("decodes");
         assert_eq!(parsed, program);
+    }
+
+    #[test]
+    fn windows_ending_before_they_start_are_rejected() {
+        let crash = r#"{"op":"crash","node":2,"at_ns":20000000,"until_ns":10000000}"#;
+        let err = ChaosOp::from_json(&Json::parse(crash).unwrap()).expect_err("inverted");
+        assert!(err.contains("\"until_ns\" = 10000000"), "{err}");
+        for kind in [
+            r#""op":"cut","from":0,"to":1"#,
+            r#""op":"degrade","from":0,"to":1,"extra_delay_ns":5,"loss_permille":1"#,
+            r#""op":"slow","node":1,"speed_permille":500"#,
+        ] {
+            let inverted = format!("{{{kind},\"at_ns\":3,\"until_ns\":2}}");
+            let err = ChaosOp::from_json(&Json::parse(&inverted).unwrap()).expect_err(kind);
+            assert!(err.contains("\"until_ns\""), "{err}");
+            // An empty window (`until_ns == at_ns`) still decodes.
+            let empty = inverted.replace("\"until_ns\":2", "\"until_ns\":3");
+            assert!(ChaosOp::from_json(&Json::parse(&empty).unwrap()).is_ok());
+        }
+    }
+
+    #[test]
+    fn a_drift_that_is_no_i64_is_rejected_not_truncated() {
+        for drift in ["1.5", "1e30", "-1e30", "9223372036854775808"] {
+            let line = format!(r#"{{"op":"skew","node":1,"at_ns":1,"drift_ppb":{drift}}}"#);
+            let err = ChaosOp::from_json(&Json::parse(&line).unwrap()).expect_err(drift);
+            assert!(err.contains("drift_ppb"), "{err}");
+        }
+        let line = r#"{"op":"skew","node":1,"at_ns":1,"drift_ppb":-20000000}"#;
+        let op = ChaosOp::from_json(&Json::parse(line).unwrap()).expect("integer drift");
+        assert!(matches!(
+            op,
+            ChaosOp::Fault(FaultOp::Skew {
+                drift_ppb: -20_000_000,
+                ..
+            })
+        ));
     }
 
     #[test]
