@@ -26,8 +26,8 @@
 //! The control plane records every fault op it stages — crashes,
 //! restarts, cuts, degraded links, slow nodes, clock skews, scripted and
 //! reactive alike — in a [`FaultPlan`] of its own, applied with
-//! [`mux::apply_network_op`], the function the network applies the same
-//! op with at the same instant. The two plans therefore cannot drift:
+//! [`FaultPlan::apply`], the rule the network applies the same op with
+//! at the same instant. The two plans therefore cannot drift:
 //! online classification (a `Detected` latency, a `FailedOver`, the
 //! crash-casualty filter on `DeadlineMiss` and on each settled instance
 //! the node reports count) and the post-run report read that one record
@@ -48,10 +48,10 @@
 
 use crate::events::ClusterEvent;
 use crate::report::NodeReport;
-use crate::scenario::{FaultOp, ScenarioPlan};
+use crate::scenario::ScenarioPlan;
 use hades_services::group::{RequestSource, GN_WAKE};
-use hades_sim::mux::{self, ActorCtx, ActorEvent, ActorId, ControlOp, NetActor};
-use hades_sim::{FaultPlan, NodeId};
+use hades_sim::mux::{ActorCtx, ActorEvent, ActorId, ControlOp, NetActor};
+use hades_sim::{FaultOp, FaultPlan, NodeId};
 use hades_task::TaskId;
 use hades_telemetry::monitor::{MonitorEvent, Watchdog};
 use hades_time::{Duration, Time};
@@ -698,11 +698,10 @@ impl ControlActor {
         mode_marks: Vec<(Time, Time)>,
         watchdog: Option<Rc<RefCell<Watchdog>>>,
     ) -> Self {
-        // The spec's own script: its crash windows, paired by
-        // `fault_plan`, then its cuts in builder order. Mode changes are
-        // not replayed: they need the offline transition analysis, so
-        // they lower statically and the control plane emits their events
-        // at the script instant.
+        // The spec's own script, in replay order. Mode changes are not
+        // replayed: they need the offline transition analysis, so they
+        // lower statically and the control plane emits their events at
+        // the script instant.
         let mut script = Vec::new();
         let mut handle = ControlHandle {
             now: Time::ZERO,
@@ -710,17 +709,8 @@ impl ControlActor {
             services: &services,
             cmds: &mut script,
         };
-        for (node, w) in plan.fault_plan().crash_windows() {
-            handle.inject(FaultOp::Crash {
-                node: node.0,
-                at: w.crash_at,
-                until: w.restart_at,
-            });
-        }
-        for op in plan.ops() {
-            if let FaultOp::Cut { .. } = op {
-                handle.inject(*op);
-            }
+        for op in plan.replay() {
+            handle.inject(op);
         }
         ControlActor {
             script,
@@ -790,91 +780,15 @@ impl ControlActor {
         }
     }
 
-    /// Applies one collected command. A fault op is lowered to its
-    /// network op, applied to the applied plan with the network's own
-    /// rule, and handed to the engine, which applies it to the network's
-    /// plan at this same instant. A service control is applied and its
-    /// event emitted.
+    /// Applies one collected command. A fault op is applied to the
+    /// applied plan with [`FaultPlan::apply`] and handed to the engine,
+    /// which applies it to the network's plan with that same rule at this
+    /// same instant. A service control is applied and its event emitted.
     fn apply(&mut self, cmd: Command, now: Time, ctx: &mut ActorCtx<'_>) {
         match cmd {
             Command::Fault(op) => {
-                let op = match op {
-                    // The crash rule: a crash of a node already down is a
-                    // no-op, and a restart already booked for a later
-                    // window of the node ends this one.
-                    FaultOp::Crash { node, at, until } => {
-                        let node = NodeId(node);
-                        let at = at.max(now);
-                        let booked = {
-                            let state = self.state.borrow();
-                            if state.applied.is_crashed(node, at) {
-                                return;
-                            }
-                            state
-                                .applied
-                                .windows_of(node)
-                                .iter()
-                                .filter_map(|w| w.restart_at)
-                                .find(|r| *r > at)
-                        };
-                        // `apply_network_op` lifts an `until` at or before
-                        // `at`.
-                        let until = until.into_iter().chain(booked).min();
-                        ControlOp::Crash { node, at, until }
-                    }
-                    FaultOp::Restart { node, at } => ControlOp::Restart {
-                        node: NodeId(node),
-                        at,
-                    },
-                    FaultOp::Cut {
-                        from,
-                        to,
-                        at,
-                        until,
-                    } => ControlOp::CutLink {
-                        from: NodeId(from),
-                        to: NodeId(to),
-                        from_t: at,
-                        until_t: until,
-                    },
-                    FaultOp::Degrade {
-                        from,
-                        to,
-                        at,
-                        until,
-                        extra_delay,
-                        loss_permille,
-                    } => ControlOp::DegradeLink {
-                        from: NodeId(from),
-                        to: NodeId(to),
-                        from_t: at,
-                        until_t: until,
-                        extra_delay,
-                        loss_permille,
-                    },
-                    FaultOp::Slow {
-                        node,
-                        at,
-                        until,
-                        speed_permille,
-                    } => ControlOp::SlowNode {
-                        node: NodeId(node),
-                        from_t: at,
-                        until_t: until,
-                        speed_permille,
-                    },
-                    FaultOp::Skew {
-                        node,
-                        at,
-                        drift_ppb,
-                    } => ControlOp::SkewClock {
-                        node: NodeId(node),
-                        at,
-                        drift_ppb,
-                    },
-                };
-                mux::apply_network_op(&mut self.state.borrow_mut().applied, &op, now);
-                ctx.control(op);
+                self.state.borrow_mut().applied.apply(&op, now);
+                ctx.control(ControlOp::Fault(op));
             }
             Command::Throttle { service, permille } => {
                 self.retune(service, permille, now, ctx);

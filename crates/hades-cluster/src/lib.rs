@@ -102,6 +102,7 @@ pub mod workload;
 
 pub use driver::{ControlHandle, ScenarioDriver};
 pub use events::{ClusterEvent, ClusterRun};
+pub use hades_sim::FaultOp;
 pub use middleware::{
     GroupLoad, MiddlewareConfig, GROUP_TASK_BASE, GROUP_TASK_STRIDE, MIDDLEWARE_TASKS_PER_NODE,
     MIDDLEWARE_TASK_BASE, RECOVERY_TASK_BASE,
@@ -110,7 +111,7 @@ pub use report::{
     ClusterReport, DetectionRecord, FailoverRecord, GroupHandoff, GroupReport, ModeChangeRecord,
     NodeFeasibility, NodeReport, RecoveryRecord, ViewChangeStats,
 };
-pub use scenario::{FaultOp, ModeChangeScript, ScenarioPlan};
+pub use scenario::{ModeChangeScript, ScenarioPlan};
 pub use spec::{ClusterSpec, ServiceRef, ServiceSpec, SpecError, SpecIssue, MAX_CLUSTER_NODES};
 pub use workload::{Bursty, ClosedLoop, ConstantRate, TraceReplay, Workload};
 

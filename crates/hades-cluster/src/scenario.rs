@@ -1,11 +1,13 @@
 //! Scenario plans: scripted failures and transitions driving an
-//! end-to-end cluster run, and [`FaultOp`], the one fault vocabulary.
+//! end-to-end cluster run.
 //!
-//! A [`FaultOp`] is one fault: a crash, restart, directed link cut,
-//! degraded link, slowed CPU or skewed clock. A [`ScenarioPlan`] scripts
-//! them offline, a [`crate::ScenarioDriver`] injects them online through
-//! [`crate::ControlHandle::inject`], and a chaos program carries them as
-//! data; the control plane lowers every one the same way.
+//! A [`FaultOp`] (declared in `hades_sim`, re-exported as
+//! [`crate::FaultOp`]) is one fault: a crash, restart, directed link
+//! cut, degraded link, slowed CPU or skewed clock. A [`ScenarioPlan`]
+//! scripts them offline, a [`crate::ScenarioDriver`] injects them online
+//! through [`crate::ControlHandle::inject`], and a chaos program carries
+//! them as data; the control plane and the network apply every one with
+//! [`FaultPlan::apply`].
 //!
 //! A [`ScenarioPlan`] is a builder that compiles to a
 //! [`hades_sim::FaultPlan`] ([`ScenarioPlan::fault_plan`]) — the one
@@ -30,95 +32,9 @@
 //! the heartbeat traffic, the view-change flood and the state-transfer
 //! chunks all see the *same* failures.
 
-use hades_sim::{FaultPlan, NodeId};
+use hades_sim::{FaultOp, FaultPlan, NodeId};
 use hades_task::{Task, TaskId};
-use hades_time::{Duration, Time};
-
-/// One fault op. Nodes are cluster node indices; times are absolute
-/// virtual instants, and the control plane clamps an instant in the past
-/// to "now".
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultOp {
-    /// Crash `node` at `at` (fail-stop: it neither sends, receives nor
-    /// executes) and restart it cold at `until`, running the rejoin
-    /// protocol (`None` = down for good). The crash rule: a crash of a
-    /// node already down at `at` is a no-op, and a restart already booked
-    /// for a later window of the same node ends this crash.
-    Crash {
-        /// The victim.
-        node: u32,
-        /// Crash instant.
-        at: Time,
-        /// Cold-restart instant, if the node comes back.
-        until: Option<Time>,
-    },
-    /// Restart `node` at `at`, closing the crash window open at `at`; a
-    /// no-op when none is. In a [`ScenarioPlan`] it pairs with the
-    /// latest scripted crash of the node before it.
-    Restart {
-        /// The restarting node.
-        node: u32,
-        /// Restart instant.
-        at: Time,
-    },
-    /// Sever only the directed link `from → to` during `[at, until]`:
-    /// `from`'s messages to `to` vanish while the reverse direction keeps
-    /// delivering. A partition is two cuts.
-    Cut {
-        /// Sender side of the dead direction.
-        from: u32,
-        /// Receiver side of the dead direction.
-        to: u32,
-        /// Window start.
-        at: Time,
-        /// Window end (inclusive); the link recovers after it.
-        until: Time,
-    },
-    /// Degrade (without severing) the directed link `from → to` during
-    /// `[at, until]`: every message suffers `extra_delay` on top of its
-    /// drawn transit time plus an additional `loss_permille` chance of
-    /// loss — the gray failure between healthy and cut.
-    Degrade {
-        /// Sender side.
-        from: u32,
-        /// Receiver side.
-        to: u32,
-        /// Window start.
-        at: Time,
-        /// Window end (inclusive).
-        until: Time,
-        /// Extra latency every message suffers inside the window.
-        extra_delay: Duration,
-        /// Extra loss chance (‰) inside the window.
-        loss_permille: u32,
-    },
-    /// Slow `node`'s CPU to `speed_permille / 1000` of nominal during
-    /// `[at, until)`: the node stays up and keeps emitting, but its work
-    /// lags — a straggler that can miss heartbeat deadlines without being
-    /// down.
-    Slow {
-        /// The straggler.
-        node: u32,
-        /// Window start.
-        at: Time,
-        /// Window end (exclusive).
-        until: Time,
-        /// CPU speed in permille of nominal (clamped to `1..=1000`).
-        speed_permille: u32,
-    },
-    /// Skew `node`'s local clock from `at` on: its timers run at
-    /// `1 + drift_ppb / 1e9` of real rate. A later skew of the same node
-    /// supersedes it.
-    Skew {
-        /// The node whose timers drift.
-        node: u32,
-        /// Skew onset.
-        at: Time,
-        /// Drift in parts-per-billion (negative = slow clock = late
-        /// heartbeats).
-        drift_ppb: i64,
-    },
-}
+use hades_time::Time;
 
 /// A scripted application mode change: at `at`, the tasks in `retire`
 /// stop being activated and the tasks in `introduce` take over, released
@@ -270,6 +186,25 @@ impl ScenarioPlan {
             }
         }
         plan
+    }
+
+    /// The script in replay order: its crash windows as [`fault_plan`]
+    /// pairs them (by node, then crash instant), then its cuts in builder
+    /// order.
+    ///
+    /// [`fault_plan`]: ScenarioPlan::fault_plan
+    pub(crate) fn replay(&self) -> impl Iterator<Item = FaultOp> + '_ {
+        let crashes = self.fault_plan().crash_windows().into_iter();
+        let crashes = crashes.map(|(node, w)| FaultOp::Crash {
+            node: node.0,
+            at: w.crash_at,
+            until: w.restart_at,
+        });
+        let cuts = self
+            .ops
+            .iter()
+            .filter(|op| matches!(op, FaultOp::Cut { .. }));
+        crashes.chain(cuts.copied())
     }
 
     /// Scripted restarts, in insertion order.

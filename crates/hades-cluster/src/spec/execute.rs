@@ -43,24 +43,15 @@ impl Lowered {
         // faults already in force AT time zero must be seeded before the
         // zero-instant Start batch runs (a node scripted dead at t = 0
         // must not emit its first heartbeat; a link cut from t = 0 must
-        // drop it). The replay's re-injection of the same window is a
-        // no-op (see `apply_network_op`), so no duplicate transition or
+        // drop it). They are the replay's zero-instant ops, applied with
+        // the same rule; its re-injection of a crash is then a no-op (a
+        // crash of a node already down), so no duplicate transition or
         // restart events arise.
         let mut initial_plan = FaultPlan::new();
-        for (node, w) in faults.crash_windows() {
-            if w.crash_at == Time::ZERO {
-                initial_plan.add_crash(node, w.crash_at, w.restart_at);
-            }
-        }
-        for op in self.spec.scenario.ops() {
-            if let FaultOp::Cut {
-                from,
-                to,
-                at: Time::ZERO,
-                until,
-            } = *op
+        for op in self.spec.scenario.replay() {
+            if let FaultOp::Crash { at: Time::ZERO, .. } | FaultOp::Cut { at: Time::ZERO, .. } = op
             {
-                initial_plan.add_cut(NodeId(from), NodeId(to), Time::ZERO, until);
+                initial_plan.apply(&op, Time::ZERO);
             }
         }
         let net = Network::homogeneous(

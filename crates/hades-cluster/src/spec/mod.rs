@@ -55,7 +55,7 @@ use crate::driver::{
 use crate::events::ClusterRun;
 use crate::middleware::{GroupLoad, MiddlewareConfig, MIDDLEWARE_TASK_BASE};
 use crate::report;
-use crate::scenario::{FaultOp, ModeChangeScript, ScenarioPlan};
+use crate::scenario::{ModeChangeScript, ScenarioPlan};
 use crate::workload::{ConstantRate, Workload};
 use hades_dispatch::{CostModel, DispatchSim, RunReport, SimConfig};
 use hades_sched::analysis::rta::{rta_feasible, RtaTask};
@@ -68,7 +68,7 @@ use hades_services::group::{
 };
 use hades_services::ReplicaStyle;
 use hades_sim::mux::ActorId;
-use hades_sim::{FaultPlan, KernelModel, LinkConfig, Network, NodeId, SimRng};
+use hades_sim::{FaultOp, FaultPlan, KernelModel, LinkConfig, Network, NodeId, SimRng};
 use hades_task::spuri::SpuriTask;
 use hades_task::task::TaskSetError;
 use hades_task::{Task, TaskId, TaskSet};

@@ -30,9 +30,10 @@ impl Inner {
     }
 
     /// Applies one runtime [`ControlOp`] staged by a hosted actor (a
-    /// control-plane driver): fault ops mutate the shared network's
-    /// fault plan and arm the corresponding dispatcher transitions plus
-    /// the hosted actors' [`ActorEvent::Restart`]s; task ops open/close
+    /// control-plane driver): a fault op goes to the shared network's
+    /// fault plan ([`FaultPlan::apply`](hades_sim::FaultPlan::apply)),
+    /// and the edges it books arm the dispatcher's transitions and the
+    /// hosted actors' [`ActorEvent::Restart`]s; task ops open/close
     /// activation windows of the *running* schedule. Ops naming unknown
     /// tasks or out-of-range nodes are ignored.
     pub(super) fn apply_control(&mut self, op: &ControlOp, now: Time, sched: &mut Scheduler<Ev>) {
@@ -61,41 +62,21 @@ impl Inner {
                 let from = st.window.map_or(Time::ZERO, |(f, _)| f);
                 st.window = Some((from, at.max(now)));
             }
-            ControlOp::SlowNode {
-                node,
-                from_t,
-                until_t,
-                ..
-            } => {
-                mux::apply_network_op(self.network.fault_plan_mut(), op, now);
+            ControlOp::Fault(op) => {
+                let Some(edges) = self.network.fault_plan_mut().apply(&op, now) else {
+                    return;
+                };
+                let node = edges.node;
                 if (node.0 as usize) < self.nodes.len() {
-                    // Resynchronise CPU charging at both window edges
-                    // (same clamping as the plan mutation).
-                    let start = from_t.max(now);
-                    let end = until_t.max(start + Duration::from_nanos(1));
-                    sched.post(start, Ev::FaultTransition { node: node.0 });
-                    sched.post(end, Ev::FaultTransition { node: node.0 });
-                }
-            }
-            _ => {
-                let applied = mux::apply_network_op(self.network.fault_plan_mut(), op, now);
-                if let Some((node, down_at, restart_at)) = applied {
-                    if (node.0 as usize) < self.nodes.len() {
-                        sched.post(down_at, Ev::FaultTransition { node: node.0 });
-                        if let Some(r) = restart_at {
-                            sched.post(r, Ev::FaultTransition { node: node.0 });
-                        }
+                    sched.post(edges.at, Ev::FaultTransition { node: node.0 });
+                    if let Some(at) = edges.until {
+                        sched.post(at, Ev::FaultTransition { node: node.0 });
                     }
-                    if let Some(r) = restart_at {
-                        for actor in self.actors.actors_on(node) {
-                            sched.post(
-                                r,
-                                Ev::Actor {
-                                    actor,
-                                    ev: ActorEvent::Restart,
-                                },
-                            );
-                        }
+                }
+                if let (true, Some(at)) = (edges.restart, edges.until) {
+                    for actor in self.actors.actors_on(node) {
+                        let ev = ActorEvent::Restart;
+                        sched.post(at, Ev::Actor { actor, ev });
                     }
                 }
             }

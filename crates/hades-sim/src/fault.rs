@@ -13,9 +13,119 @@
 //! have several disjoint windows, modelling repeated transient failures;
 //! [`FaultPlan::next_transition`] lets an embedding engine schedule the
 //! corresponding up/down flips.
+//!
+//! A [`FaultOp`] is one fault as a script, a scenario driver or a chaos
+//! program states it; [`FaultPlan::apply`] is the one rule that adds it
+//! to a plan at a given instant, and the [`Edges`] it returns are what a
+//! run must schedule for it.
 
 use crate::net::NodeId;
 use hades_time::{Duration, Time};
+
+/// One fault op: the one vocabulary of injected faults, from a scripted
+/// scenario, an online scenario driver or a chaos program down to the
+/// network's [`FaultPlan`] ([`FaultPlan::apply`]). Nodes are node
+/// indices; times are absolute virtual instants, and an instant in the
+/// past is clamped to "now".
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FaultOp {
+    /// Crash `node` at `at` (fail-stop: it neither sends, receives nor
+    /// executes) and restart it cold at `until`, running the rejoin
+    /// protocol (`None` = down for good). The crash rule: a crash of a
+    /// node already down at `at` is a no-op, and a restart already booked
+    /// for a later window of the same node ends this crash.
+    Crash {
+        /// The victim.
+        node: u32,
+        /// Crash instant.
+        at: Time,
+        /// Cold-restart instant, if the node comes back.
+        until: Option<Time>,
+    },
+    /// Restart `node` at `at`, closing the crash window open at `at`; a
+    /// no-op when none is. In a scenario plan it pairs with the latest
+    /// scripted crash of the node before it.
+    Restart {
+        /// The restarting node.
+        node: u32,
+        /// Restart instant.
+        at: Time,
+    },
+    /// Sever only the directed link `from → to` during `[at, until]`:
+    /// `from`'s messages to `to` vanish while the reverse direction keeps
+    /// delivering. A partition is two cuts.
+    Cut {
+        /// Sender side of the dead direction.
+        from: u32,
+        /// Receiver side of the dead direction.
+        to: u32,
+        /// Window start.
+        at: Time,
+        /// Window end (inclusive); the link recovers after it.
+        until: Time,
+    },
+    /// Degrade (without severing) the directed link `from → to` during
+    /// `[at, until]`: every message suffers `extra_delay` on top of its
+    /// drawn transit time plus an additional `loss_permille` chance of
+    /// loss — the gray failure between healthy and cut.
+    Degrade {
+        /// Sender side.
+        from: u32,
+        /// Receiver side.
+        to: u32,
+        /// Window start.
+        at: Time,
+        /// Window end (inclusive).
+        until: Time,
+        /// Extra latency every message suffers inside the window.
+        extra_delay: Duration,
+        /// Extra loss chance (‰) inside the window.
+        loss_permille: u32,
+    },
+    /// Slow `node`'s CPU to `speed_permille / 1000` of nominal during
+    /// `[at, until)`: the node stays up and keeps emitting, but its work
+    /// lags — a straggler that can miss heartbeat deadlines without being
+    /// down.
+    Slow {
+        /// The straggler.
+        node: u32,
+        /// Window start.
+        at: Time,
+        /// Window end (exclusive).
+        until: Time,
+        /// CPU speed in permille of nominal (clamped to `1..=1000`).
+        speed_permille: u32,
+    },
+    /// Skew `node`'s local clock from `at` on: its timers run at
+    /// `1 + drift_ppb / 1e9` of real rate. A later skew of the same node
+    /// supersedes it.
+    Skew {
+        /// The node whose timers drift.
+        node: u32,
+        /// Skew onset.
+        at: Time,
+        /// Drift in parts-per-billion (negative = slow clock = late
+        /// heartbeats).
+        drift_ppb: i64,
+    },
+}
+
+/// The node-state edges one [`FaultPlan::apply`] booked, for a run to
+/// schedule: where the node's up/down state or CPU speed changes, and
+/// whether its actors restart cold.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Edges {
+    /// The node the op changed.
+    pub node: NodeId,
+    /// The first edge: a crash's or a restart's instant, a slowdown's
+    /// start.
+    pub at: Time,
+    /// The second edge: a restart the plan had not booked before (a
+    /// restart op's own instant again), or a slowdown's end.
+    pub until: Option<Time>,
+    /// Whether `until` is a restart: the node's actors restart cold there.
+    pub restart: bool,
+}
 
 /// A time window during which messages on matching links are dropped.
 ///
@@ -491,6 +601,100 @@ impl FaultPlan {
             .collect()
     }
 
+    /// Applies one fault op at `now`, clamping instants in the past to
+    /// `now`: a window ends no earlier than it starts, and a crash or
+    /// slowdown lasts at least 1 ns. A crash follows the crash rule of
+    /// [`FaultOp::Crash`]; a restart lands strictly after `now`. Returns
+    /// the edges a run must schedule for the op, `None` when it changed
+    /// no node's state (a link op, a skew, a crash of a node already
+    /// down, a restart with no open window to close).
+    pub fn apply(&mut self, op: &FaultOp, now: Time) -> Option<Edges> {
+        let tick = Duration::from_nanos(1);
+        match *op {
+            FaultOp::Crash { node, at, until } => {
+                let node = NodeId(node);
+                let at = at.max(now);
+                if self.is_crashed(node, at) {
+                    return None;
+                }
+                let ws = self.windows_of(node);
+                let booked = ws.iter().filter_map(|w| w.restart_at).find(|r| *r > at);
+                let booked_before: Vec<Time> = ws.iter().filter_map(|w| w.restart_at).collect();
+                let until = until.into_iter().chain(booked).min();
+                self.add_crash(node, at, until.map(|u| u.max(at + tick)));
+                // Only a restart the plan did not book before restarts
+                // the node's actors: a window merging into a booked
+                // restart reuses the events already posted for it.
+                let restart = self.windows_of(node).iter().find(|w| w.covers(at));
+                let until = restart
+                    .and_then(|w| w.restart_at)
+                    .filter(|r| !booked_before.contains(r));
+                Some(Edges {
+                    node,
+                    at,
+                    until,
+                    restart: true,
+                })
+            }
+            FaultOp::Restart { node, at } => {
+                let (node, at) = (NodeId(node), at.max(now + tick));
+                self.add_restart(node, at).then_some(Edges {
+                    node,
+                    at,
+                    until: Some(at),
+                    restart: true,
+                })
+            }
+            FaultOp::Cut {
+                from,
+                to,
+                at,
+                until,
+            } => {
+                let at = at.max(now);
+                self.add_cut(NodeId(from), NodeId(to), at, until.max(at));
+                None
+            }
+            FaultOp::Degrade {
+                from,
+                to,
+                at,
+                until,
+                extra_delay,
+                loss_permille,
+            } => {
+                let at = at.max(now);
+                let (from, to) = (Some(NodeId(from)), Some(NodeId(to)));
+                self.add_degrade(from, to, at, until.max(at), extra_delay, loss_permille);
+                None
+            }
+            FaultOp::Slow {
+                node,
+                at,
+                until,
+                speed_permille,
+            } => {
+                let (node, at) = (NodeId(node), at.max(now));
+                let until = until.max(at + tick);
+                self.add_slow(node, at, until, speed_permille);
+                Some(Edges {
+                    node,
+                    at,
+                    until: Some(until),
+                    restart: false,
+                })
+            }
+            FaultOp::Skew {
+                node,
+                at,
+                drift_ppb,
+            } => {
+                self.add_skew(NodeId(node), at.max(now), drift_ppb);
+                None
+            }
+        }
+    }
+
     /// Every node's crash windows (each row disjoint and in crash order),
     /// in node order.
     fn by_node(&self) -> impl Iterator<Item = (NodeId, &[CrashWindow])> {
@@ -716,5 +920,79 @@ mod tests {
         assert_eq!(p.clock_drift_ppb(N2, ns(100)), 50_000);
         assert_eq!(p.clock_drift_ppb(N2, ns(250)), -80_000);
         assert_eq!(p.clock_drift_ppb(N0, ns(250)), 0);
+    }
+
+    fn edges(node: NodeId, at: u64, until: Option<u64>, restart: bool) -> Option<Edges> {
+        let until = until.map(ns);
+        let at = ns(at);
+        Some(Edges {
+            node,
+            at,
+            until,
+            restart,
+        })
+    }
+
+    #[test]
+    fn apply_follows_the_crash_rule() {
+        let mut p = FaultPlan::new();
+        let crash = |node, at, until: Option<u64>| FaultOp::Crash {
+            node,
+            at: ns(at),
+            until: until.map(ns),
+        };
+        assert_eq!(
+            p.apply(&crash(1, 50, Some(80)), ns(0)),
+            edges(N1, 50, Some(80), true)
+        );
+        // A crash of a node already down is a no-op, whatever its end.
+        assert_eq!(p.apply(&crash(1, 60, Some(200)), ns(0)), None);
+        assert_eq!(p.windows_of(N1)[0].restart_at, Some(ns(80)));
+        // A restart booked for a later window ends the crash: the merged
+        // window restarts at 80, whose events are already booked.
+        assert_eq!(
+            p.apply(&crash(1, 20, None), ns(0)),
+            edges(N1, 20, None, true)
+        );
+        assert_eq!(p.windows_of(N1).len(), 1);
+        assert_eq!(p.windows_of(N1)[0].crash_at, ns(20));
+        assert_eq!(p.windows_of(N1)[0].restart_at, Some(ns(80)));
+        // A crash in the past starts now; an end at or before it lasts 1 ns.
+        assert_eq!(
+            p.apply(&crash(2, 10, Some(5)), ns(30)),
+            edges(N2, 30, Some(31), true)
+        );
+    }
+
+    #[test]
+    fn apply_clamps_restarts_links_and_slowdowns() {
+        let mut p = FaultPlan::new().crash_at(N1, ns(10));
+        let restart = FaultOp::Restart { node: 1, at: ns(5) };
+        assert_eq!(p.apply(&restart, ns(40)), edges(N1, 41, Some(41), true));
+        assert_eq!(p.apply(&restart, ns(40)), None, "no open window left");
+        let cut = FaultOp::Cut {
+            from: 0,
+            to: 2,
+            at: ns(5),
+            until: ns(3),
+        };
+        assert_eq!(p.apply(&cut, ns(10)), None);
+        assert!(p.link_cut(N0, N2, ns(10)) && !p.link_cut(N0, N2, ns(11)));
+        let slow = FaultOp::Slow {
+            node: 2,
+            at: ns(5),
+            until: ns(4),
+            speed_permille: 500,
+        };
+        assert_eq!(p.apply(&slow, ns(20)), edges(N2, 20, Some(21), false));
+        assert_eq!(p.speed_permille(N2, ns(20)), 500);
+        let skew = FaultOp::Skew {
+            node: 0,
+            at: ns(5),
+            drift_ppb: 7,
+        };
+        assert_eq!(p.apply(&skew, ns(20)), None);
+        assert_eq!(p.clock_drift_ppb(N0, ns(19)), 0);
+        assert_eq!(p.clock_drift_ppb(N0, ns(20)), 7);
     }
 }

@@ -12,7 +12,9 @@
 //!   failures, matching the paper's communication fault model.
 //! * [`fault`] — fault plans: scripted crash windows (crash and restart),
 //!   one-way link cuts, degraded links (extra delay and loss), slow nodes
-//!   and clock skews; probabilistic omissions live on the link.
+//!   and clock skews; probabilistic omissions live on the link. A
+//!   [`FaultOp`] is one such fault, and [`FaultPlan::apply`] the one rule
+//!   every run applies it with.
 //! * [`kernel`] — the background kernel-activity model of Section 4.2:
 //!   a periodic clock interrupt and sporadic network interrupts, each with a
 //!   worst-case execution time and pseudo-period.
@@ -60,7 +62,7 @@ pub mod rng;
 pub mod trace;
 
 pub use engine::{Engine, EventId, Retarget, RunCopy, Scheduler, Simulation};
-pub use fault::{CrashWindow, FaultPlan, OmissionWindow};
+pub use fault::{CrashWindow, Edges, FaultOp, FaultPlan, OmissionWindow};
 pub use kernel::{KernelActivity, KernelModel};
 pub use mux::{
     ActorCtx, ActorEngine, ActorEvent, ActorHost, ActorId, ControlOp, NetActor, Place, Postbox,

@@ -59,13 +59,12 @@
 //! * [`ControlOp`]s — fault/workload injection into the running run:
 //!   an actor stages them through [`ActorCtx::control`], and the
 //!   embedding engine applies them right after the actor's handler
-//!   returns (crash windows and link cuts mutate the shared network's
-//!   [`FaultPlan`]; task admission ops are interpreted by embeddings
-//!   that host a task dispatcher and ignored by the bare
-//!   [`ActorEngine`]).
+//!   returns (a [`FaultOp`] mutates the shared network's [`FaultPlan`];
+//!   task admission ops are interpreted by embeddings that host a task
+//!   dispatcher and ignored by the bare [`ActorEngine`]).
 
 use crate::engine::{Engine, Retarget, RunCopy, Scheduler, Simulation};
-use crate::fault::FaultPlan;
+use crate::fault::{Edges, FaultOp, FaultPlan};
 use crate::net::{Delivery, Network, NodeId};
 use hades_telemetry::Probe;
 use hades_time::{Duration, Time};
@@ -174,89 +173,18 @@ impl Postbox {
 /// admission changes) into a **running** engine instead of scripting
 /// them before the run.
 ///
-/// Times in the past are clamped to the application instant. The
-/// network-level ops mutate the shared [`FaultPlan`]; the task ops carry
-/// an embedding-defined task handle and are interpreted only by
-/// embeddings that host a task dispatcher (`hades-dispatch`) — the bare
-/// [`ActorEngine`] ignores them.
+/// Times in the past are clamped to the application instant. A fault op
+/// goes to the shared network's plan through [`FaultPlan::apply`], and
+/// the embedding posts an [`ActorEvent::Restart`] to every actor of a
+/// node at each restart it books. The task ops carry an
+/// embedding-defined task handle and are interpreted only by embeddings
+/// that host a task dispatcher (`hades-dispatch`) — the bare
+/// [`ActorEngine`] ignores them, and having no CPU model, records a
+/// slowdown in its plan only.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ControlOp {
-    /// Crash `node` at `at`; down until `until` (`None` = permanent).
-    /// The embedding posts an [`ActorEvent::Restart`] to every actor on
-    /// `node` at `until`.
-    Crash {
-        /// The crashing node.
-        node: NodeId,
-        /// First down instant (inclusive).
-        at: Time,
-        /// Restart instant (exclusive end of the outage), if any.
-        until: Option<Time>,
-    },
-    /// Close the open crash window of `node` at `at` (schedule a restart
-    /// of an already-injected crash). A no-op when no window covers `at`.
-    Restart {
-        /// The restarting node.
-        node: NodeId,
-        /// The restart instant.
-        at: Time,
-    },
-    /// Drop every message `from → to` sent within `[from_t, until_t]`
-    /// (one direction of a link partition).
-    CutLink {
-        /// Sending side.
-        from: NodeId,
-        /// Receiving side.
-        to: NodeId,
-        /// First instant of the cut (inclusive).
-        from_t: Time,
-        /// Last instant of the cut (inclusive).
-        until_t: Time,
-    },
-    /// Degrade (without severing) the directed link `from → to` within
-    /// `[from_t, until_t]`: every message suffers `extra_delay` on top of
-    /// its drawn transit time plus an additional `loss_permille` chance
-    /// of loss (gray failure).
-    DegradeLink {
-        /// Sending side.
-        from: NodeId,
-        /// Receiving side.
-        to: NodeId,
-        /// First instant of the degradation (inclusive).
-        from_t: Time,
-        /// Last instant of the degradation (inclusive).
-        until_t: Time,
-        /// Extra transit delay added to every delivered message.
-        extra_delay: Duration,
-        /// Additional loss probability (‰) on top of the link's own rate.
-        loss_permille: u32,
-    },
-    /// Slow `node`'s CPU to `speed_permille / 1000` of nominal during
-    /// `[from_t, until_t)`: the node stays up and keeps emitting, but its
-    /// work (and deadline compliance) lags. Interpreted by embeddings
-    /// that host a task dispatcher; the bare [`ActorEngine`] has no CPU
-    /// model and records it in the plan only.
-    SlowNode {
-        /// The slowed node.
-        node: NodeId,
-        /// First slowed instant (inclusive).
-        from_t: Time,
-        /// End of the slowdown (exclusive).
-        until_t: Time,
-        /// CPU speed during the window (‰ of nominal, clamped ≥ 1).
-        speed_permille: u32,
-    },
-    /// Skew `node`'s local clock from `at` on: locally-measured timer
-    /// intervals of that node's actors stretch (negative drift) or
-    /// compress (positive drift) by `1 + drift_ppb / 1e9` relative to
-    /// engine time.
-    SkewClock {
-        /// The skewed node.
-        node: NodeId,
-        /// First skewed instant (inclusive).
-        at: Time,
-        /// Clock drift in parts per billion (positive = fast clock).
-        drift_ppb: i64,
-    },
+    /// Apply a fault op to the shared network's fault plan.
+    Fault(FaultOp),
     /// Open the activation window of dispatcher task `task` at `at`
     /// (admit a standby task into the running schedule).
     AdmitTask {
@@ -383,7 +311,7 @@ impl ActorCtx<'_> {
     /// Arms a timer for the reacting actor at absolute time `at`.
     ///
     /// The interval is measured on the actor's node-local clock: under an
-    /// injected clock skew ([`ControlOp::SkewClock`]) the engine-time
+    /// injected clock skew ([`FaultOp::Skew`]) the engine-time
     /// firing instant stretches or compresses accordingly. Unskewed nodes
     /// (the only case on a fault-free run) fire exactly at `at`.
     pub fn timer_at(&mut self, at: Time, tag: u64) {
@@ -688,98 +616,6 @@ pub struct Reactions<'a> {
     pub controls: Vec<ControlOp>,
 }
 
-/// Applies the network-level part of one control op to `plan`, returning
-/// the restart instants (if any) at which the embedding must post
-/// [`ActorEvent::Restart`]s and fault transitions. The task ops return
-/// nothing — they are dispatcher-level and interpreted by the embedding
-/// itself. An op that does not change the plan (a crash window already
-/// in force — e.g. a scripted time-zero window pre-seeded before the
-/// run) also returns `None`, so the embedding never posts duplicate
-/// restart events for it.
-pub fn apply_network_op(
-    plan: &mut FaultPlan,
-    op: &ControlOp,
-    now: Time,
-) -> Option<(NodeId, Time, Option<Time>)> {
-    match *op {
-        ControlOp::Crash { node, at, until } => {
-            let at = at.max(now);
-            let until = until.map(|u| u.max(at + Duration::from_nanos(1)));
-            let before = plan.crash_windows();
-            let before_restarts = plan.restarts();
-            plan.add_crash(node, at, until);
-            if plan.crash_windows() == before {
-                return None;
-            }
-            // Only a restart instant the plan did not already schedule
-            // gets actor Restart events — a window merging into an
-            // existing restart reuses the events already posted for it.
-            let new_restart = plan
-                .restarts()
-                .into_iter()
-                .filter(|(n, _)| *n == node)
-                .map(|(_, r)| r)
-                .find(|r| !before_restarts.contains(&(node, *r)));
-            Some((node, at, new_restart))
-        }
-        ControlOp::Restart { node, at } => {
-            let at = at.max(now + Duration::from_nanos(1));
-            plan.add_restart(node, at).then_some((node, at, Some(at)))
-        }
-        // A link window starts no earlier than now and ends no earlier
-        // than it starts.
-        ControlOp::CutLink {
-            from,
-            to,
-            from_t,
-            until_t,
-        } => {
-            let start = from_t.max(now);
-            plan.add_cut(from, to, start, until_t.max(start));
-            None
-        }
-        ControlOp::DegradeLink {
-            from,
-            to,
-            from_t,
-            until_t,
-            extra_delay,
-            loss_permille,
-        } => {
-            let start = from_t.max(now);
-            plan.add_degrade(
-                Some(from),
-                Some(to),
-                start,
-                until_t.max(start),
-                extra_delay,
-                loss_permille,
-            );
-            None
-        }
-        ControlOp::SlowNode {
-            node,
-            from_t,
-            until_t,
-            speed_permille,
-        } => {
-            let start = from_t.max(now);
-            let end = until_t.max(start + Duration::from_nanos(1));
-            plan.add_slow(node, start, end, speed_permille);
-            None
-        }
-        ControlOp::SkewClock {
-            node,
-            at,
-            drift_ppb,
-        } => {
-            plan.add_skew(node, at.max(now), drift_ppb);
-            None
-        }
-        ControlOp::AdmitTask { .. } | ControlOp::RetireTask { .. } => None,
-    }
-}
-
 struct HostSim<'a> {
     host: &'a mut ActorHost,
     net: &'a mut Network,
@@ -797,7 +633,14 @@ impl Simulation for HostSim<'_> {
         let posts = &mut *reactions.posts;
         sched.post_run(&mut posts.events, &mut posts.copies, reactions.seqs);
         for op in &reactions.controls {
-            if let Some((node, _, Some(r))) = apply_network_op(self.net.fault_plan_mut(), op, now) {
+            let ControlOp::Fault(op) = op else { continue };
+            if let Some(Edges {
+                node,
+                until: Some(r),
+                restart: true,
+                ..
+            }) = self.net.fault_plan_mut().apply(op, now)
+            {
                 for actor in self.host.actors_on(node) {
                     sched.post(r, (actor, ActorEvent::Restart));
                 }

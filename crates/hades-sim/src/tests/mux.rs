@@ -274,11 +274,11 @@ fn runtime_control_op_injects_a_crash_window_into_a_running_engine() {
         fn handle(&mut self, now: Time, ev: ActorEvent, ctx: &mut ActorCtx<'_>) {
             match ev {
                 ActorEvent::Start if self.node == NodeId(0) => {
-                    ctx.control(ControlOp::Crash {
-                        node: NodeId(1),
+                    ctx.control(ControlOp::Fault(FaultOp::Crash {
+                        node: 1,
                         at: Time::ZERO + Duration::from_millis(1),
                         until: Some(Time::ZERO + Duration::from_millis(2)),
-                    });
+                    }));
                     ctx.send(ActorId(1), NodeId(1), 1, 0);
                     ctx.timer_after(Duration::from_micros(100), 0);
                 }
