@@ -322,7 +322,7 @@ struct InstanceState {
     missed: bool,
     /// Whether the instance's deadline has been checked; an instance with
     /// no live thread left is dropped once it has — its outcome is final
-    /// then ([`settle`]).
+    /// then ([`alarms::settle`]).
     checked: bool,
     /// Inv_EU threads (possibly of other tasks) waiting for this instance
     /// to complete, with their nodes.
