@@ -612,23 +612,22 @@ impl FaultPlan {
         let tick = Duration::from_nanos(1);
         match *op {
             FaultOp::Crash { node, at, until } => {
-                let node = NodeId(node);
-                let at = at.max(now);
+                let (node, at) = (NodeId(node), at.max(now));
                 if self.is_crashed(node, at) {
                     return None;
                 }
                 let ws = self.windows_of(node);
-                let booked = ws.iter().filter_map(|w| w.restart_at).find(|r| *r > at);
-                let booked_before: Vec<Time> = ws.iter().filter_map(|w| w.restart_at).collect();
-                let until = until.into_iter().chain(booked).min();
+                let booked: Vec<Time> = ws.iter().filter_map(|w| w.restart_at).collect();
+                let later = booked.iter().copied().find(|r| *r > at);
+                let until = until.into_iter().chain(later).min();
                 self.add_crash(node, at, until.map(|u| u.max(at + tick)));
-                // Only a restart the plan did not book before restarts
-                // the node's actors: a window merging into a booked
-                // restart reuses the events already posted for it.
-                let restart = self.windows_of(node).iter().find(|w| w.covers(at));
-                let until = restart
+                // Only a restart not booked before restarts the node's
+                // actors: a window merging into a booked restart reuses
+                // the events already posted for it.
+                let window = self.windows_of(node).iter().find(|w| w.covers(at));
+                let until = window
                     .and_then(|w| w.restart_at)
-                    .filter(|r| !booked_before.contains(r));
+                    .filter(|r| !booked.contains(r));
                 Some(Edges {
                     node,
                     at,
