@@ -7,6 +7,7 @@
 
 use proptest::prelude::*;
 
+use hades::hades_cluster::ServiceRef;
 use hades::prelude::*;
 
 fn us(n: u64) -> Duration {
@@ -460,6 +461,253 @@ fn a_zero_request_timeout_is_reported_not_panicked_on() {
     );
     assert!(err.to_string().contains("zero request timeout"), "{err}");
     assert_eq!(spec.run().unwrap_err(), err, "run() reports the same issue");
+}
+
+/// A stream whose declared admission period understates its rate: the
+/// projection from the period passes, the generated schedule does not.
+#[derive(Debug)]
+struct Understated;
+
+impl Workload for Understated {
+    fn request_times(&self, _horizon: Duration) -> Vec<Time> {
+        (0..1u64 << 20)
+            .map(|k| Time::ZERO + Duration::from_nanos(k))
+            .collect()
+    }
+
+    fn admission_period(&self, _horizon: Duration) -> Duration {
+        ms(1)
+    }
+}
+
+fn svc(index: usize, name: &str) -> Option<ServiceRef> {
+    Some(ServiceRef {
+        index,
+        name: name.into(),
+    })
+}
+
+fn group(name: &str, members: Vec<u32>) -> ServiceSpec {
+    ServiceSpec::replicated(name, ReplicaStyle::Active, members, GroupLoad::default())
+}
+
+/// A one-unit task with id `id` whose unit is homed on `processor`.
+fn raw_task(id: u32, processor: u32) -> Task {
+    Task::new(
+        TaskId(id),
+        Heug::single(CodeEu::new("raw", us(100), ProcessorId(processor))).expect("valid"),
+        ArrivalLaw::Periodic(ms(1)),
+        ms(1),
+    )
+}
+
+#[test]
+fn every_spec_finding_is_pinned_with_its_order() {
+    let at = |n| Time::ZERO + ms(n);
+    let s = |index, name| svc(index, name).unwrap();
+    let cases: Vec<(&str, ClusterSpec, Vec<SpecIssue>)> =
+        vec![
+            (
+                "too few nodes",
+                ClusterSpec::new(1),
+                vec![SpecIssue::TooFewNodes { nodes: 1 }],
+            ),
+            (
+                "too many nodes",
+                ClusterSpec::new(1_025),
+                vec![SpecIssue::TooManyNodes {
+                    nodes: 1_025,
+                    max: 1_024,
+                }],
+            ),
+            (
+                "restarts without a crash, in script order",
+                ClusterSpec::new(3).scenario(
+                    ScenarioPlan::new()
+                        .crash(NodeId(1), at(5))
+                        .restart(NodeId(1), at(8))
+                        .restart(NodeId(1), at(9))
+                        .restart(NodeId(2), at(4)),
+                ),
+                vec![
+                    SpecIssue::RestartWithoutCrash { node: 1, at: at(9) },
+                    SpecIssue::RestartWithoutCrash { node: 2, at: at(4) },
+                ],
+            ),
+            (
+                "one group finding per service, in registration order",
+                ClusterSpec::new(3)
+                    .horizon(ms(10))
+                    .service(group("empty", vec![]))
+                    .service(group("dupes", vec![9, 2, 1, 2, 1]))
+                    .service(group("strangers", vec![7, 0, 5]))
+                    .service(
+                        group("zero-rate", vec![0, 1, 2])
+                            .workload(Box::new(ConstantRate::new(Duration::ZERO, Time::ZERO))),
+                    )
+                    .service(group("zero-timeout", vec![0, 1, 2]).workload(Box::new(
+                        ClosedLoop::new(us(500), ms(1), at(2)).with_timeout(Duration::ZERO),
+                    )))
+                    .service(
+                        group("flood", vec![0, 1, 2]).workload(Box::new(ConstantRate::new(
+                            Duration::from_nanos(1),
+                            Time::ZERO,
+                        ))),
+                    )
+                    .service(
+                        group("backwards", vec![0, 1, 2])
+                            .workload(Box::new(TraceReplay::new(vec![at(1), at(1), at(2)]))),
+                    )
+                    .service(group("understated", vec![0, 1, 2]).workload(Box::new(Understated)))
+                    .service(
+                        ServiceSpec::periodic("stray", 0, us(100), Duration::ZERO)
+                            .workload(Box::new(ConstantRate::new(ms(1), Time::ZERO))),
+                    ),
+                vec![
+                    SpecIssue::EmptyMembers {
+                        service: s(0, "empty"),
+                    },
+                    SpecIssue::DuplicateMember {
+                        service: s(1, "dupes"),
+                        node: 1,
+                    },
+                    SpecIssue::MemberOutOfRange {
+                        service: s(2, "strangers"),
+                        node: 5,
+                        nodes: 3,
+                    },
+                    SpecIssue::ZeroPeriod {
+                        service: s(3, "zero-rate"),
+                    },
+                    SpecIssue::ZeroTimeout {
+                        service: s(4, "zero-timeout"),
+                    },
+                    SpecIssue::WorkloadTooLong {
+                        service: s(5, "flood"),
+                        requests: 10_000_001,
+                    },
+                    SpecIssue::NonMonotoneWorkload {
+                        service: s(6, "backwards"),
+                    },
+                    SpecIssue::WorkloadTooLong {
+                        service: s(7, "understated"),
+                        requests: 1 << 20,
+                    },
+                    SpecIssue::WorkloadWithoutGroup {
+                        service: s(8, "stray"),
+                    },
+                    SpecIssue::ZeroPeriod {
+                        service: s(8, "stray"),
+                    },
+                ],
+            ),
+            (
+                "task findings per task, then retirements in script-instant order",
+                ClusterSpec::new(3)
+                    .horizon(ms(10))
+                    .service(ServiceSpec::periodic("ticker", 0, us(100), ms(1)))
+                    .service(ServiceSpec::task("raw", 1, raw_task(1, 1)))
+                    .service(ServiceSpec::periodic("far", 9, us(100), ms(1)))
+                    .service(ServiceSpec::task("reserved", 9, raw_task(10_000, 0)))
+                    .service(ServiceSpec::task("twin", 2, raw_task(1, 1)))
+                    .scenario(
+                        ScenarioPlan::new()
+                            .mode_change(at(20), vec![], vec![(7, raw_task(50, 7))])
+                            .mode_change(
+                                at(10),
+                                vec![TaskId(50), TaskId(42), TaskId(2)],
+                                vec![(0, raw_task(0, 0))],
+                            )
+                            .mode_change(at(30), vec![TaskId(50), TaskId(0)], vec![]),
+                    ),
+                vec![
+                    SpecIssue::NodeOutOfRange {
+                        service: svc(2, "far"),
+                        node: 9,
+                        nodes: 3,
+                    },
+                    SpecIssue::NodeOutOfRange {
+                        service: svc(3, "reserved"),
+                        node: 9,
+                        nodes: 3,
+                    },
+                    SpecIssue::ReservedTaskId {
+                        service: svc(3, "reserved"),
+                        task: TaskId(10_000),
+                    },
+                    SpecIssue::TaskOffNode {
+                        service: svc(3, "reserved"),
+                        task: TaskId(10_000),
+                        node: 9,
+                    },
+                    SpecIssue::DuplicateTaskId {
+                        service: svc(4, "twin"),
+                        task: TaskId(1),
+                    },
+                    SpecIssue::TaskOffNode {
+                        service: svc(4, "twin"),
+                        task: TaskId(1),
+                        node: 2,
+                    },
+                    SpecIssue::NodeOutOfRange {
+                        service: None,
+                        node: 7,
+                        nodes: 3,
+                    },
+                    SpecIssue::DuplicateTaskId {
+                        service: None,
+                        task: TaskId(0),
+                    },
+                    SpecIssue::UnknownRetiredTask { task: TaskId(50) },
+                    SpecIssue::UnknownRetiredTask { task: TaskId(42) },
+                ],
+            ),
+            (
+                "every kind of finding at once, platform first",
+                ClusterSpec::new(1)
+                    .scenario(ScenarioPlan::new().restart(NodeId(0), at(1)).mode_change(
+                        at(5),
+                        vec![TaskId(9)],
+                        vec![],
+                    ))
+                    .service(
+                        ServiceSpec::periodic("stray", 5, us(100), ms(1))
+                            .workload(Box::new(ConstantRate::new(ms(1), Time::ZERO))),
+                    )
+                    .service(group("empty", vec![]))
+                    .service(ServiceSpec::task("raw", 0, raw_task(3, 0)))
+                    .service(ServiceSpec::task("raw2", 0, raw_task(3, 0))),
+                vec![
+                    SpecIssue::TooFewNodes { nodes: 1 },
+                    SpecIssue::RestartWithoutCrash { node: 0, at: at(1) },
+                    SpecIssue::WorkloadWithoutGroup {
+                        service: s(0, "stray"),
+                    },
+                    SpecIssue::EmptyMembers {
+                        service: s(1, "empty"),
+                    },
+                    SpecIssue::NodeOutOfRange {
+                        service: svc(0, "stray"),
+                        node: 5,
+                        nodes: 1,
+                    },
+                    SpecIssue::DuplicateTaskId {
+                        service: svc(3, "raw2"),
+                        task: TaskId(3),
+                    },
+                    SpecIssue::UnknownRetiredTask { task: TaskId(9) },
+                ],
+            ),
+        ];
+    for (what, spec, issues) in cases {
+        let err = spec.validate().unwrap_err();
+        assert_eq!(err.issues, issues, "{what}: {err}");
+        assert_eq!(
+            spec.run().unwrap_err(),
+            err,
+            "{what}: run() reports the same"
+        );
+    }
 }
 
 proptest! {
