@@ -3,10 +3,103 @@
 
 use super::*;
 
+/// One application task as the checks see it, before any is built.
+struct TaskEntry<'a> {
+    /// The registering service's index; `None` for a scripted
+    /// mode-change introduction.
+    service: Option<usize>,
+    node: u32,
+    id: TaskId,
+    /// The units of a raw or introduced task. A periodic service's one
+    /// unit is homed on its node by construction.
+    heug: Option<&'a hades_task::Heug>,
+}
+
+/// Auto-assigned task ids: ascending from zero over the periodic
+/// services, skipping every id a raw task service takes.
+struct AutoIds {
+    /// The raw task services' ids, sorted.
+    taken: Vec<TaskId>,
+    next: u32,
+}
+
+impl AutoIds {
+    fn new(services: &[ServiceSpec]) -> Self {
+        let mut taken: Vec<TaskId> = services
+            .iter()
+            .filter_map(|s| match &s.kind {
+                ServiceKind::Task { task, .. } => Some(task.id),
+                _ => None,
+            })
+            .collect();
+        taken.sort_unstable();
+        AutoIds { taken, next: 0 }
+    }
+
+    fn next(&mut self) -> TaskId {
+        while self.taken.binary_search(&TaskId(self.next)).is_ok() {
+            self.next += 1;
+        }
+        self.next += 1;
+        TaskId(self.next - 1)
+    }
+}
+
 impl ClusterSpec {
-    /// Validates the spec and lowers it into the runtime's flat form.
+    /// Checks the spec, then lowers it into the runtime's flat form.
     pub(super) fn lower(self) -> Result<Lowered, SpecError> {
-        let (app_tasks, groups, service_infos) = self.check()?;
+        self.check()?;
+        let mut ids = AutoIds::new(&self.services);
+        let mut app_tasks = Vec::new();
+        let mut groups = Vec::new();
+        let mut service_infos = Vec::with_capacity(self.services.len());
+        for service in &self.services {
+            let name = service.name.clone();
+            let (node, task) = match &service.kind {
+                ServiceKind::Replicated {
+                    style,
+                    members,
+                    load,
+                    workload,
+                } => {
+                    let mut members = members.clone();
+                    members.sort_unstable();
+                    let source = workload.build_source(self.horizon);
+                    if service.standby {
+                        // A standby group's members run from time zero
+                        // (admission needs no warm-up), but its request
+                        // stream is paused until a driver admits the
+                        // service — admission retunes the source back to
+                        // nominal rate from the admission instant.
+                        source.borrow_mut().throttle(Time::ZERO, 0);
+                    }
+                    service_infos.push(LoweredService::Group {
+                        name,
+                        group: groups.len(),
+                    });
+                    groups.push(LoweredGroup {
+                        style: *style,
+                        members,
+                        load: *load,
+                        source,
+                        admission_period: workload.admission_period(self.horizon),
+                    });
+                    continue;
+                }
+                ServiceKind::Periodic { node, wcet, period } => {
+                    let heug = single_heug(&service.name, *node, *wcet);
+                    let arrival = hades_task::ArrivalLaw::Periodic(*period);
+                    (*node, Task::new(ids.next(), heug, arrival, *period))
+                }
+                ServiceKind::Task { node, task } => (*node, task.clone()),
+            };
+            service_infos.push(LoweredService::Tasks {
+                name,
+                ids: vec![task.id.0],
+                standby: service.standby,
+            });
+            app_tasks.push((node, task));
+        }
         Ok(Lowered {
             spec: self,
             app_tasks,
@@ -15,9 +108,9 @@ impl ClusterSpec {
         })
     }
 
-    /// Validates the whole spec, collecting every finding, and lowers its
-    /// services.
-    pub(super) fn check(&self) -> Result<LoweredServices, SpecError> {
+    /// Checks the whole spec, collecting every finding in validation
+    /// order. Borrows the spec and builds none of its runtime form.
+    pub(super) fn check(&self) -> Result<(), SpecError> {
         let mut issues = Vec::new();
         if self.nodes < 2 {
             issues.push(SpecIssue::TooFewNodes { nodes: self.nodes });
@@ -31,219 +124,203 @@ impl ClusterSpec {
         for (node, at) in self.scenario.orphan_restarts() {
             issues.push(SpecIssue::RestartWithoutCrash { node: node.0, at });
         }
+        for (index, service) in self.services.iter().enumerate() {
+            let sref = || service.service_ref(index);
+            if service.stray_workload {
+                issues.push(SpecIssue::WorkloadWithoutGroup { service: sref() });
+            }
+            let issue = match &service.kind {
+                ServiceKind::Replicated {
+                    members, workload, ..
+                } => self.group_issue(members, workload.as_ref(), sref),
+                ServiceKind::Periodic { period, .. } => period
+                    .is_zero()
+                    .then(|| SpecIssue::ZeroPeriod { service: sref() }),
+                ServiceKind::Task { .. } => None,
+            };
+            issues.extend(issue);
+        }
+        self.task_issues(&mut issues);
+        if issues.is_empty() {
+            Ok(())
+        } else {
+            Err(SpecError { issues })
+        }
+    }
 
-        // Explicit task ids first: periodic services skip them when
-        // auto-assigning.
-        let explicit: Vec<TaskId> = self
+    /// A replicated service's first finding, if any: its members, then
+    /// its workload.
+    fn group_issue(
+        &self,
+        members: &[u32],
+        workload: &dyn Workload,
+        service: impl FnOnce() -> ServiceRef,
+    ) -> Option<SpecIssue> {
+        if members.is_empty() {
+            return Some(SpecIssue::EmptyMembers { service: service() });
+        }
+        // Sorted, the members name their smallest repeated and smallest
+        // out-of-range node; a strictly increasing list is sorted already.
+        let sorted: std::borrow::Cow<[u32]> = if members.windows(2).all(|w| w[0] < w[1]) {
+            members.into()
+        } else {
+            let mut sorted = members.to_vec();
+            sorted.sort_unstable();
+            sorted.into()
+        };
+        if let Some(dup) = sorted.windows(2).find(|w| w[0] == w[1]) {
+            return Some(SpecIssue::DuplicateMember {
+                service: service(),
+                node: dup[0],
+            });
+        }
+        if let Some(bad) = sorted.iter().find(|m| **m >= self.nodes) {
+            return Some(SpecIssue::MemberOutOfRange {
+                service: service(),
+                node: *bad,
+                nodes: self.nodes,
+            });
+        }
+        let admission_period = workload.admission_period(self.horizon);
+        if admission_period.is_zero() {
+            return Some(SpecIssue::ZeroPeriod { service: service() });
+        }
+        if workload.timeout().is_some_and(|t| t.is_zero()) {
+            return Some(SpecIssue::ZeroTimeout { service: service() });
+        }
+        // Reject over-long streams *before* materializing them: at the
+        // (peak) admission rate, the horizon bounds the request count, so
+        // a runaway generator is refused without allocating its schedule.
+        let projected = self.horizon.as_nanos() / admission_period.as_nanos().max(1) + 1;
+        if projected >= 1 << 20 {
+            return Some(SpecIssue::WorkloadTooLong {
+                service: service(),
+                requests: projected,
+            });
+        }
+        // An empty stream is legal (a standby service); a zero-period
+        // generator also returns empty and is caught above.
+        let schedule = workload.request_times(self.horizon);
+        if !schedule.windows(2).all(|w| w[0] < w[1]) {
+            return Some(SpecIssue::NonMonotoneWorkload { service: service() });
+        }
+        if schedule.len() as u64 >= 1 << 20 {
+            return Some(SpecIssue::WorkloadTooLong {
+                service: service(),
+                requests: schedule.len() as u64,
+            });
+        }
+        None
+    }
+
+    /// The application tasks in check order: each task-backed service's
+    /// in registration order (a zero-period periodic service has none),
+    /// then the scripted mode-change introductions.
+    fn task_entries(&self) -> impl Iterator<Item = TaskEntry<'_>> {
+        let mut ids = AutoIds::new(&self.services);
+        let registered = self
             .services
             .iter()
-            .filter_map(|s| match &s.kind {
-                ServiceKind::Task { task, .. } => Some(task.id),
-                _ => None,
-            })
+            .enumerate()
+            .filter_map(move |(index, s)| {
+                let (node, id, heug) = match &s.kind {
+                    ServiceKind::Periodic { node, period, .. } if !period.is_zero() => {
+                        (*node, ids.next(), None)
+                    }
+                    ServiceKind::Task { node, task } => (*node, task.id, Some(&task.heug)),
+                    _ => return None,
+                };
+                Some(TaskEntry {
+                    service: Some(index),
+                    node,
+                    id,
+                    heug,
+                })
+            });
+        let introduced = self
+            .scenario
+            .mode_changes()
+            .iter()
+            .flat_map(|script| &script.introduce)
+            .map(|(node, task)| TaskEntry {
+                service: None,
+                node: *node,
+                id: task.id,
+                heug: Some(&task.heug),
+            });
+        registered.chain(introduced)
+    }
+
+    /// The application tasks' findings, task by task, then the mode
+    /// changes' retirements of unknown tasks.
+    fn task_issues(&self, issues: &mut Vec<SpecIssue>) {
+        let introduced: usize = self
+            .scenario
+            .mode_changes()
+            .iter()
+            .map(|script| script.introduce.len())
+            .sum();
+        // Every `(id, position)`, sorted: an entry repeats the id of the
+        // one before it.
+        let mut by_id = Vec::with_capacity(self.services.len() + introduced);
+        by_id.extend(self.task_entries().enumerate().map(|(at, t)| (t.id, at)));
+        by_id.sort_unstable();
+        let mut repeats: Vec<usize> = by_id
+            .windows(2)
+            .filter(|w| w[0].0 == w[1].0)
+            .map(|w| w[1].1)
             .collect();
-
-        let mut app_tasks: Vec<(Option<ServiceRef>, u32, Task)> = Vec::new();
-        let mut groups: Vec<LoweredGroup> = Vec::new();
-        let mut service_infos: Vec<LoweredService> = Vec::new();
-        let mut next_auto = 0u32;
-        for (index, service) in self.services.iter().enumerate() {
-            let sref = service.service_ref(index);
-            if service.stray_workload {
-                issues.push(SpecIssue::WorkloadWithoutGroup {
-                    service: sref.clone(),
-                });
-            }
-            match &service.kind {
-                ServiceKind::Replicated {
-                    style,
-                    members,
-                    load,
-                    workload,
-                } => {
-                    if members.is_empty() {
-                        issues.push(SpecIssue::EmptyMembers { service: sref });
-                        continue;
-                    }
-                    let mut sorted = members.clone();
-                    sorted.sort_unstable();
-                    if let Some(dup) = sorted.windows(2).find(|w| w[0] == w[1]) {
-                        issues.push(SpecIssue::DuplicateMember {
-                            service: sref.clone(),
-                            node: dup[0],
-                        });
-                        continue;
-                    }
-                    if let Some(bad) = sorted.iter().find(|m| **m >= self.nodes) {
-                        issues.push(SpecIssue::MemberOutOfRange {
-                            service: sref.clone(),
-                            node: *bad,
-                            nodes: self.nodes,
-                        });
-                        continue;
-                    }
-                    let admission_period = workload.admission_period(self.horizon);
-                    if admission_period.is_zero() {
-                        issues.push(SpecIssue::ZeroPeriod { service: sref });
-                        continue;
-                    }
-                    if workload.timeout().is_some_and(|t| t.is_zero()) {
-                        issues.push(SpecIssue::ZeroTimeout { service: sref });
-                        continue;
-                    }
-                    // Reject over-long streams *before* materializing
-                    // them: at the (peak) admission rate, the horizon
-                    // bounds the request count, so a runaway generator
-                    // is refused without allocating its schedule.
-                    let projected =
-                        self.horizon.as_nanos() / admission_period.as_nanos().max(1) + 1;
-                    if projected >= 1 << 20 {
-                        issues.push(SpecIssue::WorkloadTooLong {
-                            service: sref,
-                            requests: projected,
-                        });
-                        continue;
-                    }
-                    // An empty stream is legal (a standby service); a
-                    // zero-period generator also returns empty and is
-                    // caught by the admission-period check above.
-                    let schedule = workload.request_times(self.horizon);
-                    if !schedule.windows(2).all(|w| w[0] < w[1]) {
-                        issues.push(SpecIssue::NonMonotoneWorkload { service: sref });
-                        continue;
-                    }
-                    if schedule.len() as u64 >= 1 << 20 {
-                        issues.push(SpecIssue::WorkloadTooLong {
-                            service: sref,
-                            requests: schedule.len() as u64,
-                        });
-                        continue;
-                    }
-                    service_infos.push(LoweredService::Group {
-                        name: service.name.clone(),
-                        group: groups.len(),
-                    });
-                    let source = workload.build_source(self.horizon);
-                    if service.standby {
-                        // A standby group's members run from time zero
-                        // (admission needs no warm-up), but its request
-                        // stream is paused until a driver admits the
-                        // service — admission retunes the source back to
-                        // nominal rate from the admission instant.
-                        source.borrow_mut().throttle(Time::ZERO, 0);
-                    }
-                    groups.push(LoweredGroup {
-                        style: *style,
-                        members: sorted,
-                        load: *load,
-                        source,
-                        admission_period,
-                    });
-                }
-                ServiceKind::Periodic { node, wcet, period } => {
-                    if period.is_zero() {
-                        issues.push(SpecIssue::ZeroPeriod { service: sref });
-                        continue;
-                    }
-                    while explicit.contains(&TaskId(next_auto)) {
-                        next_auto += 1;
-                    }
-                    let id = TaskId(next_auto);
-                    next_auto += 1;
-                    let task = Task::new(
-                        id,
-                        single_heug(&service.name, *node, *wcet),
-                        hades_task::ArrivalLaw::Periodic(*period),
-                        *period,
-                    );
-                    service_infos.push(LoweredService::Tasks {
-                        name: service.name.clone(),
-                        ids: vec![id.0],
-                        standby: service.standby,
-                    });
-                    app_tasks.push((Some(sref), *node, task));
-                }
-                ServiceKind::Task { node, task } => {
-                    service_infos.push(LoweredService::Tasks {
-                        name: service.name.clone(),
-                        ids: vec![task.id.0],
-                        standby: service.standby,
-                    });
-                    app_tasks.push((Some(sref), *node, task.clone()));
-                }
-            }
-        }
-
-        // Scripted mode-change introductions join the task checks.
-        for script in self.scenario.mode_changes() {
-            for (node, task) in &script.introduce {
-                app_tasks.push((None, *node, task.clone()));
-            }
-        }
-        let mut seen = std::collections::HashSet::new();
-        for (sref, node, task) in &app_tasks {
-            if *node >= self.nodes {
+        repeats.sort_unstable();
+        for (at, task) in self.task_entries().enumerate() {
+            let service = || task.service.map(|i| self.services[i].service_ref(i));
+            if task.node >= self.nodes {
                 issues.push(SpecIssue::NodeOutOfRange {
-                    service: sref.clone(),
-                    node: *node,
+                    service: service(),
+                    node: task.node,
                     nodes: self.nodes,
                 });
             }
             if task.id.0 >= MIDDLEWARE_TASK_BASE {
                 issues.push(SpecIssue::ReservedTaskId {
-                    service: sref.clone(),
+                    service: service(),
                     task: task.id,
                 });
             }
-            if !seen.insert(task.id) {
+            if repeats.binary_search(&at).is_ok() {
                 issues.push(SpecIssue::DuplicateTaskId {
-                    service: sref.clone(),
+                    service: service(),
                     task: task.id,
                 });
             }
-            for eu in task.heug.eus() {
-                if eu.processor().0 != *node {
-                    issues.push(SpecIssue::TaskOffNode {
-                        service: sref.clone(),
-                        task: task.id,
-                        node: *node,
-                    });
-                    break;
-                }
+            let elsewhere =
+                |h: &hades_task::Heug| h.eus().iter().any(|eu| eu.processor().0 != task.node);
+            if task.heug.is_some_and(elsewhere) {
+                issues.push(SpecIssue::TaskOffNode {
+                    service: service(),
+                    task: task.id,
+                    node: task.node,
+                });
             }
         }
-        // A mode change may retire an initial application task or one a
-        // previous mode change introduced (multi-phase scripts). The
-        // introduced tasks were appended after the service tasks above,
-        // so `seen` holds every known id — but retire legality is
-        // per-phase: a task may only be retired once known.
-        let mut known_ids: std::collections::HashSet<TaskId> = app_tasks
-            .iter()
-            .filter(|(sref, _, _)| sref.is_some())
-            .map(|(_, _, t)| t.id)
-            .collect();
+        // A mode change may retire a task a service registered or one an
+        // earlier mode change (by instant, then script order) introduced.
+        let registered = by_id.len() - introduced;
         let mut scripts: Vec<&ModeChangeScript> = self.scenario.mode_changes().iter().collect();
         scripts.sort_by_key(|s| s.at);
-        for script in scripts {
+        for (k, script) in scripts.iter().enumerate() {
             for id in &script.retire {
-                if !known_ids.contains(id) {
+                let first = by_id.partition_point(|(t, _)| t < id);
+                let known = by_id
+                    .get(first)
+                    .is_some_and(|(t, at)| t == id && *at < registered)
+                    || scripts[..k]
+                        .iter()
+                        .any(|s| s.introduce.iter().any(|(_, t)| t.id == *id));
+                if !known {
                     issues.push(SpecIssue::UnknownRetiredTask { task: *id });
                 }
             }
-            known_ids.extend(script.introduce.iter().map(|(_, t)| t.id));
         }
-
-        if !issues.is_empty() {
-            return Err(SpecError { issues });
-        }
-        // Mode-change introductions are re-derived from the scenario at
-        // execution; keep only the service tasks here.
-        let app_tasks = app_tasks
-            .into_iter()
-            .filter(|(sref, _, _)| sref.is_some())
-            .map(|(_, node, task)| (node, task))
-            .collect();
-        Ok((app_tasks, groups, service_infos))
     }
 }
 

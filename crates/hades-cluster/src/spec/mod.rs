@@ -690,13 +690,16 @@ impl ClusterSpec {
             .rejoin_bound(self.link.delay_max)
     }
 
-    /// Validates the whole spec, collecting every finding.
+    /// Validates the whole spec, collecting every finding. It only
+    /// checks: it builds no task, HEUG, request source or lowered
+    /// service, and [`ClusterSpec::run`] runs the same checks once more
+    /// before it lowers.
     ///
     /// # Errors
     ///
     /// A [`SpecError`] listing every [`SpecIssue`] found.
     pub fn validate(&self) -> Result<(), SpecError> {
-        self.check().map(|_| ())
+        self.check()
     }
 
     /// Validates, lowers and runs the deployment.
@@ -734,11 +737,6 @@ enum LoweredService {
     /// Replicated: index into the lowered groups.
     Group { name: String, group: usize },
 }
-
-/// A validated spec's services, lowered: the application tasks with
-/// their home nodes, the replicated groups, and every service as the
-/// control plane addresses it.
-type LoweredServices = (Vec<(u32, Task)>, Vec<LoweredGroup>, Vec<LoweredService>);
 
 /// The flat runtime form a validated spec lowers into, kept with the
 /// spec it was lowered from: its scenario feeds both the offline
