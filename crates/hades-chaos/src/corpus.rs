@@ -105,7 +105,7 @@ impl CorpusScenario {
         let u64_field = |key: &str| -> Result<u64, String> {
             v.get(key)
                 .and_then(Json::as_u64)
-                .ok_or(format!("corpus line missing integer {key:?}"))
+                .ok_or(format!("corpus line {key:?} is not an integer in 0..2^53"))
         };
         let expect = v.get("expect").ok_or("corpus line missing \"expect\"")?;
         let opt_u32 = |key: &str| -> Result<Option<u32>, String> {
@@ -211,6 +211,15 @@ mod tests {
             assert!(line.contains(field), "{line}");
             let err = CorpusScenario::from_json(&line.replace(field, wide)).expect_err(wide);
             assert!(err.contains("exceeds u32"), "{err}");
+        }
+        for (field, inexact) in [
+            ("\"seed\":7", "\"seed\":9007199254740993"),
+            ("\"horizon_ns\":100000000", "\"horizon_ns\":1e30"),
+        ] {
+            assert!(line.contains(field), "{line}");
+            let err = CorpusScenario::from_json(&line.replace(field, inexact)).expect_err(inexact);
+            let key = field.split(':').next().unwrap();
+            assert!(err.contains(key) && err.contains("2^53"), "{err}");
         }
     }
 

@@ -177,22 +177,14 @@ impl ChaosOp {
             .get("op")
             .and_then(Json::as_str)
             .ok_or("op object missing \"op\" kind")?;
-        let node = |key: &str| -> Result<u32, String> {
-            let n = v.get(key).and_then(Json::as_u64);
-            narrow(key, n.ok_or(format!("op {op:?} missing integer {key:?}"))?)
+        let int = |key: &str| -> Result<u64, String> {
+            let n = v.get(key).ok_or(format!("op {op:?} missing {key:?}"))?;
+            n.as_u64()
+                .ok_or(format!("op {op:?} {key:?} is not an integer in 0..2^53"))
         };
-        let time = |key: &str| -> Result<Time, String> {
-            v.get(key)
-                .and_then(Json::as_u64)
-                .map(Time::from_nanos)
-                .ok_or(format!("op {op:?} missing timestamp {key:?}"))
-        };
-        let dur = |key: &str| -> Result<Duration, String> {
-            v.get(key)
-                .and_then(Json::as_u64)
-                .map(Duration::from_nanos)
-                .ok_or(format!("op {op:?} missing duration {key:?}"))
-        };
+        let node = |key: &str| narrow(key, int(key)?);
+        let time = |key: &str| int(key).map(Time::from_nanos);
+        let dur = |key: &str| int(key).map(Duration::from_nanos);
         let service = || -> Result<String, String> {
             v.get("service")
                 .and_then(Json::as_str)
@@ -206,7 +198,8 @@ impl ChaosOp {
                 until: match v.get("until_ns") {
                     Some(Json::Null) | None => None,
                     Some(u) => Some(Time::from_nanos(
-                        u.as_u64().ok_or("crash until_ns must be integer or null")?,
+                        u.as_u64()
+                            .ok_or("crash \"until_ns\" must be null or an integer in 0..2^53")?,
                     )),
                 },
             }),
@@ -250,7 +243,12 @@ impl ChaosOp {
                     .and_then(Json::as_array)
                     .ok_or("ccf missing victims array")?
                     .iter()
-                    .map(|j| narrow("victims", j.as_u64().ok_or("victim must be integer")?))
+                    .map(|j| {
+                        let n = j
+                            .as_u64()
+                            .ok_or("\"victims\" must be integers in 0..2^53")?;
+                        narrow("victims", n)
+                    })
                     .collect::<Result<Vec<u32>, String>>()?,
                 spacing: dur("spacing_ns")?,
                 down: dur("down_ns")?,
@@ -601,6 +599,40 @@ mod tests {
                 ..
             })
         ));
+    }
+
+    #[test]
+    fn integers_above_2_pow_53_are_rejected_not_rounded() {
+        for n in ["1e30", "9007199254740993"] {
+            for (line, field) in [
+                (
+                    format!(r#"{{"op":"throttle","service":"s","at_ns":{n},"permille":1}}"#),
+                    "at_ns",
+                ),
+                (
+                    format!(r#"{{"op":"crash","node":1,"at_ns":1,"until_ns":{n}}}"#),
+                    "until_ns",
+                ),
+                (
+                    format!(r#"{{"op":"crash","node":1,"at_ns":{n},"until_ns":null}}"#),
+                    "at_ns",
+                ),
+                (
+                    format!(
+                        r#"{{"op":"ccf","root":0,"victims":[{n}],"spacing_ns":1,"down_ns":1}}"#
+                    ),
+                    "victims",
+                ),
+            ] {
+                let err = ChaosOp::from_json(&Json::parse(&line).unwrap()).expect_err(&line);
+                assert!(err.contains(field), "{line}: {err}");
+            }
+        }
+        let line = r#"{"op":"throttle","service":"s","at_ns":9007199254740991,"permille":1}"#;
+        let op = ChaosOp::from_json(&Json::parse(line).unwrap()).expect("2^53 - 1 is exact");
+        assert!(
+            matches!(op, ChaosOp::Throttle { at, .. } if at == Time::from_nanos((1 << 53) - 1))
+        );
     }
 
     #[test]

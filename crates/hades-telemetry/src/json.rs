@@ -81,10 +81,14 @@ impl Json {
         }
     }
 
-    /// This value as a non-negative integer.
+    /// This value as a non-negative integer of at most 2^53 − 1. A number
+    /// is parsed as an `f64`, which holds every integer only up to there
+    /// (`9007199254740993` reads as `…992`): a larger one is `None`, not
+    /// rounded or saturated.
     pub fn as_u64(&self) -> Option<u64> {
+        const MAX_EXACT: f64 = ((1u64 << 53) - 1) as f64;
         match self {
-            Json::Number(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),
+            Json::Number(n) if (0.0..=MAX_EXACT).contains(n) && n.fract() == 0.0 => Some(*n as u64),
             _ => None,
         }
     }
@@ -267,6 +271,11 @@ mod tests {
         assert_eq!(Json::parse("null").unwrap(), Json::Null);
         assert_eq!(Json::parse(" true ").unwrap(), Json::Bool(true));
         assert_eq!(Json::parse("42").unwrap().as_u64(), Some(42));
+        let max = Json::parse("9007199254740991").unwrap();
+        assert_eq!(max.as_u64(), Some((1 << 53) - 1));
+        for inexact in ["9007199254740992", "9007199254740993", "1e30", "-1", "0.5"] {
+            assert_eq!(Json::parse(inexact).unwrap().as_u64(), None, "{inexact}");
+        }
         assert_eq!(Json::parse("-1.5").unwrap().as_f64(), Some(-1.5));
         assert_eq!(Json::parse("\"hi\"").unwrap().as_str(), Some("hi"));
     }
