@@ -735,25 +735,23 @@ impl ControlActor {
         let Some(watchdog) = &self.watchdog else {
             return;
         };
-        let (violations, wakeups) = {
-            let mut dog = watchdog.borrow_mut();
-            dog.wake(now);
-            (dog.take_fresh(), dog.take_wakeups())
-        };
-        if !violations.is_empty() {
-            let mut state = self.state.borrow_mut();
-            for v in violations {
-                state.push(ClusterEvent::InvariantViolated {
+        let mut dog = watchdog.borrow_mut();
+        dog.wake(now);
+        for v in dog.take_fresh() {
+            self.state
+                .borrow_mut()
+                .push(ClusterEvent::InvariantViolated {
                     monitor: v.monitor,
                     node: v.node,
                     group: v.group,
                     message: v.message,
                     at: v.at,
                 });
-            }
         }
-        self.armed = self.armed.split_off(&now);
-        for at in wakeups {
+        while self.armed.first().is_some_and(|at| *at < now) {
+            self.armed.pop_first();
+        }
+        for at in dog.take_wakeups() {
             if at > now && at <= self.horizon && self.armed.insert(at) {
                 ctx.timer_at(at, CK_WATCH);
             }

@@ -374,6 +374,9 @@ struct Inner {
     kernel_cpu: Duration,
     node_cpu: Vec<Duration>,
     rng: SimRng,
+    /// `spawn_instance`'s list of the nodes an instance touches, kept
+    /// between instances so it allocates once.
+    touched: Vec<u32>,
 }
 
 impl std::fmt::Debug for Inner {
@@ -486,6 +489,7 @@ impl DispatchSim {
             kernel_cpu: Duration::ZERO,
             node_cpu: vec![Duration::ZERO; node_count],
             rng: rng.split(0x4558),
+            touched: Vec::new(),
         };
         DispatchSim {
             engine: Engine::new(),

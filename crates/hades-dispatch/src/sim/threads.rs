@@ -83,7 +83,10 @@ impl Inner {
         let deadline = now + task.deadline;
         self.task_state[pos].outcome.activated += 1;
         let first_thread = self.threads.next_id();
-        let mut touched: Vec<u32> = Vec::new();
+        // The nodes the instance's threads land on, in the buffer kept on
+        // `self` for its capacity.
+        let mut touched = std::mem::take(&mut self.touched);
+        touched.clear();
         for (i, eu) in task.heug.eus().iter().enumerate() {
             let eu_idx = EuIndex(i as u32);
             let tid = ThreadId(self.threads.next_id());
@@ -212,6 +215,7 @@ impl Inner {
         }
         touched.sort_unstable();
         self.reschedule_touched(&touched, now, sched);
+        self.touched = touched;
         instance
     }
 

@@ -527,16 +527,17 @@ impl Watchdog {
     }
 
     /// Drains the violations raised since the last call, in detection
-    /// order. Drained violations stay in [`Watchdog::violations`].
-    pub fn take_fresh(&mut self) -> Vec<Violation> {
-        let fresh = std::mem::take(&mut self.fresh);
-        self.all.extend(fresh.iter().cloned());
-        fresh
+    /// order; the buffer keeps its capacity. Drained violations stay in
+    /// [`Watchdog::violations`].
+    pub fn take_fresh(&mut self) -> std::vec::Drain<'_, Violation> {
+        self.all.extend(self.fresh.iter().cloned());
+        self.fresh.drain(..)
     }
 
-    /// Drains the pending watchdog-timer requests.
-    pub fn take_wakeups(&mut self) -> Vec<Time> {
-        std::mem::take(&mut self.wakeups)
+    /// Drains the pending watchdog-timer requests, in request order; the
+    /// buffer keeps its capacity.
+    pub fn take_wakeups(&mut self) -> std::vec::Drain<'_, Time> {
+        self.wakeups.drain(..)
     }
 
     /// Every violation raised so far (drained or not), in detection
@@ -942,14 +943,14 @@ mod tests {
     fn stalled_transfer_fires_at_armed_deadline() {
         let mut dog = configured();
         assert!(dog.observe(t(0), &MonitorEvent::RejoinAnnounced { node: 4 }));
-        let wakeups = dog.take_wakeups();
+        let wakeups: Vec<Time> = dog.take_wakeups().collect();
         assert_eq!(wakeups, vec![t(500)]);
         // Progress re-arms the deadline.
         dog.observe(
             t(300),
             &MonitorEvent::TransferProgress { node: 4, chunks: 1 },
         );
-        assert_eq!(dog.take_wakeups(), vec![t(800)]);
+        assert!(dog.take_wakeups().eq([t(800)]));
         dog.wake(t(500));
         assert!(dog.violations().is_empty(), "progress deferred the stall");
         dog.wake(t(800));
@@ -1044,9 +1045,8 @@ mod tests {
                 members: vec![1],
             },
         );
-        let fresh = dog.take_fresh();
-        assert_eq!(fresh.len(), 1);
-        assert!(dog.take_fresh().is_empty());
+        assert_eq!(dog.take_fresh().len(), 1);
+        assert_eq!(dog.take_fresh().len(), 0);
         assert_eq!(dog.violations().len(), 1);
     }
 }
