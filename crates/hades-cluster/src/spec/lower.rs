@@ -17,31 +17,22 @@ struct TaskEntry<'a> {
 
 /// Auto-assigned task ids: ascending from zero over the periodic
 /// services, skipping every id a raw task service takes.
-struct AutoIds {
-    /// The raw task services' ids, sorted.
-    taken: Vec<TaskId>,
-    next: u32,
-}
-
-impl AutoIds {
-    fn new(services: &[ServiceSpec]) -> Self {
-        let mut taken: Vec<TaskId> = services
-            .iter()
-            .filter_map(|s| match &s.kind {
-                ServiceKind::Task { task, .. } => Some(task.id),
-                _ => None,
-            })
-            .collect();
-        taken.sort_unstable();
-        AutoIds { taken, next: 0 }
-    }
-
-    fn next(&mut self) -> TaskId {
-        while self.taken.binary_search(&TaskId(self.next)).is_ok() {
-            self.next += 1;
+fn auto_ids(services: &[ServiceSpec]) -> impl FnMut() -> TaskId {
+    let mut taken: Vec<TaskId> = services
+        .iter()
+        .filter_map(|s| match &s.kind {
+            ServiceKind::Task { task, .. } => Some(task.id),
+            _ => None,
+        })
+        .collect();
+    taken.sort_unstable();
+    let mut next = 0;
+    move || {
+        while taken.binary_search(&TaskId(next)).is_ok() {
+            next += 1;
         }
-        self.next += 1;
-        TaskId(self.next - 1)
+        next += 1;
+        TaskId(next - 1)
     }
 }
 
@@ -49,7 +40,7 @@ impl ClusterSpec {
     /// Checks the spec, then lowers it into the runtime's flat form.
     pub(super) fn lower(self) -> Result<Lowered, SpecError> {
         self.check()?;
-        let mut ids = AutoIds::new(&self.services);
+        let mut next_id = auto_ids(&self.services);
         let mut app_tasks = Vec::new();
         let mut groups = Vec::new();
         let mut service_infos = Vec::with_capacity(self.services.len());
@@ -89,7 +80,7 @@ impl ClusterSpec {
                 ServiceKind::Periodic { node, wcet, period } => {
                     let heug = single_heug(&service.name, *node, *wcet);
                     let arrival = hades_task::ArrivalLaw::Periodic(*period);
-                    (*node, Task::new(ids.next(), heug, arrival, *period))
+                    (*node, Task::new(next_id(), heug, arrival, *period))
                 }
                 ServiceKind::Task { node, task } => (*node, task.clone()),
             };
@@ -161,13 +152,10 @@ impl ClusterSpec {
         }
         // Sorted, the members name their smallest repeated and smallest
         // out-of-range node; a strictly increasing list is sorted already.
-        let sorted: std::borrow::Cow<[u32]> = if members.windows(2).all(|w| w[0] < w[1]) {
-            members.into()
-        } else {
-            let mut sorted = members.to_vec();
-            sorted.sort_unstable();
-            sorted.into()
-        };
+        let mut sorted = std::borrow::Cow::from(members);
+        if !members.windows(2).all(|w| w[0] < w[1]) {
+            sorted.to_mut().sort_unstable();
+        }
         if let Some(dup) = sorted.windows(2).find(|w| w[0] == w[1]) {
             return Some(SpecIssue::DuplicateMember {
                 service: service(),
@@ -217,7 +205,7 @@ impl ClusterSpec {
     /// in registration order (a zero-period periodic service has none),
     /// then the scripted mode-change introductions.
     fn task_entries(&self) -> impl Iterator<Item = TaskEntry<'_>> {
-        let mut ids = AutoIds::new(&self.services);
+        let mut next_id = auto_ids(&self.services);
         let registered = self
             .services
             .iter()
@@ -225,7 +213,7 @@ impl ClusterSpec {
             .filter_map(move |(index, s)| {
                 let (node, id, heug) = match &s.kind {
                     ServiceKind::Periodic { node, period, .. } if !period.is_zero() => {
-                        (*node, ids.next(), None)
+                        (*node, next_id(), None)
                     }
                     ServiceKind::Task { node, task } => (*node, task.id, Some(&task.heug)),
                     _ => return None,
@@ -254,16 +242,13 @@ impl ClusterSpec {
     /// The application tasks' findings, task by task, then the mode
     /// changes' retirements of unknown tasks.
     fn task_issues(&self, issues: &mut Vec<SpecIssue>) {
-        let introduced: usize = self
-            .scenario
-            .mode_changes()
-            .iter()
-            .map(|script| script.introduce.len())
-            .sum();
         // Every `(id, position)`, sorted: an entry repeats the id of the
         // one before it.
-        let mut by_id = Vec::with_capacity(self.services.len() + introduced);
-        by_id.extend(self.task_entries().enumerate().map(|(at, t)| (t.id, at)));
+        let mut by_id: Vec<_> = self
+            .task_entries()
+            .enumerate()
+            .map(|(at, t)| (t.id, at))
+            .collect();
         by_id.sort_unstable();
         let mut repeats: Vec<usize> = by_id
             .windows(2)
@@ -304,15 +289,13 @@ impl ClusterSpec {
         }
         // A mode change may retire a task a service registered or one an
         // earlier mode change (by instant, then script order) introduced.
-        let registered = by_id.len() - introduced;
         let mut scripts: Vec<&ModeChangeScript> = self.scenario.mode_changes().iter().collect();
         scripts.sort_by_key(|s| s.at);
         for (k, script) in scripts.iter().enumerate() {
             for id in &script.retire {
-                let first = by_id.partition_point(|(t, _)| t < id);
-                let known = by_id
-                    .get(first)
-                    .is_some_and(|(t, at)| t == id && *at < registered)
+                let known = self
+                    .task_entries()
+                    .any(|t| t.service.is_some() && t.id == *id)
                     || scripts[..k]
                         .iter()
                         .any(|s| s.introduce.iter().any(|(_, t)| t.id == *id));
