@@ -39,7 +39,7 @@ fn auto_ids(services: &[ServiceSpec]) -> impl FnMut() -> TaskId {
 impl ClusterSpec {
     /// Checks the spec, then lowers it into the runtime's flat form.
     pub(super) fn lower(self) -> Result<Lowered, SpecError> {
-        self.check()?;
+        let mut admission_periods = self.check()?.into_iter();
         let mut next_id = auto_ids(&self.services);
         let mut app_tasks = Vec::new();
         let mut groups = Vec::new();
@@ -73,7 +73,7 @@ impl ClusterSpec {
                         members,
                         load: *load,
                         source,
-                        admission_period: workload.admission_period(self.horizon),
+                        admission_period: admission_periods.next().expect("one per group"),
                     });
                     continue;
                 }
@@ -100,8 +100,11 @@ impl ClusterSpec {
     }
 
     /// Checks the whole spec, collecting every finding in validation
-    /// order. Borrows the spec and builds none of its runtime form.
-    pub(super) fn check(&self) -> Result<(), SpecError> {
+    /// order. Borrows the spec and builds none of its runtime form; what
+    /// it returns is each replicated service's admission period, in
+    /// registration order (working one out may generate the stream).
+    pub(super) fn check(&self) -> Result<Vec<Duration>, SpecError> {
+        let mut admission_periods = Vec::new();
         let mut issues = Vec::new();
         if self.nodes < 2 {
             issues.push(SpecIssue::TooFewNodes { nodes: self.nodes });
@@ -120,35 +123,37 @@ impl ClusterSpec {
             if service.stray_workload {
                 issues.push(SpecIssue::WorkloadWithoutGroup { service: sref() });
             }
-            let issue = match &service.kind {
+            match &service.kind {
                 ServiceKind::Replicated {
                     members, workload, ..
-                } => self.group_issue(members, workload.as_ref(), sref),
-                ServiceKind::Periodic { period, .. } => period
-                    .is_zero()
-                    .then(|| SpecIssue::ZeroPeriod { service: sref() }),
-                ServiceKind::Task { .. } => None,
-            };
-            issues.extend(issue);
+                } => match self.check_group(members, workload.as_ref(), sref) {
+                    Ok(period) => admission_periods.push(period),
+                    Err(issue) => issues.push(issue),
+                },
+                ServiceKind::Periodic { period, .. } if period.is_zero() => {
+                    issues.push(SpecIssue::ZeroPeriod { service: sref() });
+                }
+                _ => {}
+            }
         }
         self.task_issues(&mut issues);
         if issues.is_empty() {
-            Ok(())
+            Ok(admission_periods)
         } else {
             Err(SpecError { issues })
         }
     }
 
-    /// A replicated service's first finding, if any: its members, then
-    /// its workload.
-    fn group_issue(
+    /// A replicated service's admission period, or its first finding:
+    /// its members are checked, then its workload.
+    fn check_group(
         &self,
         members: &[u32],
         workload: &dyn Workload,
         service: impl FnOnce() -> ServiceRef,
-    ) -> Option<SpecIssue> {
+    ) -> Result<Duration, SpecIssue> {
         if members.is_empty() {
-            return Some(SpecIssue::EmptyMembers { service: service() });
+            return Err(SpecIssue::EmptyMembers { service: service() });
         }
         // Sorted, the members name their smallest repeated and smallest
         // out-of-range node; a strictly increasing list is sorted already.
@@ -157,13 +162,13 @@ impl ClusterSpec {
             sorted.to_mut().sort_unstable();
         }
         if let Some(dup) = sorted.windows(2).find(|w| w[0] == w[1]) {
-            return Some(SpecIssue::DuplicateMember {
+            return Err(SpecIssue::DuplicateMember {
                 service: service(),
                 node: dup[0],
             });
         }
         if let Some(bad) = sorted.iter().find(|m| **m >= self.nodes) {
-            return Some(SpecIssue::MemberOutOfRange {
+            return Err(SpecIssue::MemberOutOfRange {
                 service: service(),
                 node: *bad,
                 nodes: self.nodes,
@@ -171,17 +176,17 @@ impl ClusterSpec {
         }
         let admission_period = workload.admission_period(self.horizon);
         if admission_period.is_zero() {
-            return Some(SpecIssue::ZeroPeriod { service: service() });
+            return Err(SpecIssue::ZeroPeriod { service: service() });
         }
         if workload.timeout().is_some_and(|t| t.is_zero()) {
-            return Some(SpecIssue::ZeroTimeout { service: service() });
+            return Err(SpecIssue::ZeroTimeout { service: service() });
         }
         // Reject over-long streams *before* materializing them: at the
         // (peak) admission rate, the horizon bounds the request count, so
         // a runaway generator is refused without allocating its schedule.
         let projected = self.horizon.as_nanos() / admission_period.as_nanos().max(1) + 1;
         if projected >= 1 << 20 {
-            return Some(SpecIssue::WorkloadTooLong {
+            return Err(SpecIssue::WorkloadTooLong {
                 service: service(),
                 requests: projected,
             });
@@ -190,15 +195,15 @@ impl ClusterSpec {
         // generator also returns empty and is caught above.
         let schedule = workload.request_times(self.horizon);
         if !schedule.windows(2).all(|w| w[0] < w[1]) {
-            return Some(SpecIssue::NonMonotoneWorkload { service: service() });
+            return Err(SpecIssue::NonMonotoneWorkload { service: service() });
         }
         if schedule.len() as u64 >= 1 << 20 {
-            return Some(SpecIssue::WorkloadTooLong {
+            return Err(SpecIssue::WorkloadTooLong {
                 service: service(),
                 requests: schedule.len() as u64,
             });
         }
-        None
+        Ok(admission_period)
     }
 
     /// The application tasks in check order: each task-backed service's

@@ -699,7 +699,7 @@ impl ClusterSpec {
     ///
     /// A [`SpecError`] listing every [`SpecIssue`] found.
     pub fn validate(&self) -> Result<(), SpecError> {
-        self.check()
+        self.check().map(|_| ())
     }
 
     /// Validates, lowers and runs the deployment.
