@@ -155,7 +155,7 @@ pub(crate) enum ServiceControlKind {
 /// One registered service as seen by the control plane.
 #[derive(Debug, Clone)]
 pub(crate) struct ServiceControl {
-    pub(crate) name: String,
+    pub(crate) name: std::borrow::Cow<'static, str>,
     pub(crate) kind: ServiceControlKind,
 }
 

@@ -104,10 +104,7 @@ impl Lowered {
         // until a driver admits them (the admission op re-opens the
         // window and re-anchors the chain).
         for info in &self.service_infos {
-            if let LoweredService::Tasks {
-                ids, standby: true, ..
-            } = info
-            {
+            if let LoweredService::Tasks { ids, standby: true } = info {
                 for id in ids {
                     sim.set_activation_window(TaskId(*id), Time::MAX, Time::MAX);
                 }
@@ -241,14 +238,14 @@ impl Lowered {
         let services_ctl: Vec<ServiceControl> = self
             .service_infos
             .iter()
-            .map(|info| match info {
-                LoweredService::Tasks { name, ids, .. } => ServiceControl {
-                    name: name.clone(),
-                    kind: ServiceControlKind::Tasks { ids: ids.clone() },
-                },
-                LoweredService::Group { name, group } => ServiceControl {
-                    name: name.clone(),
-                    kind: ServiceControlKind::Group {
+            .zip(&self.spec.services)
+            .map(|(info, service)| ServiceControl {
+                name: service.name.clone(),
+                kind: match info {
+                    LoweredService::Tasks { ids, .. } => {
+                        ServiceControlKind::Tasks { ids: ids.clone() }
+                    }
+                    LoweredService::Group { group } => ServiceControlKind::Group {
                         source: self.groups[*group].source.clone(),
                         members: group_peers[*group].clone(),
                     },

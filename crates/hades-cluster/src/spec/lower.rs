@@ -2,6 +2,7 @@
 //! lowered, the task set assembled and analysed.
 
 use super::*;
+use std::ops::ControlFlow;
 
 /// One application task as the checks see it, before any is built.
 struct TaskEntry<'a> {
@@ -45,7 +46,6 @@ impl ClusterSpec {
         let mut groups = Vec::new();
         let mut service_infos = Vec::with_capacity(self.services.len());
         for service in &self.services {
-            let name = service.name.clone();
             let (node, task) = match &service.kind {
                 ServiceKind::Replicated {
                     style,
@@ -65,7 +65,6 @@ impl ClusterSpec {
                         source.borrow_mut().throttle(Time::ZERO, 0);
                     }
                     service_infos.push(LoweredService::Group {
-                        name,
                         group: groups.len(),
                     });
                     groups.push(LoweredGroup {
@@ -85,7 +84,6 @@ impl ClusterSpec {
                 ServiceKind::Task { node, task } => (*node, task.clone()),
             };
             service_infos.push(LoweredService::Tasks {
-                name,
                 ids: vec![task.id.0],
                 standby: service.standby,
             });
@@ -102,7 +100,7 @@ impl ClusterSpec {
     /// Checks the whole spec, collecting every finding in validation
     /// order. Borrows the spec and builds none of its runtime form; what
     /// it returns is each replicated service's admission period, in
-    /// registration order (working one out may generate the stream).
+    /// registration order.
     pub(super) fn check(&self) -> Result<Vec<Duration>, SpecError> {
         let mut admission_periods = Vec::new();
         let mut issues = Vec::new();
@@ -192,15 +190,25 @@ impl ClusterSpec {
             });
         }
         // An empty stream is legal (a standby service); a zero-period
-        // generator also returns empty and is caught above.
-        let schedule = workload.request_times(self.horizon);
-        if !schedule.windows(2).all(|w| w[0] < w[1]) {
+        // generator also streams nothing and is caught above. The stream
+        // is walked, not stored: it stops at the first instant out of
+        // order and otherwise counts every request.
+        let (mut requests, mut last, mut monotone) = (0u64, None, true);
+        let _ = workload.for_each_request(self.horizon, &mut |t| {
+            if last.is_some_and(|prev| prev >= t) {
+                monotone = false;
+                return ControlFlow::Break(());
+            }
+            (requests, last) = (requests + 1, Some(t));
+            ControlFlow::Continue(())
+        });
+        if !monotone {
             return Err(SpecIssue::NonMonotoneWorkload { service: service() });
         }
-        if schedule.len() as u64 >= 1 << 20 {
+        if requests >= 1 << 20 {
             return Err(SpecIssue::WorkloadTooLong {
                 service: service(),
-                requests: schedule.len() as u64,
+                requests,
             });
         }
         Ok(admission_period)

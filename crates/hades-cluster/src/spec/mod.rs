@@ -75,6 +75,7 @@ use hades_task::{Task, TaskId, TaskSet};
 use hades_telemetry::monitor::{MonitorEvent, MonitorParams, ProtocolTap};
 use hades_telemetry::{Probe, Profiler, Registry, RunTelemetry, SpanLog, Watchdog};
 use hades_time::{Duration, Time};
+use std::borrow::Cow;
 use std::cell::{Ref, RefCell};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -382,7 +383,9 @@ enum ServiceKind {
 /// ```
 #[derive(Debug)]
 pub struct ServiceSpec {
-    name: String,
+    /// Borrowed for a literal name: nothing is copied until a
+    /// [`ServiceRef`] names the service.
+    name: Cow<'static, str>,
     kind: ServiceKind,
     standby: bool,
     /// [`ServiceSpec::workload`] was called on a service that is not
@@ -397,7 +400,7 @@ impl ServiceSpec {
     /// [`GroupLoad::first_request_at`]; override the stream shape with
     /// [`ServiceSpec::workload`].
     pub fn replicated(
-        name: impl Into<String>,
+        name: impl Into<Cow<'static, str>>,
         style: ReplicaStyle,
         members: Vec<u32>,
         load: GroupLoad,
@@ -433,7 +436,12 @@ impl ServiceSpec {
     /// A single-unit periodic application task on `node`, with deadline
     /// equal to its period. Task ids are auto-assigned (ascending over
     /// the spec's periodic services, skipping explicitly taken ids).
-    pub fn periodic(name: impl Into<String>, node: u32, wcet: Duration, period: Duration) -> Self {
+    pub fn periodic(
+        name: impl Into<Cow<'static, str>>,
+        node: u32,
+        wcet: Duration,
+        period: Duration,
+    ) -> Self {
         ServiceSpec {
             name: name.into(),
             kind: ServiceKind::Periodic { node, wcet, period },
@@ -444,7 +452,7 @@ impl ServiceSpec {
 
     /// A raw HEUG application task on `node` (every elementary unit must
     /// be homed on that node's processor).
-    pub fn task(name: impl Into<String>, node: u32, task: Task) -> Self {
+    pub fn task(name: impl Into<Cow<'static, str>>, node: u32, task: Task) -> Self {
         ServiceSpec {
             name: name.into(),
             kind: ServiceKind::Task { node, task },
@@ -480,7 +488,7 @@ impl ServiceSpec {
     fn service_ref(&self, index: usize) -> ServiceRef {
         ServiceRef {
             index,
-            name: self.name.clone(),
+            name: self.name.to_string(),
         }
     }
 }
@@ -724,18 +732,15 @@ struct LoweredGroup {
     admission_period: Duration,
 }
 
-/// One registered service as the control plane will address it.
+/// One registered service as the control plane will address it; the
+/// `k`-th is the spec's `k`-th service, which keeps its name.
 #[derive(Debug)]
 enum LoweredService {
     /// Task-backed: its dispatcher task ids (and whether it starts
     /// standby).
-    Tasks {
-        name: String,
-        ids: Vec<u32>,
-        standby: bool,
-    },
+    Tasks { ids: Vec<u32>, standby: bool },
     /// Replicated: index into the lowered groups.
-    Group { name: String, group: usize },
+    Group { group: usize },
 }
 
 /// The flat runtime form a validated spec lowers into, kept with the

@@ -20,8 +20,8 @@
 //! back from the replica-group gateway through the actor-side
 //! [`RequestSource`] hook — the generated stream reacts to congestion
 //! (a failover stall pushes every later submission out; fast responses
-//! pull them in). Its [`Workload::request_times`] (validation) is the
-//! pre-feedback approximation, the analytic client-visible bound
+//! pull them in). Its [`Workload::for_each_request`] stream (validation)
+//! is the pre-feedback approximation, the analytic client-visible bound
 //! substituted for the response: a [`ConstantRate`] of period
 //! `think + response_bound`, the congestion-blind baseline.
 
@@ -29,21 +29,83 @@ use hades_services::group::{FixedSchedule, RequestSource};
 use hades_time::{Duration, Time};
 use std::cell::RefCell;
 use std::fmt;
+use std::ops::ControlFlow;
 use std::rc::Rc;
 
 /// A deterministic request-stream generator.
 ///
-/// Implementations must return **strictly increasing** submission
+/// Implementations must produce **strictly increasing** submission
 /// instants, all inside `[Time::ZERO, Time::ZERO + horizon)`; the spec
-/// validation rejects schedules violating either rule with a typed
+/// validation rejects streams violating either rule with a typed
 /// [`crate::SpecIssue`]. Request `k` of the service is submitted at the
-/// `k`-th returned instant.
+/// `k`-th instant. Validation walks the stream without storing it, so a
+/// workload's length and order cost no schedule to check.
+///
+/// # Examples
+///
+/// A custom shape only streams its instants; the collected schedule,
+/// the open-loop request source and validation all follow from that.
+///
+/// ```
+/// use hades_cluster::{ClusterSpec, GroupLoad, ServiceSpec, Workload};
+/// use hades_services::ReplicaStyle;
+/// use hades_time::{Duration, Time};
+/// use std::ops::ControlFlow;
+///
+/// /// One request at 1, 2, 4, 8, ... ms.
+/// #[derive(Debug)]
+/// struct Doubling;
+///
+/// impl Workload for Doubling {
+///     fn for_each_request(
+///         &self,
+///         horizon: Duration,
+///         visit: &mut dyn FnMut(Time) -> ControlFlow<()>,
+///     ) -> ControlFlow<()> {
+///         let mut gap = Duration::from_millis(1);
+///         while gap < horizon {
+///             visit(Time::ZERO + gap)?;
+///             gap = gap * 2;
+///         }
+///         ControlFlow::Continue(())
+///     }
+///
+///     fn admission_period(&self, _horizon: Duration) -> Duration {
+///         Duration::from_millis(1)
+///     }
+/// }
+///
+/// let times = Doubling.request_times(Duration::from_millis(10));
+/// assert_eq!(times.len(), 4, "requests at 1, 2, 4 and 8 ms");
+/// let spec = ClusterSpec::new(3).horizon(Duration::from_millis(10)).service(
+///     ServiceSpec::replicated("store", ReplicaStyle::Active, vec![0, 1, 2], GroupLoad::default())
+///         .workload(Box::new(Doubling)),
+/// );
+/// assert_eq!(spec.validate(), Ok(()));
+/// ```
 pub trait Workload: fmt::Debug {
-    /// The submission instants of the whole run — for a feedback-driven
-    /// workload, the *analytic approximation* used by validation and as
-    /// the open-loop baseline (the live schedule unfolds at run time
-    /// through [`Workload::build_source`]).
-    fn request_times(&self, horizon: Duration) -> Vec<Time>;
+    /// Hands the submission instants of the whole run to `visit`, in
+    /// order, and stops as soon as `visit` breaks, returning that break
+    /// (`?` on each call does both). For a feedback-driven workload it is
+    /// the *analytic approximation* used by validation and as the
+    /// open-loop baseline (the live schedule unfolds at run time through
+    /// [`Workload::build_source`]).
+    fn for_each_request(
+        &self,
+        horizon: Duration,
+        visit: &mut dyn FnMut(Time) -> ControlFlow<()>,
+    ) -> ControlFlow<()>;
+
+    /// The submission instants of the whole run, collected from
+    /// [`Workload::for_each_request`].
+    fn request_times(&self, horizon: Duration) -> Vec<Time> {
+        let mut times = Vec::new();
+        let _ = self.for_each_request(horizon, &mut |t| {
+            times.push(t);
+            ControlFlow::Continue(())
+        });
+        times
+    }
 
     /// The per-request arrival period admission control charges for the
     /// service's execution cost tasks — the (peak) rate the feasibility
@@ -99,18 +161,21 @@ impl ConstantRate {
 }
 
 impl Workload for ConstantRate {
-    fn request_times(&self, horizon: Duration) -> Vec<Time> {
-        let end = Time::ZERO + horizon;
+    fn for_each_request(
+        &self,
+        horizon: Duration,
+        visit: &mut dyn FnMut(Time) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
         if self.period.is_zero() {
-            return Vec::new(); // rejected by spec validation
+            return ControlFlow::Continue(()); // rejected by spec validation
         }
-        let mut out = Vec::new();
+        let end = Time::ZERO + horizon;
         let mut t = self.start;
         while t < end {
-            out.push(t);
+            visit(t)?;
             t += self.period;
         }
-        out
+        ControlFlow::Continue(())
     }
 
     fn admission_period(&self, _horizon: Duration) -> Duration {
@@ -121,8 +186,11 @@ impl Workload for ConstantRate {
 /// Open-loop on/off source: bursts of `burst` requests spaced `spacing`
 /// apart, one burst every `gap` (start-to-start), beginning at `start`.
 ///
-/// Admission is charged at the *peak* rate (`spacing`), so a feasibility
-/// verdict holds through the bursts, not only on long-run average.
+/// Admission is charged at the *peak* rate, so a feasibility verdict
+/// holds through the bursts, not only on long-run average: `spacing`,
+/// or the tail from one burst's last request to the next burst's first
+/// (`gap − (burst − 1) · spacing`) when a shape runs its bursts closer
+/// than that.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Bursty {
     /// Requests per burst (≥ 1).
@@ -137,27 +205,39 @@ pub struct Bursty {
 }
 
 impl Workload for Bursty {
-    fn request_times(&self, horizon: Duration) -> Vec<Time> {
-        let end = Time::ZERO + horizon;
+    fn for_each_request(
+        &self,
+        horizon: Duration,
+        visit: &mut dyn FnMut(Time) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
         if self.spacing.is_zero() || self.gap.is_zero() || self.burst == 0 {
-            return Vec::new(); // rejected by spec validation
+            // Validation rejects a zero spacing (a zero admission
+            // period); a zero gap or burst streams nothing.
+            return ControlFlow::Continue(());
         }
-        let mut out = Vec::new();
+        let end = Time::ZERO + horizon;
         let mut burst_start = self.start;
         while burst_start < end {
             for i in 0..self.burst {
                 let t = burst_start + self.spacing.saturating_mul(i as u64);
-                if t < end {
-                    out.push(t);
+                if t >= end {
+                    break; // the rest of the burst is later still
                 }
+                visit(t)?;
             }
             burst_start += self.gap;
         }
-        out
+        ControlFlow::Continue(())
     }
 
     fn admission_period(&self, _horizon: Duration) -> Duration {
-        self.spacing
+        let burst_span = self
+            .spacing
+            .saturating_mul(self.burst.saturating_sub(1) as u64);
+        match self.gap.checked_sub(burst_span) {
+            Some(tail) if self.burst > 0 && !tail.is_zero() => self.spacing.min(tail),
+            _ => self.spacing,
+        }
     }
 }
 
@@ -174,22 +254,35 @@ impl TraceReplay {
     pub fn new(times: Vec<Time>) -> Self {
         TraceReplay { times }
     }
+
+    /// The instants replayed over `horizon`.
+    fn replayed(&self, horizon: Duration) -> impl Iterator<Item = Time> + '_ {
+        let end = Time::ZERO + horizon;
+        self.times.iter().copied().filter(move |t| *t < end)
+    }
 }
 
 impl Workload for TraceReplay {
-    fn request_times(&self, horizon: Duration) -> Vec<Time> {
-        let end = Time::ZERO + horizon;
-        self.times.iter().copied().filter(|t| *t < end).collect()
+    fn for_each_request(
+        &self,
+        horizon: Duration,
+        visit: &mut dyn FnMut(Time) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        self.replayed(horizon).try_for_each(visit)
     }
 
     fn admission_period(&self, horizon: Duration) -> Duration {
         // Peak rate of the trace: the minimum separation between
         // consecutive replayed instants (1 µs floor so a degenerate
         // trace cannot demand an infinite-rate cost task).
-        self.request_times(horizon)
-            .windows(2)
-            .map(|w| w[1] - w[0])
-            .min()
+        let mut replayed = self.replayed(horizon);
+        let first = replayed.next();
+        first
+            .and_then(|first| {
+                replayed
+                    .scan(first, |prev, t| Some(t - std::mem::replace(prev, t)))
+                    .min()
+            })
             .unwrap_or(Duration::from_millis(1))
             .max(Duration::from_micros(1))
     }
@@ -203,8 +296,8 @@ impl Workload for TraceReplay {
 /// [`RequestSource::on_response`], and the next submission is scheduled
 /// `think` after it — the stream genuinely reacts to congestion (a
 /// failover stall pushes later submissions out; responses faster than
-/// the analytic bound pull them in). Its [`Workload::request_times`]
-/// schedule (validation) is the pre-feedback approximation, one request
+/// the analytic bound pull them in). Its [`Workload::for_each_request`]
+/// stream (validation) is the pre-feedback approximation, one request
 /// per `think + response_bound`: what
 /// `ConstantRate::new(think + response_bound, start)` generates as the
 /// congestion-blind baseline.
@@ -260,8 +353,13 @@ impl ClosedLoop {
 }
 
 impl Workload for ClosedLoop {
-    fn request_times(&self, horizon: Duration) -> Vec<Time> {
-        ConstantRate::new(self.think + self.response_bound, self.start).request_times(horizon)
+    fn for_each_request(
+        &self,
+        horizon: Duration,
+        visit: &mut dyn FnMut(Time) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        ConstantRate::new(self.think + self.response_bound, self.start)
+            .for_each_request(horizon, visit)
     }
 
     fn admission_period(&self, _horizon: Duration) -> Duration {
@@ -466,6 +564,66 @@ mod tests {
         assert_eq!(times[3] - times[0], ms(5));
         assert!(times.windows(2).all(|w| w[0] < w[1]));
         assert_eq!(w.admission_period(ms(11)), us(100), "peak, not average");
+    }
+
+    /// A replicated service on three nodes over `horizon`, driven by `w`.
+    fn bursty_spec(w: Bursty, horizon: Duration) -> crate::ClusterSpec {
+        crate::ClusterSpec::new(3).horizon(horizon).service(
+            crate::ServiceSpec::replicated(
+                "bursts",
+                hades_services::ReplicaStyle::Active,
+                vec![0, 1, 2],
+                crate::GroupLoad::default(),
+            )
+            .workload(Box::new(w)),
+        )
+    }
+
+    #[test]
+    fn a_burst_stops_at_the_horizon() {
+        // 10^8 requests a burst, 10 of them inside the horizon: the
+        // stream ends at the 10th, not after walking the whole burst.
+        let w = Bursty {
+            burst: 100_000_000,
+            spacing: ms(1),
+            gap: ms(1).saturating_mul(100_000_000),
+            start: Time::ZERO,
+        };
+        assert_eq!(w.request_times(ms(10)).len(), 10);
+        assert_eq!(w.admission_period(ms(10)), ms(1));
+        assert_eq!(bursty_spec(w, ms(10)).validate(), Ok(()));
+    }
+
+    #[test]
+    fn bursts_closer_than_their_spacing_are_charged_at_the_tail() {
+        let at = |burst, spacing, gap| Bursty {
+            burst,
+            spacing,
+            gap,
+            start: Time::ZERO,
+        };
+        // The documented rule (`gap ≥ burst · spacing`) keeps `spacing`.
+        assert_eq!(at(3, us(100), us(300)).admission_period(ms(10)), us(100));
+        // A 50 µs tail from a burst's last request to the next burst.
+        let tight = at(3, us(100), us(250));
+        assert_eq!(tight.admission_period(ms(10)), us(50));
+        let times = tight.request_times(ms(1));
+        assert_eq!(times[3] - times[2], us(50));
+        // One request a nanosecond: refused by the projection from the
+        // admission period, before a single instant is walked.
+        let flood = at(1, ms(1), Duration::from_nanos(1));
+        assert_eq!(flood.admission_period(ms(10)), Duration::from_nanos(1));
+        let err = bursty_spec(flood, ms(10)).validate().unwrap_err();
+        assert!(
+            matches!(
+                &err.issues[..],
+                [crate::SpecIssue::WorkloadTooLong {
+                    requests: 10_000_001,
+                    ..
+                }]
+            ),
+            "{err}"
+        );
     }
 
     #[test]

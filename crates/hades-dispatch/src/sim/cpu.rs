@@ -312,31 +312,30 @@ impl Inner {
                 .count(),
             "live index of node {node} out of step with the thread table"
         );
-        let live: Vec<ThreadSnapshot> = self.nodes[node as usize]
-            .live
-            .iter()
-            .map(|tid| {
-                let t = &self.threads[tid.0];
-                debug_assert!(t.node == node && t.state.is_live());
-                ThreadSnapshot {
-                    thread: t.id,
-                    task: t.task,
-                    prio: t.prio,
-                    abs_deadline: t.abs_deadline,
-                    earliest: t.earliest,
-                    activation: t.activation,
-                    wcet: t.action_wcet,
-                    started: t.started,
-                    first_run: t.first_run,
-                    state: t.state,
-                }
-            })
-            .collect();
+        let mut live = std::mem::take(&mut self.snapshot);
+        live.clear();
+        live.extend(self.nodes[node as usize].live.iter().map(|tid| {
+            let t = &self.threads[tid.0];
+            debug_assert!(t.node == node && t.state.is_live());
+            ThreadSnapshot {
+                thread: t.id,
+                task: t.task,
+                prio: t.prio,
+                abs_deadline: t.abs_deadline,
+                earliest: t.earliest,
+                activation: t.activation,
+                wcet: t.action_wcet,
+                started: t.started,
+                first_run: t.first_run,
+                state: t.state,
+            }
+        }));
         // Only `notify` fills the FIFO, and only for a node with a policy.
         let policy = self.nodes[node as usize].policy.as_mut();
         let changes = policy
             .expect("scheduler step without policy")
             .on_notification(&n, &live);
+        self.snapshot = live;
         for c in changes {
             self.apply_attr_change(node, c, now, sched);
         }

@@ -377,6 +377,9 @@ struct Inner {
     /// `spawn_instance`'s list of the nodes an instance touches, kept
     /// between instances so it allocates once.
     touched: Vec<u32>,
+    /// `scheduler_step`'s snapshot of a node's live threads, kept
+    /// between steps for the same reason.
+    snapshot: Vec<ThreadSnapshot>,
 }
 
 impl std::fmt::Debug for Inner {
@@ -490,6 +493,7 @@ impl DispatchSim {
             node_cpu: vec![Duration::ZERO; node_count],
             rng: rng.split(0x4558),
             touched: Vec::new(),
+            snapshot: Vec::new(),
         };
         DispatchSim {
             engine: Engine::new(),

@@ -6,16 +6,33 @@
 //! moving range of ids. [`IdWindow`] stores that range as a deque indexed
 //! by `id − base`: a look-up is one subtraction and one bounds check, the
 //! front is trimmed as records retire, and iteration is in ascending id
-//! order. A record that never retires pins the front and costs one empty
-//! slot (8 bytes) per id handed out after it.
+//! order. The records themselves live in a slab whose retired entries
+//! are reused, so a run allocates for the most records it holds at once,
+//! not once per id. A record that never retires pins the front and costs
+//! one empty slot (4 bytes) per id handed out after it.
 
 use std::collections::VecDeque;
+
+/// A window slot that holds no record, and the end of the free list.
+const EMPTY: u32 = u32::MAX;
+
+/// One slab entry: a record, or a link in the list of free entries.
+#[derive(Debug)]
+enum Entry<T> {
+    Held(T),
+    Free { next: u32 },
+}
 
 #[derive(Debug)]
 pub(crate) struct IdWindow<T> {
     /// Id of `slots[0]`; everything below it has retired.
     base: u64,
-    slots: VecDeque<Option<Box<T>>>,
+    /// Per id, the index of its record in `slab`, or [`EMPTY`].
+    slots: VecDeque<u32>,
+    /// The records, and the entries retired records left free.
+    slab: Vec<Entry<T>>,
+    /// The first free `slab` entry, or [`EMPTY`].
+    free: u32,
 }
 
 impl<T> Default for IdWindow<T> {
@@ -23,6 +40,8 @@ impl<T> Default for IdWindow<T> {
         IdWindow {
             base: 0,
             slots: VecDeque::new(),
+            slab: Vec::new(),
+            free: EMPTY,
         }
     }
 }
@@ -36,33 +55,69 @@ impl<T> IdWindow<T> {
     /// Stores `value` under the next id and returns that id.
     pub(crate) fn push(&mut self, value: T) -> u64 {
         let id = self.next_id();
-        self.slots.push_back(Some(Box::new(value)));
+        let at = if self.free == EMPTY {
+            // Doubling from one entry, not from `Vec`'s four: most
+            // windows (one per task) hold one or two records at a time.
+            if self.slab.len() == self.slab.capacity() {
+                self.slab.reserve_exact(self.slab.len().max(1));
+            }
+            self.slab.push(Entry::Held(value));
+            u32::try_from(self.slab.len() - 1).expect("fewer than 2^32 live records")
+        } else {
+            let at = self.free;
+            match std::mem::replace(&mut self.slab[at as usize], Entry::Held(value)) {
+                Entry::Free { next } => self.free = next,
+                Entry::Held(_) => unreachable!("the free list names a held entry"),
+            }
+            at
+        };
+        self.slots.push_back(at);
         id
     }
 
-    fn slot(&self, id: u64) -> Option<usize> {
-        id.checked_sub(self.base).map(|i| i as usize)
+    /// The slab index of `id`'s record, if it holds one.
+    fn entry(&self, id: u64) -> Option<usize> {
+        let slot = usize::try_from(id.checked_sub(self.base)?).ok()?;
+        self.slots
+            .get(slot)
+            .filter(|at| **at != EMPTY)
+            .map(|at| *at as usize)
+    }
+
+    /// The record in slab entry `at`, which a slot names.
+    fn held(&self, at: usize) -> &T {
+        match &self.slab[at] {
+            Entry::Held(value) => value,
+            Entry::Free { .. } => unreachable!("a slot names a free entry"),
+        }
     }
 
     pub(crate) fn get(&self, id: u64) -> Option<&T> {
-        self.slots.get(self.slot(id)?)?.as_deref()
+        Some(self.held(self.entry(id)?))
     }
 
     pub(crate) fn get_mut(&mut self, id: u64) -> Option<&mut T> {
-        let slot = self.slot(id)?;
-        self.slots.get_mut(slot)?.as_deref_mut()
+        let at = self.entry(id)?;
+        match &mut self.slab[at] {
+            Entry::Held(value) => Some(value),
+            Entry::Free { .. } => unreachable!("a slot names a free entry"),
+        }
     }
 
     /// Takes the record of `id` out, then trims every retired id off the
     /// front.
     pub(crate) fn remove(&mut self, id: u64) -> Option<T> {
-        let slot = self.slot(id)?;
-        let value = self.slots.get_mut(slot)?.take()?;
-        while let Some(None) = self.slots.front() {
+        let at = self.entry(id)?;
+        self.slots[(id - self.base) as usize] = EMPTY;
+        while self.slots.front() == Some(&EMPTY) {
             self.slots.pop_front();
             self.base += 1;
         }
-        Some(*value)
+        let next = std::mem::replace(&mut self.free, at as u32);
+        match std::mem::replace(&mut self.slab[at], Entry::Free { next }) {
+            Entry::Held(value) => Some(value),
+            Entry::Free { .. } => unreachable!("a slot names a free entry"),
+        }
     }
 
     /// Number of records held (counted: for reports and tests).
@@ -72,14 +127,15 @@ impl<T> IdWindow<T> {
 
     /// The records held, in ascending id order.
     pub(crate) fn values(&self) -> impl Iterator<Item = &T> {
-        self.slots.iter().filter_map(|s| s.as_deref())
+        self.iter().map(|(_, value)| value)
     }
 
     /// The records held with their ids, in ascending id order.
     pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, &T)> {
         let ids = self.base..;
         ids.zip(&self.slots)
-            .filter_map(|(id, s)| Some((id, s.as_deref()?)))
+            .filter(|(_, at)| **at != EMPTY)
+            .map(|(id, at)| (id, self.held(*at as usize)))
     }
 
     /// Number of slots the window spans, holes included.

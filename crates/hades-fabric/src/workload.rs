@@ -39,6 +39,7 @@
 
 use hades_cluster::Workload;
 use hades_time::{Duration, Time};
+use std::ops::ControlFlow;
 
 use crate::ring::mix64;
 
@@ -172,17 +173,32 @@ impl PopulationWorkload {
     /// shard. A class that is not [`valid`](LoadClass::is_valid) has an
     /// empty stream.
     pub fn events(&self, horizon: Duration) -> Vec<(Time, u64)> {
+        let mut out = Vec::new();
+        let _ = self.stream(horizon, |t| {
+            let key = mix64(self.seed ^ KEY_SALT ^ (out.len() as u64) << 8);
+            out.push((t, key));
+            ControlFlow::Continue(())
+        });
+        out
+    }
+
+    /// Hands the stream's instants to `visit` in order, stopping when it
+    /// breaks; a class that is not valid streams nothing.
+    fn stream(
+        &self,
+        horizon: Duration,
+        mut visit: impl FnMut(Time) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
         if !self.class.is_valid() {
-            return Vec::new();
+            return ControlFlow::Continue(());
         }
         let end = Time::ZERO + horizon;
         let mean_ns = self.class.mean_gap().as_nanos();
         let floor_ns = GAP_FLOOR.as_nanos();
-        let mut out = Vec::new();
         let mut t = self.start;
         let mut draw = 0u64;
         while t < end {
-            out.push((t, mix64(self.seed ^ KEY_SALT ^ (out.len() as u64) << 8)));
+            visit(t)?;
             let gap_ns = match self.class.arrival {
                 Arrival::Poisson => {
                     // Inverse-CDF exponential from a 53-bit uniform in
@@ -221,24 +237,32 @@ impl PopulationWorkload {
             draw += 1;
             t += Duration::from_nanos(gap_ns.max(floor_ns));
         }
-        out
+        ControlFlow::Continue(())
     }
 }
 
 impl Workload for PopulationWorkload {
-    fn request_times(&self, horizon: Duration) -> Vec<Time> {
-        self.events(horizon).into_iter().map(|(t, _)| t).collect()
+    fn for_each_request(
+        &self,
+        horizon: Duration,
+        visit: &mut dyn FnMut(Time) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        self.stream(horizon, visit)
     }
 
     fn admission_period(&self, horizon: Duration) -> Duration {
-        // Peak rate of the materialized stream, exactly like
-        // `TraceReplay`: the minimum separation, floored by the
-        // generator's own gap floor.
-        self.request_times(horizon)
-            .windows(2)
-            .map(|w| w[1] - w[0])
-            .min()
-            .unwrap_or_else(|| self.class.mean_gap().max(GAP_FLOOR))
+        // Peak rate of the stream, exactly like `TraceReplay`: the
+        // minimum separation, floored by the generator's own gap floor.
+        let (mut prev, mut min_gap) = (None, None::<Duration>);
+        let _ = self.stream(horizon, |t| {
+            if let Some(prev) = prev {
+                let gap = t - prev;
+                min_gap = Some(min_gap.map_or(gap, |m| m.min(gap)));
+            }
+            prev = Some(t);
+            ControlFlow::Continue(())
+        });
+        min_gap.unwrap_or_else(|| self.class.mean_gap().max(GAP_FLOOR))
     }
 }
 

@@ -39,6 +39,9 @@ const EDF_BASE: u32 = 1_000_000;
 #[derive(Debug, Default)]
 pub struct EdfPolicy {
     reassignments: u64,
+    /// The live threads' indices in priority order, kept between
+    /// notifications so ordering them allocates once.
+    order: Vec<usize>,
 }
 
 impl EdfPolicy {
@@ -62,14 +65,18 @@ impl SchedulerPolicy for EdfPolicy {
     fn on_notification(&mut self, _n: &Notification, live: &[ThreadSnapshot]) -> Vec<AttrChange> {
         // Order live threads: earliest absolute deadline → highest
         // priority. Ties break on thread id for determinism.
-        let mut ordered: Vec<&ThreadSnapshot> = live.iter().collect();
-        ordered.sort_by(|a, b| {
+        // Thread ids are unique, so the order is total and an unstable
+        // sort gives the same ranks as a stable one.
+        self.order.clear();
+        self.order.extend(0..live.len());
+        self.order.sort_unstable_by(|&a, &b| {
+            let (a, b) = (&live[a], &live[b]);
             b.abs_deadline
                 .cmp(&a.abs_deadline)
                 .then(b.thread.cmp(&a.thread))
         });
         let mut changes = Vec::new();
-        for (rank, snap) in ordered.iter().enumerate() {
+        for (rank, snap) in self.order.iter().map(|&i| &live[i]).enumerate() {
             let prio = Priority::new(EDF_BASE + rank as u32);
             if snap.prio != prio {
                 changes.push(AttrChange::set_priority(snap.thread, prio));

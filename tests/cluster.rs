@@ -9,6 +9,7 @@ use proptest::prelude::*;
 
 use hades::hades_cluster::ServiceRef;
 use hades::prelude::*;
+use std::ops::ControlFlow;
 
 fn us(n: u64) -> Duration {
     Duration::from_micros(n)
@@ -469,10 +470,12 @@ fn a_zero_request_timeout_is_reported_not_panicked_on() {
 struct Understated;
 
 impl Workload for Understated {
-    fn request_times(&self, _horizon: Duration) -> Vec<Time> {
-        (0..1u64 << 20)
-            .map(|k| Time::ZERO + Duration::from_nanos(k))
-            .collect()
+    fn for_each_request(
+        &self,
+        _horizon: Duration,
+        visit: &mut dyn FnMut(Time) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        (0..1u64 << 20).try_for_each(|k| visit(Time::ZERO + Duration::from_nanos(k)))
     }
 
     fn admission_period(&self, _horizon: Duration) -> Duration {
@@ -487,7 +490,7 @@ fn svc(index: usize, name: &str) -> Option<ServiceRef> {
     })
 }
 
-fn group(name: &str, members: Vec<u32>) -> ServiceSpec {
+fn group(name: &'static str, members: Vec<u32>) -> ServiceSpec {
     ServiceSpec::replicated(name, ReplicaStyle::Active, members, GroupLoad::default())
 }
 

@@ -330,4 +330,37 @@ proptest! {
             }
         }
     }
+
+    // ---------------- hades-cluster ----------------
+
+    /// A bursty shape is charged no slower than it submits: its
+    /// admission period is at most every gap between consecutive
+    /// requests, including shapes whose bursts run closer than their
+    /// intra-burst spacing (`gap < burst · spacing`, tail still > 0).
+    #[test]
+    fn bursty_admission_period_is_at_most_every_gap(
+        burst in 1u32..8,
+        spacing_us in 1u64..1_000,
+        tail_us in 1u64..2_000,
+        start_us in 0u64..1_000,
+        horizon_ms in 1u64..20,
+    ) {
+        let w = Bursty {
+            burst,
+            spacing: us(spacing_us),
+            gap: us(spacing_us * (burst as u64 - 1) + tail_us),
+            start: Time::ZERO + us(start_us),
+        };
+        let horizon = Duration::from_millis(horizon_ms);
+        let period = w.admission_period(horizon);
+        let times = w.request_times(horizon);
+        for pair in times.windows(2) {
+            prop_assert!(pair[0] < pair[1], "{w:?}: {pair:?} out of order");
+            prop_assert!(
+                period <= pair[1] - pair[0],
+                "{w:?}: charged {period} > gap {}",
+                pair[1] - pair[0]
+            );
+        }
+    }
 }
