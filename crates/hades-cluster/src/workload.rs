@@ -126,7 +126,7 @@ pub trait Workload: fmt::Debug {
     /// reported back.
     fn build_source(&self, horizon: Duration) -> Rc<RefCell<dyn RequestSource>> {
         Rc::new(RefCell::new(FixedSchedule::new(
-            self.request_times(horizon),
+            self.request_times(horizon).into(),
         )))
     }
 }
@@ -193,12 +193,12 @@ impl Workload for ConstantRate {
 /// than that.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Bursty {
-    /// Requests per burst (≥ 1).
+    /// Requests per burst (≥ 1; zero is refused as a zero period).
     pub burst: u32,
     /// Intra-burst spacing.
     pub spacing: Duration,
-    /// Burst period (start of one burst to start of the next); must
-    /// cover the burst itself (`gap ≥ burst · spacing`).
+    /// Burst period (start of one burst to start of the next); must be
+    /// positive and cover the burst itself (`gap ≥ burst · spacing`).
     pub gap: Duration,
     /// First burst's first request.
     pub start: Time,
@@ -211,8 +211,7 @@ impl Workload for Bursty {
         visit: &mut dyn FnMut(Time) -> ControlFlow<()>,
     ) -> ControlFlow<()> {
         if self.spacing.is_zero() || self.gap.is_zero() || self.burst == 0 {
-            // Validation rejects a zero spacing (a zero admission
-            // period); a zero gap or burst streams nothing.
+            // Validation rejects each as a zero admission period.
             return ControlFlow::Continue(());
         }
         let end = Time::ZERO + horizon;
@@ -231,34 +230,31 @@ impl Workload for Bursty {
     }
 
     fn admission_period(&self, _horizon: Duration) -> Duration {
-        let burst_span = self
-            .spacing
-            .saturating_mul(self.burst.saturating_sub(1) as u64);
-        match self.gap.checked_sub(burst_span) {
-            Some(tail) if self.burst > 0 && !tail.is_zero() => self.spacing.min(tail),
+        let spacings = self.burst.saturating_sub(1) as u64;
+        match self.gap.checked_sub(self.spacing.saturating_mul(spacings)) {
+            _ if self.burst == 0 || self.gap.is_zero() => Duration::ZERO,
+            Some(tail) if !tail.is_zero() => self.spacing.min(tail),
             _ => self.spacing,
         }
     }
 }
 
 /// Replay of an explicit submission-instant trace (already strictly
-/// increasing); instants at or past the horizon are dropped.
+/// increasing); instants at or past the horizon are dropped. The trace is
+/// one shared slice: its clones and the [`FixedSchedule`] it builds copy
+/// no instant, unless the trace runs past the horizon.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceReplay {
     /// The recorded submission instants, strictly increasing.
-    pub times: Vec<Time>,
+    pub times: Rc<[Time]>,
 }
 
 impl TraceReplay {
     /// Replays `times` (must be strictly increasing).
-    pub fn new(times: Vec<Time>) -> Self {
-        TraceReplay { times }
-    }
-
-    /// The instants replayed over `horizon`.
-    fn replayed(&self, horizon: Duration) -> impl Iterator<Item = Time> + '_ {
-        let end = Time::ZERO + horizon;
-        self.times.iter().copied().filter(move |t| *t < end)
+    pub fn new(times: impl Into<Rc<[Time]>>) -> Self {
+        TraceReplay {
+            times: times.into(),
+        }
     }
 }
 
@@ -268,23 +264,35 @@ impl Workload for TraceReplay {
         horizon: Duration,
         visit: &mut dyn FnMut(Time) -> ControlFlow<()>,
     ) -> ControlFlow<()> {
-        self.replayed(horizon).try_for_each(visit)
+        let end = Time::ZERO + horizon;
+        self.times
+            .iter()
+            .copied()
+            .filter(|t| *t < end)
+            .try_for_each(visit)
     }
 
     fn admission_period(&self, horizon: Duration) -> Duration {
         // Peak rate of the trace: the minimum separation between
-        // consecutive replayed instants (1 µs floor so a degenerate
-        // trace cannot demand an infinite-rate cost task).
-        let mut replayed = self.replayed(horizon);
-        let first = replayed.next();
-        first
-            .and_then(|first| {
-                replayed
-                    .scan(first, |prev, t| Some(t - std::mem::replace(prev, t)))
-                    .min()
-            })
+        // consecutive replayed instants, skipping a backwards pair that
+        // validation refuses (1 µs floor so a degenerate trace cannot
+        // demand an infinite-rate cost task).
+        let end = Time::ZERO + horizon;
+        let replayed = self.times.iter().filter(|t| **t < end);
+        (replayed.clone().zip(replayed.skip(1)))
+            .filter(|(a, b)| a <= b)
+            .map(|(a, b)| *b - *a)
+            .min()
             .unwrap_or(Duration::from_millis(1))
             .max(Duration::from_micros(1))
+    }
+
+    fn build_source(&self, horizon: Duration) -> Rc<RefCell<dyn RequestSource>> {
+        let mut times = self.times.clone();
+        if times.iter().any(|t| *t >= Time::ZERO + horizon) {
+            times = self.request_times(horizon).into();
+        }
+        Rc::new(RefCell::new(FixedSchedule::new(times)))
     }
 }
 
@@ -567,7 +575,7 @@ mod tests {
     }
 
     /// A replicated service on three nodes over `horizon`, driven by `w`.
-    fn bursty_spec(w: Bursty, horizon: Duration) -> crate::ClusterSpec {
+    fn spec_of(w: impl Workload + 'static, horizon: Duration) -> crate::ClusterSpec {
         crate::ClusterSpec::new(3).horizon(horizon).service(
             crate::ServiceSpec::replicated(
                 "bursts",
@@ -577,6 +585,37 @@ mod tests {
             )
             .workload(Box::new(w)),
         )
+    }
+
+    #[test]
+    fn a_bursty_shape_with_no_request_is_refused_as_a_zero_period() {
+        for (burst, gap) in [(0, ms(2)), (3, Duration::ZERO)] {
+            let w = Bursty {
+                burst,
+                spacing: ms(1),
+                gap,
+                start: Time::ZERO,
+            };
+            assert_eq!(w.admission_period(ms(10)), Duration::ZERO);
+            let err = spec_of(w, ms(10)).validate().unwrap_err();
+            assert!(
+                matches!(&err.issues[..], [crate::SpecIssue::ZeroPeriod { .. }]),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_backwards_trace_is_refused_by_validate_and_run() {
+        let w = TraceReplay::new(vec![Time::ZERO + ms(2), Time::ZERO + ms(1)]);
+        let refused = |err: crate::SpecError| {
+            matches!(
+                &err.issues[..],
+                [crate::SpecIssue::NonMonotoneWorkload { .. }]
+            )
+        };
+        assert!(refused(spec_of(w.clone(), ms(10)).validate().unwrap_err()));
+        assert!(refused(spec_of(w, ms(10)).run().unwrap_err()));
     }
 
     #[test]
@@ -591,7 +630,7 @@ mod tests {
         };
         assert_eq!(w.request_times(ms(10)).len(), 10);
         assert_eq!(w.admission_period(ms(10)), ms(1));
-        assert_eq!(bursty_spec(w, ms(10)).validate(), Ok(()));
+        assert_eq!(spec_of(w, ms(10)).validate(), Ok(()));
     }
 
     #[test]
@@ -613,7 +652,7 @@ mod tests {
         // admission period, before a single instant is walked.
         let flood = at(1, ms(1), Duration::from_nanos(1));
         assert_eq!(flood.admission_period(ms(10)), Duration::from_nanos(1));
-        let err = bursty_spec(flood, ms(10)).validate().unwrap_err();
+        let err = spec_of(flood, ms(10)).validate().unwrap_err();
         assert!(
             matches!(
                 &err.issues[..],
@@ -637,6 +676,13 @@ mod tests {
         let times = w.request_times(ms(10));
         assert_eq!(times.len(), 3, "the 50 ms instant is past the horizon");
         assert_eq!(w.admission_period(ms(10)), us(300));
+        // Its source never sees the 50 ms instant; a trace inside the
+        // horizon hands its source the one slice, uncopied.
+        let source = w.build_source(ms(10));
+        assert_eq!(source.borrow_mut().submissions_through(Time::MAX), 3);
+        assert_eq!(Rc::strong_count(&w.times), 1);
+        let _source = w.build_source(ms(60));
+        assert_eq!(Rc::strong_count(&w.times), 2);
     }
 
     #[test]

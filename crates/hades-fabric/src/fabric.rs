@@ -296,16 +296,11 @@ impl FabricSpec {
         for times in &mut per_shard {
             times.sort_unstable();
             let mut next_free = Time::ZERO;
-            let mut spaced = Vec::with_capacity(times.len());
-            for &at in times.iter() {
-                let at = at.max(next_free);
-                if at >= end {
-                    break;
-                }
-                spaced.push(at);
-                next_free = at + self.min_gap;
-            }
-            *times = spaced;
+            times.retain_mut(|at| {
+                *at = (*at).max(next_free);
+                next_free = *at + self.min_gap;
+                *at < end
+            });
         }
 
         // One primary group on the home placement, one paused standby
@@ -314,7 +309,6 @@ impl FabricSpec {
         let placements: Vec<Vec<u32>> = (0..placements_n)
             .map(|p| (p * self.replicas..(p + 1) * self.replicas).collect())
             .collect();
-        let homes: Vec<u32> = (0..self.shards).map(|s| router.home(s)).collect();
         let mut spec = ClusterSpec::new(self.nodes)
             .seed(self.seed)
             .horizon(self.horizon)
@@ -322,14 +316,14 @@ impl FabricSpec {
             .driver(Box::new(FabricDirector::new(&router, placements.clone())))
             .telemetry(self.registry.clone())
             .profile(self.profile.clone());
-        for s in 0..self.shards {
-            let trace = TraceReplay::new(per_shard[s as usize].clone());
+        for (s, times) in (0..).zip(per_shard) {
+            let trace = TraceReplay::new(times);
             spec = spec
                 .service(
                     ServiceSpec::replicated(
                         format!("shard-{s}"),
                         self.style,
-                        placements[homes[s as usize] as usize].clone(),
+                        placements[router.home(s) as usize].clone(),
                         self.load,
                     )
                     .workload(Box::new(trace.clone())),

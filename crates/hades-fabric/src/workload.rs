@@ -255,11 +255,9 @@ impl Workload for PopulationWorkload {
         // minimum separation, floored by the generator's own gap floor.
         let (mut prev, mut min_gap) = (None, None::<Duration>);
         let _ = self.stream(horizon, |t| {
-            if let Some(prev) = prev {
-                let gap = t - prev;
-                min_gap = Some(min_gap.map_or(gap, |m| m.min(gap)));
+            if let Some(prev) = prev.replace(t) {
+                min_gap = Some(min_gap.map_or(t - prev, |m| m.min(t - prev)));
             }
-            prev = Some(t);
             ControlFlow::Continue(())
         });
         min_gap.unwrap_or_else(|| self.class.mean_gap().max(GAP_FLOOR))

@@ -25,8 +25,9 @@ fn req_payload(id: u64, ts: Time) -> u64 {
 /// (behind `Rc<RefCell<…>>`), so an interim gateway taking over after a
 /// crash sees exactly the schedule the dead gateway was working from.
 /// All calls happen inside engine event handlers, in the deterministic
-/// total order; implementations must be deterministic functions of the
-/// call sequence.
+/// total order, at the engine's time, which never decreases (what
+/// [`FixedSchedule`]'s cursor relies on); implementations must be
+/// deterministic functions of the call sequence.
 pub trait RequestSource: std::fmt::Debug {
     /// Number of requests scheduled at or before `now` — request ids
     /// `0..n` are the gateway's responsibility by `now`.
@@ -71,57 +72,75 @@ pub trait RequestSource: std::fmt::Debug {
     }
 }
 
-/// The open-loop [`RequestSource`]: a pre-materialized, strictly
-/// increasing submission schedule (the lowering of an offline workload).
+/// The open-loop [`RequestSource`]: a strictly increasing **nominal**
+/// schedule (the lowering of an offline workload), shared and never
+/// rewritten, paced by a cursor that moves forward with engine time.
 ///
-/// Throttling keeps the **nominal** schedule immutable and re-paces the
-/// not-yet-issued tail: on `throttle(now, p > 0)` the remaining
-/// requests replay from `now` with their nominal inter-arrival gaps
-/// scaled by `1000/p` (so repeated retunes never compound), and
-/// `throttle(now, 0)` pauses the tail until a later positive retune
-/// resumes it. A retune to the rate already in force is a no-op — a
-/// driver re-asserting the same rate every tick must not perpetually
-/// push the next submission out.
+/// `throttle(now, p > 0)` re-anchors the next request at `now` plus its
+/// nominal gap scaled by `1000/p`, and each later one follows by its own
+/// nominal gap scaled alike (so repeated retunes never compound);
+/// `throttle(now, 0)` pauses until a later positive retune. A retune to
+/// the rate already in force is a no-op — a driver re-asserting the same
+/// rate every tick must not perpetually push the next submission out.
 #[derive(Debug, Clone)]
 pub struct FixedSchedule {
     /// The nominal schedule (never rescaled).
-    nominal: Vec<Time>,
-    /// The effective schedule under the retunes applied so far
-    /// (`Time::MAX` = paused entry).
-    effective: Vec<Time>,
+    nominal: Rc<[Time]>,
+    /// The cursor: requests issued so far, and the effective instant of
+    /// the next one (`None` while paused or once exhausted).
+    issued: usize,
+    next: Option<Time>,
     /// The pacing currently in force (permille of nominal).
     permille: u32,
 }
 
 impl FixedSchedule {
-    /// Wraps `times` (must be strictly increasing).
+    /// Paces `times` (must be strictly increasing), sharing the slice.
     ///
     /// # Panics
     ///
     /// Panics when `times` is not strictly increasing.
-    pub fn new(times: Vec<Time>) -> Self {
+    pub fn new(times: Rc<[Time]>) -> Self {
         assert!(
             times.windows(2).all(|w| w[0] < w[1]),
             "the submission schedule must be strictly increasing"
         );
         FixedSchedule {
-            effective: times.clone(),
+            next: times.first().copied(),
             nominal: times,
+            issued: 0,
             permille: 1000,
+        }
+    }
+
+    /// Request `k`'s effective instant after one issued at `from`: its
+    /// *nominal* gap scaled to the pacing in force, at least 1 ns (`None`
+    /// past the end or while paused).
+    fn paced(&self, k: usize, from: Time) -> Option<Time> {
+        let prev = k.checked_sub(1).map_or(Time::ZERO, |j| self.nominal[j]);
+        let gap = (*self.nominal.get(k)? - prev).as_nanos() as u128 * 1000;
+        let gap = gap.checked_div(self.permille as u128)?;
+        Some(from + Duration::from_nanos(gap.clamp(1, u64::MAX as u128) as u64))
+    }
+
+    /// Issues every request due by `now`.
+    fn advance(&mut self, now: Time) {
+        while let Some(t) = self.next.filter(|t| *t <= now) {
+            self.issued += 1;
+            self.next = self.paced(self.issued, t);
         }
     }
 }
 
 impl RequestSource for FixedSchedule {
     fn submissions_through(&mut self, now: Time) -> u64 {
-        self.effective.partition_point(|t| *t <= now) as u64
+        self.advance(now);
+        self.issued as u64
     }
 
     fn next_submission_after(&mut self, now: Time) -> Option<Time> {
-        self.effective
-            .get(self.effective.partition_point(|t| *t <= now))
-            .copied()
-            .filter(|t| *t != Time::MAX)
+        self.advance(now);
+        self.next
     }
 
     fn on_response(&mut self, _id: u64, _at: Time) -> Option<Time> {
@@ -132,29 +151,10 @@ impl RequestSource for FixedSchedule {
         if permille == self.permille {
             return; // same rate re-asserted: nothing to re-pace
         }
+        self.advance(now);
         self.permille = permille;
-        let idx = self.effective.partition_point(|t| *t <= now);
-        if permille == 0 {
-            // Pause: park the tail where a later retune can revive it.
-            for t in self.effective[idx..].iter_mut() {
-                *t = Time::MAX;
-            }
-            return;
-        }
-        // Replay the remaining nominal tail from `now`, gaps scaled
-        // against the *nominal* schedule — never the current effective
-        // one, so repeated retunes stay absolute instead of compounding.
-        let mut t = now;
-        for k in idx..self.nominal.len() {
-            let prev = if k == 0 {
-                Time::ZERO
-            } else {
-                self.nominal[k - 1]
-            };
-            let gap = (self.nominal[k] - prev).as_nanos() as u128 * 1000 / permille as u128;
-            t += Duration::from_nanos(gap.clamp(1, u64::MAX as u128) as u64);
-            self.effective[k] = t;
-        }
+        // Re-anchor the rest of the stream at `now` (a pause paces none).
+        self.next = self.paced(self.issued, now);
     }
 }
 

@@ -551,7 +551,7 @@ fn explicit_schedule_drives_submissions_and_ends_the_stream() {
     let members = vec![0, 1, 2];
     let peers: Vec<(u32, ActorId)> = members.iter().map(|n| (*n, ActorId(*n))).collect();
     let schedule: Rc<RefCell<dyn RequestSource>> =
-        Rc::new(RefCell::new(FixedSchedule::new(times.clone())));
+        Rc::new(RefCell::new(FixedSchedule::new(times.clone().into())));
     let logs: Vec<_> = (0..3)
         .map(|n| {
             let (member, log) = ReplicaGroup::new(
@@ -681,7 +681,7 @@ fn member_on_a_fast_clock_submits_every_scheduled_id() {
 #[test]
 fn fixed_schedule_throttle_is_absolute_against_nominal_and_resumable() {
     let t = |n: u64| Time::ZERO + us(n);
-    let mut s = FixedSchedule::new(vec![t(100), t(200), t(300), t(400)]);
+    let mut s = FixedSchedule::new(vec![t(100), t(200), t(300), t(400)].into());
     // Half rate from 150 µs: the remaining nominal gaps (100 µs)
     // replay from now at 200 µs each.
     s.throttle(t(150), 500);

@@ -6,12 +6,59 @@ use hades::prelude::*;
 use hades_dispatch::RunQueue;
 use hades_dispatch::ThreadId;
 use hades_sched::spring::{SpringHeuristic, SpringRequest};
+use hades_services::group::{FixedSchedule, RequestSource};
 use hades_services::{BroadcastSim, ConsensusConfig, FloodConsensus, StableStore};
 use hades_sim::SimRng;
 use hades_time::fault_tolerant_midpoint;
 
 fn us(n: u64) -> Duration {
     Duration::from_micros(n)
+}
+
+/// The open-loop source as two full vectors: the nominal schedule and
+/// the effective one, whose whole tail each retune rewrites. The cursor
+/// of [`FixedSchedule`] must answer every query exactly as this does.
+struct TwoVectorSchedule {
+    nominal: Vec<Time>,
+    /// `Time::MAX` marks a paused entry.
+    effective: Vec<Time>,
+    permille: u32,
+}
+
+impl TwoVectorSchedule {
+    fn due(&self, now: Time) -> usize {
+        self.effective.partition_point(|t| *t <= now)
+    }
+
+    fn next_after(&self, now: Time) -> Option<Time> {
+        self.effective
+            .get(self.due(now))
+            .copied()
+            .filter(|t| *t != Time::MAX)
+    }
+
+    fn throttle(&mut self, now: Time, permille: u32) {
+        if permille == self.permille {
+            return;
+        }
+        self.permille = permille;
+        let idx = self.due(now);
+        if permille == 0 {
+            self.effective[idx..].fill(Time::MAX);
+            return;
+        }
+        let mut t = now;
+        for k in idx..self.nominal.len() {
+            let prev = if k == 0 {
+                Time::ZERO
+            } else {
+                self.nominal[k - 1]
+            };
+            let gap = (self.nominal[k] - prev).as_nanos() as u128 * 1000 / permille as u128;
+            t += Duration::from_nanos(gap.clamp(1, u64::MAX as u128) as u64);
+            self.effective[k] = t;
+        }
+    }
 }
 
 proptest! {
@@ -362,5 +409,61 @@ proptest! {
                 pair[1] - pair[0]
             );
         }
+    }
+
+    // ---------------- hades-services ----------------
+
+    /// The open-loop source's cursor answers every query as the
+    /// two-vector model does, under any retunes (pause, the rate
+    /// already in force, 1–4000 ‰) at non-decreasing engine instants,
+    /// from a first instant at or after `Time::ZERO`.
+    #[test]
+    fn fixed_schedule_cursor_matches_the_two_vector_model(
+        first in 0usize..4,
+        gaps in prop::collection::vec(1u64..40, 0..40),
+        ops in prop::collection::vec((0u64..8, 0u8..6, 1u32..4_001), 0..60),
+    ) {
+        // From `Time::ZERO` itself, or a few ns after it, where a fast
+        // retune scales the first gap below the 1 ns floor; squared
+        // gaps mix 1–9 ns gaps in with longer ones.
+        let mut t = Time::ZERO + Duration::from_nanos([0, 1, 3, 500][first]);
+        let mut times = Vec::new();
+        for g in &gaps {
+            times.push(t);
+            t += Duration::from_nanos(g * g);
+        }
+        let mut cursor = FixedSchedule::new(times.iter().copied().collect());
+        let mut model = TwoVectorSchedule {
+            nominal: times.clone(),
+            effective: times,
+            permille: 1000,
+        };
+        let mut now = Time::ZERO;
+        for (step, op, rate) in ops {
+            // A zero step asks again at the same instant.
+            now += Duration::from_nanos(step * 300);
+            match op {
+                0 | 1 => {
+                    let due = cursor.submissions_through(now);
+                    prop_assert_eq!(due, model.due(now) as u64);
+                }
+                2 => {
+                    let next = cursor.next_submission_after(now);
+                    prop_assert_eq!(next, model.next_after(now));
+                }
+                _ => {
+                    let permille = match op {
+                        3 => 0,
+                        4 => model.permille,
+                        _ => rate,
+                    };
+                    cursor.throttle(now, permille);
+                    model.throttle(now, permille);
+                }
+            }
+        }
+        now += us(1_000_000);
+        prop_assert_eq!(cursor.next_submission_after(now), model.next_after(now));
+        prop_assert_eq!(cursor.submissions_through(now), model.due(now) as u64);
     }
 }
