@@ -402,13 +402,27 @@ impl DeliveryFold {
     }
 }
 
+/// One group's client requests as the report counts them and its
+/// `request` spans bound them, folded as the members submit and emit.
+/// Engine time never goes back, so the first instant seen for an id is
+/// its earliest.
+#[derive(Debug, Default)]
+pub(crate) struct RequestFold {
+    /// First submission per request id.
+    pub(crate) submitted_at: BTreeMap<u64, Time>,
+    /// First client-visible output per request id.
+    pub(crate) output_at: BTreeMap<u64, Time>,
+    /// Outputs emitted over all members, redundant copies included.
+    pub(crate) emissions: u64,
+}
+
 /// Everything the control plane accumulates during a run: the events
 /// emitted so far (the final stream), the queue still to be delivered
 /// to drivers, the *applied* fault plan (the one classification source,
 /// online and in the post-run report), the view bookkeeping for
 /// first-install and failover derivation, the node reports' instance
-/// counts, folded as the dispatcher settles each instance, and the
-/// groups' deliveries when spans will be built.
+/// counts, folded as the dispatcher settles each instance, the groups'
+/// requests, and their deliveries when spans will be built.
 #[derive(Debug, Default)]
 pub(crate) struct ControlState {
     /// Every fault op staged so far (scripted replays and reactive
@@ -430,6 +444,8 @@ pub(crate) struct ControlState {
     /// Outcomes sealed at the current instant, held until time moves on
     /// (see [`ControlState::settle`]).
     held: Vec<Outcome>,
+    /// One request fold per group, by group.
+    pub(crate) requests: Vec<RequestFold>,
     /// One fold per group, by group; empty when no span reads them.
     pub(crate) deliveries: Vec<DeliveryFold>,
 }
@@ -438,11 +454,13 @@ impl ControlState {
     pub(crate) fn new(
         origin: Origins,
         node_reports: Vec<NodeReport>,
+        groups: usize,
         deliveries: Vec<DeliveryFold>,
     ) -> Self {
         ControlState {
             origin,
             node_reports,
+            requests: (0..groups).map(|_| RequestFold::default()).collect(),
             deliveries,
             ..ControlState::default()
         }
@@ -619,7 +637,18 @@ impl ControlState {
                     self.settle(now, outcome);
                 }
             }
-            // Span input, not an event.
+            // Report and span input, not events.
+            MonitorEvent::RequestSubmitted { group, id } => {
+                if let Some(fold) = self.requests.get_mut(*group as usize) {
+                    fold.submitted_at.entry(*id).or_insert(now);
+                }
+            }
+            MonitorEvent::OutputEmitted { group, id, .. } => {
+                if let Some(fold) = self.requests.get_mut(*group as usize) {
+                    fold.emissions += 1;
+                    fold.output_at.entry(*id).or_insert(now);
+                }
+            }
             MonitorEvent::RequestDelivered {
                 group,
                 member,
@@ -630,9 +659,9 @@ impl ControlState {
                     fold.record(*member, *id, *ts, now);
                 }
             }
-            // Suspicion clears, rejoin phase marks, per-request
-            // submit/emit marks and the other dispatcher alarms feed the
-            // invariant watchdog, not the cluster event stream.
+            // Suspicion clears, rejoin phase marks and the other
+            // dispatcher alarms feed the invariant watchdog, not the
+            // cluster event stream.
             _ => {}
         }
         self.pending.len() > before

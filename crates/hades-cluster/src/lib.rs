@@ -33,8 +33,9 @@
 //!   [`ClusterEvent`] stream the drivers saw.
 //!
 //! There is **one record of what the protocols did, read once**.
-//! Agents and group members append to their `AgentLog` / `GroupLog` and
-//! hand each transition, as a [`hades_telemetry::monitor::MonitorEvent`],
+//! Agents append what they observed to their `AgentLog`, group members
+//! keep their delivery sequences and counters in their `GroupLog`, and
+//! both hand each transition, as a [`hades_telemetry::monitor::MonitorEvent`],
 //! to the one [`hades_telemetry::monitor::ProtocolTap`] the run installs
 //! on all of them and on the dispatcher, whose Section 3.2.1 alarms
 //! (deadline misses among them) are `MonitorEvent`s too. The tap gives
@@ -42,9 +43,11 @@
 //! [`ClusterEvent`]s the drivers see) and, when
 //! monitors are registered, to the invariant watchdog; it must not
 //! re-enter the engine — it records, and at most posts a wake for the
-//! control actor. After the run the logs are folded once into the
-//! report, and the protocol trace spans are built from that report and
-//! the same fold: their timestamps are the instants the actors logged.
+//! control actor. Each group's submissions and outputs are folded from
+//! the tap as they happen, and nowhere else. After the run the logs are
+//! folded once into the report, and the protocol trace spans are built
+//! from that report and the same folds: their timestamps are the
+//! instants the actors logged or handed to the tap.
 //!
 //! Membership travels as variable-length
 //! [`hades_services::MemberSet`]s, so deployments are no longer capped

@@ -139,6 +139,7 @@ impl Lowered {
         let state = Rc::new(RefCell::new(ControlState::new(
             origin,
             node_reports,
+            self.groups.len(),
             deliveries,
         )));
         let postbox = sim.postbox();

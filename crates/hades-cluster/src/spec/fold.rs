@@ -23,13 +23,14 @@ impl Lowered {
         // scripted replays and reactive injections alike — not the
         // static plan, so reactive faults are first-class citizens of
         // the report.
-        let (applied, events, mut node_reports, deliveries) = {
+        let (applied, events, mut node_reports, requests, deliveries) = {
             let mut state = state.borrow_mut();
             state.release_held(Time::MAX);
             (
                 std::mem::take(&mut state.applied),
                 std::mem::take(&mut state.events),
                 std::mem::take(&mut state.node_reports),
+                std::mem::take(&mut state.requests),
                 std::mem::take(&mut state.deliveries),
             )
         };
@@ -76,8 +77,7 @@ impl Lowered {
             })
             .collect();
 
-        let (groups, request_folds) =
-            self.group_reports(&group_logs, self.spec.group_delta(), &applied, &handoffs);
+        let groups = self.group_reports(&group_logs, &requests, &applied, &handoffs);
         let view_changes = view_history
             .last()
             .map(|(number, _)| *number)
@@ -161,7 +161,7 @@ impl Lowered {
             let spans = self.build_spans(
                 cluster_run.report(),
                 cluster_run.events(),
-                &request_folds,
+                &requests,
                 &deliveries,
             );
             self.spec
@@ -181,9 +181,9 @@ impl Lowered {
 
     /// Builds the protocol trace spans from the finished run's records.
     ///
-    /// Spans are built post-run from the report's own records, the
-    /// request fold the report was built from and the deliveries the
-    /// control plane folded, so they cost little during simulation;
+    /// Spans are built post-run from the report's own records and the
+    /// requests and deliveries the control plane folded from the tap, so
+    /// they cost little during simulation;
     /// every timestamp is the engine instant an agent or group member
     /// logged or observed, ids are minted in a fixed record order
     /// (recoveries, failovers, group handoffs, view agreements, client
@@ -332,21 +332,21 @@ impl Lowered {
         spans
     }
 
-    /// Folds every group's member logs into its report section; on a
-    /// telemetry run the request folds it read go on to the span builder
-    /// (a bare run keeps none).
+    /// Folds every group's member logs and its request fold into its
+    /// report section.
     fn group_reports(
         &self,
         group_logs: &[Vec<Rc<RefCell<GroupLog>>>],
-        delta: Duration,
+        requests: &[RequestFold],
         applied: &FaultPlan,
         handoffs: &[report::GroupHandoff],
-    ) -> (Vec<report::GroupReport>, Vec<RequestFold>) {
+    ) -> Vec<report::GroupReport> {
+        let delta = self.spec.group_delta();
         let mut out = Vec::new();
-        let mut folds = Vec::new();
-        let spans_wanted = self.spec.telemetry.is_enabled();
         let response_hist = self.spec.telemetry.histogram("group.response_ns");
-        for (g, (group, glogs)) in self.groups.iter().zip(group_logs.iter()).enumerate() {
+        for (g, ((group, glogs), fold)) in
+            self.groups.iter().zip(group_logs).zip(requests).enumerate()
+        {
             let logs: Vec<Ref<'_, GroupLog>> = glogs.iter().map(|l| l.borrow()).collect();
             // Reference order: the first member never down (reactive
             // injections included); when every member restarted at some
@@ -373,7 +373,6 @@ impl Lowered {
             } else {
                 full_time.iter().all(|i| logs[*i].delivered == *reference)
             };
-            let fold = RequestFold::of(&logs);
             let (submitted_at, output_at) = (&fold.submitted_at, &fold.output_at);
             let outputs = output_at.len() as u64;
             let output_bound = delta + self.spec.link.delay_max;
@@ -443,11 +442,8 @@ impl Lowered {
                 abandoned,
                 response_ns,
             });
-            if spans_wanted {
-                folds.push(fold);
-            }
         }
-        (out, folds)
+        out
     }
 
     /// Joins each completed rejoin cycle with its applied down window and
@@ -562,35 +558,4 @@ fn fold_events(
     detections.sort_by_key(|d| (d.suspected_at, d.observer, d.suspect));
     handoffs.sort_by_key(|h| (h.at, h.to));
     (detections, failovers, handoffs)
-}
-
-/// What one group's members logged about its client requests, folded
-/// once per run: the report's request counts and latencies and the
-/// `request` spans are both read from it.
-#[derive(Debug, Default)]
-struct RequestFold {
-    /// First submission per request id.
-    submitted_at: BTreeMap<u64, Time>,
-    /// First client-visible output per request id.
-    output_at: BTreeMap<u64, Time>,
-    /// Outputs emitted over all members, redundant copies included.
-    emissions: u64,
-}
-
-impl RequestFold {
-    fn of(member_logs: &[Ref<'_, GroupLog>]) -> Self {
-        let mut fold = RequestFold::default();
-        for log in member_logs {
-            for (id, at) in &log.submitted {
-                let e = fold.submitted_at.entry(*id).or_insert(*at);
-                *e = (*e).min(*at);
-            }
-            for (id, at) in &log.emitted {
-                fold.emissions += 1;
-                let e = fold.output_at.entry(*id).or_insert(*at);
-                *e = (*e).min(*at);
-            }
-        }
-        fold
-    }
 }

@@ -49,7 +49,7 @@
 //! ```
 
 use crate::driver::{
-    ControlActor, ControlState, DeliveryFold, Origins, ScenarioDriver, ServiceControl,
+    ControlActor, ControlState, DeliveryFold, Origins, RequestFold, ScenarioDriver, ServiceControl,
     ServiceControlKind,
 };
 use crate::events::ClusterRun;

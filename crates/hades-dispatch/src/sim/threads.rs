@@ -95,28 +95,23 @@ impl Inner {
             if !touched.contains(&node) {
                 touched.push(node);
             }
-            let preds = task.heug.predecessors(eu_idx).len();
+            let preds = task.heug.predecessors(eu_idx).count();
             let th = match eu {
                 Eu::Code(code) => {
                     let actual = self.cfg.exec.draw(code.wcet, &mut self.rng);
-                    let succs = task.heug.successors(eu_idx);
-                    let (local_edges, remote_edges): (Vec<EuIndex>, Vec<EuIndex>) = succs
-                        .iter()
-                        .copied()
-                        .partition(|s| task.heug.eu(*s).processor() == code.processor);
+                    let (mut local_edges, mut remote_edges) = (0u64, 0u64);
+                    for s in task.heug.successors(eu_idx) {
+                        if task.heug.eu(s).processor() == code.processor {
+                            local_edges += 1;
+                        } else {
+                            remote_edges += 1;
+                        }
+                    }
                     let remaining = self.cfg.costs.act_start
                         + actual
                         + self.cfg.costs.act_end
-                        + self
-                            .cfg
-                            .costs
-                            .loc_prec
-                            .saturating_mul(local_edges.len() as u64)
-                        + self
-                            .cfg
-                            .costs
-                            .rem_prec
-                            .saturating_mul(remote_edges.len() as u64);
+                        + self.cfg.costs.loc_prec.saturating_mul(local_edges)
+                        + self.cfg.costs.rem_prec.saturating_mul(remote_edges);
                     let prio = code.timing.prio.min(Priority::APP_MAX.lower(1));
                     let pt = code.timing.pt.min(Priority::APP_MAX).max(prio);
                     Thread {

@@ -1,7 +1,9 @@
 //! The dispatcher's event path allocates per run, not per job: a
 //! fixed-priority `DispatchSim` run makes the same number of heap
 //! allocations over 10 ms as over 100 ms, give or take a constant —
-//! records are kept in reused slabs and buffers, not boxed one by one.
+//! records are kept in reused slabs and buffers, not boxed one by one,
+//! and a multi-unit task's precedence edges are walked in place, not
+//! collected.
 //!
 //! A counting global allocator counts the allocations of building and
 //! running the simulation, a count that does not depend on the host.
@@ -45,8 +47,9 @@ fn us(n: u64) -> Duration {
 }
 
 /// Three periodic tasks on each of 8 nodes under static priorities,
-/// U = 0.475 per node.
-fn task_set() -> TaskSet {
+/// U = 0.475 per node. With `chained`, each task is two units of half
+/// its WCET on its node, the first preceding the second.
+fn task_set(chained: bool) -> TaskSet {
     let mut tasks = Vec::new();
     for node in 0..8u32 {
         for (k, (wcet, period)) in [(100, 1_000), (300, 2_000), (500, 4_000)]
@@ -54,11 +57,22 @@ fn task_set() -> TaskSet {
             .enumerate()
         {
             let id = 3 * node + k as u32;
-            let eu = CodeEu::new(format!("t{id}"), us(wcet), ProcessorId(node))
-                .with_priority(Priority::new(3 - k as u32));
+            let prio = Priority::new(3 - k as u32);
+            let unit = |name: &str, wcet, on| {
+                CodeEu::new(format!("t{id}{name}"), us(wcet), ProcessorId(on)).with_priority(prio)
+            };
+            let heug = if chained {
+                let mut b = HeugBuilder::new(format!("t{id}"));
+                let first = b.code_eu(unit("a", wcet / 2, node));
+                let second = b.code_eu(unit("b", wcet / 2, node));
+                b.precede(first, second);
+                b.build().unwrap()
+            } else {
+                Heug::single(unit("", wcet, node)).unwrap()
+            };
             tasks.push(Task::new(
                 TaskId(id),
-                Heug::single(eu).unwrap(),
+                heug,
                 ArrivalLaw::Periodic(us(period)),
                 us(period),
             ));
@@ -69,11 +83,11 @@ fn task_set() -> TaskSet {
 
 /// Allocations made building the set and running it to `horizon_ms`,
 /// and how many instances the run activated.
-fn allocations(horizon_ms: u64) -> (usize, usize) {
+fn allocations(chained: bool, horizon_ms: u64) -> (usize, usize) {
     let before = ALLOCATIONS.load(Relaxed);
     let mut cfg = SimConfig::ideal(Duration::from_millis(horizon_ms));
     cfg.trace = false;
-    let report = DispatchSim::new(task_set(), cfg).run();
+    let report = DispatchSim::new(task_set(chained), cfg).run();
     let made = ALLOCATIONS.load(Relaxed) - before;
     assert!(report.all_deadlines_met());
     (made, report.instances.len())
@@ -81,13 +95,15 @@ fn allocations(horizon_ms: u64) -> (usize, usize) {
 
 #[test]
 fn a_fixed_priority_run_allocates_per_run_not_per_job() {
-    let (short, short_n) = allocations(10);
-    let (long, long_n) = allocations(100);
-    // Whole hyperperiods: 8 × (11 + 6 + 3) and 8 × (101 + 51 + 26)
-    // activations.
-    assert_eq!((short_n, long_n), (160, 1_424));
-    assert!(
-        long <= short + 16,
-        "{short} allocations over 10 ms, {long} over 100 ms"
-    );
+    for chained in [false, true] {
+        let (short, short_n) = allocations(chained, 10);
+        let (long, long_n) = allocations(chained, 100);
+        // Whole hyperperiods: 8 × (11 + 6 + 3) and 8 × (101 + 51 + 26)
+        // activations.
+        assert_eq!((short_n, long_n), (160, 1_424));
+        assert!(
+            long <= short + 16,
+            "chained {chained}: {short} allocations over 10 ms, {long} over 100 ms"
+        );
+    }
 }

@@ -158,25 +158,15 @@ impl NodeAgent {
         self.finish_rejoin(target, now, ctx);
     }
 
-    /// Logs view `number` (the current `view_mask`) as installed now,
-    /// moves the primary to its lowest member, and hands the install to
-    /// the tap.
+    /// Logs view `number` (the current `view_mask`) as installed now and
+    /// hands the install to the tap.
     pub(super) fn record_view(&mut self, number: u32, now: Time) {
         let members = self.view_mask.to_vec();
-        {
-            let mut log = self.log.borrow_mut();
-            log.views.push(View {
-                number,
-                members: members.clone(),
-                installed_at: now,
-            });
-            if let Some(&first) = members.first() {
-                if first != self.primary {
-                    self.primary = first;
-                    log.primary_changes.push((first, now));
-                }
-            }
-        }
+        self.log.borrow_mut().views.push(View {
+            number,
+            members: members.clone(),
+            installed_at: now,
+        });
         self.emit(now, |node| MonitorEvent::ViewInstalled {
             node,
             number,

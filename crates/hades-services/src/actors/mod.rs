@@ -231,9 +231,6 @@ pub struct AgentLog {
     pub suspicions: Vec<(u32, Time)>,
     /// Installed views, starting with view 0.
     pub views: Vec<View>,
-    /// Primary handovers: `(new_primary, when)` at each view install that
-    /// moved the primary.
-    pub primary_changes: Vec<(u32, Time)>,
     /// Cold restarts of this node, in order.
     pub restarts: Vec<Time>,
     /// Completed rejoin cycles of this node.
@@ -380,7 +377,6 @@ pub struct NodeAgent {
     joining: MemberSet,
     view_number: u32,
     view_mask: MemberSet,
-    primary: u32,
     changing: Option<Change>,
     /// Incarnation counter: bumped on every restart so events armed by a
     /// previous life are discarded.
@@ -475,7 +471,6 @@ impl NodeAgent {
             joining: MemberSet::new(),
             view_number: 0,
             view_mask: MemberSet::full(cfg.nodes),
-            primary: 0,
             changing: None,
             epoch: 0,
             rejoining: false,

@@ -59,14 +59,16 @@
 //! with a skewed clock two arms of one local instant made at different
 //! times fire apart, and each of them is a poll.
 //!
-//! What a member did is appended to its shared [`GroupLog`] and — when a
-//! tap is installed ([`ReplicaGroup::with_tap`]) — handed to it at the
-//! same engine instant as a [`MonitorEvent`]: leadership handoffs,
-//! submissions, Δ-deliveries and outputs, each naming the group (and the
-//! member). An output carries whether the member's own replication style
-//! deduplicates, so a monitor needs no per-group configuration. The tap is
-//! invoked synchronously inside the handler and must not re-enter the
-//! engine.
+//! What a member did at an instant — a leadership handoff, a submission,
+//! a Δ-delivery or an output — is handed to the tap, when one is
+//! installed ([`ReplicaGroup::with_tap`]), at that engine instant as a
+//! [`MonitorEvent`] naming the group (and the member); the tap is the one
+//! record of those events. An output carries whether the member's own
+//! replication style deduplicates, so a monitor needs no per-group
+//! configuration. The tap is invoked synchronously inside the handler and
+//! must not re-enter the engine. The member's shared [`GroupLog`] keeps
+//! what no event carries: its delivery sequence, its counters, its
+//! restarts and its final state.
 //!
 //! The module assumes the Δ-protocol's premises: bounded transit
 //! (`δmax ≤ Δ`) and view installs synchronized within one agreement
@@ -206,33 +208,27 @@ impl GroupConfig {
     }
 }
 
-/// Everything one group member observed and decided, readable after the
-/// run.
+/// What one group member keeps for after the run: its delivery sequence,
+/// its counters, its restarts and its final state. Submissions, outputs
+/// and handoffs are not kept here; they go to the tap
+/// ([`MonitorEvent::RequestSubmitted`], [`MonitorEvent::OutputEmitted`],
+/// [`MonitorEvent::LeadershipHandoff`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct GroupLog {
     /// The group.
     pub group: u32,
     /// The member's node.
     pub node: u32,
-    /// Requests this member submitted as the gateway: `(id, at)`.
-    pub submitted: Vec<(u64, Time)>,
     /// The member's delivery sequence, as request ids in delivery
     /// order — the sequence the agreement checks compare. Each
     /// delivery's Δ-order stamp and instant go to the tap
     /// ([`MonitorEvent::RequestDelivered`]), not here.
     pub delivered: Vec<u64>,
-    /// Client-visible outputs this member emitted: `(id, at)`. For
-    /// active replication these are the member's votes (the voter keeps
-    /// the first copy per request); for semi-active and passive only
-    /// the leader/primary emits.
-    pub emitted: Vec<(u64, Time)>,
     /// Duplicate outputs this member suppressed (redundant votes seen,
     /// or follower executions whose output was withheld).
     pub suppressed: u64,
     /// Active-style vote digests that disagreed with the local state.
     pub vote_mismatches: u64,
-    /// Leadership takeovers this member performed: `(old, new, at)`.
-    pub handoffs: Vec<(u32, u32, Time)>,
     /// Cold restarts of this member.
     pub restarts: Vec<Time>,
     /// Requests re-executed during a passive takeover replay.

@@ -203,7 +203,6 @@ impl ReplicaGroup {
         if !self.emitted_ids.insert(id) {
             return;
         }
-        self.log.borrow_mut().emitted.push((id, now));
         self.observe(now, |group, member| MonitorEvent::OutputEmitted {
             group,
             member,
@@ -263,7 +262,6 @@ impl ReplicaGroup {
                 if !self.inbox.knows(id) {
                     // Fresh timestamp: a catch-up submission cannot be
                     // retrofitted into the past of the Δ-order.
-                    self.log.borrow_mut().submitted.push((id, now));
                     self.observe(now, |group, _| MonitorEvent::RequestSubmitted { group, id });
                     if let Some(due) = self.inbox.accept(id, now, self.me(), now) {
                         ctx.timer_at(due, wire::epoch_timer(GK_DELIVER, self.epoch));

@@ -171,7 +171,6 @@ impl ReplicaGroup {
     /// Style-specific leadership takeover.
     fn take_over(&mut self, old: u32, now: Time, ctx: &mut ActorCtx<'_>) {
         self.abort_catchup(now, ctx);
-        self.log.borrow_mut().handoffs.push((old, self.me(), now));
         self.observe(now, |group, to| MonitorEvent::LeadershipHandoff {
             group,
             from: old,

@@ -103,8 +103,15 @@ fn primary_crash_promotes_next_member() {
     for n in [1usize, 2, 3] {
         let log = logs[n].borrow();
         assert_eq!(log.primary(), Some(1), "node {n} promoted node 1");
-        assert_eq!(log.primary_changes.len(), 1);
-        let (new_primary, at) = log.primary_changes[0];
+        // Primary handovers: the installs that moved the lowest member.
+        let handovers: Vec<(u32, Time)> = log
+            .views
+            .windows(2)
+            .filter(|w| w[0].members.first() != w[1].members.first())
+            .map(|w| (w[1].members[0], w[1].installed_at))
+            .collect();
+        assert_eq!(handovers.len(), 1);
+        let (new_primary, at) = handovers[0];
         assert_eq!(new_primary, 1);
         let ceiling = cfg(0, 4).detection_bound(us(40)) + cfg(0, 4).agreement_bound(us(40));
         assert!(at - crash <= ceiling, "takeover {} > {ceiling}", at - crash);

@@ -31,7 +31,6 @@ fn view_schedule(views: Vec<(u32, Vec<u32>, Time)>) -> Rc<RefCell<AgentLog>> {
                 installed_at,
             })
             .collect(),
-        primary_changes: Vec::new(),
         restarts: Vec::new(),
         rejoins: Vec::new(),
         transfers_served: 0,
@@ -67,11 +66,23 @@ fn run_group(
     logs
 }
 
-/// One delivery as the tap saw it: `(member, id, ts, delivered_at)`.
-type Delivery = (u32, u64, Time, Time);
+/// Every event the members handed the tap, with its instant, in the
+/// order they happened.
+type Tapped = Vec<(Time, MonitorEvent)>;
 
-/// [`run_group`], with every member's deliveries recorded from the tap
-/// in the order they happened.
+/// A tap that records every event it is handed, and its recording.
+fn recorder() -> (ProtocolTap, Rc<RefCell<Tapped>>) {
+    let events = Rc::new(RefCell::new(Vec::new()));
+    let tap = {
+        let events = events.clone();
+        ProtocolTap(Rc::new(move |now, ev: &MonitorEvent| {
+            events.borrow_mut().push((now, ev.clone()));
+        }))
+    };
+    (tap, events)
+}
+
+/// [`run_group`], with every member's events recorded from the tap.
 #[allow(clippy::too_many_arguments)]
 fn run_group_tapped(
     style: ReplicaStyle,
@@ -82,16 +93,8 @@ fn run_group_tapped(
     horizon: Duration,
     attempts: u32,
     omissions_permille: u32,
-) -> (Vec<Rc<RefCell<GroupLog>>>, Vec<Delivery>) {
-    let deliveries = Rc::new(RefCell::new(Vec::new()));
-    let tap = {
-        let deliveries = deliveries.clone();
-        ProtocolTap(Rc::new(move |now, ev| {
-            if let MonitorEvent::RequestDelivered { member, id, ts, .. } = ev {
-                deliveries.borrow_mut().push((*member, *id, *ts, now));
-            }
-        }))
-    };
+) -> (Vec<Rc<RefCell<GroupLog>>>, Tapped) {
+    let (tap, events) = recorder();
     let link = LinkConfig::reliable(us(10), us(40)).with_omissions(omissions_permille);
     let net = Network::homogeneous(nodes, link, SimRng::seed_from(seed)).with_fault_plan(plan);
     let mut rt = ActorEngine::new(net);
@@ -119,17 +122,54 @@ fn run_group_tapped(
         })
         .collect();
     rt.run(Time::ZERO + horizon);
-    let deliveries = deliveries.borrow().clone();
-    (logs, deliveries)
+    (logs, events.take())
 }
 
-/// `member`'s deliveries, from a tap recording, in its delivery order.
-fn deliveries_of(deliveries: &[Delivery], member: u32) -> Vec<(u64, Time, Time)> {
-    deliveries
-        .iter()
-        .filter(|d| d.0 == member)
-        .map(|&(_, id, ts, at)| (id, ts, at))
-        .collect()
+/// `member`'s deliveries, `(id, ts, at)`, in its delivery order.
+fn deliveries_of(tapped: &Tapped, member: u32) -> Vec<(u64, Time, Time)> {
+    let of = |(at, ev): &(Time, MonitorEvent)| match *ev {
+        MonitorEvent::RequestDelivered {
+            member: m, id, ts, ..
+        } if m == member => Some((id, ts, *at)),
+        _ => None,
+    };
+    tapped.iter().filter_map(of).collect()
+}
+
+/// `member`'s client-visible outputs, `(id, at)`, in emission order.
+fn emitted_by(tapped: &Tapped, member: u32) -> Vec<(u64, Time)> {
+    let of = |(at, ev): &(Time, MonitorEvent)| match *ev {
+        MonitorEvent::OutputEmitted { member: m, id, .. } if m == member => Some((id, *at)),
+        _ => None,
+    };
+    tapped.iter().filter_map(of).collect()
+}
+
+/// Every member's outputs, as request ids in emission order.
+fn emitted_ids(tapped: &Tapped) -> Vec<u64> {
+    let of = |(_, ev): &(Time, MonitorEvent)| match *ev {
+        MonitorEvent::OutputEmitted { id, .. } => Some(id),
+        _ => None,
+    };
+    tapped.iter().filter_map(of).collect()
+}
+
+/// The gateways' submissions, `(id, at)`, in submission order.
+fn submissions(tapped: &Tapped) -> Vec<(u64, Time)> {
+    let of = |(at, ev): &(Time, MonitorEvent)| match *ev {
+        MonitorEvent::RequestSubmitted { id, .. } => Some((id, *at)),
+        _ => None,
+    };
+    tapped.iter().filter_map(of).collect()
+}
+
+/// The leadership takeovers `member` performed, `(old, new, at)`.
+fn handoffs_to(tapped: &Tapped, member: u32) -> Vec<(u32, u32, Time)> {
+    let of = |(at, ev): &(Time, MonitorEvent)| match *ev {
+        MonitorEvent::LeadershipHandoff { from, to, .. } if to == member => Some((from, to, *at)),
+        _ => None,
+    };
+    tapped.iter().filter_map(of).collect()
 }
 
 #[test]
@@ -158,8 +198,9 @@ fn active_group_delivers_identical_order_and_unique_outputs() {
         for (_, ts, at) in &tapped {
             assert_eq!(*at, *ts + us(60));
         }
-        emissions += log.emitted.len() as u64;
-        unique.extend(log.emitted.iter().map(|(id, _)| *id));
+        let emitted = emitted_by(&deliveries, log.node);
+        emissions += emitted.len() as u64;
+        unique.extend(emitted.iter().map(|(id, _)| *id));
         assert!(log.suppressed > 0, "the voter saw redundant copies");
         assert_eq!(log.vote_mismatches, 0);
     }
@@ -177,7 +218,7 @@ fn active_group_delivers_identical_order_and_unique_outputs() {
 
 #[test]
 fn semi_active_leader_emits_followers_suppress() {
-    let logs = run_group(
+    let (logs, tapped) = run_group_tapped(
         ReplicaStyle::SemiActive,
         3,
         FaultPlan::new(),
@@ -189,9 +230,9 @@ fn semi_active_leader_emits_followers_suppress() {
     );
     let leader = logs[0].borrow();
     let follower = logs[1].borrow();
-    assert!(!leader.emitted.is_empty());
+    assert!(!emitted_by(&tapped, 0).is_empty());
     assert_eq!(leader.suppressed, 0);
-    assert!(follower.emitted.is_empty(), "followers never emit");
+    assert!(emitted_by(&tapped, 1).is_empty(), "followers never emit");
     assert!(follower.suppressed > 0, "followers executed silently");
     assert_eq!(
         leader.final_state, follower.final_state,
@@ -206,7 +247,7 @@ fn semi_active_crash_hands_over_and_preserves_order() {
     let vc = t_ms(6); // the agreed exclusion view installs ~1 ms later
     let plan = FaultPlan::new().crash_at(NodeId(0), crash);
     let views = view_schedule(vec![(0, vec![0, 1, 2], Time::ZERO), (1, vec![1, 2], vc)]);
-    let logs = run_group(
+    let (logs, tapped) = run_group_tapped(
         ReplicaStyle::SemiActive,
         3,
         plan,
@@ -217,8 +258,9 @@ fn semi_active_crash_hands_over_and_preserves_order() {
         0,
     );
     let new_leader = logs[1].borrow();
-    assert_eq!(new_leader.handoffs.len(), 1, "node 1 took over");
-    let (from, to, at) = new_leader.handoffs[0];
+    let handoffs = handoffs_to(&tapped, 1);
+    assert_eq!(handoffs.len(), 1, "node 1 took over");
+    let (from, to, at) = handoffs[0];
     assert_eq!((from, to), (0, 1));
     assert!(at >= vc);
     // Requests kept flowing: the new gateway resubmitted what the
@@ -233,16 +275,7 @@ fn semi_active_crash_hands_over_and_preserves_order() {
     );
     assert!(new_leader.delivered.len() >= 15, "traffic sustained");
     // Exactly one emission per request across the group.
-    let mut all: Vec<u64> = logs
-        .iter()
-        .flat_map(|l| {
-            l.borrow()
-                .emitted
-                .iter()
-                .map(|(id, _)| *id)
-                .collect::<Vec<_>>()
-        })
-        .collect();
+    let mut all = emitted_ids(&tapped);
     all.sort_unstable();
     let deduped: Vec<u64> = {
         let mut d = all.clone();
@@ -314,7 +347,7 @@ fn passive_backup_takes_over_from_checkpoint() {
     let vc = t_ms(9);
     let plan = FaultPlan::new().crash_at(NodeId(0), crash);
     let views = view_schedule(vec![(0, vec![0, 1, 2], Time::ZERO), (1, vec![1, 2], vc)]);
-    let logs = run_group(
+    let (logs, tapped) = run_group_tapped(
         ReplicaStyle::Passive {
             checkpoint_every: 3,
         },
@@ -326,10 +359,10 @@ fn passive_backup_takes_over_from_checkpoint() {
         1,
         0,
     );
-    let old = logs[0].borrow();
     let new = logs[1].borrow();
-    assert!(old.emitted.len() >= 6, "the primary served before dying");
-    assert_eq!(new.handoffs.len(), 1);
+    let (old_out, new_out) = (emitted_by(&tapped, 0), emitted_by(&tapped, 1));
+    assert!(old_out.len() >= 6, "the primary served before dying");
+    assert_eq!(handoffs_to(&tapped, 1).len(), 1);
     assert!(new.replayed > 0, "the takeover replayed the log tail");
     assert!(
         new.replayed <= 3 + 2,
@@ -337,14 +370,9 @@ fn passive_backup_takes_over_from_checkpoint() {
         new.replayed
     );
     // The new primary kept serving after the takeover.
-    assert!(new.emitted.len() >= 5, "service resumed: {:?}", new.emitted);
+    assert!(new_out.len() >= 5, "service resumed: {new_out:?}");
     // Re-emission past the watermark is possible and visible.
-    let mut all: Vec<u64> = old
-        .emitted
-        .iter()
-        .chain(new.emitted.iter())
-        .map(|(id, _)| *id)
-        .collect();
+    let mut all: Vec<u64> = old_out.iter().chain(&new_out).map(|(id, _)| *id).collect();
     let total = all.len();
     all.sort_unstable();
     all.dedup();
@@ -359,7 +387,7 @@ fn group_run_is_deterministic() {
             (0, vec![0, 1, 2], Time::ZERO),
             (1, vec![1, 2], t_ms(6)),
         ]);
-        let logs = run_group(
+        let (logs, tapped) = run_group_tapped(
             ReplicaStyle::SemiActive,
             3,
             plan,
@@ -369,7 +397,8 @@ fn group_run_is_deterministic() {
             1,
             0,
         );
-        logs.iter().map(|l| l.borrow().clone()).collect::<Vec<_>>()
+        let logs: Vec<GroupLog> = logs.iter().map(|l| l.borrow().clone()).collect();
+        (logs, tapped)
     };
     assert_eq!(mk(), mk());
 }
@@ -428,7 +457,7 @@ fn restarted_active_member_catches_up_to_the_full_fold() {
     assert_eq!(*order, (0..order.len() as u64).collect::<Vec<_>>());
     let tapped = deliveries_of(&deliveries, 0);
     assert_eq!(tapped.len(), order.len(), "the tap saw each delivery");
-    for ((id, ts, at), vote) in tapped.iter().zip(&reference.emitted) {
+    for ((id, ts, at), vote) in tapped.iter().zip(&emitted_by(&deliveries, 0)) {
         assert_eq!(*at, *ts + us(60));
         assert_eq!(*vote, (*id, *at));
     }
@@ -446,8 +475,9 @@ fn passive_backup_crash_costs_the_primary_nothing() {
     };
     let (logs, deliveries) = run_group_tapped(style, 3, plan, Some(views), 5, ms(20), 1, 0);
     let primary = logs[0].borrow();
-    assert!(primary.handoffs.is_empty() && primary.replayed == 0);
-    let served: Vec<u64> = primary.emitted.iter().map(|(id, _)| *id).collect();
+    assert!(handoffs_to(&deliveries, 0).is_empty() && primary.replayed == 0);
+    let outputs = emitted_by(&deliveries, 0);
+    let served: Vec<u64> = outputs.iter().map(|(id, _)| *id).collect();
     assert_eq!(served, (0..served.len() as u64).collect::<Vec<_>>());
     assert!(served.len() >= 18, "no request delayed past the horizon");
     let tapped = deliveries_of(&deliveries, 0);
@@ -456,7 +486,7 @@ fn passive_backup_crash_costs_the_primary_nothing() {
         primary.delivered.len(),
         "the tap saw each one"
     );
-    for ((id, ts, at), output) in tapped.iter().zip(&primary.emitted) {
+    for ((id, ts, at), output) in tapped.iter().zip(&outputs) {
         assert_eq!(*at, *ts + us(60));
         assert_eq!(*output, (*id, *at));
     }
@@ -473,14 +503,23 @@ fn styles_fold_one_stream_to_one_state_at_falling_cost() {
     };
     let active = run(ReplicaStyle::Active);
     let semi = run(ReplicaStyle::SemiActive);
-    let passive = run(ReplicaStyle::Passive {
-        checkpoint_every: 4,
-    });
+    let (passive, passive_tapped) = run_group_tapped(
+        ReplicaStyle::Passive {
+            checkpoint_every: 4,
+        },
+        3,
+        FaultPlan::new(),
+        None,
+        6,
+        ms(12),
+        1,
+        0,
+    );
     let fold = active[0].borrow().final_state;
     assert_eq!(semi[0].borrow().final_state, fold);
     assert_eq!(passive[0].borrow().final_state, fold);
     assert!(
-        passive[1].borrow().emitted.is_empty(),
+        emitted_by(&passive_tapped, 1).is_empty(),
         "backups do not execute"
     );
     assert!(sent(&passive) < sent(&semi) && sent(&semi) < sent(&active));
@@ -552,6 +591,7 @@ fn explicit_schedule_drives_submissions_and_ends_the_stream() {
     let peers: Vec<(u32, ActorId)> = members.iter().map(|n| (*n, ActorId(*n))).collect();
     let schedule: Rc<RefCell<dyn RequestSource>> =
         Rc::new(RefCell::new(FixedSchedule::new(times.clone().into())));
+    let (tap, tapped) = recorder();
     let logs: Vec<_> = (0..3)
         .map(|n| {
             let (member, log) = ReplicaGroup::new(
@@ -569,22 +609,17 @@ fn explicit_schedule_drives_submissions_and_ends_the_stream() {
                 },
                 None,
             );
-            rt.add_actor(Box::new(member));
+            rt.add_actor(Box::new(member.with_tap(tap.clone())));
             log
         })
         .collect();
     rt.run(Time::ZERO + ms(20));
-    let gateway = logs[0].borrow();
+    let at: Vec<Time> = submissions(&tapped.borrow()).iter().map(|s| s.1).collect();
     assert_eq!(
-        gateway
-            .submitted
-            .iter()
-            .map(|(_, at)| *at)
-            .collect::<Vec<_>>(),
-        times,
+        at, times,
         "one submission per scheduled instant, at that instant"
     );
-    let reference = gateway.delivered.clone();
+    let reference = logs[0].borrow().delivered.clone();
     assert_eq!(reference, vec![0, 1, 2, 3, 4, 5]);
     for log in &logs {
         assert_eq!(log.borrow().delivered, reference);
@@ -592,8 +627,11 @@ fn explicit_schedule_drives_submissions_and_ends_the_stream() {
 }
 
 /// A one-member group on node 0 driven by the open-loop schedule
-/// `times_us`: the runtime and the member's log.
-fn solo_on_schedule(times_us: &[u64], plan: FaultPlan) -> (ActorEngine, Rc<RefCell<GroupLog>>) {
+/// `times_us`: the runtime, the member's log and its tap recording.
+fn solo_on_schedule(
+    times_us: &[u64],
+    plan: FaultPlan,
+) -> (ActorEngine, Rc<RefCell<GroupLog>>, Rc<RefCell<Tapped>>) {
     let link = LinkConfig::reliable(us(10), us(40));
     let net = Network::homogeneous(1, link, SimRng::seed_from(5)).with_fault_plan(plan);
     let mut rt = ActorEngine::new(net);
@@ -613,12 +651,13 @@ fn solo_on_schedule(times_us: &[u64], plan: FaultPlan) -> (ActorEngine, Rc<RefCe
         },
         None,
     );
-    rt.add_actor(Box::new(member));
-    (rt, log)
+    let (tap, tapped) = recorder();
+    rt.add_actor(Box::new(member.with_tap(tap)));
+    (rt, log, tapped)
 }
 
-fn submitted_ids(log: &Rc<RefCell<GroupLog>>) -> Vec<u64> {
-    log.borrow().submitted.iter().map(|(id, _)| *id).collect()
+fn submitted_ids(tapped: &Rc<RefCell<Tapped>>) -> Vec<u64> {
+    submissions(&tapped.borrow()).iter().map(|s| s.0).collect()
 }
 
 #[test]
@@ -627,7 +666,7 @@ fn two_arms_for_one_instant_deliver_one_tick() {
     // behind it runs a tick at t = 0 whose successor is that same
     // instant. Unchecked, the second arm doubles every tick from
     // there to the end of the schedule.
-    let (mut rt, log) = solo_on_schedule(&[1_000, 2_000, 3_000], FaultPlan::new());
+    let (mut rt, _, tapped) = solo_on_schedule(&[1_000, 2_000, 3_000], FaultPlan::new());
     let profiler = Profiler::enabled();
     let unnamed = Probe::new(
         &Registry::disabled(),
@@ -638,7 +677,7 @@ fn two_arms_for_one_instant_deliver_one_tick() {
     rt.set_probe(unnamed);
     rt.postbox().notify(ActorId(0), GN_WAKE);
     rt.run(t_ms(5));
-    assert_eq!(submitted_ids(&log), vec![0, 1, 2]);
+    assert_eq!(submitted_ids(&tapped), vec![0, 1, 2]);
     let timers: u64 = profiler
         .report()
         .actors
@@ -655,12 +694,11 @@ fn restart_mid_wait_clears_the_pending_ticks() {
     // timer belongs to the previous life and is ignored when it
     // fires, so the new life must arm its own for the same instant.
     let plan = FaultPlan::new().crash_window(NodeId(0), t_ms(2), t_ms(3));
-    let (mut rt, log) = solo_on_schedule(&[1_000, 5_000, 9_000], plan);
+    let (mut rt, log, tapped) = solo_on_schedule(&[1_000, 5_000, 9_000], plan);
     rt.run(t_ms(12));
-    let log = log.borrow();
-    assert_eq!(log.restarts, vec![t_ms(3)]);
+    assert_eq!(log.borrow().restarts, vec![t_ms(3)]);
     assert_eq!(
-        log.submitted,
+        submissions(&tapped.borrow()),
         vec![(0, t_ms(1)), (1, t_ms(5)), (2, t_ms(9))]
     );
 }
@@ -673,9 +711,9 @@ fn member_on_a_fast_clock_submits_every_scheduled_id() {
     // is not a duplicate — keyed on the instant asked for, it would
     // be dropped and the request never submitted.
     let plan = FaultPlan::new().skew_clock(NodeId(0), Time::ZERO, 10_000_000);
-    let (mut rt, log) = solo_on_schedule(&[1_000, 2_000, 3_000, 4_000], plan);
+    let (mut rt, _, tapped) = solo_on_schedule(&[1_000, 2_000, 3_000, 4_000], plan);
     rt.run(t_ms(6));
-    assert_eq!(submitted_ids(&log), vec![0, 1, 2, 3]);
+    assert_eq!(submitted_ids(&tapped), vec![0, 1, 2, 3]);
 }
 
 #[test]

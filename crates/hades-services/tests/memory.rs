@@ -1,12 +1,13 @@
 //! A replica-group member's memory per request served is a few ids, not
 //! a hash-set slot per set: its duplicate-suppression, executed and
-//! emitted sets are bitsets over the request ids, and its delivery log
-//! keeps ids only.
+//! emitted sets are bitsets over the request ids, its delivery log
+//! keeps ids only, and its submissions and outputs go to the tap, not to
+//! its log.
 //!
 //! A counting global allocator measures the heap high water of building
 //! and running a three-member semi-active group over a fixed schedule of
 //! N and then 4N requests. What still grows with the stream is the
-//! schedule itself and the member logs' per-request entries, so the test
+//! schedule itself and the member logs' delivery sequences, so the test
 //! bounds the slope between the two runs per request. This file holds a
 //! single test: the allocator counts the whole process, and a second
 //! test running beside it would count too.
@@ -15,9 +16,10 @@ use hades_services::group::{FixedSchedule, GroupConfig, ReplicaGroup};
 use hades_services::ReplicaStyle;
 use hades_sim::mux::ActorId;
 use hades_sim::{ActorEngine, LinkConfig, Network, NodeId, SimRng};
+use hades_telemetry::monitor::{MonitorEvent, ProtocolTap};
 use hades_time::{Duration, Time};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
@@ -55,7 +57,8 @@ fn us(n: u64) -> Duration {
 
 /// Heap high water, above what was live before, of building a
 /// three-member semi-active group and serving `requests` requests, one
-/// every 100 µs, with the member logs still held.
+/// every 100 µs, with the member logs still held. Outputs are counted
+/// from the tap, which keeps nothing per request.
 fn high_water(requests: u64) -> usize {
     let base = LIVE.load(Relaxed);
     PEAK.store(base, Relaxed);
@@ -69,6 +72,15 @@ fn high_water(requests: u64) -> usize {
     );
     let mut engine = ActorEngine::new(net);
     let peers: Vec<(u32, ActorId)> = (0..3).map(|n| (n, ActorId(n))).collect();
+    let outputs = Rc::new(Cell::new(0u64));
+    let tap = {
+        let outputs = outputs.clone();
+        ProtocolTap(Rc::new(move |_, ev: &MonitorEvent| {
+            if matches!(ev, MonitorEvent::OutputEmitted { member: 0, .. }) {
+                outputs.set(outputs.get() + 1);
+            }
+        }))
+    };
     let logs: Vec<_> = (0..3)
         .map(|n| {
             let (member, log) = ReplicaGroup::new(
@@ -86,7 +98,7 @@ fn high_water(requests: u64) -> usize {
                 },
                 None,
             );
-            engine.add_actor(Box::new(member));
+            engine.add_actor(Box::new(member.with_tap(tap.clone())));
             log
         })
         .collect();
@@ -95,7 +107,7 @@ fn high_water(requests: u64) -> usize {
     for log in &logs {
         assert_eq!(log.borrow().delivered.len() as u64, requests);
     }
-    assert_eq!(logs[0].borrow().emitted.len() as u64, requests);
+    assert_eq!(outputs.get(), requests);
     peak
 }
 
@@ -113,7 +125,8 @@ fn group_heap_slope_per_request_is_bounded() {
 }
 
 /// Bytes of heap high water per request served, at most. The logs'
-/// entries and the schedule come to ~77 B a request on this stream;
-/// keeping the three id sets as hash sets and each delivery as an
-/// `(id, ts, at)` triple comes to ~260 B.
-const BOUND: usize = 150;
+/// delivery ids and the schedule come to ~37 B a request on this stream;
+/// keeping each submission and output as an `(id, at)` pair in the logs
+/// as well comes to ~69 B, and keeping the three id sets as hash sets and
+/// each delivery as an `(id, ts, at)` triple ~260 B.
+const BOUND: usize = 75;

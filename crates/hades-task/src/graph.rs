@@ -239,29 +239,27 @@ impl Heug {
         &self.topo
     }
 
-    /// Direct predecessors of `idx`.
-    pub fn predecessors(&self, idx: EuIndex) -> Vec<EuIndex> {
+    /// Direct predecessors of `idx`, in edge order.
+    pub fn predecessors(&self, idx: EuIndex) -> impl Iterator<Item = EuIndex> + '_ {
         self.edges
             .iter()
-            .filter(|e| e.to == idx)
+            .filter(move |e| e.to == idx)
             .map(|e| e.from)
-            .collect()
     }
 
-    /// Direct successors of `idx`.
-    pub fn successors(&self, idx: EuIndex) -> Vec<EuIndex> {
+    /// Direct successors of `idx`, in edge order.
+    pub fn successors(&self, idx: EuIndex) -> impl Iterator<Item = EuIndex> + '_ {
         self.edges
             .iter()
-            .filter(|e| e.from == idx)
+            .filter(move |e| e.from == idx)
             .map(|e| e.to)
-            .collect()
     }
 
     /// Units with no predecessors (started at task activation).
     pub fn sources(&self) -> Vec<EuIndex> {
         (0..self.eus.len() as u32)
             .map(EuIndex)
-            .filter(|i| self.predecessors(*i).is_empty())
+            .filter(|i| self.predecessors(*i).next().is_none())
             .collect()
     }
 
@@ -269,7 +267,7 @@ impl Heug {
     pub fn sinks(&self) -> Vec<EuIndex> {
         (0..self.eus.len() as u32)
             .map(EuIndex)
-            .filter(|i| self.successors(*i).is_empty())
+            .filter(|i| self.successors(*i).next().is_none())
             .collect()
     }
 
@@ -340,7 +338,6 @@ impl Heug {
                 .unwrap_or(Duration::ZERO);
             let pred_max = self
                 .predecessors(*idx)
-                .into_iter()
                 .map(|p| dist[p.0 as usize])
                 .fold(Duration::ZERO, Duration::max);
             dist[idx.0 as usize] = pred_max + own;
@@ -383,9 +380,11 @@ mod tests {
     #[test]
     fn predecessors_and_successors() {
         let g = diamond();
-        assert_eq!(g.predecessors(EuIndex(3)), vec![EuIndex(1), EuIndex(2)]);
-        assert_eq!(g.successors(EuIndex(0)), vec![EuIndex(1), EuIndex(2)]);
-        assert!(g.predecessors(EuIndex(0)).is_empty());
+        let preds: Vec<EuIndex> = g.predecessors(EuIndex(3)).collect();
+        let succs: Vec<EuIndex> = g.successors(EuIndex(0)).collect();
+        assert_eq!(preds, vec![EuIndex(1), EuIndex(2)]);
+        assert_eq!(succs, vec![EuIndex(1), EuIndex(2)]);
+        assert_eq!(g.predecessors(EuIndex(0)).count(), 0);
     }
 
     #[test]
